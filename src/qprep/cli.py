@@ -43,6 +43,7 @@ _NUMERICAL_NAMES = frozenset({
     "BudgetExceeded",
     "TermBudgetExceeded",
     "DegenerateWindow",
+    "OrderUnsupported",
     "PosteriorUndefined",
     "SolverFailure",
     "LinAlgError",
@@ -105,6 +106,24 @@ def _seed_value(text):
     return value
 
 
+def _in_range(conv, lo, hi=math.inf):
+    """argparse type: ``conv(text)`` within [lo, hi], else a usage error."""
+    def parse(text):
+        try:
+            value = conv(text)
+        except ValueError:
+            value = math.nan
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} must be a {conv.__name__} in [{lo}, {hi}]")
+        return value
+    return parse
+
+
+_positive_int = _in_range(int, 1)
+_unit_float = _in_range(float, 0.0, 1.0)
+
+
 def _int_list(text):
     try:
         return [int(tok, 0) for tok in text.split(",") if tok.strip()]
@@ -132,7 +151,10 @@ def _emit_csv(header, rows, path):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    for row in rows:
+        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
+            raise ValueError(f"refusing to write non-finite row {row!r}")
+        writer.writerow(row)
     _write_text(buf.getvalue(), path)
 
 
@@ -319,6 +341,8 @@ def _load_measure(args):
         rows = np.loadtxt(args.levels, delimiter=",", ndmin=2)
         if rows.ndim != 2 or rows.shape[1] != 2:
             raise ValueError("levels file needs energy,weight columns")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("levels file holds non-finite values")
         energies, inverse = np.unique(rows[:, 0], return_inverse=True)
         weights = np.zeros(energies.shape)
         np.add.at(weights, inverse, rows[:, 1])
@@ -452,8 +476,7 @@ def cmd_energy_dist(args):
     else:
         grid_out, values_out = grid, values
     _emit_csv(("E", "P"),
-              [(repr(float(e)), repr(float(p)))
-               for e, p in zip(grid_out, values_out)],
+              [(float(e), float(p)) for e, p in zip(grid_out, values_out)],
               args.out)
 
     if args.sidecar is not None:
@@ -548,8 +571,7 @@ def cmd_leakage(args):
 
 def _posterior_csv(result, path):
     _emit_csv(("E", "weight"),
-              [(repr(float(e)), repr(float(p)))
-               for e, p in result.posterior.levels],
+              [(float(e), float(p)) for e, p in result.posterior.levels],
               path)
 
 
@@ -737,9 +759,9 @@ def build_parser():
                          "(default 8)")
     sp.add_argument("--eta", type=float, default=0.01,
                     help="resolvent broadening (default 0.01)")
-    sp.add_argument("--k", type=int, default=6,
+    sp.add_argument("--k", type=_positive_int, default=6,
                     help="readout digits for cqpe (default 6)")
-    sp.add_argument("--shots", type=int, default=4096,
+    sp.add_argument("--shots", type=_positive_int, default=4096,
                     help="cqpe sample count (default 4096)")
     sp.add_argument("--grid-points", type=int, default=512, metavar="N",
                     help="energy grid resolution (default 512)")
@@ -748,10 +770,11 @@ def build_parser():
 
     sp = add("qpe-stats", cmd_qpe_stats,
              "exact k-digit readout statistics of a spectrum", measure=True)
-    sp.add_argument("--k", type=int, required=True, help="readout digits")
+    sp.add_argument("--k", type=_positive_int, required=True,
+                    help="readout digits")
     sp.add_argument("--target", type=float, metavar="E",
                     help="report P(readout <= E) and P(spectrum <= E)")
-    sp.add_argument("--reps", type=int, metavar="K",
+    sp.add_argument("--reps", type=_positive_int, metavar="K",
                     help="report the expected minimum of K readouts")
     sp.add_argument("--full", action="store_true",
                     help="include the full outcome table")
@@ -761,7 +784,8 @@ def build_parser():
              measure=True)
     sp.add_argument("--et", type=float, required=True, metavar="E",
                     help="target energy (readout frame)")
-    sp.add_argument("--budget", type=int, required=True, metavar="K",
+    sp.add_argument("--budget", type=_positive_int, required=True,
+                    metavar="K",
                     help="repetition budget")
     sp.add_argument("--easy-threshold", type=float, default=0.5,
                     help="single-shot hit probability above which the "
@@ -770,12 +794,13 @@ def build_parser():
     sp = add("leakage", cmd_leakage,
              "probability of readouts below the tolerated-error window",
              measure=True)
-    sp.add_argument("--k", type=int, required=True, help="readout digits")
+    sp.add_argument("--k", type=_positive_int, required=True,
+                    help="readout digits")
     sp.add_argument("--epsilon", type=float, required=True,
                     help="tolerated energy error")
-    sp.add_argument("--e0", type=float, default=0.0,
-                    help="reference ground energy (default 0)")
-    sp.add_argument("--reps", type=int, default=10,
+    sp.add_argument("--e0", type=_unit_float, default=0.0,
+                    help="reference ground energy in [0, 1] (default 0)")
+    sp.add_argument("--reps", type=_positive_int, default=10,
                     help="repetitions for the diagnosis (default 10)")
     sp.add_argument("--flag-factor", type=float, default=2.0,
                     help="readout/energy CDF ratio that raises the flag")
@@ -790,7 +815,8 @@ def build_parser():
     registry[("refine", "cqpe")] = sp
     sp.set_defaults(handler=cmd_refine_cqpe)
     _add_measure_args(sp)
-    sp.add_argument("--k", type=int, required=True, help="readout digits")
+    sp.add_argument("--k", type=_positive_int, required=True,
+                    help="readout digits")
     sp.add_argument("--accept", type=_int_list, required=True,
                     metavar="X1,X2,...", help="accepted register outcomes")
     sp.add_argument("--et", type=float, metavar="E",
@@ -853,7 +879,7 @@ def dispatch(argv=None):
         return EXIT_USAGE
     try:
         _preapply_config(argv, registry)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -8,11 +8,13 @@ counted in the centred window [-2^(k-1), 2^(k-1)) so that "below the ground
 energy" keeps meaning the bins just under 2^k E0 rather than the top of the
 register.
 
-The module offers four views of the same quantity: the exact double sum over
-levels and bins, a one-term-per-level approximation with a rigorous
-antiderivative bracket, a panel-quadrature integral form for smooth
-densities, and a digit-count heuristic saying how large k must be before
-leakage stops mattering.  A CDF-comparison diagnosis flags states whose
+The module offers four views of the same quantity: the exact sum of the
+readout kernel of every counted level over every window bin (evaluated
+directly by :func:`qprep.spectra.readout_mass`, in bounded blocks, so small
+leakage keeps full relative precision), a one-term-per-level approximation
+with a rigorous antiderivative bracket, a panel-quadrature integral form for
+smooth densities, and a digit-count heuristic saying how large k must be
+before leakage stops mattering.  A CDF-comparison diagnosis flags states whose
 low-energy readout tail is dominated by kernel spill rather than by actual
 spectral weight.
 """
@@ -23,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qpestats import qpe_outcome_distribution
-from .spectra import SPIKE_TOL, as_measure
+from .spectra import (SPIKE_TOL, DigitCapExceeded, as_measure, on_grid,
+                      readout_mass, register_size)
 
+# Cap of the digit-count heuristic; the readout routines themselves stop at
+# qprep.spectra.READOUT_DIGIT_CAP.
 DIGIT_CAP = 64
-
-
-class DigitCapExceeded(ValueError):
-    """The requested precision needs more readout digits than the cap."""
 
 
 @dataclass(frozen=True)
@@ -82,29 +83,22 @@ def _split_bins(energy, size):
 
 
 def leak_prob_exact(m, setup, exclude_below=None):
-    """Exact leaked probability: every level against every window bin.
+    """Exact leaked probability: every counted level against every window bin.
 
-    A level sitting exactly on the readout grid contributes nothing (its
-    kernel is a delta at its own bin, which sits at or above the boundary).
+    Counted levels lie above the cut and off the readout grid: a level
+    sitting exactly on the grid contributes nothing, even where its delta
+    bin aliases into the centred window.  Window bins are taken modulo 2^k,
+    repeats included.
     """
     measure = as_measure(m)
     cut = setup.exclude_below if exclude_below is None else exclude_below
-    xs = np.arange(setup.window_low, setup.x_upper, dtype=float)
-    if xs.size == 0:
+    energies = measure.energies
+    counted = (energies > cut) & ~on_grid(energies, setup.k)
+    if setup.x_upper <= setup.window_low or not counted.any():
         return 0.0
-    size = setup.size
-    total = 0.0
-    for energy, weight in measure.levels:
-        if energy <= cut:
-            continue
-        scaled = size * energy
-        _, delta = _split_bins(energy, size)
-        if delta is None:
-            continue
-        terms = math.sin(math.pi * delta) ** 2 \
-            / np.sin(np.pi * (scaled - xs) / size) ** 2
-        total += weight * terms.sum() / size ** 2
-    return float(total)
+    window = np.arange(setup.window_low, setup.x_upper)
+    mass = readout_mass(energies[counted], setup.k, window)
+    return float(measure.probs[counted] @ mass)
 
 
 def leak_prob_level_approx(energy, setup):
@@ -165,7 +159,7 @@ def leak_prob_integral(density_fn, setup, e_max=1.0, nodes_per_panel=10):
     the rapidly oscillating factor is resolved exactly where it matters.
     ``density_fn`` must accept numpy arrays.
     """
-    size = setup.size
+    size = register_size(setup.k)
     lower = setup.e0 + setup.epsilon
     if e_max <= lower:
         return 0.0

@@ -9,6 +9,10 @@ outcomes (the quantity a repeat-until-lucky strategy actually reports), and
 condenses the "is this state worth refining" question into a small triage
 report.
 
+The outcome law itself is :func:`qprep.spectra.outcome_law`: the
+characteristic function of the measure at 0 <= l < 2^k, folded and
+transformed by one FFT, with on-grid levels added as exact spikes.
+
 All routines accept either a discrete :class:`~qprep.spectra.SpectralMeasure`
 or a sampled density as a ``(grid, values)`` pair; densities are first
 collapsed onto ``DENSITY_LEVELS`` point masses so a single code path does the
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .spectra import as_measure, qpe_kernel_probs
+from .spectra import as_measure, outcome_law
 
 PROB_SUM_TOL = 1e-10
 DENSITY_LEVELS = 4096
@@ -66,10 +70,8 @@ def qpe_outcome_distribution(m, k):
     a level sitting exactly on the grid contributes a single delta.
     """
     measure = as_measure(m, DENSITY_LEVELS)
-    probs = np.zeros(2 ** k)
-    for energy, weight in measure.levels:
-        probs += weight * qpe_kernel_probs(energy, k)
-    return OutcomeDistribution(k, probs)
+    return OutcomeDistribution(k, outcome_law(measure.energies,
+                                              measure.probs, k))
 
 
 def cdf_below(m, energy):

@@ -28,7 +28,8 @@ from scipy.special import ive
 from .hamiltonian import AffineNormalizer
 from .leakage import LeakageSetup, leak_prob_exact
 from .qpestats import cdf_below
-from .spectra import SpectralMeasure, as_measure, qpe_kernel_probs
+from .spectra import (SpectralMeasure, as_measure, readout_mass,
+                      register_size)
 
 PARITY_TOL = 1e-12
 SUCCESS_OVERSHOOT_TOL = 1e-6
@@ -168,14 +169,12 @@ def coarse_qpe_postselect(m, k, accepted):
     register values; the readout costs 2^k queries whether or not it is
     kept.
     """
+    size = register_size(k)
     measure = as_measure(m)
-    size = 2 ** k
     kept = sorted({int(x) % size for x in accepted})
     if not kept:
         raise ValueError("need at least one accepted outcome")
-    kept = np.asarray(kept)
-    gain = np.array([qpe_kernel_probs(energy, k)[kept].sum()
-                     for energy in measure.energies])
+    gain = readout_mass(measure.energies, k, kept)
     success = float(measure.probs @ gain)
     if success <= 0.0:
         raise PosteriorUndefined("no accepted outcome carries probability")
@@ -254,6 +253,8 @@ def _compare(name, computed, reference, rel_tol):
 def gaussian_levels(mean=0.06, sigma=0.02, n_levels=4096):
     """Point-mass version of a Gaussian: CDF differences on equal bins."""
     from scipy.stats import norm
+    if not (math.isfinite(mean) and math.isfinite(sigma) and sigma > 0):
+        raise ValueError("a Gaussian needs a finite mean and sigma > 0")
     edges = np.linspace(mean - 6 * sigma, mean + 6 * sigma, n_levels + 1)
     mass = np.diff(norm.cdf(edges, mean, sigma))
     mass /= mass.sum()

@@ -14,6 +14,15 @@ statistics modules:
 * coarse phase-estimation sampling with a random sub-bin offset per shot,
   plus Gaussian kernel density estimation for smoothing.
 
+The k-digit readout kernel F_k(E - x/2^k) (the periodic Fejer kernel) lives
+here once, vectorized two ways: :func:`outcome_law` sums it over all levels
+and register values through the characteristic function phi(l) = sum_n p_n
+exp(2 pi i l E_n) and one FFT; :func:`readout_mass` evaluates it directly,
+in bounded blocks, on chosen register values (a leakage window, a
+postselection set) with full relative precision.  Both reduce 2^k E - x
+modulo 2^k exactly before rounding, keep on-grid levels as exact spikes, and
+refuse more than ``READOUT_DIGIT_CAP`` digits before allocating.
+
 All energies are expected in the normalized frame (spectrum inside [0, 1],
 see :func:`qprep.hamiltonian.normalize_spectrum`); phase-estimation
 arithmetic treats energy modulo 1.  The measure container itself accepts
@@ -36,6 +45,10 @@ GRID_POINTS = 512
 SPIKE_TOL = 1e-12
 SOLVE_RESIDUAL_TOL = 1e-10
 GC_TABLE_MAX = 8
+# Keeps every array of register size (the law, its complex Fourier-space
+# intermediates, the kernel's angle tables) at or below 16 MB.
+READOUT_DIGIT_CAP = 20
+_BLOCK = 1 << 15    # values per block: 256 kB per float temporary, in cache
 
 
 class OrderUnsupported(ValueError):
@@ -44,6 +57,10 @@ class OrderUnsupported(ValueError):
 
 class SolverFailure(RuntimeError):
     """A resolvent linear solve did not reach the required residual."""
+
+
+class DigitCapExceeded(ValueError):
+    """The requested precision needs more readout digits than the cap."""
 
 
 def default_grid(n_points=GRID_POINTS):
@@ -74,6 +91,8 @@ class SpectralMeasure:
             raise ValueError("a measure needs at least one level")
         es = np.array([e for e, _ in self.levels])
         ps = np.array([p for _, p in self.levels])
+        if not (np.all(np.isfinite(es)) and np.all(np.isfinite(ps))):
+            raise ValueError("level energies and weights must be finite")
         if np.any(np.diff(es) < 0):
             raise ValueError("levels must be sorted by energy")
         if np.any(ps < -PROB_SUM_TOL):
@@ -130,13 +149,11 @@ class BroadKernel:
         if self.kind == "lorentzian":
             eta = self.width
             return (eta / np.pi) / (x ** 2 + eta ** 2)
-        m = 2 ** int(self.width)
-        out = np.full(x.shape, float(m))
-        off = np.abs(x - np.round(x)) >= SPIKE_TOL
-        xo = x[off]
-        out[off] = (np.sin(np.pi * m * xo) ** 2
-                    / np.sin(np.pi * xo) ** 2) / m
-        return out
+        m = register_size(int(self.width))
+        near, offset = _split_register(x.ravel(), m)
+        at_zero = _kernel(near, offset, np.zeros(1, dtype=np.int64), m,
+                          _half_turn_tables(m))
+        return m * at_zero.reshape(x.shape)
 
 
 def exact_spectral_measure(h, psi, normalizer=None):
@@ -492,8 +509,62 @@ def resolvent_distribution(h, psi, eta, grid=None, method="complex"):
 
 
 # ---------------------------------------------------------------------------
-# Coarse phase-estimation sampling and KDE
+# The readout kernel, coarse phase-estimation sampling and KDE
 # ---------------------------------------------------------------------------
+
+def register_size(k):
+    """2^k, or DigitCapExceeded above ``READOUT_DIGIT_CAP`` digits; every
+    routine that allocates per register value calls this first."""
+    if k > READOUT_DIGIT_CAP:
+        raise DigitCapExceeded("%d readout digits exceed the cap of %d"
+                               % (k, READOUT_DIGIT_CAP))
+    return 2 ** k
+
+
+def _split_register(energies, m):
+    """m E = near + offset, integer ``near``, |offset| <= 1/2; both exact
+    because m is a power of two."""
+    scaled = m * np.asarray(energies, dtype=float)
+    near = np.rint(scaled)
+    return near.astype(np.int64), scaled - near
+
+
+def on_grid(energies, k):
+    """Which levels sit within ``SPIKE_TOL`` of the k-digit readout grid."""
+    _, offset = _split_register(energies, register_size(k))
+    return np.abs(offset) < SPIKE_TOL
+
+
+def _half_turn_tables(m):
+    """sin and cos of pi r / m for each register offset r modulo m, with r
+    taken in [-m/2, m/2] so every angle stays within [-pi/2, pi/2]."""
+    r = np.arange(m)
+    r[r > m // 2] -= m
+    angle = (np.pi / m) * r
+    return np.sin(angle), np.cos(angle)
+
+
+def _kernel(near, offset, bins, m, tables):
+    """F_k(E - x/m) for levels m E = near + offset (rows) and register
+    values ``bins`` (columns); on-grid rows are exact Kronecker spikes.
+
+    F_k = sin^2(pi d) / (m^2 sin^2(pi (j + d) / m)) with d the offset and
+    j = near - x mod m an exact integer.  The denominator's sine comes from
+    the tables by angle addition, which keeps full relative precision even
+    where E - x/m sits near a whole period.
+    """
+    sin_t, cos_t = tables
+    spike = np.abs(offset) < SPIKE_TOL
+    d = np.where(spike, 0.5, offset)
+    j = (near[:, None] - bins[None, :]) & (m - 1)
+    shift = (np.pi / m) * d
+    den = (sin_t[j] * np.cos(shift)[:, None]
+           + cos_t[j] * np.sin(shift)[:, None])
+    out = ((np.sin(np.pi * d) / m) ** 2)[:, None] / den ** 2
+    if spike.any():
+        out[spike] = j[spike] == 0
+    return out
+
 
 def qpe_kernel_probs(energy, k):
     """Distribution of the k-digit integer outcome for a sharp energy.
@@ -502,16 +573,99 @@ def qpe_kernel_probs(energy, k):
     sitting exactly on the outcome grid gets the Kronecker spike.  Periodic
     in the energy with period 1.
     """
-    m = 2 ** k
-    me = m * float(energy)
-    probs = np.zeros(m)
-    if abs(me - round(me)) < SPIKE_TOL:
-        probs[int(round(me)) % m] = 1.0
-        return probs
-    xs = np.arange(m)
-    probs = (np.sin(np.pi * me) ** 2
-             / np.sin(np.pi * (energy - xs / m)) ** 2) / m ** 2
-    return probs / probs.sum()
+    m = register_size(k)
+    near, offset = _split_register([energy], m)
+    return _kernel(near, offset, np.arange(m), m, _half_turn_tables(m))[0]
+
+
+def readout_mass(energies, k, bins):
+    """Readout-kernel mass each level places on the register values ``bins``.
+
+    ``bins`` are integers taken modulo 2^k; a value listed twice counts
+    twice.  Evaluated directly, in blocks of about ``_BLOCK`` kernel values,
+    so each level's mass keeps full relative precision however small it is.
+    """
+    m = register_size(k)
+    near, offset = _split_register(energies, m)
+    bins = np.asarray(bins, dtype=np.int64)
+    tables = _half_turn_tables(m)
+    cols = max(1, min(bins.size, _BLOCK))
+    rows = max(1, _BLOCK // cols)
+    out = np.zeros(near.size)
+    for c0 in range(0, bins.size, cols):
+        block = bins[c0:c0 + cols]
+        for r0 in range(0, near.size, rows):
+            sl = slice(r0, r0 + rows)
+            out[sl] += _kernel(near[sl], offset[sl], block, m,
+                               tables).sum(axis=1)
+    return out
+
+
+def _phasors(near, offset, mults, scale):
+    """exp(2 pi i l E) for levels scale E = near + offset (rows) and
+    integers l in ``mults`` (columns).  l E is reduced modulo 1 in integers
+    before rounding, so the phase error stays near machine epsilon for
+    every l < scale."""
+    angle = ((near[:, None] * mults) & (scale - 1)) + offset[:, None] * mults
+    angle *= 2 * np.pi / scale
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+def characteristic_function(energies, weights, n_terms):
+    """phi(l) = sum_n w_n exp(2 pi i l E_n) for l = 0 .. n_terms - 1.
+
+    The input of the outcome law and of Hadamard-test phase estimators.
+    A blocked complex matrix product: with l = a B + b, B = 2^ceil(bits/2),
+    phi(a B + b) = sum_n exp(2 pi i a B E_n) [w_n exp(2 pi i b E_n)], so
+    each level needs A + B phasors (A = ceil(n_terms / B)), not n_terms.
+    """
+    if n_terms < 1:
+        raise ValueError("need at least one term")
+    bits = (n_terms - 1).bit_length()
+    scale = register_size(bits)
+    b_size = 1 << ((bits + 1) // 2)
+    a_size = -(-n_terms // b_size)
+    near, offset = _split_register(energies, scale)
+    weights = np.asarray(weights, dtype=float)
+    low = np.arange(b_size, dtype=np.int64)
+    high = np.arange(a_size, dtype=np.int64) * b_size
+    out = np.zeros((a_size, b_size), dtype=complex)
+    rows = max(1, _BLOCK // (a_size + b_size))
+    for r0 in range(0, near.size, rows):
+        sl = slice(r0, r0 + rows)
+        right = _phasors(near[sl], offset[sl], low, scale)
+        right *= weights[sl, None]
+        out += _phasors(near[sl], offset[sl], high, scale).T @ right
+    return out.ravel()[:n_terms]
+
+
+def outcome_law(energies, weights, k):
+    """k-digit outcome law sum_n w_n F_k(E_n - x/2^k), x = 0 .. 2^k - 1.
+
+    F_k(E - x/m) = m^-2 sum_{|l| < m} (m - |l|) exp(2 pi i l (E - x/m)), so
+    off-grid levels enter through phi(l), 0 <= l < m: folding l < 0 onto
+    l + m gives c[r] = (m - r) phi(r) + r conj(phi(m - r)), and the law is
+    Re FFT(c) / m^2.  Levels within ``SPIKE_TOL`` of the grid bypass the
+    transform and are added as exact Kronecker spikes.
+    """
+    m = register_size(k)
+    near, offset = _split_register(energies, m)
+    weights = np.asarray(weights, dtype=float)
+    spike = np.abs(offset) < SPIKE_TOL
+    law = np.bincount(near[spike] & (m - 1), weights=weights[spike],
+                      minlength=m).astype(float)
+    if spike.all():
+        return law
+    phi = characteristic_function(np.asarray(energies)[~spike],
+                                  weights[~spike], m)
+    r = np.arange(m)
+    folded = (m - r) * phi
+    folded[1:] += r[1:] * np.conj(phi[:0:-1])
+    law += np.fft.fft(folded).real / m ** 2
+    return law
 
 
 def coarse_qpe_sample(measure, k, shots, seed):
@@ -522,18 +676,36 @@ def coarse_qpe_sample(measure, k, shots, seed):
     shifted energy, and 2^-k x - c is recorded.  Each shot uses its own
     counter-derived stream, so results never depend on evaluation order.
     """
-    m = 2 ** k
+    m = register_size(k)
     probs = measure.probs
     probs = probs / probs.sum()
-    energies = measure.energies
-    out = np.empty(shots)
-    for shot in range(shots):
-        rng = np.random.default_rng([seed, shot])
-        c = rng.uniform(0.0, 1.0 / m)
-        n = rng.choice(len(probs), p=probs)
-        x = rng.choice(m, p=qpe_kernel_probs(energies[n] + c, k))
-        out[shot] = x / m - c
-    return out
+    if np.any(probs < 0):
+        raise ValueError("cannot sample a measure with negative weights")
+    # Per stream, in order: c = uniform(0, 1/m), a double for the level and
+    # a double for the outcome.  uniform(0, 1/m) is the first double times
+    # 1/m, so one random(3) call draws all three.
+    draws = np.array([np.random.default_rng([seed, shot]).random(3)
+                      for shot in range(shots)]).reshape(shots, 3)
+    shift = draws[:, 0] * (1.0 / m)
+    # Inverse CDF as Generator.choice(p=...) takes it: cumulative sum,
+    # scaled by its last entry, then the count of entries <= u.  The outcome
+    # CDF comes from the unnormalized kernel row, which can move a pick only
+    # where u lies within rounding of a CDF step.
+    level_cdf = np.cumsum(probs)
+    level_cdf /= level_cdf[-1]
+    picks = np.searchsorted(level_cdf, draws[:, 1], side="right")
+    near, offset = _split_register(measure.energies[picks] + shift, m)
+    bins = np.arange(m)
+    tables = _half_turn_tables(m)
+    outcomes = np.empty(shots, dtype=np.int64)
+    rows = max(1, _BLOCK // m)
+    for r0 in range(0, shots, rows):
+        sl = slice(r0, r0 + rows)
+        cdf = np.cumsum(_kernel(near[sl], offset[sl], bins, m, tables),
+                        axis=1)
+        cdf /= cdf[:, -1:]
+        outcomes[sl] = np.count_nonzero(cdf <= draws[sl, 2, None], axis=1)
+    return outcomes / m - shift
 
 
 def kde(samples, bandwidth=None, grid=None):

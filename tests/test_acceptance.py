@@ -9,22 +9,22 @@ from qprep import acceptance
 @pytest.mark.parametrize("check", acceptance.CHECKS,
                          ids=[c.__name__.removeprefix("check_")
                               for c in acceptance.CHECKS])
-def test_reproduction_check(check, capsys):
-    result = check()
+def test_reproduction_check(check, capsys, acceptance_result):
+    result = acceptance_result(check)
     with capsys.disabled():
         print()
         print(result.line())
     assert result.passed, result.detail
 
 
-def test_check_lines_are_well_formed():
-    result = acceptance.check_min_of_k()
+def test_check_lines_are_well_formed(acceptance_result):
+    result = acceptance_result(acceptance.check_min_of_k)
     line = result.line()
     assert line.startswith("[PASS]") or line.startswith("[FAIL]")
     assert result.name in line and result.detail in line
 
 
-def test_run_all_collects_every_check(tmp_path):
+def test_run_all_collects_every_check(tmp_path, recorded_checks):
     out = tmp_path / "report.txt"
     with open(out, "w") as fh:
         results = acceptance.run_all(stream=fh)

@@ -98,6 +98,67 @@ def test_empty_postselection_is_a_numerical_failure(tmp_path, capsys):
     assert "accepted" in captured.err
 
 
+def test_readout_digits_over_the_cap_are_refused(capsys):
+    # 2^40 outcomes: refused with exit 3 before anything of that size exists
+    code = cli.dispatch(["qpe-stats", "--gaussian", "0.1", "0.02",
+                         "--k", "40"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERICAL
+    assert "cap" in captured.err
+
+
+def test_zero_width_gaussian_is_refused_not_nan(tmp_path, capsys):
+    out = tmp_path / "series.csv"
+    code = cli.dispatch(["energy-dist", "--gaussian", "0.06", "0.0",
+                         "--method", "series", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert "sigma" in captured.err
+    assert not out.exists()
+
+
+def test_levels_file_with_nan_weight_is_an_input_error(tmp_path, capsys):
+    levels = tmp_path / "nan.csv"
+    levels.write_text("0.2,0.5\n0.4,nan\n")
+    code = cli.dispatch(["qpe-stats", "--levels", str(levels), "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert "non-finite" in captured.err
+
+
+def test_csv_output_refuses_non_finite_values():
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._emit_csv(("E", "P"), [(0.1, 0.2), (0.3, float("nan"))], "-")
+
+
+@pytest.mark.parametrize("argv", [
+    ["qpe-stats", *GAUSSIAN, "--k", "0"],
+    ["qpe-stats", *GAUSSIAN, "--k", "3", "--reps", "0"],
+    ["goldilocks", *GAUSSIAN, "--et", "0.0", "--budget", "0"],
+    ["energy-dist", *GAUSSIAN, "--method", "cqpe", "--shots", "0"],
+    ["leakage", *GAUSSIAN, "--k", "6", "--epsilon", "0.01", "--e0", "1.5"],
+], ids=["k", "reps", "budget", "shots", "e0"])
+def test_readout_flag_ranges_are_usage_errors(argv, capsys):
+    assert cli.dispatch(argv) == cli.EXIT_USAGE
+    assert "must" in capsys.readouterr().err
+
+
+def test_unsupported_series_order_is_a_numerical_refusal(capsys):
+    code = cli.dispatch(["energy-dist", *GAUSSIAN, "--method", "series",
+                         "--order", "12"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERICAL
+    assert "order" in captured.err
+
+
+def test_out_of_range_config_value_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("k = 0\n")
+    code = cli.dispatch(["qpe-stats", *GAUSSIAN, "--config", str(cfg)])
+    capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+
+
 def test_spectrum_source_must_be_unique(capsys):
     assert cli.dispatch(["qpe-stats", "--k", "3"]) == cli.EXIT_INPUT
     assert cli.dispatch(["qpe-stats", "--k", "3", *GAUSSIAN,
@@ -372,7 +433,8 @@ def test_run_config_identity():
     assert a.seed == 7 and c.seed == 8
 
 
-def test_reproduce_all_checks_and_h6_protocol(tmp_path, capsys):
+def test_reproduce_all_checks_and_h6_protocol(tmp_path, capsys,
+                                              recorded_checks):
     diag = [-2.0, -1.5, -1.0, 1.0, 1.5, 2.0]
     lines = ["&FCI NORB=6,NELEC=6,MS2=0,", "&END"]
     lines += [" 0.05 %d %d %d %d" % (p, p, p, p) for p in range(1, 7)]
