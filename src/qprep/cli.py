@@ -106,22 +106,25 @@ def _seed_value(text):
     return value
 
 
-def _in_range(conv, lo, hi=math.inf):
-    """argparse type: ``conv(text)`` within [lo, hi], else a usage error."""
+def _in_range(conv, lo, hi=math.inf, open_lo=False):
+    """argparse type: ``conv(text)`` within [lo, hi] (or (lo, hi] when
+    ``open_lo``), else a usage error."""
     def parse(text):
         try:
             value = conv(text)
         except ValueError:
             value = math.nan
-        if not lo <= value <= hi:
+        if not ((lo < value if open_lo else lo <= value) and value <= hi):
             raise argparse.ArgumentTypeError(
-                f"{text!r} must be a {conv.__name__} in [{lo}, {hi}]")
+                f"{text!r} must be a {conv.__name__} in "
+                f"{'(' if open_lo else '['}{lo}, {hi}]")
         return value
     return parse
 
 
 _positive_int = _in_range(int, 1)
 _unit_float = _in_range(float, 0.0, 1.0)
+_positive_float = _in_range(float, 0.0, sys.float_info.max, open_lo=True)
 
 
 def _int_list(text):
@@ -279,7 +282,8 @@ def _add_measure_args(sp):
     sp.add_argument("--state", metavar="CSV",
                     help="with --ham: amplitude rows re[,im]; "
                          "default is the uniform state")
-    sp.add_argument("--n-levels", type=int, default=4096, metavar="N",
+    sp.add_argument("--n-levels", type=_positive_int, default=4096,
+                    metavar="N",
                     help="discretization levels for --gaussian "
                          "(default 4096)")
 
@@ -298,22 +302,6 @@ def _load_state_vector(path, dim):
         raise ValueError(
             f"state has {vec.shape[0]} amplitudes, Hamiltonian dim is {dim}")
     return vec
-
-
-def _hamiltonian_measure(args):
-    """Load --ham (+ optional --state), normalize, take the exact measure."""
-    import numpy as np
-
-    from .hamiltonian import load_hamiltonian, normalize_spectrum
-    from .spectra import exact_spectral_measure
-
-    h = load_hamiltonian(args.ham)
-    h_norm, normalizer = normalize_spectrum(h)
-    if args.state is not None:
-        psi = _load_state_vector(args.state, h.dim)
-    else:
-        psi = np.full(h.dim, h.dim ** -0.5)
-    return h_norm, psi, exact_spectral_measure(h_norm, psi, normalizer)
 
 
 def _load_measure(args):
@@ -350,7 +338,15 @@ def _load_measure(args):
         if total <= 0:
             raise ValueError("level weights must have a positive total")
         return SpectralMeasure(list(zip(energies, weights / total)))
-    return _hamiltonian_measure(args)[2]
+    from .hamiltonian import SPECTRUM_MARGIN, load_hamiltonian
+    from .spectra import exact_spectral_measure
+
+    h = load_hamiltonian(args.ham)
+    if args.state is not None:
+        psi = _load_state_vector(args.state, h.dim)
+    else:
+        psi = np.full(h.dim, h.dim ** -0.5)
+    return exact_spectral_measure(h, psi, margin=SPECTRUM_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -445,27 +441,26 @@ def cmd_simulate_encode(args):
 def cmd_energy_dist(args):
     import numpy as np
 
-    from .spectra import (MomentSet, coarse_qpe_sample, default_grid,
-                          gram_charlier, kde, moments_from_measure,
-                          resolvent_distribution)
+    from .spectra import (BroadKernel, MomentSet, broaden, coarse_qpe_sample,
+                          default_grid, gram_charlier, kde,
+                          moments_from_measure)
 
     grid = default_grid(args.grid_points)
+    if args.method == "resolvent" and args.ham is None:
+        raise ValueError("--method resolvent needs --ham")
+    measure = _load_measure(args)
     if args.method == "resolvent":
-        if args.ham is None:
-            raise ValueError("--method resolvent needs --ham")
-        h_norm, psi, measure = _hamiltonian_measure(args)
-        grid, values = resolvent_distribution(h_norm, psi, args.eta,
-                                              grid=grid)
-    else:
-        measure = _load_measure(args)
-        if args.method == "series":
-            ms = moments_from_measure(measure, args.order)
-            density = gram_charlier(ms, args.order)
-            values = density(grid)
-        else:  # cqpe
-            samples = coarse_qpe_sample(measure, args.k, args.shots,
-                                        args.seed)
-            grid, values = kde(samples, bandwidth=2.0 ** -args.k, grid=grid)
+        # -(1/pi) Im <psi|(H - E + i eta)^-1|psi> is exactly the Lorentzian
+        # broadening of the state's spectral measure.
+        grid, values = broaden(measure, BroadKernel("lorentzian", args.eta),
+                               grid)
+    elif args.method == "series":
+        ms = moments_from_measure(measure, args.order)
+        density = gram_charlier(ms, args.order)
+        values = density(grid)
+    else:  # cqpe
+        samples = coarse_qpe_sample(measure, args.k, args.shots, args.seed)
+        grid, values = kde(samples, bandwidth=2.0 ** -args.k, grid=grid)
 
     normalizer = measure.normalizer
     if normalizer is not None:
@@ -751,20 +746,24 @@ def build_parser():
 
     sp = add("energy-dist", cmd_energy_dist,
              "energy distribution of a state: moment series, resolvent "
-             "scan, or sampled coarse readout", measure=True)
+             "(Lorentzian-broadened exact measure), or sampled coarse "
+             "readout", measure=True)
     sp.add_argument("--method", required=True,
                     choices=("series", "resolvent", "cqpe"))
     sp.add_argument("--order", type=int, default=8, metavar="N",
                     help="moment order for the series and sidecar "
                          "(default 8)")
-    sp.add_argument("--eta", type=float, default=0.01,
-                    help="resolvent broadening (default 0.01)")
+    sp.add_argument("--eta", type=_positive_float, default=0.01,
+                    help="Lorentzian half-width of the resolvent, finite "
+                         "and > 0 (default 0.01); the resolvent curve is "
+                         "the exact Lorentzian broadening of the measure")
     sp.add_argument("--k", type=_positive_int, default=6,
                     help="readout digits for cqpe (default 6)")
     sp.add_argument("--shots", type=_positive_int, default=4096,
                     help="cqpe sample count (default 4096)")
-    sp.add_argument("--grid-points", type=int, default=512, metavar="N",
-                    help="energy grid resolution (default 512)")
+    sp.add_argument("--grid-points", type=_in_range(int, 2), default=512,
+                    metavar="N",
+                    help="energy grid resolution, >= 2 (default 512)")
     sp.add_argument("--sidecar", metavar="FILE",
                     help="write moments/cumulants JSON here")
 
@@ -796,8 +795,8 @@ def build_parser():
              measure=True)
     sp.add_argument("--k", type=_positive_int, required=True,
                     help="readout digits")
-    sp.add_argument("--epsilon", type=float, required=True,
-                    help="tolerated energy error")
+    sp.add_argument("--epsilon", type=_positive_float, required=True,
+                    help="tolerated energy error (> 0)")
     sp.add_argument("--e0", type=_unit_float, default=0.0,
                     help="reference ground energy in [0, 1] (default 0)")
     sp.add_argument("--reps", type=_positive_int, default=10,
@@ -857,8 +856,8 @@ def build_parser():
                     "comparison.")
     registry[("refine", "case-study")] = sp
     sp.set_defaults(handler=cmd_refine_case_study)
-    sp.add_argument("--n-levels", type=int, default=4096, metavar="N",
-                    help="discretization levels (default 4096)")
+    sp.add_argument("--n-levels", type=_positive_int, default=4096,
+                    metavar="N", help="discretization levels (default 4096)")
     _add_common(sp)
 
     sp = add("reproduce", cmd_reproduce,

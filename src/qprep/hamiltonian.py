@@ -1,9 +1,11 @@
 """Desk-scale Hamiltonians: FCIDUMP parsing and determinant-basis CI matrices.
 
 The FCIDUMP reader/writer round-trips integrals bit-exactly (17 significant
-digits).  CI matrices are assembled over (n_alpha, n_beta) sectors with
-Slater-Condon rules; spin-orbitals interleave as 2p (alpha) / 2p+1 (beta),
-and determinants are ordered lexicographically by (alpha, beta) occupation.
+digits).  CI matrices are assembled over (n_alpha, n_beta) sectors from the
+one-body generators on each spin's occupation strings (the spin-factorized
+form of the Slater-Condon rules); spin-orbitals interleave as 2p (alpha) /
+2p+1 (beta), and determinants are ordered lexicographically by (alpha, beta)
+occupation.
 Everything is real-integral; complex Hamiltonians enter via direct dense
 ingestion.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -27,13 +30,15 @@ __all__ = [
     "parse_fcidump",
     "dump_fcidump",
     "build_ci_matrix",
+    "spectrum_normalizer",
     "normalize_spectrum",
     "save_hamiltonian",
     "load_hamiltonian",
 ]
 
-HERMITICITY_TOL = 1e-12
+HERMITICITY_TOL = 1e-12    # relative to max(1, max |H_ij|)
 DEFAULT_DIM_CAP = 4096
+SPECTRUM_MARGIN = 0.1      # normalized spectra fill [0.1, 0.9]
 
 
 class ParseError(ValueError):
@@ -218,10 +223,13 @@ class DenseHamiltonian:
         self.entries = np.asarray(self.entries)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("entries must be a square matrix")
-        dev = np.max(np.abs(self.entries - self.entries.conj().T)) \
-            if self.entries.size else 0.0
-        if dev >= HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian (max deviation %.3g)" % dev)
+        if self.entries.size:
+            dev = np.max(np.abs(self.entries - self.entries.conj().T))
+            # relative to the largest entry, so the test reads the same in
+            # Hartree and in the normalized frame
+            if dev >= HERMITICITY_TOL * max(1.0, np.max(np.abs(self.entries))):
+                raise ValueError("matrix is not Hermitian (max deviation %.3g)"
+                                 % dev)
         if self.basis_labels is not None:
             self.basis_labels = list(self.basis_labels)
             if len(self.basis_labels) != self.entries.shape[0]:
@@ -254,68 +262,110 @@ class AffineNormalizer:
         return DenseHamiltonian(ent, h.basis_labels)
 
 
-def normalize_spectrum(h, margin=0.1):
+def spectrum_normalizer(lo, hi, margin=SPECTRUM_MARGIN):
+    """The affine map taking the spectrum bounds [lo, hi] onto
+    [margin, 1 - margin]; a spectrum of one point goes to 1/2."""
+    if not 0 <= margin < 0.5:
+        raise ValueError("margin must lie in [0, 0.5)")
+    lo, hi = float(lo), float(hi)
+    if hi - lo < 1e-300:
+        return AffineNormalizer(1.0, 0.5 - lo)
+    scale = (1 - 2 * margin) / (hi - lo)
+    return AffineNormalizer(scale, margin - scale * lo)
+
+
+def normalize_spectrum(h, margin=SPECTRUM_MARGIN):
     """Affinely map the spectrum of ``h`` into [margin, 1 - margin].
 
     Returns the transformed Hamiltonian and the normalizer that was applied
-    (so original energies are recoverable via ``normalizer.invert``).
-    Bounds come from an exact eigensolve, which is cheap at desk scale.
+    (so original energies are recoverable via ``normalizer.invert``).  The
+    bounds come from an exact ``eigvalsh``, the map from
+    :func:`spectrum_normalizer`.  A caller that diagonalizes ``h`` anyway
+    maps its eigenvalues instead, as ``spectra.exact_spectral_measure(...,
+    margin=...)`` does, and saves this second eigensolve.
     """
-    if not 0 <= margin < 0.5:
-        raise ValueError("margin must lie in [0, 0.5)")
     evals = np.linalg.eigvalsh(h.entries)
-    lo, hi = float(evals[0]), float(evals[-1])
-    if hi - lo < 1e-300:
-        norm = AffineNormalizer(1.0, 0.5 - lo)
-    else:
-        scale = (1 - 2 * margin) / (hi - lo)
-        norm = AffineNormalizer(scale, margin - scale * lo)
+    norm = spectrum_normalizer(evals[0], evals[-1], margin)
     return norm.apply_matrix(h), norm
 
 
-def _phase_apply(mask, ops):
-    """Apply a string of ladder operators (leftmost acts last) to ``mask``.
+def _string_excitations(n_orb, n_el):
+    """One-spin occupation strings and their one-body generators.
 
-    ops is a sequence of ("c"|"a", spin_orbital).  Returns (phase, mask)
-    with phase 0 when the string annihilates the state.
+    The strings are the ``n_el``-subsets of the orbitals in lexicographic
+    order.  Returns the (n_strings, n_orb) 0/1 occupation matrix and four
+    (n_strings, L) arrays ``src``, ``dst``, ``pq``, ``sign`` listing, for
+    every string J = src, the L = n_el (n_orb - n_el + 1) generators that
+    do not annihilate it: e_pq |J> = a+_p a_q |J> = sign |dst>, with
+    pq = p n_orb + q.
     """
-    phase = 1
-    for kind, s in reversed(ops):
-        bit = 1 << s
-        occupied = bool(mask & bit)
-        if (kind == "a") != occupied:
-            return 0, None
-        if (mask & (bit - 1)).bit_count() & 1:
-            phase = -phase
-        mask ^= bit
-    return phase, mask
+    strings = list(combinations(range(n_orb), n_el))
+    index = {occ: i for i, occ in enumerate(strings)}
+    dst, pq, sign = [], [], []
+    for occ in strings:
+        for iq, q in enumerate(occ):
+            rest = occ[:iq] + occ[iq + 1:]
+            for p in range(n_orb):
+                ip = bisect_left(rest, p)
+                if ip < len(rest) and rest[ip] == p:
+                    continue
+                dst.append(index[rest[:ip] + (p,) + rest[ip:]])
+                pq.append(p * n_orb + q)
+                # a_q passes iq creators, a+_p lands after ip of the rest
+                sign.append(-1.0 if (iq + ip) & 1 else 1.0)
+    occupation = np.zeros((len(strings), n_orb), dtype=np.int64)
+    for i, occ in enumerate(strings):
+        occupation[i, list(occ)] = 1
+    shape = (len(strings), -1)
+    dst = np.array(dst, dtype=np.int64).reshape(shape)
+    src = np.broadcast_to(np.arange(len(strings))[:, None], dst.shape)
+    return (occupation, src, dst, np.array(pq, dtype=np.int64).reshape(shape),
+            np.array(sign, dtype=float).reshape(shape))
 
 
-def _g_so(g, a, b, c, d):
-    if (a ^ b) & 1 or (c ^ d) & 1:
-        return 0.0
-    return g[a >> 1, b >> 1, c >> 1, d >> 1]
+def _scatter(at, weights, size):
+    """Sum ``weights`` into a flat float array by index ``at``."""
+    # bincount returns integers when there are no weights at all
+    return np.bincount(at.ravel(), weights.ravel(),
+                       minlength=size).astype(float, copy=False)
 
 
-def _sector_determinants(n_orb, n_alpha, n_beta):
-    dets = []
-    for occ_a in combinations(range(n_orb), n_alpha):
-        for occ_b in combinations(range(n_orb), n_beta):
-            so = sorted([2 * p for p in occ_a] + [2 * p + 1 for p in occ_b])
-            mask = 0
-            for s in so:
-                mask |= 1 << s
-            dets.append((mask, tuple(so)))
-    return dets
+def _one_spin_block(src, dst, pq, sign, k, g):
+    """H_s = sum k_pq e_pq + 1/2 sum (pq|rs) e_pq e_rs on one spin's strings.
+
+    The product runs through each intermediate string K:
+    (e_pq e_rs)[I, J] = e_pq[I, K] e_sr[J, K], and both factors are
+    generators of K, so every pair of K's generators adds one entry.
+    """
+    d = dst.shape[0]
+    block = _scatter(dst * d + src, k[pq] * sign, d * d)
+    # d L^2 generator pairs: two temporaries of that size
+    pair_w = g[pq[:, :, None], pq[:, None, :]]
+    pair_w *= sign[:, :, None]
+    pair_w *= 0.5 * sign[:, None, :]
+    block += _scatter(dst[:, :, None] * d + dst[:, None, :], pair_w, d * d)
+    return block.reshape(d, d)
 
 
 def build_ci_matrix(fd, n_alpha, n_beta, dim_cap=DEFAULT_DIM_CAP):
-    """Full CI matrix of the (n_alpha, n_beta) sector by Slater-Condon rules.
+    """Full CI matrix of the (n_alpha, n_beta) sector, factorized by spin.
 
-    Matrix elements are evaluated through explicit second-quantized
-    operator strings, so fermionic signs need no case analysis.  The basis
-    is labelled by 2*n_orb-bit occupation strings (alpha bit first in each
-    spin-orbital pair).
+    With e^s_pq the one-body generators on the occupation strings of spin s
+    (Knowles & Handy, CPL 111, 315 (1984); Olsen et al., JCP 89, 2185
+    (1988)),
+
+        H = H_a x 1 + 1 x H_b + sum (pq|rs) e^a_pq x e^b_rs + core,
+        H_s = sum k_pq e^s_pq + 1/2 sum (pq|rs) e^s_pq e^s_rs,
+        k_pq = h_pq - 1/2 sum_r (pr|rq).
+
+    Each term is scattered into the matrix from the few generators that
+    act on each string, so the cost follows the nonzero entries, not the
+    determinant pairs.  Determinants are ordered lexicographically by
+    (alpha, beta) occupation and labelled by 2*n_orb-bit occupation strings
+    (alpha bit first in each spin-orbital pair).  Their interleaved creation
+    order 2p (alpha) / 2p+1 (beta) differs from the alpha-then-beta product
+    by (-1)^(beta electrons below each alpha electron), applied per
+    determinant.  The result is exactly symmetric.
     """
     n = fd.n_orb
     if not 0 <= n_alpha <= n or not 0 <= n_beta <= n:
@@ -324,67 +374,41 @@ def build_ci_matrix(fd, n_alpha, n_beta, dim_cap=DEFAULT_DIM_CAP):
     if dim > dim_cap:
         raise DimensionCapExceeded("sector dimension %d exceeds cap %d"
                                    % (dim, dim_cap))
-    dets = _sector_determinants(n, n_alpha, n_beta)
-    h1, g = fd.one_body, fd.two_body
-    n_so = 2 * n
-    H = np.zeros((dim, dim))
-    for j, (mask_j, occ_j) in enumerate(dets):
-        # diagonal
-        e = fd.core_energy
-        for p_ in occ_j:
-            e += h1[p_ >> 1, p_ >> 1]
-        for p_ in occ_j:
-            for q_ in occ_j:
-                e += 0.5 * (_g_so(g, p_, p_, q_, q_) - _g_so(g, p_, q_, q_, p_))
-        H[j, j] = e
-        # off-diagonal upper triangle
-        for i in range(j + 1, dim):
-            mask_i, occ_i = dets[i]
-            diff = mask_i ^ mask_j
-            nd = diff.bit_count()
-            if nd > 4:
-                continue
-            if nd == 2:
-                ann = (diff & mask_j).bit_length() - 1
-                cre = (diff & mask_i).bit_length() - 1
-                val = 0.0
-                phase, _ = _phase_apply(mask_j, [("c", cre), ("a", ann)])
-                val += phase * (h1[cre >> 1, ann >> 1] if not (cre ^ ann) & 1
-                                else 0.0)
-                for spec in occ_j:
-                    for a_, b_, c_, d_ in ((cre, ann, spec, spec),
-                                           (spec, spec, cre, ann),
-                                           (cre, spec, spec, ann),
-                                           (spec, ann, cre, spec)):
-                        gv = _g_so(g, a_, b_, c_, d_)
-                        if gv == 0.0:
-                            continue
-                        ph, out = _phase_apply(
-                            mask_j, [("c", a_), ("c", c_), ("a", d_), ("a", b_)])
-                        if ph and out == mask_i:
-                            val += 0.5 * gv * ph
-                H[i, j] = H[j, i] = val
-            elif nd == 4:
-                rem = diff & mask_j
-                add = diff & mask_i
-                a1 = rem.bit_length() - 1
-                a2 = (rem ^ (1 << a1)).bit_length() - 1
-                c1 = add.bit_length() - 1
-                c2 = (add ^ (1 << c1)).bit_length() - 1
-                val = 0.0
-                for b_, d_ in ((a1, a2), (a2, a1)):
-                    for a_, c_ in ((c1, c2), (c2, c1)):
-                        gv = _g_so(g, a_, b_, c_, d_)
-                        if gv == 0.0:
-                            continue
-                        ph, out = _phase_apply(
-                            mask_j, [("c", a_), ("c", c_), ("a", d_), ("a", b_)])
-                        if ph and out == mask_i:
-                            val += 0.5 * gv * ph
-                H[i, j] = H[j, i] = val
-    labels = ["".join("1" if m & (1 << s) else "0" for s in range(n_so))
-              for m, _ in dets]
-    return DenseHamiltonian(H, labels)
+    g = fd.two_body.reshape(n * n, n * n)
+    k = (fd.one_body - 0.5 * np.einsum("prrq->pq", fd.two_body)).ravel()
+    occ_a, *gen_a = _string_excitations(n, n_alpha)
+    occ_b, *gen_b = _string_excitations(n, n_beta)
+    src_a, dst_a, pq_a, sign_a = gen_a
+    src_b, dst_b, pq_b, sign_b = gen_b
+    d_a, d_b = len(occ_a), len(occ_b)
+
+    h_a = _one_spin_block(*gen_a, k, g)
+    h_b = _one_spin_block(*gen_b, k, g)
+
+    # alpha-beta term: one entry per (alpha generator, beta generator) pair
+    row = dst_a.reshape(-1, 1) * d_b + dst_b.reshape(1, -1)
+    col = src_a.reshape(-1, 1) * d_b + src_b.reshape(1, -1)
+    weight = g[pq_a.reshape(-1, 1), pq_b.reshape(1, -1)] \
+        * np.outer(sign_a, sign_b)
+    H = _scatter(row * dim + col, weight, dim * dim).reshape(dim, dim)
+    del row, col, weight
+
+    quad = H.reshape(d_a, d_b, d_a, d_b)
+    quad[:, np.arange(d_b), :, np.arange(d_b)] += h_a
+    quad[np.arange(d_a), :, np.arange(d_a), :] += h_b
+    H.flat[::dim + 1] += fd.core_energy
+    beta_below = np.cumsum(occ_b, axis=1) - occ_b
+    sign = np.where(((occ_a @ beta_below.T) & 1).ravel(), -1.0, 1.0)
+    H *= sign[:, None]
+    H *= sign[None, :]
+    H += H.T
+    H *= 0.5
+
+    chars = np.empty((d_a, d_b, n, 2), dtype=np.uint8)
+    chars[..., 0] = occ_a[:, None, :] + ord("0")
+    chars[..., 1] = occ_b[None, :, :] + ord("0")
+    labels = chars.reshape(dim, 2 * n).view("S%d" % (2 * n)).ravel()
+    return DenseHamiltonian(H, labels.astype(str).tolist())
 
 
 def save_hamiltonian(h, path):

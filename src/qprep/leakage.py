@@ -31,6 +31,9 @@ from .spectra import (SPIKE_TOL, DigitCapExceeded, as_measure, on_grid,
 # Cap of the digit-count heuristic; the readout routines themselves stop at
 # qprep.spectra.READOUT_DIGIT_CAP.
 DIGIT_CAP = 64
+# Quadrature points per block of leak_prob_integral: bounds its temporaries
+# (a few 512 kB arrays) whatever the digit count.
+_INTEGRAL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,8 @@ def leak_prob_integral(density_fn, setup, e_max=1.0, nodes_per_panel=10):
     Integrates P(E) sin^2(pi 2^k E) / (E - x_upper/2^k) from e0 + epsilon
     upward with Gauss-Legendre panels aligned to the oscillation period, so
     the rapidly oscillating factor is resolved exactly where it matters.
-    ``density_fn`` must accept numpy arrays.
+    Panels are summed in blocks of about 2^16 points.  ``density_fn`` must
+    accept numpy arrays.
     """
     size = register_size(setup.k)
     lower = setup.e0 + setup.epsilon
@@ -167,11 +171,16 @@ def leak_prob_integral(density_fn, setup, e_max=1.0, nodes_per_panel=10):
     n_panels = max(8, 2 * math.ceil((e_max - lower) * size))
     edges = np.linspace(lower, e_max, n_panels + 1)
     nodes, node_weights = np.polynomial.legendre.leggauss(nodes_per_panel)
-    mid = (edges[:-1] + edges[1:]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = density_fn(pts) * np.sin(np.pi * size * pts) ** 2 / (pts - center)
-    total = float(np.sum(vals * (half[:, None] * node_weights[None, :])))
+    total = 0.0
+    step = max(1, _INTEGRAL_BLOCK // nodes_per_panel)
+    for start in range(0, n_panels, step):
+        block = edges[start:start + step + 1]
+        mid = (block[:-1] + block[1:]) / 2
+        half = (block[1:] - block[:-1]) / 2
+        pts = mid[:, None] + half[:, None] * nodes[None, :]
+        vals = density_fn(pts) * np.sin(np.pi * size * pts) ** 2 \
+            / (pts - center)
+        total += float(np.sum(vals * (half[:, None] * node_weights[None, :])))
     return total / (math.pi ** 2 * size)
 
 

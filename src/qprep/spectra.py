@@ -10,7 +10,9 @@ statistics modules:
 * moment/cumulant series (Gram-Charlier and Edgeworth), with exact rational
   coefficient tables;
 * the resolvent (Green's function) route, by direct linear solves — both the
-  complex form and the real-symmetric companion system;
+  complex form and the real-symmetric companion system.  It equals the
+  Lorentzian broadening of the exact measure, which is how the command line
+  evaluates it; the solves stay as an independent check of that identity;
 * coarse phase-estimation sampling with a random sub-bin offset per shot,
   plus Gaussian kernel density estimation for smoothing.
 
@@ -24,7 +26,7 @@ modulo 2^k exactly before rounding, keep on-grid levels as exact spikes, and
 refuse more than ``READOUT_DIGIT_CAP`` digits before allocating.
 
 All energies are expected in the normalized frame (spectrum inside [0, 1],
-see :func:`qprep.hamiltonian.normalize_spectrum`); phase-estimation
+see :func:`qprep.hamiltonian.spectrum_normalizer`); phase-estimation
 arithmetic treats energy modulo 1.  The measure container itself accepts
 levels half a period beyond either edge so that idealized model densities
 (e.g. a Gaussian tail crossing zero) can be represented.
@@ -37,7 +39,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .hamiltonian import AffineNormalizer, DenseHamiltonian
+from .hamiltonian import (AffineNormalizer, DenseHamiltonian,
+                          spectrum_normalizer)
 
 PROB_SUM_TOL = 1e-10
 ENERGY_LO, ENERGY_HI = -0.5, 1.5
@@ -156,15 +159,23 @@ class BroadKernel:
         return m * at_zero.reshape(x.shape)
 
 
-def exact_spectral_measure(h, psi, normalizer=None):
+def exact_spectral_measure(h, psi, normalizer=None, margin=None):
     """Overlap weights of ``psi`` with the eigenbasis of ``h``.
 
     ``h`` is a DenseHamiltonian (or a Hermitian matrix) already in the
-    normalized frame; ``psi`` need not be normalized.
+    normalized frame, or, when ``margin`` is given, in raw units: then the
+    eigenvalues of the one eigensolve are mapped into [margin, 1 - margin]
+    by :func:`qprep.hamiltonian.spectrum_normalizer`, which the measure
+    records.  ``psi`` need not be normalized.
     """
+    if margin is not None and normalizer is not None:
+        raise ValueError("give a normalizer or a margin, not both")
     if not isinstance(h, DenseHamiltonian):
         h = DenseHamiltonian(h)
     evals, evecs = h.eigensystem()
+    if margin is not None:
+        normalizer = spectrum_normalizer(evals[0], evals[-1], margin)
+        evals = normalizer.apply(evals)
     psi = np.asarray(psi, dtype=complex)
     nrm = np.linalg.norm(psi)
     if nrm == 0:
@@ -468,7 +479,9 @@ def resolvent_distribution(h, psi, eta, grid=None, method="complex"):
     ``method`` "complex" solves the defining system directly; "real" solves
     the Hermitian companion system [(H-E)^2 + eta^2] Y = -(eta/pi) psi and
     reads Im G = <psi|Y>.  Both raise SolverFailure when a solve's residual
-    exceeds 1e-10.
+    exceeds 1e-10.  The curve equals ``broaden(exact_spectral_measure(h,
+    psi), BroadKernel("lorentzian", eta), grid)``, which costs one
+    eigensolve instead of one dense solve per grid point.
     """
     if method not in ("complex", "real"):
         raise ValueError("method must be 'complex' or 'real'")

@@ -57,59 +57,114 @@ def random_distinct_bitstrings(rng, count, n_bits):
     return seen
 
 
-def jw_many_body_matrix(n_orb, core_energy, one_body, two_body):
-    """Dense second-quantized Hamiltonian on 2*n_orb spin-orbital qubits.
+def _phase_apply(mask, ops):
+    """Apply a string of ladder operators (leftmost acts last) to ``mask``.
 
-    Spin-orbital s = 2p (alpha) / 2p+1 (beta) is qubit/bit s.  Built by
-    applying ladder-operator strings to every computational basis state at
-    once, with Jordan-Wigner parities from the bits below each site.  This
-    is the many-body oracle the CI builder is checked against.
+    ops is a sequence of ("c"|"a", spin_orbital).  Returns (phase, mask)
+    with phase 0 when the string annihilates the state.
     """
-    n_so = 2 * n_orb
-    dim = 1 << n_so
-    popcnt = np.array([bin(x).count("1") for x in range(dim)], dtype=np.int64)
-
-    def ladder(states, amps, orig, s, create):
+    phase = 1
+    for kind, s in reversed(ops):
         bit = 1 << s
-        occ = (states & bit) != 0
-        keep = ~occ if create else occ
-        states, amps, orig = states[keep], amps[keep], orig[keep]
-        amps = amps * np.where(popcnt[states & (bit - 1)] & 1, -1.0, 1.0)
-        return states ^ bit, amps, orig
+        occupied = bool(mask & bit)
+        if (kind == "a") != occupied:
+            return 0, None
+        if (mask & (bit - 1)).bit_count() & 1:
+            phase = -phase
+        mask ^= bit
+    return phase, mask
 
+
+def _g_so(g, a, b, c, d):
+    if (a ^ b) & 1 or (c ^ d) & 1:
+        return 0.0
+    return g[a >> 1, b >> 1, c >> 1, d >> 1]
+
+
+def _sector_determinants(n_orb, n_alpha, n_beta):
+    dets = []
+    for occ_a in itertools.combinations(range(n_orb), n_alpha):
+        for occ_b in itertools.combinations(range(n_orb), n_beta):
+            so = sorted([2 * p for p in occ_a] + [2 * p + 1 for p in occ_b])
+            mask = 0
+            for s in so:
+                mask |= 1 << s
+            dets.append((mask, tuple(so)))
+    return dets
+
+
+def ci_matrix_loop(fd, n_alpha, n_beta):
+    """Sector CI matrix and labels by a loop over determinant pairs.
+
+    Matrix elements are evaluated through explicit second-quantized
+    operator strings, so fermionic signs need no case analysis.  The basis
+    is labelled by 2*n_orb-bit occupation strings (alpha bit first in each
+    spin-orbital pair), ordered lexicographically by (alpha, beta)
+    occupation.  The reference for the spin-factorized builder.
+    """
+    n = fd.n_orb
+    dim = math.comb(n, n_alpha) * math.comb(n, n_beta)
+    dets = _sector_determinants(n, n_alpha, n_beta)
+    h1, g = fd.one_body, fd.two_body
+    n_so = 2 * n
     H = np.zeros((dim, dim))
-    H += core_energy * np.eye(dim)
-    idx = np.arange(dim, dtype=np.int64)
-
-    def accumulate(coeff, op_string):
-        # op_string is written left to right; rightmost acts first
-        states, amps, orig = idx, np.ones(dim), idx
-        for kind, s in op_string[::-1]:
-            states, amps, orig = ladder(states, amps, orig, s, kind == "c")
-        np.add.at(H, (states, orig), coeff * amps)
-
-    for p in range(n_orb):
-        for q in range(n_orb):
-            if one_body[p, q] == 0.0:
+    for j, (mask_j, occ_j) in enumerate(dets):
+        # diagonal
+        e = fd.core_energy
+        for p_ in occ_j:
+            e += h1[p_ >> 1, p_ >> 1]
+        for p_ in occ_j:
+            for q_ in occ_j:
+                e += 0.5 * (_g_so(g, p_, p_, q_, q_) - _g_so(g, p_, q_, q_, p_))
+        H[j, j] = e
+        # off-diagonal upper triangle
+        for i in range(j + 1, dim):
+            mask_i, occ_i = dets[i]
+            diff = mask_i ^ mask_j
+            nd = diff.bit_count()
+            if nd > 4:
                 continue
-            for sigma in (0, 1):
-                accumulate(one_body[p, q],
-                           [("c", 2 * p + sigma), ("a", 2 * q + sigma)])
-    for p in range(n_orb):
-        for q in range(n_orb):
-            for r in range(n_orb):
-                for s in range(n_orb):
-                    gv = two_body[p, q, r, s]
-                    if gv == 0.0:
-                        continue
-                    for sigma in (0, 1):
-                        for tau in (0, 1):
-                            accumulate(0.5 * gv,
-                                       [("c", 2 * p + sigma),
-                                        ("c", 2 * r + tau),
-                                        ("a", 2 * s + tau),
-                                        ("a", 2 * q + sigma)])
-    return H
+            if nd == 2:
+                ann = (diff & mask_j).bit_length() - 1
+                cre = (diff & mask_i).bit_length() - 1
+                val = 0.0
+                phase, _ = _phase_apply(mask_j, [("c", cre), ("a", ann)])
+                val += phase * (h1[cre >> 1, ann >> 1] if not (cre ^ ann) & 1
+                                else 0.0)
+                for spec in occ_j:
+                    for a_, b_, c_, d_ in ((cre, ann, spec, spec),
+                                           (spec, spec, cre, ann),
+                                           (cre, spec, spec, ann),
+                                           (spec, ann, cre, spec)):
+                        gv = _g_so(g, a_, b_, c_, d_)
+                        if gv == 0.0:
+                            continue
+                        ph, out = _phase_apply(
+                            mask_j, [("c", a_), ("c", c_), ("a", d_), ("a", b_)])
+                        if ph and out == mask_i:
+                            val += 0.5 * gv * ph
+                H[i, j] = H[j, i] = val
+            elif nd == 4:
+                rem = diff & mask_j
+                add = diff & mask_i
+                a1 = rem.bit_length() - 1
+                a2 = (rem ^ (1 << a1)).bit_length() - 1
+                c1 = add.bit_length() - 1
+                c2 = (add ^ (1 << c1)).bit_length() - 1
+                val = 0.0
+                for b_, d_ in ((a1, a2), (a2, a1)):
+                    for a_, c_ in ((c1, c2), (c2, c1)):
+                        gv = _g_so(g, a_, b_, c_, d_)
+                        if gv == 0.0:
+                            continue
+                        ph, out = _phase_apply(
+                            mask_j, [("c", a_), ("c", c_), ("a", d_), ("a", b_)])
+                        if ph and out == mask_i:
+                            val += 0.5 * gv * ph
+                H[i, j] = H[j, i] = val
+    labels = ["".join("1" if m & (1 << s) else "0" for s in range(n_so))
+              for m, _ in dets]
+    return H, labels
 
 
 def jw_sector_block(h_full, labels):
@@ -410,3 +465,22 @@ def coarse_qpe_sample_loop(energies, probs, k, shots, seed):
         x = rng.choice(m, p=qpe_kernel_probs_loop(energies[n] + c, k))
         out[shot] = x / m - c
     return out
+
+
+def leak_prob_integral_unblocked(density_fn, setup, e_max=1.0,
+                                 nodes_per_panel=10):
+    """Panel-quadrature leakage with every panel in one array (no blocks)."""
+    size = 2 ** setup.k
+    lower = setup.e0 + setup.epsilon
+    if e_max <= lower:
+        return 0.0
+    center = setup.x_upper / size
+    n_panels = max(8, 2 * math.ceil((e_max - lower) * size))
+    edges = np.linspace(lower, e_max, n_panels + 1)
+    nodes, node_weights = np.polynomial.legendre.leggauss(nodes_per_panel)
+    mid = (edges[:-1] + edges[1:]) / 2
+    half = (edges[1:] - edges[:-1]) / 2
+    pts = mid[:, None] + half[:, None] * nodes[None, :]
+    vals = density_fn(pts) * np.sin(np.pi * size * pts) ** 2 / (pts - center)
+    total = float(np.sum(vals * (half[:, None] * node_weights[None, :])))
+    return total / (math.pi ** 2 * size)

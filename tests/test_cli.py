@@ -137,7 +137,17 @@ def test_csv_output_refuses_non_finite_values():
     ["goldilocks", *GAUSSIAN, "--et", "0.0", "--budget", "0"],
     ["energy-dist", *GAUSSIAN, "--method", "cqpe", "--shots", "0"],
     ["leakage", *GAUSSIAN, "--k", "6", "--epsilon", "0.01", "--e0", "1.5"],
-], ids=["k", "reps", "budget", "shots", "e0"])
+    ["energy-dist", *GAUSSIAN, "--method", "resolvent", "--eta", "0"],
+    ["energy-dist", *GAUSSIAN, "--method", "resolvent", "--eta", "-0.1"],
+    ["energy-dist", *GAUSSIAN, "--method", "resolvent", "--eta", "inf"],
+    ["energy-dist", *GAUSSIAN, "--method", "series", "--grid-points", "0"],
+    ["energy-dist", *GAUSSIAN, "--method", "series", "--grid-points", "1"],
+    ["leakage", *GAUSSIAN, "--k", "6", "--epsilon", "0"],
+    ["qpe-stats", *GAUSSIAN, "--k", "3", "--n-levels", "0"],
+    ["refine", "case-study", "--n-levels", "0"],
+], ids=["k", "reps", "budget", "shots", "e0", "eta-zero", "eta-negative",
+        "eta-inf", "grid-points-zero", "grid-points-one", "epsilon",
+        "n-levels", "case-study-n-levels"])
 def test_readout_flag_ranges_are_usage_errors(argv, capsys):
     assert cli.dispatch(argv) == cli.EXIT_USAGE
     assert "must" in capsys.readouterr().err
@@ -311,6 +321,32 @@ def test_ham_build_then_energy_dist(tmp_path, capsys):
     assert rows[:, 0].min() < side["mean"] < rows[:, 0].max()
     assert len(side["cumulants"]) == 9
     assert side["cumulants"][2] == pytest.approx(1.0)
+
+
+def test_energy_dist_resolvent_matches_the_solver(tmp_path, capsys):
+    from qprep.hamiltonian import (DenseHamiltonian, normalize_spectrum,
+                                   save_hamiltonian)
+    from qprep.spectra import default_grid, resolvent_distribution
+
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=(30, 30))
+    h = DenseHamiltonian(a + a.T)
+    matrix = tmp_path / "h.npz"
+    save_hamiltonian(h, matrix)
+    paths = [tmp_path / name for name in ("a.csv", "b.csv")]
+    for path in paths:
+        code = cli.dispatch(["energy-dist", "--ham", str(matrix),
+                             "--method", "resolvent", "--eta", "0.03",
+                             "--grid-points", "48", "--out", str(path)])
+        assert code == cli.EXIT_OK
+    capsys.readouterr()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    rows = np.loadtxt(paths[0], delimiter=",", skiprows=1)
+    h_norm, norm = normalize_spectrum(h)
+    grid, solved = resolvent_distribution(h_norm, np.ones(30), 0.03,
+                                          default_grid(48))
+    assert np.allclose(rows[:, 0], norm.invert(grid), rtol=1e-12, atol=0)
+    assert np.allclose(rows[:, 1], solved * norm.scale, rtol=1e-12, atol=0)
 
 
 def test_energy_dist_series_and_readout_frame(tmp_path, capsys):

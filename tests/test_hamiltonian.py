@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qprep import hamiltonian as ham
+from qprep.acceptance import _ladder_operator_matrix
 
 import oracles
 
@@ -29,6 +30,18 @@ def _random_fcidump(rng, n_orb, core=0.0, with_two_body=True):
                     for s in range((q if r == p else r) + 1):
                         ham._set_two_body(g, p, q, r, s, rng.normal() * 0.3)
     return ham.FciDump(n_orb, 2, 0, core, h, g)
+
+
+_EIGHTFOLD = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+              (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0))
+
+
+def _eightfold_fcidump(rng, n_orb, core=0.3):
+    """Seeded random integrals, symmetrized over the eight index orders."""
+    h = rng.normal(size=(n_orb, n_orb))
+    g = rng.normal(scale=0.3, size=(n_orb,) * 4)
+    g = sum(g.transpose(perm) for perm in _EIGHTFOLD) / 8
+    return ham.FciDump(n_orb, 2, 0, core, (h + h.T) / 2, g)
 
 
 def test_parse_header_and_core_only():
@@ -93,8 +106,8 @@ def test_ci_single_electron_diagonal():
 def test_ci_matches_jw_oracle_two_orbital():
     fd = ham.parse_fcidump(TWO_ORBITAL)
     dense = ham.build_ci_matrix(fd, 1, 1)
-    full = oracles.jw_many_body_matrix(fd.n_orb, fd.core_energy,
-                                       fd.one_body, fd.two_body)
+    full = _ladder_operator_matrix(fd.n_orb, fd.core_energy, fd.one_body,
+                                   fd.two_body)
     block = oracles.jw_sector_block(full, dense.basis_labels)
     assert np.max(np.abs(dense.entries - block)) < 1e-12
 
@@ -102,19 +115,44 @@ def test_ci_matches_jw_oracle_two_orbital():
 def test_ci_matches_jw_oracle_random_sectors():
     rng = np.random.default_rng(31)
     fd = _random_fcidump(rng, 3, core=0.4)
-    full = oracles.jw_many_body_matrix(fd.n_orb, fd.core_energy,
-                                       fd.one_body, fd.two_body)
+    full = _ladder_operator_matrix(fd.n_orb, fd.core_energy, fd.one_body,
+                                   fd.two_body)
     for na, nb in ((1, 1), (2, 1), (1, 0), (3, 2)):
         dense = ham.build_ci_matrix(fd, na, nb)
         block = oracles.jw_sector_block(full, dense.basis_labels)
         assert np.max(np.abs(dense.entries - block)) < 1e-12
 
 
+@pytest.mark.parametrize("n_orb", [3, 4, 5])
+def test_ci_matches_both_oracles_in_every_sector(n_orb):
+    fd = _eightfold_fcidump(np.random.default_rng(400 + n_orb), n_orb)
+    full = _ladder_operator_matrix(n_orb, fd.core_energy, fd.one_body,
+                                   fd.two_body)
+    for na in range(n_orb + 1):
+        for nb in range(n_orb + 1):
+            dense = ham.build_ci_matrix(fd, na, nb)
+            loop, labels = oracles.ci_matrix_loop(fd, na, nb)
+            assert dense.basis_labels == labels
+            assert np.array_equal(dense.entries, dense.entries.T)
+            block = oracles.jw_sector_block(full, labels)
+            assert np.max(np.abs(dense.entries - block)) <= 1e-12
+            assert np.max(np.abs(dense.entries - loop)) <= 1e-12
+
+
+def test_ci_wide_sector_matches_loop():
+    fd = _eightfold_fcidump(np.random.default_rng(24), 24)
+    dense = ham.build_ci_matrix(fd, 1, 1)
+    loop, labels = oracles.ci_matrix_loop(fd, 1, 1)
+    assert dense.dim == 576 and dense.basis_labels == labels
+    assert np.array_equal(dense.entries, dense.entries.T)
+    assert np.max(np.abs(dense.entries - loop)) <= 1e-12
+
+
 def test_jw_matrix_is_sector_block_diagonal():
     rng = np.random.default_rng(5)
     fd = _random_fcidump(rng, 2)
-    full = oracles.jw_many_body_matrix(2, fd.core_energy,
-                                       fd.one_body, fd.two_body)
+    full = _ladder_operator_matrix(2, fd.core_energy, fd.one_body,
+                                   fd.two_body)
     def sector(state):
         na = sum((state >> (2 * p)) & 1 for p in range(2))
         nb = sum((state >> (2 * p + 1)) & 1 for p in range(2))
@@ -157,6 +195,21 @@ def test_dense_hamiltonian_rejects_nonhermitian():
         ham.DenseHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermiticity_tolerance_is_relative():
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(6, 6))
+    sym = 1e6 * (a + a.T) / 2
+    rounded = sym.copy()
+    rounded[0, 1] = np.nextafter(np.nextafter(sym[0, 1], np.inf), np.inf)
+    assert np.max(np.abs(rounded - rounded.T)) > ham.HERMITICITY_TOL
+    ham.DenseHamiltonian(rounded)
+    for scale in (1e6, 1.0, 1e-3):
+        skewed = scale * (a + a.T) / 2
+        skewed[0, 1] += 1e-9 * max(1.0, np.max(np.abs(skewed)))
+        with pytest.raises(ValueError):
+            ham.DenseHamiltonian(skewed)
+
+
 def test_normalize_spectrum_bounds():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -167,6 +220,17 @@ def test_normalize_spectrum_bounds():
         assert evals.min() > 0.05 - 1e-9 and evals.max() < 0.95 + 1e-9
         x = rng.normal(size=5)
         assert np.allclose(norm.invert(norm.apply(x)), x)
+
+
+def test_spectrum_normalizer_bounds_and_degenerate_spectrum():
+    norm = ham.spectrum_normalizer(-2.0, 6.0, margin=0.1)
+    assert np.allclose(norm.apply([-2.0, 6.0]), [0.1, 0.9], atol=1e-15)
+    flat = ham.spectrum_normalizer(3.0, 3.0)
+    assert flat.scale == 1.0 and flat.apply(3.0) == 0.5
+    out, norm = ham.normalize_spectrum(ham.DenseHamiltonian(3.0 * np.eye(4)))
+    assert norm == flat and np.array_equal(out.entries, 0.5 * np.eye(4))
+    with pytest.raises(ValueError):
+        ham.spectrum_normalizer(0.0, 1.0, margin=0.5)
 
 
 def test_normalizer_explicit_convention():

@@ -10,6 +10,8 @@ from qprep.leakage import (DigitCapExceeded, LeakageSetup, diagnose_leakage,
                            leak_prob_level_bracket, required_digits)
 from qprep.spectra import SpectralMeasure
 
+import oracles
+
 
 def gaussian_measure(mean=0.06, sigma=0.02, n_levels=4096):
     edges = np.linspace(mean - 6 * sigma, mean + 6 * sigma, n_levels + 1)
@@ -208,6 +210,23 @@ def test_integral_peak_approximation():
     value = leak_prob_integral(density, setup, e_max=0.5)
     estimate = 1 / (2 * math.pi ** 2 * setup.size) / (peak_energy - setup.e0)
     assert abs(value - estimate) / estimate < 0.25
+
+
+@pytest.mark.parametrize("k", [6, 12])
+def test_integral_blocks_match_one_array_sum(k):
+    sizes = []
+
+    def density(e):
+        sizes.append(e.size)
+        return normal_dist.pdf(e, 0.3, 0.1)
+
+    setup = LeakageSetup(k, 2 ** -5, 0.05)
+    blocked = leak_prob_integral(density, setup)
+    whole = oracles.leak_prob_integral_unblocked(
+        lambda e: normal_dist.pdf(e, 0.3, 0.1), setup)
+    assert max(sizes) <= 1 << 16
+    assert len(sizes) == (1 if k == 6 else 2)
+    assert abs(blocked - whole) <= 1e-14 * abs(whole)
 
 
 # ---------------------------------------------------------------------------

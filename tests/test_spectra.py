@@ -70,6 +70,31 @@ def test_exact_measure_matches_projections():
     assert m.normalizer is normalizer
 
 
+def test_exact_measure_with_margin_takes_one_eigensolve(monkeypatch):
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(16, 16))
+    h = DenseHamiltonian(5.0 * (a + a.T))
+    psi = random_state(rng, 16)
+    h_norm, norm = normalize_spectrum(h, margin=0.1)
+    ref = exact_spectral_measure(h_norm, psi, norm)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *args, _f=solver, **kw:
+                            calls.append(_f) or _f(*args, **kw))
+    m = exact_spectral_measure(h, psi, margin=0.1)
+    assert len(calls) == 1
+    assert m.energies[0] == pytest.approx(0.1, abs=1e-14)
+    assert m.energies[-1] == pytest.approx(0.9, abs=1e-14)
+    assert np.allclose(m.energies, ref.energies, rtol=0, atol=1e-14)
+    assert np.allclose(m.probs, ref.probs, rtol=0, atol=1e-12)
+    assert m.normalizer.scale == pytest.approx(norm.scale, rel=1e-13)
+    assert m.normalizer.shift == pytest.approx(norm.shift, rel=1e-13)
+    with pytest.raises(ValueError):
+        exact_spectral_measure(h, psi, norm, margin=0.1)
+
+
 def test_exact_measure_uniform_superposition():
     rng = np.random.default_rng(3)
     h, _ = random_normalized(rng, 8)
