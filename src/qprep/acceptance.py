@@ -392,7 +392,7 @@ def check_leakage_bracket():
         srng = np.random.default_rng(seed)
         levels = np.sort(srng.uniform(0.05, 0.45, 12))
         weights = srng.dirichlet(np.ones(12))
-        m = SpectralMeasure(list(zip(levels, weights)))
+        m = SpectralMeasure(np.column_stack((levels, weights)))
         values = [leak_prob_exact(m, LeakageSetup(k, 0.01, 0.02))
                   for k in range(4, 13)]
         if any(b > a + 1e-15 for a, b in zip(values, values[1:])):

@@ -13,8 +13,8 @@ pipelines can branch on them:
 Every command accepts ``--seed`` (64-bit), ``--threads`` (worker cap,
 ``QPREP_THREADS`` as fallback) and ``--config FILE`` with ``key=value``
 lines mirroring the command's own flags; explicit flags win over the file.
-A run is fully described by its RunConfig — reruns with identical flags,
-seed and input files produce byte-identical output.
+Reruns with equal flags, seed and input files produce byte-identical
+output.
 
 Heavy imports happen inside the handlers so the thread cap can be exported
 before numpy first loads.
@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,45 +50,6 @@ _NUMERICAL_NAMES = frozenset({
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-_INPUT_DESTS = frozenset({"input", "fcidump", "sos", "ham", "state",
-                          "levels", "config", "h6"})
-_OUTPUT_DESTS = frozenset({"out", "report", "sidecar", "posterior_out"})
-_BOOKKEEPING_DESTS = frozenset({"handler", "command", "mode", "run_config"})
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run: command, flags, seed, io paths.
-
-    Two invocations with equal RunConfigs (and equal input file contents)
-    write byte-identical primary output; nothing else — time, host,
-    environment — leaks in.
-    """
-
-    command: tuple
-    flags: tuple
-    seed: int
-    inputs: tuple
-    outputs: tuple
-
-    @classmethod
-    def from_args(cls, command, args):
-        flags, inputs, outputs = [], [], []
-        for dest, value in sorted(vars(args).items()):
-            if dest in _BOOKKEEPING_DESTS or value is None:
-                continue
-            if dest in _INPUT_DESTS:
-                inputs.append((dest, str(value)))
-            elif dest in _OUTPUT_DESTS:
-                outputs.append((dest, str(value)))
-            elif dest != "seed":
-                if isinstance(value, list):
-                    value = tuple(value)
-                flags.append((dest, value))
-        return cls(tuple(command), tuple(flags),
-                   int(getattr(args, "seed", 0)),
-                   tuple(inputs), tuple(outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +297,7 @@ def _load_measure(args):
         total = weights.sum()
         if total <= 0:
             raise ValueError("level weights must have a positive total")
-        return SpectralMeasure(list(zip(energies, weights / total)))
+        return SpectralMeasure(np.column_stack((energies, weights / total)))
     from .hamiltonian import SPECTRUM_MARGIN, load_hamiltonian
     from .spectra import exact_spectral_measure
 
@@ -565,9 +525,7 @@ def cmd_leakage(args):
 
 
 def _posterior_csv(result, path):
-    _emit_csv(("E", "weight"),
-              [(float(e), float(p)) for e, p in result.posterior.levels],
-              path)
+    _emit_csv(("E", "weight"), result.posterior.levels.tolist(), path)
 
 
 def cmd_refine_cqpe(args):
@@ -593,21 +551,14 @@ def cmd_refine_cqpe(args):
 
 
 def cmd_refine_qetu(args):
-    from .hamiltonian import AffineNormalizer
     from .qpestats import cdf_below
-    from .refine import qetu_filter, qetu_params, symmetric_filter
+    from .refine import (qetu_angle_map, qetu_filter, qetu_params,
+                         symmetric_filter)
 
     measure = _load_measure(args)
-    lo = float(measure.energies.min())
-    hi = float(measure.energies.max())
-    margin = args.angle_margin
-    if not 0 < margin < math.pi / 2:
-        raise ValueError("--angle-margin must lie in (0, pi/2)")
-    if hi > lo:
-        scale = (math.pi - 2 * margin) / (hi - lo)
-    else:
-        scale = 1.0  # single level; any positive slope works
-    angle_map = AffineNormalizer(scale, -math.pi + margin - scale * lo)
+    angle_map = qetu_angle_map(float(measure.energies.min()),
+                               float(measure.energies.max()),
+                               args.angle_margin)
     mu, k_steep = qetu_params(float(angle_map.apply(args.el)),
                               float(angle_map.apply(args.eu)),
                               zeta=args.zeta)
@@ -890,9 +841,6 @@ def dispatch(argv=None):
     if handler is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    command = tuple(tok for tok in (args.command, getattr(args, "mode", None))
-                    if tok)
-    args.run_config = RunConfig.from_args(command, args)
     try:
         _apply_threads(args)
         return handler(args)

@@ -12,7 +12,8 @@ The module offers four views of the same quantity: the exact sum of the
 readout kernel of every counted level over every window bin (evaluated
 directly by :func:`qprep.spectra.readout_mass`, in bounded blocks, so small
 leakage keeps full relative precision), a one-term-per-level approximation
-with a rigorous antiderivative bracket, a panel-quadrature integral form for
+evaluated elementwise over the measure's energy array, with a rigorous
+antiderivative bracket, a panel-quadrature integral form for
 smooth densities, and a digit-count heuristic saying how large k must be
 before leakage stops mattering.  A CDF-comparison diagnosis flags states whose
 low-energy readout tail is dominated by kernel spill rather than by actual
@@ -76,13 +77,12 @@ class LeakageSetup:
 
 
 def _split_bins(energy, size):
-    """Integer and fractional parts of 2^k E; fraction None on the grid."""
-    scaled = size * energy
-    x_n = math.floor(scaled)
+    """Integer and fractional parts of 2^k E, elementwise, and whether E sits
+    within ``SPIKE_TOL`` of the readout grid."""
+    scaled = size * np.asarray(energy, dtype=float)
+    x_n = np.floor(scaled)
     delta = scaled - x_n
-    if delta < SPIKE_TOL or 1.0 - delta < SPIKE_TOL:
-        return x_n, None
-    return x_n, delta
+    return x_n, delta, (delta < SPIKE_TOL) | (1.0 - delta < SPIKE_TOL)
 
 
 def leak_prob_exact(m, setup, exclude_below=None):
@@ -105,19 +105,18 @@ def leak_prob_exact(m, setup, exclude_below=None):
 
 
 def leak_prob_level_approx(energy, setup):
-    """One-term estimate of a single level's leaked probability.
+    """One-term estimate of each level's leaked probability, elementwise.
 
     Keeps only the first-order pole of the kernel tail: sin^2(pi delta) /
-    (pi^2 (x_n - x_upper + delta)).  Clamped at zero for levels at or below
-    the boundary, where the expansion has no meaning.
+    (pi^2 (x_n - x_upper + delta)).  Zero for levels on the readout grid
+    and for levels at or below the boundary, where the expansion has no
+    meaning.  A scalar energy gives a scalar.
     """
-    x_n, delta = _split_bins(energy, setup.size)
-    if delta is None:
-        return 0.0
+    x_n, delta, grid = _split_bins(energy, setup.size)
     gap = x_n - setup.x_upper + delta
-    if gap <= 0:
-        return 0.0
-    return math.sin(math.pi * delta) ** 2 / (math.pi ** 2 * gap)
+    live = ~grid & (gap > 0)
+    tail = np.sin(np.pi * delta) ** 2 / (np.pi ** 2 * np.where(live, gap, 1.0))
+    return np.where(live, tail, 0.0)[()]
 
 
 def leak_prob_level_bracket(energy, setup):
@@ -128,8 +127,8 @@ def leak_prob_level_bracket(energy, setup):
     I(x_upper - 1) <= sum <= I(x_upper).
     """
     size = setup.size
-    x_n, delta = _split_bins(energy, setup.size)
-    if delta is None:
+    _, delta, grid = _split_bins(energy, size)
+    if grid:
         return 0.0, 0.0
     scaled = size * energy
     if scaled <= setup.x_upper:
@@ -146,12 +145,13 @@ def leak_prob_level_bracket(energy, setup):
 
 
 def leak_prob_approx(m, setup, exclude_below=None):
-    """Weighted one-term estimates summed over all counted levels."""
+    """Weighted one-term estimates summed over the levels above the cut, in
+    one elementwise pass of :func:`leak_prob_level_approx`."""
     measure = as_measure(m)
     cut = setup.exclude_below if exclude_below is None else exclude_below
-    return float(sum(weight * leak_prob_level_approx(energy, setup)
-                     for energy, weight in measure.levels
-                     if energy > cut))
+    counted = measure.energies > cut
+    return float(measure.probs[counted]
+                 @ leak_prob_level_approx(measure.energies[counted], setup))
 
 
 def leak_prob_integral(density_fn, setup, e_max=1.0, nodes_per_panel=10):

@@ -146,6 +146,20 @@ def qetu_params(e_l, e_u, zeta=1.0):
     return mu, k_steep
 
 
+def qetu_angle_map(lo, hi, margin):
+    """Affine map of the energy range [lo, hi] onto the filter's angle range
+    [-pi + margin, -margin], with 0 < margin < pi/2.  A single level (lo ==
+    hi) gets slope one; any positive slope works there.
+    """
+    if not 0 < margin < math.pi / 2:
+        raise ValueError("angle margin must lie in (0, pi/2)")
+    if hi > lo:
+        scale = (math.pi - 2 * margin) / (hi - lo)
+    else:
+        scale = 1.0
+    return AffineNormalizer(scale, -math.pi + margin - scale * lo)
+
+
 @dataclass(frozen=True)
 class RefineResult:
     """Outcome of one refining stage."""
@@ -179,7 +193,7 @@ def coarse_qpe_postselect(m, k, accepted):
     if success <= 0.0:
         raise PosteriorUndefined("no accepted outcome carries probability")
     weights = measure.probs * gain / success
-    posterior = SpectralMeasure(list(zip(measure.energies, weights)),
+    posterior = SpectralMeasure(np.column_stack((measure.energies, weights)),
                                 measure.normalizer)
     return RefineResult(success, posterior, size)
 
@@ -204,9 +218,9 @@ def qetu_filter(m, poly, angle_map=None):
     success = float(boosted.sum())
     if success <= 0.0:
         raise PosteriorUndefined("the filter vanishes on the whole support")
-    posterior = SpectralMeasure(list(zip(measure.energies,
-                                         boosted / success)),
-                                measure.normalizer)
+    posterior = SpectralMeasure(
+        np.column_stack((measure.energies, boosted / success)),
+        measure.normalizer)
     return RefineResult(min(success, 1.0 + SUCCESS_OVERSHOOT_TOL), posterior,
                         poly.degree)
 
@@ -259,7 +273,7 @@ def gaussian_levels(mean=0.06, sigma=0.02, n_levels=4096):
     mass = np.diff(norm.cdf(edges, mean, sigma))
     mass /= mass.sum()
     centers = (edges[:-1] + edges[1:]) / 2
-    return SpectralMeasure(list(zip(centers, mass)))
+    return SpectralMeasure(np.column_stack((centers, mass)))
 
 
 def gaussian_case_study(mean=0.06, sigma=0.02, n_levels=4096,
@@ -275,12 +289,9 @@ def gaussian_case_study(mean=0.06, sigma=0.02, n_levels=4096,
     stage4 = coarse_qpe_postselect(prior, 4, {0})
     stage45 = coarse_qpe_postselect(stage4.posterior, 5, {0})
 
-    # filter between the mean's +-3 sigma window, on a spectrum mapped
-    # into the angle range (-pi + eta, -eta)
-    support_lo, support_hi = mean - 6 * sigma, mean + 6 * sigma
-    eta = 0.1
-    scale = (math.pi - 2 * eta) / (support_hi - support_lo)
-    angle = AffineNormalizer(scale, -math.pi + eta - scale * support_lo)
+    # filter between the mean's +-3 sigma window, on the +-6 sigma support
+    # mapped into the angle range (-pi + 0.1, -0.1)
+    angle = qetu_angle_map(mean - 6 * sigma, mean + 6 * sigma, 0.1)
     mu, k_steep = qetu_params(angle.apply(mean - 3 * sigma),
                               angle.apply(mean + 3 * sigma), zeta=1.0)
     poly = symmetric_filter(k_steep, mu, 200, zeta=1.0)

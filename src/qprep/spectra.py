@@ -78,22 +78,27 @@ def default_grid(n_points=GRID_POINTS):
 
 @dataclass
 class SpectralMeasure:
-    """Discrete energy distribution: ``levels`` is a list of (E_n, p_n).
+    """Discrete energy distribution: ``levels`` holds the rows (E_n, p_n).
 
-    Energies ascend and the weights sum to one.  ``normalizer`` optionally
-    records the affine map that brought the energies into the normalized
-    frame, so raw energies stay recoverable.
+    Any (n, 2) array-like is accepted (a list of pairs, or
+    ``np.column_stack((energies, weights))``) and stored once as a
+    read-only float64 (n, 2) array in column-major order, so ``energies``
+    and ``probs`` are contiguous column views, not copies, and writing
+    through them raises.  Energies ascend and the weights sum to one.
+    ``normalizer`` optionally records the affine map that brought the
+    energies into the normalized frame, so raw energies stay recoverable.
     """
 
-    levels: list
+    levels: np.ndarray
     normalizer: AffineNormalizer = None
 
     def __post_init__(self):
-        self.levels = [(float(e), float(p)) for e, p in self.levels]
-        if not self.levels:
-            raise ValueError("a measure needs at least one level")
-        es = np.array([e for e, _ in self.levels])
-        ps = np.array([p for _, p in self.levels])
+        self.levels = np.array(self.levels, dtype=float, order="F")
+        if self.levels.ndim != 2 or self.levels.shape[1] != 2 \
+                or self.levels.shape[0] == 0:
+            raise ValueError("a measure needs n >= 1 (energy, weight) rows")
+        self.levels.flags.writeable = False
+        es, ps = self.energies, self.probs
         if not (np.all(np.isfinite(es)) and np.all(np.isfinite(ps))):
             raise ValueError("level energies and weights must be finite")
         if np.any(np.diff(es) < 0):
@@ -109,11 +114,11 @@ class SpectralMeasure:
 
     @property
     def energies(self):
-        return np.array([e for e, _ in self.levels])
+        return self.levels[:, 0]
 
     @property
     def probs(self):
-        return np.array([p for _, p in self.levels])
+        return self.levels[:, 1]
 
     def mean(self):
         return float(np.dot(self.probs, self.energies))
@@ -181,7 +186,7 @@ def exact_spectral_measure(h, psi, normalizer=None, margin=None):
     if nrm == 0:
         raise ValueError("cannot take the measure of the zero state")
     ps = np.abs(evecs.conj().T @ (psi / nrm)) ** 2
-    return SpectralMeasure(list(zip(evals, ps)), normalizer)
+    return SpectralMeasure(np.column_stack((evals, ps)), normalizer)
 
 
 def broaden(measure, kernel, grid=None):
@@ -211,7 +216,8 @@ def discretize_density(grid, values, n_levels=4096, normalizer=None):
     if total <= 0:
         raise ValueError("density has no mass on the grid")
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return SpectralMeasure(list(zip(centers, mass / total)), normalizer)
+    return SpectralMeasure(np.column_stack((centers, mass / total)),
+                           normalizer)
 
 
 def as_measure(m, n_levels=4096):

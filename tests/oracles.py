@@ -444,6 +444,27 @@ def leak_prob_loop(energies, probs, setup, cut):
     return float(total)
 
 
+def leak_prob_approx_loop(energies, probs, setup, cut):
+    """One-term leakage estimate, one level at a time: each level above
+    ``cut``, off the grid and above the boundary adds its weight times
+    sin^2(pi delta) / (pi^2 (x_n - x_upper + delta))."""
+    size = setup.size
+    total = 0.0
+    for energy, weight in zip(energies, probs):
+        if energy <= cut:
+            continue
+        scaled = size * energy
+        x_n = math.floor(scaled)
+        delta = scaled - x_n
+        if delta < SPIKE_TOL or 1.0 - delta < SPIKE_TOL:
+            continue
+        gap = x_n - setup.x_upper + delta
+        if gap > 0:
+            total += weight * math.sin(math.pi * delta) ** 2 \
+                / (math.pi ** 2 * gap)
+    return total
+
+
 def postselect_gain_loop(energies, k, accepted):
     """Kernel mass each level places on the accepted register values."""
     size = 2 ** k

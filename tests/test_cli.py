@@ -453,21 +453,8 @@ def test_levels_source_merges_duplicates(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# RunConfig and reproduce
+# reproduce
 # ---------------------------------------------------------------------------
-
-def test_run_config_identity():
-    parser, _ = cli.build_parser()
-    argv = ["refine", "cqpe", *GAUSSIAN, "--k", "4", "--accept", "0",
-            "--seed", "7"]
-    a = cli.RunConfig.from_args(("refine", "cqpe"), parser.parse_args(argv))
-    b = cli.RunConfig.from_args(("refine", "cqpe"), parser.parse_args(argv))
-    assert a == b
-    argv[-1] = "8"
-    c = cli.RunConfig.from_args(("refine", "cqpe"), parser.parse_args(argv))
-    assert a != c
-    assert a.seed == 7 and c.seed == 8
-
 
 def test_reproduce_all_checks_and_h6_protocol(tmp_path, capsys,
                                               recorded_checks):

@@ -180,6 +180,43 @@ def test_leak_prob_approx_aggregates_levels():
     assert leak_prob_approx(m, setup) >= 0.0
 
 
+def random_levels_with_edge_cases(setup, seed=5):
+    """Seeded levels around the boundary: off-grid, on-grid, below the cut
+    and between the cut and x_upper (counted, but with no tail)."""
+    rng = np.random.default_rng(seed)
+    size = setup.size
+    energies = np.sort(np.concatenate([
+        rng.uniform(0.0, 0.6, 300),
+        np.arange(setup.x_upper - 8, setup.x_upper + 24) / size,
+        rng.uniform(setup.exclude_below, setup.x_upper / size, 12)]))
+    return energies, rng.dirichlet(np.ones(energies.size))
+
+
+def test_level_approx_array_matches_scalar_calls():
+    setup = LeakageSetup(10, 2 ** -8, 0.05)
+    energies, _ = random_levels_with_edge_cases(setup)
+    scalars = [leak_prob_level_approx(e, setup) for e in energies]
+    assert all(isinstance(v, float) for v in scalars)
+    assert np.array_equal(leak_prob_level_approx(energies, setup), scalars)
+    assert sum(v == 0.0 for v in scalars) > 32
+
+
+@pytest.mark.parametrize("case", ["gaussian", "random"])
+def test_leak_prob_approx_matches_loop_oracle(case):
+    if case == "gaussian":
+        setup = LeakageSetup(10, 2 ** -8, 0.0)
+        m = gaussian_measure()
+    else:
+        setup = LeakageSetup(10, 2 ** -8, 0.05)
+        m = SpectralMeasure(np.column_stack(
+            random_levels_with_edge_cases(setup)))
+    for cut in (setup.exclude_below, 0.1):
+        ref = oracles.leak_prob_approx_loop(m.energies, m.probs, setup, cut)
+        assert ref > 0.0
+        assert leak_prob_approx(m, setup, exclude_below=cut) \
+            == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Integral form
 # ---------------------------------------------------------------------------

@@ -46,6 +46,18 @@ def test_measure_validation():
         SpectralMeasure([(0.2, 1.5), (0.5, -0.5)])
     with pytest.raises(ValueError):
         SpectralMeasure([(1.7, 1.0)])
+    for bad in (np.full((2, 3), 1 / 6), [0.5, 0.5], np.empty((0, 2))):
+        with pytest.raises(ValueError):
+            SpectralMeasure(bad)
+    pairs = [(0.2, 0.25), (0.5, 0.75)]
+    m = SpectralMeasure(pairs)
+    from_array = SpectralMeasure(np.column_stack(([0.2, 0.5], [0.25, 0.75])))
+    assert np.array_equal(m.levels, from_array.levels)
+    assert m.levels.shape == (2, 2) and m.levels.dtype == np.float64
+    assert m.energies.flags.c_contiguous and m.probs.flags.c_contiguous
+    with pytest.raises(ValueError):
+        m.energies[0] = 0.0
+    assert m.energies[0] == 0.2
 
 
 def test_exact_measure_eigenvector():
