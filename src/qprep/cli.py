@@ -639,7 +639,9 @@ def build_parser():
     sp.add_argument("--input", required=True, metavar="FILE",
                     help="one occupation bitstring per line")
     sp.add_argument("--check", action="store_true",
-                    help="verify signature distinctness before emitting")
+                    help="also assert, at every level of the signature "
+                         "search, that the kernel avoids every substring "
+                         "and every pairwise difference")
 
     sp = add("estimate-cost", cmd_estimate_cost,
              "Toffoli/qubit cost sweep for the encoding methods")

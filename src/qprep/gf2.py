@@ -4,9 +4,24 @@ D distinct occupation bitstrings of length 2N are mapped to mutually
 distinct signatures of 2*ceil(log2 D) - 1 bits in two stages: first every
 string is restricted to a row basis of the (2N x D) position-by-string bit
 matrix (substring selection), then signature vectors u_k are constructed
-whose GF(2) dot products with the substrings give the signature bits.  The
-signature-vector search peels one dimension per step, each step scanning at
-most D**2/2 + D + 1 candidates.
+whose GF(2) dot products with the substrings give the signature bits.
+Gaussian elimination works on uint8 rows, one byte per bit.
+
+The signature-vector search peels one dimension per level.  It keeps the D
+vectors packed into rows of uint64 words (bit k in word k // 64), splits
+them into the half M without the level's top bit and the half N with it
+removed, and takes as candidate the mex, the least integer outside
+{0} | M | N | {m ^ n}.  At most K = 1 + |M| + |N| + |M||N| values are
+forbidden, so the mex is at most K: the pairwise XORs are formed in blocks
+of M rows, and only values <= K are marked, in a boolean array of K + 1
+entries.
+
+The optional check relies on reduction against the collected w vectors
+being linear, since each w's leading bit is its highest bit and no two
+leading bits are equal.  The span then contains v_i ^ v_j exactly when v_i
+and v_j reduce to the same residue, and a nonzero v exactly when v reduces
+to 0.  So each level costs one reduction of all D vectors and one
+distinctness test, not D**2/2 span tests.
 """
 
 from __future__ import annotations
@@ -54,7 +69,7 @@ class BitMatrix:
     @classmethod
     def from_strings(cls, rows):
         """Build from an iterable of equal-length '0'/'1' strings."""
-        return cls([[int(c) for c in row] for row in rows])
+        return cls(_strings_to_array(rows))
 
     @property
     def rows(self):
@@ -75,11 +90,54 @@ def _as_bits(m):
 
 
 def _strings_to_array(strings):
-    return np.array([[int(c) for c in s] for s in strings], dtype=np.uint8)
+    """Parse equal-length '0'/'1' strings into a (count, width) uint8 array.
+
+    Raises ValueError naming the first string whose length differs from
+    the first one's or that holds a character other than '0' and '1'.
+    """
+    strings = list(strings)
+    width = len(strings[0]) if strings else 0
+    for i, s in enumerate(strings):
+        if len(s) != width:
+            raise ValueError("bitstring %d (%r) has %d characters, expected %d"
+                             % (i + 1, s, len(s), width))
+    text = "".join(strings).encode("ascii", "replace")
+    bits = np.frombuffer(text, dtype=np.uint8).reshape(len(strings), width)
+    bits = bits - np.uint8(ord("0"))
+    bad = np.flatnonzero((bits > 1).any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError("bitstring %d (%r) has a character other than 0/1"
+                         % (i + 1, strings[i]))
+    return bits
 
 
-def _array_to_string(row):
-    return "".join("1" if b else "0" for b in row)
+def _array_to_strings(bits):
+    """Rows of a 0/1 array as '0'/'1' strings."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    width = bits.shape[1]
+    text = (bits + np.uint8(ord("0"))).tobytes().decode("ascii")
+    return [text[i * width:(i + 1) * width] for i in range(bits.shape[0])]
+
+
+def _pack_rows(bits):
+    """(n, r) 0/1 array as (n, ceil(r/64)) uint64 words, bit k in word k//64."""
+    n, r = bits.shape
+    packed = np.zeros((n, 8 * -(-r // 64)), dtype=np.uint8)
+    packed[:, :-(-r // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
+def _unpack_rows(words, r):
+    """Inverse of :func:`_pack_rows`: the low r bits of each row of words."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, :r]
+
+
+def _distinct_rows(a):
+    """True iff the rows of the 2-d array ``a`` are pairwise distinct."""
+    a = a[np.lexsort(a.T)]
+    return not (a[1:] == a[:-1]).all(axis=1).any()
 
 
 def rank_and_row_basis(m):
@@ -175,16 +233,65 @@ def select_substrings(nus):
         raise DuplicateDeterminant("input bitstrings are not pairwise distinct")
     mat = _strings_to_array(nus)          # D x 2N
     _, selected = rank_and_row_basis(mat.T)
-    tilde = ["".join(s[p] for p in selected) for s in nus]
-    return selected, tilde
+    return selected, _array_to_strings(mat[:, selected])
 
 
-def _span_residue(echelon, v):
-    """Reduce int v against ints with distinct leading bits; 0 iff in span."""
-    for lead, w in sorted(echelon, reverse=True):
-        if (v >> lead) & 1:
-            v ^= w
-    return v
+_BLOCK_WORDS = 1 << 20      # words per temporary of the pairwise XOR
+
+
+def _mark_small(seen, vals):
+    """Set ``seen[v]`` for each packed value v (last axis) below len(seen)."""
+    low = vals[..., 0]
+    keep = low < len(seen)
+    if vals.shape[-1] > 1:
+        keep &= ~vals[..., 1:].any(axis=-1)
+    seen[low[keep]] = True
+
+
+def _forbidden_mex(M, N):
+    """Least integer outside {0} | M | N | {m ^ n}, for packed row sets.
+
+    At most K = 1 + |M| + |N| + |M||N| values are forbidden, so the mex is
+    at most K and only values <= K need marking.
+    """
+    K = 1 + len(M) + len(N) + len(M) * len(N)
+    seen = np.zeros(K + 1, dtype=bool)
+    seen[0] = True
+    _mark_small(seen, M)
+    _mark_small(seen, N)
+    step = max(1, _BLOCK_WORDS // max(1, N.size))
+    for i in range(0, len(M), step):
+        _mark_small(seen, M[i:i + step, None, :] ^ N[None, :, :])
+    return int(np.argmin(seen))
+
+
+def _check_kernel_avoidance(snapshots, echelon):
+    """Assert that the span of the w's avoids each level's substrings.
+
+    ``snapshots`` holds each level's packed (D, W) vectors, top level first;
+    ``echelon`` holds ``(lead, packed w)`` pairs, lowest lead first, with
+    distinct leads, each the highest set bit of its w.  The i-th snapshot
+    from the bottom is checked against the span of the first i + 1 w's,
+    which must avoid every nonzero vector and every pairwise difference.
+    Reduction in decreasing lead order is linear, so all D vectors of all
+    levels are reduced together, and a difference lies in the span iff two
+    residues are equal.
+    """
+    if not snapshots:
+        return
+    vecs = np.stack(snapshots[::-1])       # bottom level first
+    res = vecs.copy()
+    for pos in range(len(echelon) - 1, -1, -1):
+        lead, w = echelon[pos]
+        word, bit = divmod(lead, 64)
+        part = res[pos:]                   # the levels whose span holds w
+        hit = (part[..., word] >> np.uint64(bit)) & np.uint64(1)
+        part ^= hit[..., None] * w
+    for v, rv in zip(vecs, res):
+        if (v.any(axis=1) & ~rv.any(axis=1)).any():
+            raise AssertionError("kernel contains a substring")
+        if not _distinct_rows(rv):
+            raise AssertionError("kernel contains a difference")
 
 
 def find_signature_vectors(tilde_nus, check=False, stats=None):
@@ -206,25 +313,22 @@ def find_signature_vectors(tilde_nus, check=False, stats=None):
         raise ValueError("need at least two substrings")
     if len(set(tilde_nus)) != D:
         raise DuplicateDeterminant("substrings are not pairwise distinct")
-    r = len(tilde_nus[0])
+    T = _strings_to_array(tilde_nus)      # D x r
+    r = T.shape[1]
     m = signature_length(D)
 
     if r <= m:
         # The substrings already fit in the signature budget: identity map.
-        eye = np.eye(r, dtype=np.uint8)
-        return [_array_to_string(row) for row in eye]
+        return _array_to_strings(np.eye(r, dtype=np.uint8))
 
     if D == 2:
         # Counting makes the full kernel property unsatisfiable here (the
         # forbidden set covers all of F_2^r); one differing bit is enough
         # for distinctness, which is all the single signature bit needs.
-        arr = _strings_to_array(tilde_nus)
-        j = int(np.flatnonzero(arr[0] ^ arr[1])[0])
-        u = np.zeros(r, dtype=np.uint8)
-        u[j] = 1
-        return [_array_to_string(u)]
+        u = np.zeros((1, r), dtype=np.uint8)
+        u[0, np.flatnonzero(T[0] ^ T[1])[0]] = 1
+        return _array_to_strings(u)
 
-    T = _strings_to_array(tilde_nus)      # D x r, full column rank
     rank, gen_rows = rank_and_row_basis(T)
     if rank != r:
         raise ValueError("substrings must span their full bit space "
@@ -234,70 +338,52 @@ def find_signature_vectors(tilde_nus, check=False, stats=None):
     P_inv = _gf2_inverse(P)
 
     # Work in coordinates where generator k becomes the unit vector e_k;
-    # vectors live in Python ints with bit k = coordinate k.
-    coords = (P_inv @ T.T) & 1             # r x D
-    weights = (1 << np.arange(r, dtype=object))
-    cur = {int(np.dot(weights, coords[:, i])) for i in range(D)}
-    if len(cur) != D:
+    # each vector is a row of uint64 words with bit k = coordinate k.
+    cur = _pack_rows(((P_inv @ T.T) & 1).T)
+    if not _distinct_rows(cur):
         raise AssertionError("coordinate map lost distinctness")
 
     search_counts = []
-    w_echelon = []                         # (leading bit, vector) pairs, high first
-    snapshots = []                         # (level, original set) for check
+    w_echelon = []                         # (leading bit, w) pairs, low first
+    snapshots = []                         # each level's vectors, for check
     for level in range(r, m, -1):
-        top = 1 << (level - 1)
-        if top not in cur:
+        word, bit = divmod(level - 1, 64)
+        top = np.uint64(1) << np.uint64(bit)
+        rest = cur[:, :word + 1].copy()    # higher words are zero by now
+        has_top = (rest[:, word] & top) != 0
+        rest[:, word] &= ~top              # the vectors with top cleared
+        is_top = has_top & ~rest.any(axis=1)
+        if not is_top.any():
             raise AssertionError("generator e_%d missing at level %d"
                                  % (level - 1, level))
-        M = [v for v in cur if not v & top]
-        N_red = [v ^ top for v in cur if v & top and v != top]
-        forbidden = {0}
-        forbidden.update(N_red)
-        forbidden.update(M)
-        forbidden.update(mj ^ mi for mj in M for mi in N_red)
-        cand = 0
-        while cand in forbidden:
-            cand += 1
-        if cand >= top:
+        cand = _forbidden_mex(rest[~has_top], rest[has_top & ~is_top])
+        if cand >= 1 << (level - 1):
             raise AssertionError("candidate search exhausted at level %d" % level)
         search_counts.append(cand + 1)
         if check:
-            snapshots.append((level, set(cur)))
-        w_echelon.insert(0, (level - 1, top ^ cand))
-        cur = set(M)
-        cur.add(cand)
-        cur.update(cand ^ mi for mi in N_red)
-        if len(cur) != D:
+            snapshots.append(cur.copy())
+        w = np.zeros(cur.shape[1], dtype=np.uint64)
+        w[word] = top
+        w[0] |= np.uint64(cand)
+        w_echelon.insert(0, (level - 1, w))
+        cur[has_top] ^= w                  # top -> cand, top ^ n -> cand ^ n
+        if not _distinct_rows(cur):
             raise AssertionError("replacement collapsed the vector set")
 
     if check:
-        # Walking back up, the span of the w's collected so far must avoid
-        # every nonzero vector of that level's set and every pairwise sum.
-        for idx, (level, vec_set) in enumerate(reversed(snapshots)):
-            ech = w_echelon[: idx + 1]
-            vecs = sorted(vec_set)
-            for v in vecs:
-                if v and _span_residue(ech, v) == 0:
-                    raise AssertionError("kernel contains a substring")
-            for i, vi in enumerate(vecs):
-                for vj in vecs[i + 1:]:
-                    if _span_residue(ech, vi ^ vj) == 0:
-                        raise AssertionError("kernel contains a difference")
+        _check_kernel_avoidance(snapshots, w_echelon)
 
     if stats is not None:
         stats["search_counts"] = search_counts
 
     # u-vectors: nullspace of the w's in coordinates, mapped back through P.
-    W = np.zeros((len(w_echelon), r), dtype=np.uint8)
-    for a, (_, w) in enumerate(w_echelon):
-        for k in range(r):
-            W[a, k] = (w >> k) & 1
+    W = _unpack_rows(np.array([w for _, w in w_echelon]), r)
     U_coord = _gf2_nullspace(W)            # m x r
     if U_coord.shape[0] != m:
         raise AssertionError("nullspace dimension %d != %d"
                              % (U_coord.shape[0], m))
     U = (P_inv.T @ U_coord.T).T & 1        # back to bit-position axes
-    return [_array_to_string(row) for row in U]
+    return _array_to_strings(U)
 
 
 @dataclass
@@ -355,7 +441,9 @@ def compress(nus, check=False):
 
     Maps D distinct bitstrings to distinct signatures of
     ``min(r, 2*ceil(log2 D) - 1)`` bits, r being the selected substring
-    length.  D=1 needs no compression and returns an empty map.
+    length.  D=1 needs no compression and returns an empty map.  A
+    bitstring of the wrong length or with a character other than 0/1 raises
+    ValueError naming it.
     """
     nus = list(nus)
     if not nus:
@@ -363,13 +451,14 @@ def compress(nus, check=False):
     if len(set(nus)) != len(nus):
         raise DuplicateDeterminant("input bitstrings are not pairwise distinct")
     if len(nus) == 1:
+        _strings_to_array(nus)             # refuses a malformed bitstring
         return SignatureMap([], [], [""])
     selected, tilde = select_substrings(nus)
     us = find_signature_vectors(tilde, check=check)
     U = _strings_to_array(us)
     T = _strings_to_array(tilde)
     B = (T @ U.T) & 1
-    sigs = [_array_to_string(row) for row in B]
+    sigs = _array_to_strings(B)
     if len(set(sigs)) != len(sigs):
         raise AssertionError("signature construction failed to separate inputs")
     return SignatureMap(selected, us, sigs)

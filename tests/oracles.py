@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from qprep import gf2
+
 SPIKE_TOL = 1e-12
 
 
@@ -55,6 +57,135 @@ def random_distinct_bitstrings(rng, count, n_bits):
         if s not in seen:
             seen.append(s)
     return seen
+
+
+def _span_residue(echelon, v):
+    """Reduce int v against ints with distinct leading bits; 0 iff in span."""
+    for lead, w in sorted(echelon, reverse=True):
+        if (v >> lead) & 1:
+            v ^= w
+    return v
+
+
+def kernel_check_pairwise(snapshots, w_echelon):
+    """The pairwise kernel-avoidance check, one span reduction per pair.
+
+    ``snapshots`` are the ``(level, set of ints)`` pairs of the search, top
+    level first; ``w_echelon`` holds ``(lead, int)`` pairs, lowest lead
+    first, and the i-th snapshot from the bottom is checked against its
+    first i + 1 entries.
+    """
+    # Walking back up, the span of the w's collected so far must avoid
+    # every nonzero vector of that level's set and every pairwise sum.
+    for idx, (level, vec_set) in enumerate(reversed(snapshots)):
+        ech = w_echelon[: idx + 1]
+        vecs = sorted(vec_set)
+        for v in vecs:
+            if v and _span_residue(ech, v) == 0:
+                raise AssertionError("kernel contains a substring")
+        for i, vi in enumerate(vecs):
+            for vj in vecs[i + 1:]:
+                if _span_residue(ech, vi ^ vj) == 0:
+                    raise AssertionError("kernel contains a difference")
+
+
+def find_signature_vectors_sets(tilde_nus, check=False, stats=None):
+    """Signature search on Python-int sets: the mex found by counting up.
+
+    The forbidden set of each level is built explicitly, O(D**2) ints, and
+    ``check`` runs :func:`kernel_check_pairwise`.  Same contract as
+    ``gf2.find_signature_vectors``.
+    """
+    def _array_to_string(row):
+        return "".join("1" if b else "0" for b in row)
+
+    tilde_nus = list(tilde_nus)
+    D = len(tilde_nus)
+    if D < 2:
+        raise ValueError("need at least two substrings")
+    if len(set(tilde_nus)) != D:
+        raise gf2.DuplicateDeterminant("substrings are not pairwise distinct")
+    r = len(tilde_nus[0])
+    m = gf2.signature_length(D)
+
+    if r <= m:
+        # The substrings already fit in the signature budget: identity map.
+        eye = np.eye(r, dtype=np.uint8)
+        return [_array_to_string(row) for row in eye]
+
+    if D == 2:
+        # Counting makes the full kernel property unsatisfiable here (the
+        # forbidden set covers all of F_2^r); one differing bit is enough
+        # for distinctness, which is all the single signature bit needs.
+        arr = gf2._strings_to_array(tilde_nus)
+        j = int(np.flatnonzero(arr[0] ^ arr[1])[0])
+        u = np.zeros(r, dtype=np.uint8)
+        u[j] = 1
+        return [_array_to_string(u)]
+
+    T = gf2._strings_to_array(tilde_nus)      # D x r, full column rank
+    rank, gen_rows = gf2.rank_and_row_basis(T)
+    if rank != r:
+        raise ValueError("substrings must span their full bit space "
+                         "(got rank %d < %d); run select_substrings first"
+                         % (rank, r))
+    P = T[gen_rows].T                      # columns are the generators
+    P_inv = gf2._gf2_inverse(P)
+
+    # Work in coordinates where generator k becomes the unit vector e_k;
+    # vectors live in Python ints with bit k = coordinate k.
+    coords = (P_inv @ T.T) & 1             # r x D
+    weights = (1 << np.arange(r, dtype=object))
+    cur = {int(np.dot(weights, coords[:, i])) for i in range(D)}
+    if len(cur) != D:
+        raise AssertionError("coordinate map lost distinctness")
+
+    search_counts = []
+    w_echelon = []                         # (leading bit, vector) pairs, high first
+    snapshots = []                         # (level, original set) for check
+    for level in range(r, m, -1):
+        top = 1 << (level - 1)
+        if top not in cur:
+            raise AssertionError("generator e_%d missing at level %d"
+                                 % (level - 1, level))
+        M = [v for v in cur if not v & top]
+        N_red = [v ^ top for v in cur if v & top and v != top]
+        forbidden = {0}
+        forbidden.update(N_red)
+        forbidden.update(M)
+        forbidden.update(mj ^ mi for mj in M for mi in N_red)
+        cand = 0
+        while cand in forbidden:
+            cand += 1
+        if cand >= top:
+            raise AssertionError("candidate search exhausted at level %d" % level)
+        search_counts.append(cand + 1)
+        if check:
+            snapshots.append((level, set(cur)))
+        w_echelon.insert(0, (level - 1, top ^ cand))
+        cur = set(M)
+        cur.add(cand)
+        cur.update(cand ^ mi for mi in N_red)
+        if len(cur) != D:
+            raise AssertionError("replacement collapsed the vector set")
+
+    if check:
+        kernel_check_pairwise(snapshots, w_echelon)
+
+    if stats is not None:
+        stats["search_counts"] = search_counts
+
+    # u-vectors: nullspace of the w's in coordinates, mapped back through P.
+    W = np.zeros((len(w_echelon), r), dtype=np.uint8)
+    for a, (_, w) in enumerate(w_echelon):
+        for k in range(r):
+            W[a, k] = (w >> k) & 1
+    U_coord = gf2._gf2_nullspace(W)            # m x r
+    if U_coord.shape[0] != m:
+        raise AssertionError("nullspace dimension %d != %d"
+                             % (U_coord.shape[0], m))
+    U = (P_inv.T @ U_coord.T).T & 1        # back to bit-position axes
+    return [_array_to_string(row) for row in U]
 
 
 def _phase_apply(mask, ops):

@@ -386,6 +386,26 @@ def test_compress_command(tmp_path, capsys):
     assert len(set(report["signatures"])) == 3
 
 
+@pytest.mark.parametrize("lines,named", [
+    ("0121\n0110\n1100\n", "bitstring 1 ('0121')"),
+    ("0120\n0100\n1000\n0010\n", "bitstring 1 ('0120')"),
+    ("0110\n01a0\n", "bitstring 2 ('01a0')"),
+    ("0110\n011\n1100\n", "bitstring 2 ('011') has 3 characters"),
+    ("0112\n", "bitstring 1 ('0112')"),
+])
+@pytest.mark.parametrize("check", [False, True])
+def test_malformed_compress_input_is_an_input_error(tmp_path, capsys, lines,
+                                                     named, check):
+    dets = tmp_path / "dets.txt"
+    dets.write_text("# comment\n" + lines)
+    argv = ["compress", "--input", str(dets)] + (["--check"] if check else [])
+    code = cli.dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert named in captured.err
+    assert captured.out == ""
+
+
 def test_convert_round_trip(tmp_path, capsys):
     terms = {"110100": 0.8, "101010": -0.5, "011001": 0.33166247903554}
     sos = tmp_path / "state.json"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -141,12 +142,11 @@ def test_derived_against_randomized_oracle():
     # our deterministic construction and a random-search oracle must agree
     # that min(r, 2*ceil(log2 D)-1) bits suffice to separate the substrings
     rng = np.random.default_rng(99)
-    for trial in range(500):
+    for _ in range(500):
         d = int(rng.integers(4, 65))
         n2 = int(rng.integers(8, 41))
         nus = oracles.random_distinct_bitstrings(rng, d, n2)
-        check = trial % 10 == 0  # kernel-property asserts are expensive
-        sm = gf2.compress(nus, check=check)
+        sm = gf2.compress(nus, check=True)
         assert len(set(sm.signatures)) == d
         _, tilde = gf2.select_substrings(nus)
         U, _ = oracles.random_signature_matrix(tilde, sm.signature_bits, rng)
@@ -172,3 +172,159 @@ def test_json_round_trip():
         sm = gf2.compress(nus)
         again = gf2.SignatureMap.from_json(sm.to_json())
         assert again == sm
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return "pass"
+
+
+def _random_tilde(rng, d, width):
+    return gf2.select_substrings(
+        oracles.random_distinct_bitstrings(rng, d, width))[1]
+
+
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("d,width,words", [
+    (3, 8, 1), (4, 8, 1), (5, 8, 1), (17, 24, 1), (64, 60, 1),
+    (128, 100, 2), (256, 150, 3),
+])
+def test_signature_search_matches_set_oracle(d, width, words, check):
+    rng = np.random.default_rng(1000 * d + width)
+    for _ in range(4 if d <= 17 else 1):
+        tilde = _random_tilde(rng, d, width)
+        assert -(-len(tilde[0]) // 64) == words
+        stats, want = {}, {}
+        us = gf2.find_signature_vectors(tilde, check=check, stats=stats)
+        # the pairwise oracle check is O(D**2) span reductions per level
+        expected = oracles.find_signature_vectors_sets(
+            tilde, check=check and d <= 17, stats=want)
+        assert us == expected
+        assert stats == want
+
+
+@pytest.mark.parametrize("tilde", [
+    ["0", "1"], ["01", "10"], ["0110", "0101"], ["11100", "00111"],
+])
+def test_two_substring_shortcut_matches_set_oracle(tilde):
+    for check in (False, True):
+        assert gf2.find_signature_vectors(tilde, check=check) \
+            == oracles.find_signature_vectors_sets(tilde, check=check)
+
+
+def _random_int(rng, n_bits):
+    bits = rng.integers(0, 2, size=n_bits)
+    return sum(1 << k for k in np.flatnonzero(bits).tolist())
+
+
+def _pack_ints(ints, n_words):
+    return np.array([[(v >> (64 * k)) & (2 ** 64 - 1) for k in range(n_words)]
+                     for v in ints], dtype=np.uint64).reshape(-1, n_words)
+
+
+@pytest.mark.parametrize("n_words", [1, 2, 3])
+def test_forbidden_mex_matches_set_mex(monkeypatch, n_words):
+    # small low words, some with upper words set, XORed in blocks of 1-3 rows
+    monkeypatch.setattr(gf2, "_BLOCK_WORDS", 3 * n_words)
+    rng = np.random.default_rng(n_words)
+    for _ in range(300):
+        vals = set()
+        while len(vals) < int(rng.integers(1, 12)):
+            v = int(rng.integers(0, 24))
+            if n_words > 1 and rng.random() < 0.5:
+                v |= 1 << (64 * int(rng.integers(1, n_words)) + 5)
+            vals.add(v)
+        vals = sorted(vals)
+        cut = int(rng.integers(0, len(vals) + 1))
+        M, N = vals[:cut], vals[cut:]
+        forbidden = {0, *M, *N, *(a ^ b for a in M for b in N)}
+        want = min(set(range(len(forbidden) + 1)) - forbidden)
+        got = gf2._forbidden_mex(_pack_ints(M, n_words),
+                                 _pack_ints(N, n_words))
+        assert got == want
+
+
+@pytest.mark.parametrize("r", [6, 10, 70, 140])
+def test_linear_check_agrees_with_pairwise_loop(r):
+    # random echelons, with span elements and span differences planted in
+    # some snapshots, must draw the same verdict from both checks
+    rng = np.random.default_rng(r)
+    n_words = -(-r // 64)
+    verdicts = Counter()
+    for _ in range(300):
+        n_levels = int(rng.integers(1, 4))
+        n_vecs = int(rng.integers(2, 8))
+        leads = sorted(rng.choice(r, size=n_levels, replace=False).tolist())
+        echelon = [(lead, (1 << lead) | _random_int(rng, lead))
+                   for lead in leads]
+        snapshots = []
+        for _ in range(n_levels):
+            vecs = set()
+            while len(vecs) < n_vecs:
+                vecs.add(_random_int(rng, r))
+            vecs = sorted(vecs)
+            combo = 0
+            for _, w in echelon:
+                if rng.random() < 0.5:
+                    combo ^= w
+            plant = rng.random()
+            if plant < 0.3 and combo and combo not in vecs:
+                vecs[0] = combo                    # a substring in the span
+            elif plant < 0.6 and combo and vecs[0] ^ combo not in vecs:
+                vecs[1] = vecs[0] ^ combo          # a difference in the span
+            snapshots.append(vecs)
+        got = _outcome(
+            gf2._check_kernel_avoidance,
+            [_pack_ints(v, n_words) for v in snapshots],
+            [(lead, _pack_ints([w], n_words)[0]) for lead, w in echelon])
+        want = _outcome(oracles.kernel_check_pairwise,
+                        [(None, set(v)) for v in snapshots], echelon)
+        assert got == want
+        verdicts[want] += 1
+    assert set(verdicts) == {"pass", "kernel contains a substring",
+                             "kernel contains a difference"}
+
+
+@pytest.mark.parametrize("r", [1, 7, 63, 64, 65, 130])
+def test_packed_rows_round_trip(r):
+    rng = np.random.default_rng(r)
+    bits = rng.integers(0, 2, size=(9, r), dtype=np.uint8)
+    words = gf2._pack_rows(bits)
+    assert words.shape == (9, -(-r // 64)) and words.dtype == np.uint64
+    ints = [int("".join(map(str, row[::-1])), 2) for row in bits]
+    assert np.array_equal(words, _pack_ints(ints, words.shape[1]))
+    assert np.array_equal(gf2._unpack_rows(words, r), bits)
+
+
+def test_strings_round_trip_through_the_parser():
+    rows = ["0110", "1111", "0000"]
+    bits = gf2._strings_to_array(rows)
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == [[0, 1, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0]]
+    assert gf2._array_to_strings(bits) == rows
+
+
+@pytest.mark.parametrize("nus,match", [
+    (["0121", "0110", "1100"], r"bitstring 1 \('0121'\).*0/1"),
+    (["0120", "0100", "1000", "0010"], r"bitstring 1 \('0120'\).*0/1"),
+    (["010", "011", "1 0"], r"bitstring 3 .*0/1"),
+    (["01\u00e9", "011"], r"bitstring 1 .*0/1"),
+    (["010", "0110", "1"], r"bitstring 2 \('0110'\) has 4 characters, "
+                           r"expected 3"),
+    (["01x"], r"bitstring 1 .*0/1"),
+])
+def test_malformed_bitstrings_are_refused(nus, match):
+    with pytest.raises(ValueError, match=match):
+        gf2.compress(nus)
+    with pytest.raises(ValueError, match=match):
+        gf2.BitMatrix.from_strings(nus)
+
+
+def test_signature_search_refuses_malformed_substrings():
+    with pytest.raises(ValueError, match="bitstring 2"):
+        gf2.find_signature_vectors(["0", "2"])
+    with pytest.raises(ValueError, match="bitstring 2"):
+        gf2.find_signature_vectors(["01", "1"])
