@@ -371,6 +371,9 @@ def cmd_convert(args):
         mps = load_mps(args.input)
         state = mps_to_sos(mps, threshold=args.threshold,
                            term_budget=args.term_budget)
+        if not state.terms:
+            raise RuntimeError("no determinant has squared amplitude above "
+                               f"--threshold {args.threshold!r}")
         save_sos(state, args.out)
         summary = {"to": "sos", "n_terms": len(state.terms),
                    "output": args.out}
@@ -645,17 +648,18 @@ def build_parser():
 
     sp = add("estimate-cost", cmd_estimate_cost,
              "Toffoli/qubit cost sweep for the encoding methods")
-    sp.add_argument("--n-spatial", type=int, required=True, metavar="N",
-                    help="spatial orbital count")
+    sp.add_argument("--n-spatial", type=_positive_int, required=True,
+                    metavar="N", help="spatial orbital count")
     sp.add_argument("--d-values", type=_int_list, metavar="D1,D2,...",
                     help="determinant counts for the basic/compressed rows")
     sp.add_argument("--chi-values", type=_int_list, metavar="X1,X2,...",
                     help="bond dimensions for the MPS rows")
-    sp.add_argument("--local-dim", type=int, default=4, metavar="d",
-                    help="MPS local dimension (default 4)")
-    sp.add_argument("--rotation-bits", type=int, default=10, metavar="b",
+    sp.add_argument("--local-dim", type=_in_range(int, 2), default=4,
+                    metavar="d", help="MPS local dimension (default 4)")
+    sp.add_argument("--rotation-bits", type=_positive_int, default=10,
+                    metavar="b",
                     help="bits per synthesized rotation (default 10)")
-    sp.add_argument("--n-sites", type=int, metavar="L",
+    sp.add_argument("--n-sites", type=_positive_int, metavar="L",
                     help="MPS site count (default: one per spatial orbital)")
 
     sp = add("ham", None, "CI Hamiltonian construction")
@@ -683,11 +687,12 @@ def build_parser():
     sp.add_argument("--out", required=True, metavar="FILE",
                     help="converted state output (JSON for sos, .npz "
                          "for mps)")
-    sp.add_argument("--chi-max", type=int, default=64, metavar="X",
+    sp.add_argument("--chi-max", type=_positive_int, default=64, metavar="X",
                     help="bond-dimension cap for --to mps (default 64)")
-    sp.add_argument("--threshold", type=float, default=1e-10,
+    sp.add_argument("--threshold", default=1e-10,
+                    type=_in_range(float, 0.0, sys.float_info.max),
                     help="amplitude cutoff for --to sos (default 1e-10)")
-    sp.add_argument("--term-budget", type=int, default=1_000_000,
+    sp.add_argument("--term-budget", type=_positive_int, default=1_000_000,
                     help="refuse extractions beyond this many terms")
 
     sp = add("simulate-encode", cmd_simulate_encode,

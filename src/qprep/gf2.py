@@ -5,7 +5,8 @@ distinct signatures of 2*ceil(log2 D) - 1 bits in two stages: first every
 string is restricted to a row basis of the (2N x D) position-by-string bit
 matrix (substring selection), then signature vectors u_k are constructed
 whose GF(2) dot products with the substrings give the signature bits.
-Gaussian elimination works on uint8 rows, one byte per bit.
+Gaussian elimination for the row basis works on rows packed into Python
+integers.
 
 The signature-vector search peels one dimension per level.  It keeps the D
 vectors packed into rows of uint64 words (bit k in word k // 64), splits
@@ -145,21 +146,29 @@ def rank_and_row_basis(m):
 
     Returns ``(rank, basis_rows)`` where ``basis_rows`` is the
     lowest-index-first list of input rows that are linearly independent and
-    span the row space.
+    span the row space.  Each row is packed into one Python integer (bit k
+    = column k).  Each basis vector is keyed by its lowest set bit, its
+    lead, and no two leads are equal; a row is reduced by XORing in the
+    vector of its lowest lead bit until it holds no lead bit.
     """
     bits = _as_bits(m)
-    basis = []        # reduced representatives, one leading column each
-    leads = []
+    n, cols = bits.shape
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    basis = {}                             # lead bit -> basis vector
+    leads = 0                              # the OR of all lead bits
     basis_rows = []
-    for i in range(bits.shape[0]):
-        row = bits[i].copy()
-        for b, lead in zip(basis, leads):
-            if row[lead]:
-                row ^= b
-        nz = np.flatnonzero(row)
-        if nz.size:
-            basis.append(row)
-            leads.append(nz[0])
+    for i in range(n):
+        if len(basis_rows) == cols:
+            break                          # full column rank: nothing new
+        row = int.from_bytes(packed[i].tobytes(), "little")
+        hit = row & leads
+        while hit:
+            row ^= basis[hit & -hit]
+            hit = row & leads
+        if row:
+            lead = row & -row
+            basis[lead] = row
+            leads |= lead
             basis_rows.append(i)
     return len(basis_rows), basis_rows
 

@@ -317,8 +317,8 @@ def mps_to_sos(state, threshold, term_budget=1_000_000):
     """
     if state.local_dim != 4:
         raise ValueError("determinant expansion requires local_dim 4")
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0.0 <= threshold < np.inf:
+        raise ValueError("threshold must be finite and nonnegative")
     ts = (state.tensors if state.canonical_form == "left"
           else _sweep_to_left_form(state.tensors))
     n = len(ts)
@@ -344,55 +344,59 @@ def mps_to_sos(state, threshold, term_budget=1_000_000):
     return SosState(2 * n, found)
 
 
-def _determinant_tensors(amp, occ):
-    """Bond-dimension-1 tensors for a single weighted determinant."""
-    n = len(occ) // 2
-    ts = []
-    for j in range(n):
-        t = np.zeros((1, 4, 1), dtype=complex)
-        t[0, int(occ[2 * j:2 * j + 2], 2), 0] = amp if j == 0 else 1.0
-        ts.append(t)
-    return ts
+def _add_terms(tensors, amps, digits):
+    """Tensors of an MPS plus a block of weighted determinants.
 
-
-def _direct_sum(ta, tb):
-    """Tensors of the sum of two MPS (bond dimensions add)."""
-    n = len(ta)
-    if n == 1:
-        return [ta[0] + tb[0]]
+    ``digits[t, j]`` is the physical digit of determinant t at site j.
+    Every determinant enters as its own diagonal block of bond dimension 1
+    (its amplitude on site 0), so interior bonds grow by ``len(amps)``;
+    the entries are those of adding the determinants one at a time.
+    """
+    n = len(tensors)
+    k = len(amps)
     out = []
-    for j in range(n):
-        a, b = ta[j], tb[j]
-        if j == 0:
-            out.append(np.concatenate([a, b], axis=2))
-        elif j == n - 1:
-            out.append(np.concatenate([a, b], axis=0))
-        else:
-            t = np.zeros((a.shape[0] + b.shape[0], a.shape[1],
-                          a.shape[2] + b.shape[2]), dtype=complex)
-            t[:a.shape[0], :, :a.shape[2]] = a
-            t[a.shape[0]:, :, a.shape[2]:] = b
-            out.append(t)
+    for j, a in enumerate(tensors):
+        chi_l, d, chi_r = a.shape
+        left = np.zeros(k, dtype=int) if j == 0 else chi_l + np.arange(k)
+        right = np.zeros(k, dtype=int) if j == n - 1 else chi_r + np.arange(k)
+        t = np.zeros((chi_l + k * (j > 0), d, chi_r + k * (j < n - 1)),
+                     dtype=complex)
+        t[:chi_l, :, :chi_r] = a
+        t[left, digits[:, j], right] += amps if j == 0 else 1.0
+        out.append(t)
     return out
 
 
 def sos_to_mps(state, chi_max, compress_every=8):
     """Build an MPS from a determinant expansion; returns ``(mps, fidelity)``.
 
-    Terms are added largest-|amplitude| first as bond-1 MPSs; the running sum
-    is truncated back to ``chi_max`` every ``compress_every`` additions (and
-    once at the end).  The reported fidelity is |<mps|state>|^2 with both
+    Terms are added largest-|amplitude| first, ``compress_every`` at a
+    time.  After each full block the running sum is truncated back to
+    ``chi_max``, unless no bond exceeds ``chi_max``: such a compression
+    would keep every singular value and leave the state as it is, so it is
+    skipped.  One compression at the end always runs and returns the
+    left-canonical form.  The reported fidelity is |<mps|state>|^2 with both
     sides normalized, evaluated against the exact input expansion.
     """
     if state.n_spin_orbitals % 2:
         raise ValueError("need an even number of spin orbitals")
     if not state.terms:
         raise ValueError("cannot build an MPS from an empty expansion")
+    if compress_every < 1:
+        raise ValueError("compress_every must be at least 1")
+    n = state.n_spin_orbitals // 2
     order = sorted(state.terms, key=lambda t: (-abs(t[0]), t[1]))
-    acc = _determinant_tensors(*order[0])
-    for count, (amp, occ) in enumerate(order[1:], start=2):
-        acc = _direct_sum(acc, _determinant_tensors(amp, occ))
-        if count % compress_every == 0:
+    amps = np.array([amp for amp, _ in order], dtype=complex)
+    bits = np.frombuffer("".join(occ for _, occ in order).encode("ascii"),
+                         dtype=np.uint8) - np.uint8(ord("0"))
+    digits = bits.reshape(len(order), n, 2) @ np.array([2, 1], dtype=np.uint8)
+    # the empty sum: bond dimension 0 between sites
+    acc = [np.zeros((int(j == 0), 4, int(j == n - 1)), dtype=complex)
+           for j in range(n)]
+    for start in range(0, len(order), compress_every):
+        stop = start + compress_every
+        acc = _add_terms(acc, amps[start:stop], digits[start:stop])
+        if stop <= len(order) and max(t.shape[2] for t in acc) > chi_max:
             acc = compress_mps(MpsState(acc), chi_max=chi_max)[0].tensors
     mps, _ = compress_mps(MpsState(acc), chi_max=chi_max)
     nm, ns = mps.norm(), state.norm()
@@ -424,7 +428,8 @@ def overlap(a, b):
             raise ValueError("MPS shapes are incompatible")
         env = np.ones((1, 1), dtype=complex)
         for ta, tb in zip(a.tensors, b.tensors):
-            env = np.einsum("ab,anc,bnd->cd", env, np.conj(ta), tb)
+            tmp = np.tensordot(env, tb, axes=(1, 0))
+            env = np.tensordot(ta.conj(), tmp, axes=([0, 1], [0, 1]))
         return complex(env[0, 0])
     if isinstance(a, SosState) and isinstance(b, MpsState):
         if b.local_dim != 4 or 2 * b.n_sites != a.n_spin_orbitals:

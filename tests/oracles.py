@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from qprep import gf2
+from qprep import gf2, states
 
 SPIKE_TOL = 1e-12
 
@@ -30,6 +30,26 @@ def gf2_rank_bruteforce(bits):
             for row in bits]
     size = len(gf2_span(ints))
     return size.bit_length() - 1
+
+
+def rank_and_row_basis_loop(m):
+    """Rank and lowest-index-first row basis over GF(2), eliminating one
+    uint8 row at a time against the basis collected so far."""
+    bits = np.asarray(m, dtype=np.uint8) & 1
+    basis = []
+    leads = []
+    basis_rows = []
+    for i in range(bits.shape[0]):
+        row = bits[i].copy()
+        for b, lead in zip(basis, leads):
+            if row[lead]:
+                row ^= b
+        nz = np.flatnonzero(row)
+        if nz.size:
+            basis.append(row)
+            leads.append(nz[0])
+            basis_rows.append(i)
+    return len(basis_rows), basis_rows
 
 
 def random_signature_matrix(tilde_nus, n_bits, rng, max_tries=2000):
@@ -320,6 +340,63 @@ def mps_contract_bruteforce(tensors):
             mat = mat @ tensors[j][:, nj, :]
         out[idx] = mat[0, 0]
     return out
+
+
+def mps_overlap_einsum(a, b):
+    """<a|b> of two MPSs, one unoptimized einsum per site."""
+    env = np.ones((1, 1), dtype=complex)
+    for ta, tb in zip(a.tensors, b.tensors):
+        env = np.einsum("ab,anc,bnd->cd", env, np.conj(ta), tb)
+    return complex(env[0, 0])
+
+
+def _determinant_tensors(amp, occ):
+    """Bond-dimension-1 tensors for a single weighted determinant."""
+    n = len(occ) // 2
+    ts = []
+    for j in range(n):
+        t = np.zeros((1, 4, 1), dtype=complex)
+        t[0, int(occ[2 * j:2 * j + 2], 2), 0] = amp if j == 0 else 1.0
+        ts.append(t)
+    return ts
+
+
+def _direct_sum(ta, tb):
+    """Tensors of the sum of two MPS (bond dimensions add)."""
+    n = len(ta)
+    if n == 1:
+        return [ta[0] + tb[0]]
+    out = []
+    for j in range(n):
+        a, b = ta[j], tb[j]
+        if j == 0:
+            out.append(np.concatenate([a, b], axis=2))
+        elif j == n - 1:
+            out.append(np.concatenate([a, b], axis=0))
+        else:
+            t = np.zeros((a.shape[0] + b.shape[0], a.shape[1],
+                          a.shape[2] + b.shape[2]), dtype=complex)
+            t[:a.shape[0], :, :a.shape[2]] = a
+            t[a.shape[0]:, :, a.shape[2]:] = b
+            out.append(t)
+    return out
+
+
+def sos_to_mps_pairwise(state, chi_max, compress_every=8):
+    """SOS -> MPS by pairwise direct sums, compressing at every cadence
+    point whether or not a bond exceeds ``chi_max``; fidelity by the
+    einsum overlap."""
+    order = sorted(state.terms, key=lambda t: (-abs(t[0]), t[1]))
+    acc = _determinant_tensors(*order[0])
+    for count, (amp, occ) in enumerate(order[1:], start=2):
+        acc = _direct_sum(acc, _determinant_tensors(amp, occ))
+        if count % compress_every == 0:
+            acc = states.compress_mps(states.MpsState(acc),
+                                      chi_max=chi_max)[0].tensors
+    mps, _ = states.compress_mps(states.MpsState(acc), chi_max=chi_max)
+    nm2, ns = mps_overlap_einsum(mps, mps).real, state.norm()
+    fidelity = abs(states.overlap(mps, state)) ** 2 / (nm2 * ns * ns)
+    return mps, float(fidelity)
 
 
 def schmidt_weights(vec, left_dim):

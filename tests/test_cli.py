@@ -153,6 +153,50 @@ def test_readout_flag_ranges_are_usage_errors(argv, capsys):
     assert "must" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["convert", "--input", "s.json", "--to", "sos", "--out", "o.json",
+     "--threshold", "nan"],
+    ["convert", "--input", "s.json", "--to", "sos", "--out", "o.json",
+     "--threshold", "inf"],
+    ["convert", "--input", "s.json", "--to", "sos", "--out", "o.json",
+     "--threshold", "-0.5"],
+    ["convert", "--input", "s.json", "--to", "mps", "--out", "o.npz",
+     "--chi-max", "0"],
+    ["convert", "--input", "s.json", "--to", "sos", "--out", "o.json",
+     "--term-budget", "0"],
+    ["estimate-cost", "--n-spatial", "4", "--chi-values", "4",
+     "--rotation-bits", "-5"],
+    ["estimate-cost", "--n-spatial", "4", "--chi-values", "4",
+     "--rotation-bits", "0"],
+    ["estimate-cost", "--n-spatial", "4", "--chi-values", "4",
+     "--local-dim", "1"],
+    ["estimate-cost", "--n-spatial", "0", "--chi-values", "4"],
+    ["estimate-cost", "--n-spatial", "4", "--chi-values", "4",
+     "--n-sites", "0"],
+], ids=["threshold-nan", "threshold-inf", "threshold-negative", "chi-max",
+        "term-budget", "rotation-bits-negative", "rotation-bits-zero",
+        "local-dim", "n-spatial", "n-sites"])
+def test_state_and_cost_flag_ranges_are_usage_errors(argv, capsys):
+    assert cli.dispatch(argv) == cli.EXIT_USAGE
+    assert "must" in capsys.readouterr().err
+
+
+def test_expansion_keeping_no_determinant_is_refused(tmp_path, capsys):
+    from qprep import states
+
+    mps = tmp_path / "product.npz"
+    states.save_mps(states.sos_to_mps(
+        states.SosState(4, [(1.0, "1001")]), chi_max=1)[0], mps)
+    out = tmp_path / "back.json"
+    code = cli.dispatch(["convert", "--input", str(mps), "--to", "sos",
+                         "--out", str(out), "--threshold", "1.5"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERICAL
+    assert "--threshold 1.5" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_unsupported_series_order_is_a_numerical_refusal(capsys):
     code = cli.dispatch(["energy-dist", *GAUSSIAN, "--method", "series",
                          "--order", "12"])

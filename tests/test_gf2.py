@@ -34,6 +34,27 @@ def test_rank_matches_bruteforce():
         assert all(v in basis_span for v in ints)
 
 
+@pytest.mark.parametrize("cols", [1, 17, 64, 65, 128, 129, 192])
+def test_rank_matches_row_loop_oracle(cols):
+    # widths of one to three 64-bit words; tall, square and wide; full
+    # rank and rank deficient
+    rng = np.random.default_rng(cols)
+    ranks = set()
+    for n in (1, cols // 2 + 1, cols, cols + 9):
+        k = max(1, min(n, cols) // 3)
+        low = (rng.integers(0, 2, size=(n, k))
+               @ rng.integers(0, 2, size=(k, cols))) & 1
+        inputs = [rng.integers(0, 2, size=(n, cols), dtype=np.uint8),
+                  low.astype(np.uint8),
+                  (rng.random((n, cols)) < 0.05).astype(np.uint8),
+                  np.repeat(rng.integers(0, 2, size=(1, cols)), n, axis=0)]
+        for bits in inputs:
+            got = gf2.rank_and_row_basis(bits)
+            assert got == oracles.rank_and_row_basis_loop(bits)
+            ranks.add(got[0] == min(n, cols))
+    assert ranks == {True, False}
+
+
 def test_rank_accepts_bitmatrix():
     m = gf2.BitMatrix.from_strings(["110", "011", "101"])
     assert m.rows == 3 and m.cols == 3

@@ -31,6 +31,18 @@ def random_sos(rng, n_spin_orbitals, n_terms):
     return SosState(n_spin_orbitals, list(zip(amps, sorted(occs)))).normalize()
 
 
+def half_filled_sos(rng, n_spin_orbitals, n_terms):
+    """Unnormalized half-filled determinants with complex amplitudes."""
+    occs = set()
+    while len(occs) < n_terms:
+        occ = rng.choice(n_spin_orbitals, size=n_spin_orbitals // 2,
+                         replace=False)
+        occs.add("".join("1" if p in occ else "0"
+                         for p in range(n_spin_orbitals)))
+    amps = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+    return SosState(n_spin_orbitals, list(zip(amps, sorted(occs))))
+
+
 def h6_like_state():
     terms = [(0.86, occupation_from_spatial("222000")),
              (-0.36, occupation_from_spatial("b2aa0b")),
@@ -342,6 +354,13 @@ def test_mps_to_sos_budget():
         mps_to_sos(m, threshold=0.0, term_budget=3)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1e-3])
+def test_mps_to_sos_refuses_bad_threshold(threshold):
+    m = sos_to_mps(SosState(4, [(1.0, "1001")]), chi_max=1)[0]
+    with pytest.raises(ValueError, match="threshold"):
+        mps_to_sos(m, threshold=threshold)
+
+
 def test_mps_to_sos_requires_local_dim_4():
     rng = np.random.default_rng(19)
     with pytest.raises(ValueError):
@@ -401,6 +420,47 @@ def test_sos_to_mps_compression_cadence():
     assert max(m.bond_dims) <= 3
 
 
+@pytest.mark.parametrize("n_terms, chi_max, compress_every", [
+    (64, 64, 8),     # the size `convert --to mps` sees in the benchmark
+    (64, 8, 8),      # D > chi: truncation at most cadence points
+    (64, 3, 4),      # every cadence point truncates
+    (20, 3, 4),
+    (1, 64, 8),      # a single determinant
+])
+def test_sos_to_mps_matches_pairwise_oracle(n_terms, chi_max,
+                                            compress_every):
+    rng = np.random.default_rng(30 + n_terms + chi_max + compress_every)
+    s = half_filled_sos(rng, 12, n_terms)
+    m, fid = sos_to_mps(s, chi_max=chi_max, compress_every=compress_every)
+    ref, ref_fid = oracles.sos_to_mps_pairwise(s, chi_max, compress_every)
+    v, v_ref = mps_to_statevector(m), mps_to_statevector(ref)
+    assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.linalg.norm(v_ref)
+    assert fid == pytest.approx(ref_fid, abs=1e-12)
+    assert m.bond_dims == ref.bond_dims
+    assert m.canonical_form == "left"
+
+
+@pytest.mark.parametrize("n_terms, chi_max, compress_every, expected", [
+    (64, 64, 8, 1),   # D <= chi: no bond ever exceeds chi, final only
+    (8, 8, 8, 1),
+    (64, 8, 8, 8),    # bonds exceed 8 after 16, 24, ..., 64 terms
+    (20, 3, 4, 6),    # bonds exceed 3 after 4, 8, ..., 20 terms
+    (18, 3, 4, 5),    # the partial last block gets the final one only
+])
+def test_sos_to_mps_compresses_only_when_a_bond_exceeds_chi(
+        monkeypatch, n_terms, chi_max, compress_every, expected):
+    rng = np.random.default_rng(40 + n_terms)
+    s = half_filled_sos(rng, 12, n_terms)
+    bonds = []
+    compress = states.compress_mps
+    monkeypatch.setattr(states, "compress_mps",
+                        lambda mps, **kw: bonds.append(max(mps.bond_dims))
+                        or compress(mps, **kw))
+    sos_to_mps(s, chi_max=chi_max, compress_every=compress_every)
+    assert len(bonds) == expected
+    assert all(b > chi_max for b in bonds[:-1])
+
+
 # ---------------------------------------------------------------------------
 # Overlaps
 # ---------------------------------------------------------------------------
@@ -420,6 +480,20 @@ def test_overlap_all_pairs():
         overlap(s, np.ones(4))
     with pytest.raises(ValueError):
         overlap(s, random_sos(rng, 8, 2))
+
+
+@pytest.mark.parametrize("chis_a, chis_b", [
+    ([1, 1, 1], [1, 1, 1]),
+    ([2, 3, 5], [4, 1, 7]),
+    ([3, 16, 64, 16, 4], [4, 16, 64, 16, 2]),
+    ([64, 64], [7, 64]),
+])
+def test_mps_overlap_matches_einsum_oracle(chis_a, chis_b):
+    rng = np.random.default_rng(len(chis_a) + sum(chis_b))
+    a, b = random_mps(rng, chis_a), random_mps(rng, chis_b)
+    for x, y in ((a, b), (b, a), (a, a)):
+        ref = oracles.mps_overlap_einsum(x, y)
+        assert abs(overlap(x, y) - ref) <= 1e-12 * abs(ref)
 
 
 def test_overlap_sos_sos_disjoint():
