@@ -95,6 +95,14 @@ def _int_list(text):
             f"{text!r} is not a comma-separated integer list")
 
 
+def _positive_int_list(text):
+    values = _int_list(text)
+    if any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: every value must be a positive integer")
+    return values
+
+
 def _write_text(text, path):
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -650,9 +658,11 @@ def build_parser():
              "Toffoli/qubit cost sweep for the encoding methods")
     sp.add_argument("--n-spatial", type=_positive_int, required=True,
                     metavar="N", help="spatial orbital count")
-    sp.add_argument("--d-values", type=_int_list, metavar="D1,D2,...",
+    sp.add_argument("--d-values", type=_positive_int_list,
+                    metavar="D1,D2,...",
                     help="determinant counts for the basic/compressed rows")
-    sp.add_argument("--chi-values", type=_int_list, metavar="X1,X2,...",
+    sp.add_argument("--chi-values", type=_positive_int_list,
+                    metavar="X1,X2,...",
                     help="bond dimensions for the MPS rows")
     sp.add_argument("--local-dim", type=_in_range(int, 2), default=4,
                     metavar="d", help="MPS local dimension (default 4)")

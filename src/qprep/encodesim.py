@@ -113,15 +113,6 @@ class EncodingResult:
     def n_qubits(self):
         return self.n_system + self.n_enumeration + self.n_identification
 
-    def system_probabilities(self):
-        """Measurement distribution over system-register keys, ancilla
-        registers traced out."""
-        probs = {}
-        mask = (1 << self.n_system) - 1
-        for key, amp in self.state.items():
-            probs[key & mask] = probs.get(key & mask, 0.0) + abs(amp) ** 2
-        return probs
-
 
 def occupation_key(occ):
     """Basis key of an occupation string (system qubit s <-> character s)."""

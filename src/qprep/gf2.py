@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "BitMatrix",
     "DuplicateDeterminant",
     "SignatureMap",
     "rank_and_row_basis",
@@ -58,35 +57,7 @@ def signature_length(n_det):
     return 2 * math.ceil(math.log2(n_det)) - 1
 
 
-class BitMatrix:
-    """Dense GF(2) matrix; entries stored row-major as a uint8 array."""
-
-    def __init__(self, bits):
-        bits = np.ascontiguousarray(np.asarray(bits, dtype=np.uint8) & 1)
-        if bits.ndim != 2:
-            raise ValueError("expected a 2-d array of bits")
-        self.bits = bits
-
-    @classmethod
-    def from_strings(cls, rows):
-        """Build from an iterable of equal-length '0'/'1' strings."""
-        return cls(_strings_to_array(rows))
-
-    @property
-    def rows(self):
-        return self.bits.shape[0]
-
-    @property
-    def cols(self):
-        return self.bits.shape[1]
-
-    def __repr__(self):
-        return "BitMatrix(%d x %d)" % (self.rows, self.cols)
-
-
 def _as_bits(m):
-    if isinstance(m, BitMatrix):
-        return m.bits
     return np.asarray(m, dtype=np.uint8) & 1
 
 
@@ -411,10 +382,6 @@ class SignatureMap:
     def signature_bits(self):
         return len(self.u_vectors)
 
-    @property
-    def n_determinants(self):
-        return len(self.signatures)
-
     def to_json(self):
         """Serialize; bit vectors go out as hex strings."""
         return json.dumps({
@@ -423,26 +390,9 @@ class SignatureMap:
             "signatures": [_bits_to_hex(b) for b in self.signatures],
         })
 
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        r = len(obj["selected_rows"])
-        m = len(obj["u_vectors"])
-        return cls(
-            selected_rows=[int(i) for i in obj["selected_rows"]],
-            u_vectors=[_hex_to_bits(h, r) for h in obj["u_vectors"]],
-            signatures=[_hex_to_bits(h, m) for h in obj["signatures"]],
-        )
-
 
 def _bits_to_hex(bits):
     return format(int(bits, 2), "x") if bits else ""
-
-
-def _hex_to_bits(h, width):
-    if width == 0:
-        return ""
-    return format(int(h, 16), "0%db" % width)
 
 
 def compress(nus, check=False):

@@ -8,16 +8,15 @@ counted in the centred window [-2^(k-1), 2^(k-1)) so that "below the ground
 energy" keeps meaning the bins just under 2^k E0 rather than the top of the
 register.
 
-The module offers four views of the same quantity: the exact sum of the
+The module offers three views of the same quantity: the exact sum of the
 readout kernel of every counted level over every window bin (evaluated
 directly by :func:`qprep.spectra.readout_mass`, in bounded blocks, so small
 leakage keeps full relative precision), a one-term-per-level approximation
 evaluated elementwise over the measure's energy array, with a rigorous
-antiderivative bracket, a panel-quadrature integral form for
-smooth densities, and a digit-count heuristic saying how large k must be
-before leakage stops mattering.  A CDF-comparison diagnosis flags states whose
-low-energy readout tail is dominated by kernel spill rather than by actual
-spectral weight.
+antiderivative bracket, and a panel-quadrature integral form for smooth
+densities.  A CDF-comparison diagnosis flags states whose low-energy
+readout tail is dominated by kernel spill rather than by actual spectral
+weight.
 """
 
 import math
@@ -26,12 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qpestats import qpe_outcome_distribution
-from .spectra import (SPIKE_TOL, DigitCapExceeded, as_measure, on_grid,
-                      readout_mass, register_size)
+from .spectra import SPIKE_TOL, as_measure, readout_mass, register_size
+# Re-exported: the readout routines here raise it past the digit cap.
+from .spectra import DigitCapExceeded  # noqa: F401
 
-# Cap of the digit-count heuristic; the readout routines themselves stop at
-# qprep.spectra.READOUT_DIGIT_CAP.
-DIGIT_CAP = 64
 # Quadrature points per block of leak_prob_integral: bounds its temporaries
 # (a few 512 kB arrays) whatever the digit count.
 _INTEGRAL_BLOCK = 1 << 16
@@ -88,15 +85,16 @@ def _split_bins(energy, size):
 def leak_prob_exact(m, setup, exclude_below=None):
     """Exact leaked probability: every counted level against every window bin.
 
-    Counted levels lie above the cut and off the readout grid: a level
-    sitting exactly on the grid contributes nothing, even where its delta
-    bin aliases into the centred window.  Window bins are taken modulo 2^k,
-    repeats included.
+    Counted levels lie above the cut.  A level on the readout grid is the
+    kernel's limit there, a Kronecker spike: it leaks its whole weight when
+    its register value falls in the window and nothing otherwise.  Window
+    bins are taken modulo 2^k, repeats included.
     """
+    register_size(setup.k)          # refuses k past the cap before any array
     measure = as_measure(m)
     cut = setup.exclude_below if exclude_below is None else exclude_below
     energies = measure.energies
-    counted = (energies > cut) & ~on_grid(energies, setup.k)
+    counted = energies > cut
     if setup.x_upper <= setup.window_low or not counted.any():
         return 0.0
     window = np.arange(setup.window_low, setup.x_upper)
@@ -182,28 +180,6 @@ def leak_prob_integral(density_fn, setup, e_max=1.0, nodes_per_panel=10):
             / (pts - center)
         total += float(np.sum(vals * (half[:, None] * node_weights[None, :])))
     return total / (math.pi ** 2 * size)
-
-
-def required_digits(p0, e_p, e0, epsilon, k_cap=DIGIT_CAP):
-    """Smallest digit count that makes leakage past the ground bin unlikely.
-
-    Demands 2^k >= max(1 / [p0 (E_p - E0)], 1 / epsilon): enough bins that
-    the distribution peak at E_p cannot spill a whole ground-detection's
-    worth of probability below E0, and enough to resolve epsilon at all.
-    """
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError("peak weight must be a probability")
-    if e_p <= e0:
-        raise ValueError("distribution peak must lie above the reference")
-    if epsilon <= 0:
-        raise ValueError("tolerated error must be positive")
-    if p0 == 0.0:
-        raise DigitCapExceeded("zero peak weight needs unbounded digits")
-    need = max(1.0 / (p0 * (e_p - e0)), 1.0 / epsilon)
-    k = max(1, math.ceil(math.log2(need)))
-    if k > k_cap:
-        raise DigitCapExceeded("need %d digits, cap is %d" % (k, k_cap))
-    return k
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .spectra import as_measure, outcome_law
 
@@ -78,36 +77,6 @@ def cdf_below(m, energy):
     """Total weight of the measure (or density) at energies <= ``energy``."""
     measure = as_measure(m, DENSITY_LEVELS)
     return float(measure.probs[measure.energies <= energy].sum())
-
-
-def min_of_k_cdf(p_less_fn, n_reps, energy):
-    """CDF of the minimum of ``n_reps`` independent outcomes.
-
-    ``p_less_fn`` maps an energy to the single-outcome probability of
-    falling at or below it; at least one of K draws lands there with
-    probability 1 - (1 - p)^K.
-    """
-    if n_reps < 1:
-        raise ValueError("need at least one repetition")
-    p = p_less_fn(energy)
-    if not 0.0 <= p <= 1.0 + PROB_SUM_TOL:
-        raise ValueError("p_less_fn returned %r, not a probability" % (p,))
-    return 1.0 - (1.0 - min(p, 1.0)) ** n_reps
-
-
-def min_of_k_pdf(grid, values, n_reps):
-    """Density of the minimum of ``n_reps`` draws from a sampled density.
-
-    Differentiating 1 - (1 - F(E))^K gives K P(E) (1 - F(E))^(K-1); the
-    result integrates to 1 whenever the input does.
-    """
-    if n_reps < 1:
-        raise ValueError("need at least one repetition")
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    cdf = cumulative_trapezoid(values, grid, initial=0.0)
-    survival = np.maximum(1.0 - cdf, 0.0)
-    return n_reps * values * survival ** (n_reps - 1)
 
 
 def expected_min(m, n_reps):

@@ -201,19 +201,16 @@ def coarse_qpe_postselect(m, k, accepted):
 def qetu_filter(m, poly, angle_map=None):
     """Rescale every level's weight by P(cos(E/2)) squared.
 
-    ``angle_map`` (a callable or an AffineNormalizer) converts measure
-    energies into the frame the polynomial was designed for; the filter
-    only reweights, so the posterior keeps the original energies.  The
-    query cost equals the polynomial degree.
+    ``angle_map``, an AffineNormalizer, converts measure energies into the
+    frame the polynomial was designed for; the filter only reweights, so
+    the posterior keeps the original energies.  The query cost equals the
+    polynomial degree.
     """
     measure = as_measure(m)
-    if angle_map is None:
-        angles = measure.energies
-    elif hasattr(angle_map, "apply"):
-        angles = angle_map.apply(measure.energies)
-    else:
-        angles = angle_map(measure.energies)
-    amplitude = poly(np.cos(np.asarray(angles) / 2))
+    angles = measure.energies
+    if angle_map is not None:
+        angles = angle_map.apply(angles)
+    amplitude = poly(np.cos(angles / 2))
     boosted = measure.probs * amplitude ** 2
     success = float(boosted.sum())
     if success <= 0.0:

@@ -105,7 +105,7 @@ def sos_cost_prior(n_spatial, n_det):
     return ResourceReport(toffoli, system + ancilla, 0, "sos_prior")
 
 
-def mps_cost(chis, d=4, b=DEFAULT_ROTATION_BITS, variant="select", lam=None):
+def mps_cost(chis, d=4, b=DEFAULT_ROTATION_BITS, variant="select"):
     """Synthesis cost of a bond-dimension chain of site unitaries.
 
     Parameters
@@ -115,13 +115,11 @@ def mps_cost(chis, d=4, b=DEFAULT_ROTATION_BITS, variant="select", lam=None):
     d : local (qudit) dimension per site.
     b : bits of rotation-angle precision.
     variant : "select" or "selswap_dirty".
-    lam : trade-off parameter for "selswap_dirty"; default per site is
-        ceil(sqrt(chi_j * d)).
 
     Per site the select variant costs
     chi_{j-1} * (8*chi_j*d + (b+1)*ceil(log2(chi_j*d))), and the dirty-qubit
     variant chi_{j-1} * (8*chi_j*d/lam + 8*lam*b*nu + b*nu + nu) with
-    nu = ceil(log2(chi_j*d)).
+    nu = ceil(log2(chi_j*d)) and the trade-off lam = ceil(sqrt(chi_j*d)).
     """
     if variant not in ("select", "selswap_dirty"):
         raise ValueError("unknown variant %r" % (variant,))
@@ -141,7 +139,7 @@ def mps_cost(chis, d=4, b=DEFAULT_ROTATION_BITS, variant="select", lam=None):
         if variant == "select":
             toffoli += chi_prev * (8 * chi_next * d + (b + 1) * nu)
         else:
-            lam_j = lam if lam is not None else math.ceil(math.sqrt(chi_next * d))
+            lam_j = math.ceil(math.sqrt(chi_next * d))
             toffoli += chi_prev * (math.ceil(8 * chi_next * d / lam_j)
                                    + 8 * lam_j * b * nu + b * nu + nu)
             dirty = max(dirty, lam_j * b)

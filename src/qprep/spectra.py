@@ -5,8 +5,7 @@ overlaps with the eigenbasis.  Around it this module provides four routes to
 a (possibly broadened) energy density and the machinery shared by the QPE
 statistics modules:
 
-* kernel broadening of the exact measure (Gaussian, Lorentzian, or the
-  periodic QPE kernel);
+* kernel broadening of the exact measure (Gaussian or Lorentzian);
 * moment/cumulant series (Gram-Charlier and Edgeworth), with exact rational
   coefficient tables;
 * the resolvent (Green's function) route, by direct linear solves — both the
@@ -132,36 +131,24 @@ class SpectralMeasure:
 class BroadKernel:
     """Unit-integral broadening kernel centered at zero.
 
-    ``kind`` is "gaussian" or "lorentzian" with ``width`` the scale eta, or
-    "qpe_sinc" with ``width`` the integer digit count k (normalized over one
-    period of the phase-estimation comb).
+    ``kind`` is "gaussian" or "lorentzian", with ``width`` the scale eta.
     """
 
     kind: str
     width: float
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "lorentzian", "qpe_sinc"):
+        if self.kind not in ("gaussian", "lorentzian"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "qpe_sinc":
-            if self.width != int(self.width) or self.width < 1:
-                raise ValueError("qpe_sinc width is a digit count >= 1")
-        elif self.width <= 0:
+        if self.width <= 0:
             raise ValueError("kernel width must be positive")
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
+        eta = self.width
         if self.kind == "gaussian":
-            eta = self.width
             return np.exp(-0.5 * (x / eta) ** 2) / (eta * np.sqrt(2 * np.pi))
-        if self.kind == "lorentzian":
-            eta = self.width
-            return (eta / np.pi) / (x ** 2 + eta ** 2)
-        m = register_size(int(self.width))
-        near, offset = _split_register(x.ravel(), m)
-        at_zero = _kernel(near, offset, np.zeros(1, dtype=np.int64), m,
-                          _half_turn_tables(m))
-        return m * at_zero.reshape(x.shape)
+        return (eta / np.pi) / (x ** 2 + eta ** 2)
 
 
 def exact_spectral_measure(h, psi, normalizer=None, margin=None):
@@ -422,20 +409,18 @@ def _require_standardized(ms):
         raise ValueError("series need a spread-out measure (sigma > 0)")
 
 
-def gram_charlier(ms, order, generic=False):
+def gram_charlier(ms, order):
     """Gram-Charlier density up to Hermite order ``order``.
 
-    Coefficients come from the closed-form table through order 8; pass
-    ``generic=True`` to project onto higher Hermite orders directly from the
-    moment ladder (requires moments up to that order).
+    Orders above ``GC_TABLE_MAX`` raise OrderUnsupported, the bound of the
+    closed-form coefficient table; ``ms`` needs moments up to ``order``.
     """
     _require_standardized(ms)
     if order < 2:
         raise ValueError("order must be at least 2")
-    if order > GC_TABLE_MAX and not generic:
+    if order > GC_TABLE_MAX:
         raise OrderUnsupported(
-            f"closed-form coefficients stop at order {GC_TABLE_MAX}; "
-            "pass generic=True for the Hermite-projection path")
+            f"closed-form coefficients stop at order {GC_TABLE_MAX}")
     if order > ms.n_max:
         raise ValueError("not enough moments for the requested order")
     weights = np.zeros(order + 1)
@@ -548,12 +533,6 @@ def _split_register(energies, m):
     return near.astype(np.int64), scaled - near
 
 
-def on_grid(energies, k):
-    """Which levels sit within ``SPIKE_TOL`` of the k-digit readout grid."""
-    _, offset = _split_register(energies, register_size(k))
-    return np.abs(offset) < SPIKE_TOL
-
-
 def _half_turn_tables(m):
     """sin and cos of pi r / m for each register offset r modulo m, with r
     taken in [-m/2, m/2] so every angle stays within [-pi/2, pi/2]."""
@@ -583,18 +562,6 @@ def _kernel(near, offset, bins, m, tables):
     if spike.any():
         out[spike] = j[spike] == 0
     return out
-
-
-def qpe_kernel_probs(energy, k):
-    """Distribution of the k-digit integer outcome for a sharp energy.
-
-    probs[x] = 2^{-2k} sin^2(pi 2^k E) / sin^2(pi [E - x/2^k]); an energy
-    sitting exactly on the outcome grid gets the Kronecker spike.  Periodic
-    in the energy with period 1.
-    """
-    m = register_size(k)
-    near, offset = _split_register([energy], m)
-    return _kernel(near, offset, np.arange(m), m, _half_turn_tables(m))[0]
 
 
 def readout_mass(energies, k, bins):

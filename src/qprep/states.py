@@ -258,20 +258,17 @@ def left_canonicalize(state):
                     state.local_dim, canonical_form="left")
 
 
-def compress_mps(state, chi_max=None, weight_tol=None):
+def compress_mps(state, chi_max):
     """Truncate bond dimensions; returns ``(compressed, fidelity)``.
 
     A left-to-right sweep of singular value truncations, each performed on a
     genuine Schmidt spectrum of the current state, so the reported fidelity
     |<out|in>|^2 (norm-independent) is exactly the product over bonds of the
-    retained Schmidt weight fractions.  Keeps, per bond, at most ``chi_max``
-    values and only those with squared singular value above ``weight_tol``
-    (at least one is always kept).  The output is renormalized to the input
-    norm and returned in left-canonical form.
+    retained Schmidt weight fractions.  Keeps at most ``chi_max`` values per
+    bond.  The output is renormalized to the input norm and returned in
+    left-canonical form.
     """
-    if chi_max is None and weight_tol is None:
-        raise ValueError("give chi_max and/or weight_tol")
-    if chi_max is not None and chi_max < 1:
+    if chi_max < 1:
         raise ValueError("chi_max must be at least 1")
     ts = _sweep_to_left_form(state.tensors)
     fidelity = 1.0
@@ -281,11 +278,7 @@ def compress_mps(state, chi_max=None, weight_tol=None):
         chi_l, d, chi_r = t.shape
         u, s, vh = np.linalg.svd(t.reshape(chi_l * d, chi_r),
                                  full_matrices=False)
-        keep = len(s)
-        if chi_max is not None:
-            keep = min(keep, chi_max)
-        if weight_tol is not None:
-            keep = min(keep, max(int(np.sum(s ** 2 > weight_tol)), 1))
+        keep = min(len(s), chi_max)
         total = float(np.sum(s ** 2))
         retained = float(np.sum(s[:keep] ** 2))
         frac = retained / total if total > 0.0 else 1.0
@@ -439,53 +432,6 @@ def overlap(a, b):
     if isinstance(a, MpsState) and isinstance(b, SosState):
         return complex(np.conj(overlap(b, a)))
     raise TypeError("overlap expects SosState or MpsState arguments")
-
-
-# ---------------------------------------------------------------------------
-# Spin-orbital reordering
-# ---------------------------------------------------------------------------
-
-def permute_spin_orbitals(state, perm):
-    """Relabel spin orbitals of an SOS state; ``perm[p]`` is the new index of
-    spin orbital ``p``.
-
-    Determinants are kept in the ascending-creation-operator convention, so
-    each term picks up the parity sign of its relabeled occupied list.  A
-    permutation followed by its inverse restores every amplitude exactly
-    (the two parity signs cancel).
-    """
-    n = state.n_spin_orbitals
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(n)):
-        raise ValueError("perm must be a permutation of range(n_spin_orbitals)")
-    new_terms = []
-    for amp, occ in state.terms:
-        relabeled = [perm[p] for p in range(n) if occ[p] == "1"]
-        sign = 1
-        for i in range(len(relabeled)):
-            for j in range(i + 1, len(relabeled)):
-                if relabeled[i] > relabeled[j]:
-                    sign = -sign
-        new_occ = ["0"] * n
-        for q in relabeled:
-            new_occ[q] = "1"
-        new_terms.append((sign * amp, "".join(new_occ)))
-    return SosState(n, new_terms, normalized=state.normalized)
-
-
-def spin_blocked_permutation(n_spin_orbitals):
-    """Permutation taking the interleaved order (a0 b0 a1 b1 ...) to the
-    blocked order (a0 a1 ... b0 b1 ...), for use with
-    :func:`permute_spin_orbitals`; the parity signs it induces implement the
-    convention change to all-alpha-first operator ordering."""
-    if n_spin_orbitals % 2:
-        raise ValueError("need an even number of spin orbitals")
-    half = n_spin_orbitals // 2
-    perm = [0] * n_spin_orbitals
-    for j in range(half):
-        perm[2 * j] = j
-        perm[2 * j + 1] = half + j
-    return perm
 
 
 # ---------------------------------------------------------------------------

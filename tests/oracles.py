@@ -439,24 +439,6 @@ def best_product_fidelity(vec, dims, rng, n_restarts=40, n_iters=80):
     return best
 
 
-def creation_string_sign(orbitals):
-    """Sign of a'_{p1} a'_{p2} ... |vac> relative to the ascending-order
-    convention, via explicit operator algebra.  Returns (sign, mask).
-
-    The rightmost operator acts first, so the list is consumed in reverse;
-    each new operator is then commuted into place from the left.
-    """
-    mask = 0
-    sign = 1
-    for p in reversed(list(orbitals)):
-        if (mask >> p) & 1:
-            return 0, mask
-        if bin(mask & ((1 << p) - 1)).count("1") % 2:
-            sign = -sign
-        mask |= 1 << p
-    return sign, mask
-
-
 def apply_mcx(vec, controls, target):
     """Generic multi-controlled-X on a dense statevector.
 
@@ -633,7 +615,8 @@ def outcome_law_loop(energies, probs, k):
 
 def leak_prob_loop(energies, probs, setup, cut):
     """Leaked probability: every level above ``cut`` against every bin of
-    the centred window [window_low, x_upper); on-grid levels add nothing."""
+    the centred window [window_low, x_upper); an on-grid level adds its
+    weight once per window bin congruent to its register value."""
     xs = np.arange(setup.window_low, setup.x_upper, dtype=float)
     if xs.size == 0:
         return 0.0
@@ -645,6 +628,8 @@ def leak_prob_loop(energies, probs, setup, cut):
         scaled = size * energy
         delta = scaled - math.floor(scaled)
         if delta < SPIKE_TOL or 1.0 - delta < SPIKE_TOL:
+            hits = np.count_nonzero((round(scaled) - xs) % size == 0)
+            total += weight * hits
             continue
         terms = math.sin(math.pi * delta) ** 2 \
             / np.sin(np.pi * (scaled - xs) / size) ** 2

@@ -173,9 +173,11 @@ def test_readout_flag_ranges_are_usage_errors(argv, capsys):
     ["estimate-cost", "--n-spatial", "0", "--chi-values", "4"],
     ["estimate-cost", "--n-spatial", "4", "--chi-values", "4",
      "--n-sites", "0"],
+    ["estimate-cost", "--n-spatial", "4", "--d-values", "0,-3"],
+    ["estimate-cost", "--n-spatial", "4", "--chi-values", "0"],
 ], ids=["threshold-nan", "threshold-inf", "threshold-negative", "chi-max",
         "term-budget", "rotation-bits-negative", "rotation-bits-zero",
-        "local-dim", "n-spatial", "n-sites"])
+        "local-dim", "n-spatial", "n-sites", "d-values", "chi-values"])
 def test_state_and_cost_flag_ranges_are_usage_errors(argv, capsys):
     assert cli.dispatch(argv) == cli.EXIT_USAGE
     assert "must" in capsys.readouterr().err

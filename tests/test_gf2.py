@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -53,13 +54,6 @@ def test_rank_matches_row_loop_oracle(cols):
             assert got == oracles.rank_and_row_basis_loop(bits)
             ranks.add(got[0] == min(n, cols))
     assert ranks == {True, False}
-
-
-def test_rank_accepts_bitmatrix():
-    m = gf2.BitMatrix.from_strings(["110", "011", "101"])
-    assert m.rows == 3 and m.cols == 3
-    rank, _ = gf2.rank_and_row_basis(m)
-    assert rank == 2  # third row is the sum of the first two
 
 
 def test_select_substrings_single_differing_bit():
@@ -186,13 +180,23 @@ def test_search_budget_per_step():
         assert all(c <= budget for c in stats.get("search_counts", []))
 
 
+def bits_from_hex(h, width):
+    """A hex field of ``SignatureMap.to_json`` as a ``width``-bit string."""
+    return format(int(h, 16), "0%db" % width) if width else ""
+
+
 def test_json_round_trip():
     rng = np.random.default_rng(3)
     for d in (1, 2, 5, 17):
         nus = oracles.random_distinct_bitstrings(rng, d, 12)
         sm = gf2.compress(nus)
-        again = gf2.SignatureMap.from_json(sm.to_json())
-        assert again == sm
+        obj = json.loads(sm.to_json())
+        assert obj["selected_rows"] == sm.selected_rows
+        # hex fields decode to the bit strings, zero-padded to their widths
+        r, m = len(sm.selected_rows), len(sm.u_vectors)
+        assert [bits_from_hex(h, r) for h in obj["u_vectors"]] == sm.u_vectors
+        assert [bits_from_hex(h, m) for h in obj["signatures"]] \
+            == sm.signatures
 
 
 def _outcome(fn, *args):
@@ -341,7 +345,7 @@ def test_malformed_bitstrings_are_refused(nus, match):
     with pytest.raises(ValueError, match=match):
         gf2.compress(nus)
     with pytest.raises(ValueError, match=match):
-        gf2.BitMatrix.from_strings(nus)
+        gf2._strings_to_array(nus)
 
 
 def test_signature_search_refuses_malformed_substrings():

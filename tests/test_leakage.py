@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm as normal_dist
 
-from qprep.leakage import (DigitCapExceeded, LeakageSetup, diagnose_leakage,
-                           leak_prob_approx, leak_prob_exact,
-                           leak_prob_integral, leak_prob_level_approx,
-                           leak_prob_level_bracket, required_digits)
+from qprep.leakage import (LeakageSetup, diagnose_leakage, leak_prob_approx,
+                           leak_prob_exact, leak_prob_integral,
+                           leak_prob_level_approx, leak_prob_level_bracket)
 from qprep.spectra import SpectralMeasure
 
 import oracles
@@ -52,10 +51,23 @@ def test_setup_validation():
 # Exact double sum
 # ---------------------------------------------------------------------------
 
-def test_exact_on_grid_levels_leak_nothing():
+def test_exact_on_grid_levels_leak_only_when_aliased():
+    # window [-16, 2): register value 8 stays outside, 20 = -12 mod 32 is in
     setup = LeakageSetup(5, 0.05, 0.1)
     m = SpectralMeasure([(8 / 32, 0.5), (20 / 32, 0.5)])
-    assert leak_prob_exact(m, setup) == 0.0
+    assert leak_prob_exact(m, setup) == 0.5
+
+
+def test_exact_is_continuous_through_an_aliased_grid_level():
+    # k = 3: 2^k 0.75 = 6 = -2 mod 8 lies in the window [-4, 1), so the
+    # level leaks its whole weight on the grid and within 1e-9 of it
+    setup = LeakageSetup(3, 0.05, 0.1)
+    window = np.arange(setup.window_low, setup.x_upper)
+    for energy in (0.75 - 1e-9, 0.75, 0.75 + 1e-9):
+        ref = oracles.readout_kernel_reduced(energy, setup.k, window).sum()
+        value = leak_prob_exact(single(energy), setup)
+        assert value == pytest.approx(ref, rel=1e-14)
+        assert abs(value - 1.0) < 1e-12
 
 
 def test_exact_matches_hand_sum():
@@ -264,31 +276,6 @@ def test_integral_blocks_match_one_array_sum(k):
     assert max(sizes) <= 1 << 16
     assert len(sizes) == (1 if k == 6 else 2)
     assert abs(blocked - whole) <= 1e-14 * abs(whole)
-
-
-# ---------------------------------------------------------------------------
-# Digit requirement
-# ---------------------------------------------------------------------------
-
-def test_required_digits_values():
-    assert required_digits(1.0, 0.5, 0.0, 2 ** -8) == 8
-    assert required_digits(0.001, 0.1, 0.0, 0.1) == 14      # 1/(p0 gap) = 1e4
-    assert required_digits(1.0, 0.5, 0.0, 1 / 257) == 9     # not a power of 2
-    assert required_digits(1.0, 0.9, 0.4, 0.5) == 1
-
-
-def test_required_digits_guards():
-    with pytest.raises(DigitCapExceeded):
-        required_digits(0.0, 0.5, 0.0, 0.01)
-    with pytest.raises(DigitCapExceeded):
-        required_digits(1e-30, 0.5, 0.0, 0.01)
-    assert required_digits(1e-30, 0.5, 0.0, 0.01, k_cap=200) == 101
-    with pytest.raises(ValueError):
-        required_digits(0.5, 0.1, 0.2, 0.01)
-    with pytest.raises(ValueError):
-        required_digits(1.5, 0.5, 0.0, 0.01)
-    with pytest.raises(ValueError):
-        required_digits(0.5, 0.5, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

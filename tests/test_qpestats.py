@@ -4,10 +4,10 @@ from scipy.stats import norm as normal_dist
 from scipy.stats import wasserstein_distance
 
 from qprep.qpestats import (GoldilocksReport, OutcomeDistribution, cdf_below,
-                            expected_min, goldilocks_report, min_of_k_cdf,
-                            min_of_k_pdf, qpe_outcome_distribution)
+                            expected_min, goldilocks_report,
+                            qpe_outcome_distribution)
 from qprep.spectra import (BroadKernel, SpectralMeasure, broaden,
-                           discretize_density, qpe_kernel_probs)
+                           discretize_density)
 
 import oracles
 
@@ -60,7 +60,8 @@ def test_outcome_midbin_symmetry():
 def test_outcome_mixes_levels_linearly():
     m = SpectralMeasure([(0.23, 0.3), (0.61, 0.7)])
     dist = qpe_outcome_distribution(m, 5)
-    direct = 0.3 * qpe_kernel_probs(0.23, 5) + 0.7 * qpe_kernel_probs(0.61, 5)
+    direct = (0.3 * oracles.qpe_kernel_probs_loop(0.23, 5)
+              + 0.7 * oracles.qpe_kernel_probs_loop(0.61, 5))
     assert np.allclose(dist.probs, direct, atol=1e-14)
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -116,46 +117,6 @@ def test_cdf_below_edges():
 def test_cdf_below_gaussian_case():
     p = cdf_below(gaussian_measure(), 0.0)
     assert abs(p - 0.0013) / 0.0013 < 0.15
-
-
-def test_min_of_k_cdf_forms():
-    m = SpectralMeasure([(0.3, 0.25), (0.7, 0.75)])
-    p_less = lambda e: cdf_below(m, e)
-    assert min_of_k_cdf(p_less, 1, 0.5) == pytest.approx(0.25)
-    assert min_of_k_cdf(p_less, 7, 0.9) == 1.0
-    assert min_of_k_cdf(p_less, 4, 0.5) == pytest.approx(1 - 0.75 ** 4)
-    with pytest.raises(ValueError):
-        min_of_k_cdf(p_less, 0, 0.5)
-    with pytest.raises(ValueError):
-        min_of_k_cdf(lambda e: 1.7, 2, 0.5)
-
-
-def test_min_of_k_cdf_matches_simulation():
-    rng = np.random.default_rng(43)
-    m = random_measure(rng, 5)
-    n_reps, trials = 20, 10_000
-    draws = rng.choice(m.energies, size=(trials, n_reps), p=m.probs)
-    minima = draws.min(axis=1)
-    p_less = lambda e: cdf_below(m, e)
-    for energy in m.energies:
-        analytic = min_of_k_cdf(p_less, n_reps, energy)
-        empirical = np.mean(minima <= energy)
-        assert abs(analytic - empirical) < 0.02
-
-
-def test_min_of_k_pdf_properties():
-    m = SpectralMeasure([(0.4, 0.5), (0.6, 0.5)])
-    # the telescoping needs a fine grid: quadrature error grows as (h K)^2
-    grid = np.linspace(0.0, 1.0, 8001)
-    _, vals = broaden(m, BroadKernel("gaussian", 0.02), grid)
-    assert np.allclose(min_of_k_pdf(grid, vals, 1), vals)
-    for n_reps in (3, 10):
-        pdf = min_of_k_pdf(grid, vals, n_reps)
-        assert np.trapezoid(pdf, grid) == pytest.approx(1.0, abs=1e-5)
-        # mass concentrates on the lower mode as repetitions grow
-        low = grid < 0.5
-        assert np.trapezoid(pdf[low], grid[low]) \
-            > np.trapezoid(vals[low], grid[low])
 
 
 def test_expected_min_two_point_closed_form():

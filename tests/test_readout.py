@@ -22,11 +22,11 @@ from qprep.qpestats import qpe_outcome_distribution
 from qprep.refine import coarse_qpe_postselect, gaussian_levels
 from qprep.spectra import (READOUT_DIGIT_CAP, DigitCapExceeded,
                            SpectralMeasure, characteristic_function,
-                           coarse_qpe_sample, outcome_law, qpe_kernel_probs,
-                           readout_mass, register_size)
+                           coarse_qpe_sample, outcome_law, readout_mass,
+                           register_size)
 
 DIGITS = range(1, 14)
-KINDS = ("in_range", "on_grid", "aliasing", "below", "above", "single")
+KINDS = ("in_range", "gridded", "aliasing", "below", "above", "single")
 
 
 def draw_levels(rng, kind, k, n=40):
@@ -34,7 +34,7 @@ def draw_levels(rng, kind, k, n=40):
     m = 2 ** k
     if kind == "in_range":
         energies = rng.uniform(0.0, 1.0, n)
-    elif kind == "on_grid":
+    elif kind == "gridded":
         # half exactly on the readout grid, half anywhere
         energies = np.concatenate([rng.integers(0, m, n // 2) / m,
                                    rng.uniform(0.0, 1.0, n - n // 2)])
@@ -152,8 +152,7 @@ def test_levels_near_half_periods_match_reduced_kernel():
             measure = SpectralMeasure(list(zip(energies, weights)))
             setup = LeakageSetup(k, 0.01, 0.05)
             window = np.arange(setup.window_low, setup.x_upper) % m
-            off_grid = np.abs(m * energies - np.rint(m * energies)) > 1e-12
-            ref = weights[off_grid] @ kernels[off_grid][:, window].sum(axis=1)
+            ref = weights @ kernels[:, window].sum(axis=1)
             value = leak_prob_exact(measure, setup, exclude_below=-1.0)
             assert abs(value - ref) <= 1e-12 * ref
 
@@ -162,7 +161,7 @@ def test_kernel_probs_match_loop_and_sum_to_one():
     rng = rng_for(5)
     for k in DIGITS:
         for energy in (*rng.uniform(0.0, 1.0, 4), 3 / 8, 0.9):
-            probs = qpe_kernel_probs(energy, k)
+            probs = outcome_law([energy], [1.0], k)
             ref = oracles.qpe_kernel_probs_loop(energy, k)
             assert np.max(np.abs(probs - ref)) <= 1e-14
             assert probs.sum() == pytest.approx(1.0, abs=1e-13)
@@ -208,7 +207,6 @@ def test_digit_cap_refuses_before_allocating():
     assert leakage.DigitCapExceeded is DigitCapExceeded
     calls = (
         lambda: register_size(k),
-        lambda: qpe_kernel_probs(0.3, k),
         lambda: outcome_law(measure.energies, measure.probs, k),
         lambda: qpe_outcome_distribution(measure, k),
         lambda: leak_prob_exact(measure, LeakageSetup(k, 0.01, 0.1)),

@@ -294,17 +294,16 @@ def test_qetu_born_square_reweighting():
 
 
 def test_qetu_angle_map_forms_agree():
+    # the AffineNormalizer form against the map applied by hand
     m = SpectralMeasure([(0.1, 0.4), (0.4, 0.6)])
     poly = symmetric_filter(4.0, 0.5, 40)
-    mapper = AffineNormalizer(2.0, -1.0)
-    by_object = qetu_filter(m, poly, angle_map=mapper)
-    by_callable = qetu_filter(m, poly, angle_map=lambda e: 2.0 * e - 1.0)
-    assert by_object.success_prob == pytest.approx(
-        by_callable.success_prob, rel=1e-14)
-    assert np.allclose(by_object.posterior.probs,
-                       by_callable.posterior.probs, atol=1e-14)
+    mapped = qetu_filter(m, poly, angle_map=AffineNormalizer(2.0, -1.0))
+    boosted = m.probs * poly(np.cos((2.0 * m.energies - 1.0) / 2)) ** 2
+    assert mapped.success_prob == pytest.approx(boosted.sum(), rel=1e-14)
+    assert np.allclose(mapped.posterior.probs, boosted / boosted.sum(),
+                       atol=1e-14)
     # the posterior reports energies in the original frame
-    assert np.array_equal(by_object.posterior.energies, m.energies)
+    assert np.array_equal(mapped.posterior.energies, m.energies)
 
 
 def test_qetu_vanishing_filter():

@@ -118,15 +118,14 @@ def test_mps_select_doubling_exponent():
 
 
 def test_mps_selswap_dirty_formula():
-    # one interior site by hand: chi_prev=2, chi_next=2, d=4, b=10
-    # nu = 3, lam = ceil(sqrt(8)) = 3 -> 2*(ceil(64/3) + 8*3*10*3 + 10*3 + 3)
-    rep = resources.mps_cost([2], d=4, b=10, variant="selswap_dirty", lam=3)
+    # two sites by hand, d=4, b=10, lam = ceil(sqrt(chi_next * d)) per site:
+    # site 1 (chi 1 -> 2): nu = 3, lam = ceil(sqrt(8)) = 3
+    # site 2 (chi 2 -> 1): nu = 2, lam = ceil(sqrt(4)) = 2
+    rep = resources.mps_cost([2], d=4, b=10, variant="selswap_dirty")
     site1 = math.ceil(8 * 2 * 4 / 3) + 8 * 3 * 10 * 3 + 10 * 3 + 3
-    site2 = 2 * (math.ceil(8 * 4 / 3) + 8 * 3 * 10 * 2 + 10 * 2 + 2)
+    site2 = 2 * (math.ceil(8 * 4 / 2) + 8 * 2 * 10 * 2 + 10 * 2 + 2)
     assert rep.toffoli == site1 + site2
-    assert rep.dirty_qubits == 30
-    default = resources.mps_cost([2], d=4, b=10, variant="selswap_dirty")
-    assert default.dirty_qubits == 30  # per-site default lam is 3 here too
+    assert rep.dirty_qubits == 30    # max over sites of lam * b
 
 
 def test_mps_rejects_bad_args():

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
 from scipy.stats import norm as normal_dist
 
 from qprep.hamiltonian import DenseHamiltonian, normalize_spectrum
@@ -13,8 +12,8 @@ from qprep.spectra import (BroadKernel, MomentSet, OrderUnsupported,
                            discretize_density, edgeworth, edgeworth_terms,
                            exact_spectral_measure, gram_charlier,
                            gram_charlier_coefficient, hermite_e_coefficients,
-                           kde, moments, moments_from_measure,
-                           qpe_kernel_probs, resolvent_distribution)
+                           kde, moments, moments_from_measure, outcome_law,
+                           resolvent_distribution)
 
 import oracles
 
@@ -124,8 +123,6 @@ def test_kernel_validation():
         BroadKernel("boxcar", 0.1)
     with pytest.raises(ValueError):
         BroadKernel("gaussian", 0.0)
-    with pytest.raises(ValueError):
-        BroadKernel("qpe_sinc", 2.5)
 
 
 def test_broaden_single_level_gaussian():
@@ -158,15 +155,6 @@ def test_broaden_lorentzian_tail_budget():
     _, vals = broaden(m, BroadKernel("lorentzian", eta), grid)
     covered = 2 / np.pi * np.arctan(0.55 / eta)
     assert np.trapezoid(vals, grid) == pytest.approx(covered, abs=1e-3)
-
-
-def test_broaden_qpe_kernel_unit_period():
-    k = 4
-    kern = BroadKernel("qpe_sinc", k)
-    x = np.linspace(-0.5, 0.5, 2 ** 15 + 1)
-    assert simpson(kern.evaluate(x), x=x) == pytest.approx(1.0, abs=1e-6)
-    assert kern.evaluate(0.0) == 2 ** k
-    assert kern.evaluate(1.0) == 2 ** k
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +261,6 @@ def test_gram_charlier_order_guard():
     ms = MomentSet.from_raw(raw)
     with pytest.raises(OrderUnsupported):
         gram_charlier(ms, 9)
-    series = gram_charlier(ms, 10, generic=True)
-    assert np.allclose(series.hermite_weights[3:], 0.0, atol=1e-10)
     with pytest.raises(ValueError):
         gram_charlier(MomentSet.from_raw([1, 0, 1, 0, 3]), 6)
 
@@ -383,27 +369,24 @@ def test_resolvent_failure_and_validation():
 # QPE kernel and coarse sampling
 # ---------------------------------------------------------------------------
 
+def kernel_row(energy, k):
+    """Outcome law of one sharp energy: the readout kernel itself."""
+    return outcome_law([energy], [1.0], k)
+
+
 def test_qpe_kernel_spike_and_wrap():
-    probs = qpe_kernel_probs(5 / 16, 4)
+    probs = kernel_row(5 / 16, 4)
     assert probs[5] == 1.0
-    assert qpe_kernel_probs(1.0, 4)[0] == 1.0
-    assert qpe_kernel_probs(-0.25, 2)[3] == 1.0
+    assert kernel_row(1.0, 4)[0] == 1.0
+    assert kernel_row(-0.25, 2)[3] == 1.0
 
 
 def test_qpe_kernel_one_digit_law():
     # k=1 collapses to [cos^2(pi E), sin^2(pi E)]
     for e in (0.13, 0.377, 0.81):
-        probs = qpe_kernel_probs(e, 1)
+        probs = kernel_row(e, 1)
         assert probs[0] == pytest.approx(np.cos(np.pi * e) ** 2, abs=1e-12)
         assert probs[1] == pytest.approx(np.sin(np.pi * e) ** 2, abs=1e-12)
-
-
-def test_qpe_kernel_midbin_symmetry():
-    probs = qpe_kernel_probs(7.5 / 16, 4)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    for j in range(8):
-        assert probs[(7 - j) % 16] == pytest.approx(probs[(8 + j) % 16],
-                                                    abs=1e-12)
 
 
 def test_coarse_sample_deterministic_and_sharp():

@@ -5,10 +5,8 @@ from qprep import states
 from qprep.states import (MpsState, SosState, TermBudgetExceeded,
                           compress_mps, left_canonicalize, load_mps, load_sos,
                           mps_to_sos, mps_to_statevector,
-                          occupation_from_spatial, overlap,
-                          permute_spin_orbitals, save_mps, save_sos,
-                          sos_to_mps, sos_to_statevector,
-                          spin_blocked_permutation)
+                          occupation_from_spatial, overlap, save_mps,
+                          save_sos, sos_to_mps, sos_to_statevector)
 
 import oracles
 
@@ -284,24 +282,6 @@ def test_compress_to_product_state():
         assert fid <= best + 1e-9
 
 
-def test_compress_weight_tol():
-    lam = np.array([0.5, 0.3, 0.15, 0.05])
-    t0 = np.zeros((1, 4, 4), dtype=complex)
-    t1 = np.zeros((4, 4, 1), dtype=complex)
-    for i in range(4):
-        t0[0, i, i] = np.sqrt(lam[i])
-        t1[i, i, 0] = 1.0
-    m = MpsState([t0, t1])
-    out, fid = compress_mps(m, weight_tol=0.2)
-    assert out.bond_dims[1] == 2
-    assert abs(fid - 0.8) < 1e-12
-    out, fid = compress_mps(m, weight_tol=0.9)  # keeps at least one
-    assert out.bond_dims[1] == 1
-    assert abs(fid - 0.5) < 1e-12
-    with pytest.raises(ValueError):
-        compress_mps(m)
-
-
 # ---------------------------------------------------------------------------
 # MPS -> SOS
 # ---------------------------------------------------------------------------
@@ -500,51 +480,6 @@ def test_overlap_sos_sos_disjoint():
     a = SosState(4, [(1.0, "1100")])
     b = SosState(4, [(1.0, "0011")])
     assert overlap(a, b) == 0j
-
-
-# ---------------------------------------------------------------------------
-# Spin-orbital reordering
-# ---------------------------------------------------------------------------
-
-def test_permute_identity_and_roundtrip():
-    rng = np.random.default_rng(24)
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
-        s = random_sos(rng, n, min(int(rng.integers(1, 6)), 2 ** n))
-        perm = list(rng.permutation(n))
-        inv = np.argsort(perm)
-        back = permute_spin_orbitals(permute_spin_orbitals(s, perm), inv)
-        for amp, occ in s.terms:
-            assert abs(back.amplitude(occ) - amp) < 1e-12
-
-
-def test_permute_signs_match_operator_algebra():
-    rng = np.random.default_rng(25)
-    for _ in range(50):
-        n = int(rng.integers(2, 9))
-        occ = "".join(rng.choice(["0", "1"], size=n))
-        if "1" not in occ:
-            continue
-        perm = list(rng.permutation(n))
-        out = permute_spin_orbitals(SosState(n, [(1.0, occ)]), perm)
-        amp, new_occ = out.terms[0]
-        occupied = [p for p in range(n) if occ[p] == "1"]
-        sign, mask = oracles.creation_string_sign([perm[p] for p in occupied])
-        assert amp == sign
-        assert new_occ == "".join(
-            "1" if (mask >> q) & 1 else "0" for q in range(n))
-
-
-def test_spin_blocked_permutation():
-    assert spin_blocked_permutation(6) == [0, 3, 1, 4, 2, 5]
-    # alpha0 beta0 occupied: moving beta0 past alpha1 etc. keeps order here
-    out = permute_spin_orbitals(SosState(4, [(1.0, "1100")]),
-                                spin_blocked_permutation(4))
-    assert out.terms == [((1 + 0j), "1010")]
-    # beta0 and alpha1 occupied: the relabeled pair (2, 1) is inverted
-    out = permute_spin_orbitals(SosState(4, [(1.0, "0110")]),
-                                spin_blocked_permutation(4))
-    assert out.terms == [((-1 + 0j), "0110")]
 
 
 # ---------------------------------------------------------------------------
