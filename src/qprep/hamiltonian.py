@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12    # relative to max(1, max |H_ij|)
+EIGEN_PROBE_TOL = 1e-10    # residuals of a stored eigensystem's probe
 DEFAULT_DIM_CAP = 4096
 SPECTRUM_MARGIN = 0.1      # normalized spectra fill [0.1, 0.9]
 
@@ -214,15 +215,23 @@ def dump_fcidump(fd):
 
 @dataclass
 class DenseHamiltonian:
-    """Hermitian matrix plus optional determinant labels for its basis."""
+    """Hermitian matrix plus optional determinant labels for its basis.
+
+    ``entries`` is kept as a read-only view, so the eigensystem, computed on
+    first use or handed in as ``eigen = (eigenvalues, eigenvectors)`` and
+    checked by :func:`_check_eigensystem`, always belongs to the matrix.
+    """
 
     entries: np.ndarray
     basis_labels: list | None = None
+    eigen: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries)
+        self.entries = _read_only(self.entries)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("entries must be a square matrix")
+        if not np.all(np.isfinite(self.entries)):
+            raise ValueError("non-finite matrix entry")
         if self.entries.size:
             dev = np.max(np.abs(self.entries - self.entries.conj().T))
             # relative to the largest entry, so the test reads the same in
@@ -234,14 +243,60 @@ class DenseHamiltonian:
             self.basis_labels = list(self.basis_labels)
             if len(self.basis_labels) != self.entries.shape[0]:
                 raise ValueError("need one basis label per row")
+        if self.eigen is not None:
+            evals, evecs = (_read_only(a) for a in self.eigen)
+            _check_eigensystem(self.entries, evals, evecs)
+            self.eigen = (evals, evecs)
 
     @property
     def dim(self):
         return self.entries.shape[0]
 
     def eigensystem(self):
-        """Ascending eigenvalues and the matching eigenvector columns."""
-        return np.linalg.eigh(self.entries)
+        """Ascending eigenvalues and the matching eigenvector columns; one
+        ``eigh`` per object, on first use, unless they were handed in."""
+        if self.eigen is None:
+            self.eigen = tuple(_read_only(a)
+                               for a in np.linalg.eigh(self.entries))
+        return self.eigen
+
+
+def _read_only(a):
+    """A read-only view of ``a`` as an array (no copy of an array)."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
+def _check_eigensystem(entries, evals, evecs):
+    """Refuse an eigensystem that does not belong to ``entries``.
+
+    Shapes, dtypes, finiteness and ascending order are checked exactly, the
+    pairs by two O(n^2) probes with a fixed random x: |H(Vx) - V(Lx)|
+    relative to max(1, max |H_ij|) |x|, and |V^H(Vx) - x| relative to |x|.
+    """
+    n = entries.shape[0]
+    if evals.shape != (n,) or evecs.shape != (n, n):
+        raise ValueError("eigensystem shapes %s and %s do not fit a %d x %d "
+                         "matrix" % (evals.shape, evecs.shape, n, n))
+    if evals.dtype.kind != "f" or evecs.dtype.kind not in "fc":
+        raise ValueError("eigenvalues must be real and eigenvectors "
+                         "floating point")
+    if not (np.all(np.isfinite(evals)) and np.all(np.isfinite(evecs))):
+        raise ValueError("non-finite eigensystem value")
+    if np.any(evals[1:] < evals[:-1]):
+        raise ValueError("eigenvalues are not ascending")
+    if n == 0:
+        return
+    x = np.random.default_rng(0).standard_normal(n)
+    vx = evecs @ x
+    size = np.linalg.norm(x)
+    pair_res = np.linalg.norm(entries @ vx - evecs @ (evals * x)) \
+        / (max(1.0, np.max(np.abs(entries))) * size)
+    basis_res = np.linalg.norm(evecs.conj().T @ vx - x) / size
+    if not max(pair_res, basis_res) <= EIGEN_PROBE_TOL:
+        raise ValueError("eigensystem does not match the matrix (probe "
+                         "residuals %.3g, %.3g)" % (pair_res, basis_res))
 
 
 @dataclass
@@ -412,20 +467,36 @@ def build_ci_matrix(fd, n_alpha, n_beta, dim_cap=DEFAULT_DIM_CAP):
 
 
 def save_hamiltonian(h, path):
-    """Write matrix (+labels) to ``path``: CSV if it ends in .csv, else npz."""
+    """Write the matrix to ``path``: CSV if it ends in .csv, else an npz
+    holding the labels and the eigensystem too (diagonalized here unless
+    ``h`` has it already), so loaders skip their own eigensolve."""
     if str(path).endswith(".csv"):
         np.savetxt(path, h.entries, delimiter=",")
         return
+    evals, evecs = h.eigensystem()
     with open(path, "wb") as f:
         labels = np.array(h.basis_labels if h.basis_labels is not None else [])
-        np.savez(f, entries=h.entries, basis_labels=labels)
+        np.savez(f, entries=h.entries, basis_labels=labels,
+                 eigenvalues=evals, eigenvectors=evecs)
 
 
 def load_hamiltonian(path):
-    """Inverse of :func:`save_hamiltonian`."""
-    if str(path).endswith(".csv"):
-        return DenseHamiltonian(np.loadtxt(path, delimiter=",", dtype=complex))
-    with open(path, "rb") as f:
-        data = np.load(f, allow_pickle=False)
-        labels = [str(x) for x in data["basis_labels"]] or None
-        return DenseHamiltonian(data["entries"], labels)
+    """Inverse of :func:`save_hamiltonian`.  An npz without the eigensystem
+    arrays (an older file) is diagonalized on first use; one whose stored
+    eigensystem does not fit the matrix is refused, naming the file."""
+    try:
+        if str(path).endswith(".csv"):
+            return DenseHamiltonian(np.loadtxt(path, delimiter=",",
+                                               dtype=complex))
+        with open(path, "rb") as f:
+            data = np.load(f, allow_pickle=False)
+            labels = [str(x) for x in data["basis_labels"]] or None
+            stored = [name for name in ("eigenvalues", "eigenvectors")
+                      if name in data.files]
+            if len(stored) == 1:
+                raise ValueError("%s stored without the other half of the "
+                                 "eigensystem" % stored[0])
+            eigen = tuple(data[name] for name in stored) or None
+            return DenseHamiltonian(data["entries"], labels, eigen)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None

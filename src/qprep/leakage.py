@@ -118,21 +118,27 @@ def leak_prob_level_approx(energy, setup):
 
 
 def leak_prob_level_bracket(energy, setup):
-    """Rigorous (lower, upper) bounds on a single level's leaked probability.
+    """(lower, upper) bounds on a single level's leaked probability.
 
-    The kernel tail is monotone across the window, so the bin sum is pinched
-    between the antiderivative (a cotangent) evaluated one bin apart:
-    I(x_upper - 1) <= sum <= I(x_upper).
+    Where the kernel tail is monotone across the window, the bin sum is
+    pinched between the antiderivative (a cotangent) evaluated one bin
+    apart: I(x_upper - 1) <= sum <= I(x_upper).  That holds for levels near
+    the boundary, the regime acceptance check 9 samples; far above it the
+    tail wraps round the register and the pair is no longer a bracket of
+    the exact leakage.  A level at or below the boundary, or one whose peak
+    aliases into the centred window (2^k E >= 2^k + window_low +
+    min(x_upper, 0)), is refused; a level on the readout grid between the
+    two gets (0, 0).
     """
     size = setup.size
-    _, delta, grid = _split_bins(energy, size)
-    if grid:
-        return 0.0, 0.0
     scaled = size * energy
     if scaled <= setup.x_upper:
         raise ValueError("level sits at or below the leakage boundary")
-    if scaled >= size / 2 + setup.x_upper:
+    if scaled >= size + setup.window_low + min(setup.x_upper, 0):
         raise ValueError("level aliases across the centred readout window")
+    _, delta, grid = _split_bins(energy, size)
+    if grid:
+        return 0.0, 0.0
     amp = math.sin(math.pi * delta) ** 2 / (math.pi * size)
 
     def anti(x):

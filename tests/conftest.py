@@ -8,6 +8,7 @@ later users read the recorded result.
 
 import functools
 
+import numpy as np
 import pytest
 
 from qprep import acceptance
@@ -25,3 +26,17 @@ def recorded_checks(monkeypatch, acceptance_result):
     monkeypatch.setattr(acceptance, "CHECKS", tuple(
         functools.partial(acceptance_result, check)
         for check in acceptance.CHECKS))
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The names of the dense eigensolvers (``np.linalg.eigh`` and
+    ``eigvalsh``) called during the test, in call order."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name),
+                    **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

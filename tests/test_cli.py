@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,139 @@ def test_ham_build_then_energy_dist(tmp_path, capsys):
     assert rows[:, 0].min() < side["mean"] < rows[:, 0].max()
     assert len(side["cumulants"]) == 9
     assert side["cumulants"][2] == pytest.approx(1.0)
+
+
+def _build_pipeline_matrix(tmp_path, capsys):
+    """``ham build`` of a seeded 4-orbital (2,1) sector (dim 24) plus a
+    complex state CSV for it."""
+    from qprep.hamiltonian import FciDump, dump_fcidump
+
+    rng = np.random.default_rng(31)
+    h = rng.normal(size=(4, 4))
+    g = 0.1 * rng.normal(size=(4,) * 4)
+    g = g + g.transpose(1, 0, 2, 3)
+    g = g + g.transpose(0, 1, 3, 2)
+    g = g + g.transpose(2, 3, 0, 1)
+    fc = tmp_path / "h.fcidump"
+    fc.write_text(dump_fcidump(FciDump(4, 3, 1, 0.4, h + h.T, g)))
+    state = tmp_path / "state.csv"
+    np.savetxt(state, rng.normal(size=(24, 2)), delimiter=",")
+    matrix = tmp_path / "h.npz"
+    summary = run_json(capsys, ["ham", "build", "--fcidump", str(fc),
+                                "--na", "2", "--nb", "1",
+                                "--out", str(matrix)])
+    assert summary["dim"] == 24
+    return matrix, state
+
+
+def _measure_commands(matrix, state, out):
+    """The --ham measure commands of one benchmark batch."""
+    src = ["--ham", str(matrix), "--state", str(state)]
+    return [
+        ["qpe-stats", *src, "--k", "8", "--target", "0.2", "--reps", "5"],
+        ["goldilocks", *src, "--et", "0.2", "--budget", "100"],
+        ["leakage", *src, "--k", "10", "--epsilon", str(2.0 ** -8),
+         "--e0", "0.12"],
+        ["refine", "cqpe", *src, "--k", "4", "--accept", "0,2",
+         "--posterior-out", str(out / "post.csv")],
+        ["energy-dist", *src, "--method", "series",
+         "--out", str(out / "series.csv"),
+         "--sidecar", str(out / "series.json")],
+        ["energy-dist", "--ham", str(matrix), "--method", "resolvent",
+         "--eta", "0.02", "--grid-points", "48",
+         "--out", str(out / "resolvent.csv")],
+    ]
+
+
+def test_ham_pipeline_diagonalizes_once_at_build(tmp_path, capsys,
+                                                 eigensolves):
+    matrix, state = _build_pipeline_matrix(tmp_path, capsys)
+    old = tmp_path / "old.npz"
+    with np.load(matrix) as data:
+        np.savez(old, entries=data["entries"],
+                 basis_labels=data["basis_labels"])
+    stdout = {}
+    for name, path in (("new", matrix), ("old", old)):
+        out = tmp_path / name
+        out.mkdir()
+        stdout[name] = []
+        for argv in _measure_commands(path, state, out):
+            assert cli.dispatch(argv) == cli.EXIT_OK, argv
+            stdout[name].append(capsys.readouterr().out)
+        if name == "new":
+            # the build's eigh is the only one of the whole batch
+            assert eigensolves == ["eigh"]
+    # a file without the eigensystem is diagonalized once per command, and
+    # every output is the same to the byte
+    assert eigensolves == ["eigh"] * 7
+    assert stdout["new"] == stdout["old"]
+    assert all(stdout["new"][:4])
+    files = sorted(p.name for p in (tmp_path / "new").iterdir())
+    assert files == ["post.csv", "resolvent.csv", "series.csv",
+                     "series.json"]
+    for name in files:
+        assert (tmp_path / "new" / name).read_bytes() \
+            == (tmp_path / "old" / name).read_bytes(), name
+
+
+def _tamper(arrays, case):
+    evals, evecs = arrays["eigenvalues"], arrays["eigenvectors"]
+    n = evals.shape[0]
+    swap = [1, 0, *range(2, n)]
+    if case == "other matrix":
+        a = np.random.default_rng(32).normal(size=(n, n))
+        arrays["eigenvectors"] = np.linalg.eigh(a + a.T)[1]
+    elif case == "swapped eigenvalues":
+        arrays["eigenvalues"] = evals[swap]
+    elif case == "swapped eigenvectors":
+        arrays["eigenvectors"] = evecs[:, swap]
+    elif case == "nan eigenvector":
+        arrays["eigenvectors"] = evecs.copy()
+        arrays["eigenvectors"][3, 2] = np.nan
+    elif case == "wrong shape":
+        arrays["eigenvectors"] = evecs[:, :-1]
+    else:
+        del arrays["eigenvalues"]
+
+
+@pytest.mark.parametrize("case", [
+    "other matrix", "swapped eigenvalues", "swapped eigenvectors",
+    "nan eigenvector", "wrong shape", "no eigenvalues"])
+def test_mismatched_stored_eigensystem_is_an_input_error(tmp_path, capsys,
+                                                         case):
+    matrix, state = _build_pipeline_matrix(tmp_path, capsys)
+    with np.load(matrix) as data:
+        arrays = dict(data)
+    _tamper(arrays, case)
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    code = cli.dispatch(["qpe-stats", "--ham", str(bad), "--state",
+                         str(state), "--k", "4"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert str(bad) in captured.err
+
+
+@pytest.mark.parametrize("suffix", [".npz", ".csv"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_matrix_is_an_input_error(tmp_path, capsys, suffix, bad):
+    a = np.eye(3)
+    a[0, 1] = a[1, 0] = float(bad)
+    path = tmp_path / ("h" + suffix)
+    if suffix == ".csv":
+        np.savetxt(path, a, delimiter=",")
+    else:
+        np.savez(path, entries=a, basis_labels=np.array([]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.dispatch(["qpe-stats", "--ham", str(path), "--k", "4"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert "non-finite matrix entry" in captured.err
+    assert str(path) in captured.err
+    assert caught == []
 
 
 def test_energy_dist_resolvent_matches_the_solver(tmp_path, capsys):

@@ -255,3 +255,75 @@ def test_save_load_round_trip(tmp_path):
     ham.save_hamiltonian(dense, c)
     back_csv = ham.load_hamiltonian(c)
     assert np.allclose(back_csv.entries, dense.entries)
+
+
+def test_entries_are_a_read_only_view():
+    a = np.diag([1.0, 2.0, 3.0])
+    dense = ham.DenseHamiltonian(a)
+    assert np.shares_memory(dense.entries, a)
+    assert a.flags.writeable and not dense.entries.flags.writeable
+    with pytest.raises(ValueError):
+        dense.entries[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_refused(bad):
+    a = np.eye(3)
+    a[1, 2] = a[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite matrix entry"):
+        ham.DenseHamiltonian(a)
+
+
+def test_eigensystem_runs_one_eigh_per_object(eigensolves):
+    a = np.random.default_rng(8).normal(size=(6, 6))
+    dense = ham.DenseHamiltonian(a + a.T)
+    first = dense.eigensystem()
+    second = dense.eigensystem()
+    assert eigensolves == ["eigh"]
+    assert first[0] is second[0] and first[1] is second[1]
+    assert not first[0].flags.writeable and not first[1].flags.writeable
+    ham.DenseHamiltonian(a + a.T).eigensystem()
+    assert eigensolves == ["eigh", "eigh"]
+
+
+def test_saved_eigensystem_is_reused_and_old_files_still_load(tmp_path,
+                                                              eigensolves):
+    dense = ham.build_ci_matrix(_random_fcidump(np.random.default_rng(9), 3),
+                                1, 1)
+    evals, evecs = dense.eigensystem()
+    new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+    ham.save_hamiltonian(dense, new)
+    with np.load(new) as data:
+        assert sorted(data.files) == ["basis_labels", "eigenvalues",
+                                      "eigenvectors", "entries"]
+        np.savez(old, entries=data["entries"],
+                 basis_labels=data["basis_labels"])
+    eigensolves.clear()
+    back = ham.load_hamiltonian(new)
+    assert np.array_equal(back.eigensystem()[0], evals)
+    assert np.array_equal(back.eigensystem()[1], evecs)
+    assert eigensolves == []
+    legacy = ham.load_hamiltonian(old)
+    assert legacy.eigen is None
+    assert np.array_equal(legacy.eigensystem()[0], evals)
+    assert eigensolves == ["eigh"]
+
+
+def test_supplied_eigensystem_is_checked_against_the_matrix():
+    a = np.random.default_rng(10).normal(size=(5, 5))
+    a = a + a.T
+    evals, evecs = np.linalg.eigh(a)
+    ham.DenseHamiltonian(a, eigen=(evals, evecs))
+    swapped = evecs[:, [1, 0, 2, 3, 4]]
+    for eigen, reason in [
+            ((evals[:4], evecs), "shapes"),
+            ((evals, evecs[:, :4]), "shapes"),
+            ((evals.astype(complex), evecs), "real"),
+            ((np.where(evals == evals[2], np.nan, evals), evecs),
+             "non-finite"),
+            ((evals[[1, 0, 2, 3, 4]], evecs), "ascending"),
+            ((evals, swapped), "does not match"),
+            ((evals, 2 * evecs), "does not match"),
+            ((evals + 1e-6, evecs), "does not match")]:
+        with pytest.raises(ValueError, match=reason):
+            ham.DenseHamiltonian(a, eigen=eigen)

@@ -134,6 +134,31 @@ def test_bracket_orders_and_degenerate():
         leak_prob_level_bracket(0.9, setup)                  # aliases
 
 
+@pytest.mark.parametrize("k, e0, eps", [
+    (5, 0.3, 0.05), (6, 0.0, 0.03), (7, 0.1, 0.02), (8, 0.45, 0.01),
+    (9, 0.02, 0.2)])
+def test_bracket_is_never_negative_and_refuses_aliasing_levels(k, e0, eps):
+    # the peak of a level at 2^k E >= 2^k + window_low + min(x_upper, 0)
+    # lands in the centred window, so no bracket exists there; every level
+    # between the boundary and that point, on the grid or off it, gets
+    # nonnegative bounds
+    setup = LeakageSetup(k, eps, e0)
+    size = setup.size
+    alias = size + setup.window_low + min(setup.x_upper, 0)
+    off_grid = np.linspace(setup.x_upper, size, 8 * size + 1)[1:-1]
+    on_grid = np.arange(setup.x_upper + 1, size)
+    returned = 0
+    for scaled in np.concatenate([off_grid, on_grid]):
+        if scaled >= alias:
+            with pytest.raises(ValueError, match="aliases"):
+                leak_prob_level_bracket(scaled / size, setup)
+        else:
+            lo, hi = leak_prob_level_bracket(scaled / size, setup)
+            assert 0.0 <= lo <= hi
+            returned += 1
+    assert returned > size / 4
+
+
 def test_bracket_contains_exact_and_approx():
     # the one-term estimate lives inside the bracket on its home turf:
     # window not reaching past twice the level (x_up >= -2 c) and the level
