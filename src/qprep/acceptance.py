@@ -148,11 +148,11 @@ def check_sos_encoding():
 # 4. MPS circuit with Householder reflections
 # ---------------------------------------------------------------------------
 
-def _random_canonical_mps(rng, chis, d=4):
+def _random_canonical_mps(rng, chis):
     dims = [1] + list(chis) + [1]
     tensors = []
     for j in range(len(dims) - 1):
-        shape = (dims[j], d, dims[j + 1])
+        shape = (dims[j], 4, dims[j + 1])
         tensors.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
     state = left_canonicalize(MpsState(tensors))
     t0 = state.tensors[0] / state.norm()

@@ -66,25 +66,36 @@ def _seed_value(text):
     return value
 
 
-def _in_range(conv, lo, hi=math.inf, open_lo=False):
-    """argparse type: ``conv(text)`` within [lo, hi] (or (lo, hi] when
-    ``open_lo``), else a usage error."""
+def _in_range(conv, lo, hi=math.inf, open_lo=False, open_hi=False):
+    """argparse type: ``conv(text)`` within [lo, hi], with the end marked by
+    ``open_lo``/``open_hi`` excluded, else a usage error."""
     def parse(text):
         try:
             value = conv(text)
         except ValueError:
             value = math.nan
-        if not ((lo < value if open_lo else lo <= value) and value <= hi):
+        if not ((lo < value if open_lo else lo <= value)
+                and (value < hi if open_hi else value <= hi)):
             raise argparse.ArgumentTypeError(
                 f"{text!r} must be a {conv.__name__} in "
-                f"{'(' if open_lo else '['}{lo}, {hi}]")
+                f"{'(' if open_lo else '['}{lo}, "
+                f"{hi}{')' if open_hi else ']'}")
         return value
     return parse
 
 
 _positive_int = _in_range(int, 1)
+_nonnegative_int = _in_range(int, 0)
 _unit_float = _in_range(float, 0.0, 1.0)
 _positive_float = _in_range(float, 0.0, sys.float_info.max, open_lo=True)
+_finite_float = _in_range(float, -sys.float_info.max, sys.float_info.max)
+
+
+def _even_degree(text):
+    value = _in_range(int, 2)(text)
+    if value % 2:
+        raise argparse.ArgumentTypeError(f"{text!r} must be an even int >= 2")
+    return value
 
 
 def _int_list(text):
@@ -224,7 +235,7 @@ def _preapply_config(argv, registry):
 def _add_common(sp, out=True):
     sp.add_argument("--seed", type=_seed_value, default=0,
                     help="64-bit RNG seed; equal seeds give equal bytes")
-    sp.add_argument("--threads", type=int, metavar="N",
+    sp.add_argument("--threads", type=_positive_int, metavar="N",
                     help="cap numeric worker threads "
                          "(falls back to QPREP_THREADS)")
     sp.add_argument("--config", metavar="FILE",
@@ -238,7 +249,7 @@ def _add_common(sp, out=True):
 
 
 def _add_measure_args(sp):
-    sp.add_argument("--gaussian", nargs=2, type=float,
+    sp.add_argument("--gaussian", nargs=2, type=_finite_float,
                     metavar=("MEAN", "SIGMA"),
                     help="discretized normal energy distribution "
                          "(normalized frame)")
@@ -573,7 +584,7 @@ def cmd_refine_qetu(args):
     mu, k_steep = qetu_params(float(angle_map.apply(args.el)),
                               float(angle_map.apply(args.eu)),
                               zeta=args.zeta)
-    poly = symmetric_filter(k_steep, mu, args.degree, zeta=args.zeta)
+    poly = symmetric_filter(k_steep, mu, args.degree)
     result = qetu_filter(measure, poly, angle_map=angle_map)
     report = {
         "el": args.el,
@@ -681,11 +692,14 @@ def build_parser():
     registry[("ham", "build")] = sp
     sp.set_defaults(handler=cmd_ham_build)
     sp.add_argument("--fcidump", required=True, metavar="FILE")
-    sp.add_argument("--na", type=int, required=True, help="alpha electrons")
-    sp.add_argument("--nb", type=int, required=True, help="beta electrons")
+    sp.add_argument("--na", type=_nonnegative_int, required=True,
+                    help="alpha electrons")
+    sp.add_argument("--nb", type=_nonnegative_int, required=True,
+                    help="beta electrons")
     sp.add_argument("--out", required=True, metavar="FILE",
                     help="matrix output (.npz, or .csv for plain text)")
-    sp.add_argument("--dim-cap", type=int, default=4096, metavar="N",
+    sp.add_argument("--dim-cap", type=_positive_int, default=4096,
+                    metavar="N",
                     help="refuse sectors larger than this (default 4096)")
     _add_common(sp, out=False)
 
@@ -718,8 +732,9 @@ def build_parser():
              "readout", measure=True)
     sp.add_argument("--method", required=True,
                     choices=("series", "resolvent", "cqpe"))
-    sp.add_argument("--order", type=int, default=8, metavar="N",
-                    help="moment order for the series and sidecar "
+    sp.add_argument("--order", type=_in_range(int, 2), default=8,
+                    metavar="N",
+                    help="moment order for the series and sidecar, >= 2 "
                          "(default 8)")
     sp.add_argument("--eta", type=_positive_float, default=0.01,
                     help="Lorentzian half-width of the resolvent, finite "
@@ -739,7 +754,7 @@ def build_parser():
              "exact k-digit readout statistics of a spectrum", measure=True)
     sp.add_argument("--k", type=_positive_int, required=True,
                     help="readout digits")
-    sp.add_argument("--target", type=float, metavar="E",
+    sp.add_argument("--target", type=_finite_float, metavar="E",
                     help="report P(readout <= E) and P(spectrum <= E)")
     sp.add_argument("--reps", type=_positive_int, metavar="K",
                     help="report the expected minimum of K readouts")
@@ -749,14 +764,15 @@ def build_parser():
     sp = add("goldilocks", cmd_goldilocks,
              "classify a target energy as easy / Goldilocks / out of reach",
              measure=True)
-    sp.add_argument("--et", type=float, required=True, metavar="E",
+    sp.add_argument("--et", type=_finite_float, required=True, metavar="E",
                     help="target energy (readout frame)")
     sp.add_argument("--budget", type=_positive_int, required=True,
                     metavar="K",
                     help="repetition budget")
-    sp.add_argument("--easy-threshold", type=float, default=0.5,
+    sp.add_argument("--easy-threshold", default=0.5,
+                    type=_in_range(float, 0.0, 1.0, open_lo=True),
                     help="single-shot hit probability above which the "
-                         "target counts as easy (default 0.5)")
+                         "target counts as easy, in (0, 1] (default 0.5)")
 
     sp = add("leakage", cmd_leakage,
              "probability of readouts below the tolerated-error window",
@@ -769,8 +785,9 @@ def build_parser():
                     help="reference ground energy in [0, 1] (default 0)")
     sp.add_argument("--reps", type=_positive_int, default=10,
                     help="repetitions for the diagnosis (default 10)")
-    sp.add_argument("--flag-factor", type=float, default=2.0,
-                    help="readout/energy CDF ratio that raises the flag")
+    sp.add_argument("--flag-factor", type=_positive_float, default=2.0,
+                    help="readout/energy CDF ratio that raises the flag, "
+                         "> 0 (default 2)")
 
     sp = add("refine", None, "posterior refinement of a prepared state")
     ref_sub = sp.add_subparsers(dest="mode", metavar="MODE")
@@ -786,7 +803,7 @@ def build_parser():
                     help="readout digits")
     sp.add_argument("--accept", type=_int_list, required=True,
                     metavar="X1,X2,...", help="accepted register outcomes")
-    sp.add_argument("--et", type=float, metavar="E",
+    sp.add_argument("--et", type=_finite_float, metavar="E",
                     help="also report posterior weight at or below E")
     sp.add_argument("--posterior-out", metavar="FILE",
                     help="write the posterior levels as CSV")
@@ -800,18 +817,20 @@ def build_parser():
     registry[("refine", "qetu")] = sp
     sp.set_defaults(handler=cmd_refine_qetu)
     _add_measure_args(sp)
-    sp.add_argument("--el", type=float, required=True,
+    sp.add_argument("--el", type=_finite_float, required=True,
                     help="window lower edge (readout frame)")
-    sp.add_argument("--eu", type=float, required=True,
+    sp.add_argument("--eu", type=_finite_float, required=True,
                     help="window upper edge (readout frame)")
-    sp.add_argument("--degree", type=int, default=200,
-                    help="polynomial degree (default 200)")
-    sp.add_argument("--zeta", type=float, default=1.0,
-                    help="steepness softening factor (default 1)")
-    sp.add_argument("--angle-margin", type=float, default=0.1,
+    sp.add_argument("--degree", type=_even_degree, default=200,
+                    help="polynomial degree, even and >= 2 (default 200)")
+    sp.add_argument("--zeta", type=_positive_float, default=1.0,
+                    help="steepness softening factor, > 0 (default 1)")
+    sp.add_argument("--angle-margin", default=0.1,
+                    type=_in_range(float, 0.0, math.pi / 2, open_lo=True,
+                                   open_hi=True),
                     help="gap kept between the mapped spectrum and the "
-                         "angle-interval ends (default 0.1)")
-    sp.add_argument("--et", type=float, metavar="E",
+                         "angle-interval ends, in (0, pi/2) (default 0.1)")
+    sp.add_argument("--et", type=_finite_float, metavar="E",
                     help="also report posterior weight at or below E")
     sp.add_argument("--posterior-out", metavar="FILE",
                     help="write the posterior levels as CSV")

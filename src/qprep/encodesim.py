@@ -71,11 +71,6 @@ class EncodingPlan:
                     raise ValueError("layer targets must match their index")
 
     @property
-    def n_cnots(self):
-        """CNOT count of one signature-computation pass."""
-        return sum(len(layer) for layer in self.cnot_layers)
-
-    @property
     def n_uncompute_ops(self):
         return len(self.uncompute_controls)
 
@@ -119,7 +114,7 @@ def occupation_key(occ):
     return int(occ[::-1], 2)
 
 
-def simulate_sos_encoding(state, plan=None):
+def simulate_sos_encoding(state):
     """Run the six-step encoder on ``state`` and check it against the target.
 
     All steps after the initial amplitude load are basis permutations, so the
@@ -133,8 +128,7 @@ def simulate_sos_encoding(state, plan=None):
         raise BudgetExceeded(
             f"{n_sys} system qubits / {n_det} determinants exceed the "
             f"simulation budget ({MAX_SYSTEM_QUBITS} / {MAX_DETERMINANTS})")
-    if plan is None:
-        plan = plan_encoding(state)
+    plan = plan_encoding(state)
     n_enum = (n_det - 1).bit_length()
     n_id = plan.signature_map.signature_bits
     enum_mask = ((1 << n_enum) - 1) << n_sys

@@ -329,8 +329,9 @@ def spectrum_normalizer(lo, hi, margin=SPECTRUM_MARGIN):
     return AffineNormalizer(scale, margin - scale * lo)
 
 
-def normalize_spectrum(h, margin=SPECTRUM_MARGIN):
-    """Affinely map the spectrum of ``h`` into [margin, 1 - margin].
+def normalize_spectrum(h):
+    """Affinely map the spectrum of ``h`` into [m, 1 - m], m =
+    ``SPECTRUM_MARGIN``.
 
     Returns the transformed Hamiltonian and the normalizer that was applied
     (so original energies are recoverable via ``normalizer.invert``).  The
@@ -340,7 +341,7 @@ def normalize_spectrum(h, margin=SPECTRUM_MARGIN):
     margin=...)`` does, and saves this second eigensolve.
     """
     evals = np.linalg.eigvalsh(h.entries)
-    norm = spectrum_normalizer(evals[0], evals[-1], margin)
+    norm = spectrum_normalizer(evals[0], evals[-1])
     return norm.apply_matrix(h), norm
 
 

@@ -32,6 +32,8 @@ from .spectra import DigitCapExceeded  # noqa: F401
 # Quadrature points per block of leak_prob_integral: bounds its temporaries
 # (a few 512 kB arrays) whatever the digit count.
 _INTEGRAL_BLOCK = 1 << 16
+# Gauss-Legendre nodes per panel of leak_prob_integral.
+_NODES_PER_PANEL = 10
 
 
 @dataclass(frozen=True)
@@ -125,10 +127,12 @@ def leak_prob_level_bracket(energy, setup):
     apart: I(x_upper - 1) <= sum <= I(x_upper).  That holds for levels near
     the boundary, the regime acceptance check 9 samples; far above it the
     tail wraps round the register and the pair is no longer a bracket of
-    the exact leakage.  A level at or below the boundary, or one whose peak
-    aliases into the centred window (2^k E >= 2^k + window_low +
-    min(x_upper, 0)), is refused; a level on the readout grid between the
-    two gets (0, 0).
+    the exact leakage.  So a level is refused when it sits at or below the
+    boundary, when its peak aliases into the centred window (2^k E >= 2^k +
+    window_low + min(x_upper, 0)), or when it leaves that regime: with c =
+    2^k E and gap g = c - x_upper, when x_upper < -2 c or tan(pi c / 2^k)
+    g (g + 1) > 2^k / (2 pi).  A level on the readout grid inside the
+    regime gets (0, 0).
     """
     size = setup.size
     scaled = size * energy
@@ -136,6 +140,12 @@ def leak_prob_level_bracket(energy, setup):
         raise ValueError("level sits at or below the leakage boundary")
     if scaled >= size + setup.window_low + min(setup.x_upper, 0):
         raise ValueError("level aliases across the centred readout window")
+    gap = scaled - setup.x_upper
+    if setup.x_upper < -2 * scaled or \
+            math.tan(math.pi * scaled / size) * gap * (gap + 1) \
+            > 0.5 * size / math.pi:
+        raise ValueError("level lies outside the near-boundary regime "
+                         "where the pair brackets the exact leakage")
     _, delta, grid = _split_bins(energy, size)
     if grid:
         return 0.0, 0.0
@@ -158,7 +168,7 @@ def leak_prob_approx(m, setup, exclude_below=None):
                  @ leak_prob_level_approx(measure.energies[counted], setup))
 
 
-def leak_prob_integral(density_fn, setup, e_max=1.0, nodes_per_panel=10):
+def leak_prob_integral(density_fn, setup, e_max=1.0):
     """Leaked probability of a smooth density by panel quadrature.
 
     Integrates P(E) sin^2(pi 2^k E) / (E - x_upper/2^k) from e0 + epsilon
@@ -174,9 +184,9 @@ def leak_prob_integral(density_fn, setup, e_max=1.0, nodes_per_panel=10):
     center = setup.x_upper / size
     n_panels = max(8, 2 * math.ceil((e_max - lower) * size))
     edges = np.linspace(lower, e_max, n_panels + 1)
-    nodes, node_weights = np.polynomial.legendre.leggauss(nodes_per_panel)
+    nodes, node_weights = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
     total = 0.0
-    step = max(1, _INTEGRAL_BLOCK // nodes_per_panel)
+    step = _INTEGRAL_BLOCK // _NODES_PER_PANEL
     for start in range(0, n_panels, step):
         block = edges[start:start + step + 1]
         mid = (block[:-1] + block[1:]) / 2

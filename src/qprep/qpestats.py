@@ -12,11 +12,6 @@ report.
 The outcome law itself is :func:`qprep.spectra.outcome_law`: the
 characteristic function of the measure at 0 <= l < 2^k, folded and
 transformed by one FFT, with on-grid levels added as exact spikes.
-
-All routines accept either a discrete :class:`~qprep.spectra.SpectralMeasure`
-or a sampled density as a ``(grid, values)`` pair; densities are first
-collapsed onto ``DENSITY_LEVELS`` point masses so a single code path does the
-sums.
 """
 
 import math
@@ -27,7 +22,6 @@ import numpy as np
 from .spectra import as_measure, outcome_law
 
 PROB_SUM_TOL = 1e-10
-DENSITY_LEVELS = 4096
 EASY_THRESHOLD = 0.5
 
 
@@ -63,19 +57,19 @@ class OutcomeDistribution:
 
 
 def qpe_outcome_distribution(m, k):
-    """Exact k-digit outcome law of a measure or sampled density.
+    """Exact k-digit outcome law of a measure.
 
     Each level is spread over the register by the periodic readout kernel;
     a level sitting exactly on the grid contributes a single delta.
     """
-    measure = as_measure(m, DENSITY_LEVELS)
+    measure = as_measure(m)
     return OutcomeDistribution(k, outcome_law(measure.energies,
                                               measure.probs, k))
 
 
 def cdf_below(m, energy):
-    """Total weight of the measure (or density) at energies <= ``energy``."""
-    measure = as_measure(m, DENSITY_LEVELS)
+    """Total weight of the measure at energies <= ``energy``."""
+    measure = as_measure(m)
     return float(measure.probs[measure.energies <= energy].sum())
 
 
@@ -83,7 +77,7 @@ def expected_min(m, n_reps):
     """Mean of the minimum of ``n_reps`` independent draws from a measure."""
     if n_reps < 1:
         raise ValueError("need at least one repetition")
-    measure = as_measure(m, DENSITY_LEVELS)
+    measure = as_measure(m)
     tail = np.cumsum(measure.probs[::-1])[::-1]
     tail = np.minimum(tail, 1.0)
     hit = tail ** n_reps - np.append(tail[1:], 0.0) ** n_reps

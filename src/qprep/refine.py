@@ -48,18 +48,12 @@ class FilterPolynomial:
     """A Chebyshev-basis polynomial with a declared parity.
 
     Odd polynomials approximate the error function step; even ones the
-    two-sided window ("one" inside |x| < mu, "zero" outside).  ``k_steep``
-    is the transition steepness, ``mu`` the window position (None for the
-    odd step), ``zeta`` an optional softening factor recorded for
-    bookkeeping.
+    two-sided window ("one" inside |x| < mu, "zero" outside).
     """
 
     chebyshev_coeffs: np.ndarray
     degree: int
     parity: str
-    k_steep: float
-    mu: float | None = None
-    zeta: float | None = None
 
     def __post_init__(self):
         coeffs = np.asarray(self.chebyshev_coeffs, dtype=float)
@@ -100,10 +94,10 @@ def erf_chebyshev(k_steep, n):
         term = pref * (-1) ** j * ive(j, half)
         coeffs[2 * j + 1] += term / (2 * j + 1)
         coeffs[2 * j - 1] -= term / (2 * j - 1)
-    return FilterPolynomial(coeffs, n, "odd", float(k_steep))
+    return FilterPolynomial(coeffs, n, "odd")
 
 
-def symmetric_filter(k_steep, mu, n, zeta=None):
+def symmetric_filter(k_steep, mu, n):
     """Even polynomial window: close to 1 on |x| < mu, close to 0 outside.
 
     Averages two opposing error-function steps at +-mu.  The steps come
@@ -122,8 +116,7 @@ def symmetric_filter(k_steep, mu, n, zeta=None):
 
     coeffs = chebyshev.chebinterpolate(window, n)
     coeffs[1::2] = 0.0          # exactly even; wipe interpolation noise
-    return FilterPolynomial(coeffs, n, "even", float(k_steep), float(mu),
-                            zeta)
+    return FilterPolynomial(coeffs, n, "even")
 
 
 def qetu_params(e_l, e_u, zeta=1.0):
@@ -198,7 +191,7 @@ def coarse_qpe_postselect(m, k, accepted):
     return RefineResult(success, posterior, size)
 
 
-def qetu_filter(m, poly, angle_map=None):
+def qetu_filter(m, poly, angle_map):
     """Rescale every level's weight by P(cos(E/2)) squared.
 
     ``angle_map``, an AffineNormalizer, converts measure energies into the
@@ -207,10 +200,7 @@ def qetu_filter(m, poly, angle_map=None):
     polynomial degree.
     """
     measure = as_measure(m)
-    angles = measure.energies
-    if angle_map is not None:
-        angles = angle_map.apply(angles)
-    amplitude = poly(np.cos(angles / 2))
+    amplitude = poly(np.cos(angle_map.apply(measure.energies) / 2))
     boosted = measure.probs * amplitude ** 2
     success = float(boosted.sum())
     if success <= 0.0:
@@ -273,8 +263,15 @@ def gaussian_levels(mean=0.06, sigma=0.02, n_levels=4096):
     return SpectralMeasure(np.column_stack((centers, mass)))
 
 
-def gaussian_case_study(mean=0.06, sigma=0.02, n_levels=4096,
-                        precision_digits=10, tolerated_error=2 ** -8):
+# The energy distribution and the precision readout that the reference
+# values in gaussian_case_study were derived for.
+CASE_MEAN = 0.06
+CASE_SIGMA = 0.02
+CASE_PRECISION_DIGITS = 10
+CASE_TOLERATED_ERROR = 2 ** -8
+
+
+def gaussian_case_study(n_levels=4096):
     """Run the full refining chain on a Gaussian energy distribution.
 
     Reports, next to reference values: the weight below zero before and
@@ -282,6 +279,7 @@ def gaussian_case_study(mean=0.06, sigma=0.02, n_levels=4096,
     10-digit readout before and after refining, and the query-cost
     bookkeeping of the coarse chain against one precision readout.
     """
+    mean, sigma = CASE_MEAN, CASE_SIGMA
     prior = gaussian_levels(mean, sigma, n_levels)
     stage4 = coarse_qpe_postselect(prior, 4, {0})
     stage45 = coarse_qpe_postselect(stage4.posterior, 5, {0})
@@ -291,12 +289,12 @@ def gaussian_case_study(mean=0.06, sigma=0.02, n_levels=4096,
     angle = qetu_angle_map(mean - 6 * sigma, mean + 6 * sigma, 0.1)
     mu, k_steep = qetu_params(angle.apply(mean - 3 * sigma),
                               angle.apply(mean + 3 * sigma), zeta=1.0)
-    poly = symmetric_filter(k_steep, mu, 200, zeta=1.0)
+    poly = symmetric_filter(k_steep, mu, 200)
     qetu = qetu_filter(prior, poly, angle_map=angle)
 
-    leak_setup = LeakageSetup(precision_digits, tolerated_error, 0.0)
+    leak_setup = LeakageSetup(CASE_PRECISION_DIGITS, CASE_TOLERATED_ERROR, 0.0)
     coarse_cost = stage4.query_cost + stage45.query_cost
-    precision_cost = 2 ** precision_digits
+    precision_cost = 2 ** CASE_PRECISION_DIGITS
 
     rows = (
         _compare("p_below_prior", cdf_below(prior, 0.0), 0.0013, 0.15),

@@ -32,7 +32,7 @@ levels half a period beyond either edge so that idealized model densities
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -122,10 +122,6 @@ class SpectralMeasure:
     def mean(self):
         return float(np.dot(self.probs, self.energies))
 
-    def variance(self):
-        e, p = self.energies, self.probs
-        return float(np.dot(p, e ** 2) - np.dot(p, e) ** 2)
-
 
 @dataclass
 class BroadKernel:
@@ -151,7 +147,7 @@ class BroadKernel:
         return (eta / np.pi) / (x ** 2 + eta ** 2)
 
 
-def exact_spectral_measure(h, psi, normalizer=None, margin=None):
+def exact_spectral_measure(h, psi, margin=None):
     """Overlap weights of ``psi`` with the eigenbasis of ``h``.
 
     ``h`` is a DenseHamiltonian (or a Hermitian matrix) already in the
@@ -160,11 +156,10 @@ def exact_spectral_measure(h, psi, normalizer=None, margin=None):
     by :func:`qprep.hamiltonian.spectrum_normalizer`, which the measure
     records.  ``psi`` need not be normalized.
     """
-    if margin is not None and normalizer is not None:
-        raise ValueError("give a normalizer or a margin, not both")
     if not isinstance(h, DenseHamiltonian):
         h = DenseHamiltonian(h)
     evals, evecs = h.eigensystem()
+    normalizer = None
     if margin is not None:
         normalizer = spectrum_normalizer(evals[0], evals[-1], margin)
         evals = normalizer.apply(evals)
@@ -188,37 +183,13 @@ def broaden(measure, kernel, grid=None):
     return grid, measure.probs @ vals
 
 
-def discretize_density(grid, values, n_levels=4096, normalizer=None):
-    """Bin a sampled density into a discrete measure by trapezoid mass.
-
-    ``n_levels`` equal-width bins span the grid; each level sits at its bin
-    center and carries the trapezoid integral over the bin, renormalized.
-    """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    edges = np.linspace(grid[0], grid[-1], n_levels + 1)
-    at_edges = np.interp(edges, grid, values)
-    mass = 0.5 * (at_edges[:-1] + at_edges[1:]) * np.diff(edges)
-    total = mass.sum()
-    if total <= 0:
-        raise ValueError("density has no mass on the grid")
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return SpectralMeasure(np.column_stack((centers, mass / total)),
-                           normalizer)
-
-
-def as_measure(m, n_levels=4096):
-    """Coerce a measure-or-density argument into a SpectralMeasure.
-
-    A SpectralMeasure passes through; a ``(grid, values)`` pair is binned
-    into ``n_levels`` point masses first.
-    """
-    if isinstance(m, SpectralMeasure):
-        return m
-    grid, values = m
-    return discretize_density(np.asarray(grid, dtype=float),
-                              np.asarray(values, dtype=float),
-                              n_levels=n_levels)
+def as_measure(m):
+    """The one type gate of the measure routines: ``m`` itself when it is a
+    SpectralMeasure, else TypeError naming the type."""
+    if not isinstance(m, SpectralMeasure):
+        raise TypeError("expected a SpectralMeasure, got %s"
+                        % type(m).__name__)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +363,6 @@ class SeriesDensity:
     hermite_weights: np.ndarray
     mean: float
     sigma: float
-    kind: str = "series"
 
     def standardized(self, x):
         x = np.asarray(x, dtype=float)
@@ -430,7 +400,7 @@ def gram_charlier(ms, order):
         mean_he = coeffs[0] + coeffs[2] + sum(
             coeffs[j] * ms.mu[j] for j in range(3, n + 1))
         weights[n] = mean_he / math.factorial(n)
-    return SeriesDensity(weights, ms.mean, ms.sigma, "gram-charlier")
+    return SeriesDensity(weights, ms.mean, ms.sigma)
 
 
 def edgeworth(ms, s_max, hermite_cap=None):
@@ -457,7 +427,7 @@ def edgeworth(ms, s_max, hermite_cap=None):
                 for order in mono:
                     term *= ms.kappa[order]
                 weights[he] += term
-    return SeriesDensity(weights, ms.mean, ms.sigma, "edgeworth")
+    return SeriesDensity(weights, ms.mean, ms.sigma)
 
 
 # ---------------------------------------------------------------------------

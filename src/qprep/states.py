@@ -20,12 +20,14 @@ All functions are pure: inputs are never mutated.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 LEFT_ORTHO_TOL = 1e-10
 STATEVECTOR_LIMIT = 65536  # largest dense vector the export paths will build
+# Determinants sos_to_mps adds between two truncations of the running sum.
+_COMPRESS_EVERY = 8
 
 # physical index n = 2*n_alpha + n_beta; bits are written alpha-then-beta
 _DIGIT_BITS = ("00", "01", "10", "11")
@@ -90,12 +92,6 @@ class SosState:
                         [(a / n, occ) for a, occ in self.terms],
                         normalized=True)
 
-    def amplitude(self, occ):
-        for a, o in self.terms:
-            if o == occ:
-                return a
-        return 0j
-
     def to_json_dict(self):
         return {
             "n_spin_orbitals": self.n_spin_orbitals,
@@ -104,9 +100,9 @@ class SosState:
         }
 
     @classmethod
-    def from_json_dict(cls, obj, normalized=False):
+    def from_json_dict(cls, obj):
         terms = [(complex(t["re"], t["im"]), t["occ"]) for t in obj["terms"]]
-        return cls(int(obj["n_spin_orbitals"]), terms, normalized=normalized)
+        return cls(int(obj["n_spin_orbitals"]), terms)
 
 
 def _left_ortho_residual(tensor):
@@ -168,22 +164,14 @@ class MpsState:
         """Bond dimensions chi_0 .. chi_N (boundaries included)."""
         return [self.tensors[0].shape[0]] + [t.shape[2] for t in self.tensors]
 
-    def amplitude(self, basis):
-        """Coefficient of one basis state.
-
-        ``basis`` is either a sequence of physical digits, or (for local
-        dimension 4) a spin-orbital occupation string of length 2 * n_sites.
-        """
-        if isinstance(basis, str):
-            if self.local_dim != 4:
-                raise ValueError("occupation strings require local_dim 4")
-            if len(basis) != 2 * self.n_sites:
-                raise ValueError("occupation string has the wrong length")
-            digits = [int(basis[2 * j:2 * j + 2], 2) for j in range(self.n_sites)]
-        else:
-            digits = list(basis)
-            if len(digits) != self.n_sites:
-                raise ValueError("wrong number of digits")
+    def amplitude(self, occ):
+        """Coefficient of the determinant with spin-orbital occupation string
+        ``occ`` (local dimension 4, length 2 * n_sites)."""
+        if self.local_dim != 4:
+            raise ValueError("occupation strings require local_dim 4")
+        if len(occ) != 2 * self.n_sites:
+            raise ValueError("occupation string has the wrong length")
+        digits = [int(occ[2 * j:2 * j + 2], 2) for j in range(self.n_sites)]
         vec = np.ones(1, dtype=complex)
         for j, nj in enumerate(digits):
             vec = vec @ self.tensors[j][:, nj, :]
@@ -360,10 +348,10 @@ def _add_terms(tensors, amps, digits):
     return out
 
 
-def sos_to_mps(state, chi_max, compress_every=8):
+def sos_to_mps(state, chi_max):
     """Build an MPS from a determinant expansion; returns ``(mps, fidelity)``.
 
-    Terms are added largest-|amplitude| first, ``compress_every`` at a
+    Terms are added largest-|amplitude| first, ``_COMPRESS_EVERY`` at a
     time.  After each full block the running sum is truncated back to
     ``chi_max``, unless no bond exceeds ``chi_max``: such a compression
     would keep every singular value and leave the state as it is, so it is
@@ -375,8 +363,6 @@ def sos_to_mps(state, chi_max, compress_every=8):
         raise ValueError("need an even number of spin orbitals")
     if not state.terms:
         raise ValueError("cannot build an MPS from an empty expansion")
-    if compress_every < 1:
-        raise ValueError("compress_every must be at least 1")
     n = state.n_spin_orbitals // 2
     order = sorted(state.terms, key=lambda t: (-abs(t[0]), t[1]))
     amps = np.array([amp for amp, _ in order], dtype=complex)
@@ -386,8 +372,8 @@ def sos_to_mps(state, chi_max, compress_every=8):
     # the empty sum: bond dimension 0 between sites
     acc = [np.zeros((int(j == 0), 4, int(j == n - 1)), dtype=complex)
            for j in range(n)]
-    for start in range(0, len(order), compress_every):
-        stop = start + compress_every
+    for start in range(0, len(order), _COMPRESS_EVERY):
+        stop = start + _COMPRESS_EVERY
         acc = _add_terms(acc, amps[start:stop], digits[start:stop])
         if stop <= len(order) and max(t.shape[2] for t in acc) > chi_max:
             acc = compress_mps(MpsState(acc), chi_max=chi_max)[0].tensors
@@ -444,9 +430,9 @@ def save_sos(state, path):
         json.dump(state.to_json_dict(), fh, indent=1)
 
 
-def load_sos(path, normalized=False):
+def load_sos(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return SosState.from_json_dict(json.load(fh), normalized=normalized)
+        return SosState.from_json_dict(json.load(fh))
 
 
 def save_mps(state, path):

@@ -146,12 +146,83 @@ def test_csv_output_refuses_non_finite_values():
     ["leakage", *GAUSSIAN, "--k", "6", "--epsilon", "0"],
     ["qpe-stats", *GAUSSIAN, "--k", "3", "--n-levels", "0"],
     ["refine", "case-study", "--n-levels", "0"],
+    ["energy-dist", *GAUSSIAN, "--method", "series", "--order", "1"],
+    ["refine", "qetu", *GAUSSIAN, "--el", "0.0", "--eu", "0.1",
+     "--degree", "3"],
+    ["refine", "qetu", *GAUSSIAN, "--el", "0.0", "--eu", "0.1",
+     "--degree", "0"],
+    ["refine", "qetu", *GAUSSIAN, "--el", "0.0", "--eu", "0.1",
+     "--zeta", "0"],
+    ["refine", "qetu", *GAUSSIAN, "--el", "0.0", "--eu", "0.1",
+     "--angle-margin", "0"],
+    ["refine", "qetu", *GAUSSIAN, "--el", "0.0", "--eu", "0.1",
+     "--angle-margin", "1.5708"],
+    ["goldilocks", *GAUSSIAN, "--et", "0.0", "--budget", "5",
+     "--easy-threshold", "0"],
+    ["goldilocks", *GAUSSIAN, "--et", "0.0", "--budget", "5",
+     "--easy-threshold", "1.5"],
+    ["leakage", *GAUSSIAN, "--k", "6", "--epsilon", "0.01",
+     "--flag-factor", "0"],
+    ["qpe-stats", *GAUSSIAN, "--k", "3", "--threads", "0"],
+    ["ham", "build", "--fcidump", "f", "--out", "h.npz", "--na", "1",
+     "--nb", "1", "--dim-cap", "0"],
+    ["ham", "build", "--fcidump", "f", "--out", "h.npz", "--na=-1",
+     "--nb", "1"],
+    ["ham", "build", "--fcidump", "f", "--out", "h.npz", "--na", "1",
+     "--nb=-1"],
 ], ids=["k", "reps", "budget", "shots", "e0", "eta-zero", "eta-negative",
         "eta-inf", "grid-points-zero", "grid-points-one", "epsilon",
-        "n-levels", "case-study-n-levels"])
+        "n-levels", "case-study-n-levels", "order-one", "degree-odd",
+        "degree-zero", "zeta-zero", "angle-margin-zero",
+        "angle-margin-half-pi", "easy-threshold-zero",
+        "easy-threshold-above-one", "flag-factor-zero", "threads-zero",
+        "dim-cap-zero", "na-negative", "nb-negative"])
 def test_readout_flag_ranges_are_usage_errors(argv, capsys):
     assert cli.dispatch(argv) == cli.EXIT_USAGE
     assert "must" in capsys.readouterr().err
+
+
+def _typed_flags():
+    """(command path, flag, nargs) for every option with a type converter,
+    found by walking the parser, so a flag added later is covered too."""
+    _, registry = cli.build_parser()
+    return [(path, action.option_strings[0], action.nargs)
+            for path, sp in sorted(registry.items())
+            for action in sp._actions
+            if action.option_strings and action.type is not None]
+
+
+TYPED_FLAGS = _typed_flags()
+
+
+def test_typed_flags_cover_every_float_flag():
+    flags = {flag for _, flag, _ in TYPED_FLAGS}
+    assert flags >= {"--gaussian", "--target", "--et", "--el", "--eu",
+                     "--zeta", "--flag-factor", "--easy-threshold",
+                     "--angle-margin", "--eta", "--threshold", "--e0",
+                     "--epsilon"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path, flag, nargs", TYPED_FLAGS,
+                         ids=[" ".join((*p, f)) for p, f, _ in TYPED_FLAGS])
+def test_non_finite_flag_values_are_usage_errors(path, flag, nargs, value,
+                                                 capsys):
+    # every float-typed flag refuses non-finite values; the integer ones
+    # refuse them as non-integers
+    if isinstance(nargs, int) and nargs > 1:
+        argv = [*path, flag, *["0.5"] * (nargs - 1), value]
+    else:
+        argv = [*path, f"{flag}={value}"]
+    code = cli.dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert flag in captured.err
+    # argparse reads a lone "-inf" as an option, so only there the value
+    # never reaches the converter
+    if argv[-1] != "-inf":
+        assert repr(value) in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -225,7 +296,7 @@ def test_spectrum_source_must_be_unique(capsys):
 
 def test_bad_threads_are_rejected(capsys, monkeypatch):
     argv = ["qpe-stats", *GAUSSIAN, "--k", "3"]
-    assert cli.dispatch(argv + ["--threads", "0"]) == cli.EXIT_INPUT
+    assert cli.dispatch(argv + ["--threads", "0"]) == cli.EXIT_USAGE
     monkeypatch.setenv("QPREP_THREADS", "lots")
     assert cli.dispatch(argv) == cli.EXIT_INPUT
     capsys.readouterr()

@@ -215,9 +215,9 @@ def test_normalize_spectrum_bounds():
     for _ in range(10):
         a = rng.normal(size=(12, 12))
         dense = ham.DenseHamiltonian((a + a.T) / 2)
-        out, norm = ham.normalize_spectrum(dense, margin=0.05)
+        out, norm = ham.normalize_spectrum(dense)
         evals = np.linalg.eigvalsh(out.entries)
-        assert evals.min() > 0.05 - 1e-9 and evals.max() < 0.95 + 1e-9
+        assert evals.min() > 0.1 - 1e-9 and evals.max() < 0.9 + 1e-9
         x = rng.normal(size=5)
         assert np.allclose(norm.invert(norm.apply(x)), x)
 

@@ -125,13 +125,25 @@ def test_level_approx_degenerate_cases():
 
 def test_bracket_orders_and_degenerate():
     setup = LeakageSetup(8, 0.02, 0.02)
-    lo, hi = leak_prob_level_bracket(0.2, setup)
+    lo, hi = leak_prob_level_bracket(3.3 / 256, setup)
     assert 0 < lo < hi
-    assert leak_prob_level_bracket(51 / 256, setup) == (0.0, 0.0)
+    assert leak_prob_level_bracket(3 / 256, setup) == (0.0, 0.0)
     with pytest.raises(ValueError):
         leak_prob_level_bracket((setup.x_upper - 0.5) / 256, setup)
-    with pytest.raises(ValueError):
-        leak_prob_level_bracket(0.9, setup)                  # aliases
+    with pytest.raises(ValueError, match="aliases"):
+        leak_prob_level_bracket(0.9, setup)
+    with pytest.raises(ValueError, match="regime"):
+        leak_prob_level_bracket(0.2, setup)                  # far above
+    with pytest.raises(ValueError, match="regime"):
+        leak_prob_level_bracket(51 / 256, setup)             # far, on grid
+
+
+def _outside_bracket_regime(setup, scaled):
+    """Acceptance check 9's two skip conditions for a level at 2^k E."""
+    gap = scaled - setup.x_upper
+    return (setup.x_upper < -2 * scaled
+            or math.tan(math.pi * scaled / setup.size) * gap * (gap + 1)
+            > 0.5 * setup.size / math.pi)
 
 
 @pytest.mark.parametrize("k, e0, eps", [
@@ -141,22 +153,51 @@ def test_bracket_is_never_negative_and_refuses_aliasing_levels(k, e0, eps):
     # the peak of a level at 2^k E >= 2^k + window_low + min(x_upper, 0)
     # lands in the centred window, so no bracket exists there; every level
     # between the boundary and that point, on the grid or off it, gets
-    # nonnegative bounds
+    # nonnegative bounds or is refused as lying outside the bracket's regime
     setup = LeakageSetup(k, eps, e0)
     size = setup.size
     alias = size + setup.window_low + min(setup.x_upper, 0)
     off_grid = np.linspace(setup.x_upper, size, 8 * size + 1)[1:-1]
     on_grid = np.arange(setup.x_upper + 1, size)
-    returned = 0
     for scaled in np.concatenate([off_grid, on_grid]):
         if scaled >= alias:
             with pytest.raises(ValueError, match="aliases"):
                 leak_prob_level_bracket(scaled / size, setup)
+        elif _outside_bracket_regime(setup, scaled):
+            with pytest.raises(ValueError, match="regime"):
+                leak_prob_level_bracket(scaled / size, setup)
         else:
             lo, hi = leak_prob_level_bracket(scaled / size, setup)
             assert 0.0 <= lo <= hi
-            returned += 1
-    assert returned > size / 4
+
+
+def test_bracket_contains_exact_wherever_it_is_returned():
+    # k = 3 .. 12 over six (e0, eps) setups, 300 random levels each between
+    # the boundary and the alias guard: a returned pair contains the exact
+    # single-level leakage, and only levels outside the regime are refused
+    rng = np.random.default_rng(3)
+    returned = refused = 0
+    for k in range(3, 13):
+        for e0, eps in [(0.0, 0.01), (0.0, 0.05), (0.02, 0.005),
+                        (0.1, 0.03), (0.3, 0.05), (0.6, 0.2)]:
+            setup = LeakageSetup(k, eps, e0)
+            size = setup.size
+            alias = size + setup.window_low + min(setup.x_upper, 0)
+            for scaled in rng.uniform(setup.x_upper, alias, 300):
+                if scaled <= setup.x_upper:
+                    continue
+                energy = scaled / size
+                if _outside_bracket_regime(setup, scaled):
+                    with pytest.raises(ValueError, match="regime"):
+                        leak_prob_level_bracket(energy, setup)
+                    refused += 1
+                    continue
+                lo, hi = leak_prob_level_bracket(energy, setup)
+                exact = leak_prob_exact(single(energy), setup)
+                assert 0.0 <= lo <= hi
+                assert lo * (1 - 1e-12) <= exact <= hi * (1 + 1e-12)
+                returned += 1
+    assert returned > 1000 and refused > 1000
 
 
 def test_bracket_contains_exact_and_approx():

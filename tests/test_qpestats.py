@@ -6,8 +6,7 @@ from scipy.stats import wasserstein_distance
 from qprep.qpestats import (GoldilocksReport, OutcomeDistribution, cdf_below,
                             expected_min, goldilocks_report,
                             qpe_outcome_distribution)
-from qprep.spectra import (BroadKernel, SpectralMeasure, broaden,
-                           discretize_density)
+from qprep.spectra import SpectralMeasure
 
 import oracles
 
@@ -64,16 +63,6 @@ def test_outcome_mixes_levels_linearly():
               + 0.7 * oracles.qpe_kernel_probs_loop(0.61, 5))
     assert np.allclose(dist.probs, direct, atol=1e-14)
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_outcome_accepts_sampled_density():
-    m = SpectralMeasure([(0.5, 1.0)])
-    grid, vals = broaden(m, BroadKernel("gaussian", 0.01))
-    dist = qpe_outcome_distribution((grid, vals), 5)
-    binned = discretize_density(grid, vals, n_levels=4096)
-    ref = qpe_outcome_distribution(binned, 5)
-    assert np.allclose(dist.probs, ref.probs, atol=1e-14)
-    assert dist.energies @ dist.probs == pytest.approx(0.5, abs=1 / 32)
 
 
 def test_outcome_matches_sampling_oracle():

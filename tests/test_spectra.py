@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +7,8 @@ from scipy.stats import norm as normal_dist
 from qprep.hamiltonian import DenseHamiltonian, normalize_spectrum
 from qprep.spectra import (BroadKernel, MomentSet, OrderUnsupported,
                            SolverFailure, SpectralMeasure, broaden,
-                           coarse_qpe_sample, default_grid,
-                           discretize_density, edgeworth, edgeworth_terms,
+                           as_measure, coarse_qpe_sample, default_grid,
+                           edgeworth, edgeworth_terms,
                            exact_spectral_measure, gram_charlier,
                            gram_charlier_coefficient, hermite_e_coefficients,
                            kde, moments, moments_from_measure, outcome_law,
@@ -18,11 +17,10 @@ from qprep.spectra import (BroadKernel, MomentSet, OrderUnsupported,
 import oracles
 
 
-def random_normalized(rng, dim, margin=0.1):
+def random_normalized(rng, dim):
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = (mat + mat.conj().T) / 2
-    h, normalizer = normalize_spectrum(DenseHamiltonian(mat), margin=margin)
-    return h, normalizer
+    return normalize_spectrum(DenseHamiltonian(mat))
 
 
 def random_state(rng, dim):
@@ -72,13 +70,13 @@ def test_exact_measure_eigenvector():
 
 def test_exact_measure_matches_projections():
     rng = np.random.default_rng(2)
-    h, normalizer = random_normalized(rng, 10)
+    h, _ = random_normalized(rng, 10)
     psi = random_state(rng, 10)
-    m = exact_spectral_measure(h, 3.0 * psi, normalizer)
+    m = exact_spectral_measure(h, 3.0 * psi)
     evals, evecs = np.linalg.eigh(h.entries)
     assert np.allclose(m.energies, evals)
     assert np.allclose(m.probs, np.abs(evecs.conj().T @ psi) ** 2)
-    assert m.normalizer is normalizer
+    assert m.normalizer is None
 
 
 def test_exact_measure_with_margin_takes_one_eigensolve(monkeypatch):
@@ -86,8 +84,8 @@ def test_exact_measure_with_margin_takes_one_eigensolve(monkeypatch):
     a = rng.normal(size=(16, 16))
     h = DenseHamiltonian(5.0 * (a + a.T))
     psi = random_state(rng, 16)
-    h_norm, norm = normalize_spectrum(h, margin=0.1)
-    ref = exact_spectral_measure(h_norm, psi, norm)
+    h_norm, norm = normalize_spectrum(h)
+    ref = exact_spectral_measure(h_norm, psi)
     calls = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -102,8 +100,6 @@ def test_exact_measure_with_margin_takes_one_eigensolve(monkeypatch):
     assert np.allclose(m.probs, ref.probs, rtol=0, atol=1e-12)
     assert m.normalizer.scale == pytest.approx(norm.scale, rel=1e-13)
     assert m.normalizer.shift == pytest.approx(norm.shift, rel=1e-13)
-    with pytest.raises(ValueError):
-        exact_spectral_measure(h, psi, norm, margin=0.1)
 
 
 def test_exact_measure_uniform_superposition():
@@ -465,13 +461,10 @@ def test_kde_mise_slope():
     assert -1.1 < slope < -0.5
 
 
-def test_discretize_density():
+def test_as_measure_refuses_anything_but_a_measure():
     m = SpectralMeasure([(0.5, 1.0)])
+    assert as_measure(m) is m
     grid, vals = broaden(m, BroadKernel("gaussian", 0.03))
-    binned = discretize_density(grid, vals, n_levels=2048)
-    assert len(binned.levels) == 2048
-    assert binned.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert binned.mean() == pytest.approx(0.5, abs=1e-4)
-    assert abs(math.sqrt(binned.variance()) - 0.03) < 1e-4
-    with pytest.raises(ValueError):
-        discretize_density(grid, np.zeros_like(vals))
+    for other in ((grid, vals), m.levels, [(0.5, 1.0)]):
+        with pytest.raises(TypeError, match=type(other).__name__):
+            as_measure(other)

@@ -67,3 +67,107 @@ def test_exceptions_are_still_defined_and_unreached():
         assert name in defined, f"{name} is gone; drop its exception"
         assert not _named_outside(defined[name], used.get(name, [])), (
             f"{name} is reached now; drop its exception")
+
+
+# Defaulted parameters that no call supplies, each with its reason.
+UNSET_ON_PURPOSE = {
+    # The differential tests drive every level through the kernel sum with
+    # it, so no level is cut away.
+    ("leakage", "leak_prob_exact", "exclude_below"),
+    ("leakage", "leak_prob_approx", "exclude_below"),
+}
+
+
+def _settable_parameters(path, tree):
+    """(module, function, parameter, index, span) for every defaulted or
+    keyword-only parameter; ``index`` is the call position that supplies a
+    positional parameter (``self``/``cls`` not counted), None for a
+    keyword-only one.  ``__init__`` is listed under its class's name."""
+    out = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [*args.posonlyargs, *args.args]
+                skip = int(in_class is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list))
+                first_default = len(positional) - len(args.defaults)
+                name = (in_class if child.name == "__init__" and in_class
+                        else child.name)
+                span = (path, child.lineno, child.end_lineno)
+                for i, arg in enumerate(positional):
+                    if i >= first_default:
+                        out.append((path.stem, name, arg.arg, i - skip, span))
+                for arg in args.kwonlyargs:
+                    out.append((path.stem, name, arg.arg, None, span))
+                visit(child, None)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            else:
+                visit(child, in_class)
+
+    visit(tree, None)
+    return out
+
+
+def settable_parameters_and_calls():
+    """([(module, function, parameter, index, span)], {name: [call info]})
+    where call info is (path, line, positional count or None when a
+    ``*args`` makes it open, keyword names or None for ``**kwargs``)."""
+    params, calls = [], {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path.parent.name == "qprep":
+            params.extend(_settable_parameters(path, tree))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            if name is None:
+                continue
+            n_pos = (None if any(isinstance(a, ast.Starred)
+                                 for a in node.args) else len(node.args))
+            kws = (None if any(k.arg is None for k in node.keywords)
+                   else {k.arg for k in node.keywords})
+            calls.setdefault(name, []).append(
+                (path, node.lineno, n_pos, kws))
+    return params, calls
+
+
+def _supplied(param, calls):
+    _, function, name, index, (d_path, lo, hi) = param
+    for path, line, n_pos, kws in calls.get(function, []):
+        if path == d_path and lo <= line <= hi:
+            continue
+        if kws is None or name in kws:
+            return True
+        if index is not None and (n_pos is None or n_pos > index):
+            return True
+    return False
+
+
+def test_every_defaulted_parameter_is_set():
+    params, calls = settable_parameters_and_calls()
+    unset = sorted(
+        "%s.%s(%s=) (%s:%d)" % (module, function, name,
+                                span[0].relative_to(ROOT), span[1])
+        for module, function, name, index, span in params
+        if (module, function, name) not in UNSET_ON_PURPOSE
+        and not _supplied((module, function, name, index, span), calls))
+    assert not unset, (
+        "defaulted parameters that no command, check or bench file sets: "
+        + ", ".join(unset))
+
+
+def test_unset_parameter_exceptions_still_hold():
+    params, calls = settable_parameters_and_calls()
+    by_key = {(m, f, n): (m, f, n, i, s) for m, f, n, i, s in params}
+    for key in UNSET_ON_PURPOSE:
+        assert key in by_key, f"{key} is gone; drop its exception"
+        assert not _supplied(by_key[key], calls), (
+            f"{key} is set now; drop its exception")
