@@ -91,6 +91,20 @@ _positive_float = _in_range(float, 0.0, sys.float_info.max, open_lo=True)
 _finite_float = _in_range(float, -sys.float_info.max, sys.float_info.max)
 
 
+# --shots and --n-levels size arrays before any check downstream can run.
+_capped_count = _in_range(int, 1, 2 ** 20)
+
+
+class _GaussianArgs(argparse.Action):
+    """--gaussian MEAN SIGMA: both finite (by the type), SIGMA > 0."""
+
+    def __call__(self, parser, namespace, values, option_string):
+        if not values[1] > 0:
+            raise argparse.ArgumentError(
+                self, f"sigma {values[1]!r} must be > 0")
+        setattr(namespace, self.dest, values)
+
+
 def _even_degree(text):
     value = _in_range(int, 2)(text)
     if value % 2:
@@ -250,7 +264,7 @@ def _add_common(sp, out=True):
 
 def _add_measure_args(sp):
     sp.add_argument("--gaussian", nargs=2, type=_finite_float,
-                    metavar=("MEAN", "SIGMA"),
+                    action=_GaussianArgs, metavar=("MEAN", "SIGMA"),
                     help="discretized normal energy distribution "
                          "(normalized frame)")
     sp.add_argument("--levels", metavar="CSV",
@@ -261,10 +275,10 @@ def _add_measure_args(sp):
     sp.add_argument("--state", metavar="CSV",
                     help="with --ham: amplitude rows re[,im]; "
                          "default is the uniform state")
-    sp.add_argument("--n-levels", type=_positive_int, default=4096,
+    sp.add_argument("--n-levels", type=_capped_count, default=4096,
                     metavar="N",
-                    help="discretization levels for --gaussian "
-                         "(default 4096)")
+                    help="discretization levels for --gaussian, at most "
+                         "2^20 (default 4096)")
 
 
 def _load_state_vector(path, dim):
@@ -742,8 +756,8 @@ def build_parser():
                          "the exact Lorentzian broadening of the measure")
     sp.add_argument("--k", type=_positive_int, default=6,
                     help="readout digits for cqpe (default 6)")
-    sp.add_argument("--shots", type=_positive_int, default=4096,
-                    help="cqpe sample count (default 4096)")
+    sp.add_argument("--shots", type=_capped_count, default=4096,
+                    help="cqpe sample count, at most 2^20 (default 4096)")
     sp.add_argument("--grid-points", type=_in_range(int, 2), default=512,
                     metavar="N",
                     help="energy grid resolution, >= 2 (default 512)")
@@ -843,8 +857,9 @@ def build_parser():
                     "comparison.")
     registry[("refine", "case-study")] = sp
     sp.set_defaults(handler=cmd_refine_case_study)
-    sp.add_argument("--n-levels", type=_positive_int, default=4096,
-                    metavar="N", help="discretization levels (default 4096)")
+    sp.add_argument("--n-levels", type=_capped_count, default=4096,
+                    metavar="N",
+                    help="discretization levels, at most 2^20 (default 4096)")
     _add_common(sp)
 
     sp = add("reproduce", cmd_reproduce,

@@ -9,14 +9,15 @@ energy" keeps meaning the bins just under 2^k E0 rather than the top of the
 register.
 
 The module offers three views of the same quantity: the exact sum of the
-readout kernel of every counted level over every window bin (evaluated
-directly by :func:`qprep.spectra.readout_mass`, in bounded blocks, so small
-leakage keeps full relative precision), a one-term-per-level approximation
-evaluated elementwise over the measure's energy array, with a rigorous
-antiderivative bracket, and a panel-quadrature integral form for smooth
-densities.  A CDF-comparison diagnosis flags states whose low-energy
-readout tail is dominated by kernel spill rather than by actual spectral
-weight.
+readout kernel of every counted level over every window bin (taken by
+``qprep.spectra._window_mass`` at O(1) cost per level: whole periods count
+1, the bins next to the kernel's pole are summed directly and the rest by
+Euler-Maclaurin, so small leakage keeps full relative precision), a
+one-term-per-level approximation evaluated elementwise over the measure's
+energy array, with a rigorous antiderivative bracket, and a
+panel-quadrature integral form for smooth densities.  A CDF-comparison
+diagnosis flags states whose low-energy readout tail is dominated by
+kernel spill rather than by actual spectral weight.
 """
 
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qpestats import qpe_outcome_distribution
-from .spectra import SPIKE_TOL, as_measure, readout_mass, register_size
+from .spectra import SPIKE_TOL, _window_mass, as_measure, register_size
 # Re-exported: the readout routines here raise it past the digit cap.
 from .spectra import DigitCapExceeded  # noqa: F401
 
@@ -99,8 +100,8 @@ def leak_prob_exact(m, setup, exclude_below=None):
     counted = energies > cut
     if setup.x_upper <= setup.window_low or not counted.any():
         return 0.0
-    window = np.arange(setup.window_low, setup.x_upper)
-    mass = readout_mass(energies[counted], setup.k, window)
+    mass = _window_mass(energies[counted], setup.k, setup.window_low,
+                        setup.x_upper)
     return float(measure.probs[counted] @ mass)
 
 

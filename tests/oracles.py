@@ -667,13 +667,13 @@ def postselect_gain_loop(energies, k, accepted):
 
 
 def coarse_qpe_sample_loop(energies, probs, k, shots, seed):
-    """Shifted coarse readouts, one counter-derived stream per shot."""
+    """Shifted coarse readouts, every shot drawn from one seeded stream."""
     m = 2 ** k
     probs = np.asarray(probs, dtype=float)
     probs = probs / probs.sum()
     out = np.empty(shots)
+    rng = np.random.default_rng(seed)
     for shot in range(shots):
-        rng = np.random.default_rng([seed, shot])
         c = rng.uniform(0.0, 1.0 / m)
         n = rng.choice(len(probs), p=probs)
         x = rng.choice(m, p=qpe_kernel_probs_loop(energies[n] + c, k))

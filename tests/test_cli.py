@@ -113,8 +113,8 @@ def test_zero_width_gaussian_is_refused_not_nan(tmp_path, capsys):
     code = cli.dispatch(["energy-dist", "--gaussian", "0.06", "0.0",
                          "--method", "series", "--out", str(out)])
     captured = capsys.readouterr()
-    assert code == cli.EXIT_INPUT
-    assert "sigma" in captured.err
+    assert code == cli.EXIT_USAGE
+    assert "--gaussian" in captured.err and "sigma" in captured.err
     assert not out.exists()
 
 
@@ -170,13 +170,20 @@ def test_csv_output_refuses_non_finite_values():
      "--nb", "1"],
     ["ham", "build", "--fcidump", "f", "--out", "h.npz", "--na", "1",
      "--nb=-1"],
+    ["qpe-stats", "--gaussian", "0.06", "-0.01", "--k", "3"],
+    ["energy-dist", "--gaussian", "0.06", "0", "--method", "series"],
+    ["energy-dist", *GAUSSIAN, "--method", "cqpe", "--shots", "1048577"],
+    ["qpe-stats", *GAUSSIAN, "--k", "3", "--n-levels", "1048577"],
+    ["refine", "case-study", "--n-levels", "1048577"],
 ], ids=["k", "reps", "budget", "shots", "e0", "eta-zero", "eta-negative",
         "eta-inf", "grid-points-zero", "grid-points-one", "epsilon",
         "n-levels", "case-study-n-levels", "order-one", "degree-odd",
         "degree-zero", "zeta-zero", "angle-margin-zero",
         "angle-margin-half-pi", "easy-threshold-zero",
         "easy-threshold-above-one", "flag-factor-zero", "threads-zero",
-        "dim-cap-zero", "na-negative", "nb-negative"])
+        "dim-cap-zero", "na-negative", "nb-negative", "sigma-negative",
+        "sigma-zero", "shots-above-cap", "n-levels-above-cap",
+        "case-study-n-levels-above-cap"])
 def test_readout_flag_ranges_are_usage_errors(argv, capsys):
     assert cli.dispatch(argv) == cli.EXIT_USAGE
     assert "must" in capsys.readouterr().err

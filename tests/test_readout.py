@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 import oracles
-from qprep import leakage
+from qprep import leakage, spectra
 from qprep.leakage import LeakageSetup, leak_prob_exact
 from qprep.qpestats import qpe_outcome_distribution
 from qprep.refine import coarse_qpe_postselect, gaussian_levels
-from qprep.spectra import (READOUT_DIGIT_CAP, DigitCapExceeded,
+from qprep.spectra import (READOUT_DIGIT_CAP, SPIKE_TOL, DigitCapExceeded,
                            SpectralMeasure, characteristic_function,
                            coarse_qpe_sample, outcome_law, readout_mass,
                            register_size)
@@ -90,19 +90,31 @@ def test_leak_prob_exact_matches_loop(k):
         rng = rng_for(2, k, i)
         energies, weights = draw_levels(rng, kind, k)
         measure = SpectralMeasure(list(zip(energies, weights)))
-        setup = LeakageSetup(k, float(rng.uniform(0.002, 0.05)),
-                             float(rng.uniform(0.0, 0.1)))
-        for cut in (setup.exclude_below, -1.0):
-            counted = energies > cut
-            # the loop counts everything it is given
-            ref = oracles.leak_prob_loop(
-                into_period(energies[counted], -0.5), weights[counted],
-                setup, cut=-np.inf)
-            value = leak_prob_exact(measure, setup, exclude_below=cut)
-            if ref == 0.0:
-                assert value == 0.0, kind
-            else:
-                assert abs(value - ref) <= 1e-12 * ref, kind
+        eps = float(rng.uniform(0.002, 0.05))
+        # with e0 - eps > 1/2 the window is longer than one period
+        setups = [LeakageSetup(k, eps, float(e0))
+                  for e0 in (rng.uniform(0.0, 0.1), rng.uniform(0.6, 1.0))]
+        for setup in setups:
+            for cut in (setup.exclude_below, -1.0):
+                counted = energies > cut
+                if setup.x_upper - setup.window_low <= setup.size:
+                    # the loop counts everything it is given
+                    ref = oracles.leak_prob_loop(
+                        into_period(energies[counted], -0.5),
+                        weights[counted], setup, cut=-np.inf)
+                else:
+                    # repeated bins would meet the loop's whole-period
+                    # arguments, so the reduced kernel is the reference
+                    window = np.arange(setup.window_low, setup.x_upper)
+                    ref = sum(w * oracles.readout_kernel_reduced(
+                                  e, k, window).sum()
+                              for e, w in zip(energies[counted],
+                                              weights[counted]))
+                value = leak_prob_exact(measure, setup, exclude_below=cut)
+                if ref == 0.0:
+                    assert value == 0.0, kind
+                else:
+                    assert abs(value - ref) <= 1e-12 * ref, kind
 
 
 @pytest.mark.parametrize("k", DIGITS)
@@ -131,6 +143,50 @@ def test_coarse_sample_matches_per_shot_loop(k):
         samples = coarse_qpe_sample(measure, k, 150, seed)
         ref = oracles.coarse_qpe_sample_loop(energies, weights, k, 150, seed)
         assert np.array_equal(samples, ref), kind
+
+
+def test_sample_prefix_is_the_shorter_run():
+    energies, weights = draw_levels(rng_for(8), "in_range", 9)
+    measure = SpectralMeasure(list(zip(energies, weights)))
+    for shots in (1, 37, 500):
+        assert np.array_equal(coarse_qpe_sample(measure, 9, shots, 42),
+                              coarse_qpe_sample(measure, 9, 2 * shots,
+                                                42)[:shots])
+
+
+@pytest.mark.parametrize("k", range(1, READOUT_DIGIT_CAP + 1))
+def test_window_mass_matches_direct_sum(k):
+    m, edge = 2 ** k, spectra._EDGE
+    rng = rng_for(9, k)
+    # random offsets, half-bin offsets, offsets just past the spike
+    # tolerance (on a small register value, where m E keeps them) and
+    # on-grid levels, with register values anywhere in [-m, 2m)
+    near = np.concatenate([rng.integers(-m, 2 * m, 10), [1, -1]])
+    offset = np.concatenate([rng.uniform(-0.5, 0.5, 4), [0.5, -0.5],
+                             [0.0] * 4, [2 * SPIKE_TOL, -2 * SPIKE_TOL]])
+    energies = (near + offset) / m
+    assert np.all(np.abs(m * energies[-2:] - near[-2:]) > SPIKE_TOL)
+
+    def check(lo, hi):
+        lo, hi = np.broadcast_arrays(lo, hi, energies)[:2]
+        got = spectra._window_mass(energies, k, lo, hi)
+        for i, energy in enumerate(energies):
+            ref = readout_mass([energy], k, np.arange(lo[i], hi[i]))[0]
+            assert abs(got[i] - ref) <= 1e-13 * ref, (i, lo[i], hi[i])
+
+    for _ in range(3):
+        lo = int(rng.integers(-2 * m, 2 * m))
+        check(lo, lo + int(rng.integers(0, 2 * m + 1)))
+    for width in (0, 1, m - 1, m, m + 1 + int(rng.integers(0, m))):
+        lo = int(rng.integers(-m, m))
+        check(lo, lo + width)
+    # Windows of j = near - x that end one bin past the directly summed
+    # bins at the pole j = 0 (they take j = edge) or at the pole j = m
+    # (they take j = m - edge - 1), from anywhere on the circle.
+    a = edge + 1 - rng.integers(1, m + 1, near.size)
+    check(near - edge, near - a + 1)
+    b = m - edge - 1 + rng.integers(1, m + 1, near.size)
+    check(near - b + 1, near - m + edge + 2)
 
 
 def test_levels_near_half_periods_match_reduced_kernel():
