@@ -10,8 +10,9 @@ condenses the "is this state worth refining" question into a small triage
 report.
 
 The outcome law itself is :func:`qprep.spectra.outcome_law`: the
-characteristic function of the measure at 0 <= l < 2^k, folded and
-transformed by one FFT, with on-grid levels added as exact spikes.
+characteristic function of the measure at 0 <= l < 2^k (a binned Taylor
+expansion, one real FFT per term), folded and transformed by one FFT, with
+on-grid levels added as exact spikes.
 """
 
 import math

@@ -13,12 +13,14 @@ statistics modules:
   Lorentzian broadening of the exact measure, which is how the command line
   evaluates it; the solves stay as an independent check of that identity;
 * coarse phase-estimation sampling with a random sub-bin offset per shot,
-  plus Gaussian kernel density estimation for smoothing.
+  plus Gaussian kernel density estimation for smoothing, which sums each
+  grid point only over the samples close enough to give a nonzero term.
 
 The k-digit readout kernel F_k(E - x/2^k) (the periodic Fejer kernel) lives
 here once, vectorized three ways: :func:`outcome_law` sums it over all
 levels and register values through the characteristic function phi(l) =
-sum_n p_n exp(2 pi i l E_n) and one FFT; :func:`readout_mass` evaluates it
+sum_n p_n exp(2 pi i l E_n), taken by a binned Taylor expansion with one
+real FFT per term, and one more FFT; :func:`readout_mass` evaluates it
 directly, in bounded blocks, on chosen register values (a postselection
 set); ``_window_mass`` sums it over a contiguous range of register values
 (a leakage window, the outcomes below a sampled one) at O(1) cost per
@@ -676,45 +678,48 @@ def _arc_mass(start, part, offset, m, tables):
     return mass + smooth[:start.size] + smooth[start.size:]
 
 
-def _phasors(near, offset, mults, scale):
-    """exp(2 pi i l E) for levels scale E = near + offset (rows) and
-    integers l in ``mults`` (columns).  l E is reduced modulo 1 in integers
-    before rounding, so the phase error stays near machine epsilon for
-    every l < scale."""
-    angle = ((near[:, None] * mults) & (scale - 1)) + offset[:, None] * mults
-    angle *= 2 * np.pi / scale
-    out = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
-    return out
+# Taylor terms of characteristic_function: |2 pi l d / m| <= pi, and the
+# first term left out is at most pi^30 / 30! < 4e-18 of sum |w_n|.
+_TAYLOR_TERMS = 30
 
 
 def characteristic_function(energies, weights, n_terms):
     """phi(l) = sum_n w_n exp(2 pi i l E_n) for l = 0 .. n_terms - 1.
 
     The input of the outcome law and of Hadamard-test phase estimators.
-    A blocked complex matrix product: with l = a B + b, B = 2^ceil(bits/2),
-    phi(a B + b) = sum_n exp(2 pi i a B E_n) [w_n exp(2 pi i b E_n)], so
-    each level needs A + B phasors (A = ceil(n_terms / B)), not n_terms.
+    A binned Taylor-FFT, the non-equispaced DFT of Anderson & Dahleh (SIAM
+    J. Sci. Comput. 17, 913 (1996)): with m = 2^bits >= n_terms and m E_n =
+    near_n + d_n, |d_n| <= 1/2,
+
+        phi(l) = sum_p (2 pi i l / m)^p / p! sum_j b_p[j] exp(2 pi i l j / m),
+
+    where the real vector b_p bins w_n d_n^p by near_n modulo m, so each
+    Taylor term costs one bincount and one real FFT.  That is
+    O(_TAYLOR_TERMS (N + m log m)) time and O(N + m) memory for N levels:
+    one term is held at a time.
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
-    bits = (n_terms - 1).bit_length()
-    scale = register_size(bits)
-    b_size = 1 << ((bits + 1) // 2)
-    a_size = -(-n_terms // b_size)
-    near, offset = _split_register(energies, scale)
-    weights = np.asarray(weights, dtype=float)
-    low = np.arange(b_size, dtype=np.int64)
-    high = np.arange(a_size, dtype=np.int64) * b_size
-    out = np.zeros((a_size, b_size), dtype=complex)
-    rows = max(1, _BLOCK // (a_size + b_size))
-    for r0 in range(0, near.size, rows):
-        sl = slice(r0, r0 + rows)
-        right = _phasors(near[sl], offset[sl], low, scale)
-        right *= weights[sl, None]
-        out += _phasors(near[sl], offset[sl], high, scale).T @ right
-    return out.ravel()[:n_terms]
+    m = register_size((n_terms - 1).bit_length())
+    near, offset = _split_register(energies, m)
+    near &= m - 1
+    term = np.array(weights, dtype=float)
+    turn = (2 * np.pi / m) * np.arange(n_terms)
+    power = np.ones(n_terms)
+    out = np.zeros(n_terms, dtype=complex)
+    for p in range(_TAYLOR_TERMS):
+        if p:
+            term *= offset
+            power *= turn
+            power /= p
+        # rfft takes exp(-2 pi i l j / m) for l <= m / 2; conjugate symmetry
+        # of a real input gives the rest.
+        half = np.fft.rfft(np.bincount(near, term, m))
+        part = np.concatenate((half.conj(), half[-2:0:-1]))[:n_terms]
+        part *= power
+        part *= (1, 1j, -1, -1j)[p % 4]
+        out += part
+    return out
 
 
 def outcome_law(energies, weights, k):
@@ -723,8 +728,10 @@ def outcome_law(energies, weights, k):
     F_k(E - x/m) = m^-2 sum_{|l| < m} (m - |l|) exp(2 pi i l (E - x/m)), so
     off-grid levels enter through phi(l), 0 <= l < m: folding l < 0 onto
     l + m gives c[r] = (m - r) phi(r) + r conj(phi(m - r)), and the law is
-    Re FFT(c) / m^2.  Levels within ``SPIKE_TOL`` of the grid bypass the
-    transform and are added as exact Kronecker spikes.
+    Re FFT(c) / m^2.  phi comes from :func:`characteristic_function`'s
+    binned Taylor-FFT, so the whole law costs O(N + m log m) for N levels,
+    with no level-by-register array.  Levels within ``SPIKE_TOL`` of the
+    grid bypass the transform and are added as exact Kronecker spikes.
     """
     m = register_size(k)
     near, offset = _split_register(energies, m)
@@ -806,29 +813,52 @@ def coarse_qpe_sample(measure, k, shots, seed):
     return np.minimum(outcomes, m - 1) / m - shift
 
 
+# Gaussian terms farther than this many bandwidths from a grid point are
+# exactly 0.0: exp(-z^2 / 2) underflows below 5e-324 once z exceeds
+# sqrt(-2 ln 5e-324) = 38.6.
+_KDE_REACH = 40.0
+# Grid points per block of kde: a narrow block keeps its run of samples
+# close to the 2 x _KDE_REACH bandwidths that any one point needs.
+_KDE_ROWS = 8
+
+
 def kde(samples, bandwidth=None, grid=None):
     """Gaussian kernel density estimate (1/Mh) sum_i K((x - X_i)/h).
 
     Default bandwidth is M^{-1/5} times the sample standard deviation (use
-    2^-k for coarse phase-estimation samples).
+    2^-k for coarse phase-estimation samples).  Samples and bandwidth must
+    be finite.  The samples are sorted once; each block of ``_KDE_ROWS``
+    grid points sums only the contiguous run of samples within
+    ``_KDE_REACH`` bandwidths of it, since every term farther out is
+    exactly 0.0, in chunks of at most ``_BLOCK`` terms.  So the result is
+    the full sum up to summation order, at no more work.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     if bandwidth is None:
         spread = float(np.std(samples))
         if spread == 0.0:
             raise ValueError("degenerate samples: pass a bandwidth")
         bandwidth = spread * samples.size ** (-1 / 5)
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError("bandwidth must be positive and finite")
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=float)
     norm = samples.size * bandwidth * np.sqrt(2 * np.pi)
+    samples = np.sort(samples.ravel())
+    reach = _KDE_REACH * bandwidth
     out = np.zeros(grid.shape)
-    for start in range(0, samples.size, 4096):
-        block = samples[start:start + 4096]
-        z = (grid[:, None] - block[None, :]) / bandwidth
-        out += np.exp(-0.5 * z ** 2).sum(axis=1)
+    for g0 in range(0, grid.size, _KDE_ROWS):
+        block = grid[g0:g0 + _KDE_ROWS]
+        lo = np.searchsorted(samples, block.min() - reach)
+        hi = np.searchsorted(samples, block.max() + reach, side="right")
+        cols = _BLOCK // block.size
+        for c0 in range(lo, hi, cols):
+            z = (block[:, None] - samples[None, c0:min(c0 + cols, hi)]) \
+                / bandwidth
+            out[g0:g0 + _KDE_ROWS] += np.exp(-0.5 * z ** 2).sum(axis=1)
     return grid, out / norm

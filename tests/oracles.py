@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from qprep import gf2, states
+from qprep import gf2, spectra, states
 
 SPIKE_TOL = 1e-12
 
@@ -698,3 +698,61 @@ def leak_prob_integral_unblocked(density_fn, setup, e_max=1.0,
     vals = density_fn(pts) * np.sin(np.pi * size * pts) ** 2 / (pts - center)
     total = float(np.sum(vals * (half[:, None] * node_weights[None, :])))
     return total / (math.pi ** 2 * size)
+
+
+# ---------------------------------------------------------------------------
+# Dense forms of spectra.characteristic_function and spectra.kde
+# ---------------------------------------------------------------------------
+
+def _phasors(near, offset, mults, scale):
+    """exp(2 pi i l E) for levels scale E = near + offset (rows) and
+    integers l in ``mults`` (columns).  l E is reduced modulo 1 in integers
+    before rounding, so the phase error stays near machine epsilon for
+    every l < scale."""
+    angle = ((near[:, None] * mults) & (scale - 1)) + offset[:, None] * mults
+    angle *= 2 * np.pi / scale
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+def characteristic_function_gemm(energies, weights, n_terms):
+    """phi(l) = sum_n w_n exp(2 pi i l E_n) for l = 0 .. n_terms - 1.
+
+    A blocked complex matrix product: with l = a B + b, B = 2^ceil(bits/2),
+    phi(a B + b) = sum_n exp(2 pi i a B E_n) [w_n exp(2 pi i b E_n)], so
+    each level needs A + B phasors (A = ceil(n_terms / B)), not n_terms.
+    """
+    if n_terms < 1:
+        raise ValueError("need at least one term")
+    bits = (n_terms - 1).bit_length()
+    scale = spectra.register_size(bits)
+    b_size = 1 << ((bits + 1) // 2)
+    a_size = -(-n_terms // b_size)
+    near, offset = spectra._split_register(energies, scale)
+    weights = np.asarray(weights, dtype=float)
+    low = np.arange(b_size, dtype=np.int64)
+    high = np.arange(a_size, dtype=np.int64) * b_size
+    out = np.zeros((a_size, b_size), dtype=complex)
+    rows = max(1, spectra._BLOCK // (a_size + b_size))
+    for r0 in range(0, near.size, rows):
+        sl = slice(r0, r0 + rows)
+        right = _phasors(near[sl], offset[sl], low, scale)
+        right *= weights[sl, None]
+        out += _phasors(near[sl], offset[sl], high, scale).T @ right
+    return out.ravel()[:n_terms]
+
+
+def kde_dense(samples, bandwidth, grid):
+    """Gaussian KDE with exp taken over every (grid point, sample) pair,
+    4096 samples at a time."""
+    samples = np.asarray(samples, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    norm = samples.size * bandwidth * np.sqrt(2 * np.pi)
+    out = np.zeros(grid.shape)
+    for start in range(0, samples.size, 4096):
+        block = samples[start:start + 4096]
+        z = (grid[:, None] - block[None, :]) / bandwidth
+        out += np.exp(-0.5 * z ** 2).sum(axis=1)
+    return out / norm

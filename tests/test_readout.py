@@ -12,6 +12,8 @@ precision), are left out of the loop comparisons and checked against
 ``oracles.readout_kernel_reduced`` instead.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,64 @@ def test_characteristic_function_is_the_direct_sum():
         == pytest.approx(1.0)
     with pytest.raises(ValueError):
         characteristic_function(energies, weights, 0)
+
+
+def phi_levels(rng, n, m):
+    """n levels in [-0.5, 1.5) and their weights: anywhere, at a rounding
+    tie d = +-1/2 of the m-point grid, and within 1e-13/m of it, in
+    turn."""
+    kind = np.arange(n) % 3
+    on = rng.integers(-m // 2, 3 * m // 2, n)
+    energies = np.where(kind == 0, rng.uniform(-0.5, 1.5, n),
+                        np.where(kind == 1, (on + 0.5) / m,
+                                 (on + rng.uniform(-1e-13, 1e-13, n)) / m))
+    energies = np.clip(energies, -0.5, np.nextafter(1.5, 0))
+    weights = rng.random(n)
+    return energies, weights / weights.sum()
+
+
+@pytest.mark.parametrize("n_levels", [1, 30, 784, 4096])
+def test_characteristic_function_matches_gemm_oracle(n_levels):
+    for n_terms in (1, 2, 7, 100, 2 ** 4, 2 ** 10, 2 ** 13, 2 ** 16):
+        m = 1 << (n_terms - 1).bit_length()
+        energies, weights = phi_levels(rng_for(11, n_levels, n_terms),
+                                       max(n_levels, 3), m)
+        cases = ([(energies[[i]], [1.0]) for i in range(3)]  # each kind alone
+                 if n_levels == 1 else [(energies, weights)])
+        for energies, weights in cases:
+            phi = characteristic_function(energies, weights, n_terms)
+            ref = oracles.characteristic_function_gemm(energies, weights,
+                                                       n_terms)
+            assert phi.shape == (n_terms,)
+            assert np.max(np.abs(phi - ref)) <= 1e-14
+
+
+def test_characteristic_function_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    n_terms = 2 ** 13
+    energies, weights = phi_levels(rng_for(12), 30, n_terms)
+    phi = characteristic_function(energies, weights, n_terms)
+    with mpmath.workdps(30):
+        for l in (0, 1, 2 ** 12 - 1, 2 ** 12, 5321, n_terms - 1):
+            exact = mpmath.fsum(
+                mpmath.mpf(w) * mpmath.expjpi(2 * l * mpmath.mpf(e))
+                for e, w in zip(energies, weights))
+            assert abs(phi[l] - complex(exact)) <= 1e-14
+
+
+def test_characteristic_function_memory_is_linear():
+    """At N = 2^18 levels and m = 2^16 terms the peak stays within four
+    complex values per level and term; one array of a value per Taylor
+    term and level, or per term and register value, would not fit."""
+    n, m = 2 ** 18, 2 ** 16
+    energies, weights = phi_levels(rng_for(13), n, m)
+    tracemalloc.start()
+    try:
+        characteristic_function(energies, weights, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * (n + m)
 
 
 # ---------------------------------------------------------------------------

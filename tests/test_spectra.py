@@ -1,9 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import norm as normal_dist
 
+from qprep import spectra
 from qprep.hamiltonian import DenseHamiltonian, normalize_spectrum
 from qprep.spectra import (BroadKernel, MomentSet, OrderUnsupported,
                            SolverFailure, SpectralMeasure, broaden,
@@ -442,6 +444,69 @@ def test_kde_validation():
         kde([0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
         kde([0.1, 0.2], bandwidth=0.0)
+
+
+@pytest.mark.parametrize("samples, bandwidth", [
+    ([0.1, 0.2], np.nan),
+    ([0.1, 0.2], np.inf),
+    ([0.1, np.inf], 0.05),
+    ([0.1, -np.inf], 0.05),
+    ([0.1, np.nan], 0.05),
+    ([0.1, np.nan], None),
+])
+def test_kde_refuses_non_finite_input(samples, bandwidth):
+    with pytest.raises(ValueError, match="finite"):
+        kde(samples, bandwidth=bandwidth)
+
+
+def test_kde_matches_dense_oracle():
+    rng = np.random.default_rng(37)
+    grid = default_grid()
+    cases = {
+        "clustered": (rng.normal(0.3, 0.002, 4096), 2.0 ** -10),
+        "spread": (rng.uniform(-0.05, 1.05, 3000), 2.0 ** -12),
+        "outside the grid": (np.concatenate([rng.uniform(-3.0, -1.0, 500),
+                                             rng.uniform(1.2, 4.0, 500),
+                                             rng.normal(0.5, 0.1, 500)]),
+                             0.01),
+        "single": (np.array([0.42]), 2.0 ** -8),
+        "wider than the grid": (rng.normal(0.5, 0.2, 5000), 3.0),
+    }
+    for name, (samples, h) in cases.items():
+        _, vals = kde(samples, bandwidth=h, grid=grid)
+        ref = oracles.kde_dense(samples, h, grid)
+        assert np.all(np.abs(vals - ref) <= 1e-14 * ref), name
+    # unsorted grids are summed the same way
+    shuffled = rng.permutation(grid)
+    samples, h = cases["clustered"]
+    _, vals = kde(samples, bandwidth=h, grid=shuffled)
+    ref = oracles.kde_dense(samples, h, shuffled)
+    assert np.all(np.abs(vals - ref) <= 1e-14 * ref)
+
+
+def test_kde_is_zero_beyond_the_underflow_radius():
+    h = 2.0 ** -10
+    samples = np.random.default_rng(41).uniform(0.4, 0.6, 1000)
+    grid = np.array([0.6 + 38.7 * h, 0.9, 0.4 - 39 * h])
+    _, vals = kde(samples, bandwidth=h, grid=grid)
+    assert np.array_equal(vals, np.zeros(3))
+    _, vals = kde(samples, bandwidth=h, grid=[0.5, 0.6 + 30 * h])
+    assert np.all(vals > 0.0)
+
+
+def test_kde_memory_is_bounded_by_the_block():
+    """2^20 samples at h = 0.5, every one within reach of every grid point:
+    beyond the sorted copy of the samples, temporaries stay within eight
+    block-sized float arrays."""
+    samples = np.random.default_rng(43).normal(0.5, 0.1, 2 ** 20)
+    grid = np.linspace(-0.05, 1.05, 64)
+    tracemalloc.start()
+    try:
+        kde(samples, bandwidth=0.5, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= samples.nbytes + 8 * 8 * spectra._BLOCK
 
 
 def test_kde_mise_slope():
