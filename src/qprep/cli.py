@@ -22,6 +22,7 @@ before numpy first loads.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -144,13 +145,22 @@ def _emit_json(obj, args, path=None):
 
 
 def _emit_csv(header, rows, path):
+    """Write ``header`` and ``rows`` as CSV, refusing non-finite floats.
+
+    ``rows`` is a float table (a 2-D array or rows of floats), checked in
+    one pass, or rows of ints and strings, which need no numpy.
+    """
+    if len(rows) and any(isinstance(v, float) for v in rows[0]):
+        import numpy as np
+
+        table = np.asarray(rows, dtype=float)
+        if not np.isfinite(table).all():
+            raise ValueError("refusing to write a non-finite value")
+        rows = table.tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
-            raise ValueError(f"refusing to write non-finite row {row!r}")
-        writer.writerow(row)
+    writer.writerows(rows)
     _write_text(buf.getvalue(), path)
 
 
@@ -189,35 +199,43 @@ def _read_config(path):
     return mapping
 
 
-def _apply_config(subparser, mapping):
-    actions = {a.dest: a for a in subparser._actions}
+def _config_tokens(subparser, mapping):
+    """argv tokens for a config mapping: ``--key=VALUE`` per pair (the flag
+    and then each value for a several-value flag), the bare flag for a true
+    boolean, nothing for a false one.
+
+    Each value first goes through the flag's own conversion and action, so a
+    bad file is an input error rather than a usage error.
+    """
+    actions = {a.dest: a for a in subparser._actions if a.option_strings}
+    tokens = []
     for key, text in mapping.items():
         if key in ("help", "config"):
             raise ValueError(f"config key {key!r} is not settable from a file")
         action = actions.get(key)
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
+        flag = action.option_strings[0]
         if action.nargs == 0:
-            value = text.lower() in ("1", "true", "yes", "on")
-        elif isinstance(action.nargs, int) and action.nargs > 1:
-            parts = text.split()
-            if len(parts) != action.nargs:
-                raise ValueError(
-                    f"config key {key!r} needs {action.nargs} values")
-            conv = action.type or str
-            value = [conv(p) for p in parts]
-        else:
-            value = (action.type or str)(text)
-        action.required = False  # the config supplies it
-        subparser.set_defaults(**{key: value})
+            if text.lower() in ("1", "true", "yes", "on"):
+                tokens.append(flag)
+            continue
+        parts = [text] if action.nargs is None else text.split()
+        if action.nargs is not None and len(parts) != action.nargs:
+            raise ValueError(f"config key {key!r} needs {action.nargs} values")
+        action(subparser, argparse.Namespace(),
+               subparser._get_values(action, parts), flag)
+        # argparse reads a token such as -1e-3 as a flag: "--key=VALUE"
+        # keeps a single value whole, and a leading space (which int() and
+        # float() ignore) marks each of several values as a value
+        tokens += ([f"{flag}={text}"] if action.nargs is None
+                   else [flag, *(" " + p for p in parts)])
+    return tokens
 
 
-def _preapply_config(argv, registry):
-    """Fold ``--config FILE`` into the target subparser's defaults.
-
-    Runs before parse_args so explicit command-line flags still override
-    whatever the file sets.
-    """
+def _expand_config(argv, registry):
+    """Splice ``--config FILE`` in as argv tokens right after the command
+    path, so explicit flags, parsed later, still win over the file."""
     cfg_path = None
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
@@ -227,19 +245,13 @@ def _preapply_config(argv, registry):
             cfg_path = tok.split("=", 1)[1]
             break
     if cfg_path is None:
-        return
-    path = ()
-    for tok in argv:
-        if tok.startswith("-"):
-            break
-        path += (tok,)
-        if len(path) == 2:
-            break
-    while path and path not in registry:
-        path = path[:-1]
-    if not path:
-        return  # let argparse produce the usage error
-    _apply_config(registry[path], _read_config(cfg_path))
+        return argv
+    for n in (2, 1):
+        if tuple(argv[:n]) in registry:
+            tokens = _config_tokens(registry[tuple(argv[:n])],
+                                    _read_config(cfg_path))
+            return argv[:n] + tokens + argv[n:]
+    return argv  # no command: let argparse produce the usage error
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +478,7 @@ def cmd_energy_dist(args):
         values_out = values * normalizer.scale
     else:
         grid_out, values_out = grid, values
-    _emit_csv(("E", "P"),
-              [(float(e), float(p)) for e, p in zip(grid_out, values_out)],
-              args.out)
+    _emit_csv(("E", "P"), np.column_stack((grid_out, values_out)), args.out)
 
     if args.sidecar is not None:
         if normalizer is None:
@@ -540,10 +550,14 @@ def cmd_leakage(args):
     integral = None
     if args.gaussian is not None:
         # A smooth source admits the integral form of the estimate too.
-        from scipy import stats
+        import numpy as np
 
         mean, sigma = args.gaussian
-        density = stats.norm(loc=mean, scale=sigma).pdf
+
+        def density(e):
+            z = (e - mean) / sigma
+            return np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi) / sigma
+
         integral = float(leak_prob_integral(
             density, setup, e_max=min(1.0, mean + 8 * sigma)))
     diagnosis = diagnose_leakage(measure, args.k, args.reps,
@@ -560,34 +574,36 @@ def cmd_leakage(args):
     return EXIT_OK
 
 
-def _posterior_csv(result, path):
-    _emit_csv(("E", "weight"), result.posterior.levels.tolist(), path)
-
-
-def cmd_refine_cqpe(args):
+def _emit_refinement(report, result, args):
+    """Shared tail of the refine commands: the posterior summary, its weight
+    at or below --et, the --posterior-out CSV, then the JSON report."""
     from .qpestats import cdf_below
-    from .refine import coarse_qpe_postselect
 
-    measure = _load_measure(args)
-    result = coarse_qpe_postselect(measure, args.k, set(args.accept))
-    report = {
-        "k": args.k,
-        "accepted": sorted({x % 2 ** args.k for x in args.accept}),
-        "success_prob": float(result.success_prob),
-        "query_cost": result.query_cost,
-        "posterior_mean": float(result.posterior.mean()),
-    }
+    report.update(success_prob=float(result.success_prob),
+                  query_cost=result.query_cost,
+                  posterior_mean=float(result.posterior.mean()))
     if args.et is not None:
         report["p_below_target"] = float(
             cdf_below(result.posterior, args.et))
     if args.posterior_out is not None:
-        _posterior_csv(result, args.posterior_out)
+        _emit_csv(("E", "weight"), result.posterior.levels,
+                  args.posterior_out)
     _emit_json(report, args)
     return EXIT_OK
 
 
+def cmd_refine_cqpe(args):
+    from .refine import coarse_qpe_postselect
+
+    measure = _load_measure(args)
+    result = coarse_qpe_postselect(measure, args.k, set(args.accept))
+    return _emit_refinement(
+        {"k": args.k,
+         "accepted": sorted({x % 2 ** args.k for x in args.accept})},
+        result, args)
+
+
 def cmd_refine_qetu(args):
-    from .qpestats import cdf_below
     from .refine import (qetu_angle_map, qetu_filter, qetu_params,
                          symmetric_filter)
 
@@ -600,23 +616,10 @@ def cmd_refine_qetu(args):
                               zeta=args.zeta)
     poly = symmetric_filter(k_steep, mu, args.degree)
     result = qetu_filter(measure, poly, angle_map=angle_map)
-    report = {
-        "el": args.el,
-        "eu": args.eu,
-        "degree": args.degree,
-        "mu": float(mu),
-        "k_steep": float(k_steep),
-        "success_prob": float(result.success_prob),
-        "query_cost": result.query_cost,
-        "posterior_mean": float(result.posterior.mean()),
-    }
-    if args.et is not None:
-        report["p_below_target"] = float(
-            cdf_below(result.posterior, args.et))
-    if args.posterior_out is not None:
-        _posterior_csv(result, args.posterior_out)
-    _emit_json(report, args)
-    return EXIT_OK
+    return _emit_refinement(
+        {"el": args.el, "eu": args.eu, "degree": args.degree,
+         "mu": float(mu), "k_steep": float(k_steep)},
+        result, args)
 
 
 def cmd_refine_case_study(args):
@@ -651,26 +654,36 @@ def cmd_reproduce(args):
 # Parser construction and dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """Return ``(parser, registry)``, registry mapping each command path to
+    its subparser.  Built once per process: nothing modifies either after
+    this returns (``--config`` becomes argv tokens instead)."""
     parser = argparse.ArgumentParser(
         prog="qprep",
         description="Sum-of-Slaters / MPS state preparation toolkit: "
                     "compression, cost models, CI Hamiltonians, encoding "
                     "simulation, energy distributions and refinement.")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    groups = {(): parser.add_subparsers(dest="command", metavar="COMMAND")}
     registry = {}
 
-    def add(name, handler, help_text, measure=False, out=True):
-        sp = sub.add_parser(name, help=help_text, description=help_text)
-        registry[(name,)] = sp
-        if handler is not None:
+    def add(path, handler, help_text, description=None, measure=False,
+            out=True):
+        """Register the command ``path``; without a handler it is a group
+        whose subcommands are added under ``path`` too."""
+        sp = groups[path[:-1]].add_parser(
+            path[-1], help=help_text, description=description or help_text)
+        registry[path] = sp
+        if handler is None:
+            groups[path] = sp.add_subparsers(dest="mode", metavar="MODE")
+        else:
             sp.set_defaults(handler=handler)
             if measure:
                 _add_measure_args(sp)
             _add_common(sp, out=out)
         return sp
 
-    sp = add("compress", cmd_compress,
+    sp = add(("compress",), cmd_compress,
              "GF(2) signature compression of determinant bitstrings")
     sp.add_argument("--input", required=True, metavar="FILE",
                     help="one occupation bitstring per line")
@@ -679,7 +692,7 @@ def build_parser():
                          "search, that the kernel avoids every substring "
                          "and every pairwise difference")
 
-    sp = add("estimate-cost", cmd_estimate_cost,
+    sp = add(("estimate-cost",), cmd_estimate_cost,
              "Toffoli/qubit cost sweep for the encoding methods")
     sp.add_argument("--n-spatial", type=_positive_int, required=True,
                     metavar="N", help="spatial orbital count")
@@ -697,14 +710,12 @@ def build_parser():
     sp.add_argument("--n-sites", type=_positive_int, metavar="L",
                     help="MPS site count (default: one per spatial orbital)")
 
-    sp = add("ham", None, "CI Hamiltonian construction")
-    ham_sub = sp.add_subparsers(dest="mode", metavar="MODE")
-    sp = ham_sub.add_parser(
-        "build", help="build a sector CI matrix from an FCIDUMP file",
-        description="Parse an FCIDUMP file and assemble the dense CI matrix "
-                    "of one (n_alpha, n_beta) sector.")
-    registry[("ham", "build")] = sp
-    sp.set_defaults(handler=cmd_ham_build)
+    add(("ham",), None, "CI Hamiltonian construction")
+    sp = add(("ham", "build"), cmd_ham_build,
+             "build a sector CI matrix from an FCIDUMP file",
+             description="Parse an FCIDUMP file and assemble the dense CI "
+                         "matrix of one (n_alpha, n_beta) sector.",
+             out=False)
     sp.add_argument("--fcidump", required=True, metavar="FILE")
     sp.add_argument("--na", type=_nonnegative_int, required=True,
                     help="alpha electrons")
@@ -715,9 +726,8 @@ def build_parser():
     sp.add_argument("--dim-cap", type=_positive_int, default=4096,
                     metavar="N",
                     help="refuse sectors larger than this (default 4096)")
-    _add_common(sp, out=False)
 
-    sp = add("convert", cmd_convert,
+    sp = add(("convert",), cmd_convert,
              "convert between sum-of-Slaters and MPS state files",
              out=False)
     sp.add_argument("--input", required=True, metavar="FILE")
@@ -733,14 +743,14 @@ def build_parser():
     sp.add_argument("--term-budget", type=_positive_int, default=1_000_000,
                     help="refuse extractions beyond this many terms")
 
-    sp = add("simulate-encode", cmd_simulate_encode,
+    sp = add(("simulate-encode",), cmd_simulate_encode,
              "simulate the enumeration-register encoding of a state")
     sp.add_argument("--sos", required=True, metavar="FILE",
                     help="sum-of-Slaters JSON input")
     sp.add_argument("--report", metavar="FILE",
                     help="write the JSON report here (default stdout)")
 
-    sp = add("energy-dist", cmd_energy_dist,
+    sp = add(("energy-dist",), cmd_energy_dist,
              "energy distribution of a state: moment series, resolvent "
              "(Lorentzian-broadened exact measure), or sampled coarse "
              "readout", measure=True)
@@ -764,7 +774,7 @@ def build_parser():
     sp.add_argument("--sidecar", metavar="FILE",
                     help="write moments/cumulants JSON here")
 
-    sp = add("qpe-stats", cmd_qpe_stats,
+    sp = add(("qpe-stats",), cmd_qpe_stats,
              "exact k-digit readout statistics of a spectrum", measure=True)
     sp.add_argument("--k", type=_positive_int, required=True,
                     help="readout digits")
@@ -775,7 +785,7 @@ def build_parser():
     sp.add_argument("--full", action="store_true",
                     help="include the full outcome table")
 
-    sp = add("goldilocks", cmd_goldilocks,
+    sp = add(("goldilocks",), cmd_goldilocks,
              "classify a target energy as easy / Goldilocks / out of reach",
              measure=True)
     sp.add_argument("--et", type=_finite_float, required=True, metavar="E",
@@ -788,7 +798,7 @@ def build_parser():
                     help="single-shot hit probability above which the "
                          "target counts as easy, in (0, 1] (default 0.5)")
 
-    sp = add("leakage", cmd_leakage,
+    sp = add(("leakage",), cmd_leakage,
              "probability of readouts below the tolerated-error window",
              measure=True)
     sp.add_argument("--k", type=_positive_int, required=True,
@@ -803,16 +813,12 @@ def build_parser():
                     help="readout/energy CDF ratio that raises the flag, "
                          "> 0 (default 2)")
 
-    sp = add("refine", None, "posterior refinement of a prepared state")
-    ref_sub = sp.add_subparsers(dest="mode", metavar="MODE")
-
-    sp = ref_sub.add_parser(
-        "cqpe", help="postselect on accepted coarse-readout outcomes",
-        description="Bayesian update of the spectrum after postselecting "
-                    "a set of k-digit readout outcomes.")
-    registry[("refine", "cqpe")] = sp
-    sp.set_defaults(handler=cmd_refine_cqpe)
-    _add_measure_args(sp)
+    add(("refine",), None, "posterior refinement of a prepared state")
+    sp = add(("refine", "cqpe"), cmd_refine_cqpe,
+             "postselect on accepted coarse-readout outcomes",
+             description="Bayesian update of the spectrum after "
+                         "postselecting a set of k-digit readout outcomes.",
+             measure=True)
     sp.add_argument("--k", type=_positive_int, required=True,
                     help="readout digits")
     sp.add_argument("--accept", type=_int_list, required=True,
@@ -821,16 +827,13 @@ def build_parser():
                     help="also report posterior weight at or below E")
     sp.add_argument("--posterior-out", metavar="FILE",
                     help="write the posterior levels as CSV")
-    _add_common(sp)
 
-    sp = ref_sub.add_parser(
-        "qetu", help="apply an erf-style symmetric filter window",
-        description="Filter the spectrum with a Chebyshev approximation of "
-                    "a symmetric erf window over [el, eu], mapped onto the "
-                    "QETU angle interval.")
-    registry[("refine", "qetu")] = sp
-    sp.set_defaults(handler=cmd_refine_qetu)
-    _add_measure_args(sp)
+    sp = add(("refine", "qetu"), cmd_refine_qetu,
+             "apply an erf-style symmetric filter window",
+             description="Filter the spectrum with a Chebyshev approximation "
+                         "of a symmetric erf window over [el, eu], mapped "
+                         "onto the QETU angle interval.",
+             measure=True)
     sp.add_argument("--el", type=_finite_float, required=True,
                     help="window lower edge (readout frame)")
     sp.add_argument("--eu", type=_finite_float, required=True,
@@ -848,21 +851,17 @@ def build_parser():
                     help="also report posterior weight at or below E")
     sp.add_argument("--posterior-out", metavar="FILE",
                     help="write the posterior levels as CSV")
-    _add_common(sp)
 
-    sp = ref_sub.add_parser(
-        "case-study", help="run the bundled Gaussian refinement case study",
-        description="Re-derive the twelve reference numbers of the bundled "
-                    "Gaussian refinement walkthrough and report each "
-                    "comparison.")
-    registry[("refine", "case-study")] = sp
-    sp.set_defaults(handler=cmd_refine_case_study)
+    sp = add(("refine", "case-study"), cmd_refine_case_study,
+             "run the bundled Gaussian refinement case study",
+             description="Re-derive the twelve reference numbers of the "
+                         "bundled Gaussian refinement walkthrough and report "
+                         "each comparison.")
     sp.add_argument("--n-levels", type=_capped_count, default=4096,
                     metavar="N",
                     help="discretization levels, at most 2^20 (default 4096)")
-    _add_common(sp)
 
-    sp = add("reproduce", cmd_reproduce,
+    sp = add(("reproduce",), cmd_reproduce,
              "re-derive every headline number and print pass/fail lines")
     sp.add_argument("--h6", metavar="FCIDUMP",
                     help="also run the six-orbital chain protocol on this "
@@ -879,8 +878,8 @@ def dispatch(argv=None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        _preapply_config(argv, registry)
-    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+        argv = _expand_config(argv, registry)
+    except (OSError, ValueError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

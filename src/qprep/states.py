@@ -219,21 +219,33 @@ def mps_to_statevector(state):
 # Canonical form and truncation
 # ---------------------------------------------------------------------------
 
-def _sweep_to_left_form(tensors):
-    """Right-to-left SVD sweep making sites 1..N-1 row isometries.
+def _sweep_to_left_form(tensors, chi_max=None):
+    """Right-to-left SVD sweep making sites 1..N-1 row isometries; returns
+    ``(tensors, fidelity)``.
 
-    The represented vector is preserved exactly; the norm (and any global
-    phase) accumulates in the site-0 tensor.  Exact rank deficiencies shrink
-    the bonds.
+    Without ``chi_max`` the represented vector is preserved exactly and the
+    fidelity is 1; the norm (and any global phase) accumulates in the
+    site-0 tensor, and exact rank deficiencies shrink the bonds.  With it,
+    each bond keeps at most ``chi_max`` singular values, rescaled to keep
+    the norm, and the fidelity is the product of the retained weight
+    fractions.  Those are Schmidt weights only if sites 0..N-2 enter as
+    column isometries (physical and left bond indices summed).
     """
     ts = [t.copy() for t in tensors]
+    fidelity = 1.0
     for j in range(len(ts) - 1, 0, -1):
         chi_l, d, chi_r = ts[j].shape
         u, s, vh = np.linalg.svd(ts[j].reshape(chi_l, d * chi_r),
                                  full_matrices=False)
-        ts[j] = vh.reshape(-1, d, chi_r)
-        ts[j - 1] = np.tensordot(ts[j - 1], u * s, axes=(2, 0))
-    return ts
+        kept = s[:chi_max]
+        total = float(np.sum(s ** 2))
+        frac = float(np.sum(kept ** 2)) / total if total > 0.0 else 1.0
+        fidelity *= frac
+        ts[j] = vh[:chi_max].reshape(-1, d, chi_r)
+        ts[j - 1] = np.tensordot(ts[j - 1],
+                                 u[:, :chi_max] * (kept / np.sqrt(frac)),
+                                 axes=(2, 0))
+    return ts, fidelity
 
 
 def left_canonicalize(state):
@@ -242,43 +254,31 @@ def left_canonicalize(state):
     The statevector is unchanged (up to floating-point roundoff — no gauge
     phase is introduced beyond what the SVD fixes internally).
     """
-    return MpsState(_sweep_to_left_form(state.tensors),
+    return MpsState(_sweep_to_left_form(state.tensors)[0],
                     state.local_dim, canonical_form="left")
 
 
 def compress_mps(state, chi_max):
     """Truncate bond dimensions; returns ``(compressed, fidelity)``.
 
-    A left-to-right sweep of singular value truncations, each performed on a
-    genuine Schmidt spectrum of the current state, so the reported fidelity
-    |<out|in>|^2 (norm-independent) is exactly the product over bonds of the
-    retained Schmidt weight fractions.  Keeps at most ``chi_max`` values per
-    bond.  The output is renormalized to the input norm and returned in
+    A left-to-right QR sweep makes sites 0..N-2 column isometries, so the
+    one truncating right-to-left SVD sweep cuts genuine Schmidt spectra of
+    the current state and the reported fidelity |<out|in>|^2
+    (norm-independent) is exactly the product over bonds of the retained
+    Schmidt weight fractions.  Keeps at most ``chi_max`` values per bond.
+    The output is renormalized to the input norm and returned in
     left-canonical form.
     """
     if chi_max < 1:
         raise ValueError("chi_max must be at least 1")
-    ts = _sweep_to_left_form(state.tensors)
-    fidelity = 1.0
-    carry = None
+    ts = list(state.tensors)
     for j in range(len(ts) - 1):
-        t = ts[j] if carry is None else np.tensordot(carry, ts[j], axes=(1, 0))
-        chi_l, d, chi_r = t.shape
-        u, s, vh = np.linalg.svd(t.reshape(chi_l * d, chi_r),
-                                 full_matrices=False)
-        keep = min(len(s), chi_max)
-        total = float(np.sum(s ** 2))
-        retained = float(np.sum(s[:keep] ** 2))
-        frac = retained / total if total > 0.0 else 1.0
-        fidelity *= frac
-        s_kept = s[:keep] / np.sqrt(frac) if frac > 0.0 else s[:keep]
-        ts[j] = u[:, :keep].reshape(chi_l, d, keep)
-        carry = s_kept[:, None] * vh[:keep]
-    if carry is not None:
-        ts[-1] = np.tensordot(carry, ts[-1], axes=(1, 0))
-    out = MpsState(_sweep_to_left_form(ts), state.local_dim,
-                   canonical_form="left")
-    return out, fidelity
+        chi_l, d, chi_r = ts[j].shape
+        q, r = np.linalg.qr(ts[j].reshape(chi_l * d, chi_r))
+        ts[j] = q.reshape(chi_l, d, -1)
+        ts[j + 1] = np.tensordot(r, ts[j + 1], axes=(1, 0))
+    ts, fidelity = _sweep_to_left_form(ts, chi_max)
+    return MpsState(ts, state.local_dim, canonical_form="left"), fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def mps_to_sos(state, threshold, term_budget=1_000_000):
     if not 0.0 <= threshold < np.inf:
         raise ValueError("threshold must be finite and nonnegative")
     ts = (state.tensors if state.canonical_form == "left"
-          else _sweep_to_left_form(state.tensors))
+          else _sweep_to_left_form(state.tensors)[0])
     n = len(ts)
     found = []
     prefix = []

@@ -313,6 +313,10 @@ def test_bad_threads_are_rejected(capsys, monkeypatch):
 # Config files
 # ---------------------------------------------------------------------------
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_config_file_supplies_required_flags(tmp_path, capsys):
     cfg = tmp_path / "refine.cfg"
     cfg.write_text("k = 4\naccept = 0\n")
@@ -320,6 +324,9 @@ def test_config_file_supplies_required_flags(tmp_path, capsys):
                                "--config", str(cfg)])
     assert report["k"] == 4
     assert report["accepted"] == [0]
+    # the shared parser took none of it: both flags are required again
+    assert cli.dispatch(["refine", "cqpe", *GAUSSIAN]) == cli.EXIT_USAGE
+    assert "--k, --accept" in capsys.readouterr().err
 
 
 def test_explicit_flags_override_the_config(tmp_path, capsys):
@@ -346,6 +353,33 @@ def test_config_handles_multivalue_and_boolean_keys(tmp_path, capsys):
     report = run_json(capsys, ["qpe-stats", "--config", str(cfg)])
     assert report["k"] == 4
     assert len(report["distribution"]) == 16
+
+
+def test_config_false_boolean_and_signed_value(tmp_path, capsys):
+    cfg = tmp_path / "stats.cfg"
+    cfg.write_text("gaussian = -1e-3 0.02\nk = 4\nfull = no\n"
+                   "target = -1e-3\n")
+    report = run_json(capsys, ["qpe-stats", "--config", str(cfg)])
+    assert "distribution" not in report
+    assert report == run_json(capsys, ["qpe-stats", "--gaussian", "-0.001",
+                                       "0.02", "--k", "4", "--target=-1e-3"])
+
+
+@pytest.mark.parametrize("line", [
+    "gaussian = 0.06",           # two values needed
+    "gaussian = 0.06 -0.01",     # refused by the flag's action
+    "method = exact",            # not one of the choices
+    "help = 1",
+])
+def test_config_value_refused_by_its_flag_is_an_input_error(
+        tmp_path, capsys, line):
+    # a later line replaces the earlier value of its key
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"gaussian = 0.06 0.02\nmethod = series\n{line}\n")
+    code = cli.dispatch(["energy-dist", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

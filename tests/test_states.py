@@ -253,6 +253,23 @@ def test_compress_fidelity_monotone_in_chi():
         assert lo <= hi + 1e-12
 
 
+def test_compress_takes_one_svd_per_bond(monkeypatch):
+    # a QR sweep puts the left sites in column form first, so the one
+    # truncating sweep cuts each bond with a single SVD
+    m = random_mps(np.random.default_rng(17), [4, 8, 8, 4, 2], d=4)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **kw: calls.append(a[0].shape)
+                        or svd(*a, **kw))
+    out, fid = compress_mps(m, chi_max=3)
+    assert len(calls) == m.n_sites - 1
+    assert max(out.bond_dims) <= 3
+    assert normalized_fidelity(mps_to_statevector(out),
+                               mps_to_statevector(m)) == pytest.approx(
+        fid, abs=1e-10)
+
+
 def test_compress_to_product_state():
     # GHZ-like state: sequential truncation reaches the true best product
     # state, whose fidelity is the dominant weight.
