@@ -233,25 +233,41 @@ def _config_tokens(subparser, mapping):
     return tokens
 
 
+def _config_path(args, options):
+    """The FILE argparse reads for ``--config`` in ``args``: the flag as
+    given, with ``=FILE``, or as any prefix that names no other option
+    (``--conf``)."""
+    for i, tok in enumerate(args):
+        if tok == "--":
+            break
+        flag, eq, value = tok.partition("=")
+        if not flag.startswith("--"):
+            continue
+        if flag not in options:
+            matches = [o for o in options if o.startswith(flag)]
+            if len(matches) != 1:
+                continue
+            flag = matches[0]
+        if flag == "--config":
+            return value if eq else (args[i + 1] if i + 1 < len(args)
+                                     else None)
+    return None
+
+
 def _expand_config(argv, registry):
     """Splice ``--config FILE`` in as argv tokens right after the command
     path, so explicit flags, parsed later, still win over the file."""
-    cfg_path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            cfg_path = argv[i + 1]
+    for n in (2, 1):
+        subparser = registry.get(tuple(argv[:n]))
+        if subparser is not None:
             break
-        if tok.startswith("--config="):
-            cfg_path = tok.split("=", 1)[1]
-            break
+    else:
+        return argv  # no command: let argparse produce the usage error
+    cfg_path = _config_path(argv[n:], subparser._option_string_actions)
     if cfg_path is None:
         return argv
-    for n in (2, 1):
-        if tuple(argv[:n]) in registry:
-            tokens = _config_tokens(registry[tuple(argv[:n])],
-                                    _read_config(cfg_path))
-            return argv[:n] + tokens + argv[n:]
-    return argv  # no command: let argparse produce the usage error
+    return argv[:n] + _config_tokens(subparser, _read_config(cfg_path)) \
+        + argv[n:]
 
 
 # ---------------------------------------------------------------------------

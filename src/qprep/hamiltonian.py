@@ -233,7 +233,7 @@ class DenseHamiltonian:
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("non-finite matrix entry")
         if self.entries.size:
-            dev = np.max(np.abs(self.entries - self.entries.conj().T))
+            dev = np.max(np.abs(self.entries - _adjoint(self.entries)))
             # relative to the largest entry, so the test reads the same in
             # Hartree and in the normalized frame
             if dev >= HERMITICITY_TOL * max(1.0, np.max(np.abs(self.entries))):
@@ -253,12 +253,132 @@ class DenseHamiltonian:
         return self.entries.shape[0]
 
     def eigensystem(self):
-        """Ascending eigenvalues and the matching eigenvector columns; one
-        ``eigh`` per object, on first use, unless they were handed in."""
+        """Ascending eigenvalues and the matching eigenvector columns,
+        solved once per object, on first use, unless they were handed in.
+
+        A real matrix that commutes with the spin flip of its labels (every
+        n_alpha = n_beta sector of a spin-free Hamiltonian) is solved as its
+        even and odd block, one ``eigh`` each; any other as one block, by
+        one ``eigh`` of ``entries``.
+        """
         if self.eigen is None:
-            self.eigen = tuple(_read_only(a)
-                               for a in np.linalg.eigh(self.entries))
+            eigen = _flip_blocked_eigh(self.entries, self.basis_labels)
+            if eigen is None:
+                eigen = np.linalg.eigh(self.entries)
+            self.eigen = tuple(_read_only(a) for a in eigen)
         return self.eigen
+
+
+def _spin_flip(labels):
+    """The spin flip P on a basis of occupation-string labels.
+
+    P swaps the alpha (2p) and beta (2p+1) bit of each orbital.  Putting the
+    creators back into the interleaved order of :func:`build_ci_matrix`
+    swaps one pair per doubly occupied orbital, so P e_i = sign_i
+    e_partner_i with sign_i = (-1)^(doubly occupied orbitals of i).
+    Returns ``(partner, sign)``, or None unless the labels are distinct
+    0/1 strings of one even length, closed under the flip.
+    """
+    if not labels:
+        return None
+    codes = np.asarray(labels, dtype=str)
+    n, width = codes.shape[0], codes.dtype.itemsize // 4
+    chars = codes.view(np.uint32).reshape(n, width)
+    if width % 2 or not np.all((chars == ord("0")) | (chars == ord("1"))):
+        return None
+    flipped = chars.reshape(n, -1, 2)[:, :, ::-1].reshape(n, width)
+    flipped = np.ascontiguousarray(flipped).view(codes.dtype).ravel()
+    order = np.argsort(codes)
+    partner = order[np.searchsorted(codes, flipped, sorter=order)
+                    .clip(max=n - 1)]
+    ranked = codes[order]
+    if np.any(ranked[1:] == ranked[:-1]) or \
+            not np.array_equal(codes[partner], flipped):
+        return None
+    bits = chars - ord("0")
+    doubles = np.sum(bits[:, 0::2] & bits[:, 1::2], axis=1)
+    return partner, np.where(doubles & 1, -1.0, 1.0)
+
+
+def _flip_blocked_eigh(entries, labels):
+    """``eigh`` of a real ``entries`` as the even and odd block of the spin
+    flip P of ``labels``, or None (one block) unless max |P H P^T - H| <=
+    ``HERMITICITY_TOL`` max(1, max |H_ij|) and both blocks are non-empty.
+
+    Each orbit of P gives one basis vector per parity it supports: a pair
+    i < j = partner_i gives (e_i +- sign_i e_j) / sqrt 2, a fixed point e_i
+    to the block of parity sign_i.  The representatives ``a`` list the even
+    fixed points, the pairs, then the odd fixed points, so the even block is
+    the leading and the odd block the trailing rows and columns.  The
+    levels are merged in ascending order (a tie puts the even level first),
+    and each block's vectors go straight into one n x n array.
+    """
+    flip = _spin_flip(labels) if entries.dtype.kind == "f" else None
+    if flip is None:
+        return None
+    partner, sign = flip
+    idx = np.arange(entries.shape[0])
+    fixed = partner == idx
+    even_fixed, pairs = idx[fixed & (sign > 0)], idx[idx < partner]
+    a = np.concatenate((even_fixed, pairs, idx[fixed & (sign < 0)]))
+    b, s = partner[a], sign[a]
+    lo, hi = len(even_fixed), len(even_fixed) + len(pairs)
+    if hi == 0 or lo == len(a):
+        return None
+    # The four quadrants cover every entry, and with S = diag(s) the
+    # deviation P H P^T - H reads S H_bb S - H_aa and S H_ba S - H_ab there.
+    h_aa = entries[np.ix_(a, a)]
+    h_bb = entries[np.ix_(b, b)] * np.outer(s, s)
+    h_ab = entries[np.ix_(a, b)] * s
+    h_ba = s[:, None] * entries[np.ix_(b, a)]
+    size = max(np.max(np.abs(q)) for q in (h_aa, h_bb, h_ab, h_ba))
+    dev = max(np.max(np.abs(h_bb - h_aa)), np.max(np.abs(h_ba - h_ab)))
+    if not dev <= HERMITICITY_TOL * max(1.0, size):
+        return None
+    # U^T H U over the orbit vectors (e_a + pi S e_b) / sqrt 2 of parity pi
+    # is 1/2 (H_aa + S H_bb S + pi (H_ab S + S H_ba)) between pairs; a
+    # fixed point's vector is e_a, half of e_a + e_b, so its rows and
+    # columns take another 1/sqrt 2.
+    h_aa += h_bb
+    h_ab += h_ba
+    del h_bb, h_ba
+    even = h_aa + h_ab
+    odd = h_aa
+    odd -= h_ab
+    del h_ab
+    scale = np.full(len(a), math.sqrt(0.5))
+    scale[lo:hi] = 1.0
+    solved = []
+    for parity, mat, first, last in ((1.0, even, 0, hi),
+                                     (-1.0, odd, lo, len(a))):
+        block = mat[first:last, first:last]
+        block *= 0.5
+        block *= scale[first:last, None]
+        block *= scale[first:last]
+        solved.append((parity, first) + tuple(np.linalg.eigh(block)))
+    del even, odd, block
+    levels = np.concatenate([evals for _, _, evals, _ in solved])
+    order = np.argsort(levels, kind="stable")
+    dest = np.empty(len(levels), dtype=np.intp)
+    dest[order] = np.arange(len(levels))
+    evecs = np.zeros((len(levels),) * 2, dtype=solved[0][3].dtype)
+    done = 0
+    for parity, first, evals, vecs in solved:
+        cols = dest[done:done + len(evals)]
+        done += len(evals)
+        # x = U y: e_a takes y / sqrt 2 for a pair and y for a fixed point,
+        # the pair partner e_b takes parity s y / sqrt 2
+        rows = slice(first, first + len(evals))
+        evecs[np.ix_(a[rows], cols)] = \
+            vecs * (math.sqrt(0.5) / scale[rows])[:, None]
+        evecs[np.ix_(b[lo:hi], cols)] = vecs[lo - first:hi - first] \
+            * (parity * math.sqrt(0.5) * s[lo:hi])[:, None]
+    return levels[order], evecs
+
+
+def _adjoint(a):
+    """a^H: a view of a real ``a``, whose conj() would be a full copy."""
+    return a.T.conj() if np.iscomplexobj(a) else a.T
 
 
 def _read_only(a):
@@ -293,7 +413,7 @@ def _check_eigensystem(entries, evals, evecs):
     size = np.linalg.norm(x)
     pair_res = np.linalg.norm(entries @ vx - evecs @ (evals * x)) \
         / (max(1.0, np.max(np.abs(entries))) * size)
-    basis_res = np.linalg.norm(evecs.conj().T @ vx - x) / size
+    basis_res = np.linalg.norm(_adjoint(evecs) @ vx - x) / size
     if not max(pair_res, basis_res) <= EIGEN_PROBE_TOL:
         raise ValueError("eigensystem does not match the matrix (probe "
                          "residuals %.3g, %.3g)" % (pair_res, basis_res))
@@ -482,13 +602,16 @@ def save_hamiltonian(h, path):
 
 
 def load_hamiltonian(path):
-    """Inverse of :func:`save_hamiltonian`.  An npz without the eigensystem
+    """Inverse of :func:`save_hamiltonian`.  A CSV stays real unless an
+    entry has a nonzero imaginary part.  An npz without the eigensystem
     arrays (an older file) is diagonalized on first use; one whose stored
     eigensystem does not fit the matrix is refused, naming the file."""
     try:
         if str(path).endswith(".csv"):
-            return DenseHamiltonian(np.loadtxt(path, delimiter=",",
-                                               dtype=complex))
+            entries = np.loadtxt(path, delimiter=",", dtype=complex)
+            if not entries.imag.any():
+                entries = np.ascontiguousarray(entries.real)
+            return DenseHamiltonian(entries)
         with open(path, "rb") as f:
             data = np.load(f, allow_pickle=False)
             labels = [str(x) for x in data["basis_labels"]] or None

@@ -168,11 +168,18 @@ def exact_spectral_measure(h, psi, margin=None):
     if margin is not None:
         normalizer = spectrum_normalizer(evals[0], evals[-1], margin)
         evals = normalizer.apply(evals)
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.asarray(psi)
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise ValueError("cannot take the measure of the zero state")
-    ps = np.abs(evecs.conj().T @ (psi / nrm)) ** 2
+    psi = psi / nrm
+    if np.iscomplexobj(evecs):
+        ps = np.abs(evecs.conj().T @ psi) ** 2
+    else:
+        # real V: |V^T psi|^2 = (V^T Re psi)^2 + (V^T Im psi)^2, one real
+        # product instead of a complex copy of V
+        parts = evecs.T @ np.column_stack((psi.real, psi.imag))
+        ps = np.sum(parts * parts, axis=1)
     return SpectralMeasure(np.column_stack((evals, ps)), normalizer)
 
 

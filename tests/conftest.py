@@ -28,15 +28,30 @@ def recorded_checks(monkeypatch, acceptance_result):
         for check in acceptance.CHECKS))
 
 
+class _Solves(list):
+    """Solver names in call order; ``dims`` holds each call's matrix
+    order."""
+
+    def __init__(self):
+        super().__init__()
+        self.dims = []
+
+    def clear(self):
+        super().clear()
+        self.dims.clear()
+
+
 @pytest.fixture
 def eigensolves(monkeypatch):
     """The names of the dense eigensolvers (``np.linalg.eigh`` and
-    ``eigvalsh``) called during the test, in call order."""
-    calls = []
+    ``eigvalsh``) called during the test, in call order, and the order of
+    each call's matrix in ``.dims``."""
+    calls = _Solves()
     for name in ("eigh", "eigvalsh"):
-        def counted(*args, _name=name, _solve=getattr(np.linalg, name),
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name),
                     **kwargs):
             calls.append(_name)
-            return _solve(*args, **kwargs)
+            calls.dims.append(np.shape(a)[-1])
+            return _solve(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return calls

@@ -355,6 +355,30 @@ def test_config_handles_multivalue_and_boolean_keys(tmp_path, capsys):
     assert len(report["distribution"]) == 16
 
 
+@pytest.mark.parametrize("form", ["--conf FILE", "--conf=FILE",
+                                  "--c FILE", "--config=FILE"])
+def test_config_flag_prefix_reads_the_file(tmp_path, capsys, form):
+    # argparse takes any unambiguous prefix for --config, and so does the
+    # splice of the file
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("full = yes\n")
+    argv = ["qpe-stats", *GAUSSIAN, "--k", "2"]
+    report = run_json(capsys, argv + form.replace("FILE", str(cfg)).split())
+    assert len(report["distribution"]) == 4
+    assert report == run_json(capsys, argv + ["--config", str(cfg)])
+
+
+def test_ambiguous_config_prefix_is_a_usage_error(tmp_path, capsys):
+    # estimate-cost has --chi-values and --config: argparse refuses --c,
+    # and the file (which would be an input error) is never read
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("bogus = 1\n")
+    code = cli.dispatch(["estimate-cost", "--d-values", "4", "--c",
+                         str(cfg)])
+    assert code == cli.EXIT_USAGE
+    assert "ambiguous" in capsys.readouterr().err
+
+
 def test_config_false_boolean_and_signed_value(tmp_path, capsys):
     cfg = tmp_path / "stats.cfg"
     cfg.write_text("gaussian = -1e-3 0.02\nk = 4\nfull = no\n"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -306,7 +308,9 @@ def test_saved_eigensystem_is_reused_and_old_files_still_load(tmp_path,
     legacy = ham.load_hamiltonian(old)
     assert legacy.eigen is None
     assert np.array_equal(legacy.eigensystem()[0], evals)
-    assert eigensolves == ["eigh"]
+    assert np.array_equal(legacy.eigensystem()[1], evecs)
+    # the (1,1) sector is solved as its two spin-flip blocks
+    assert eigensolves == ["eigh", "eigh"] and eigensolves.dims == [3, 6]
 
 
 def test_supplied_eigensystem_is_checked_against_the_matrix():
@@ -327,3 +331,114 @@ def test_supplied_eigensystem_is_checked_against_the_matrix():
             ((evals + 1e-6, evecs), "does not match")]:
         with pytest.raises(ValueError, match=reason):
             ham.DenseHamiltonian(a, eigen=eigen)
+
+
+# ---------------------------------------------------------------------------
+# Spin-flip blocks of the eigensolve
+# ---------------------------------------------------------------------------
+
+def _flip_matrix(labels):
+    """Dense P from the labels: P e_i = sign_i e_partner_i."""
+    partner, sign = ham._spin_flip(labels)
+    p = np.zeros((len(labels),) * 2)
+    p[partner, np.arange(len(labels))] = sign
+    return p
+
+
+@pytest.mark.parametrize("n_orb", [3, 4, 5])
+def test_spin_flip_sign_commutes_with_every_balanced_sector(n_orb):
+    # build_ci_matrix is pinned to the ladder oracle, so this pins the
+    # sign (-1)^(doubly occupied orbitals) of the flip as well
+    fd = _eightfold_fcidump(np.random.default_rng(500 + n_orb), n_orb)
+    for n_el in range(n_orb + 1):
+        dense = ham.build_ci_matrix(fd, n_el, n_el)
+        h = dense.entries
+        p = _flip_matrix(dense.basis_labels)
+        assert np.array_equal(p @ p, np.eye(dense.dim))
+        assert np.max(np.abs(p @ h @ p.T - h)) <= 1e-14 * np.max(np.abs(h))
+        if 0 < n_el < n_orb:
+            # the flip without its sign does not commute
+            q = np.abs(p)
+            assert np.max(np.abs(q @ h @ q.T - h)) > 1e-3
+
+
+def _balanced_sectors():
+    sectors = [(n_orb, n_el) for n_orb in (3, 4, 5)
+               for n_el in range(n_orb + 1)]
+    return sectors + [(6, 3), (8, 2)]
+
+
+def _cluster_sums(levels, weights, gap=1e-8):
+    starts = np.flatnonzero(np.diff(levels) >= gap) + 1
+    return np.add.reduceat(weights, np.concatenate(([0], starts)))
+
+
+@pytest.mark.parametrize("n_orb, n_el", _balanced_sectors())
+def test_blocked_eigensolve_matches_dense_eigh(n_orb, n_el, eigensolves):
+    from qprep.spectra import exact_spectral_measure
+
+    rng = np.random.default_rng(600 + 10 * n_orb + n_el)
+    dense = ham.build_ci_matrix(_eightfold_fcidump(rng, n_orb), n_el, n_el)
+    h = dense.entries
+    evals, evecs = dense.eigensystem()
+    # orbits: d fixed points of sign (-1)^n_el, (d^2 - d) / 2 pairs
+    d = math.comb(n_orb, n_el)
+    pairs, even_fixed = (d * d - d) // 2, d * (n_el % 2 == 0)
+    sizes = sorted(size for size in (pairs + even_fixed,
+                                     pairs + d - even_fixed) if size)
+    assert eigensolves == ["eigh"] * len(sizes)
+    assert sorted(eigensolves.dims) == sizes
+    eigensolves.clear()
+    ref_vals, ref_vecs = np.linalg.eigh(h)
+    size = max(1.0, np.max(np.abs(h)))
+    assert np.max(np.abs(evals - ref_vals)) <= 1e-12 * size
+    ham._check_eigensystem(h, evals, evecs)
+    psi = rng.normal(size=dense.dim) + 1j * rng.normal(size=dense.dim)
+    measure = exact_spectral_measure(dense, psi, margin=ham.SPECTRUM_MARGIN)
+    ref = np.abs(ref_vecs.T @ (psi / np.linalg.norm(psi))) ** 2
+    assert np.max(np.abs(_cluster_sums(ref_vals, measure.probs)
+                         - _cluster_sums(ref_vals, ref))) <= 1e-10
+
+
+def _one_block_cases():
+    fd = _eightfold_fcidump(np.random.default_rng(700), 4)
+    balanced = ham.build_ci_matrix(fd, 2, 2)
+    h, labels = balanced.entries, balanced.basis_labels
+    bump = np.zeros_like(h)
+    bump[3, 7] = bump[7, 3] = 1e-9 * np.max(np.abs(h))
+    return {
+        "broken flip symmetry": (h + bump, labels),
+        "labels not bit strings": (h, [lab.replace("1", "x")
+                                      for lab in labels]),
+        "odd label width": (h, [lab[:-1] for lab in labels]),
+        "complex entries": (h + 0j, labels),
+        "unequal spin counts": (lambda d: (d.entries, d.basis_labels))(
+            ham.build_ci_matrix(fd, 2, 1)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_one_block_cases()))
+def test_one_block_route_is_plain_eigh(case, eigensolves):
+    h, labels = _one_block_cases()[case]
+    evals, evecs = ham.DenseHamiltonian(h, labels).eigensystem()
+    assert eigensolves == ["eigh"] and eigensolves.dims == [len(h)]
+    eigensolves.clear()
+    ref_vals, ref_vecs = np.linalg.eigh(h)
+    assert np.array_equal(evals, ref_vals)
+    assert np.array_equal(evecs, ref_vecs)
+
+
+def test_csv_hamiltonian_stays_real_unless_an_entry_is_complex(tmp_path):
+    a = np.random.default_rng(11).normal(size=(4, 4))
+    real = tmp_path / "real.csv"
+    np.savetxt(real, a + a.T, delimiter=",")
+    back = ham.load_hamiltonian(real)
+    assert back.entries.dtype == np.float64
+    assert np.array_equal(back.entries, np.loadtxt(real, delimiter=","))
+    c = (a + a.T).astype(complex)
+    c[1, 2], c[2, 1] = c[1, 2] + 0.5j, c[2, 1] - 0.5j
+    cplx = tmp_path / "complex.csv"
+    np.savetxt(cplx, c, delimiter=",")
+    back = ham.load_hamiltonian(cplx)
+    assert back.entries.dtype == np.complex128
+    assert np.array_equal(back.entries, c)
