@@ -313,6 +313,9 @@ def _load_state_vector(path, dim):
     import numpy as np
 
     rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: amplitude row {bad[0] + 1} is not finite")
     if rows.shape[1] == 1:
         vec = rows[:, 0].astype(complex)
     elif rows.shape[1] == 2:

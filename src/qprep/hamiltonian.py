@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import io
 import math
+import zipfile
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -40,6 +42,7 @@ HERMITICITY_TOL = 1e-12    # relative to max(1, max |H_ij|)
 EIGEN_PROBE_TOL = 1e-10    # residuals of a stored eigensystem's probe
 DEFAULT_DIM_CAP = 4096
 SPECTRUM_MARGIN = 0.1      # normalized spectra fill [0.1, 0.9]
+_TILE = 128                # tile edge of the Hermiticity pass
 
 
 class ParseError(ValueError):
@@ -230,22 +233,22 @@ class DenseHamiltonian:
         self.entries = _read_only(self.entries)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("entries must be a square matrix")
-        if not np.all(np.isfinite(self.entries)):
+        # max |H_ij| also scales the eigensystem probe and the spin-flip test
+        dev, self._size = _deviation_and_size(self.entries)
+        if not np.isfinite(self._size):
             raise ValueError("non-finite matrix entry")
-        if self.entries.size:
-            dev = np.max(np.abs(self.entries - _adjoint(self.entries)))
-            # relative to the largest entry, so the test reads the same in
-            # Hartree and in the normalized frame
-            if dev >= HERMITICITY_TOL * max(1.0, np.max(np.abs(self.entries))):
-                raise ValueError("matrix is not Hermitian (max deviation %.3g)"
-                                 % dev)
+        # relative to the largest entry, so the test reads the same in
+        # Hartree and in the normalized frame
+        if dev >= HERMITICITY_TOL * max(1.0, self._size):
+            raise ValueError("matrix is not Hermitian (max deviation %.3g)"
+                             % dev)
         if self.basis_labels is not None:
             self.basis_labels = list(self.basis_labels)
             if len(self.basis_labels) != self.entries.shape[0]:
                 raise ValueError("need one basis label per row")
         if self.eigen is not None:
             evals, evecs = (_read_only(a) for a in self.eigen)
-            _check_eigensystem(self.entries, evals, evecs)
+            _check_eigensystem(self.entries, evals, evecs, self._size)
             self.eigen = (evals, evecs)
 
     @property
@@ -262,7 +265,8 @@ class DenseHamiltonian:
         one ``eigh`` of ``entries``.
         """
         if self.eigen is None:
-            eigen = _flip_blocked_eigh(self.entries, self.basis_labels)
+            eigen = _flip_blocked_eigh(self.entries, self.basis_labels,
+                                       self._size)
             if eigen is None:
                 eigen = np.linalg.eigh(self.entries)
             self.eigen = tuple(_read_only(a) for a in eigen)
@@ -300,39 +304,49 @@ def _spin_flip(labels):
     return partner, np.where(doubles & 1, -1.0, 1.0)
 
 
-def _flip_blocked_eigh(entries, labels):
+def _flip_blocked_eigh(entries, labels, size):
     """``eigh`` of a real ``entries`` as the even and odd block of the spin
     flip P of ``labels``, or None (one block) unless max |P H P^T - H| <=
-    ``HERMITICITY_TOL`` max(1, max |H_ij|) and both blocks are non-empty.
+    ``HERMITICITY_TOL`` max(1, ``size``), ``size`` being max |H_ij|, and
+    both blocks are non-empty.
 
     Each orbit of P gives one basis vector per parity it supports: a pair
     i < j = partner_i gives (e_i +- sign_i e_j) / sqrt 2, a fixed point e_i
     to the block of parity sign_i.  The representatives ``a`` list the even
     fixed points, the pairs, then the odd fixed points, so the even block is
     the leading and the odd block the trailing rows and columns.  The
-    levels are merged in ascending order (a tie puts the even level first),
-    and each block's vectors go straight into one n x n array.
+    levels are merged in ascending order (a tie puts the even level first).
     """
     flip = _spin_flip(labels) if entries.dtype.kind == "f" else None
     if flip is None:
         return None
     partner, sign = flip
-    idx = np.arange(entries.shape[0])
+    n = entries.shape[0]
+    idx = np.arange(n)
     fixed = partner == idx
     even_fixed, pairs = idx[fixed & (sign > 0)], idx[idx < partner]
     a = np.concatenate((even_fixed, pairs, idx[fixed & (sign < 0)]))
     b, s = partner[a], sign[a]
-    lo, hi = len(even_fixed), len(even_fixed) + len(pairs)
-    if hi == 0 or lo == len(a):
+    m, lo, hi = len(a), len(even_fixed), len(even_fixed) + len(pairs)
+    if hi == 0 or lo == m:
         return None
-    # The four quadrants cover every entry, and with S = diag(s) the
-    # deviation P H P^T - H reads S H_bb S - H_aa and S H_ba S - H_ab there.
-    h_aa = entries[np.ix_(a, a)]
-    h_bb = entries[np.ix_(b, b)] * np.outer(s, s)
-    h_ab = entries[np.ix_(a, b)] * s
-    h_ba = s[:, None] * entries[np.ix_(b, a)]
-    size = max(np.max(np.abs(q)) for q in (h_aa, h_bb, h_ab, h_ba))
-    dev = max(np.max(np.abs(h_bb - h_aa)), np.max(np.abs(h_ba - h_ab)))
+    # The four quadrants cover every entry.  With S = diag(s) (exact
+    # products, s is +-1) the deviation P H P^T - H reads S H_bb S - H_aa
+    # and S H_ba S - H_ab there.
+    # The indices are all in range, so ``mode="clip"`` changes nothing but
+    # lets ``take`` write into ``out`` directly ("raise" goes via a copy).
+    rows = np.take(entries, a, axis=0)
+    h_aa, h_ab = np.take(rows, a, axis=1), np.take(rows, b, axis=1)
+    np.take(entries, b, axis=0, out=rows, mode="clip")
+    h_ba, h_bb = np.take(rows, a, axis=1), np.take(rows, b, axis=1)
+    del rows
+    h_bb *= np.outer(s, s)
+    h_ab *= s
+    h_ba *= s[:, None]
+    work = h_bb - h_aa
+    dev = np.max(np.abs(work, out=work))
+    np.subtract(h_ba, h_ab, out=work)
+    dev = max(dev, np.max(np.abs(work, out=work)))
     if not dev <= HERMITICITY_TOL * max(1.0, size):
         return None
     # U^T H U over the orbit vectors (e_a + pi S e_b) / sqrt 2 of parity pi
@@ -342,38 +356,63 @@ def _flip_blocked_eigh(entries, labels):
     h_aa += h_bb
     h_ab += h_ba
     del h_bb, h_ba
-    even = h_aa + h_ab
-    odd = h_aa
-    odd -= h_ab
+    even = np.add(h_aa[:hi, :hi], h_ab[:hi, :hi], out=work[:hi, :hi])
+    odd = np.subtract(h_aa[lo:, lo:], h_ab[lo:, lo:], out=h_aa[lo:, lo:])
     del h_ab
-    scale = np.full(len(a), math.sqrt(0.5))
-    scale[lo:hi] = 1.0
     solved = []
-    for parity, mat, first, last in ((1.0, even, 0, hi),
-                                     (-1.0, odd, lo, len(a))):
-        block = mat[first:last, first:last]
+    for block, own in ((even, slice(0, lo)), (odd, slice(hi - lo, m - lo))):
+        # ``own``: the block's rows and columns of fixed points
         block *= 0.5
-        block *= scale[first:last, None]
-        block *= scale[first:last]
-        solved.append((parity, first) + tuple(np.linalg.eigh(block)))
-    del even, odd, block
-    levels = np.concatenate([evals for _, _, evals, _ in solved])
-    order = np.argsort(levels, kind="stable")
-    dest = np.empty(len(levels), dtype=np.intp)
-    dest[order] = np.arange(len(levels))
-    evecs = np.zeros((len(levels),) * 2, dtype=solved[0][3].dtype)
-    done = 0
-    for parity, first, evals, vecs in solved:
-        cols = dest[done:done + len(evals)]
-        done += len(evals)
-        # x = U y: e_a takes y / sqrt 2 for a pair and y for a fixed point,
-        # the pair partner e_b takes parity s y / sqrt 2
-        rows = slice(first, first + len(evals))
-        evecs[np.ix_(a[rows], cols)] = \
-            vecs * (math.sqrt(0.5) / scale[rows])[:, None]
-        evecs[np.ix_(b[lo:hi], cols)] = vecs[lo - first:hi - first] \
+        block[own] *= math.sqrt(0.5)
+        block[:, own] *= math.sqrt(0.5)
+        solved.append(np.linalg.eigh(block))
+    del work, h_aa, even, odd, block
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = solved
+    # x = U y: e_a takes y for a fixed point and y / sqrt 2 for a pair,
+    # whose partner e_b takes parity s y / sqrt 2.  Each row group is one
+    # row-indexed write, with the even levels in the leading and the odd
+    # levels in the trailing columns; the columns then go into level order
+    # a tile of rows at a time.
+    evecs = np.empty((n, n), dtype=even_vecs.dtype)
+    evecs[a[:lo], :hi] = even_vecs[:lo]
+    evecs[a[:lo], hi:] = 0.0
+    evecs[a[hi:], :hi] = 0.0
+    evecs[a[hi:], hi:] = odd_vecs[hi - lo:]
+    for parity, pair, cols in ((1.0, even_vecs[lo:hi], slice(0, hi)),
+                               (-1.0, odd_vecs[:hi - lo], slice(hi, n))):
+        evecs[a[lo:hi], cols] = pair * math.sqrt(0.5)
+        evecs[b[lo:hi], cols] = pair \
             * (parity * math.sqrt(0.5) * s[lo:hi])[:, None]
+    levels = np.concatenate((even_vals, odd_vals))
+    order = np.argsort(levels, kind="stable")
+    tile = np.empty((_TILE, n), dtype=evecs.dtype)
+    for r in range(0, n, _TILE):
+        band = evecs[r:r + _TILE]
+        band[...] = np.take(band, order, axis=1, out=tile[:len(band)],
+                            mode="clip")
     return levels[order], evecs
+
+
+def _deviation_and_size(a):
+    """``(max |A - A^H|, max |A|)`` of a square ``a`` in one pass over the
+    ``_TILE`` x ``_TILE`` tile pairs (i, j), i <= j, with no temporary
+    larger than a tile.  Tile (i, j) less the adjoint of tile (j, i) holds
+    the entries of A - A^H there and, up to an adjoint that leaves |.| as
+    it is, at (j, i), so both values are the whole-matrix maxima exactly.
+    A non-finite entry makes ``max |A|`` NaN or inf.
+    """
+    n = a.shape[0]
+    dev, size = [0.0], [0.0]
+    with np.errstate(invalid="ignore"):   # inf - inf is a non-finite entry
+        for i in range(0, n, _TILE):
+            for j in range(i, n, _TILE):
+                tile = a[i:i + _TILE, j:j + _TILE]
+                mirror = a[j:j + _TILE, i:i + _TILE]
+                dev.append(np.max(np.abs(tile - _adjoint(mirror))))
+                size.append(np.max(np.abs(tile)))
+                if j > i:
+                    size.append(np.max(np.abs(mirror)))
+    return np.max(dev), np.max(size)
 
 
 def _adjoint(a):
@@ -388,12 +427,15 @@ def _read_only(a):
     return view
 
 
-def _check_eigensystem(entries, evals, evecs):
-    """Refuse an eigensystem that does not belong to ``entries``.
+def _check_eigensystem(entries, evals, evecs, size):
+    """Refuse an eigensystem that does not belong to ``entries``, whose
+    largest |H_ij| is ``size``.
 
     Shapes, dtypes, finiteness and ascending order are checked exactly, the
     pairs by two O(n^2) probes with a fixed random x: |H(Vx) - V(Lx)|
-    relative to max(1, max |H_ij|) |x|, and |V^H(Vx) - x| relative to |x|.
+    relative to max(1, ``size``) |x|, and |V^H(Vx) - x| relative to |x|.
+    A non-finite entry of V makes Vx non-finite (no x_j is 0), so V is
+    scanned for one only then.
     """
     n = entries.shape[0]
     if evals.shape != (n,) or evecs.shape != (n, n):
@@ -402,18 +444,19 @@ def _check_eigensystem(entries, evals, evecs):
     if evals.dtype.kind != "f" or evecs.dtype.kind not in "fc":
         raise ValueError("eigenvalues must be real and eigenvectors "
                          "floating point")
-    if not (np.all(np.isfinite(evals)) and np.all(np.isfinite(evecs))):
+    x = np.random.default_rng(0).standard_normal(n)
+    vx = evecs @ x
+    if not (np.all(np.isfinite(evals)) and (np.all(np.isfinite(vx))
+                                            or np.all(np.isfinite(evecs)))):
         raise ValueError("non-finite eigensystem value")
     if np.any(evals[1:] < evals[:-1]):
         raise ValueError("eigenvalues are not ascending")
     if n == 0:
         return
-    x = np.random.default_rng(0).standard_normal(n)
-    vx = evecs @ x
-    size = np.linalg.norm(x)
+    norm_x = np.linalg.norm(x)
     pair_res = np.linalg.norm(entries @ vx - evecs @ (evals * x)) \
-        / (max(1.0, np.max(np.abs(entries))) * size)
-    basis_res = np.linalg.norm(_adjoint(evecs) @ vx - x) / size
+        / (max(1.0, size) * norm_x)
+    basis_res = np.linalg.norm(_adjoint(evecs) @ vx - x) / norm_x
     if not max(pair_res, basis_res) <= EIGEN_PROBE_TOL:
         raise ValueError("eigensystem does not match the matrix (probe "
                          "residuals %.3g, %.3g)" % (pair_res, basis_res))
@@ -604,8 +647,10 @@ def save_hamiltonian(h, path):
 def load_hamiltonian(path):
     """Inverse of :func:`save_hamiltonian`.  A CSV stays real unless an
     entry has a nonzero imaginary part.  An npz without the eigensystem
-    arrays (an older file) is diagonalized on first use; one whose stored
-    eigensystem does not fit the matrix is refused, naming the file."""
+    arrays (an older file) is diagonalized on first use.  A file that is
+    not a zip archive, lacks the matrix or its labels, fails a member's
+    CRC-32 or whose stored eigensystem does not fit the matrix is refused,
+    naming the file."""
     try:
         if str(path).endswith(".csv"):
             entries = np.loadtxt(path, delimiter=",", dtype=complex)
@@ -613,8 +658,15 @@ def load_hamiltonian(path):
                 entries = np.ascontiguousarray(entries.real)
             return DenseHamiltonian(entries)
         with open(path, "rb") as f:
+            if f.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+                raise ValueError("not an npz archive")
+            f.seek(0)
             data = np.load(f, allow_pickle=False)
-            labels = [str(x) for x in data["basis_labels"]] or None
+            missing = {"entries", "basis_labels"} - set(data.files)
+            if missing:
+                raise ValueError("archive has no %s" % " or ".join(
+                    sorted(missing)))
+            labels = data["basis_labels"].tolist() or None
             stored = [name for name in ("eigenvalues", "eigenvectors")
                       if name in data.files]
             if len(stored) == 1:
@@ -622,5 +674,5 @@ def load_hamiltonian(path):
                                  "eigensystem" % stored[0])
             eigen = tuple(data[name] for name in stored) or None
             return DenseHamiltonian(data["entries"], labels, eigen)
-    except ValueError as exc:
+    except (ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise ValueError("%s: %s" % (path, exc)) from None

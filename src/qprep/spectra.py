@@ -169,9 +169,20 @@ def exact_spectral_measure(h, psi, margin=None):
         normalizer = spectrum_normalizer(evals[0], evals[-1], margin)
         evals = normalizer.apply(evals)
     psi = np.asarray(psi)
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
-        raise ValueError("cannot take the measure of the zero state")
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(psi)
+    if not 0 < nrm < np.inf:
+        # |psi|^2 under- or overflowed (or psi is zero or not finite):
+        # scale by max |psi_i| first, which leaves the measure as it is.
+        # Real divisions, as a complex one by a subnormal overflows.
+        big = np.max(np.abs(psi), initial=0.0)
+        if not np.isfinite(big):
+            raise ValueError("state amplitudes must be finite")
+        if big == 0:
+            raise ValueError("cannot take the measure of the zero state")
+        psi = psi.real / big + 1j * (psi.imag / big) \
+            if np.iscomplexobj(psi) else psi / big
+        nrm = np.linalg.norm(psi)
     psi = psi / nrm
     if np.iscomplexobj(evecs):
         ps = np.abs(evecs.conj().T @ psi) ** 2

@@ -756,3 +756,59 @@ def kde_dense(samples, bandwidth, grid):
         z = (grid[:, None] - block[None, :]) / bandwidth
         out += np.exp(-0.5 * z ** 2).sum(axis=1)
     return out / norm
+
+
+def flip_blocked_eigh_quadrants(entries, labels):
+    """The spin-flip blocked ``eigh`` as four ``np.ix_`` quadrant gathers of
+    the full matrix and four ``np.ix_`` scatters of the block vectors into
+    a zeroed n x n array: the same block matrices, so the same bytes, as
+    ``hamiltonian._flip_blocked_eigh`` (None where it takes one block)."""
+    from qprep.hamiltonian import HERMITICITY_TOL, _spin_flip
+
+    flip = _spin_flip(labels)
+    if flip is None:
+        return None
+    partner, sign = flip
+    idx = np.arange(entries.shape[0])
+    fixed = partner == idx
+    even_fixed, pairs = idx[fixed & (sign > 0)], idx[idx < partner]
+    a = np.concatenate((even_fixed, pairs, idx[fixed & (sign < 0)]))
+    b, s = partner[a], sign[a]
+    lo, hi = len(even_fixed), len(even_fixed) + len(pairs)
+    if hi == 0 or lo == len(a):
+        return None
+    h_aa = entries[np.ix_(a, a)]
+    h_bb = entries[np.ix_(b, b)] * np.outer(s, s)
+    h_ab = entries[np.ix_(a, b)] * s
+    h_ba = s[:, None] * entries[np.ix_(b, a)]
+    size = max(np.max(np.abs(q)) for q in (h_aa, h_bb, h_ab, h_ba))
+    dev = max(np.max(np.abs(h_bb - h_aa)), np.max(np.abs(h_ba - h_ab)))
+    if not dev <= HERMITICITY_TOL * max(1.0, size):
+        return None
+    even = (h_aa + h_bb) + (h_ab + h_ba)
+    odd = (h_aa + h_bb) - (h_ab + h_ba)
+    scale = np.full(len(a), math.sqrt(0.5))
+    scale[lo:hi] = 1.0
+    solved = []
+    for parity, mat, first, last in ((1.0, even, 0, hi),
+                                     (-1.0, odd, lo, len(a))):
+        block = mat[first:last, first:last]
+        block *= 0.5
+        block *= scale[first:last, None]
+        block *= scale[first:last]
+        solved.append((parity, first) + tuple(np.linalg.eigh(block)))
+    levels = np.concatenate([evals for _, _, evals, _ in solved])
+    order = np.argsort(levels, kind="stable")
+    dest = np.empty(len(levels), dtype=np.intp)
+    dest[order] = np.arange(len(levels))
+    evecs = np.zeros((len(levels),) * 2)
+    done = 0
+    for parity, first, evals, vecs in solved:
+        cols = dest[done:done + len(evals)]
+        done += len(evals)
+        rows = slice(first, first + len(evals))
+        evecs[np.ix_(a[rows], cols)] = \
+            vecs * (math.sqrt(0.5) / scale[rows])[:, None]
+        evecs[np.ix_(b[lo:hi], cols)] = vecs[lo - first:hi - first] \
+            * (parity * math.sqrt(0.5) * s[lo:hi])[:, None]
+    return levels[order], evecs

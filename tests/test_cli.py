@@ -639,6 +639,117 @@ def test_non_finite_matrix_is_an_input_error(tmp_path, capsys, suffix, bad):
     assert caught == []
 
 
+def _middle_payload_byte(path, member):
+    """Offset of the middle stored byte of ``member`` in the zip at
+    ``path``: past its local header (30 bytes, name and extra field)."""
+    import struct
+    import zipfile
+
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    raw = path.read_bytes()
+    start = info.header_offset + 30 + sum(struct.unpack(
+        "<HH", raw[info.header_offset + 26:info.header_offset + 30]))
+    return start + info.compress_size // 2
+
+
+def _refused_naming(capsys, path, argv, reason):
+    code = cli.dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT, captured.err
+    assert captured.out == ""
+    assert str(path) in captured.err and reason in captured.err
+
+
+@pytest.mark.parametrize("damage, reason", [
+    ("flipped byte", "Bad CRC-32 for file 'eigenvectors.npy'"),
+    ("truncated", "not a zip file"),
+    ("not a zip", "not an npz archive"),
+    ("npy file", "not an npz archive"),
+    ("no labels", "archive has no basis_labels")])
+def test_damaged_npz_is_an_input_error(tmp_path, capsys, damage, reason):
+    matrix, state = _build_pipeline_matrix(tmp_path, capsys)
+    raw = bytearray(matrix.read_bytes())
+    if damage == "flipped byte":
+        raw[_middle_payload_byte(matrix, "eigenvectors.npy")] ^= 0x10
+    elif damage == "truncated":
+        raw = raw[:len(raw) // 2]
+    elif damage == "not a zip":
+        raw = b"energy,weight\n0.1,1.0\n"
+    bad = tmp_path / "bad.npz"
+    if damage == "npy file":
+        with open(bad, "wb") as f:
+            np.save(f, np.eye(24))
+    elif damage == "no labels":
+        with np.load(matrix) as data:
+            np.savez(bad, entries=data["entries"])
+    else:
+        bad.write_bytes(raw)
+    _refused_naming(capsys, bad, ["qpe-stats", "--ham", str(bad),
+                                  "--state", str(state), "--k", "4"], reason)
+
+
+@pytest.mark.parametrize("mutation, reason", [
+    ("asymmetric entry", "not Hermitian"),
+    ("nan eigenvector", "non-finite eigensystem value"),
+    ("swapped eigenvector columns", "does not match"),
+    ("flipped payload byte", "Bad CRC-32 for file 'entries.npy'")])
+def test_mutated_saved_matrix_is_refused_naming_the_file(tmp_path, capsys,
+                                                         mutation, reason):
+    from qprep.hamiltonian import DenseHamiltonian, save_hamiltonian
+
+    # dim 300 spans three tiles of the Hermiticity pass; the bumped entry
+    # sits in an off-diagonal tile
+    a = np.random.default_rng(34).normal(size=(300, 300))
+    path = tmp_path / "h.npz"
+    save_hamiltonian(DenseHamiltonian(a + a.T), path)
+    if mutation == "flipped payload byte":
+        raw = bytearray(path.read_bytes())
+        raw[_middle_payload_byte(path, "entries.npy")] ^= 0x01
+        path.write_bytes(raw)
+    else:
+        with np.load(path) as data:
+            arrays = {name: data[name].copy() for name in data.files}
+        entries, evecs = arrays["entries"], arrays["eigenvectors"]
+        if mutation == "asymmetric entry":
+            entries[5, 250] += 1e-9 * np.max(np.abs(entries))
+        elif mutation == "nan eigenvector":
+            evecs[200, 7] = np.nan
+        else:
+            evecs[:, [3, 4]] = evecs[:, [4, 3]]
+        np.savez(path, **arrays)
+    _refused_naming(capsys, path, ["goldilocks", "--ham", str(path),
+                                   "--et", "0.2", "--budget", "100"], reason)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_state_amplitude_is_an_input_error(tmp_path, capsys,
+                                                      bad):
+    matrix, state = _build_pipeline_matrix(tmp_path, capsys)
+    rows = np.loadtxt(state, delimiter=",")
+    rows[6, 1] = float(bad)
+    np.savetxt(state, rows, delimiter=",")
+    _refused_naming(capsys, state, ["qpe-stats", "--ham", str(matrix),
+                                    "--state", str(state), "--k", "4"],
+                    "amplitude row 7 is not finite")
+
+
+@pytest.mark.parametrize("amplitude", ["1e300", "1e-320"])
+def test_state_whose_norm_overflows_or_underflows_is_measured(
+        tmp_path, capsys, amplitude):
+    matrix, _ = _build_pipeline_matrix(tmp_path, capsys)
+    stdout = []
+    for value in ("1", amplitude):
+        state = tmp_path / f"state_{value}.csv"
+        state.write_text("%s\n" % value * 24)
+        code = cli.dispatch(["goldilocks", "--ham", str(matrix), "--state",
+                             str(state), "--et", "0.2", "--budget", "100"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_OK and captured.err == ""
+        stdout.append(captured.out)
+    assert stdout[0] == stdout[1]
+
+
 def test_energy_dist_resolvent_matches_the_solver(tmp_path, capsys):
     from qprep.hamiltonian import (DenseHamiltonian, normalize_spectrum,
                                    save_hamiltonian)

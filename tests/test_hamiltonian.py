@@ -392,7 +392,7 @@ def test_blocked_eigensolve_matches_dense_eigh(n_orb, n_el, eigensolves):
     ref_vals, ref_vecs = np.linalg.eigh(h)
     size = max(1.0, np.max(np.abs(h)))
     assert np.max(np.abs(evals - ref_vals)) <= 1e-12 * size
-    ham._check_eigensystem(h, evals, evecs)
+    ham._check_eigensystem(h, evals, evecs, np.max(np.abs(h)))
     psi = rng.normal(size=dense.dim) + 1j * rng.normal(size=dense.dim)
     measure = exact_spectral_measure(dense, psi, margin=ham.SPECTRUM_MARGIN)
     ref = np.abs(ref_vecs.T @ (psi / np.linalg.norm(psi))) ** 2
@@ -426,6 +426,56 @@ def test_one_block_route_is_plain_eigh(case, eigensolves):
     ref_vals, ref_vecs = np.linalg.eigh(h)
     assert np.array_equal(evals, ref_vals)
     assert np.array_equal(evecs, ref_vecs)
+
+
+@pytest.mark.parametrize("n_orb, n_el", [(4, 2), (5, 2), (6, 3), (8, 2)])
+def test_blocked_eigensolve_is_byte_identical_to_quadrant_gathers(n_orb,
+                                                                  n_el):
+    rng = np.random.default_rng(650 + 10 * n_orb + n_el)
+    dense = ham.build_ci_matrix(_eightfold_fcidump(rng, n_orb), n_el, n_el)
+    evals, evecs = dense.eigensystem()
+    ref_vals, ref_vecs = oracles.flip_blocked_eigh_quadrants(
+        dense.entries, dense.basis_labels)
+    assert evals.tobytes() == ref_vals.tobytes()
+    assert evecs.tobytes() == ref_vecs.tobytes()
+    assert evecs.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# Checks of a stored matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_fused_pass_equals_the_whole_matrix_maxima(n, kind):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=(n, n))
+    for e in (a, (a + a.conj().T) / 2, np.asfortranarray(a)):
+        dev, size = ham._deviation_and_size(e)
+        assert dev == np.max(np.abs(e - e.conj().T))
+        assert size == np.max(np.abs(e))
+
+
+def test_load_peaks_at_the_stored_arrays_plus_tiles(tmp_path):
+    import tracemalloc
+
+    dense = ham.build_ci_matrix(
+        _eightfold_fcidump(np.random.default_rng(660), 8), 2, 2)
+    path = tmp_path / "h.npz"
+    ham.save_hamiltonian(dense, path)
+    with np.load(path) as data:
+        stored = sum(data[name].nbytes for name in data.files)
+    tracemalloc.start()
+    try:
+        back = ham.load_hamiltonian(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.dim == 784 and back.eigen is not None
+    # no n x n temporary: the arrays themselves plus a few tiles of 16 B
+    assert peak <= stored + 4 * ham._TILE ** 2 * 16
 
 
 def test_csv_hamiltonian_stays_real_unless_an_entry_is_complex(tmp_path):

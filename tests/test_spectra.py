@@ -81,6 +81,25 @@ def test_exact_measure_matches_projections():
     assert m.normalizer is None
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-320])
+def test_exact_measure_of_a_state_whose_norm_overflows_or_underflows(scale):
+    rng = np.random.default_rng(5)
+    h, _ = random_normalized(rng, 784)
+    signs = np.where(rng.random(784) < 0.5, -1.0, 1.0)
+    for psi in (signs, signs + 2j * signs[::-1]):
+        with np.errstate(over="ignore", under="ignore"):
+            extreme = psi * scale
+            assert np.linalg.norm(extreme) in (0.0, np.inf)
+        m = exact_spectral_measure(h, extreme)
+        ref = exact_spectral_measure(h, psi)
+        assert np.array_equal(m.energies, ref.energies)
+        assert np.allclose(m.probs, ref.probs, rtol=1e-12, atol=1e-15)
+    with pytest.raises(ValueError, match="zero state"):
+        exact_spectral_measure(h, np.zeros(784))
+    with pytest.raises(ValueError, match="must be finite"):
+        exact_spectral_measure(h, np.where(signs > 0, np.inf, 1.0))
+
+
 def test_exact_measure_with_margin_takes_one_eigensolve(monkeypatch):
     rng = np.random.default_rng(4)
     a = rng.normal(size=(16, 16))
