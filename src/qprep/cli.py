@@ -386,7 +386,7 @@ def cmd_compress(args):
     if not dets:
         raise ValueError(f"{args.input}: no determinant bitstrings found")
     smap = compress(dets, check=args.check)
-    _emit_json(json.loads(smap.to_json()), args)
+    _emit_json(smap.as_dict(), args)
     return EXIT_OK
 
 

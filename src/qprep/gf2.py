@@ -12,10 +12,16 @@ The signature-vector search peels one dimension per level.  It keeps the D
 vectors packed into rows of uint64 words (bit k in word k // 64), splits
 them into the half M without the level's top bit and the half N with it
 removed, and takes as candidate the mex, the least integer outside
-{0} | M | N | {m ^ n}.  At most K = 1 + |M| + |N| + |M||N| values are
-forbidden, so the mex is at most K: the pairwise XORs are formed in blocks
-of M rows, and only values <= K are marked, in a boolean array of K + 1
-entries.
+{0} | M | N | {m ^ n}.  The mex is small next to |M||N| (below 128 for the
+256 x 120 and 512 x 80 inputs of the benchmark), so it is sought in a
+window [0, 2**b), b = 7 at first, that doubles while it is full.  A XOR
+m ^ n lands in the window only if m and n agree on every bit from b up, so
+those pairs are found by sorting M on these bits and searching it for each
+row of N.  A window forms at most 2**b pairs per row of the smaller half,
+and the search needs memory linear in D, not the |M| x |N| table of all
+pairwise XORs.  The inverse of the generator matrix and the nullspace of
+the collected w's share one Gauss-Jordan elimination on rows packed into
+Python integers.
 
 The optional check relies on reduction against the collected w vectors
 being linear, since each w's leading bit is its highest bit and no two
@@ -27,7 +33,6 @@ distinctness test, not D**2/2 span tests.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -106,12 +111,6 @@ def _unpack_rows(words, r):
     return np.unpackbits(octets, axis=1, bitorder="little")[:, :r]
 
 
-def _distinct_rows(a):
-    """True iff the rows of the 2-d array ``a`` are pairwise distinct."""
-    a = a[np.lexsort(a.T)]
-    return not (a[1:] == a[:-1]).all(axis=1).any()
-
-
 def rank_and_row_basis(m):
     """Rank and a row basis over GF(2), by Gaussian elimination.
 
@@ -144,49 +143,75 @@ def rank_and_row_basis(m):
     return len(basis_rows), basis_rows
 
 
+def _bits_to_ints(bits):
+    """Rows of a 0/1 array as Python integers, bit k = column k."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _ints_to_bits(ints, width):
+    """The low ``width`` bits of each integer as a row of a 0/1 array."""
+    n_bytes = -(-width // 8)
+    octets = b"".join(v.to_bytes(n_bytes, "little") for v in ints)
+    rows = np.frombuffer(octets, dtype=np.uint8).reshape(len(ints), n_bytes)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, :width]
+
+
+def _reduce_echelon(rows, n_cols):
+    """Gauss-Jordan elimination of integer-packed rows on columns < n_cols.
+
+    Reorders and reduces ``rows`` in place: the p-th row holds the p-th
+    pivot column, which is 0 in every other row.  Returns the pivot
+    columns in increasing order.
+    """
+    pivots = []
+    for col in range(n_cols):
+        p = len(pivots)
+        if p == len(rows):
+            break
+        bit = 1 << col
+        hit = next((i for i in range(p, len(rows)) if rows[i] & bit), None)
+        if hit is None:
+            continue
+        pivot = rows[hit]
+        rows[hit] = rows[p]
+        rows[:] = [row ^ pivot if row & bit else row for row in rows]
+        rows[p] = pivot
+        pivots.append(col)
+    return pivots
+
+
 def _gf2_inverse(a):
-    """Inverse of a square GF(2) matrix (raises if singular)."""
+    """Inverse of a square GF(2) matrix (raises if singular).
+
+    [a | I] reduced on the columns of a is [I | a^-1].
+    """
     a = _as_bits(a)
     n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)
-    for col in range(n):
-        piv = col + int(np.argmax(aug[col:, col]))
-        if not aug[piv, col]:
-            raise ValueError("matrix is singular over GF(2)")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        hits = np.flatnonzero(aug[:, col])
-        hits = hits[hits != col]
-        aug[hits] ^= aug[col]
-    return aug[:, n:]
+    rows = [row | 1 << (n + i) for i, row in enumerate(_bits_to_ints(a))]
+    if len(_reduce_echelon(rows, n)) < n:
+        raise ValueError("matrix is singular over GF(2)")
+    return _ints_to_bits([row >> n for row in rows], n)
 
 
 def _gf2_nullspace(a):
-    """Rows form a basis of the right nullspace {x : a x = 0 over GF(2)}."""
-    a = _as_bits(a).copy()
-    rows, cols = a.shape
-    pivot_cols = []
-    row = 0
-    for col in range(cols):
-        if row == rows:
-            break
-        piv = row + int(np.argmax(a[row:, col]))
-        if not a[piv, col]:
-            continue
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        hits = np.flatnonzero(a[:, col])
-        hits = hits[hits != row]
-        a[hits] ^= a[row]
-        pivot_cols.append(col)
-        row += 1
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis = np.zeros((len(free_cols), cols), dtype=np.uint8)
-    for k, f in enumerate(free_cols):
-        x = basis[k]
-        x[f] = 1
-        for rr in range(len(pivot_cols) - 1, -1, -1):
-            x[pivot_cols[rr]] = np.dot(a[rr], x) & 1
+    """Rows form a basis of the right nullspace {x : a x = 0 over GF(2)}.
+
+    In the reduced echelon form of a, pivot row p has a 1 in its pivot
+    column and 0 in every other pivot column.  So the basis vector of free
+    column f has x[f] = 1, 0 in the other free columns, and
+    x[pivots[p]] = a[p, f].
+    """
+    a = _as_bits(a)
+    cols = a.shape[1]
+    rows = _bits_to_ints(a)
+    pivots = _reduce_echelon(rows, cols)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((len(free), cols), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = _ints_to_bits(rows[:len(pivots)], cols)[:, free].T
     return basis
 
 
@@ -216,33 +241,83 @@ def select_substrings(nus):
     return selected, _array_to_strings(mat[:, selected])
 
 
-_BLOCK_WORDS = 1 << 20      # words per temporary of the pairwise XOR
+_WINDOW_BITS = 7    # first window [0, 2**7): holds the bench-size mexes
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _mark_small(seen, vals):
-    """Set ``seen[v]`` for each packed value v (last axis) below len(seen)."""
-    low = vals[..., 0]
-    keep = low < len(seen)
-    if vals.shape[-1] > 1:
-        keep &= ~vals[..., 1:].any(axis=-1)
-    seen[low[keep]] = True
+def _row_keys(rows, shift):
+    """One uint64 per packed row, equal for rows that agree on every bit
+    from ``shift`` up.
+
+    A one-word row's key is its shifted word.  Longer rows XOR each further
+    word into a bijective mix (multiply by an odd constant, xorshift) of
+    the key so far, so rows that agree on words 1 and up share a key only
+    if they agree on word 0 from ``shift`` up; rows that differ in a higher
+    word may share a key by chance.
+    """
+    key = rows[:, 0] >> np.uint64(shift)
+    for k in range(1, rows.shape[1]):
+        key = key * _MIX
+        key ^= (key >> np.uint64(32)) ^ rows[:, k]
+    return key
+
+
+def _distinct_rows(a):
+    """True iff the packed rows of ``a`` are pairwise distinct."""
+    keys = np.sort(_row_keys(a, 0))
+    if not (keys[1:] == keys[:-1]).any():
+        return True
+    if a.shape[1] == 1:
+        return False
+    a = a[np.lexsort(a.T)]                 # a shared key may be a collision
+    return not (a[1:] == a[:-1]).all(axis=1).any()
 
 
 def _forbidden_mex(M, N):
     """Least integer outside {0} | M | N | {m ^ n}, for packed row sets.
 
-    At most K = 1 + |M| + |N| + |M||N| values are forbidden, so the mex is
-    at most K and only values <= K need marking.
+    With a zero row added to M and to N, that set is {m ^ n} alone.  The
+    mex is searched in a window [0, 2**b) that doubles while it is full.
+    m ^ n lies in the window exactly when m and n agree on every bit from
+    b up, so only those pairs are formed: M is sorted by its bits above b
+    and each row of N finds its matches by binary search.  For a fixed v
+    each m has at most one partner n = m ^ v, so a window forms at most
+    2**b * (1 + min(|M|, |N|)) pairs, not (1 + |M|)(1 + |N|).  One-word
+    rows are sorted once, since their order fixes the order of every
+    window's keys.  Longer rows are matched by :func:`_row_keys`, and a
+    pair that a shared key joined by chance differs in a higher word: its
+    XOR is dropped.
     """
-    K = 1 + len(M) + len(N) + len(M) * len(N)
-    seen = np.zeros(K + 1, dtype=bool)
-    seen[0] = True
-    _mark_small(seen, M)
-    _mark_small(seen, N)
-    step = max(1, _BLOCK_WORDS // max(1, N.size))
-    for i in range(0, len(M), step):
-        _mark_small(seen, M[i:i + step, None, :] ^ N[None, :, :])
-    return int(np.argmin(seen))
+    zero = np.zeros((1, M.shape[1]), dtype=np.uint64)
+    M = np.concatenate([zero, M])
+    N = np.concatenate([zero, N])
+    one_word = M.shape[1] == 1
+    if one_word:
+        M = np.sort(M, axis=0)
+    b = _WINDOW_BITS
+    while True:
+        size = 1 << b
+        if one_word:
+            low = np.uint64(size - 1)
+            keys, first, last = M[:, 0], N[:, 0] & ~low, N[:, 0] | low
+        else:
+            keys = _row_keys(M, b)
+            order = np.argsort(keys)
+            M, keys = M[order], keys[order]
+            first = last = _row_keys(N, b)
+        lo = np.searchsorted(keys, first, side="left")
+        count = np.searchsorted(keys, last, side="right") - lo
+        j = np.repeat(np.arange(len(N)), count)
+        i = np.arange(len(j)) + (lo - np.cumsum(count) + count)[j]
+        x = M[i] ^ N[j]
+        if not one_word:
+            x = x[~x[:, 1:].any(axis=1)]
+        seen = np.zeros(size, dtype=bool)
+        seen[x[:, 0]] = True
+        mex = int(np.argmin(seen))
+        if not seen[mex]:
+            return mex
+        b += 1
 
 
 def _check_kernel_avoidance(snapshots, echelon):
@@ -347,7 +422,7 @@ def find_signature_vectors(tilde_nus, check=False, stats=None):
         w[0] |= np.uint64(cand)
         w_echelon.insert(0, (level - 1, w))
         cur[has_top] ^= w                  # top -> cand, top ^ n -> cand ^ n
-        if not _distinct_rows(cur):
+        if not _distinct_rows(cur[:, :word + 1]):
             raise AssertionError("replacement collapsed the vector set")
 
     if check:
@@ -382,13 +457,13 @@ class SignatureMap:
     def signature_bits(self):
         return len(self.u_vectors)
 
-    def to_json(self):
-        """Serialize; bit vectors go out as hex strings."""
-        return json.dumps({
+    def as_dict(self):
+        """JSON-ready fields; bit vectors go out as hex strings."""
+        return {
             "selected_rows": list(self.selected_rows),
             "u_vectors": [_bits_to_hex(u) for u in self.u_vectors],
             "signatures": [_bits_to_hex(b) for b in self.signatures],
-        })
+        }
 
 
 def _bits_to_hex(bits):

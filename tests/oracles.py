@@ -52,6 +52,54 @@ def rank_and_row_basis_loop(m):
     return len(basis_rows), basis_rows
 
 
+def gf2_inverse_rowops(a):
+    """Inverse of a square GF(2) matrix by row operations on uint8 [a | I]
+    (raises if singular)."""
+    a = np.asarray(a, dtype=np.uint8) & 1
+    n = a.shape[0]
+    aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)
+    for col in range(n):
+        piv = col + int(np.argmax(aug[col:, col]))
+        if not aug[piv, col]:
+            raise ValueError("matrix is singular over GF(2)")
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        hits = np.flatnonzero(aug[:, col])
+        hits = hits[hits != col]
+        aug[hits] ^= aug[col]
+    return aug[:, n:]
+
+
+def gf2_nullspace_backsub(a):
+    """Rows form a basis of {x : a x = 0 over GF(2)}: uint8 elimination,
+    then one back-substitution per free column."""
+    a = (np.asarray(a, dtype=np.uint8) & 1).copy()
+    rows, cols = a.shape
+    pivot_cols = []
+    row = 0
+    for col in range(cols):
+        if row == rows:
+            break
+        piv = row + int(np.argmax(a[row:, col]))
+        if not a[piv, col]:
+            continue
+        if piv != row:
+            a[[row, piv]] = a[[piv, row]]
+        hits = np.flatnonzero(a[:, col])
+        hits = hits[hits != row]
+        a[hits] ^= a[row]
+        pivot_cols.append(col)
+        row += 1
+    free_cols = [c for c in range(cols) if c not in pivot_cols]
+    basis = np.zeros((len(free_cols), cols), dtype=np.uint8)
+    for k, f in enumerate(free_cols):
+        x = basis[k]
+        x[f] = 1
+        for rr in range(len(pivot_cols) - 1, -1, -1):
+            x[pivot_cols[rr]] = np.dot(a[rr], x) & 1
+    return basis
+
+
 def random_signature_matrix(tilde_nus, n_bits, rng, max_tries=2000):
     """Sample random GF(2) matrices until one separates the substrings.
 
@@ -150,7 +198,7 @@ def find_signature_vectors_sets(tilde_nus, check=False, stats=None):
                          "(got rank %d < %d); run select_substrings first"
                          % (rank, r))
     P = T[gen_rows].T                      # columns are the generators
-    P_inv = gf2._gf2_inverse(P)
+    P_inv = gf2_inverse_rowops(P)
 
     # Work in coordinates where generator k becomes the unit vector e_k;
     # vectors live in Python ints with bit k = coordinate k.
@@ -200,7 +248,7 @@ def find_signature_vectors_sets(tilde_nus, check=False, stats=None):
     for a, (_, w) in enumerate(w_echelon):
         for k in range(r):
             W[a, k] = (w >> k) & 1
-    U_coord = gf2._gf2_nullspace(W)            # m x r
+    U_coord = gf2_nullspace_backsub(W)         # m x r
     if U_coord.shape[0] != m:
         raise AssertionError("nullspace dimension %d != %d"
                              % (U_coord.shape[0], m))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -181,7 +182,7 @@ def test_search_budget_per_step():
 
 
 def bits_from_hex(h, width):
-    """A hex field of ``SignatureMap.to_json`` as a ``width``-bit string."""
+    """A hex field of ``SignatureMap.as_dict`` as a ``width``-bit string."""
     return format(int(h, 16), "0%db" % width) if width else ""
 
 
@@ -190,7 +191,7 @@ def test_json_round_trip():
     for d in (1, 2, 5, 17):
         nus = oracles.random_distinct_bitstrings(rng, d, 12)
         sm = gf2.compress(nus)
-        obj = json.loads(sm.to_json())
+        obj = json.loads(json.dumps(sm.as_dict()))
         assert obj["selected_rows"] == sm.selected_rows
         # hex fields decode to the bit strings, zero-padded to their widths
         r, m = len(sm.selected_rows), len(sm.u_vectors)
@@ -250,26 +251,172 @@ def _pack_ints(ints, n_words):
                      for v in ints], dtype=np.uint64).reshape(-1, n_words)
 
 
-@pytest.mark.parametrize("n_words", [1, 2, 3])
-def test_forbidden_mex_matches_set_mex(monkeypatch, n_words):
-    # small low words, some with upper words set, XORed in blocks of 1-3 rows
-    monkeypatch.setattr(gf2, "_BLOCK_WORDS", 3 * n_words)
-    rng = np.random.default_rng(n_words)
-    for _ in range(300):
+def _set_mex(M, N):
+    forbidden = {0, *M, *N, *(a ^ b for a in M for b in N)}
+    return min(set(range(len(forbidden) + 1)) - forbidden)
+
+
+def _mex_cases(rng, n_words):
+    """(M, N) pairs of int lists for the mex, rows of ``n_words`` words."""
+    high = [1 << (64 * k + s) for k in range(1, n_words) for s in (0, 5, 63)]
+    for _ in range(150):
+        # random sets, some rows lifted into a higher word or to the top of
+        # word 0, where the window's edges are computed
         vals = set()
-        while len(vals) < int(rng.integers(1, 12)):
-            v = int(rng.integers(0, 24))
-            if n_words > 1 and rng.random() < 0.5:
-                v |= 1 << (64 * int(rng.integers(1, n_words)) + 5)
+        while len(vals) < int(rng.integers(1, 40)):
+            v = int(rng.integers(0, 300))
+            lift = rng.random()
+            if lift < 0.2:
+                v |= 1 << 63
+            elif high and lift < 0.5:
+                v |= high[int(rng.integers(len(high)))]
             vals.add(v)
         vals = sorted(vals)
         cut = int(rng.integers(0, len(vals) + 1))
-        M, N = vals[:cut], vals[cut:]
-        forbidden = {0, *M, *N, *(a ^ b for a in M for b in N)}
-        want = min(set(range(len(forbidden) + 1)) - forbidden)
+        yield vals[:cut], vals[cut:]
+    # a full first window; M holding 1..300, so the window doubles twice
+    for top in (128, 129, 256, 301):
+        yield list(range(1, top)), []
+        yield [], list(range(1, top))
+    yield list(range(1, 301)), rng.choice(1000, 30, replace=False).tolist()
+    yield [], []
+    yield [5], []
+    yield [], [1, 2]
+    # rows equal above the window in word 0, different in a higher word
+    for h in high:
+        yield [3, 5 | h, 9, h], [6 | h, 12, 17 | h, 1 | h]
+        yield [h | v for v in range(1, 200)], list(range(1, 60))
+    # rows that share a mixed key but differ above the window: in word 0,
+    # or (from three words) in a middle word while word 0 differs only in
+    # its lowest bit, so that a wrongly kept pair would forbid the mex 1;
+    # the last word then differs too
+    for _ in range(10 if n_words > 1 else 0):
+        a = [int(w) for w in rng.integers(0, 2 ** 63, size=n_words)]
+        for k, flip in ((0, 1 << 40), (1, 1 << 3), (0, 1 << 63)):
+            if k < n_words - 1:
+                b = list(a[:-1])
+                b[k] ^= flip
+                if k:
+                    b[0] ^= 1
+                b.append(_colliding_last_word(a, b))
+                yield [_from_words(a)], [_from_words(b)]
+
+
+def _from_words(words):
+    return sum(w << (64 * k) for k, w in enumerate(words))
+
+
+def _colliding_last_word(a, prefix):
+    """The last word that gives ``prefix`` the mixed key of row ``a``."""
+    rows = np.array([a, prefix + [0]], dtype=np.uint64)
+    keys = gf2._row_keys(rows, gf2._WINDOW_BITS)
+    last = int(keys[0] ^ keys[1])
+    assert len(set(gf2._row_keys(np.array([a, prefix + [last]],
+                                          dtype=np.uint64),
+                                 gf2._WINDOW_BITS).tolist())) == 1
+    return last
+
+
+@pytest.mark.parametrize("n_words", [1, 2, 3, 4])
+def test_forbidden_mex_matches_set_mex(n_words):
+    rng = np.random.default_rng(n_words)
+    mexes = set()
+    for M, N in _mex_cases(rng, n_words):
         got = gf2._forbidden_mex(_pack_ints(M, n_words),
                                  _pack_ints(N, n_words))
-        assert got == want
+        assert got == _set_mex(M, N), (M, N)
+        mexes.add(got)
+    assert max(mexes) > 256                # the window has doubled twice
+
+
+@pytest.mark.parametrize("n_words", [2, 3])
+def test_distinct_rows_sees_through_shared_keys(n_words):
+    rng = np.random.default_rng(n_words)
+    a = [int(w) for w in rng.integers(0, 2 ** 63, size=n_words)]
+    b = list(a[:-1])
+    b[0] ^= 1 << 40
+    b.append(_colliding_last_word(a, b))
+    rows = np.array([a, b, [0] * n_words], dtype=np.uint64)
+    assert gf2._distinct_rows(rows)
+    assert not gf2._distinct_rows(rows[[0, 1, 0]])
+
+
+def _nullspace_inputs(rng):
+    """GF(2) matrices: tall, wide, with zero rows, rank deficient, and the
+    echelon of w = e_lead + cand rows that the signature search builds."""
+    for _ in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 70, size=2))
+        yield rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        k = int(rng.integers(1, min(rows, cols) + 1))
+        yield ((rng.integers(0, 2, size=(rows, k))
+                @ rng.integers(0, 2, size=(k, cols))) & 1).astype(np.uint8)
+        a = (rng.random((rows, cols)) < 0.1).astype(np.uint8)
+        a[rng.random(rows) < 0.3] = 0
+        yield a
+    yield np.zeros((3, 5), dtype=np.uint8)
+    yield np.zeros((0, 4), dtype=np.uint8)
+    yield np.eye(6, dtype=np.uint8)
+    for r, m in ((60, 11), (60, 13), (120, 15), (80, 17), (100, 21),
+                 (150, 15)):
+        for _ in range(4):
+            W = np.zeros((r - m, r), dtype=np.uint8)
+            for row, lead in enumerate(range(m, r)):
+                cand = int(rng.integers(0, min(1 << lead, 128)))
+                W[row, lead] = 1
+                W[row, :8] = (cand >> np.arange(8)) & 1
+            yield W
+
+
+def test_nullspace_matches_back_substitution_oracle():
+    rng = np.random.default_rng(204)
+    n = 0
+    for a in _nullspace_inputs(rng):
+        got = gf2._gf2_nullspace(a)
+        want = oracles.gf2_nullspace_backsub(a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not ((a.astype(int) @ got.T.astype(int)) & 1).any()
+        n += 1
+    assert n >= 200
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 64, 65, 120])
+def test_inverse_matches_row_op_oracle(n):
+    rng = np.random.default_rng(n)
+    for _ in range(6):
+        a = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+        try:
+            want = oracles.gf2_inverse_rowops(a)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                gf2._gf2_inverse(a)
+            continue
+        got = gf2._gf2_inverse(a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    a[:, n // 2] = 0
+    with pytest.raises(ValueError, match="singular"):
+        gf2._gf2_inverse(a)
+
+
+def test_signature_search_memory_is_linear_in_input():
+    # the table of all |M| * |N| pairwise XORs peaked at 73 * D * r bytes
+    rng = np.random.default_rng(2048)
+    d, width = 2048, 100
+    nus = set()
+    while len(nus) < d:
+        occ = rng.random((d, width)).argsort(axis=1)[:, :width // 4]
+        bits = np.zeros((d, width), dtype=np.uint8)
+        np.put_along_axis(bits, occ, 1, axis=1)
+        nus.update(gf2._array_to_strings(bits))
+    _, tilde = gf2.select_substrings(sorted(nus)[:d])
+    r = len(tilde[0])
+    tracemalloc.start()
+    try:
+        gf2.find_signature_vectors(tilde)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * d * r, peak / (d * r)
 
 
 @pytest.mark.parametrize("r", [6, 10, 70, 140])
