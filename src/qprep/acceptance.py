@@ -91,14 +91,12 @@ def check_signature_compression():
         d = int(rng.integers(2, 65))
         n_bits = 2 * int(rng.integers(3, 21))
         nus = _random_distinct_bitstrings(rng, d, n_bits)
-        smap = gf2.compress(nus)
+        stats = {}
+        smap = gf2.compress(nus, stats=stats)
         bound = gf2.signature_length(d)
         if len(set(smap.signatures)) != d or smap.signature_bits > bound:
             return _finish(2, "signature-compression", t0, False,
                            "distinctness or length violated at D=%d" % d)
-        _, tilde = gf2.select_substrings(nus)
-        stats = {}
-        gf2.find_signature_vectors(tilde, stats=stats)
         budget = d * d // 2 + d + 1
         counts = stats.get("search_counts", [])
         if any(c > budget for c in counts):

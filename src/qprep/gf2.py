@@ -5,8 +5,18 @@ distinct signatures of 2*ceil(log2 D) - 1 bits in two stages: first every
 string is restricted to a row basis of the (2N x D) position-by-string bit
 matrix (substring selection), then signature vectors u_k are constructed
 whose GF(2) dot products with the substrings give the signature bits.
-Gaussian elimination for the row basis works on rows packed into Python
-integers.
+
+The strings are parsed once into Python integers and eliminated once, one
+string at a time, against a fully reduced basis keyed by lowest set bit.
+The strings that stay independent are the generators, and each basis
+vector carries a tag naming the generators it sums.  Row operations keep
+column relations, so this one pass gives the whole first stage: the leads
+of the basis are the positions kept, the tag a string collects on its way
+to 0 holds its coordinates over the generators, and the tags in lead order
+form the inverse of the generator matrix.  The second stage works in these
+coordinates, where generator k is the unit vector e_k, and the inverse
+carries its u-vectors back to positions.  The nullspace of the collected
+w's (below) comes from the same elimination.
 
 The signature-vector search peels one dimension per level.  It keeps the D
 vectors packed into rows of uint64 words (bit k in word k // 64), splits
@@ -19,9 +29,7 @@ m ^ n lands in the window only if m and n agree on every bit from b up, so
 those pairs are found by sorting M on these bits and searching it for each
 row of N.  A window forms at most 2**b pairs per row of the smaller half,
 and the search needs memory linear in D, not the |M| x |N| table of all
-pairwise XORs.  The inverse of the generator matrix and the nullspace of
-the collected w's share one Gauss-Jordan elimination on rows packed into
-Python integers.
+pairwise XORs.
 
 The optional check relies on reduction against the collected w vectors
 being linear, since each w's leading bit is its highest bit and no two
@@ -34,14 +42,13 @@ distinctness test, not D**2/2 span tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DuplicateDeterminant",
     "SignatureMap",
-    "rank_and_row_basis",
     "select_substrings",
     "find_signature_vectors",
     "compress",
@@ -62,183 +69,121 @@ def signature_length(n_det):
     return 2 * math.ceil(math.log2(n_det)) - 1
 
 
-def _as_bits(m):
-    return np.asarray(m, dtype=np.uint8) & 1
-
-
-def _strings_to_array(strings):
-    """Parse equal-length '0'/'1' strings into a (count, width) uint8 array.
+def _parse_bitstrings(strings):
+    """Equal-length '0'/'1' strings as integers, bit k = character k.
 
     Raises ValueError naming the first string whose length differs from
-    the first one's or that holds a character other than '0' and '1'.
+    the first one's or, if there is none, the first that holds a character
+    other than '0' and '1'.
     """
-    strings = list(strings)
-    width = len(strings[0]) if strings else 0
+    width = len(strings[0])
     for i, s in enumerate(strings):
         if len(s) != width:
             raise ValueError("bitstring %d (%r) has %d characters, expected %d"
                              % (i + 1, s, len(s), width))
-    text = "".join(strings).encode("ascii", "replace")
-    bits = np.frombuffer(text, dtype=np.uint8).reshape(len(strings), width)
-    bits = bits - np.uint8(ord("0"))
-    bad = np.flatnonzero((bits > 1).any(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError("bitstring %d (%r) has a character other than 0/1"
-                         % (i + 1, strings[i]))
-    return bits
+    for i, s in enumerate(strings):
+        if s.encode("ascii", "replace").translate(None, b"01"):
+            raise ValueError("bitstring %d (%r) has a character other than 0/1"
+                             % (i + 1, s))
+    return [int(s[::-1] or "0", 2) for s in strings]
 
 
 def _array_to_strings(bits):
     """Rows of a 0/1 array as '0'/'1' strings."""
-    bits = np.asarray(bits, dtype=np.uint8)
     width = bits.shape[1]
     text = (bits + np.uint8(ord("0"))).tobytes().decode("ascii")
     return [text[i * width:(i + 1) * width] for i in range(bits.shape[0])]
 
 
-def _pack_rows(bits):
-    """(n, r) 0/1 array as (n, ceil(r/64)) uint64 words, bit k in word k//64."""
-    n, r = bits.shape
-    packed = np.zeros((n, 8 * -(-r // 64)), dtype=np.uint8)
-    packed[:, :-(-r // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8").astype(np.uint64)
+_WORD = (1 << 64) - 1
 
 
-def _unpack_rows(words, r):
-    """Inverse of :func:`_pack_rows`: the low r bits of each row of words."""
-    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=1, bitorder="little")[:, :r]
+def _pack_rows(ints, width):
+    """``width``-bit integers as rows of uint64 words, bit k in word k // 64."""
+    words = np.empty((len(ints), -(-width // 64)), dtype=np.uint64)
+    for k in range(words.shape[1]):
+        words[:, k] = np.fromiter((v >> 64 * k & _WORD for v in ints),
+                                  np.uint64, len(ints))
+    return words
 
 
-def rank_and_row_basis(m):
-    """Rank and a row basis over GF(2), by Gaussian elimination.
+def _eliminate(rows):
+    """Gauss-Jordan elimination of integer rows, one row at a time.
 
-    Returns ``(rank, basis_rows)`` where ``basis_rows`` is the
-    lowest-index-first list of input rows that are linearly independent and
-    span the row space.  Each row is packed into one Python integer (bit k
-    = column k).  Each basis vector is keyed by its lowest set bit, its
-    lead, and no two leads are equal; a row is reduced by XORing in the
-    vector of its lowest lead bit until it holds no lead bit.
+    The basis is kept fully reduced: each vector holds its own lead, its
+    lowest set bit, and no other vector's lead.  A row is reduced by XORing
+    in the vector of every lead bit it holds.  A row left nonzero is
+    generator k, k counting the generators before it; its lowest bit
+    becomes a new lead, cleared from the older vectors.  Each vector keeps
+    a tag, the generators (bit k = generator k) that sum to it, so a row
+    that reduces to 0 is the sum of the generators in its tag.
+
+    Returns ``(basis, coords)``: ``basis`` maps each lead bit to
+    ``[vector, tag]``, and ``coords[i]`` is the set of generators that sum
+    to row i (only ``1 << k`` for generator k itself).
     """
-    bits = _as_bits(m)
-    n, cols = bits.shape
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    basis = {}                             # lead bit -> basis vector
+    basis = {}
     leads = 0                              # the OR of all lead bits
-    basis_rows = []
-    for i in range(n):
-        if len(basis_rows) == cols:
-            break                          # full column rank: nothing new
-        row = int.from_bytes(packed[i].tobytes(), "little")
+    coords = []
+    for row in rows:
+        tag = 0
         hit = row & leads
         while hit:
-            row ^= basis[hit & -hit]
-            hit = row & leads
-        if row:
-            lead = row & -row
-            basis[lead] = row
-            leads |= lead
-            basis_rows.append(i)
-    return len(basis_rows), basis_rows
-
-
-def _bits_to_ints(bits):
-    """Rows of a 0/1 array as Python integers, bit k = column k."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _ints_to_bits(ints, width):
-    """The low ``width`` bits of each integer as a row of a 0/1 array."""
-    n_bytes = -(-width // 8)
-    octets = b"".join(v.to_bytes(n_bytes, "little") for v in ints)
-    rows = np.frombuffer(octets, dtype=np.uint8).reshape(len(ints), n_bytes)
-    return np.unpackbits(rows, axis=1, bitorder="little")[:, :width]
-
-
-def _reduce_echelon(rows, n_cols):
-    """Gauss-Jordan elimination of integer-packed rows on columns < n_cols.
-
-    Reorders and reduces ``rows`` in place: the p-th row holds the p-th
-    pivot column, which is 0 in every other row.  Returns the pivot
-    columns in increasing order.
-    """
-    pivots = []
-    for col in range(n_cols):
-        p = len(pivots)
-        if p == len(rows):
-            break
-        bit = 1 << col
-        hit = next((i for i in range(p, len(rows)) if rows[i] & bit), None)
-        if hit is None:
+            lead = hit & -hit
+            vec, vec_tag = basis[lead]
+            row ^= vec
+            tag ^= vec_tag
+            hit ^= lead
+        if not row:
+            coords.append(tag)
             continue
-        pivot = rows[hit]
-        rows[hit] = rows[p]
-        rows[:] = [row ^ pivot if row & bit else row for row in rows]
-        rows[p] = pivot
-        pivots.append(col)
-    return pivots
+        coord = 1 << len(basis)
+        tag ^= coord
+        lead = row & -row
+        for entry in basis.values():
+            if entry[0] & lead:
+                entry[0] ^= row
+                entry[1] ^= tag
+        basis[lead] = [row, tag]
+        leads |= lead
+        coords.append(coord)
+    return basis, coords
 
 
-def _gf2_inverse(a):
-    """Inverse of a square GF(2) matrix (raises if singular).
+def _nullspace(rows, width):
+    """Basis of {x : x . row = 0 over GF(2) for every row}, as integers.
 
-    [a | I] reduced on the columns of a is [I | a^-1].
+    In the fully reduced basis of :func:`_eliminate` each vector has a 1 in
+    its own lead and 0 in every other lead.  So the basis vector of free
+    bit f has bit f set, 0 in the other free bits, and each lead bit set
+    where that lead's vector has bit f.  Free bits come lowest first.
     """
-    a = _as_bits(a)
-    n = a.shape[0]
-    rows = [row | 1 << (n + i) for i, row in enumerate(_bits_to_ints(a))]
-    if len(_reduce_echelon(rows, n)) < n:
-        raise ValueError("matrix is singular over GF(2)")
-    return _ints_to_bits([row >> n for row in rows], n)
+    basis, _ = _eliminate(rows)
+    return [1 << f | sum(lead for lead, (vec, _) in basis.items()
+                         if vec >> f & 1)
+            for f in range(width) if 1 << f not in basis]
 
 
-def _gf2_nullspace(a):
-    """Rows form a basis of the right nullspace {x : a x = 0 over GF(2)}.
+def select_substrings(rows):
+    """Positions to keep, the generators' inverse and the coordinates.
 
-    In the reduced echelon form of a, pivot row p has a 1 in its pivot
-    column and 0 in every other pivot column.  So the basis vector of free
-    column f has x[f] = 1, 0 in the other free columns, and
-    x[pivots[p]] = a[p, f].
+    ``rows`` are D distinct bitstrings as integers, bit k = position k.  The
+    leads of their :func:`_eliminate` basis are the lowest-index-first row
+    basis of the (2N x D) position-by-string matrix.  Every position is a
+    GF(2) combination of these, so strings that agree on them agree
+    everywhere, and distinctness survives the restriction.  Restricted to
+    the leads, the fully reduced basis is the identity; so its tags in
+    lead order are the rows of G^-1, where row k of G is generator k
+    restricted to the positions kept.
+
+    Returns ``(selected, inverse, coords)``: the positions kept, lowest
+    first; G^-1 as one integer per position kept (bit k = column k); and
+    the strings' coordinates (bit k = generator k) as packed rows.
     """
-    a = _as_bits(a)
-    cols = a.shape[1]
-    rows = _bits_to_ints(a)
-    pivots = _reduce_echelon(rows, cols)
-    is_free = np.ones(cols, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = _ints_to_bits(rows[:len(pivots)], cols)[:, free].T
-    return basis
-
-
-def select_substrings(nus):
-    """Restrict bitstrings to a row basis of the position-by-string matrix.
-
-    Every position (row of the 2N x D matrix) is a GF(2) combination of the
-    basis rows, so strings that agree on the selected positions agree
-    everywhere; distinctness survives the restriction.
-
-    Parameters
-    ----------
-    nus : iterable of '0'/'1' strings, all the same length, pairwise distinct.
-
-    Returns
-    -------
-    (selected_rows, tilde_nus) : positions kept (lowest-index-first) and the
-        restricted substrings, in input order.
-    """
-    nus = list(nus)
-    if len(nus) < 2:
-        raise ValueError("substring selection needs at least two bitstrings")
-    if len(set(nus)) != len(nus):
-        raise DuplicateDeterminant("input bitstrings are not pairwise distinct")
-    mat = _strings_to_array(nus)          # D x 2N
-    _, selected = rank_and_row_basis(mat.T)
-    return selected, _array_to_strings(mat[:, selected])
+    basis, coords = _eliminate(rows)
+    leads = sorted(basis)
+    return ([lead.bit_length() - 1 for lead in leads],
+            [basis[lead][1] for lead in leads], _pack_rows(coords, len(leads)))
 
 
 _WINDOW_BITS = 7    # first window [0, 2**7): holds the bench-size mexes
@@ -349,52 +294,21 @@ def _check_kernel_avoidance(snapshots, echelon):
             raise AssertionError("kernel contains a difference")
 
 
-def find_signature_vectors(tilde_nus, check=False, stats=None):
-    """Signature vectors u_k that give the substrings distinct GF(2) images.
+def find_signature_vectors(cur, r, check, stats):
+    """Signature vectors that give D vectors distinct GF(2) images.
 
-    For D distinct substrings of length r this returns min(r, 2*ceil(log2 D)-1)
-    vectors of length r (as '0'/'1' strings).  Stacked into a matrix U, the map
-    v -> U v over GF(2) sends the substrings to mutually distinct signatures;
-    its kernel avoids every pairwise difference and (except for D=2 with r=2,
-    where that is impossible by counting) every nonzero substring.
+    ``cur`` holds D >= 3 distinct vectors of r > m = 2*ceil(log2 D) - 1
+    bits, among them every unit vector e_k, packed into rows of uint64
+    words (bit k in word k // 64); it is overwritten.  Returns m vectors of
+    r bits as integers.  Stacked into a matrix U, the map v -> U v over
+    GF(2) sends the D vectors to mutually distinct signatures; its kernel
+    avoids every pairwise difference and every nonzero vector.
 
     When ``check`` is true, the kernel-avoidance properties are asserted at
-    every step of the inductive construction.  ``stats``, if given a dict,
+    every step of the inductive construction.  ``stats``, if a dict,
     receives per-step candidate-scan counts under ``"search_counts"``.
     """
-    tilde_nus = list(tilde_nus)
-    D = len(tilde_nus)
-    if D < 2:
-        raise ValueError("need at least two substrings")
-    if len(set(tilde_nus)) != D:
-        raise DuplicateDeterminant("substrings are not pairwise distinct")
-    T = _strings_to_array(tilde_nus)      # D x r
-    r = T.shape[1]
-    m = signature_length(D)
-
-    if r <= m:
-        # The substrings already fit in the signature budget: identity map.
-        return _array_to_strings(np.eye(r, dtype=np.uint8))
-
-    if D == 2:
-        # Counting makes the full kernel property unsatisfiable here (the
-        # forbidden set covers all of F_2^r); one differing bit is enough
-        # for distinctness, which is all the single signature bit needs.
-        u = np.zeros((1, r), dtype=np.uint8)
-        u[0, np.flatnonzero(T[0] ^ T[1])[0]] = 1
-        return _array_to_strings(u)
-
-    rank, gen_rows = rank_and_row_basis(T)
-    if rank != r:
-        raise ValueError("substrings must span their full bit space "
-                         "(got rank %d < %d); run select_substrings first"
-                         % (rank, r))
-    P = T[gen_rows].T                      # columns are the generators
-    P_inv = _gf2_inverse(P)
-
-    # Work in coordinates where generator k becomes the unit vector e_k;
-    # each vector is a row of uint64 words with bit k = coordinate k.
-    cur = _pack_rows(((P_inv @ T.T) & 1).T)
+    m = signature_length(len(cur))
     if not _distinct_rows(cur):
         raise AssertionError("coordinate map lost distinctness")
 
@@ -431,14 +345,12 @@ def find_signature_vectors(tilde_nus, check=False, stats=None):
     if stats is not None:
         stats["search_counts"] = search_counts
 
-    # u-vectors: nullspace of the w's in coordinates, mapped back through P.
-    W = _unpack_rows(np.array([w for _, w in w_echelon]), r)
-    U_coord = _gf2_nullspace(W)            # m x r
-    if U_coord.shape[0] != m:
-        raise AssertionError("nullspace dimension %d != %d"
-                             % (U_coord.shape[0], m))
-    U = (P_inv.T @ U_coord.T).T & 1        # back to bit-position axes
-    return _array_to_strings(U)
+    # The u-vectors span the nullspace of the w's.
+    U = _nullspace([int.from_bytes(w.tobytes(), "little")
+                    for _, w in w_echelon], r)
+    if len(U) != m:
+        raise AssertionError("nullspace dimension %d != %d" % (len(U), m))
+    return U
 
 
 @dataclass
@@ -449,9 +361,9 @@ class SignatureMap:
     the i-th substring; all signatures are mutually distinct.
     """
 
-    selected_rows: list = field(default_factory=list)
-    u_vectors: list = field(default_factory=list)
-    signatures: list = field(default_factory=list)
+    selected_rows: list
+    u_vectors: list
+    signatures: list
 
     @property
     def signature_bits(self):
@@ -470,29 +382,53 @@ def _bits_to_hex(bits):
     return format(int(bits, 2), "x") if bits else ""
 
 
-def compress(nus, check=False):
+def compress(nus, check=False, stats=None):
     """Full compression: substring selection plus signature construction.
 
     Maps D distinct bitstrings to distinct signatures of
     ``min(r, 2*ceil(log2 D) - 1)`` bits, r being the selected substring
     length.  D=1 needs no compression and returns an empty map.  A
     bitstring of the wrong length or with a character other than 0/1 raises
-    ValueError naming it.
+    ValueError naming it.  ``check`` and ``stats`` go to
+    :func:`find_signature_vectors`, which runs only when D > 2 and r
+    exceeds the signature length.
     """
     nus = list(nus)
     if not nus:
         raise ValueError("need at least one bitstring")
     if len(set(nus)) != len(nus):
         raise DuplicateDeterminant("input bitstrings are not pairwise distinct")
-    if len(nus) == 1:
-        _strings_to_array(nus)             # refuses a malformed bitstring
+    rows = _parse_bitstrings(nus)
+    D, width = len(rows), len(nus[0])
+    if D == 1:
         return SignatureMap([], [], [""])
-    selected, tilde = select_substrings(nus)
-    us = find_signature_vectors(tilde, check=check)
-    U = _strings_to_array(us)
-    T = _strings_to_array(tilde)
-    B = (T @ U.T) & 1
-    sigs = _array_to_strings(B)
-    if len(set(sigs)) != len(sigs):
+    selected, inverse, coords = select_substrings(rows)
+    r, m = len(selected), signature_length(D)
+    # Each u-vector as a mask over all positions, set only where kept.
+    if r <= m:
+        # The substrings already fit in the signature budget: identity map.
+        masks = [1 << pos for pos in selected]
+    elif D == 2:
+        # Counting makes the full kernel property unsatisfiable here (the
+        # forbidden set covers all of F_2^r); one differing bit is enough
+        # for distinctness, which is all the single signature bit needs.
+        diff = rows[0] ^ rows[1]
+        masks = [1 << next(pos for pos in selected if diff >> pos & 1)]
+    else:
+        # Found in coordinates c, where a substring is G^T c: u . c equals
+        # (G^-1 u) . (G^T c), and bit p of G^-1 u is u . (row p of G^-1).
+        us = find_signature_vectors(coords, r, check, stats)
+        masks = [sum(((u & row).bit_count() & 1) << pos
+                     for pos, row in zip(selected, inverse)) for u in us]
+    words = _pack_rows(rows, width)
+    bits = np.empty((D, len(masks)), dtype=np.uint8)
+    keys = np.zeros((D, 1), dtype=np.uint64)   # each signature in one word
+    for a, mask in enumerate(_pack_rows(masks, width)):
+        bit = np.bitwise_count(words & mask).sum(axis=1) & 1
+        bits[:, a] = bit
+        keys[:, 0] |= bit << np.uint64(a)
+    if not _distinct_rows(keys):
         raise AssertionError("signature construction failed to separate inputs")
-    return SignatureMap(selected, us, sigs)
+    return SignatureMap(selected,
+                        ["".join("01"[mask >> pos & 1] for pos in selected)
+                         for mask in masks], _array_to_strings(bits))

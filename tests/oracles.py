@@ -157,16 +157,23 @@ def kernel_check_pairwise(snapshots, w_echelon):
                     raise AssertionError("kernel contains a difference")
 
 
+def _strings_to_bits(strings):
+    """'0'/'1' strings as a (count, width) uint8 array, one char at a time."""
+    return np.array([[int(c) for c in s] for s in strings],
+                    dtype=np.uint8).reshape(len(strings), -1)
+
+
+def _array_to_string(row):
+    return "".join("1" if b else "0" for b in row)
+
+
 def find_signature_vectors_sets(tilde_nus, check=False, stats=None):
     """Signature search on Python-int sets: the mex found by counting up.
 
-    The forbidden set of each level is built explicitly, O(D**2) ints, and
-    ``check`` runs :func:`kernel_check_pairwise`.  Same contract as
-    ``gf2.find_signature_vectors``.
+    Takes D distinct substrings of full rank and returns the u-vectors as
+    '0'/'1' strings.  The forbidden set of each level is built explicitly,
+    O(D**2) ints, and ``check`` runs :func:`kernel_check_pairwise`.
     """
-    def _array_to_string(row):
-        return "".join("1" if b else "0" for b in row)
-
     tilde_nus = list(tilde_nus)
     D = len(tilde_nus)
     if D < 2:
@@ -185,14 +192,14 @@ def find_signature_vectors_sets(tilde_nus, check=False, stats=None):
         # Counting makes the full kernel property unsatisfiable here (the
         # forbidden set covers all of F_2^r); one differing bit is enough
         # for distinctness, which is all the single signature bit needs.
-        arr = gf2._strings_to_array(tilde_nus)
+        arr = _strings_to_bits(tilde_nus)
         j = int(np.flatnonzero(arr[0] ^ arr[1])[0])
         u = np.zeros(r, dtype=np.uint8)
         u[j] = 1
         return [_array_to_string(u)]
 
-    T = gf2._strings_to_array(tilde_nus)      # D x r, full column rank
-    rank, gen_rows = gf2.rank_and_row_basis(T)
+    T = _strings_to_bits(tilde_nus)           # D x r, full column rank
+    rank, gen_rows = rank_and_row_basis_loop(T)
     if rank != r:
         raise ValueError("substrings must span their full bit space "
                          "(got rank %d < %d); run select_substrings first"
@@ -254,6 +261,23 @@ def find_signature_vectors_sets(tilde_nus, check=False, stats=None):
                              % (U_coord.shape[0], m))
     U = (P_inv.T @ U_coord.T).T & 1        # back to bit-position axes
     return [_array_to_string(row) for row in U]
+
+
+def compress_reference(nus, check=False, stats=None):
+    """``gf2.compress`` from the loop row basis of the position-by-string
+    matrix, :func:`find_signature_vectors_sets` and uint8 signatures."""
+    nus = list(nus)
+    if len(set(nus)) != len(nus):
+        raise gf2.DuplicateDeterminant("input bitstrings are not pairwise distinct")
+    if len(nus) == 1:
+        return gf2.SignatureMap([], [], [""])
+    mat = _strings_to_bits(nus)               # D x 2N
+    _, selected = rank_and_row_basis_loop(mat.T)
+    T = mat[:, selected]
+    us = find_signature_vectors_sets([_array_to_string(row) for row in T],
+                                     check=check, stats=stats)
+    B = (T @ _strings_to_bits(us).T) & 1
+    return gf2.SignatureMap(selected, us, [_array_to_string(row) for row in B])
 
 
 def _phase_apply(mask, ops):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -6,19 +7,31 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qprep import gf2
+from qprep import cli, gf2
 
 import oracles
 
 
+def _ints(bits):
+    """Rows of a 0/1 array as integers, bit k = column k."""
+    return [sum(1 << k for k in np.flatnonzero(row).tolist()) for row in bits]
+
+
+def _rank_and_row_basis(bits):
+    """Rank and generator rows read off one ``gf2._eliminate`` pass: row i
+    is generator k iff it is the first row with coordinates 1 << k."""
+    basis, coords = gf2._eliminate(_ints(bits))
+    return len(basis), [coords.index(1 << k) for k in range(len(basis))]
+
+
 def test_rank_identity():
-    rank, rows = gf2.rank_and_row_basis(np.eye(3, dtype=np.uint8))
+    rank, rows = _rank_and_row_basis(np.eye(3, dtype=np.uint8))
     assert rank == 3
     assert rows == [0, 1, 2]
 
 
 def test_rank_all_zero():
-    rank, rows = gf2.rank_and_row_basis(np.zeros((4, 4), dtype=np.uint8))
+    rank, rows = _rank_and_row_basis(np.zeros((4, 4), dtype=np.uint8))
     assert rank == 0
     assert rows == []
 
@@ -27,7 +40,7 @@ def test_rank_matches_bruteforce():
     rng = np.random.default_rng(11)
     for _ in range(40):
         bits = rng.integers(0, 2, size=(20, 12), dtype=np.uint8)
-        rank, rows = gf2.rank_and_row_basis(bits)
+        rank, rows = _rank_and_row_basis(bits)
         assert rank == oracles.gf2_rank_bruteforce(bits)
         # the reported rows really are independent and span the row space
         ints = [int("".join(str(b) for b in r), 2) for r in bits]
@@ -51,28 +64,49 @@ def test_rank_matches_row_loop_oracle(cols):
                   (rng.random((n, cols)) < 0.05).astype(np.uint8),
                   np.repeat(rng.integers(0, 2, size=(1, cols)), n, axis=0)]
         for bits in inputs:
-            got = gf2.rank_and_row_basis(bits)
+            got = _rank_and_row_basis(bits)
             assert got == oracles.rank_and_row_basis_loop(bits)
+            # each row is the sum of the generators in its coordinates
+            rows = _ints(bits)
+            gens = [rows[i] for i in got[1]]
+            for row, c in zip(rows, gf2._eliminate(rows)[1]):
+                assert row == _xor(g for k, g in enumerate(gens) if c >> k & 1)
             ranks.add(got[0] == min(n, cols))
     assert ranks == {True, False}
 
 
+def _bits(ints, width):
+    """Integers as rows of a (len(ints), width) 0/1 uint8 array."""
+    return np.array([[v >> k & 1 for k in range(width)] for v in ints],
+                    dtype=np.uint8).reshape(len(ints), width)
+
+
+def _xor(ints):
+    acc = 0
+    for v in ints:
+        acc ^= v
+    return acc
+
+
+def _restrict(nus, selected):
+    return ["".join(nu[p] for p in selected) for nu in nus]
+
+
 def test_select_substrings_single_differing_bit():
-    selected, tilde = gf2.select_substrings(["000", "001"])
+    selected, inverse, coords = gf2.select_substrings(
+        gf2._parse_bitstrings(["000", "001"]))
     assert selected == [2]
-    assert tilde == ["0", "1"]
+    assert inverse == [1]
+    assert coords.tolist() == [[0], [1]]
 
 
 def test_select_substrings_standard_basis():
     nus = ["10000000", "01000000", "00100000", "00010000"]
-    selected, tilde = gf2.select_substrings(nus)
+    selected, inverse, coords = gf2.select_substrings(
+        gf2._parse_bitstrings(nus))
     assert selected == [0, 1, 2, 3]
-    assert tilde == ["1000", "0100", "0010", "0001"]
-
-
-def test_select_substrings_duplicate_raises():
-    with pytest.raises(gf2.DuplicateDeterminant):
-        gf2.select_substrings(["0101", "0101", "1111"])
+    assert inverse == [1, 2, 4, 8]
+    assert coords.ravel().tolist() == [1, 2, 4, 8]
 
 
 def test_select_substrings_keeps_distinctness():
@@ -80,20 +114,19 @@ def test_select_substrings_keeps_distinctness():
     for _ in range(60):
         d = int(rng.integers(2, 9))
         nus = oracles.random_distinct_bitstrings(rng, d, 8)
-        selected, tilde = gf2.select_substrings(nus)
+        selected, _, coords = gf2.select_substrings(gf2._parse_bitstrings(nus))
         assert len(selected) <= min(8, d)
-        assert len(set(tilde)) == d
+        assert len(set(_restrict(nus, selected))) == d
+        assert len(set(coords.ravel().tolist())) == d
 
 
 def test_signature_identity_when_substrings_fit():
     tilde = ["000", "001", "010", "100"]  # r == 3 == 2*log2(4) - 1
-    us = gf2.find_signature_vectors(tilde)
-    assert us == ["100", "010", "001"]
+    assert gf2.compress(tilde).u_vectors == ["100", "010", "001"]
 
 
 def test_signature_two_determinants_one_bit():
-    us = gf2.find_signature_vectors(["0", "1"])
-    assert us == ["1"]
+    assert gf2.compress(["0", "1"]).u_vectors == ["1"]
 
 
 def test_compress_single_determinant():
@@ -112,6 +145,8 @@ def test_compress_two_determinants():
 def test_compress_duplicate_raises():
     with pytest.raises(gf2.DuplicateDeterminant):
         gf2.compress(["11", "11"])
+    with pytest.raises(gf2.DuplicateDeterminant):
+        gf2.compress(["0101", "0101", "1111"])
 
 
 def test_compress_four_determinants_three_bits():
@@ -164,7 +199,7 @@ def test_derived_against_randomized_oracle():
         nus = oracles.random_distinct_bitstrings(rng, d, n2)
         sm = gf2.compress(nus, check=True)
         assert len(set(sm.signatures)) == d
-        _, tilde = gf2.select_substrings(nus)
+        tilde = _restrict(nus, sm.selected_rows)
         U, _ = oracles.random_signature_matrix(tilde, sm.signature_bits, rng)
         assert U is not None, "oracle found no signature matrix of this size"
 
@@ -174,9 +209,8 @@ def test_search_budget_per_step():
     for _ in range(80):
         d = int(rng.integers(4, 65))
         nus = oracles.random_distinct_bitstrings(rng, d, 40)
-        _, tilde = gf2.select_substrings(nus)
         stats = {}
-        gf2.find_signature_vectors(tilde, stats=stats)
+        gf2.compress(nus, stats=stats)
         budget = d * d // 2 + d + 1
         assert all(c <= budget for c in stats.get("search_counts", []))
 
@@ -209,8 +243,8 @@ def _outcome(fn, *args):
 
 
 def _random_tilde(rng, d, width):
-    return gf2.select_substrings(
-        oracles.random_distinct_bitstrings(rng, d, width))[1]
+    nus = oracles.random_distinct_bitstrings(rng, d, width)
+    return _restrict(nus, gf2.compress(nus).selected_rows)
 
 
 @pytest.mark.parametrize("check", [False, True])
@@ -224,11 +258,13 @@ def test_signature_search_matches_set_oracle(d, width, words, check):
         tilde = _random_tilde(rng, d, width)
         assert -(-len(tilde[0]) // 64) == words
         stats, want = {}, {}
-        us = gf2.find_signature_vectors(tilde, check=check, stats=stats)
+        # full-rank substrings keep every position
+        sm = gf2.compress(tilde, check=check, stats=stats)
+        assert sm.selected_rows == list(range(len(tilde[0])))
         # the pairwise oracle check is O(D**2) span reductions per level
         expected = oracles.find_signature_vectors_sets(
             tilde, check=check and d <= 17, stats=want)
-        assert us == expected
+        assert sm.u_vectors == expected
         assert stats == want
 
 
@@ -237,8 +273,31 @@ def test_signature_search_matches_set_oracle(d, width, words, check):
 ])
 def test_two_substring_shortcut_matches_set_oracle(tilde):
     for check in (False, True):
-        assert gf2.find_signature_vectors(tilde, check=check) \
-            == oracles.find_signature_vectors_sets(tilde, check=check)
+        assert gf2.compress(tilde, check=check) \
+            == oracles.compress_reference(tilde, check=check)
+
+
+@pytest.mark.parametrize("d,width,words", [
+    (1, 8, 0),       # D = 1: no compression
+    (2, 8, 1),       # the D = 2 shortcut, r = 2
+    (8, 3, 1),       # r = 3 <= m = 5: the identity
+    (12, 20, 1), (40, 30, 1), (100, 90, 2), (160, 140, 3), (230, 200, 4),
+    (512, 80, 2),
+])
+def test_compress_matches_whole_reference(d, width, words):
+    rng = np.random.default_rng(10 * d + width)
+    nus = oracles.random_distinct_bitstrings(rng, d, width)
+    # the pairwise oracle check is O(D**2) span reductions per level
+    want_stats = {}
+    want = oracles.compress_reference(nus, check=d <= 17, stats=want_stats)
+    assert -(-len(want.selected_rows) // 64) == words
+    for check in (False, True):
+        stats = {}
+        got = gf2.compress(nus, check, stats)
+        assert got.selected_rows == want.selected_rows
+        assert got.u_vectors == want.u_vectors
+        assert got.signatures == want.signatures
+        assert stats == want_stats
 
 
 def _random_int(rng, n_bits):
@@ -371,7 +430,7 @@ def test_nullspace_matches_back_substitution_oracle():
     rng = np.random.default_rng(204)
     n = 0
     for a in _nullspace_inputs(rng):
-        got = gf2._gf2_nullspace(a)
+        got = _bits(gf2._nullspace(_ints(a), a.shape[1]), a.shape[1])
         want = oracles.gf2_nullspace_backsub(a)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -382,41 +441,75 @@ def test_nullspace_matches_back_substitution_oracle():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 60, 64, 65, 120])
 def test_inverse_matches_row_op_oracle(n):
+    # the rows of a nonsingular a are its generators and every column is
+    # kept, so the tags of the reduced basis are the rows of a^-1
     rng = np.random.default_rng(n)
     for _ in range(6):
         a = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
         try:
             want = oracles.gf2_inverse_rowops(a)
         except ValueError:
-            with pytest.raises(ValueError, match="singular"):
-                gf2._gf2_inverse(a)
+            assert _rank_and_row_basis(a)[0] < n
             continue
-        got = gf2._gf2_inverse(a)
+        selected, inverse, coords = gf2.select_substrings(_ints(a))
+        assert selected == list(range(n))
+        assert coords.tolist() == _pack_ints([1 << k for k in range(n)],
+                                             coords.shape[1]).tolist()
+        got = _bits(inverse, n)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     a[:, n // 2] = 0
-    with pytest.raises(ValueError, match="singular"):
-        gf2._gf2_inverse(a)
+    assert _rank_and_row_basis(a)[0] < n
 
 
-def test_signature_search_memory_is_linear_in_input():
-    # the table of all |M| * |N| pairwise XORs peaked at 73 * D * r bytes
-    rng = np.random.default_rng(2048)
-    d, width = 2048, 100
+def _occupations(seed, d, width):
+    """``d`` distinct strings of ``width`` orbitals, a quarter occupied."""
+    rng = np.random.default_rng(seed)
     nus = set()
     while len(nus) < d:
         occ = rng.random((d, width)).argsort(axis=1)[:, :width // 4]
         bits = np.zeros((d, width), dtype=np.uint8)
         np.put_along_axis(bits, occ, 1, axis=1)
         nus.update(gf2._array_to_strings(bits))
-    _, tilde = gf2.select_substrings(sorted(nus)[:d])
-    r = len(tilde[0])
+    return sorted(nus)[:d]
+
+
+def test_signature_search_memory_is_linear_in_input():
+    # the whole of compress, the parse included: three uint8 parses of the
+    # strings took it to 4.85 * D * w bytes, one parse into integers and
+    # packed words to 2.36 * D * w
+    d, width = 2048, 100
+    nus = _occupations(2048, d, width)
     tracemalloc.start()
     try:
-        gf2.find_signature_vectors(tilde)
+        gf2.compress(nus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * d * r, peak / (d * r)
+    assert peak <= 2.5 * d * width, peak / (d * width)
+
+
+@pytest.mark.parametrize("d,width,sha_json,sha_counts", [
+    (2048, 100,
+     "b1c69b12015839aaeaf363fa62b68a50b5ef2ea636b53adb8c9406f70e5375b2",
+     "1a8892b8b160c9c6ab082eddcd588bc58ac0f78969d49a5b6e412828524d394f"),
+    (8192, 120,
+     "dede78b8698a98996b6d327184b74defbf954008f83b7293eaa4d09e807184d2",
+     "b1df4045511752e0268253c986fd1f38b99575f46ea931ab58ab9f2543912408"),
+])
+def test_compress_command_bytes_are_pinned(tmp_path, monkeypatch, d, width,
+                                           sha_json, sha_counts):
+    # sizes past the oracles' reach: the output and the search counts must
+    # keep the bytes recorded when the signature search last changed
+    path, out = tmp_path / "dets.txt", tmp_path / "out.json"
+    path.write_text("\n".join(_occupations(d, d, width)) + "\n")
+    stats, compress = {}, gf2.compress
+    monkeypatch.setattr(gf2, "compress",
+                        lambda nus, check: compress(nus, check, stats))
+    assert cli.dispatch(["compress", "--input", str(path),
+                         "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha_json
+    counts = json.dumps(stats["search_counts"]).encode()
+    assert hashlib.sha256(counts).hexdigest() == sha_counts
 
 
 @pytest.mark.parametrize("r", [6, 10, 70, 140])
@@ -463,20 +556,31 @@ def test_linear_check_agrees_with_pairwise_loop(r):
 @pytest.mark.parametrize("r", [1, 7, 63, 64, 65, 130])
 def test_packed_rows_round_trip(r):
     rng = np.random.default_rng(r)
-    bits = rng.integers(0, 2, size=(9, r), dtype=np.uint8)
-    words = gf2._pack_rows(bits)
-    assert words.shape == (9, -(-r // 64)) and words.dtype == np.uint64
-    ints = [int("".join(map(str, row[::-1])), 2) for row in bits]
+    ints = [_random_int(rng, r) for _ in range(9)] + [2 ** r - 1]
+    words = gf2._pack_rows(ints, r)
+    assert words.shape == (10, -(-r // 64)) and words.dtype == np.uint64
     assert np.array_equal(words, _pack_ints(ints, words.shape[1]))
-    assert np.array_equal(gf2._unpack_rows(words, r), bits)
+    assert [int.from_bytes(row.tobytes(), "little") for row in words] == ints
 
 
 def test_strings_round_trip_through_the_parser():
-    rows = ["0110", "1111", "0000"]
-    bits = gf2._strings_to_array(rows)
-    assert bits.dtype == np.uint8
-    assert bits.tolist() == [[0, 1, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0]]
-    assert gf2._array_to_strings(bits) == rows
+    rows = ["0110", "1111", "0000", "1000"]
+    ints = gf2._parse_bitstrings(rows)
+    assert ints == [6, 15, 0, 1]           # bit k = character k
+    assert gf2._array_to_strings(_bits(ints, 4)) == rows
+
+
+def test_compress_parses_its_strings_once(monkeypatch):
+    calls, parse = [], gf2._parse_bitstrings
+    monkeypatch.setattr(gf2, "_parse_bitstrings",
+                        lambda strings: calls.append(1) or parse(strings))
+    rng = np.random.default_rng(16)
+    for d, width in ((1, 6), (2, 6), (8, 3), (40, 30)):
+        for check in (False, True):
+            calls.clear()
+            gf2.compress(oracles.random_distinct_bitstrings(rng, d, width),
+                         check)
+            assert len(calls) == 1
 
 
 @pytest.mark.parametrize("nus,match", [
@@ -492,11 +596,4 @@ def test_malformed_bitstrings_are_refused(nus, match):
     with pytest.raises(ValueError, match=match):
         gf2.compress(nus)
     with pytest.raises(ValueError, match=match):
-        gf2._strings_to_array(nus)
-
-
-def test_signature_search_refuses_malformed_substrings():
-    with pytest.raises(ValueError, match="bitstring 2"):
-        gf2.find_signature_vectors(["0", "2"])
-    with pytest.raises(ValueError, match="bitstring 2"):
-        gf2.find_signature_vectors(["01", "1"])
+        gf2._parse_bitstrings(nus)
