@@ -178,8 +178,11 @@ def select_substrings(rows):
 
     Returns ``(selected, inverse, coords)``: the positions kept, lowest
     first; G^-1 as one integer per position kept (bit k = column k); and
-    the strings' coordinates (bit k = generator k) as packed rows.
+    the strings' coordinates (bit k = generator k) as packed rows.  Raises
+    DuplicateDeterminant if two rows are equal.
     """
+    if len(set(rows)) != len(rows):
+        raise DuplicateDeterminant("input bitstrings are not pairwise distinct")
     basis, coords = _eliminate(rows)
     leads = sorted(basis)
     return ([lead.bit_length() - 1 for lead in leads],
@@ -389,15 +392,14 @@ def compress(nus, check=False, stats=None):
     ``min(r, 2*ceil(log2 D) - 1)`` bits, r being the selected substring
     length.  D=1 needs no compression and returns an empty map.  A
     bitstring of the wrong length or with a character other than 0/1 raises
-    ValueError naming it.  ``check`` and ``stats`` go to
+    ValueError naming it; two equal ones raise DuplicateDeterminant.
+    ``check`` and ``stats`` go to
     :func:`find_signature_vectors`, which runs only when D > 2 and r
     exceeds the signature length.
     """
     nus = list(nus)
     if not nus:
         raise ValueError("need at least one bitstring")
-    if len(set(nus)) != len(nus):
-        raise DuplicateDeterminant("input bitstrings are not pairwise distinct")
     rows = _parse_bitstrings(nus)
     D, width = len(rows), len(nus[0])
     if D == 1:

@@ -109,6 +109,11 @@ def test_select_substrings_standard_basis():
     assert coords.ravel().tolist() == [1, 2, 4, 8]
 
 
+def test_select_substrings_duplicate_raises():
+    with pytest.raises(gf2.DuplicateDeterminant):
+        gf2.select_substrings(gf2._parse_bitstrings(["0101", "0101", "1111"]))
+
+
 def test_select_substrings_keeps_distinctness():
     rng = np.random.default_rng(23)
     for _ in range(60):
