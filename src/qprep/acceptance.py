@@ -21,13 +21,13 @@ import numpy as np
 from . import gf2, resources
 from .encodesim import (complete_gj_unitaries, householder_decompose,
                         simulate_mps_circuit, simulate_sos_encoding)
-from .hamiltonian import (DenseHamiltonian, build_ci_matrix, normalize_spectrum,
+from .hamiltonian import (SPECTRUM_MARGIN, DenseHamiltonian, build_ci_matrix,
                           parse_fcidump)
 from .leakage import (LeakageSetup, leak_prob_exact, leak_prob_level_approx,
                       leak_prob_level_bracket)
 from .qpestats import qpe_outcome_distribution
 from .refine import gaussian_case_study, gaussian_levels
-from .spectra import (BroadKernel, SpectralMeasure, broaden, default_grid,
+from .spectra import (SpectralMeasure, broaden, default_grid,
                       edgeworth, edgeworth_terms, exact_spectral_measure,
                       gram_charlier, gram_charlier_coefficient, kde, moments,
                       resolvent_distribution)
@@ -280,11 +280,14 @@ def check_distribution_identities():
     for trial in range(20):
         dim = int(rng.integers(2, 65))
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h, _ = normalize_spectrum(DenseHamiltonian((mat + mat.conj().T) / 2))
+        raw = DenseHamiltonian((mat + mat.conj().T) / 2)
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
-        measure = exact_spectral_measure(h, psi)
-        grid, direct = broaden(measure, BroadKernel("lorentzian", 0.05))
+        # the one eigensolve of the trial; the solves and the matvec
+        # moments below see the matrix in the measure's frame
+        measure = exact_spectral_measure(raw, psi, margin=SPECTRUM_MARGIN)
+        h = measure.normalizer.apply_matrix(raw)
+        grid, direct = broaden(measure, 0.05)
         method = "complex" if trial % 2 == 0 else "real"
         _, vals = resolvent_distribution(h, psi, 0.05, grid, method=method)
         worst_res = max(worst_res, float(np.max(np.abs(vals - direct))))

@@ -21,6 +21,7 @@ before numpy first loads.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -309,22 +310,48 @@ def _add_measure_args(sp):
                          "2^20 (default 4096)")
 
 
+@contextlib.contextmanager
+def _refusals_naming(path):
+    """Re-raise a ValueError from the block with ``path`` in front."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_rows(path):
+    """The float rows of a comma-separated file; a file without any is
+    refused."""
+    import warnings
+
+    import numpy as np
+
+    with warnings.catch_warnings():
+        # numpy warns of an empty file; it is refused below instead
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    if rows.size == 0:
+        raise ValueError("file holds no rows")
+    return rows
+
+
 def _load_state_vector(path, dim):
     import numpy as np
 
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
-    if bad.size:
-        raise ValueError(f"{path}: amplitude row {bad[0] + 1} is not finite")
-    if rows.shape[1] == 1:
-        vec = rows[:, 0].astype(complex)
-    elif rows.shape[1] == 2:
-        vec = rows[:, 0] + 1j * rows[:, 1]
-    else:
-        raise ValueError("state file needs one or two columns (re[,im])")
-    if vec.shape[0] != dim:
-        raise ValueError(
-            f"state has {vec.shape[0]} amplitudes, Hamiltonian dim is {dim}")
+    with _refusals_naming(path):
+        rows = _read_rows(path)
+        bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
+        if bad.size:
+            raise ValueError(f"amplitude row {bad[0] + 1} is not finite")
+        if rows.shape[1] == 1:
+            vec = rows[:, 0].astype(complex)
+        elif rows.shape[1] == 2:
+            vec = rows[:, 0] + 1j * rows[:, 1]
+        else:
+            raise ValueError("state file needs one or two columns (re[,im])")
+        if vec.shape[0] != dim:
+            raise ValueError(f"state has {vec.shape[0]} amplitudes, "
+                             f"Hamiltonian dim is {dim}")
     return vec
 
 
@@ -350,18 +377,20 @@ def _load_measure(args):
     if args.levels is not None:
         from .spectra import SpectralMeasure
 
-        rows = np.loadtxt(args.levels, delimiter=",", ndmin=2)
-        if rows.ndim != 2 or rows.shape[1] != 2:
-            raise ValueError("levels file needs energy,weight columns")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("levels file holds non-finite values")
-        energies, inverse = np.unique(rows[:, 0], return_inverse=True)
-        weights = np.zeros(energies.shape)
-        np.add.at(weights, inverse, rows[:, 1])
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("level weights must have a positive total")
-        return SpectralMeasure(np.column_stack((energies, weights / total)))
+        with _refusals_naming(args.levels):
+            rows = _read_rows(args.levels)
+            if rows.shape[1] != 2:
+                raise ValueError("levels file needs energy,weight columns")
+            if not np.all(np.isfinite(rows)):
+                raise ValueError("levels file holds non-finite values")
+            energies, inverse = np.unique(rows[:, 0], return_inverse=True)
+            weights = np.zeros(energies.shape)
+            np.add.at(weights, inverse, rows[:, 1])
+            total = weights.sum()
+            if total <= 0:
+                raise ValueError("level weights must have a positive total")
+            return SpectralMeasure(
+                np.column_stack((energies, weights / total)))
     from .hamiltonian import SPECTRUM_MARGIN, load_hamiltonian
     from .spectra import exact_spectral_measure
 
@@ -468,7 +497,7 @@ def cmd_simulate_encode(args):
 def cmd_energy_dist(args):
     import numpy as np
 
-    from .spectra import (BroadKernel, MomentSet, broaden, coarse_qpe_sample,
+    from .spectra import (MomentSet, broaden, coarse_qpe_sample,
                           default_grid, gram_charlier, kde,
                           moments_from_measure)
 
@@ -479,8 +508,7 @@ def cmd_energy_dist(args):
     if args.method == "resolvent":
         # -(1/pi) Im <psi|(H - E + i eta)^-1|psi> is exactly the Lorentzian
         # broadening of the state's spectral measure.
-        grid, values = broaden(measure, BroadKernel("lorentzian", args.eta),
-                               grid)
+        grid, values = broaden(measure, args.eta, grid)
     elif args.method == "series":
         ms = moments_from_measure(measure, args.order)
         density = gram_charlier(ms, args.order)
@@ -501,14 +529,11 @@ def cmd_energy_dist(args):
 
     if args.sidecar is not None:
         if normalizer is None:
-            frame = "readout"
-            ms = moments_from_measure(measure, args.order)
+            frame, energies = "readout", measure.energies
         else:
-            frame = "original"
-            energies = normalizer.invert(measure.energies)
-            ms = MomentSet.from_raw(
-                [float(np.dot(measure.probs, energies ** n))
-                 for n in range(args.order + 1)])
+            frame, energies = "original", normalizer.invert(measure.energies)
+        ms = MomentSet.from_raw([float(np.dot(measure.probs, energies ** n))
+                                 for n in range(args.order + 1)])
         sidecar = {
             "method": args.method,
             "frame": frame,
@@ -537,8 +562,8 @@ def cmd_qpe_stats(args):
     }
     if args.target is not None:
         report["target"] = args.target
-        report["outcome_p_below"] = float(dist.cdf_below(args.target))
-        report["spectral_p_below"] = float(cdf_below(measure, args.target))
+        report["outcome_p_below"] = cdf_below(dist, args.target)
+        report["spectral_p_below"] = cdf_below(measure, args.target)
     if args.reps is not None:
         report["reps"] = args.reps
         report["expected_min"] = float(expected_min(measure, args.reps))

@@ -33,7 +33,6 @@ __all__ = [
     "dump_fcidump",
     "build_ci_matrix",
     "spectrum_normalizer",
-    "normalize_spectrum",
     "save_hamiltonian",
     "load_hamiltonian",
 ]
@@ -490,22 +489,6 @@ def spectrum_normalizer(lo, hi, margin=SPECTRUM_MARGIN):
         return AffineNormalizer(1.0, 0.5 - lo)
     scale = (1 - 2 * margin) / (hi - lo)
     return AffineNormalizer(scale, margin - scale * lo)
-
-
-def normalize_spectrum(h):
-    """Affinely map the spectrum of ``h`` into [m, 1 - m], m =
-    ``SPECTRUM_MARGIN``.
-
-    Returns the transformed Hamiltonian and the normalizer that was applied
-    (so original energies are recoverable via ``normalizer.invert``).  The
-    bounds come from an exact ``eigvalsh``, the map from
-    :func:`spectrum_normalizer`.  A caller that diagonalizes ``h`` anyway
-    maps its eigenvalues instead, as ``spectra.exact_spectral_measure(...,
-    margin=...)`` does, and saves this second eigensolve.
-    """
-    evals = np.linalg.eigvalsh(h.entries)
-    norm = spectrum_normalizer(evals[0], evals[-1])
-    return norm.apply_matrix(h), norm
 
 
 def _string_excitations(n_orb, n_el):

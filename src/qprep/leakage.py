@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qpestats import qpe_outcome_distribution
+from .qpestats import cdf_below, qpe_outcome_distribution
 from .spectra import SPIKE_TOL, _window_mass, as_measure, register_size
 # Re-exported: the readout routines here raise it past the digit cap.
 from .spectra import DigitCapExceeded  # noqa: F401
@@ -247,7 +247,7 @@ def diagnose_leakage(m, k, n_reps, flag_factor=2.0):
     below = np.flatnonzero(energy_cdfs <= target + 1e-15)
     pick = below[-1] if below.size else 0
     energy_cdf = float(energy_cdfs[pick])
-    outcome_cdf = dist.cdf_below(grid[pick])
+    outcome_cdf = cdf_below(dist, grid[pick])
     if energy_cdf > 0.0:
         ratio = outcome_cdf / energy_cdf
     else:

@@ -3,13 +3,14 @@
 A k-digit phase readout of an input state maps its spectral measure onto a
 discrete distribution over the 2^k register values x, where each level E_n
 contributes through the periodic sinc-squared kernel centred on 2^k E_n.
-This module builds that outcome law, evaluates cumulative probabilities on
-either side of a target energy, analyses the minimum of K independent
-outcomes (the quantity a repeat-until-lucky strategy actually reports), and
-condenses the "is this state worth refining" question into a small triage
-report.
+This module builds that outcome law, itself a
+:class:`~qprep.spectra.SpectralMeasure` over the readout energies x / 2^k,
+evaluates cumulative probabilities on either side of a target energy,
+analyses the minimum of K independent outcomes (the quantity a
+repeat-until-lucky strategy actually reports), and condenses the "is this
+state worth refining" question into a small triage report.
 
-The outcome law itself is :func:`qprep.spectra.outcome_law`: the
+The law's weights come from :func:`qprep.spectra.outcome_law`: the
 characteristic function of the measure at 0 <= l < 2^k (a binned Taylor
 expansion, one real FFT per term), folded and transformed by one FFT, with
 on-grid levels added as exact spikes.
@@ -17,55 +18,27 @@ on-grid levels added as exact spikes.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .spectra import as_measure, outcome_law
+from .spectra import SpectralMeasure, as_measure, outcome_law
 
-PROB_SUM_TOL = 1e-10
 EASY_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Distribution of a k-digit readout over register values 0 .. 2^k - 1."""
-
-    k: int
-    probs: np.ndarray
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("need at least one readout digit")
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (2 ** self.k,):
-            raise ValueError("expected %d outcome probabilities, got %r"
-                             % (2 ** self.k, probs.shape))
-        if np.any(probs < -PROB_SUM_TOL):
-            raise ValueError("negative outcome probability")
-        if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError("outcome probabilities sum to %.3e, not 1"
-                             % probs.sum())
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def energies(self):
-        """Energy value x / 2^k read off for each register outcome x."""
-        return np.arange(2 ** self.k) / 2 ** self.k
-
-    def cdf_below(self, energy):
-        """Probability that the readout energy is <= ``energy``."""
-        return float(self.probs[self.energies <= energy].sum())
-
-
 def qpe_outcome_distribution(m, k):
-    """Exact k-digit outcome law of a measure.
+    """Exact k-digit outcome law of a measure, as the measure of the readout
+    energies x / 2^k, x = 0 .. 2^k - 1.
 
     Each level is spread over the register by the periodic readout kernel;
     a level sitting exactly on the grid contributes a single delta.
     """
     measure = as_measure(m)
-    return OutcomeDistribution(k, outcome_law(measure.energies,
-                                              measure.probs, k))
+    if k < 1:
+        raise ValueError("need at least one readout digit")
+    law = outcome_law(measure.energies, measure.probs, k)
+    return SpectralMeasure(np.column_stack((np.arange(2 ** k) / 2 ** k, law)))
 
 
 def cdf_below(m, energy):
@@ -125,7 +98,8 @@ def goldilocks_report(m, target_energy, budget, easy_threshold=EASY_THRESHOLD):
     if not 0.0 < easy_threshold <= 1.0:
         raise ValueError("easy_threshold must lie in (0, 1]")
     p = cdf_below(m, target_energy)
-    required = math.ceil(1.0 / p) if p > 0.0 else None
+    # exact: 1.0 / p overflows for a subnormal p
+    required = math.ceil(1 / Fraction(p)) if p > 0.0 else None
     if p > easy_threshold:
         label = "Easy"
     elif required is not None and required <= budget:

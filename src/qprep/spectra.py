@@ -5,7 +5,7 @@ overlaps with the eigenbasis.  Around it this module provides four routes to
 a (possibly broadened) energy density and the machinery shared by the QPE
 statistics modules:
 
-* kernel broadening of the exact measure (Gaussian or Lorentzian);
+* Lorentzian broadening of the exact measure;
 * moment/cumulant series (Gram-Charlier and Edgeworth), with exact rational
   coefficient tables;
 * the resolvent (Green's function) route, by direct linear solves — both the
@@ -77,7 +77,7 @@ def default_grid(n_points=GRID_POINTS):
 
 
 # ---------------------------------------------------------------------------
-# The exact measure and kernel broadening
+# The exact measure and its Lorentzian broadening
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -128,30 +128,6 @@ class SpectralMeasure:
         return float(np.dot(self.probs, self.energies))
 
 
-@dataclass
-class BroadKernel:
-    """Unit-integral broadening kernel centered at zero.
-
-    ``kind`` is "gaussian" or "lorentzian", with ``width`` the scale eta.
-    """
-
-    kind: str
-    width: float
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "lorentzian"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.width <= 0:
-            raise ValueError("kernel width must be positive")
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        eta = self.width
-        if self.kind == "gaussian":
-            return np.exp(-0.5 * (x / eta) ** 2) / (eta * np.sqrt(2 * np.pi))
-        return (eta / np.pi) / (x ** 2 + eta ** 2)
-
-
 def exact_spectral_measure(h, psi, margin=None):
     """Overlap weights of ``psi`` with the eigenbasis of ``h``.
 
@@ -194,16 +170,19 @@ def exact_spectral_measure(h, psi, margin=None):
     return SpectralMeasure(np.column_stack((evals, ps)), normalizer)
 
 
-def broaden(measure, kernel, grid=None):
-    """Place a copy of ``kernel`` at each level: P(E) = sum_n p_n f(E_n - E).
+def broaden(measure, eta, grid=None):
+    """Place a unit-integral Lorentzian of half-width ``eta`` at each level:
+    P(E) = sum_n p_n L(E_n - E), L(x) = (eta / pi) / (x^2 + eta^2).
 
     Returns (grid, density values).
     """
+    if eta <= 0:
+        raise ValueError("Lorentzian width eta must be positive")
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=float)
-    vals = kernel.evaluate(measure.energies[:, None] - grid[None, :])
-    return grid, measure.probs @ vals
+    x = measure.energies[:, None] - grid[None, :]
+    return grid, measure.probs @ ((eta / np.pi) / (x ** 2 + eta ** 2))
 
 
 def as_measure(m):
@@ -464,8 +443,8 @@ def resolvent_distribution(h, psi, eta, grid=None, method="complex"):
     the Hermitian companion system [(H-E)^2 + eta^2] Y = -(eta/pi) psi and
     reads Im G = <psi|Y>.  Both raise SolverFailure when a solve's residual
     exceeds 1e-10.  The curve equals ``broaden(exact_spectral_measure(h,
-    psi), BroadKernel("lorentzian", eta), grid)``, which costs one
-    eigensolve instead of one dense solve per grid point.
+    psi), eta, grid)``, which costs one eigensolve instead of one dense
+    solve per grid point.
     """
     if method not in ("complex", "real"):
         raise ValueError("method must be 'complex' or 'real'")

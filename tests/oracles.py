@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from qprep import gf2, spectra, states
+from qprep import gf2, hamiltonian, spectra, states
 
 SPIKE_TOL = 1e-12
 
@@ -567,6 +567,15 @@ def dense_sos_encoding(terms, smap):
             if (i >> b) & 1:
                 vec = apply_mcx(vec, controls, n_sys + b)
     return signature_pass(vec)
+
+
+def normalize_spectrum(h):
+    """``h`` affinely mapped so its spectrum fills [m, 1 - m], m =
+    ``SPECTRUM_MARGIN``, and the map; the bounds come from an ``eigvalsh``
+    of their own, not from the eigensystem a measure is taken in."""
+    evals = np.linalg.eigvalsh(h.entries)
+    norm = hamiltonian.spectrum_normalizer(evals[0], evals[-1])
+    return norm.apply_matrix(h), norm
 
 
 def measure_power_moment(energies, probs, n):

@@ -24,6 +24,14 @@ def test_check_lines_are_well_formed(acceptance_result):
     assert result.name in line and result.detail in line
 
 
+def test_distribution_identities_take_one_eigensolve_per_trial(eigensolves):
+    # the measure's eigensolve also gives the frame the solves and the
+    # moments run in
+    result = acceptance.check_distribution_identities()
+    assert result.passed, result.detail
+    assert eigensolves == ["eigh"] * 20
+
+
 def test_run_all_collects_every_check(tmp_path, recorded_checks):
     out = tmp_path / "report.txt"
     with open(out, "w") as fh:

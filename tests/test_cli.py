@@ -1,5 +1,8 @@
+import hashlib
 import json
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -548,6 +551,94 @@ def _measure_commands(matrix, state, out):
     ]
 
 
+def _pinned_commands(tmp_path, capsys):
+    """Name -> (argv, written files) of the measure commands whose output
+    bytes are pinned, over seeded --ham/--state, --levels and --gaussian
+    inputs."""
+    matrix, state = _build_pipeline_matrix(tmp_path, capsys)
+    levels = tmp_path / "levels.csv"
+    rng = np.random.default_rng(37)
+    np.savetxt(levels, np.column_stack((np.sort(rng.uniform(0.05, 0.95, 40)),
+                                        rng.uniform(0.0, 1.0, 40))),
+               delimiter=",")
+    sources = {"ham": ["--ham", str(matrix), "--state", str(state)],
+               "levels": ["--levels", str(levels)],
+               "gaussian": [*GAUSSIAN, "--n-levels", "512"]}
+    commands = {}
+    for name, src in sources.items():
+        out = tmp_path / name
+        out.mkdir()
+        files = {ext: [out / f"{ext}.csv", out / f"{ext}.json"]
+                 for ext in ("series", "cqpe")}
+        commands.update({
+            f"{name} qpe-stats": (["qpe-stats", *src, "--k", "6", "--full",
+                                   "--target", "0.2", "--reps", "5"], []),
+            f"{name} goldilocks": (["goldilocks", *src, "--et", "0.2",
+                                    "--budget", "100"], []),
+            f"{name} leakage": (["leakage", *src, "--k", "8", "--epsilon",
+                                 str(2.0 ** -6), "--e0", "0.12"], []),
+            f"{name} refine cqpe": (["refine", "cqpe", *src, "--k", "4",
+                                     "--accept", "0,2", "--et", "0.2",
+                                     "--posterior-out", str(out / "post.csv")],
+                                    [out / "post.csv"]),
+            f"{name} series": (["energy-dist", *src, "--method", "series",
+                                "--order", "6", "--grid-points", "48",
+                                "--out", str(files["series"][0]),
+                                "--sidecar", str(files["series"][1])],
+                               files["series"]),
+            f"{name} cqpe": (["energy-dist", *src, "--method", "cqpe",
+                              "--k", "6", "--shots", "500", "--seed", "5",
+                              "--grid-points", "48",
+                              "--out", str(files["cqpe"][0]),
+                              "--sidecar", str(files["cqpe"][1])],
+                             files["cqpe"]),
+        })
+    commands["ham resolvent"] = (
+        ["energy-dist", "--ham", str(matrix), "--method", "resolvent",
+         "--eta", "0.02", "--grid-points", "48",
+         "--out", str(tmp_path / "resolvent.csv")],
+        [tmp_path / "resolvent.csv"])
+    return commands
+
+
+# sha256 (first 16 hex digits) of each pinned command's exit code, stdout
+# and written files, recorded before the outcome law became a
+# SpectralMeasure and the Lorentzian lost its kernel class
+PINNED_OUTPUTS = {
+    "ham qpe-stats": "329a25f8ffc5fcae",
+    "ham goldilocks": "bd3c52de68e6660b",
+    "ham leakage": "bf4fc1c4e563dd8a",
+    "ham refine cqpe": "24030aff0c8a25f2",
+    "ham series": "ca372fe5bed43fc5",
+    "ham cqpe": "12c41105be2c8469",
+    "levels qpe-stats": "1676386cb797879e",
+    "levels goldilocks": "2587e0c7c37dbe6e",
+    "levels leakage": "c918f0e2f21cda7c",
+    "levels refine cqpe": "4eb5fbf3bf854e92",
+    "levels series": "4afca7a318ef7341",
+    "levels cqpe": "b9e4e8edd069c5ac",
+    "gaussian qpe-stats": "8728d93c8d2c82da",
+    "gaussian goldilocks": "d18e44f0b7ff95c7",
+    "gaussian leakage": "42a082980ab99c6f",
+    "gaussian refine cqpe": "e87a83b1e9bbbf21",
+    "gaussian series": "ffb7e17ee0dda170",
+    "gaussian cqpe": "60a1094aaa0037f1",
+    "ham resolvent": "7bc0604f24607169",
+}
+
+
+def test_measure_command_bytes_are_pinned(tmp_path, capsys):
+    digests = {}
+    for name, (argv, files) in _pinned_commands(tmp_path, capsys).items():
+        code = cli.dispatch(argv)
+        sha = hashlib.sha256(b"%d\n" % code)
+        sha.update(capsys.readouterr().out.encode())
+        for path in files:
+            sha.update(path.read_bytes())
+        digests[name] = sha.hexdigest()[:16]
+    assert digests == PINNED_OUTPUTS
+
+
 def test_ham_pipeline_diagonalizes_once_at_build(tmp_path, capsys,
                                                  eigensolves):
     matrix, state = _build_pipeline_matrix(tmp_path, capsys)
@@ -734,6 +825,38 @@ def test_non_finite_state_amplitude_is_an_input_error(tmp_path, capsys,
                     "amplitude row 7 is not finite")
 
 
+@pytest.mark.parametrize("source, text, reason", [
+    ("levels", "0.1,0.5,1\n", "levels file needs energy,weight columns"),
+    ("levels", "", "file holds no rows"),
+    ("state", "1\n1\n1\n", "state has 3 amplitudes, Hamiltonian dim is 24"),
+    ("state", "1,0,0\n" * 24, "state file needs one or two columns"),
+    ("state", "# no amplitudes\n", "file holds no rows"),
+], ids=["levels-columns", "levels-empty", "state-length", "state-columns",
+        "state-empty"])
+def test_levels_and_state_refusals_name_the_file(tmp_path, capsys, source,
+                                                 text, reason):
+    path = tmp_path / f"bad_{source}.csv"
+    path.write_text(text)
+    if source == "levels":
+        argv = ["goldilocks", "--levels", str(path)]
+    else:
+        matrix, _ = _build_pipeline_matrix(tmp_path, capsys)
+        argv = ["goldilocks", "--ham", str(matrix), "--state", str(path)]
+    _refused_naming(capsys, path, [*argv, "--et", "0.2", "--budget", "10"],
+                    reason)
+
+
+def test_subnormal_weight_below_target_gets_exact_repetitions(tmp_path,
+                                                              capsys):
+    levels = tmp_path / "lv.csv"
+    levels.write_text("0.1,1e-320\n0.5,1\n")
+    report = run_json(capsys, ["goldilocks", "--levels", str(levels),
+                               "--et", "0.2", "--budget", "10"])
+    assert report["class"] == "Hard"
+    assert report["p_below_target"] == 1e-320
+    assert report["required_reps"] == math.ceil(1 / Fraction(1e-320))
+
+
 @pytest.mark.parametrize("amplitude", ["1e300", "1e-320"])
 def test_state_whose_norm_overflows_or_underflows_is_measured(
         tmp_path, capsys, amplitude):
@@ -751,9 +874,10 @@ def test_state_whose_norm_overflows_or_underflows_is_measured(
 
 
 def test_energy_dist_resolvent_matches_the_solver(tmp_path, capsys):
-    from qprep.hamiltonian import (DenseHamiltonian, normalize_spectrum,
-                                   save_hamiltonian)
+    from qprep.hamiltonian import DenseHamiltonian, save_hamiltonian
     from qprep.spectra import default_grid, resolvent_distribution
+
+    import oracles
 
     rng = np.random.default_rng(21)
     a = rng.normal(size=(30, 30))
@@ -769,7 +893,7 @@ def test_energy_dist_resolvent_matches_the_solver(tmp_path, capsys):
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
     rows = np.loadtxt(paths[0], delimiter=",", skiprows=1)
-    h_norm, norm = normalize_spectrum(h)
+    h_norm, norm = oracles.normalize_spectrum(h)
     grid, solved = resolvent_distribution(h_norm, np.ones(30), 0.03,
                                           default_grid(48))
     assert np.allclose(rows[:, 0], norm.invert(grid), rtol=1e-12, atol=0)

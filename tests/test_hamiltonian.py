@@ -5,6 +5,7 @@ import pytest
 
 from qprep import hamiltonian as ham
 from qprep.acceptance import _ladder_operator_matrix
+from qprep.spectra import exact_spectral_measure
 
 import oracles
 
@@ -212,13 +213,14 @@ def test_hermiticity_tolerance_is_relative():
             ham.DenseHamiltonian(skewed)
 
 
-def test_normalize_spectrum_bounds():
+def test_measure_normalizer_bounds():
     rng = np.random.default_rng(3)
     for _ in range(10):
         a = rng.normal(size=(12, 12))
         dense = ham.DenseHamiltonian((a + a.T) / 2)
-        out, norm = ham.normalize_spectrum(dense)
-        evals = np.linalg.eigvalsh(out.entries)
+        norm = exact_spectral_measure(dense, np.ones(12),
+                                      margin=ham.SPECTRUM_MARGIN).normalizer
+        evals = np.linalg.eigvalsh(norm.apply_matrix(dense).entries)
         assert evals.min() > 0.1 - 1e-9 and evals.max() < 0.9 + 1e-9
         x = rng.normal(size=5)
         assert np.allclose(norm.invert(norm.apply(x)), x)
@@ -229,8 +231,11 @@ def test_spectrum_normalizer_bounds_and_degenerate_spectrum():
     assert np.allclose(norm.apply([-2.0, 6.0]), [0.1, 0.9], atol=1e-15)
     flat = ham.spectrum_normalizer(3.0, 3.0)
     assert flat.scale == 1.0 and flat.apply(3.0) == 0.5
-    out, norm = ham.normalize_spectrum(ham.DenseHamiltonian(3.0 * np.eye(4)))
-    assert norm == flat and np.array_equal(out.entries, 0.5 * np.eye(4))
+    h = ham.DenseHamiltonian(3.0 * np.eye(4))
+    measure = exact_spectral_measure(h, np.ones(4),
+                                     margin=ham.SPECTRUM_MARGIN)
+    assert measure.normalizer == flat
+    assert np.array_equal(flat.apply_matrix(h).entries, 0.5 * np.eye(4))
     with pytest.raises(ValueError):
         ham.spectrum_normalizer(0.0, 1.0, margin=0.5)
 

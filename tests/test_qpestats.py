@@ -1,11 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.stats import norm as normal_dist
 from scipy.stats import wasserstein_distance
 
-from qprep.qpestats import (GoldilocksReport, OutcomeDistribution, cdf_below,
-                            expected_min, goldilocks_report,
-                            qpe_outcome_distribution)
+from qprep.qpestats import (GoldilocksReport, cdf_below, expected_min,
+                            goldilocks_report, qpe_outcome_distribution)
 from qprep.spectra import SpectralMeasure
 
 import oracles
@@ -31,22 +32,23 @@ def random_measure(rng, n, lo=0.15, hi=0.85):
 # ---------------------------------------------------------------------------
 
 def test_outcome_distribution_validation():
+    with pytest.raises(ValueError, match="digit"):
+        qpe_outcome_distribution(SpectralMeasure([(0.5, 1.0)]), 0)
+    grid = [0.0, 0.5]
     with pytest.raises(ValueError):
-        OutcomeDistribution(0, np.array([1.0]))
+        SpectralMeasure(np.column_stack((grid, [0.7, 0.7])))
     with pytest.raises(ValueError):
-        OutcomeDistribution(2, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        OutcomeDistribution(1, np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        OutcomeDistribution(1, np.array([1.5, -0.5]))
+        SpectralMeasure(np.column_stack((grid, [1.5, -0.5])))
 
 
 def test_outcome_on_grid_is_delta():
     m = SpectralMeasure([(5 / 16, 1.0)])
     dist = qpe_outcome_distribution(m, 4)
+    assert isinstance(dist, SpectralMeasure)
+    assert np.array_equal(dist.energies, np.arange(16) / 16)
     assert dist.probs[5] == 1.0
-    assert dist.cdf_below(5 / 16) == 1.0
-    assert dist.cdf_below(4 / 16) == 0.0
+    assert cdf_below(dist, 5 / 16) == 1.0
+    assert cdf_below(dist, 4 / 16) == 0.0
 
 
 def test_outcome_midbin_symmetry():
@@ -159,6 +161,17 @@ def test_goldilocks_hundredth_example():
     report = goldilocks_report(m, 0.2, 1000)
     assert report.label == "Goldilocks"
     assert report.required_reps == 100
+
+
+def test_goldilocks_subnormal_weight_needs_exact_repetitions():
+    # 1 / p overflows a float; the repetition count is the exact ceiling
+    m = SpectralMeasure([(0.1, 1e-320), (0.5, 1.0)])
+    report = goldilocks_report(m, 0.2, 10)
+    # the least n with n p >= 1, in exact arithmetic
+    p, n = Fraction(report.p_below_target), report.required_reps
+    assert p == Fraction(1e-320) and n > 10 ** 319
+    assert n * p >= 1 > (n - 1) * p
+    assert report.label == "Hard"
 
 
 def test_goldilocks_threshold_configurable():

@@ -6,8 +6,8 @@ import pytest
 from scipy.stats import norm as normal_dist
 
 from qprep import spectra
-from qprep.hamiltonian import DenseHamiltonian, normalize_spectrum
-from qprep.spectra import (BroadKernel, MomentSet, OrderUnsupported,
+from qprep.hamiltonian import DenseHamiltonian
+from qprep.spectra import (MomentSet, OrderUnsupported,
                            SolverFailure, SpectralMeasure, broaden,
                            as_measure, coarse_qpe_sample, default_grid,
                            edgeworth, edgeworth_terms,
@@ -22,7 +22,7 @@ import oracles
 def random_normalized(rng, dim):
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = (mat + mat.conj().T) / 2
-    return normalize_spectrum(DenseHamiltonian(mat))
+    return oracles.normalize_spectrum(DenseHamiltonian(mat))
 
 
 def random_state(rng, dim):
@@ -105,7 +105,7 @@ def test_exact_measure_with_margin_takes_one_eigensolve(monkeypatch):
     a = rng.normal(size=(16, 16))
     h = DenseHamiltonian(5.0 * (a + a.T))
     psi = random_state(rng, 16)
-    h_norm, norm = normalize_spectrum(h)
+    h_norm, norm = oracles.normalize_spectrum(h)
     ref = exact_spectral_measure(h_norm, psi)
     calls = []
     for name in ("eigh", "eigvalsh"):
@@ -132,33 +132,39 @@ def test_exact_measure_uniform_superposition():
 
 
 # ---------------------------------------------------------------------------
-# Kernel broadening
+# Lorentzian broadening
 # ---------------------------------------------------------------------------
 
+def lorentzian_mass(energy, eta, lo, hi):
+    """Analytic mass of a Lorentzian at ``energy`` on [lo, hi]."""
+    return (np.arctan((hi - energy) / eta)
+            - np.arctan((lo - energy) / eta)) / np.pi
+
+
 def test_kernel_validation():
-    with pytest.raises(ValueError):
-        BroadKernel("boxcar", 0.1)
-    with pytest.raises(ValueError):
-        BroadKernel("gaussian", 0.0)
-
-
-def test_broaden_single_level_gaussian():
     m = SpectralMeasure([(0.5, 1.0)])
-    grid, vals = broaden(m, BroadKernel("gaussian", 0.02))
-    expected = np.exp(-0.5 * ((grid - 0.5) / 0.02) ** 2) \
-        / (0.02 * np.sqrt(2 * np.pi))
-    assert np.allclose(vals, expected, atol=1e-12)
-    assert np.trapezoid(vals, grid) == pytest.approx(1.0, abs=1e-6)
+    for eta in (0.0, -0.1):
+        with pytest.raises(ValueError, match="eta"):
+            broaden(m, eta)
+
+
+def test_broaden_single_level_in_window_mass():
+    m = SpectralMeasure([(0.5, 1.0)])
+    grid, vals = broaden(m, 0.02)
+    assert np.trapezoid(vals, grid) == pytest.approx(
+        lorentzian_mass(0.5, 0.02, grid[0], grid[-1]), abs=1e-6)
 
 
 def test_broaden_small_width_recovers_spikes():
     m = SpectralMeasure([(0.3, 0.4), (0.7, 0.6)])
     grid = np.linspace(0, 1, 2001)
-    _, vals = broaden(m, BroadKernel("gaussian", 1e-3), grid)
-    for energy, weight in m.levels:
+    _, vals = broaden(m, 1e-3, grid)
+    for energy in m.energies:
         window = np.abs(grid - energy) < 6e-3
+        lo, hi = grid[window][[0, -1]]
+        mass = sum(p * lorentzian_mass(e, 1e-3, lo, hi) for e, p in m.levels)
         assert np.trapezoid(vals[window], grid[window]) == pytest.approx(
-            weight, abs=1e-3)
+            mass, abs=1e-3)
         peak = grid[window][np.argmax(vals[window])]
         assert abs(peak - energy) < 1e-3
 
@@ -169,8 +175,8 @@ def test_broaden_lorentzian_tail_budget():
     eta = 0.01
     m = SpectralMeasure([(0.5, 1.0)])
     grid = np.linspace(-0.05, 1.05, 20001)
-    _, vals = broaden(m, BroadKernel("lorentzian", eta), grid)
-    covered = 2 / np.pi * np.arctan(0.55 / eta)
+    _, vals = broaden(m, eta, grid)
+    covered = lorentzian_mass(0.5, eta, grid[0], grid[-1])
     assert np.trapezoid(vals, grid) == pytest.approx(covered, abs=1e-3)
 
 
@@ -365,7 +371,7 @@ def test_resolvent_matches_broadened_measure():
     h, _ = random_normalized(rng, 16)
     psi = random_state(rng, 16)
     measure = exact_spectral_measure(h, psi)
-    grid, direct = broaden(measure, BroadKernel("lorentzian", 0.05))
+    grid, direct = broaden(measure, 0.05)
     for method in ("complex", "real"):
         _, vals = resolvent_distribution(h, psi, 0.05, grid, method=method)
         assert np.max(np.abs(vals - direct)) < 1e-8
@@ -548,7 +554,7 @@ def test_kde_mise_slope():
 def test_as_measure_refuses_anything_but_a_measure():
     m = SpectralMeasure([(0.5, 1.0)])
     assert as_measure(m) is m
-    grid, vals = broaden(m, BroadKernel("gaussian", 0.03))
+    grid, vals = broaden(m, 0.03)
     for other in ((grid, vals), m.levels, [(0.5, 1.0)]):
         with pytest.raises(TypeError, match=type(other).__name__):
             as_measure(other)
