@@ -164,7 +164,7 @@ def _reflection_product_residual(state):
         dim = g.shape[0]
         d = state.local_dim
         prod = np.eye(2 * dim)
-        for refl in householder_decompose(g, tensor):
+        for refl in householder_decompose(tensor, dim // d):
             prod = refl @ prod
         doubled = np.zeros((2 * dim, 2 * dim), dtype=complex)
         doubled[:dim, dim:] = g

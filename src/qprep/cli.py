@@ -22,9 +22,7 @@ before numpy first loads.
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -149,7 +147,9 @@ def _emit_csv(header, rows, path):
     """Write ``header`` and ``rows`` as CSV, refusing non-finite floats.
 
     ``rows`` is a float table (a 2-D array or rows of floats), checked in
-    one pass, or rows of ints and strings, which need no numpy.
+    one pass, or rows of ints and strings, which need no numpy.  Fields are
+    written with ``str``: floats in their shortest round-trip form, and no
+    field qprep writes needs quoting.
     """
     if len(rows) and any(isinstance(v, float) for v in rows[0]):
         import numpy as np
@@ -158,11 +158,8 @@ def _emit_csv(header, rows, path):
         if not np.isfinite(table).all():
             raise ValueError("refusing to write a non-finite value")
         rows = table.tolist()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(buf.getvalue(), path)
+    _write_text("".join(",".join(map(str, row)) + "\n"
+                        for row in (header, *rows)), path)
 
 
 def _apply_threads(args):
@@ -319,17 +316,29 @@ def _refusals_naming(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _is_number(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_rows(path):
-    """The float rows of a comma-separated file; a file without any is
-    refused."""
+    """The float rows of a comma-separated file, after one optional header
+    line whose fields are all non-numeric (the line qprep's own CSV outputs
+    start with); a file without rows is refused."""
     import warnings
 
     import numpy as np
 
-    with warnings.catch_warnings():
-        # numpy warns of an empty file; it is refused below instead
-        warnings.simplefilter("ignore", UserWarning)
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    with open(path, encoding="utf-8") as fh:
+        if any(map(_is_number, fh.readline().split(","))):
+            fh.seek(0)
+        with warnings.catch_warnings():
+            # numpy warns of an empty file; it is refused below instead
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     if rows.size == 0:
         raise ValueError("file holds no rows")
     return rows
@@ -569,8 +578,7 @@ def cmd_qpe_stats(args):
         report["expected_min"] = float(expected_min(measure, args.reps))
     if args.full:
         report["distribution"] = [
-            [int(x), float(e), float(p)]
-            for x, (e, p) in enumerate(zip(dist.energies, dist.probs))]
+            [x, e, p] for x, (e, p) in enumerate(dist.levels.tolist())]
     _emit_json(report, args)
     return EXIT_OK
 

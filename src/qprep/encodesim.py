@@ -203,8 +203,7 @@ def _embedded_columns(tensor, aux_dim):
     outputs ``|alpha_out, n> = alpha_out * d + n``."""
     chi_l, d, chi_r = tensor.shape
     cols = np.zeros((aux_dim * d, chi_l), dtype=complex)
-    for alpha in range(chi_l):
-        cols[:chi_r * d, alpha] = tensor[alpha].T.reshape(-1)
+    cols[:chi_r * d] = tensor.transpose(2, 1, 0).reshape(chi_r * d, chi_l)
     return cols
 
 
@@ -232,25 +231,34 @@ def complete_gj_unitaries(state):
     return gs
 
 
-def householder_decompose(g, tensor):
+def householder_vectors(tensor, aux_dim):
+    """The unit mirror vectors of a site's reflections, one row per input
+    bond value ``alpha``: ``|w> = (|1>|alpha,0> - |0>|u_alpha>)/sqrt(2)`` on
+    the site space extended by one flag qubit (most significant), where
+    ``u_alpha`` is the embedded column ``alpha`` of the site tensor (column
+    ``alpha * d`` of its completed unitary ``G``)."""
+    cols = _embedded_columns(tensor, aux_dim)
+    dim, chi_l = cols.shape
+    d = tensor.shape[1]
+    ws = np.zeros((chi_l, 2 * dim), dtype=complex)
+    ws[:, :dim] = -cols.T / np.sqrt(2)
+    ws[np.arange(chi_l), dim + d * np.arange(chi_l)] = 1.0 / np.sqrt(2)
+    return ws
+
+
+def householder_decompose(tensor, aux_dim):
     """Reflections whose product acts as the flag-doubled site unitary.
 
-    Returns one reflection ``1 - 2|w><w|`` per input bond value ``alpha``,
-    with ``|w> = (|1>|alpha,0> - |0>|u_alpha>)/sqrt(2)`` on a space extended
-    by one flag qubit (most significant).  On the span of the ``|1,alpha,0>``
-    and ``|0,u_alpha>`` — the only subspace the sequential circuit ever
-    occupies — the product equals ``|0><1| x G + |1><0| x G^dagger``;
-    elsewhere the reflections act as the identity.
+    Returns one dense reflection ``1 - 2|w><w|`` per row of
+    :func:`householder_vectors`.  On the span of the ``|1,alpha,0>`` and
+    ``|0,u_alpha>`` — the only subspace the sequential circuit ever occupies
+    — the product equals ``|0><1| x G + |1><0| x G^dagger`` for any
+    completion ``G`` of the site tensor; elsewhere the reflections act as
+    the identity.
     """
-    dim = g.shape[0]
-    d = tensor.shape[1]
-    reflections = []
-    for alpha in range(tensor.shape[0]):
-        w = np.zeros(2 * dim, dtype=complex)
-        w[dim + alpha * d] = 1.0 / np.sqrt(2)
-        w[:dim] = -g[:, alpha * d] / np.sqrt(2)
-        reflections.append(np.eye(2 * dim) - 2.0 * np.outer(w, np.conj(w)))
-    return reflections
+    ws = householder_vectors(tensor, aux_dim)
+    eye = np.eye(ws.shape[1])
+    return [eye - 2.0 * np.outer(w, np.conj(w)) for w in ws]
 
 
 @dataclass
@@ -268,6 +276,27 @@ def _apply_head_site_gate(psi, op, j, head, d):
     return np.moveaxis(out, 1, j + 1)
 
 
+def _flip_flag(psi, aux_dim):
+    """X on the flag qubit (the most significant head bit), in place."""
+    low = psi[:aux_dim].copy()
+    psi[:aux_dim] = psi[aux_dim:]
+    psi[aux_dim:] = low
+
+
+def _reflect(view, w):
+    """Apply ``1 - 2|w><w|`` in place as the rank-one update
+    ``psi -= 2 w (w^dagger psi)``.
+
+    ``view`` is the statevector shaped (head, left sites, site j, right
+    sites) and ``w`` is shaped (head, d); head rows where ``w`` vanishes are
+    left untouched.
+    """
+    rows = np.flatnonzero(w.any(axis=1))
+    overlap = sum(w[h].conj() @ view[h] for h in rows)
+    for h in rows:
+        view[h] -= (2.0 * w[h])[:, None] * overlap[:, None, :]
+
+
 def simulate_mps_circuit(state, use_householder=False):
     """Apply the site unitaries in sequence to |0...0> and compare with the
     MPS statevector.
@@ -275,7 +304,9 @@ def simulate_mps_circuit(state, use_householder=False):
     With ``use_householder`` every site unitary is replaced by its reflection
     product on a flag-extended ancilla; an X gate on the flag ahead of each
     site steers the reflections onto their ``|1, alpha, 0>`` input block, and
-    the flag returns to |0> at the end.
+    the flag returns to |0> at the end.  Each reflection is applied as a
+    rank-one update built from the site tensor, so this path never completes
+    the site unitaries.
     """
     _require_prepared(state)
     d, n = state.local_dim, state.n_sites
@@ -285,23 +316,23 @@ def simulate_mps_circuit(state, use_householder=False):
         raise BudgetExceeded("statevector too large for the circuit simulator")
     psi = np.zeros((head,) + (d,) * n, dtype=complex)
     psi[(0,) * (n + 1)] = 1.0
-    gs = complete_gj_unitaries(state)
     n_gates = 0
-    for j, g in enumerate(gs):
-        if use_householder:
-            # X on the flag qubit (most significant head bit)
-            psi = np.concatenate([psi[aux_dim:], psi[:aux_dim]], axis=0)
+    if use_householder:
+        for j, tensor in enumerate(state.tensors):
+            _flip_flag(psi, aux_dim)
             n_gates += 1
-            for refl in householder_decompose(g, state.tensors[j]):
-                psi = _apply_head_site_gate(psi, refl, j, head, d)
+            view = psi.reshape(head, d ** j, d, -1)
+            for w in householder_vectors(tensor, aux_dim):
+                _reflect(view, w.reshape(head, d))
                 n_gates += 1
-        else:
+    else:
+        for j, g in enumerate(complete_gj_unitaries(state)):
             psi = _apply_head_site_gate(psi, g, j, head, d)
             n_gates += 1
     target = mps_to_statevector(state)
     block = psi.reshape(head, -1)
     overlap = np.vdot(target, block[0])
-    residual = float(np.sum(np.abs(block[1:]) ** 2))
+    residual = float(np.vdot(block[1:], block[1:]).real)
     fidelity = float(abs(overlap) ** 2
                      / (np.vdot(target, target).real
                         * np.vdot(psi, psi).real))

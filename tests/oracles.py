@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from qprep import gf2, hamiltonian, spectra, states
+from qprep import encodesim, gf2, hamiltonian, spectra, states
 
 SPIKE_TOL = 1e-12
 
@@ -567,6 +567,37 @@ def dense_sos_encoding(terms, smap):
             if (i >> b) & 1:
                 vec = apply_mcx(vec, controls, n_sys + b)
     return signature_pass(vec)
+
+
+def mps_circuit_dense_reflections(state):
+    """Householder run of the sequential MPS circuit with dense gates.
+
+    Every site unitary is completed first, and each reflection
+    ``1 - 2|w><w|`` is built from that unitary's column ``alpha * d`` as a
+    (2 dim)^2 matrix and contracted with the statevector over (flag-extended
+    bond register, site j).  Returns the statevector, shaped (head, d, ...,
+    d), and the gate count.
+    """
+    d, n = state.local_dim, state.n_sites
+    gs = encodesim.complete_gj_unitaries(state)
+    dim = gs[0].shape[0]
+    aux_dim, head = dim // d, 2 * dim // d
+    psi = np.zeros((head,) + (d,) * n, dtype=complex)
+    psi[(0,) * (n + 1)] = 1.0
+    n_gates = 0
+    for j, (g, tensor) in enumerate(zip(gs, state.tensors)):
+        psi = np.concatenate([psi[aux_dim:], psi[:aux_dim]], axis=0)
+        n_gates += 1
+        for alpha in range(tensor.shape[0]):
+            w = np.zeros(2 * dim, dtype=complex)
+            w[dim + alpha * d] = 1.0 / np.sqrt(2)
+            w[:dim] = -g[:, alpha * d] / np.sqrt(2)
+            refl = np.eye(2 * dim) - 2.0 * np.outer(w, np.conj(w))
+            out = np.tensordot(refl.reshape(head, d, head, d), psi,
+                               axes=([2, 3], [0, j + 1]))
+            psi = np.moveaxis(out, 1, j + 1)
+            n_gates += 1
+    return psi, n_gates
 
 
 def normalize_spectrum(h):

@@ -581,6 +581,11 @@ def _pinned_commands(tmp_path, capsys):
                                      "--accept", "0,2", "--et", "0.2",
                                      "--posterior-out", str(out / "post.csv")],
                                     [out / "post.csv"]),
+            f"{name} refine qetu": (["refine", "qetu", *src, "--el", "0.0",
+                                     "--eu", "0.3", "--degree", "40",
+                                     "--et", "0.2", "--posterior-out",
+                                     str(out / "qetu.csv")],
+                                    [out / "qetu.csv"]),
             f"{name} series": (["energy-dist", *src, "--method", "series",
                                 "--order", "6", "--grid-points", "48",
                                 "--out", str(files["series"][0]),
@@ -598,32 +603,46 @@ def _pinned_commands(tmp_path, capsys):
          "--eta", "0.02", "--grid-points", "48",
          "--out", str(tmp_path / "resolvent.csv")],
         [tmp_path / "resolvent.csv"])
+    commands["gaussian series stdout"] = (
+        ["energy-dist", *sources["gaussian"], "--method", "series",
+         "--order", "6", "--grid-points", "48", "--out", "-"], [])
+    commands["estimate-cost"] = (
+        ["estimate-cost", "--n-spatial", "40", "--d-values", "64,1000",
+         "--chi-values", "4,16", "--out", str(tmp_path / "cost.csv")],
+        [tmp_path / "cost.csv"])
     return commands
 
 
 # sha256 (first 16 hex digits) of each pinned command's exit code, stdout
 # and written files, recorded before the outcome law became a
-# SpectralMeasure and the Lorentzian lost its kernel class
+# SpectralMeasure and the Lorentzian lost its kernel class; the refine qetu,
+# stdout series and estimate-cost digests were recorded before the CSV
+# writer lost csv.writer
 PINNED_OUTPUTS = {
     "ham qpe-stats": "329a25f8ffc5fcae",
     "ham goldilocks": "bd3c52de68e6660b",
     "ham leakage": "bf4fc1c4e563dd8a",
     "ham refine cqpe": "24030aff0c8a25f2",
+    "ham refine qetu": "19a080a0eca70bf4",
     "ham series": "ca372fe5bed43fc5",
     "ham cqpe": "12c41105be2c8469",
     "levels qpe-stats": "1676386cb797879e",
     "levels goldilocks": "2587e0c7c37dbe6e",
     "levels leakage": "c918f0e2f21cda7c",
     "levels refine cqpe": "4eb5fbf3bf854e92",
+    "levels refine qetu": "a724918956b1380e",
     "levels series": "4afca7a318ef7341",
     "levels cqpe": "b9e4e8edd069c5ac",
     "gaussian qpe-stats": "8728d93c8d2c82da",
     "gaussian goldilocks": "d18e44f0b7ff95c7",
     "gaussian leakage": "42a082980ab99c6f",
     "gaussian refine cqpe": "e87a83b1e9bbbf21",
+    "gaussian refine qetu": "e076bf88a94a0856",
     "gaussian series": "ffb7e17ee0dda170",
     "gaussian cqpe": "60a1094aaa0037f1",
     "ham resolvent": "7bc0604f24607169",
+    "gaussian series stdout": "fb0e2ec32d572791",
+    "estimate-cost": "34b36be06af7da2f",
 }
 
 
@@ -831,8 +850,13 @@ def test_non_finite_state_amplitude_is_an_input_error(tmp_path, capsys,
     ("state", "1\n1\n1\n", "state has 3 amplitudes, Hamiltonian dim is 24"),
     ("state", "1,0,0\n" * 24, "state file needs one or two columns"),
     ("state", "# no amplitudes\n", "file holds no rows"),
+    ("levels", "E,weight\n", "file holds no rows"),
+    ("levels", "E,weight\n0.1,w\n0.2,0.5\n", "could not convert string 'w'"),
+    ("levels", "0.1,weight\n0.2,0.5\n", "could not convert string 'weight'"),
+    ("state", "re\n" + "1\n" * 23 + "one\n", "could not convert string 'one'"),
 ], ids=["levels-columns", "levels-empty", "state-length", "state-columns",
-        "state-empty"])
+        "state-empty", "levels-header-only", "levels-bad-first-row",
+        "levels-mixed-first-line", "state-bad-later-row"])
 def test_levels_and_state_refusals_name_the_file(tmp_path, capsys, source,
                                                  text, reason):
     path = tmp_path / f"bad_{source}.csv"
@@ -844,6 +868,20 @@ def test_levels_and_state_refusals_name_the_file(tmp_path, capsys, source,
         argv = ["goldilocks", "--ham", str(matrix), "--state", str(path)]
     _refused_naming(capsys, path, [*argv, "--et", "0.2", "--budget", "10"],
                     reason)
+
+
+def test_goldilocks_reads_the_refine_posterior_back(tmp_path, capsys):
+    post = tmp_path / "post.csv"
+    run_json(capsys, ["refine", "qetu", *GAUSSIAN, "--el", "0.0",
+                      "--eu", "0.12", "--degree", "40",
+                      "--posterior-out", str(post)])
+    assert post.read_text().startswith("E,weight\n")
+    report = run_json(capsys, ["goldilocks", "--levels", str(post),
+                               "--et", "0.05", "--budget", "100"])
+    rows = np.loadtxt(post, delimiter=",", skiprows=1)
+    below = rows[rows[:, 0] <= 0.05, 1].sum() / rows[:, 1].sum()
+    assert 0 < below < 1
+    assert report["p_below_target"] == pytest.approx(below, rel=1e-12)
 
 
 def test_subnormal_weight_below_target_gets_exact_repetitions(tmp_path,

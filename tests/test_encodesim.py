@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,7 +227,7 @@ def test_householder_reflection_properties():
     g, tensor = gs[1], state.tensors[1]
     dim = g.shape[0]
     d = state.local_dim
-    refls = householder_decompose(g, tensor)
+    refls = householder_decompose(tensor, dim // d)
     assert len(refls) == tensor.shape[0]
     for alpha, r in enumerate(refls):
         assert np.max(np.abs(r - r.conj().T)) < 1e-12
@@ -250,7 +252,7 @@ def test_householder_product_swaps_designated_columns():
     for g, tensor in zip(gs, state.tensors):
         dim = g.shape[0]
         prod = np.eye(2 * dim)
-        for r in householder_decompose(g, tensor):
+        for r in householder_decompose(tensor, dim // d):
             prod = r @ prod
         doubled = np.zeros((2 * dim, 2 * dim), dtype=complex)
         doubled[:dim, dim:] = g
@@ -298,6 +300,42 @@ def test_mps_circuit_random():
         assert refl.fidelity >= 1 - 1e-10
         assert refl.ancilla_residual < 1e-20
         assert refl.n_gates == sum(1 + t.shape[0] for t in state.tensors)
+
+
+def _assert_matches_dense_reflections(state):
+    res = simulate_mps_circuit(state, use_householder=True)
+    psi, n_gates = oracles.mps_circuit_dense_reflections(state)
+    assert res.n_gates == n_gates
+    assert np.max(np.abs(res.statevector - psi)) < 1e-12
+
+
+def test_rank_one_reflections_match_dense_gates():
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        n = int(rng.integers(2, 6))
+        chis = [int(rng.integers(1, 5)) for _ in range(n - 1)]
+        _assert_matches_dense_reflections(normalized_canonical(rng, chis))
+    _assert_matches_dense_reflections(
+        normalized_canonical(rng, [4, 16, 16, 16, 4]))
+
+
+def test_householder_circuit_at_chi_64_fidelity_and_memory():
+    sos = random_sos(np.random.default_rng(41), 12, 64)
+    mps, fid = sos_to_mps(sos, chi_max=64)
+    assert fid >= 1 - 1e-10
+    state = MpsState([mps.tensors[0] / mps.norm()] + list(mps.tensors[1:]),
+                     mps.local_dim, canonical_form="left")
+    assert max(state.bond_dims) == 64
+    tracemalloc.start()
+    try:
+        res = simulate_mps_circuit(state, use_householder=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.fidelity >= 1 - 1e-10
+    assert res.ancilla_residual < 1e-20
+    assert res.n_gates == sum(1 + t.shape[0] for t in state.tensors)
+    assert peak <= 6 * res.statevector.nbytes
 
 
 def test_mps_circuit_from_compressed_superposition():
