@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2, resources
-from .encodesim import (complete_gj_unitaries, householder_decompose,
+from .encodesim import (_bond_qubits, householder_decompose,
                         simulate_mps_circuit, simulate_sos_encoding)
 from .hamiltonian import (SPECTRUM_MARGIN, DenseHamiltonian, build_ci_matrix,
                           parse_fcidump)
@@ -159,21 +159,23 @@ def _random_canonical_mps(rng, chis):
 
 
 def _reflection_product_residual(state):
+    """Largest deviation of the dense reflection product's column for input
+    ``|1, alpha, 0>`` from ``[u_alpha; 0]``, where ``u_alpha`` is read off
+    the site tensor: the flag-doubled site unitary's fixed columns."""
     worst = 0.0
-    for g, tensor in zip(complete_gj_unitaries(state), state.tensors):
-        dim = g.shape[0]
-        d = state.local_dim
+    d = state.local_dim
+    aux_dim = 2 ** _bond_qubits(state)
+    dim = aux_dim * d
+    for tensor in state.tensors:
+        chi_l, _, chi_r = tensor.shape
         prod = np.eye(2 * dim)
-        for refl in householder_decompose(tensor, dim // d):
+        for refl in householder_decompose(tensor, aux_dim):
             prod = refl @ prod
-        doubled = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        doubled[:dim, dim:] = g
-        doubled[dim:, :dim] = g.conj().T
-        for alpha in range(tensor.shape[0]):
-            flagged = np.zeros(2 * dim)
-            flagged[dim + alpha * d] = 1.0
-            worst = max(worst,
-                        float(np.max(np.abs((prod - doubled) @ flagged))))
+        for alpha in range(chi_l):
+            image = np.zeros(2 * dim, dtype=complex)
+            image[:chi_r * d] = tensor[alpha].T.reshape(-1)
+            worst = max(worst, float(np.max(np.abs(
+                prod[:, dim + alpha * d] - image))))
     return worst
 
 

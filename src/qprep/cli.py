@@ -462,16 +462,17 @@ def cmd_convert(args):
     from .states import (load_mps, load_sos, mps_to_sos, save_mps, save_sos,
                          sos_to_mps)
 
+    load = load_sos if args.to == "mps" else load_mps
+    with _refusals_naming(args.input):
+        source = load(args.input)
     if args.to == "mps":
-        state = load_sos(args.input)
-        mps, fidelity = sos_to_mps(state, chi_max=args.chi_max)
+        mps, fidelity = sos_to_mps(source, chi_max=args.chi_max)
         save_mps(mps, args.out)
         summary = {"to": "mps", "n_sites": len(mps.tensors),
                    "max_bond": max(t.shape[2] for t in mps.tensors),
                    "fidelity": float(fidelity), "output": args.out}
     else:
-        mps = load_mps(args.input)
-        state = mps_to_sos(mps, threshold=args.threshold,
+        state = mps_to_sos(source, threshold=args.threshold,
                            term_budget=args.term_budget)
         if not state.terms:
             raise RuntimeError("no determinant has squared amplitude above "
@@ -487,7 +488,8 @@ def cmd_simulate_encode(args):
     from .encodesim import simulate_sos_encoding
     from .states import load_sos
 
-    state = load_sos(args.sos).normalize()
+    with _refusals_naming(args.sos):
+        state = load_sos(args.sos).normalize()
     res = simulate_sos_encoding(state)
     report = {
         "n_system": res.n_system,

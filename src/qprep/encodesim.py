@@ -6,12 +6,15 @@ level:
 * the determinant-superposition encoder: amplitudes are loaded on an
   enumeration register, determinants written into the system register, a
   short signature computed into an identification register through CNOTs
-  (using the compressed map from :mod:`qprep.gf2`), and both ancilla
-  registers uncomputed again;
-* the sequential matrix-product-state circuit: one unitary per site, acting
-  on the site and a shared bond ancilla register, each unitary either
-  completed directly from the site tensor or synthesized as a product of
-  Householder reflections.
+  (one per set bit of the compressed map from :mod:`qprep.gf2`), and both
+  ancilla registers uncomputed again, the enumeration register conditioned
+  on each determinant's signature;
+* the sequential matrix-product-state circuit: one gate per site, acting
+  on the site and a shared bond ancilla register.  The site tensor fills
+  the gate's fixed columns; since the circuit only ever feeds those
+  columns, the gate is applied either as that isometry or as a product of
+  Householder reflections built from it, and never completed to a full
+  unitary.
 
 Lookup operations are simulated as exact classical-data-controlled
 permutations (their gate cost lives in :mod:`qprep.resources`); every other
@@ -23,11 +26,9 @@ enumeration register, then the identification register.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import gf2
-from .states import (LEFT_ORTHO_TOL, MpsState, SosState,
-                     _left_ortho_residual, mps_to_statevector)
+from .states import LEFT_ORTHO_TOL, _left_ortho_residual, mps_to_statevector
 
 MAX_SYSTEM_QUBITS = 12
 MAX_DETERMINANTS = 64
@@ -46,43 +47,18 @@ class NotLeftCanonical(ValueError):
 # Determinant-superposition encoder
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EncodingPlan:
-    """Gate-level plan derived from a signature map.
-
-    ``cnot_layers[k]`` lists ``(system_qubit, identification_qubit)`` pairs —
-    one CNOT per set bit of the k-th mapping vector, controls restricted to
-    the selected rows.  ``uncompute_controls[i]`` is the signature pattern
-    that conditions clearing the enumeration register for determinant i.
-    """
-
-    signature_map: gf2.SignatureMap
-    cnot_layers: list
-    uncompute_controls: list
-
-    def __post_init__(self):
-        allowed = set(self.signature_map.selected_rows)
-        for k, layer in enumerate(self.cnot_layers):
-            for sys_q, id_q in layer:
-                if sys_q not in allowed:
-                    raise ValueError(
-                        f"CNOT control {sys_q} is not a selected row")
-                if id_q != k:
-                    raise ValueError("layer targets must match their index")
-
-    @property
-    def n_uncompute_ops(self):
-        return len(self.uncompute_controls)
-
-
 def plan_encoding(state):
-    """Compress the determinant list of ``state`` and lay out the gates."""
+    """Compress the determinant list of ``state`` and lay out its CNOTs.
+
+    Returns ``(smap, layers)``: the :class:`qprep.gf2.SignatureMap` and, for
+    each identification qubit ``k``, the selected system qubits whose CNOTs
+    onto it compute signature bit ``k`` (one per set bit of the k-th
+    mapping vector).
+    """
     smap = gf2.compress([occ for _, occ in state.terms])
-    layers = []
-    for k, u in enumerate(smap.u_vectors):
-        layers.append([(smap.selected_rows[j], k)
-                       for j, bit in enumerate(u) if bit == "1"])
-    return EncodingPlan(smap, layers, list(smap.signatures))
+    layers = [[smap.selected_rows[j] for j, bit in enumerate(u) if bit == "1"]
+              for u in smap.u_vectors]
+    return smap, layers
 
 
 @dataclass
@@ -128,9 +104,9 @@ def simulate_sos_encoding(state):
         raise BudgetExceeded(
             f"{n_sys} system qubits / {n_det} determinants exceed the "
             f"simulation budget ({MAX_SYSTEM_QUBITS} / {MAX_DETERMINANTS})")
-    plan = plan_encoding(state)
+    smap, layers = plan_encoding(state)
     n_enum = (n_det - 1).bit_length()
-    n_id = plan.signature_map.signature_bits
+    n_id = smap.signature_bits
     enum_mask = ((1 << n_enum) - 1) << n_sys
 
     # step 1: amplitudes against the enumeration register
@@ -141,22 +117,19 @@ def simulate_sos_encoding(state):
     vec = {key ^ dets[(key & enum_mask) >> n_sys]: amp
            for key, amp in vec.items()}
 
-    applied = [0]
-
     def cnot_pass(vec):
-        for layer in plan.cnot_layers:
-            for sys_q, id_q in layer:
-                target = 1 << (n_sys + n_enum + id_q)
+        for id_q, layer in enumerate(layers):
+            target = 1 << (n_sys + n_enum + id_q)
+            for sys_q in layer:
                 vec = {key ^ (target if (key >> sys_q) & 1 else 0): amp
                        for key, amp in vec.items()}
-                applied[0] += 1
         return vec
 
     # steps 3-4: signature into the identification register
     vec = cnot_pass(vec)
 
     # step 5: clear the enumeration register, conditioned on each signature
-    for i, pattern in enumerate(plan.uncompute_controls):
+    for i, pattern in enumerate(smap.signatures):
         sig_key = int(pattern[::-1], 2) if pattern else 0
         flip = i << n_sys
         vec = {key ^ (flip if key >> (n_sys + n_enum) == sig_key else 0): amp
@@ -178,7 +151,7 @@ def simulate_sos_encoding(state):
             overlap += np.conj(target[key]) * amp
     fidelity = abs(overlap) ** 2 / (sys_norm2 * total) if total else 0.0
     return EncodingResult(vec, n_sys, n_enum, n_id, float(fidelity),
-                          float(residual), applied[0], plan.n_uncompute_ops)
+                          float(residual), 2 * sum(map(len, layers)), n_det)
 
 
 # ---------------------------------------------------------------------------
@@ -198,45 +171,21 @@ def _require_prepared(state):
 
 
 def _embedded_columns(tensor, aux_dim):
-    """The isometry columns of a site unitary: column ``alpha`` (for input
-    ``|alpha, 0>``) holds the site tensor slice ``A[alpha]`` as a vector over
-    outputs ``|alpha_out, n> = alpha_out * d + n``."""
+    """The isometry of a site, as the fixed columns of its unitary ``G``:
+    column ``alpha`` (for input ``|alpha, 0>``) holds the site tensor slice
+    ``A[alpha]`` as a vector over outputs ``|alpha_out, n> = alpha_out * d +
+    n``, zero-padded to the shared bond register of ``aux_dim`` values."""
     chi_l, d, chi_r = tensor.shape
     cols = np.zeros((aux_dim * d, chi_l), dtype=complex)
     cols[:chi_r * d] = tensor.transpose(2, 1, 0).reshape(chi_r * d, chi_l)
     return cols
 
 
-def complete_gj_unitaries(state):
-    """One unitary per site, the site tensor embedded in its fixed columns.
-
-    Column ``alpha * d`` of ``G[j]`` (input ``|alpha, 0>``) is determined by
-    the site tensor; the remaining columns are an orthonormal completion of
-    that isometry.  All unitaries act on the same ``ceil(log2(max chi))``
-    -qubit bond register together with one site, so they share a dimension.
-    """
-    _require_prepared(state)
-    aux_dim = 2 ** _bond_qubits(state)
-    d = state.local_dim
-    dim = aux_dim * d
-    gs = []
-    for tensor in state.tensors:
-        cols = _embedded_columns(tensor, aux_dim)
-        fixed = [alpha * d for alpha in range(tensor.shape[0])]
-        rest = [c for c in range(dim) if c not in set(fixed)]
-        g = np.zeros((dim, dim), dtype=complex)
-        g[:, fixed] = cols
-        g[:, rest] = null_space(cols.conj().T)
-        gs.append(g)
-    return gs
-
-
 def householder_vectors(tensor, aux_dim):
     """The unit mirror vectors of a site's reflections, one row per input
     bond value ``alpha``: ``|w> = (|1>|alpha,0> - |0>|u_alpha>)/sqrt(2)`` on
     the site space extended by one flag qubit (most significant), where
-    ``u_alpha`` is the embedded column ``alpha`` of the site tensor (column
-    ``alpha * d`` of its completed unitary ``G``)."""
+    ``u_alpha`` is column ``alpha`` of :func:`_embedded_columns`."""
     cols = _embedded_columns(tensor, aux_dim)
     dim, chi_l = cols.shape
     d = tensor.shape[1]
@@ -269,13 +218,6 @@ class MpsCircuitResult:
     n_gates: int
 
 
-def _apply_head_site_gate(psi, op, j, head, d):
-    """Apply ``op`` over (ancilla head, site j); psi axes are (head, sites)."""
-    op = op.reshape(head, d, head, d)
-    out = np.tensordot(op, psi, axes=([2, 3], [0, j + 1]))
-    return np.moveaxis(out, 1, j + 1)
-
-
 def _flip_flag(psi, aux_dim):
     """X on the flag qubit (the most significant head bit), in place."""
     low = psi[:aux_dim].copy()
@@ -298,15 +240,18 @@ def _reflect(view, w):
 
 
 def simulate_mps_circuit(state, use_householder=False):
-    """Apply the site unitaries in sequence to |0...0> and compare with the
+    """Apply the site gates in sequence to |0...0> and compare with the
     MPS statevector.
 
-    With ``use_householder`` every site unitary is replaced by its reflection
-    product on a flag-extended ancilla; an X gate on the flag ahead of each
-    site steers the reflections onto their ``|1, alpha, 0>`` input block, and
-    the flag returns to |0> at the end.  Each reflection is applied as a
-    rank-one update built from the site tensor, so this path never completes
-    the site unitaries.
+    Site ``j`` meets the register only on inputs ``|alpha, 0>`` (bond value
+    ``alpha``, site ``j`` still empty), so the plain path applies just the
+    site isometry, :func:`_embedded_columns`, to that slice: one gate per
+    site.  With ``use_householder`` every site gate is replaced by its
+    reflection product on a flag-extended ancilla; an X gate on the flag
+    ahead of each site steers the reflections onto their ``|1, alpha, 0>``
+    input block, and the flag returns to |0> at the end.  Each reflection is
+    applied as a rank-one update built from the site tensor.  Neither path
+    completes the site unitaries.
     """
     _require_prepared(state)
     d, n = state.local_dim, state.n_sites
@@ -326,8 +271,11 @@ def simulate_mps_circuit(state, use_householder=False):
                 _reflect(view, w.reshape(head, d))
                 n_gates += 1
     else:
-        for j, g in enumerate(complete_gj_unitaries(state)):
-            psi = _apply_head_site_gate(psi, g, j, head, d)
+        for j, tensor in enumerate(state.tensors):
+            cols = _embedded_columns(tensor, aux_dim).reshape(aux_dim, d, -1)
+            inputs = np.take(psi[:tensor.shape[0]], 0, axis=j + 1)
+            out = np.tensordot(cols, inputs, axes=(2, 0))
+            psi = np.moveaxis(out, 1, j + 1)
             n_gates += 1
     target = mps_to_statevector(state)
     block = psi.reshape(head, -1)

@@ -19,6 +19,7 @@ statevector export (for small systems) are included.
 All functions are pure: inputs are never mutated.
 """
 
+import cmath
 import json
 from dataclasses import dataclass
 
@@ -56,9 +57,10 @@ def occupation_from_spatial(spatial):
 class SosState:
     """A wavefunction given as a list of weighted Slater determinants.
 
-    ``terms`` holds ``(amplitude, occupation)`` pairs with mutually distinct
-    occupation strings of length ``n_spin_orbitals``.  Set ``normalized=True``
-    to assert unit norm (checked to 1e-10).
+    ``terms`` holds ``(amplitude, occupation)`` pairs with finite
+    amplitudes and mutually distinct occupation strings of length
+    ``n_spin_orbitals``.  Set ``normalized=True`` to assert unit norm
+    (checked to 1e-10).
     """
 
     n_spin_orbitals: int
@@ -70,10 +72,13 @@ class SosState:
             raise ValueError("n_spin_orbitals must be positive")
         clean = []
         for amp, occ in self.terms:
-            occ = str(occ)
-            if len(occ) != self.n_spin_orbitals or set(occ) - {"0", "1"}:
+            if (not isinstance(occ, str) or len(occ) != self.n_spin_orbitals
+                    or set(occ) - {"0", "1"}):
                 raise ValueError(f"bad occupation string {occ!r}")
-            clean.append((complex(amp), occ))
+            amp = complex(amp)
+            if not cmath.isfinite(amp):
+                raise ValueError(f"amplitude of {occ} is not finite")
+            clean.append((amp, occ))
         if len({occ for _, occ in clean}) != len(clean):
             raise ValueError("occupation strings must be distinct")
         self.terms = clean
@@ -101,8 +106,16 @@ class SosState:
 
     @classmethod
     def from_json_dict(cls, obj):
-        terms = [(complex(t["re"], t["im"]), t["occ"]) for t in obj["terms"]]
-        return cls(int(obj["n_spin_orbitals"]), terms)
+        """Inverse of :meth:`to_json_dict`; a missing key or a value of the
+        wrong type is a ValueError."""
+        try:
+            terms = [(complex(t["re"], t["im"]), t["occ"])
+                     for t in obj["terms"]]
+            n_spin_orbitals = int(obj["n_spin_orbitals"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not an SOS state ({type(exc).__name__}: "
+                             f"{exc})") from None
+        return cls(n_spin_orbitals, terms)
 
 
 def _left_ortho_residual(tensor):
@@ -115,10 +128,11 @@ def _left_ortho_residual(tensor):
 class MpsState:
     """A matrix product state: ``tensors[j]`` has shape (chi_{j-1}, d, chi_j).
 
-    Boundary bond dimensions must be 1.  ``canonical_form`` is ``None`` or
-    ``"left"``; in the latter case every tensor after the first must satisfy
-    the row-isometry condition (physical and right bond indices summed) to
-    within 1e-10 — the first tensor carries the norm.
+    Entries must be finite and boundary bond dimensions 1.
+    ``canonical_form`` is ``None`` or ``"left"``; in the latter case every
+    tensor after the first must satisfy the row-isometry condition
+    (physical and right bond indices summed) to within 1e-10 — the first
+    tensor carries the norm.
     """
 
     tensors: list
@@ -129,9 +143,11 @@ class MpsState:
         if not self.tensors:
             raise ValueError("an MPS needs at least one site")
         tensors = [np.asarray(t, dtype=complex) for t in self.tensors]
-        for t in tensors:
+        for j, t in enumerate(tensors):
             if t.ndim != 3:
                 raise ValueError("site tensors must be rank 3")
+            if not np.isfinite(t).all():
+                raise ValueError(f"site tensor {j} is not finite")
         d = tensors[0].shape[1]
         if self.local_dim is None:
             self.local_dim = d

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from qprep import encodesim, gf2, hamiltonian, spectra, states
+from qprep import gf2, hamiltonian, spectra, states
 
 SPIKE_TOL = 1e-12
 
@@ -572,26 +572,27 @@ def dense_sos_encoding(terms, smap):
 def mps_circuit_dense_reflections(state):
     """Householder run of the sequential MPS circuit with dense gates.
 
-    Every site unitary is completed first, and each reflection
-    ``1 - 2|w><w|`` is built from that unitary's column ``alpha * d`` as a
-    (2 dim)^2 matrix and contracted with the statevector over (flag-extended
-    bond register, site j).  Returns the statevector, shaped (head, d, ...,
-    d), and the gate count.
+    Each reflection ``1 - 2|w><w|`` is built from the site tensor slice
+    ``A[alpha]``, read as the vector ``u_alpha`` over outputs
+    ``|alpha_out, n> = alpha_out * d + n``, as a (2 dim)^2 matrix and
+    contracted with the statevector over (flag-extended bond register,
+    site j).  Returns the statevector, shaped (head, d, ..., d), and the
+    gate count.
     """
     d, n = state.local_dim, state.n_sites
-    gs = encodesim.complete_gj_unitaries(state)
-    dim = gs[0].shape[0]
-    aux_dim, head = dim // d, 2 * dim // d
+    aux_dim = 2 ** int(np.ceil(np.log2(max(state.bond_dims))))
+    dim, head = aux_dim * d, 2 * aux_dim
     psi = np.zeros((head,) + (d,) * n, dtype=complex)
     psi[(0,) * (n + 1)] = 1.0
     n_gates = 0
-    for j, (g, tensor) in enumerate(zip(gs, state.tensors)):
+    for j, tensor in enumerate(state.tensors):
+        chi_l, _, chi_r = tensor.shape
         psi = np.concatenate([psi[aux_dim:], psi[:aux_dim]], axis=0)
         n_gates += 1
-        for alpha in range(tensor.shape[0]):
+        for alpha in range(chi_l):
             w = np.zeros(2 * dim, dtype=complex)
             w[dim + alpha * d] = 1.0 / np.sqrt(2)
-            w[:dim] = -g[:, alpha * d] / np.sqrt(2)
+            w[:chi_r * d] = -tensor[alpha].T.reshape(-1) / np.sqrt(2)
             refl = np.eye(2 * dim) - 2.0 * np.outer(w, np.conj(w))
             out = np.tensordot(refl.reshape(head, d, head, d), psi,
                                axes=([2, 3], [0, j + 1]))

@@ -24,6 +24,14 @@ def test_check_lines_are_well_formed(acceptance_result):
     assert result.name in line and result.detail in line
 
 
+def test_mps_circuit_check_detail_is_pinned(acceptance_result):
+    # recorded while the check still multiplied against completed site
+    # unitaries
+    result = acceptance_result(acceptance.check_mps_circuit)
+    assert result.detail == ("25 states, min fidelity 1-2.2e-16, "
+                             "max reflection residual 8.9e-16")
+
+
 def test_distribution_identities_take_one_eigensolve_per_trial(eigensolves):
     # the measure's eigensolve also gives the frame the solves and the
     # moments run in

@@ -1038,6 +1038,110 @@ def test_simulate_encode_report(tmp_path, capsys):
     assert report["gate_tallies"]["cnots_applied"] >= 0
 
 
+def _seeded_sos_files(tmp_path):
+    """The H6 three-determinant state and seeded random states up to the
+    D = 64 simulation cap, written as SOS JSON files."""
+    from qprep.states import occupation_from_spatial
+
+    c = np.sqrt(0.86 ** 2 + 2 * 0.36 ** 2)
+    states = {"h6": (12, [(0.86 / c, occupation_from_spatial("222000")),
+                          (-0.36 / c, occupation_from_spatial("b2aa0b")),
+                          (-0.36 / c, occupation_from_spatial("a2bb0a"))])}
+    for seed, (n_sys, n_det) in enumerate([(4, 1), (5, 7), (8, 16),
+                                           (10, 33), (12, 64)]):
+        rng = np.random.default_rng(100 + seed)
+        occs = set()
+        while len(occs) < n_det:
+            occs.add("".join(rng.choice(["0", "1"], size=n_sys)))
+        amps = rng.normal(size=n_det) + 1j * rng.normal(size=n_det)
+        states[f"D={n_det}"] = (n_sys, list(zip(amps, sorted(occs))))
+    files = {}
+    for name, (n_sys, terms) in states.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps({
+            "n_spin_orbitals": n_sys,
+            "terms": [{"re": float(np.real(a)), "im": float(np.imag(a)),
+                       "occ": occ} for a, occ in terms]}))
+    return files
+
+
+# sha256 (first 16 hex digits) of the exit code and report bytes, recorded
+# while the encoder still went through an EncodingPlan object
+PINNED_ENCODE_REPORTS = {
+    "h6": "bc57596aadf95c93",
+    "D=1": "deba5b75287fe88d",
+    "D=7": "4714189fad22b85a",
+    "D=16": "9901736053288214",
+    "D=33": "785a9b4a15b84ca1",
+    "D=64": "7a4f75d36e694975",
+}
+
+
+def test_simulate_encode_report_bytes_are_pinned(tmp_path, capsys):
+    digests = {}
+    for name, path in _seeded_sos_files(tmp_path).items():
+        report = tmp_path / f"{name}.report.json"
+        code = cli.dispatch(["simulate-encode", "--sos", str(path),
+                             "--report", str(report)])
+        capsys.readouterr()
+        sha = hashlib.sha256(b"%d\n" % code)
+        sha.update(report.read_bytes())
+        digests[name] = sha.hexdigest()[:16]
+    assert digests == PINNED_ENCODE_REPORTS
+
+
+def _damage_sos(obj, case):
+    if case == "string re":
+        obj["terms"][0]["re"] = "0.8"
+    elif case == "null terms":
+        obj["terms"] = None
+    elif case == "list term":
+        obj["terms"][0] = [0.8, 0.0, "1100"]
+    elif case == "nan amplitude":
+        obj["terms"][0]["re"] = float("nan")
+    elif case == "numeric occ":
+        obj["terms"][0]["occ"] = 1100
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("string re", "not an SOS state (TypeError"),
+    ("null terms", "not an SOS state (TypeError"),
+    ("list term", "not an SOS state (TypeError"),
+    ("nan amplitude", "amplitude of 1100 is not finite"),
+    ("numeric occ", "bad occupation string 1100"),
+], ids=["string-re", "null-terms", "list-term", "nan-amplitude",
+        "numeric-occ"])
+def test_malformed_sos_file_is_refused_naming_it(tmp_path, capsys, case,
+                                                 reason):
+    obj = {"n_spin_orbitals": 4,
+           "terms": [{"re": 0.8, "im": 0.0, "occ": "1100"},
+                     {"re": 0.6, "im": 0.0, "occ": "0011"}]}
+    _damage_sos(obj, case)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out.npz"
+    _refused_naming(capsys, path, ["convert", "--input", str(path),
+                                   "--to", "mps", "--out", str(out)], reason)
+    _refused_naming(capsys, path, ["simulate-encode", "--sos", str(path)],
+                    reason)
+    assert not out.exists()
+
+
+def test_non_finite_mps_file_is_refused_naming_it(tmp_path, capsys):
+    from qprep.states import SosState, save_mps, sos_to_mps
+
+    mps, _ = sos_to_mps(SosState(4, [(0.8, "1100"), (0.6, "0011")]),
+                        chi_max=2)
+    mps.tensors[0][0, 3, 0] = np.nan
+    path = tmp_path / "nan.npz"
+    save_mps(mps, path)
+    out = tmp_path / "out.json"
+    _refused_naming(capsys, path, ["convert", "--input", str(path),
+                                   "--to", "sos", "--out", str(out)],
+                    "site tensor 0 is not finite")
+    assert not out.exists()
+
+
 def test_estimate_cost_header_and_frozen_point(capsys):
     code = cli.dispatch(["estimate-cost", "--n-spatial", "100",
                          "--d-values", "1024", "--chi-values", "16"])

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qprep import encodesim, gf2
-from qprep.encodesim import (BudgetExceeded, EncodingPlan, NotLeftCanonical,
-                             complete_gj_unitaries, householder_decompose,
-                             occupation_key, plan_encoding,
-                             simulate_mps_circuit, simulate_sos_encoding)
+from qprep.encodesim import (BudgetExceeded, NotLeftCanonical,
+                             householder_decompose, occupation_key,
+                             plan_encoding, simulate_mps_circuit,
+                             simulate_sos_encoding)
 from qprep.states import (MpsState, SosState, left_canonicalize,
                           mps_to_statevector, occupation_from_spatial,
                           overlap, sos_to_mps)
@@ -34,9 +34,17 @@ def h6_sos():
     ], normalized=True)
 
 
-def n_cnots(plan):
+def n_cnots(layers):
     """CNOT count of one signature-computation pass."""
-    return sum(len(layer) for layer in plan.cnot_layers)
+    return sum(len(layer) for layer in layers)
+
+
+def site_column(tensor, alpha, dim):
+    """``u_alpha``: the site tensor slice ``A[alpha]`` over outputs
+    ``|alpha_out, n> = alpha_out * d + n``, zero-padded to ``dim``."""
+    u = np.zeros(dim, dtype=complex)
+    u[:tensor.shape[2] * tensor.shape[1]] = tensor[alpha].T.reshape(-1)
+    return u
 
 
 def normalized_canonical(rng, chis, d=4):
@@ -59,29 +67,20 @@ def normalized_canonical(rng, chis, d=4):
 def test_plan_structure():
     occs = ["0110", "1010", "1100", "0001"]
     state = SosState(4, [(0.5, occ) for occ in occs])
-    plan = plan_encoding(state)
-    assert plan.cnot_layers == [[(0, 0)], [(1, 1)], [(3, 2)]]
-    assert plan.uncompute_controls == ["010", "100", "110", "001"]
-    assert n_cnots(plan) == 3
-    assert plan.n_uncompute_ops == 4
-    assert n_cnots(plan) == sum(u.count("1")
-                               for u in plan.signature_map.u_vectors)
-
-
-def test_plan_validates_gates():
-    smap = gf2.compress(["0110", "1010", "1100", "0001"])
-    with pytest.raises(ValueError):
-        EncodingPlan(smap, [[(2, 0)], [], []], list(smap.signatures))
-    with pytest.raises(ValueError):
-        EncodingPlan(smap, [[(0, 1)], [], []], list(smap.signatures))
+    smap, layers = plan_encoding(state)
+    assert layers == [[0], [1], [3]]
+    assert smap.signatures == ["010", "100", "110", "001"]
+    assert n_cnots(layers) == 3
+    assert n_cnots(layers) == sum(u.count("1") for u in smap.u_vectors)
+    assert set(sum(layers, [])) <= set(smap.selected_rows)
+    assert smap == gf2.compress(occs)
 
 
 def test_plan_single_determinant():
-    plan = plan_encoding(SosState(4, [(1.0, "0101")]))
-    assert plan.cnot_layers == []
-    assert n_cnots(plan) == 0
-    assert plan.signature_map.signature_bits == 0
-    assert plan.uncompute_controls == [""]
+    smap, layers = plan_encoding(SosState(4, [(1.0, "0101")]))
+    assert layers == []
+    assert smap.signature_bits == 0
+    assert smap.signatures == [""]
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +100,12 @@ def test_encode_single_determinant():
 def test_encode_pair_hand_worked():
     # |01> lives at key 2 (qubit s <-> character s), |10> at key 1
     state = SosState(2, [(0.8, "01"), (0.6, "10")], normalized=True)
-    plan = plan_encoding(state)
+    _, layers = plan_encoding(state)
     res = simulate_sos_encoding(state)
     assert res.state == {2: 0.8, 1: 0.6}
     assert res.fidelity == 1.0
     assert res.ancilla_residual == 0.0
-    assert res.n_cnots_applied == 2 * n_cnots(plan)
+    assert res.n_cnots_applied == 2 * n_cnots(layers)
 
 
 def test_encode_three_determinant_registers():
@@ -154,9 +153,9 @@ def test_encode_measurement_distribution():
 def test_encode_gate_counts():
     rng = np.random.default_rng(5)
     state = random_sos(rng, 7, 6)
-    plan = plan_encoding(state)
+    _, layers = plan_encoding(state)
     res = simulate_sos_encoding(state)
-    assert res.n_cnots_applied == 2 * n_cnots(plan)
+    assert res.n_cnots_applied == 2 * n_cnots(layers)
     assert res.n_uncompute_ops == 6
 
 
@@ -171,32 +170,32 @@ def test_encode_budget_limits():
 
 
 # ---------------------------------------------------------------------------
-# Site unitaries
+# Site isometries
 # ---------------------------------------------------------------------------
 
-def test_g_unitaries_unitary_and_embedded():
+def test_embedded_columns_orthonormal_and_padded():
     rng = np.random.default_rng(21)
     state = normalized_canonical(rng, [3, 4, 2])
-    gs = complete_gj_unitaries(state)
     aux_dim = 4
     d = state.local_dim
-    for g, tensor in zip(gs, state.tensors):
-        assert g.shape == (aux_dim * d, aux_dim * d)
-        assert np.max(np.abs(g.conj().T @ g - np.eye(aux_dim * d))) < 1e-10
+    for tensor in state.tensors:
+        cols = encodesim._embedded_columns(tensor, aux_dim)
         chi_l, _, chi_r = tensor.shape
+        assert cols.shape == (aux_dim * d, chi_l)
+        assert np.max(np.abs(cols.conj().T @ cols - np.eye(chi_l))) < 1e-10
+        assert np.all(cols[chi_r * d:] == 0)
         for alpha in range(chi_l):
-            col = g[:, alpha * d]
-            assert np.allclose(col[:chi_r * d], tensor[alpha].T.reshape(-1))
-            assert np.all(col[chi_r * d:] == 0)
+            assert np.array_equal(cols[:, alpha],
+                                  site_column(tensor, alpha, aux_dim * d))
 
 
 def test_g_chi_one_first_column():
     rng = np.random.default_rng(2)
     state = normalized_canonical(rng, [1, 1], d=4)
-    gs = complete_gj_unitaries(state)
-    for g, tensor in zip(gs, state.tensors):
-        assert g.shape == (4, 4)
-        assert np.allclose(g[:, 0], tensor[0, :, 0])
+    for tensor in state.tensors:
+        cols = encodesim._embedded_columns(tensor, 1)
+        assert cols.shape == (4, 1)
+        assert np.allclose(cols[:, 0], tensor[0, :, 0])
 
 
 def test_g_requires_canonical_and_normalized():
@@ -205,15 +204,13 @@ def test_g_requires_canonical_and_normalized():
     tensors = [rng.normal(size=(dims[j], 4, dims[j + 1]))
                for j in range(len(dims) - 1)]
     loose = MpsState(tensors)
-    with pytest.raises(NotLeftCanonical):
-        complete_gj_unitaries(loose)
-    with pytest.raises(NotLeftCanonical):
-        simulate_mps_circuit(loose)
     state = normalized_canonical(rng, [3])
     scaled = MpsState([2.0 * state.tensors[0]] + list(state.tensors[1:]),
                       state.local_dim, canonical_form="left")
-    with pytest.raises(NotLeftCanonical):
-        complete_gj_unitaries(scaled)
+    for bad in (loose, scaled):
+        for use_householder in (False, True):
+            with pytest.raises(NotLeftCanonical):
+                simulate_mps_circuit(bad, use_householder=use_householder)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +220,9 @@ def test_g_requires_canonical_and_normalized():
 def test_householder_reflection_properties():
     rng = np.random.default_rng(17)
     state = normalized_canonical(rng, [2, 3])
-    gs = complete_gj_unitaries(state)
-    g, tensor = gs[1], state.tensors[1]
-    dim = g.shape[0]
+    tensor = state.tensors[1]
     d = state.local_dim
+    dim = 4 * d  # bond register of ceil(log2 3) = 2 qubits
     refls = householder_decompose(tensor, dim // d)
     assert len(refls) == tensor.shape[0]
     for alpha, r in enumerate(refls):
@@ -234,7 +230,7 @@ def test_householder_reflection_properties():
         assert np.max(np.abs(r.conj().T @ r - np.eye(2 * dim))) < 1e-12
         w = np.zeros(2 * dim, dtype=complex)
         w[dim + alpha * d] = 1 / np.sqrt(2)
-        w[:dim] = -g[:, alpha * d] / np.sqrt(2)
+        w[:dim] = -site_column(tensor, alpha, dim) / np.sqrt(2)
         assert np.max(np.abs(r @ w + w)) < 1e-12
         # identity away from the reflection's two-dimensional support
         bystander = np.zeros(2 * dim)
@@ -247,23 +243,21 @@ def test_householder_reflection_properties():
 def test_householder_product_swaps_designated_columns():
     rng = np.random.default_rng(19)
     state = normalized_canonical(rng, [3, 4, 2])
-    gs = complete_gj_unitaries(state)
     d = state.local_dim
-    for g, tensor in zip(gs, state.tensors):
-        dim = g.shape[0]
+    dim = 4 * d  # bond register of ceil(log2 4) = 2 qubits
+    for tensor in state.tensors:
         prod = np.eye(2 * dim)
         for r in householder_decompose(tensor, dim // d):
             prod = r @ prod
-        doubled = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        doubled[:dim, dim:] = g
-        doubled[dim:, :dim] = g.conj().T
         for alpha in range(tensor.shape[0]):
+            # G: |1, alpha, 0> -> [u_alpha; 0]
             flagged = np.zeros(2 * dim)
             flagged[dim + alpha * d] = 1.0
-            assert np.max(np.abs(prod @ flagged - doubled @ flagged)) < 1e-12
             image = np.zeros(2 * dim, dtype=complex)
-            image[:dim] = g[:, alpha * d]
-            assert np.max(np.abs(prod @ image - doubled @ image)) < 1e-12
+            image[:dim] = site_column(tensor, alpha, dim)
+            assert np.max(np.abs(prod @ flagged - image)) < 1e-12
+            # G^dagger: [u_alpha; 0] -> |1, alpha, 0>
+            assert np.max(np.abs(prod @ image - flagged)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ against it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,3 +174,16 @@ def test_unset_parameter_exceptions_still_hold():
         assert key in by_key, f"{key} is gone; drop its exception"
         assert not _supplied(by_key[key], calls), (
             f"{key} is set now; drop its exception")
+
+
+def test_side_branch_modules_import_without_scipy():
+    # compression, state files, encoder simulation and costing need only
+    # numpy, so a cold start of those commands does not pay for scipy
+    code = ("import sys, qprep.gf2, qprep.states, qprep.encodesim, "
+            "qprep.resources; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
