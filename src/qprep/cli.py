@@ -10,14 +10,16 @@ pipelines can branch on them:
     3  numerical failure or refused computation (cap exceeded, solver error,
        empty postselection)
 
-Every command accepts ``--seed`` (64-bit), ``--threads`` (worker cap,
-``QPREP_THREADS`` as fallback) and ``--config FILE`` with ``key=value``
-lines mirroring the command's own flags; explicit flags win over the file.
-Reruns with equal flags, seed and input files produce byte-identical
-output.
+Every command accepts ``--seed`` (64-bit), ``--threads`` (BLAS threads of
+the large eigensolves, ``QPREP_THREADS`` as fallback) and ``--config FILE``
+with ``key=value`` lines mirroring the command's own flags; explicit flags
+win over the file.  Reruns with equal flags, seed and input files produce
+byte-identical output.
 
-Heavy imports happen inside the handlers so the thread cap can be exported
-before numpy first loads.
+A command runs on one BLAS thread; only eigensolves of order 320 and up
+widen NumPy's OpenBLAS pool, to ``--threads`` or to the width it had when
+the command started (:mod:`qprep.blas`).  Heavy imports happen inside the
+handlers, so a command loads only what it uses.
 """
 
 import argparse
@@ -27,6 +29,8 @@ import json
 import math
 import os
 import sys
+
+from . import blas
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,10 +51,6 @@ _NUMERICAL_NAMES = frozenset({
     "SolverFailure",
     "LinAlgError",
 })
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
 
 # ---------------------------------------------------------------------------
 # Small argument/IO helpers
@@ -162,20 +162,20 @@ def _emit_csv(header, rows, path):
                         for row in (header, *rows)), path)
 
 
-def _apply_threads(args):
+def _thread_count(args):
+    """``--threads``, else ``QPREP_THREADS``, else None."""
     n = getattr(args, "threads", None)
     if n is None:
         env = os.environ.get("QPREP_THREADS")
         if not env:
-            return
+            return None
         try:
             n = int(env)
         except ValueError:
             raise ValueError(f"QPREP_THREADS={env!r} is not an integer")
     if n < 1:
         raise ValueError("thread count must be >= 1")
-    for var in _THREAD_VARS:
-        os.environ[var] = str(n)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +276,10 @@ def _add_common(sp, out=True):
     sp.add_argument("--seed", type=_seed_value, default=0,
                     help="64-bit RNG seed; equal seeds give equal bytes")
     sp.add_argument("--threads", type=_positive_int, metavar="N",
-                    help="cap numeric worker threads "
-                         "(falls back to QPREP_THREADS)")
+                    help="BLAS threads for eigensolves of order >= 320; "
+                         "the rest of the command runs on one "
+                         "(falls back to QPREP_THREADS, then to the pool "
+                         "NumPy started with)")
     sp.add_argument("--config", metavar="FILE",
                     help="key=value defaults for this command's flags")
     sp.add_argument("--pretty", action="store_true",
@@ -946,8 +948,8 @@ def dispatch(argv=None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        _apply_threads(args)
-        return handler(args)
+        with blas.command(_thread_count(args)):
+            return handler(args)
     except Exception as exc:  # noqa: BLE001 - single classification point
         print(f"error: {exc}", file=sys.stderr)
         mro_names = {cls.__name__ for cls in type(exc).__mro__}

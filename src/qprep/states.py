@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hamiltonian import npz_archive
+
 LEFT_ORTHO_TOL = 1e-10
 STATEVECTOR_LIMIT = 65536  # largest dense vector the export paths will build
 # Determinants sos_to_mps adds between two truncations of the running sum.
@@ -462,8 +464,7 @@ def save_mps(state, path):
 
 
 def load_mps(path):
-    with open(path, "rb") as fh:
-        data = np.load(fh)
+    with npz_archive(path) as data:
         n = len([k for k in data.files if k.startswith("tensor_")])
         tensors = [data[f"tensor_{j}"] for j in range(n)]
         canonical = str(data["canonical"]) or None

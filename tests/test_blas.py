@@ -1,0 +1,158 @@
+"""The BLAS thread policy of a CLI command.
+
+A command runs on one OpenBLAS thread, and only eigensolves of order
+``hamiltonian._EIGH_PARALLEL_MIN`` and up widen the pool to the command's
+full width: ``--threads``, ``QPREP_THREADS``, or the width found when the
+command started.  The width found is restored on every exit path.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from qprep import blas, cli, hamiltonian
+from qprep.hamiltonian import FciDump, dump_fcidump
+
+needs_openblas = pytest.mark.skipif(
+    blas.width() is None, reason="NumPy's OpenBLAS was not found")
+
+
+def _fcidump(tmp_path, n_orb):
+    """A seeded FCIDUMP of ``n_orb`` orbitals with 8-fold symmetric
+    two-body integrals."""
+    rng = np.random.default_rng(41)
+    h = rng.normal(size=(n_orb, n_orb))
+    g = 0.1 * rng.normal(size=(n_orb,) * 4)
+    g = g + g.transpose(1, 0, 2, 3)
+    g = g + g.transpose(0, 1, 3, 2)
+    g = g + g.transpose(2, 3, 0, 1)
+    path = tmp_path / f"h{n_orb}.fcidump"
+    path.write_text(dump_fcidump(FciDump(n_orb, 4, 0, 0.3, h + h.T, g)))
+    return path
+
+
+def _build(fcidump, na, nb, out, *flags):
+    return ["ham", "build", "--fcidump", str(fcidump), "--na", str(na),
+            "--nb", str(nb), "--out", str(out), *flags]
+
+
+@pytest.fixture
+def eigh_widths(monkeypatch):
+    """``(order, pool width)`` of every ``np.linalg.eigh`` call, the width
+    read inside the call."""
+    calls = []
+    solve = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append((np.shape(a)[-1], blas.width()))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+@needs_openblas
+@pytest.mark.parametrize("found, flags, env, full", [
+    (2, (), None, 2),
+    (1, (), None, 1),
+    (1, ("--threads", "2"), None, 2),
+    (2, ("--threads", "1"), None, 1),
+    (1, (), "2", 2),
+    (2, ("--threads", "1"), "2", 1)])
+def test_only_large_eigensolves_get_the_full_pool(
+        tmp_path, capsys, monkeypatch, eigh_widths, found, flags, env, full):
+    if env is not None:
+        monkeypatch.setenv("QPREP_THREADS", env)
+    fcidump = _fcidump(tmp_path, 8)
+    with blas.limit(found):
+        # (2,2): dim 784 as two spin-flip blocks, the even one holding the
+        # 28 fixed points and one vector of each of the 378 pairs
+        assert cli.dispatch(_build(fcidump, 2, 2, tmp_path / "a.npz",
+                                   *flags)) == cli.EXIT_OK
+        # (1,2): dim 224, one block
+        assert cli.dispatch(_build(fcidump, 1, 2, tmp_path / "b.npz",
+                                   *flags)) == cli.EXIT_OK
+        assert blas.width() == found
+    capsys.readouterr()
+    assert eigh_widths == [(406, full), (378, full), (224, 1)]
+
+
+@needs_openblas
+def test_outside_a_command_eigh_keeps_the_width_it_finds(eigh_widths):
+    n = hamiltonian._EIGH_PARALLEL_MIN
+    a = np.random.default_rng(5).normal(size=(n, n))
+    for found in (1, 2):
+        with blas.limit(found):
+            hamiltonian.DenseHamiltonian(a + a.T).eigensystem()
+            with blas.full_pool():
+                assert blas.width() == found
+    assert eigh_widths == [(n, 1), (n, 2)]
+
+
+@needs_openblas
+@pytest.mark.parametrize("found", [1, 2])
+def test_width_is_restored_on_every_exit(tmp_path, capsys, monkeypatch,
+                                         found):
+    fcidump = _fcidump(tmp_path, 4)
+    cases = [
+        (cli.EXIT_OK, _build(fcidump, 2, 2, tmp_path / "h.npz")),
+        (cli.EXIT_OK, _build(fcidump, 2, 2, tmp_path / "h.npz",
+                             "--threads", "3")),
+        (cli.EXIT_USAGE, _build(fcidump, 2, 2, tmp_path / "h.npz",
+                                "--threads", "0")),
+        (cli.EXIT_INPUT, _build(tmp_path / "missing", 2, 2,
+                                tmp_path / "h.npz", "--threads", "2")),
+        (cli.EXIT_NUMERICAL, _build(fcidump, 2, 2, tmp_path / "h.npz",
+                                    "--dim-cap", "5")),
+    ]
+    with blas.limit(found):
+        for code, argv in cases:
+            assert cli.dispatch(argv) == code, argv
+            assert blas.width() == found, argv
+        monkeypatch.setenv("QPREP_THREADS", "lots")
+        assert cli.dispatch(cases[0][1]) == cli.EXIT_INPUT
+        assert blas.width() == found
+    capsys.readouterr()
+
+
+@needs_openblas
+def test_small_block_builds_do_not_depend_on_the_pool_found(tmp_path,
+                                                            capsys):
+    # (2,2) of 7 orbitals: two flip blocks of order 231 and 210; (1,2) of
+    # 8: one block of order 224.  Each solves on one thread whatever the
+    # width the command starts from, so the files match to the byte.
+    files = {}
+    for found in (1, 2):
+        for n_orb, na, nb in ((7, 2, 2), (8, 1, 2)):
+            out = tmp_path / f"{n_orb}-{na}{nb}-{found}.npz"
+            with blas.limit(found):
+                assert cli.dispatch(_build(_fcidump(tmp_path, n_orb), na, nb,
+                                           out)) == cli.EXIT_OK
+            files.setdefault((n_orb, na, nb), []).append(out.read_bytes())
+    capsys.readouterr()
+    for key, (narrow, wide) in files.items():
+        assert narrow == wide, key
+
+
+def test_dispatch_does_not_export_thread_variables(tmp_path, capsys,
+                                                   monkeypatch):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("QPREP_THREADS", "1")
+    argv = _build(_fcidump(tmp_path, 4), 2, 1, tmp_path / "h.npz")
+    assert cli.dispatch([*argv, "--threads", "1"]) == cli.EXIT_OK
+    assert cli.dispatch(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert not [name for name in names if name in os.environ]
+
+
+def test_without_openblas_every_call_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    assert blas.width() is None
+    with blas.command(2):
+        with blas.full_pool():
+            with blas.limit(1):
+                assert blas.width() is None

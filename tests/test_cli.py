@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qprep import cli
+from qprep import blas, cli
 
 
 TWO_ORBITAL = """&FCI NORB=2,NELEC=2,MS2=0,
@@ -646,7 +646,7 @@ PINNED_OUTPUTS = {
 }
 
 
-def test_measure_command_bytes_are_pinned(tmp_path, capsys):
+def _pinned_digests(tmp_path, capsys):
     digests = {}
     for name, (argv, files) in _pinned_commands(tmp_path, capsys).items():
         code = cli.dispatch(argv)
@@ -655,7 +655,17 @@ def test_measure_command_bytes_are_pinned(tmp_path, capsys):
         for path in files:
             sha.update(path.read_bytes())
         digests[name] = sha.hexdigest()[:16]
-    assert digests == PINNED_OUTPUTS
+    return digests
+
+
+def test_measure_command_bytes_are_pinned(tmp_path, capsys):
+    assert _pinned_digests(tmp_path, capsys) == PINNED_OUTPUTS
+
+
+def test_pinned_bytes_do_not_need_openblas(tmp_path, capsys, monkeypatch):
+    # without NumPy's OpenBLAS the thread policy is a no-op
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    assert _pinned_digests(tmp_path, capsys) == PINNED_OUTPUTS
 
 
 def test_ham_pipeline_diagonalizes_once_at_build(tmp_path, capsys,
@@ -1016,6 +1026,28 @@ def test_convert_round_trip(tmp_path, capsys):
                  for t in json.loads(back.read_text())["terms"]}
     for occ, amp in terms.items():
         assert recovered[occ] == pytest.approx(amp, abs=1e-12)
+
+
+@pytest.mark.parametrize("damage, reason", [
+    ("text", "not an npz archive"),
+    ("npy file", "not an npz archive"),
+    ("truncated", "not a zip file")])
+def test_mps_file_that_is_not_an_npz_archive_is_an_input_error(
+        tmp_path, capsys, damage, reason):
+    bad = tmp_path / "state.npz"
+    if damage == "text":
+        bad.write_text("not a state\n")
+    elif damage == "npy file":
+        with open(bad, "wb") as f:
+            np.save(f, np.ones((1, 2, 1)))
+    else:
+        from qprep.states import MpsState, save_mps
+
+        save_mps(MpsState([np.ones((1, 2, 1))], 2, None), bad)
+        bad.write_bytes(bad.read_bytes()[:-40])
+    _refused_naming(capsys, bad, ["convert", "--input", str(bad), "--to",
+                                  "sos", "--out", str(tmp_path / "s.json")],
+                    reason)
 
 
 def test_simulate_encode_report(tmp_path, capsys):
