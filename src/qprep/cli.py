@@ -48,7 +48,6 @@ _NUMERICAL_NAMES = frozenset({
     "DegenerateWindow",
     "OrderUnsupported",
     "PosteriorUndefined",
-    "SolverFailure",
     "LinAlgError",
 })
 
@@ -402,7 +401,7 @@ def _load_measure(args):
                 raise ValueError("level weights must have a positive total")
             return SpectralMeasure(
                 np.column_stack((energies, weights / total)))
-    from .hamiltonian import SPECTRUM_MARGIN, load_hamiltonian
+    from .hamiltonian import load_hamiltonian
     from .spectra import exact_spectral_measure
 
     h = load_hamiltonian(args.ham)
@@ -410,7 +409,7 @@ def _load_measure(args):
         psi = _load_state_vector(args.state, h.dim)
     else:
         psi = np.full(h.dim, h.dim ** -0.5)
-    return exact_spectral_measure(h, psi, margin=SPECTRUM_MARGIN)
+    return exact_spectral_measure(h, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -689,21 +688,14 @@ def cmd_refine_case_study(args):
 def cmd_reproduce(args):
     from . import acceptance
 
-    # Stable lines (no timings) so a rerun is byte-identical.
-    all_passed = True
-    lines = []
-    for check in acceptance.CHECKS:
-        result = check()
-        all_passed &= result.passed
-        lines.append("[%s] %2d %-24s %s" % (
-            "PASS" if result.passed else "FAIL",
-            result.number, result.name, result.detail))
-    _write_text("".join(line + "\n" for line in lines), args.out)
+    # CheckResult.line() holds no timing, so a rerun is byte-identical.
+    results = [check() for check in acceptance.CHECKS]
+    _write_text("".join(r.line() + "\n" for r in results), args.out)
     if args.h6 is not None:
         with open(args.h6, encoding="utf-8") as fh:
             protocol = acceptance.h6_protocol_report(fh.read())
         _emit_json(protocol, args, path="-")
-    return EXIT_OK if all_passed else EXIT_NUMERICAL
+    return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------

@@ -492,21 +492,15 @@ class AffineNormalizer:
     def invert(self, energy):
         return (np.asarray(energy) - self.shift) / self.scale
 
-    def apply_matrix(self, h: DenseHamiltonian) -> DenseHamiltonian:
-        ent = self.scale * h.entries + self.shift * np.eye(h.dim)
-        return DenseHamiltonian(ent, h.basis_labels)
 
-
-def spectrum_normalizer(lo, hi, margin=SPECTRUM_MARGIN):
-    """The affine map taking the spectrum bounds [lo, hi] onto
-    [margin, 1 - margin]; a spectrum of one point goes to 1/2."""
-    if not 0 <= margin < 0.5:
-        raise ValueError("margin must lie in [0, 0.5)")
+def spectrum_normalizer(lo, hi):
+    """The affine map taking the spectrum bounds [lo, hi] onto [m, 1 - m],
+    m = ``SPECTRUM_MARGIN``; a spectrum of one point goes to 1/2."""
     lo, hi = float(lo), float(hi)
     if hi - lo < 1e-300:
         return AffineNormalizer(1.0, 0.5 - lo)
-    scale = (1 - 2 * margin) / (hi - lo)
-    return AffineNormalizer(scale, margin - scale * lo)
+    scale = (1 - 2 * SPECTRUM_MARGIN) / (hi - lo)
+    return AffineNormalizer(scale, SPECTRUM_MARGIN - scale * lo)
 
 
 def _string_excitations(n_orb, n_el):

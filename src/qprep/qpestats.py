@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectra import SpectralMeasure, as_measure, outcome_law
+from .spectra import PROB_SUM_TOL, SpectralMeasure, as_measure, outcome_law
 
 EASY_THRESHOLD = 0.5
 
@@ -91,15 +91,22 @@ def goldilocks_report(m, target_energy, budget, easy_threshold=EASY_THRESHOLD):
 
     ``budget`` is the number of coarse-QPE repetitions one is willing to
     spend; the expected repetitions to see one outcome below the target is
-    ceil(1/p).
+    ceil(1/p).  A p within the measure's weight tolerance of 1/n (|n p - 1|
+    <= ``PROB_SUM_TOL``) counts as 1/n, so a weight of 1/3 stored an ulp
+    under it needs 3 repetitions, not 4.
     """
     if budget < 1:
         raise ValueError("repetition budget must be positive")
     if not 0.0 < easy_threshold <= 1.0:
         raise ValueError("easy_threshold must lie in (0, 1]")
     p = cdf_below(m, target_energy)
-    # exact: 1.0 / p overflows for a subnormal p
-    required = math.ceil(1 / Fraction(p)) if p > 0.0 else None
+    required = None
+    if p > 0.0:
+        # exact: 1.0 / p overflows for a subnormal p
+        exact = Fraction(p)
+        n = round(1 / exact)
+        required = n if abs(n * exact - 1) <= PROB_SUM_TOL \
+            else math.ceil(1 / exact)
     if p > easy_threshold:
         label = "Easy"
     elif required is not None and required <= budget:

@@ -1,17 +1,15 @@
 """Energy distributions of a state with respect to a Hamiltonian.
 
 A :class:`SpectralMeasure` is the exact, discrete distribution of a state's
-overlaps with the eigenbasis.  Around it this module provides four routes to
-a (possibly broadened) energy density and the machinery shared by the QPE
-statistics modules:
+overlaps with the eigenbasis, and a Hamiltonian reaches it only through
+:func:`exact_spectral_measure` (one eigensolve).  From the measure this
+module provides three routes to a (possibly broadened) energy density and
+the machinery shared by the QPE statistics modules:
 
-* Lorentzian broadening of the exact measure;
-* moment/cumulant series (Gram-Charlier and Edgeworth), with exact rational
-  coefficient tables;
-* the resolvent (Green's function) route, by direct linear solves — both the
-  complex form and the real-symmetric companion system.  It equals the
-  Lorentzian broadening of the exact measure, which is how the command line
-  evaluates it; the solves stay as an independent check of that identity;
+* Lorentzian broadening of the exact measure, which is also the resolvent
+  (Green's function) curve -(1/pi) Im <psi|(H - E + i eta)^-1|psi>;
+* moment/cumulant series (Gram-Charlier and Edgeworth), from the measure's
+  power sums, with exact rational coefficient tables;
 * coarse phase-estimation sampling with a random sub-bin offset per shot,
   plus Gaussian kernel density estimation for smoothing, which sums each
   grid point only over the samples close enough to give a nonzero term.
@@ -50,7 +48,6 @@ PROB_SUM_TOL = 1e-10
 ENERGY_LO, ENERGY_HI = -0.5, 1.5
 GRID_POINTS = 512
 SPIKE_TOL = 1e-12
-SOLVE_RESIDUAL_TOL = 1e-10
 GC_TABLE_MAX = 8
 # Keeps every array of register size (the law, its complex Fourier-space
 # intermediates, the kernel's angle tables) at or below 16 MB.
@@ -60,10 +57,6 @@ _BLOCK = 1 << 15    # values per block: 256 kB per float temporary, in cache
 
 class OrderUnsupported(ValueError):
     """Gram-Charlier order beyond the closed-form coefficient table."""
-
-
-class SolverFailure(RuntimeError):
-    """A resolvent linear solve did not reach the required residual."""
 
 
 class DigitCapExceeded(ValueError):
@@ -128,22 +121,19 @@ class SpectralMeasure:
         return float(np.dot(self.probs, self.energies))
 
 
-def exact_spectral_measure(h, psi, margin=None):
+def exact_spectral_measure(h, psi):
     """Overlap weights of ``psi`` with the eigenbasis of ``h``.
 
-    ``h`` is a DenseHamiltonian (or a Hermitian matrix) already in the
-    normalized frame, or, when ``margin`` is given, in raw units: then the
-    eigenvalues of the one eigensolve are mapped into [margin, 1 - margin]
+    ``h`` is a DenseHamiltonian (or a Hermitian matrix) in any units: the
+    eigenvalues of the one eigensolve are mapped into the normalized frame
     by :func:`qprep.hamiltonian.spectrum_normalizer`, which the measure
     records.  ``psi`` need not be normalized.
     """
     if not isinstance(h, DenseHamiltonian):
         h = DenseHamiltonian(h)
     evals, evecs = h.eigensystem()
-    normalizer = None
-    if margin is not None:
-        normalizer = spectrum_normalizer(evals[0], evals[-1], margin)
-        evals = normalizer.apply(evals)
+    normalizer = spectrum_normalizer(evals[0], evals[-1])
+    evals = normalizer.apply(evals)
     psi = np.asarray(psi)
     with np.errstate(over="ignore"):
         nrm = np.linalg.norm(psi)
@@ -247,24 +237,6 @@ class MomentSet:
                             for j in range(1, n))
             kappa.append(k)
         return cls(raw, mean, sigma, mu, kappa)
-
-
-def moments(h, psi, n_max):
-    """Raw moments <psi|H^n|psi> by repeated matrix-vector application.
-
-    Compute in the normalized frame (see module docstring) so high powers
-    stay well-scaled.
-    """
-    if not isinstance(h, DenseHamiltonian):
-        h = DenseHamiltonian(h)
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    raw = [1.0]
-    cur = psi
-    for _ in range(n_max):
-        cur = h.entries @ cur
-        raw.append(float(np.vdot(psi, cur).real))
-    return MomentSet.from_raw(raw)
 
 
 def moments_from_measure(measure, n_max):
@@ -430,58 +402,6 @@ def edgeworth(ms, s_max, hermite_cap=None):
                     term *= ms.kappa[order]
                 weights[he] += term
     return SeriesDensity(weights, ms.mean, ms.sigma)
-
-
-# ---------------------------------------------------------------------------
-# Resolvent route
-# ---------------------------------------------------------------------------
-
-def resolvent_distribution(h, psi, eta, grid=None, method="complex"):
-    """P(E) = -(1/pi) Im <psi|(H - E + i eta)^{-1}|psi> on a grid.
-
-    ``method`` "complex" solves the defining system directly; "real" solves
-    the Hermitian companion system [(H-E)^2 + eta^2] Y = -(eta/pi) psi and
-    reads Im G = <psi|Y>.  Both raise SolverFailure when a solve's residual
-    exceeds 1e-10.  The curve equals ``broaden(exact_spectral_measure(h,
-    psi), eta, grid)``, which costs one eigensolve instead of one dense
-    solve per grid point.
-    """
-    if method not in ("complex", "real"):
-        raise ValueError("method must be 'complex' or 'real'")
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    if not isinstance(h, DenseHamiltonian):
-        h = DenseHamiltonian(h)
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
-    a = h.entries
-    eye = np.eye(h.dim)
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    out = np.empty(grid.shape)
-    for i, e in enumerate(grid):
-        if method == "complex":
-            mat = a - (e - 1j * eta) * eye
-            rhs = psi
-        else:
-            shifted = a - e * eye
-            mat = shifted @ shifted + eta ** 2 * eye
-            rhs = -(eta / np.pi) * psi
-        try:
-            sol = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"linear solve failed at E={e}: {exc}")
-        residual = np.linalg.norm(mat @ sol - rhs)
-        if residual > SOLVE_RESIDUAL_TOL:
-            raise SolverFailure(
-                f"residual {residual:.3g} at E={e} exceeds "
-                f"{SOLVE_RESIDUAL_TOL}")
-        if method == "complex":
-            out[i] = -np.vdot(psi, sol).imag / np.pi
-        else:
-            out[i] = -np.vdot(psi, sol).real
-    return grid, out
 
 
 # ---------------------------------------------------------------------------

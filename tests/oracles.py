@@ -607,7 +607,18 @@ def normalize_spectrum(h):
     of their own, not from the eigensystem a measure is taken in."""
     evals = np.linalg.eigvalsh(h.entries)
     norm = hamiltonian.spectrum_normalizer(evals[0], evals[-1])
-    return norm.apply_matrix(h), norm
+    entries = norm.scale * h.entries + norm.shift * np.eye(h.dim)
+    return hamiltonian.DenseHamiltonian(entries, h.basis_labels), norm
+
+
+def matvec_moments(h, psi, n_max):
+    """Raw moments <psi|H^n|psi>, n = 0 .. n_max, of the unit ``psi`` by
+    repeated matrix-vector products, with no eigensolve."""
+    raw, cur = [1.0], np.asarray(psi, dtype=complex)
+    for _ in range(n_max):
+        cur = h.entries @ cur
+        raw.append(float(np.vdot(psi, cur).real))
+    return raw
 
 
 def measure_power_moment(energies, probs, n):

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from qprep import acceptance
+from qprep.hamiltonian import DenseHamiltonian
+from qprep.spectra import broaden, default_grid, exact_spectral_measure
+
+import oracles
 
 
 @pytest.mark.parametrize("check", acceptance.CHECKS,
@@ -32,9 +36,32 @@ def test_mps_circuit_check_detail_is_pinned(acceptance_result):
                              "max reflection residual 8.9e-16")
 
 
+@pytest.mark.parametrize("state", ["eigenvector", "random"])
+def test_resolvent_curve_matches_broadened_measure(state, eigensolves):
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    raw = DenseHamiltonian(4.0 * (a + a.conj().T))
+    _, norm = oracles.normalize_spectrum(raw)
+    evals, evecs = np.linalg.eigh(raw.entries)
+    if state == "eigenvector":
+        # one level: the curve is the Lorentzian at its normalized energy
+        psi = evecs[:, 2]
+        level = norm.apply(evals[2])
+        grid = default_grid()
+        expected = (0.05 / np.pi) / ((level - grid) ** 2 + 0.05 ** 2)
+    else:
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi /= np.linalg.norm(psi)
+        grid, expected = broaden(exact_spectral_measure(raw, psi), 0.05)
+    eigensolves.clear()
+    vals = acceptance._resolvent_curve(raw, psi, norm, 0.05, grid)
+    assert eigensolves == []
+    assert np.max(np.abs(vals - expected)) < 1e-10
+
+
 def test_distribution_identities_take_one_eigensolve_per_trial(eigensolves):
-    # the measure's eigensolve also gives the frame the solves and the
-    # moments run in
+    # the measure's eigensolve also gives the energy map the resolvent
+    # solves use and the moments the series take
     result = acceptance.check_distribution_identities()
     assert result.passed, result.detail
     assert eigensolves == ["eigh"] * 20

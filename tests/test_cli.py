@@ -922,8 +922,9 @@ def test_state_whose_norm_overflows_or_underflows_is_measured(
 
 
 def test_energy_dist_resolvent_matches_the_solver(tmp_path, capsys):
+    from qprep.acceptance import _resolvent_curve
     from qprep.hamiltonian import DenseHamiltonian, save_hamiltonian
-    from qprep.spectra import default_grid, resolvent_distribution
+    from qprep.spectra import default_grid
 
     import oracles
 
@@ -941,9 +942,9 @@ def test_energy_dist_resolvent_matches_the_solver(tmp_path, capsys):
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
     rows = np.loadtxt(paths[0], delimiter=",", skiprows=1)
-    h_norm, norm = oracles.normalize_spectrum(h)
-    grid, solved = resolvent_distribution(h_norm, np.ones(30), 0.03,
-                                          default_grid(48))
+    _, norm = oracles.normalize_spectrum(h)
+    grid = default_grid(48)
+    solved = _resolvent_curve(h, np.full(30, 30 ** -0.5), norm, 0.03, grid)
     assert np.allclose(rows[:, 0], norm.invert(grid), rtol=1e-12, atol=0)
     assert np.allclose(rows[:, 1], solved * norm.scale, rtol=1e-12, atol=0)
 

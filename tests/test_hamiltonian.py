@@ -218,35 +218,30 @@ def test_measure_normalizer_bounds():
     for _ in range(10):
         a = rng.normal(size=(12, 12))
         dense = ham.DenseHamiltonian((a + a.T) / 2)
-        norm = exact_spectral_measure(dense, np.ones(12),
-                                      margin=ham.SPECTRUM_MARGIN).normalizer
-        evals = np.linalg.eigvalsh(norm.apply_matrix(dense).entries)
+        norm = exact_spectral_measure(dense, np.ones(12)).normalizer
+        evals = np.linalg.eigvalsh(norm.scale * dense.entries
+                                   + norm.shift * np.eye(12))
         assert evals.min() > 0.1 - 1e-9 and evals.max() < 0.9 + 1e-9
         x = rng.normal(size=5)
         assert np.allclose(norm.invert(norm.apply(x)), x)
 
 
 def test_spectrum_normalizer_bounds_and_degenerate_spectrum():
-    norm = ham.spectrum_normalizer(-2.0, 6.0, margin=0.1)
+    norm = ham.spectrum_normalizer(-2.0, 6.0)
     assert np.allclose(norm.apply([-2.0, 6.0]), [0.1, 0.9], atol=1e-15)
     flat = ham.spectrum_normalizer(3.0, 3.0)
     assert flat.scale == 1.0 and flat.apply(3.0) == 0.5
     h = ham.DenseHamiltonian(3.0 * np.eye(4))
-    measure = exact_spectral_measure(h, np.ones(4),
-                                     margin=ham.SPECTRUM_MARGIN)
+    measure = exact_spectral_measure(h, np.ones(4))
     assert measure.normalizer == flat
-    assert np.array_equal(flat.apply_matrix(h).entries, 0.5 * np.eye(4))
-    with pytest.raises(ValueError):
-        ham.spectrum_normalizer(0.0, 1.0, margin=0.5)
+    assert np.array_equal(measure.levels, [[0.5, 0.25]] * 4)
 
 
 def test_normalizer_explicit_convention():
     norm = ham.AffineNormalizer(scale=1 / 3, shift=1.0)
     assert norm.apply(-3.0) == 0.0
     assert norm.invert(0.0) == -3.0
-    dense = ham.DenseHamiltonian(np.diag([-3.0, 0.0]))
-    out = norm.apply_matrix(dense)
-    assert np.allclose(np.diag(out.entries), [0.0, 1.0])
+    assert np.allclose(norm.apply([-3.0, 0.0]), [0.0, 1.0])
 
 
 def test_save_load_round_trip(tmp_path):
@@ -399,7 +394,7 @@ def test_blocked_eigensolve_matches_dense_eigh(n_orb, n_el, eigensolves):
     assert np.max(np.abs(evals - ref_vals)) <= 1e-12 * size
     ham._check_eigensystem(h, evals, evecs, np.max(np.abs(h)))
     psi = rng.normal(size=dense.dim) + 1j * rng.normal(size=dense.dim)
-    measure = exact_spectral_measure(dense, psi, margin=ham.SPECTRUM_MARGIN)
+    measure = exact_spectral_measure(dense, psi)
     ref = np.abs(ref_vecs.T @ (psi / np.linalg.norm(psi))) ** 2
     assert np.max(np.abs(_cluster_sums(ref_vals, measure.probs)
                          - _cluster_sums(ref_vals, ref))) <= 1e-10

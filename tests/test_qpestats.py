@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +173,21 @@ def test_goldilocks_subnormal_weight_needs_exact_repetitions():
     assert p == Fraction(1e-320) and n > 10 ** 319
     assert n * p >= 1 > (n - 1) * p
     assert report.label == "Hard"
+
+
+@pytest.mark.parametrize("n", [3, 6, 7])
+def test_goldilocks_weight_an_ulp_under_one_over_n_needs_n(n):
+    # weights 1 and n - 1 divided by their total, as a levels file gives
+    # them: p is 1/n rounded down, and the exact ceiling of 1/p is n + 1
+    weights = np.array([1.0, n - 1.0])
+    m = SpectralMeasure(np.column_stack(([0.1, 0.5], weights / n)))
+    p = m.probs[0]
+    assert math.ceil(1 / Fraction(p)) == n + 1
+    report = goldilocks_report(m, 0.2, n)
+    assert report.p_below_target == p
+    assert report.required_reps == n
+    assert report.label == "Goldilocks"
+    assert goldilocks_report(m, 0.2, n - 1).label == "Hard"
 
 
 def test_goldilocks_threshold_configurable():

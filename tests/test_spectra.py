@@ -7,14 +7,12 @@ from scipy.stats import norm as normal_dist
 
 from qprep import spectra
 from qprep.hamiltonian import DenseHamiltonian
-from qprep.spectra import (MomentSet, OrderUnsupported,
-                           SolverFailure, SpectralMeasure, broaden,
-                           as_measure, coarse_qpe_sample, default_grid,
-                           edgeworth, edgeworth_terms,
+from qprep.spectra import (MomentSet, OrderUnsupported, SpectralMeasure,
+                           broaden, as_measure, coarse_qpe_sample,
+                           default_grid, edgeworth, edgeworth_terms,
                            exact_spectral_measure, gram_charlier,
                            gram_charlier_coefficient, hermite_e_coefficients,
-                           kde, moments, moments_from_measure, outcome_law,
-                           resolvent_distribution)
+                           kde, moments_from_measure, outcome_law)
 
 import oracles
 
@@ -28,6 +26,13 @@ def random_normalized(rng, dim):
 def random_state(rng, dim):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
+
+
+def random_moments(rng, dim, n_max):
+    """Moments of a random state's measure under a random Hamiltonian."""
+    h, _ = random_normalized(rng, dim)
+    measure = exact_spectral_measure(h, random_state(rng, dim))
+    return moments_from_measure(measure, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +83,9 @@ def test_exact_measure_matches_projections():
     evals, evecs = np.linalg.eigh(h.entries)
     assert np.allclose(m.energies, evals)
     assert np.allclose(m.probs, np.abs(evecs.conj().T @ psi) ** 2)
-    assert m.normalizer is None
+    # a spectrum already in the normalized frame maps onto itself
+    assert m.normalizer.scale == pytest.approx(1.0, rel=1e-13)
+    assert m.normalizer.shift == pytest.approx(0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-320])
@@ -113,7 +120,7 @@ def test_exact_measure_with_margin_takes_one_eigensolve(monkeypatch):
         monkeypatch.setattr(np.linalg, name,
                             lambda *args, _f=solver, **kw:
                             calls.append(_f) or _f(*args, **kw))
-    m = exact_spectral_measure(h, psi, margin=0.1)
+    m = exact_spectral_measure(h, psi)
     assert len(calls) == 1
     assert m.energies[0] == pytest.approx(0.1, abs=1e-14)
     assert m.energies[-1] == pytest.approx(0.9, abs=1e-14)
@@ -188,20 +195,21 @@ def test_moments_match_measure_sums():
     rng = np.random.default_rng(7)
     h, _ = random_normalized(rng, 24)
     psi = random_state(rng, 24)
-    ms = moments(h, psi, 8)
-    m = exact_spectral_measure(h, psi)
+    ms = moments_from_measure(exact_spectral_measure(h, psi), 8)
+    ref = oracles.matvec_moments(h, psi, 8)
     for n in range(9):
-        ref = oracles.measure_power_moment(m.energies, m.probs, n)
-        assert ms.raw[n] == pytest.approx(ref, abs=1e-9)
+        assert ms.raw[n] == pytest.approx(ref[n], abs=1e-9)
 
 
 def test_moments_eigenvector_degenerate():
     rng = np.random.default_rng(8)
     h, _ = random_normalized(rng, 6)
     evals, evecs = h.eigensystem()
-    ms = moments(h, evecs[:, 0], 6)
+    ms = moments_from_measure(exact_spectral_measure(h, evecs[:, 0]), 6)
     for n in range(7):
         assert ms.raw[n] == pytest.approx(evals[0] ** n, abs=1e-12)
+    # a single level has zero spread, so no standardized ladder
+    ms = moments_from_measure(SpectralMeasure([(evals[0], 1.0)]), 6)
     assert ms.sigma == 0.0
     assert ms.mu is None
     with pytest.raises(ValueError):
@@ -212,15 +220,14 @@ def test_moments_standardization():
     rng = np.random.default_rng(9)
     h, _ = random_normalized(rng, 16)
     psi = random_state(rng, 16)
-    ms = moments(h, psi, 8)
+    ms = moments_from_measure(exact_spectral_measure(h, psi), 8)
     assert ms.mu[1] == 0.0
     assert ms.mu[2] == 1.0
     assert ms.kappa[3] == pytest.approx(ms.mu[3], abs=1e-12)
     assert ms.kappa[4] == pytest.approx(ms.mu[4] - 3, abs=1e-12)
-    m = exact_spectral_measure(h, psi)
-    alt = moments_from_measure(m, 8)
+    ref = oracles.matvec_moments(h, psi, 8)
     for n in range(9):
-        assert alt.raw[n] == pytest.approx(ms.raw[n], abs=1e-9)
+        assert ms.raw[n] == pytest.approx(ref[n], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +319,7 @@ def test_edgeworth_term_table():
 
 def test_edgeworth_numeric_weights():
     rng = np.random.default_rng(11)
-    h, _ = random_normalized(rng, 20)
-    ms = moments(h, random_state(rng, 20), 8)
+    ms = random_moments(rng, 20, 8)
     series = edgeworth(ms, 2)
     assert series.hermite_weights[4] == pytest.approx(ms.kappa[4] / 24)
     assert series.hermite_weights[6] == pytest.approx(ms.kappa[3] ** 2 / 72)
@@ -331,8 +337,7 @@ def test_edgeworth_gaussian_is_gaussian():
 def test_gc_edgeworth_matched_truncation():
     rng = np.random.default_rng(13)
     for _ in range(5):
-        h, _ = random_normalized(rng, 14)
-        ms = moments(h, random_state(rng, 14), 8)
+        ms = random_moments(rng, 14, 8)
         gc = gram_charlier(ms, 8)
         ew = edgeworth(ms, 6, hermite_cap=8)
         assert np.allclose(gc.hermite_weights, ew.hermite_weights,
@@ -343,49 +348,13 @@ def test_gc_edgeworth_matched_truncation():
 
 def test_series_density_unit_integral():
     rng = np.random.default_rng(15)
-    h, _ = random_normalized(rng, 12)
-    ms = moments(h, random_state(rng, 12), 8)
+    ms = random_moments(rng, 12, 8)
     series = gram_charlier(ms, 8)
     x = np.linspace(-12, 12, 20001)
     assert np.trapezoid(series.standardized(x), x) == pytest.approx(
         1.0, abs=1e-6)
     e = np.linspace(ms.mean - 12 * ms.sigma, ms.mean + 12 * ms.sigma, 20001)
     assert np.trapezoid(series(e), e) == pytest.approx(1.0, abs=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# Resolvent
-# ---------------------------------------------------------------------------
-
-def test_resolvent_eigenvector_is_lorentzian():
-    rng = np.random.default_rng(17)
-    h, _ = random_normalized(rng, 8)
-    evals, evecs = h.eigensystem()
-    grid, vals = resolvent_distribution(h, evecs[:, 2], 0.05)
-    expected = (0.05 / np.pi) / ((evals[2] - grid) ** 2 + 0.05 ** 2)
-    assert np.allclose(vals, expected, atol=1e-10)
-
-
-def test_resolvent_matches_broadened_measure():
-    rng = np.random.default_rng(19)
-    h, _ = random_normalized(rng, 16)
-    psi = random_state(rng, 16)
-    measure = exact_spectral_measure(h, psi)
-    grid, direct = broaden(measure, 0.05)
-    for method in ("complex", "real"):
-        _, vals = resolvent_distribution(h, psi, 0.05, grid, method=method)
-        assert np.max(np.abs(vals - direct)) < 1e-8
-
-
-def test_resolvent_failure_and_validation():
-    h = DenseHamiltonian(np.diag([0.2, 0.8]))
-    psi = np.array([1.0, 1.0]) / np.sqrt(2)
-    with pytest.raises(SolverFailure):
-        resolvent_distribution(h, psi, 0.0, np.array([0.2]))
-    with pytest.raises(ValueError):
-        resolvent_distribution(h, psi, -0.1)
-    with pytest.raises(ValueError):
-        resolvent_distribution(h, psi, 0.1, method="dmrg")
 
 
 # ---------------------------------------------------------------------------
