@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectra import PROB_SUM_TOL, SpectralMeasure, as_measure, outcome_law
+from .spectra import SpectralMeasure, as_measure, outcome_law
 
 EASY_THRESHOLD = 0.5
 
@@ -91,9 +91,11 @@ def goldilocks_report(m, target_energy, budget, easy_threshold=EASY_THRESHOLD):
 
     ``budget`` is the number of coarse-QPE repetitions one is willing to
     spend; the expected repetitions to see one outcome below the target is
-    ceil(1/p).  A p within the measure's weight tolerance of 1/n (|n p - 1|
-    <= ``PROB_SUM_TOL``) counts as 1/n, so a weight of 1/3 stored an ulp
-    under it needs 3 repetitions, not 4.
+    ceil(1/p).  A p within two ulps of 1/n, and of no other integer's
+    reciprocal, counts as 1/n, so a weight of 1/3 stored an ulp under it
+    needs 3 repetitions, not 4.  Where two ulps span several reciprocals
+    (every p under 2.2e-16, subnormal p among them), the count is the exact
+    ceiling.
     """
     if budget < 1:
         raise ValueError("repetition budget must be positive")
@@ -103,10 +105,12 @@ def goldilocks_report(m, target_energy, budget, easy_threshold=EASY_THRESHOLD):
     required = None
     if p > 0.0:
         # exact: 1.0 / p overflows for a subnormal p
-        exact = Fraction(p)
-        n = round(1 / exact)
-        required = n if abs(n * exact - 1) <= PROB_SUM_TOL \
-            else math.ceil(1 / exact)
+        exact, slack = Fraction(p), 2 * Fraction(math.ulp(p))
+        required = math.ceil(1 / exact)
+        if exact > slack:
+            n = math.ceil(1 / (exact + slack))
+            if n == math.floor(1 / (exact - slack)):
+                required = n
     if p > easy_threshold:
         label = "Easy"
     elif required is not None and required <= budget:

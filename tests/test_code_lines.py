@@ -43,7 +43,7 @@ def test_blank_comment_and_docstring_lines_do_not_count(tmp_path):
 
 def test_every_package_module_is_counted(capsys):
     tool = _tool()
-    assert tool.main(["code_lines.py"]) == 0
+    assert tool.main() == 0
     rows = capsys.readouterr().out.splitlines()
     modules = sorted(p.name for p in (ROOT / "src" / "qprep").glob("*.py"))
     assert [row.split()[1] for row in rows] == modules + ["total"]

@@ -190,6 +190,19 @@ def test_goldilocks_weight_an_ulp_under_one_over_n_needs_n(n):
     assert goldilocks_report(m, 0.2, n - 1).label == "Hard"
 
 
+@pytest.mark.parametrize("p", [1 / (1e11 + 0.3), 2e-320, 3e-320, 1e-200])
+def test_goldilocks_weight_off_one_over_n_needs_the_ceiling(p):
+    # 1/p lies 0.26 to 0.40 above an integer n, so n repetitions fall short:
+    # p is far from 1/n in ulps, or two ulps span several reciprocals
+    m = SpectralMeasure([(0.1, p), (0.5, 1.0 - p)])
+    report = goldilocks_report(m, 0.2, 10)
+    exact, n = Fraction(report.p_below_target), report.required_reps
+    assert exact == Fraction(p) and round(1 / exact) == n - 1
+    assert n * exact >= 1 > (n - 1) * exact
+    assert goldilocks_report(m, 0.2, n - 1).label == "Hard"
+    assert goldilocks_report(m, 0.2, n).label == "Goldilocks"
+
+
 def test_goldilocks_threshold_configurable():
     m = SpectralMeasure([(0.2, 0.01), (0.8, 0.99)])
     report = goldilocks_report(m, 0.2, 1000, easy_threshold=0.005)

@@ -5,10 +5,9 @@ indent change starts on it or spans it.  Blank lines, comment lines and
 docstrings (the string that opens a module, class or function body) do not
 count; the lines of any other multi-line string do.
 
-    python tools/code_lines.py [SRC_DIR]
+    python tools/code_lines.py
 
-prints one ``lines  module`` row per module and the total.  SRC_DIR
-defaults to the package directory next to this script.
+prints one ``lines  module`` row per module and the total.
 """
 
 import ast
@@ -49,9 +48,8 @@ def code_lines(path):
     return len(lines - docstrings)
 
 
-def main(argv):
-    src = Path(argv[1]) if len(argv) > 1 else \
-        Path(__file__).resolve().parents[1] / "src" / "qprep"
+def main():
+    src = Path(__file__).resolve().parents[1] / "src" / "qprep"
     total = 0
     for path in sorted(src.glob("*.py")):
         count = code_lines(path)
@@ -62,4 +60,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
