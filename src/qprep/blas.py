@@ -1,4 +1,4 @@
-"""Run-time width of NumPy's OpenBLAS thread pool.
+"""Run-time width of NumPy's OpenBLAS thread pool, and parking its workers.
 
 ``OPENBLAS_NUM_THREADS`` is read once, when the library loads; after that
 only the library's own calls change how many threads a BLAS call uses.
@@ -7,11 +7,23 @@ This module finds them in the OpenBLAS that NumPy's wheel ships (its
 Without that library (a NumPy built on another BLAS) every call here is a
 no-op.
 
+OpenBLAS starts its workers when it loads and after every threaded call
+or width change, and an idle worker spins for about 0.1 s before it
+sleeps.  :func:`park` shuts them down with ``blas_thread_shutdown_`` (the
+call OpenBLAS's own fork handler makes); the next threaded call starts
+them again at the width then set.  Without that symbol it is a no-op.
+
 Policy: a CLI command runs inside :func:`command`, on one thread, and only
 the blocks that gain from more threads widen the pool to the command's
-full width with :func:`full_pool`.  Outside a command the width is left
-as found.  The width is one setting for the whole process, so commands
-must not run concurrently from several Python threads.
+full width with :func:`full_pool`, which parks the workers when it ends.
+``cli.main`` parks them once before its command, so a cold process does
+not pay for the spin the library's load starts.  Once a process has
+parked, every width change made here is followed by another park, since
+setting a width restarts the workers; a process that never widened never
+parks.  Outside a command the width is left as found.  The width and the
+workers belong to the whole process, so commands must not run
+concurrently from several Python threads, and no other thread may make
+BLAS calls while a command runs.
 """
 
 import contextlib
@@ -27,14 +39,18 @@ import os
 _SYMBOLS = (("scipy_openblas_get_num_threads64_",
              "scipy_openblas_set_num_threads64_"),
             ("openblas_get_num_threads", "openblas_set_num_threads"))
+_SHUTDOWN = "blas_thread_shutdown_"
 
 # The running command's full width; None outside a command.
 _full_width = contextvars.ContextVar("qprep_blas_full_width", default=None)
+# Whether this process has parked the workers.
+_parked = False
 
 
 @functools.cache
 def _openblas():
-    """``(get, set)`` thread-count functions of NumPy's OpenBLAS, or None."""
+    """``(get, set, shutdown)`` calls of NumPy's OpenBLAS, ``shutdown``
+    None if the library lacks it, or None without the library."""
     spec = importlib.util.find_spec("numpy")
     if spec is None or not spec.submodule_search_locations:
         return None
@@ -51,7 +67,10 @@ def _openblas():
             if get is not None and put is not None:
                 get.restype, get.argtypes = ctypes.c_int, []
                 put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
+                shutdown = getattr(lib, _SHUTDOWN, None)
+                if shutdown is not None:
+                    shutdown.restype, shutdown.argtypes = ctypes.c_int, []
+                return get, put, shutdown
     return None
 
 
@@ -59,6 +78,22 @@ def width():
     """The pool's current width, or None without OpenBLAS."""
     calls = _openblas()
     return None if calls is None else calls[0]()
+
+
+def park():
+    """Shut the idle workers down, so that none spins; OpenBLAS starts them
+    again, at the width then set, on its next threaded call."""
+    global _parked
+    calls = _openblas()
+    if calls is not None and calls[2] is not None:
+        calls[2]()
+        _parked = True
+
+
+def _set_width(put, n):
+    put(n)
+    if _parked:
+        park()
 
 
 @contextlib.contextmanager
@@ -69,13 +104,13 @@ def limit(n):
     if calls is None:
         yield
         return
-    get, put = calls
+    get, put, _ = calls
     before = get()
-    put(n)
+    _set_width(put, n)
     try:
         yield
     finally:
-        put(before)
+        _set_width(put, before)
 
 
 @contextlib.contextmanager
@@ -90,7 +125,15 @@ def command(threads):
         _full_width.reset(token)
 
 
+@contextlib.contextmanager
 def full_pool():
-    """Context manager: the running command's full width for the block;
-    outside a command, the width as found."""
-    return limit(_full_width.get())
+    """The running command's full width for the block, then one thread
+    again with the workers parked; outside a command, the width as
+    found."""
+    full = _full_width.get()
+    try:
+        with limit(full):
+            yield
+    finally:
+        if full is not None:
+            park()

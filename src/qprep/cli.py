@@ -953,6 +953,8 @@ def dispatch(argv=None):
 
 
 def main():
+    # a cold process: stop the workers OpenBLAS starts when it loads
+    blas.park()
     sys.exit(dispatch())
 
 

@@ -12,9 +12,9 @@ ingestion.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import math
+import struct
 import zipfile
 import zlib
 from bisect import bisect_left
@@ -47,10 +47,14 @@ SPECTRUM_MARGIN = 0.1      # normalized spectra fill [0.1, 0.9]
 _TILE = 128                # tile edge of the Hermiticity pass
 # Order from which eigh runs on the command's full BLAS pool.  On a 2-core
 # Xeon, 1 thread against 2: 7.3 vs 7.1 ms at order 256, 22.9 vs 19.0 ms at
-# 392, 0.95 vs 0.56 s at 1600; a second thread also spins a core for about
-# 0.1 s after the call.
+# 392, 0.95 vs 0.56 s at 1600; the pool's workers are parked after it.
 _EIGH_PARALLEL_MIN = 320
 _ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")   # a local header; empty zip
+# A zip member's local header: its signature, then after 22 bytes the
+# lengths of the name and of the extra field that follow it.
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
 
 
 class ParseError(ValueError):
@@ -633,26 +637,82 @@ def save_hamiltonian(h, path):
         np.savetxt(path, h.entries, delimiter=",")
         return
     evals, evecs = h.eigensystem()
-    with open(path, "wb") as f:
-        labels = np.array(h.basis_labels if h.basis_labels is not None else [])
-        np.savez(f, entries=h.entries, basis_labels=labels,
-                 eigenvalues=evals, eigenvectors=evecs)
+    labels = np.array(h.basis_labels if h.basis_labels is not None else [])
+    _save_npz(path, {"entries": h.entries, "basis_labels": labels,
+                     "eigenvalues": evals, "eigenvectors": evecs})
 
 
-@contextlib.contextmanager
+def _save_npz(path, arrays):
+    """Write ``arrays`` as the bytes ``np.savez`` writes, each array's
+    bytes going from its own memory through zipfile, without a copy."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED,
+                         allowZip64=True) as archive:
+        for name, a in arrays.items():
+            if a.dtype.hasobject:
+                raise ValueError("%s: object arrays cannot be stored" % name)
+            header = np.lib.format.header_data_from_array_1_0(a)
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                # the bytes in the stored order, as one C-contiguous buffer
+                member.write(a.T if header["fortran_order"]
+                             else np.ascontiguousarray(a))
+
+
 def npz_archive(path):
-    """The npz archive at ``path``, loaded without pickles, for a ``with``
-    block.  A file that does not start like a zip archive is refused, and a
-    member that fails its CRC-32 or does not inflate raises ``ValueError``
-    like a malformed one."""
+    """The arrays of the npz archive at ``path`` by member name (``.npy``
+    dropped), read without pickles.  A file that does not start like a zip
+    archive is refused, and a member that fails its CRC-32, does not
+    inflate or does not fit its header raises ``ValueError`` like a
+    malformed one."""
     with open(path, "rb") as f:
         if f.read(4) not in _ZIP_MAGIC:
             raise ValueError("not an npz archive")
-        f.seek(0)
         try:
-            yield np.load(f, allow_pickle=False)
+            with zipfile.ZipFile(f) as archive:
+                return {info.filename.removesuffix(".npy"):
+                        _read_member(f, archive, info)
+                        for info in archive.infolist()}
         except (zipfile.BadZipFile, zlib.error) as exc:
             raise ValueError(str(exc)) from None
+
+
+def _read_member(f, archive, info):
+    """One ``.npy`` member of the zip archive open as ``f``.  A stored
+    member with a version 1 or 2 header is read by one ``readinto`` into
+    its final array, and its CRC-32, header bytes included, is checked over
+    that buffer against the central directory; any other member goes
+    through zipfile and NumPy's reader."""
+    read_header = None
+    if info.compress_type == zipfile.ZIP_STORED:
+        f.seek(info.header_offset)
+        magic, name_size, extra_size = _LOCAL_HEADER.unpack(
+            f.read(_LOCAL_HEADER.size))
+        if magic != b"PK\x03\x04":
+            raise ValueError("Bad magic number for file header")
+        start = f.seek(name_size + extra_size, io.SEEK_CUR)
+        read_header = _NPY_HEADERS.get(np.lib.format.read_magic(f))
+    if read_header is None:
+        with archive.open(info) as stream:
+            a = np.lib.format.read_array(stream, allow_pickle=False)
+            if stream.read(1):
+                raise ValueError("%s: size does not fit its header"
+                                 % info.filename)
+        return a
+    shape, fortran_order, dtype = read_header(f)
+    if dtype.hasobject:
+        raise ValueError("Object arrays cannot be loaded when "
+                         "allow_pickle=False")
+    a = np.empty(shape, dtype, order="F" if fortran_order else "C")
+    header_size = f.tell() - start
+    if header_size + a.nbytes != info.file_size \
+            or info.compress_size != info.file_size:
+        raise ValueError("%s: size does not fit its header" % info.filename)
+    f.seek(start)
+    crc = zlib.crc32(f.read(header_size))
+    stored = a.T if fortran_order else a   # the stored order, C-contiguous
+    if f.readinto(stored) != a.nbytes or zlib.crc32(stored, crc) != info.CRC:
+        raise ValueError("Bad CRC-32 for file %r" % info.filename)
+    return a
 
 
 def load_hamiltonian(path):
@@ -668,18 +728,18 @@ def load_hamiltonian(path):
             if not entries.imag.any():
                 entries = np.ascontiguousarray(entries.real)
             return DenseHamiltonian(entries)
-        with npz_archive(path) as data:
-            missing = {"entries", "basis_labels"} - set(data.files)
-            if missing:
-                raise ValueError("archive has no %s" % " or ".join(
-                    sorted(missing)))
-            labels = data["basis_labels"].tolist() or None
-            stored = [name for name in ("eigenvalues", "eigenvectors")
-                      if name in data.files]
-            if len(stored) == 1:
-                raise ValueError("%s stored without the other half of the "
-                                 "eigensystem" % stored[0])
-            eigen = tuple(data[name] for name in stored) or None
-            return DenseHamiltonian(data["entries"], labels, eigen)
+        data = npz_archive(path)
+        missing = {"entries", "basis_labels"} - set(data)
+        if missing:
+            raise ValueError("archive has no %s" % " or ".join(
+                sorted(missing)))
+        labels = data["basis_labels"].tolist() or None
+        stored = [name for name in ("eigenvalues", "eigenvectors")
+                  if name in data]
+        if len(stored) == 1:
+            raise ValueError("%s stored without the other half of the "
+                             "eigensystem" % stored[0])
+        eigen = tuple(data[name] for name in stored) or None
+        return DenseHamiltonian(data["entries"], labels, eigen)
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None

@@ -464,8 +464,8 @@ def save_mps(state, path):
 
 
 def load_mps(path):
-    with npz_archive(path) as data:
-        n = len([k for k in data.files if k.startswith("tensor_")])
-        tensors = [data[f"tensor_{j}"] for j in range(n)]
-        canonical = str(data["canonical"]) or None
-        return MpsState(tensors, int(data["local_dim"]), canonical)
+    data = npz_archive(path)
+    n = len([k for k in data if k.startswith("tensor_")])
+    tensors = [data[f"tensor_{j}"] for j in range(n)]
+    canonical = str(data["canonical"]) or None
+    return MpsState(tensors, int(data["local_dim"]), canonical)

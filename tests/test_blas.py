@@ -3,19 +3,49 @@
 A command runs on one OpenBLAS thread, and only eigensolves of order
 ``hamiltonian._EIGH_PARALLEL_MIN`` and up widen the pool to the command's
 full width: ``--threads``, ``QPREP_THREADS``, or the width found when the
-command started.  The width found is restored on every exit path.
+command started.  The width found is restored on every exit path.  The
+workers are parked (shut down) when such a widened block ends and when
+``cli.main`` starts, so none spins after it.
 """
 
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qprep
 from qprep import blas, cli, hamiltonian
 from qprep.hamiltonian import FciDump, dump_fcidump
 
 needs_openblas = pytest.mark.skipif(
     blas.width() is None, reason="NumPy's OpenBLAS was not found")
+needs_shutdown = pytest.mark.skipif(
+    blas.width() is None or blas._openblas()[2] is None,
+    reason="NumPy's OpenBLAS has no blas_thread_shutdown_")
+
+# CPU time an idle 0.2 s may cost with the workers parked; a worker that
+# spins after a threaded call costs about 0.1 s of it.
+IDLE_CPU_S = 0.025
+SRC = str(Path(qprep.__file__).resolve().parents[1])
+
+
+def _idle_cpu_s():
+    start = time.process_time()
+    time.sleep(0.2)
+    return time.process_time() - start
+
+
+def _child(code):
+    """Run ``code`` in a fresh interpreter on this source tree; its
+    standard output."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True,
+                          timeout=120).stdout
 
 
 def _fcidump(tmp_path, n_orb):
@@ -106,13 +136,19 @@ def test_width_is_restored_on_every_exit(tmp_path, capsys, monkeypatch,
         (cli.EXIT_NUMERICAL, _build(fcidump, 2, 2, tmp_path / "h.npz",
                                     "--dim-cap", "5")),
     ]
-    with blas.limit(found):
-        for code, argv in cases:
-            assert cli.dispatch(argv) == code, argv
-            assert blas.width() == found, argv
-        monkeypatch.setenv("QPREP_THREADS", "lots")
-        assert cli.dispatch(cases[0][1]) == cli.EXIT_INPUT
-        assert blas.width() == found
+    monkeypatch.setattr(blas, "_parked", False)
+    # first as a process that never parked, then with the workers parked
+    for parked in (False, True):
+        if parked:
+            blas.park()
+        with blas.limit(found):
+            for code, argv in cases:
+                assert cli.dispatch(argv) == code, argv
+                assert blas.width() == found, argv
+            monkeypatch.setenv("QPREP_THREADS", "lots")
+            assert cli.dispatch(cases[0][1]) == cli.EXIT_INPUT
+            assert blas.width() == found
+            monkeypatch.delenv("QPREP_THREADS")
     capsys.readouterr()
 
 
@@ -156,3 +192,95 @@ def test_without_openblas_every_call_is_a_no_op(monkeypatch):
         with blas.full_pool():
             with blas.limit(1):
                 assert blas.width() is None
+
+
+@needs_shutdown
+def test_no_worker_spins_after_a_wide_build(tmp_path, capsys, monkeypatch,
+                                            eigh_widths):
+    monkeypatch.setattr(blas, "_parked", False)
+    fcidump = _fcidump(tmp_path, 8)
+    with blas.limit(2):
+        for out in ("a.npz", "b.npz"):
+            assert cli.dispatch(_build(fcidump, 2, 2,
+                                       tmp_path / out)) == cli.EXIT_OK
+            assert _idle_cpu_s() < IDLE_CPU_S
+            assert blas.width() == 2
+    capsys.readouterr()
+    # the second build, started with the workers parked, still solves both
+    # blocks on the full pool
+    assert eigh_widths == [(406, 2), (378, 2)] * 2
+    assert (tmp_path / "a.npz").read_bytes() \
+        == (tmp_path / "b.npz").read_bytes()
+
+
+@needs_openblas
+def test_a_process_that_never_widens_never_parks(tmp_path, capsys,
+                                                 monkeypatch):
+    parks = []
+    monkeypatch.setattr(blas, "_parked", False)
+    monkeypatch.setattr(blas, "park", lambda: parks.append(1))
+    fcidump = _fcidump(tmp_path, 8)
+    matrix = tmp_path / "h.npz"
+    with blas.limit(2):
+        # (1,2): dim 224, one block below the full-pool order
+        assert cli.dispatch(_build(fcidump, 1, 2, matrix)) == cli.EXIT_OK
+        assert cli.dispatch(["qpe-stats", "--ham", str(matrix), "--k",
+                             "4"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert parks == []
+
+
+@needs_shutdown
+def test_main_parks_the_workers_the_library_load_starts():
+    spent = _child(
+        "import sys, time\n"
+        "from qprep import cli\n"
+        "sys.argv = ['qprep', 'estimate-cost', '--n-spatial', '10',\n"
+        "            '--d-values', '16', '--chi-values', '4']\n"
+        "try:\n"
+        "    cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "start = time.process_time()\n"
+        "time.sleep(0.2)\n"
+        "print(time.process_time() - start)\n")
+    assert float(spent.split()[-1]) < IDLE_CPU_S
+
+
+@needs_openblas
+def test_without_the_shutdown_symbol_widths_are_unchanged(
+        tmp_path, capsys, monkeypatch, eigh_widths):
+    get, put, _ = blas._openblas()
+    monkeypatch.setattr(blas, "_openblas", lambda: (get, put, None))
+    monkeypatch.setattr(blas, "_parked", False)
+    blas.park()
+    assert not blas._parked
+    fcidump = _fcidump(tmp_path, 8)
+    for found in (1, 2):
+        with blas.limit(found):
+            assert cli.dispatch(_build(fcidump, 2, 2, tmp_path / "h.npz")
+                                ) == cli.EXIT_OK
+            assert blas.width() == found
+    capsys.readouterr()
+    assert eigh_widths == [(406, 1), (378, 1), (406, 2), (378, 2)]
+    assert not blas._parked
+
+
+@needs_shutdown
+def test_park_and_restart_cycles_do_not_grow_the_peak_rss():
+    grown = _child(
+        "import resource\n"
+        "import numpy as np\n"
+        "from qprep import blas\n"
+        "a = np.random.default_rng(3).normal(size=(400, 400))\n"
+        "a = a + a.T\n"
+        "def cycle():\n"
+        "    with blas.command(2), blas.full_pool():\n"
+        "        np.linalg.eigh(a)\n"
+        "cycle()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "for _ in range(50):\n"
+        "    cycle()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    # ru_maxrss is in KiB on Linux
+    assert int(grown.split()[-1]) < 5 * 1024

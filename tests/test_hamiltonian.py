@@ -478,6 +478,76 @@ def test_load_peaks_at_the_stored_arrays_plus_tiles(tmp_path):
     assert peak <= stored + 4 * ham._TILE ** 2 * 16
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_saved_npz_has_the_bytes_np_savez_writes(tmp_path, monkeypatch,
+                                                 order):
+    import time
+
+    dense = ham.build_ci_matrix(
+        _eightfold_fcidump(np.random.default_rng(661), 6), 2, 1)
+    evals, evecs = dense.eigensystem()
+    stored = ham.DenseHamiltonian(np.asarray(dense.entries, order=order),
+                                  dense.basis_labels,
+                                  (evals, np.asarray(evecs, order=order)))
+    # zipfile stamps each member with the time of day
+    monkeypatch.setattr(time, "time", lambda: 1.7e9)
+    mine, reference = tmp_path / "mine.npz", tmp_path / "np.npz"
+    ham.save_hamiltonian(stored, mine)
+    with open(reference, "wb") as f:
+        np.savez(f, entries=stored.entries,
+                 basis_labels=np.array(stored.basis_labels),
+                 eigenvalues=evals, eigenvectors=stored.eigen[1])
+    assert mine.read_bytes() == reference.read_bytes()
+    back = ham.load_hamiltonian(mine)
+    for a, b in ((back.entries, stored.entries),
+                 (back.eigen[1], stored.eigen[1])):
+        assert a.tobytes("A") == b.tobytes("A")
+        assert a.flags.f_contiguous == b.flags.f_contiguous
+        assert a.flags.aligned
+    assert back.basis_labels == dense.basis_labels
+
+
+def test_compressed_npz_loads_like_np_load(tmp_path):
+    a = np.random.default_rng(662).normal(size=(5, 5))
+    path = tmp_path / "h.npz"
+    np.savez_compressed(path, entries=np.asfortranarray(a + a.T),
+                        basis_labels=np.array(["0011", "0101"] * 2 + ["1"]))
+    back = ham.load_hamiltonian(path)
+    assert np.array_equal(back.entries, a + a.T)
+    assert back.basis_labels == ["0011", "0101"] * 2 + ["1"]
+
+
+def _stored_npz(path, members):
+    """A zip of stored ``name: bytes`` members."""
+    import zipfile
+
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+def _npy(a):
+    import io
+
+    buffer = io.BytesIO()
+    np.save(buffer, a, allow_pickle=True)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("member, reason", [
+    (_npy(np.eye(3))[:-8], "entries.npy: size does not fit its header"),
+    (_npy(np.eye(3)) + bytes(8), "entries.npy: size does not fit its header"),
+    (_npy(np.array([None, 1], dtype=object)),
+     "Object arrays cannot be loaded when allow_pickle=False")])
+def test_npz_member_that_does_not_fit_its_header_is_refused(tmp_path, member,
+                                                            reason):
+    path = tmp_path / "h.npz"
+    _stored_npz(path, {"entries.npy": member,
+                       "basis_labels.npy": _npy(np.array([]))})
+    with pytest.raises(ValueError, match=reason):
+        ham.load_hamiltonian(path)
+
+
 def test_csv_hamiltonian_stays_real_unless_an_entry_is_complex(tmp_path):
     a = np.random.default_rng(11).normal(size=(4, 4))
     real = tmp_path / "real.csv"

@@ -1,0 +1,138 @@
+"""Time README commands as cold processes, one or two source trees side by
+side.
+
+Each run is a fresh ``python -m qprep.cli`` process with ``PYTHONPATH`` at
+one tree's ``src``, so it pays the imports and the BLAS start-up that every
+command line pays.  For each command the trees alternate, run after run,
+so drift in the host's speed falls on both alike.  The inputs (an
+8-orbital FCIDUMP, a levels file, determinant bitstrings and the dim-784
+matrix of the FCIDUMP's (2,2) sector, built once by the first tree and
+not timed) come from ``--seed``.
+
+    python tools/cold_runs.py --src ../parent/src --src src --runs 10
+
+prints, per command and tree, the median and quartiles of the wall time
+and of the child's CPU time (user + system) in ms.  ``ham-build-3136``,
+the (3,3) sector of the same FCIDUMP (flip blocks of order 1540 and
+1596), runs only when named in ``--commands``.  Standard library only.
+"""
+
+import argparse
+import os
+import random
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+N_ORB = 8
+
+COMMANDS = {
+    "estimate-cost": ["estimate-cost", "--n-spatial", "100", "--d-values",
+                      "1024,4096", "--chi-values", "16,64"],
+    "qpe-stats-gaussian": ["qpe-stats", "--gaussian", "0.06", "0.02",
+                           "--k", "6"],
+    "qpe-stats-levels": ["qpe-stats", "--levels", "levels.csv", "--k", "6"],
+    "qpe-stats-ham": ["qpe-stats", "--ham", "h22.npz", "--k", "6"],
+    "compress": ["compress", "--input", "dets.txt"],
+    "ham-build": ["ham", "build", "--fcidump", "h8.fcidump", "--na", "2",
+                  "--nb", "2", "--out", "built.npz"],
+    "ham-build-3136": ["ham", "build", "--fcidump", "h8.fcidump", "--na",
+                       "3", "--nb", "3", "--out", "built.npz"],
+}
+DEFAULT = [name for name in COMMANDS if name != "ham-build-3136"]
+
+
+def write_inputs(rng, work):
+    """The seeded input files of :data:`COMMANDS` in ``work``."""
+    lines = ["&FCI NORB=%d,NELEC=4,MS2=0,\n&END\n" % N_ORB]
+    # one value per index class (p >= q, r >= s, pq >= rs): the parser
+    # fills in the eight orders
+    pairs = [(p, q) for p in range(1, N_ORB + 1) for q in range(1, p + 1)]
+    for i, (p, q) in enumerate(pairs):
+        for r, s in pairs[:i + 1]:
+            lines.append(" %.16E %d %d %d %d\n"
+                         % (rng.gauss(0, 0.1), p, q, r, s))
+    for p, q in pairs:
+        lines.append(" %.16E %d %d 0 0\n" % (rng.gauss(0, 1), p, q))
+    lines.append(" %.16E 0 0 0 0\n" % 0.3)
+    (work / "h8.fcidump").write_text("".join(lines))
+    levels = sorted(rng.uniform(0.05, 0.95) for _ in range(256))
+    (work / "levels.csv").write_text("".join(
+        "%r,%r\n" % (e, rng.uniform(0.1, 1.0)) for e in levels))
+    dets = set()
+    while len(dets) < 128:
+        occupied = set(rng.sample(range(60), 15))
+        dets.add("".join("1" if i in occupied else "0" for i in range(60)))
+    (work / "dets.txt").write_text("\n".join(sorted(dets)) + "\n")
+
+
+def run(src, argv, work):
+    """Wall and CPU seconds of one cold command."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cpu = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "qprep.cli", *argv], cwd=work,
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return wall, (after.ru_utime - cpu.ru_utime
+                  + after.ru_stime - cpu.ru_stime)
+
+
+def _quartiles(values):
+    """``(q1, median, q3)`` in ms."""
+    ms = [1e3 * v for v in values]
+    if len(ms) == 1:
+        return ms * 3
+    return tuple(statistics.quantiles(ms, n=4, method="inclusive"))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", action="append", type=Path,
+                    help="a tree's src directory; give one or two "
+                         "(default: this checkout's)")
+    ap.add_argument("--runs", type=int, default=10,
+                    help="processes per command and tree")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--commands", default=",".join(DEFAULT),
+                    help="comma-separated names from: "
+                         + ", ".join(COMMANDS))
+    args = ap.parse_args(argv)
+    trees = [p.resolve() for p in args.src or [ROOT / "src"]]
+    names = args.commands.split(",")
+    if not 1 <= len(trees) <= 2 or args.runs < 1 \
+            or not set(names) <= set(COMMANDS):
+        ap.error("need one or two --src trees, --runs >= 1 and known "
+                 "--commands")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write_inputs(random.Random(args.seed), work)
+        if "qpe-stats-ham" in names:
+            run(trees[0], [*COMMANDS["ham-build"][:-1], "h22.npz"], work)
+        print("%-20s %-4s %26s %26s" % ("command", "tree",
+                                        "wall ms: median [q1, q3]",
+                                        "cpu ms: median [q1, q3]"))
+        for name in names:
+            times = [[] for _ in trees]
+            for i in range(args.runs):
+                # alternate which tree goes first
+                for t in (range(len(trees)) if i % 2 == 0
+                          else reversed(range(len(trees)))):
+                    times[t].append(run(trees[t], COMMANDS[name], work))
+            for t, samples in enumerate(times):
+                row = []
+                for column in zip(*samples):
+                    q1, med, q3 = _quartiles(column)
+                    row.append("%8.1f [%7.1f, %7.1f]" % (med, q1, q3))
+                print("%-20s %-4d %26s %26s" % (name, t, *row))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
