@@ -53,8 +53,6 @@ _ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")   # a local header; empty zip
 # A zip member's local header: its signature, then after 22 bytes the
 # lengths of the name and of the extra field that follow it.
 _LOCAL_HEADER = struct.Struct("<4s22xHH")
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                (2, 0): np.lib.format.read_array_header_2_0}
 
 
 class ParseError(ValueError):
@@ -637,25 +635,10 @@ def save_hamiltonian(h, path):
         np.savetxt(path, h.entries, delimiter=",")
         return
     evals, evecs = h.eigensystem()
-    labels = np.array(h.basis_labels if h.basis_labels is not None else [])
-    _save_npz(path, {"entries": h.entries, "basis_labels": labels,
-                     "eigenvalues": evals, "eigenvectors": evecs})
-
-
-def _save_npz(path, arrays):
-    """Write ``arrays`` as the bytes ``np.savez`` writes, each array's
-    bytes going from its own memory through zipfile, without a copy."""
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED,
-                         allowZip64=True) as archive:
-        for name, a in arrays.items():
-            if a.dtype.hasobject:
-                raise ValueError("%s: object arrays cannot be stored" % name)
-            header = np.lib.format.header_data_from_array_1_0(a)
-            with archive.open(name + ".npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(member, header)
-                # the bytes in the stored order, as one C-contiguous buffer
-                member.write(a.T if header["fortran_order"]
-                             else np.ascontiguousarray(a))
+    with open(path, "wb") as f:
+        labels = np.array(h.basis_labels if h.basis_labels is not None else [])
+        np.savez(f, entries=h.entries, basis_labels=labels,
+                 eigenvalues=evals, eigenvectors=evecs)
 
 
 def npz_archive(path):
@@ -678,11 +661,11 @@ def npz_archive(path):
 
 def _read_member(f, archive, info):
     """One ``.npy`` member of the zip archive open as ``f``.  A stored
-    member with a version 1 or 2 header is read by one ``readinto`` into
-    its final array, and its CRC-32, header bytes included, is checked over
-    that buffer against the central directory; any other member goes
-    through zipfile and NumPy's reader."""
-    read_header = None
+    member with a version 1.0 header (the one ``np.savez`` writes) is read
+    by one ``readinto`` into its final array, and its CRC-32, header bytes
+    included, is checked over that buffer against the central directory;
+    any other member goes through zipfile and NumPy's reader."""
+    fast = False
     if info.compress_type == zipfile.ZIP_STORED:
         f.seek(info.header_offset)
         magic, name_size, extra_size = _LOCAL_HEADER.unpack(
@@ -690,23 +673,25 @@ def _read_member(f, archive, info):
         if magic != b"PK\x03\x04":
             raise ValueError("Bad magic number for file header")
         start = f.seek(name_size + extra_size, io.SEEK_CUR)
-        read_header = _NPY_HEADERS.get(np.lib.format.read_magic(f))
-    if read_header is None:
+        fast = np.lib.format.read_magic(f) == (1, 0)
+    if not fast:
         with archive.open(info) as stream:
             a = np.lib.format.read_array(stream, allow_pickle=False)
             if stream.read(1):
                 raise ValueError("%s: size does not fit its header"
                                  % info.filename)
         return a
-    shape, fortran_order, dtype = read_header(f)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
     if dtype.hasobject:
         raise ValueError("Object arrays cannot be loaded when "
                          "allow_pickle=False")
-    a = np.empty(shape, dtype, order="F" if fortran_order else "C")
     header_size = f.tell() - start
-    if header_size + a.nbytes != info.file_size \
+    # checked before the array is made, so no header can claim more memory
+    # than the member holds
+    if header_size + math.prod(shape) * dtype.itemsize != info.file_size \
             or info.compress_size != info.file_size:
         raise ValueError("%s: size does not fit its header" % info.filename)
+    a = np.empty(shape, dtype, order="F" if fortran_order else "C")
     f.seek(start)
     crc = zlib.crc32(f.read(header_size))
     stored = a.T if fortran_order else a   # the stored order, C-contiguous

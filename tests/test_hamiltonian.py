@@ -479,26 +479,16 @@ def test_load_peaks_at_the_stored_arrays_plus_tiles(tmp_path):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_saved_npz_has_the_bytes_np_savez_writes(tmp_path, monkeypatch,
-                                                 order):
-    import time
-
+def test_saved_npz_loads_back_in_its_order_and_aligned(tmp_path, order):
     dense = ham.build_ci_matrix(
         _eightfold_fcidump(np.random.default_rng(661), 6), 2, 1)
     evals, evecs = dense.eigensystem()
     stored = ham.DenseHamiltonian(np.asarray(dense.entries, order=order),
                                   dense.basis_labels,
                                   (evals, np.asarray(evecs, order=order)))
-    # zipfile stamps each member with the time of day
-    monkeypatch.setattr(time, "time", lambda: 1.7e9)
-    mine, reference = tmp_path / "mine.npz", tmp_path / "np.npz"
-    ham.save_hamiltonian(stored, mine)
-    with open(reference, "wb") as f:
-        np.savez(f, entries=stored.entries,
-                 basis_labels=np.array(stored.basis_labels),
-                 eigenvalues=evals, eigenvectors=stored.eigen[1])
-    assert mine.read_bytes() == reference.read_bytes()
-    back = ham.load_hamiltonian(mine)
+    path = tmp_path / "h.npz"
+    ham.save_hamiltonian(stored, path)
+    back = ham.load_hamiltonian(path)
     for a, b in ((back.entries, stored.entries),
                  (back.eigen[1], stored.eigen[1])):
         assert a.tobytes("A") == b.tobytes("A")
@@ -507,11 +497,17 @@ def test_saved_npz_has_the_bytes_np_savez_writes(tmp_path, monkeypatch,
     assert back.basis_labels == dense.basis_labels
 
 
-def test_compressed_npz_loads_like_np_load(tmp_path):
+@pytest.mark.parametrize("how", ["compressed", "version 2.0"])
+def test_npz_off_the_readinto_path_loads_like_np_load(tmp_path, how):
     a = np.random.default_rng(662).normal(size=(5, 5))
+    entries = np.asfortranarray(a + a.T)
+    labels = np.array(["0011", "0101"] * 2 + ["1"])
     path = tmp_path / "h.npz"
-    np.savez_compressed(path, entries=np.asfortranarray(a + a.T),
-                        basis_labels=np.array(["0011", "0101"] * 2 + ["1"]))
+    if how == "compressed":
+        np.savez_compressed(path, entries=entries, basis_labels=labels)
+    else:
+        _stored_npz(path, {"entries.npy": _npy(entries, (2, 0)),
+                           "basis_labels.npy": _npy(labels)})
     back = ham.load_hamiltonian(path)
     assert np.array_equal(back.entries, a + a.T)
     assert back.basis_labels == ["0011", "0101"] * 2 + ["1"]
@@ -526,19 +522,27 @@ def _stored_npz(path, members):
             archive.writestr(name, data)
 
 
-def _npy(a):
+def _npy(a, version=None):
     import io
 
     buffer = io.BytesIO()
-    np.save(buffer, a, allow_pickle=True)
+    np.lib.format.write_array(buffer, a, version, allow_pickle=True)
     return buffer.getvalue()
 
 
 @pytest.mark.parametrize("member, reason", [
     (_npy(np.eye(3))[:-8], "entries.npy: size does not fit its header"),
     (_npy(np.eye(3)) + bytes(8), "entries.npy: size does not fit its header"),
+    (_npy(np.eye(3), (2, 0)) + bytes(8),
+     "entries.npy: size does not fit its header"),
+    # a header that claims 8 TiB over a 24-byte payload is refused before
+    # anything is allocated for it
+    (_npy(np.zeros(3)).replace(b"(3,), }" + b" " * 12,
+                               b"(%d,), }" % 2 ** 40),
+     "entries.npy: size does not fit its header"),
     (_npy(np.array([None, 1], dtype=object)),
-     "Object arrays cannot be loaded when allow_pickle=False")])
+     "Object arrays cannot be loaded when allow_pickle=False")],
+    ids=["short", "long", "long version 2.0", "huge shape", "object"])
 def test_npz_member_that_does_not_fit_its_header_is_refused(tmp_path, member,
                                                             reason):
     path = tmp_path / "h.npz"
