@@ -16,14 +16,18 @@ them again at the width then set.  Without that symbol it is a no-op.
 Policy: a CLI command runs inside :func:`command`, on one thread, and only
 the blocks that gain from more threads widen the pool to the command's
 full width with :func:`full_pool`, which parks the workers when it ends.
-``cli.main`` parks them once before its command, so a cold process does
-not pay for the spin the library's load starts.  Once a process has
+Two independent solves of one command use that width another way:
+:func:`side_by_side` runs them at the same time, each on one BLAS thread,
+one of them on a helper thread, and never widens the pool.
+``cli.main`` parks the workers once before its command, so a cold process
+does not pay for the spin the library's load starts.  Once a process has
 parked, every width change made here is followed by another park, since
 setting a width restarts the workers; a process that never widened never
 parks.  Outside a command the width is left as found.  The width and the
 workers belong to the whole process, so commands must not run
 concurrently from several Python threads, and no other thread may make
-BLAS calls while a command runs.
+BLAS calls while a command runs, but for the helper of
+:func:`side_by_side`, which the command joins before it goes on.
 """
 
 import contextlib
@@ -33,6 +37,7 @@ import functools
 import glob
 import importlib.util
 import os
+import threading
 
 # (get, set) symbol pairs: the scipy-openblas build NumPy wheels ship (ILP64
 # symbols with a suffix), then a plain OpenBLAS.
@@ -113,11 +118,20 @@ def limit(n):
         _set_width(put, before)
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 @contextlib.contextmanager
 def command(threads):
-    """Run one command on one thread.  Inside it :func:`full_pool` widens
-    the pool to ``threads``, or to the width found on entry if None."""
-    token = _full_width.set(threads or width())
+    """Run one command on one thread.  Its full width, which
+    :func:`full_pool` widens the pool to, is ``threads`` capped at the CPUs
+    the process may run on, or the width found on entry if None."""
+    token = _full_width.set(min(threads, _cpus()) if threads else width())
     try:
         with limit(1):
             yield
@@ -137,3 +151,35 @@ def full_pool():
     finally:
         if full is not None:
             park()
+
+
+def side_by_side(solve, first, second):
+    """``(solve(first), solve(second))``.
+
+    Inside a command whose full width is 2 or more the two calls run at the
+    same time, each on one BLAS thread: ``second`` on a helper thread,
+    ``first`` on the caller's, which joins the helper before it returns or
+    raises, and raises the helper's exception after the join.  Inside any
+    other command they run one after the other on one thread; outside a
+    command, one after the other at the width as found.
+    """
+    full = _full_width.get()
+    if full is None or full < 2:
+        return solve(first), solve(second)
+    done = {}
+
+    def helper():
+        try:
+            done["value"] = solve(second)
+        except BaseException as exc:   # re-raised by the caller
+            done["error"] = exc
+
+    thread = threading.Thread(target=helper, name="qprep-side-by-side")
+    thread.start()
+    try:
+        own = solve(first)
+    finally:
+        thread.join()
+    if "error" in done:
+        raise done["error"]
+    return own, done["value"]

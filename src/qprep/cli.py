@@ -11,14 +11,17 @@ pipelines can branch on them:
        empty postselection)
 
 Every command accepts ``--seed`` (64-bit), ``--threads`` (BLAS threads of
-the large eigensolves, ``QPREP_THREADS`` as fallback) and ``--config FILE``
-with ``key=value`` lines mirroring the command's own flags; explicit flags
-win over the file.  Reruns with equal flags, seed and input files produce
-byte-identical output.
+the large eigensolves, ``QPREP_THREADS`` as fallback, capped at the CPUs the
+process may run on) and ``--config FILE`` with ``key=value`` lines
+mirroring the command's own flags; explicit flags win over the file.
+Reruns with equal flags, seed and input files produce byte-identical
+output.
 
-A command runs on one BLAS thread; only eigensolves of order 320 and up
-widen NumPy's OpenBLAS pool, to ``--threads`` or to the width it had when
-the command started (:mod:`qprep.blas`).  Heavy imports happen inside the
+A command runs on one BLAS thread; only one-block eigensolves of order 320
+and up widen NumPy's OpenBLAS pool, to ``--threads`` or to the width it had
+when the command started.  At such a width of 2 or more, the two large
+spin-flip blocks of a sector solve side by side, one BLAS thread each
+(:mod:`qprep.blas`).  Heavy imports happen inside the
 handlers, so a command loads only what it uses.
 """
 
@@ -95,12 +98,18 @@ _capped_count = _in_range(int, 1, 2 ** 20)
 
 
 class _GaussianArgs(argparse.Action):
-    """--gaussian MEAN SIGMA: both finite (by the type), SIGMA > 0."""
+    """--gaussian MEAN SIGMA: both finite (by the type), SIGMA > 0, and the
+    discretization's ends MEAN +- 6 SIGMA finite and apart from MEAN."""
 
     def __call__(self, parser, namespace, values, option_string):
-        if not values[1] > 0:
+        mean, sigma = values
+        if not sigma > 0:
+            raise argparse.ArgumentError(self, f"sigma {sigma!r} must be > 0")
+        ends = (mean - 6 * sigma, mean + 6 * sigma)
+        if not all(math.isfinite(end) and end != mean for end in ends):
             raise argparse.ArgumentError(
-                self, f"sigma {values[1]!r} must be > 0")
+                self, f"mean +- 6 sigma must be finite and differ from the "
+                      f"mean {mean!r} (sigma {sigma!r})")
         setattr(namespace, self.dest, values)
 
 
@@ -275,9 +284,11 @@ def _add_common(sp, out=True):
     sp.add_argument("--seed", type=_seed_value, default=0,
                     help="64-bit RNG seed; equal seeds give equal bytes")
     sp.add_argument("--threads", type=_positive_int, metavar="N",
-                    help="BLAS threads for eigensolves of order >= 320; "
-                         "the rest of the command runs on one "
-                         "(falls back to QPREP_THREADS, then to the pool "
+                    help="BLAS threads for one-block eigensolves of order "
+                         ">= 320, at most the CPUs available; at 2 or more "
+                         "the two spin-flip blocks solve side by side, one "
+                         "thread each, and the rest of the command runs on "
+                         "one (falls back to QPREP_THREADS, then to the pool "
                          "NumPy started with)")
     sp.add_argument("--config", metavar="FILE",
                     help="key=value defaults for this command's flags")

@@ -45,10 +45,18 @@ EIGEN_PROBE_TOL = 1e-10    # residuals of a stored eigensystem's probe
 DEFAULT_DIM_CAP = 4096
 SPECTRUM_MARGIN = 0.1      # normalized spectra fill [0.1, 0.9]
 _TILE = 128                # tile edge of the Hermiticity pass
-# Order from which eigh runs on the command's full BLAS pool.  On a 2-core
-# Xeon, 1 thread against 2: 7.3 vs 7.1 ms at order 256, 22.9 vs 19.0 ms at
-# 392, 0.95 vs 0.56 s at 1600; the pool's workers are parked after it.
+# Order from which a one-block eigh runs on the command's full BLAS pool.
+# On a 2-core Xeon, 1 thread against 2: 7.3 vs 7.1 ms at order 256, 22.9 vs
+# 19.0 ms at 392, 0.95 vs 0.56 s at 1600; the pool's workers are parked
+# after it.
 _EIGH_PARALLEL_MIN = 320
+# Order of the smaller spin-flip block from which a command at full width 2
+# or more solves the two blocks side by side, one BLAS thread each
+# (blas.side_by_side).  On the same box, one after the other against side
+# by side: 9.3 vs 5.4 ms at order 200 and 44 vs 24 ms at 400 with both
+# cores free; with the host holding one core the pair lost up to 13 % below
+# order 250 and broke even at 400.  Below 200 a pair saves about 1 ms.
+_EIGH_PAIR_MIN = 200
 _ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")   # a local header; empty zip
 # A zip member's local header: its signature, then after 22 bytes the
 # lengths of the name and of the extra field that follow it.
@@ -271,8 +279,13 @@ class DenseHamiltonian:
 
         A real matrix that commutes with the spin flip of its labels (every
         n_alpha = n_beta sector of a spin-free Hamiltonian) is solved as its
-        even and odd block, one ``eigh`` each; any other as one block, by
-        one ``eigh`` of ``entries``.
+        even and odd block, one ``eigh`` each, on one BLAS thread each;
+        inside a CLI command with a full width of 2 or more, blocks of order
+        ``_EIGH_PAIR_MIN`` and up are solved at the same time (see
+        :func:`qprep.blas.side_by_side`).  Any other matrix is solved as one
+        block, by one ``eigh`` of ``entries``, on the command's full pool
+        from order ``_EIGH_PARALLEL_MIN``.  Outside a command every solve
+        runs at the BLAS width as found.
         """
         if self.eigen is None:
             eigen = _flip_blocked_eigh(self.entries, self.basis_labels,
@@ -284,8 +297,9 @@ class DenseHamiltonian:
 
 
 def _eigh(matrix):
-    """``np.linalg.eigh(matrix)``, on the running command's full BLAS pool
-    from order ``_EIGH_PARALLEL_MIN`` and on the pool as found below it."""
+    """``np.linalg.eigh`` of a one-block ``matrix``, on the running
+    command's full BLAS pool from order ``_EIGH_PARALLEL_MIN`` and on the
+    pool as found below it."""
     if matrix.shape[0] < _EIGH_PARALLEL_MIN:
         return np.linalg.eigh(matrix)
     with blas.full_pool():
@@ -378,13 +392,17 @@ def _flip_blocked_eigh(entries, labels, size):
     even = np.add(h_aa[:hi, :hi], h_ab[:hi, :hi], out=work[:hi, :hi])
     odd = np.subtract(h_aa[lo:, lo:], h_ab[lo:, lo:], out=h_aa[lo:, lo:])
     del h_ab
-    solved = []
     for block, own in ((even, slice(0, lo)), (odd, slice(hi - lo, m - lo))):
         # ``own``: the block's rows and columns of fixed points
         block *= 0.5
         block[own] *= math.sqrt(0.5)
         block[:, own] *= math.sqrt(0.5)
-        solved.append(_eigh(block))
+    # never on the widened pool: inside a command each block solves on
+    # one BLAS thread, so the bytes do not depend on the command's width
+    if min(hi, m - lo) >= _EIGH_PAIR_MIN:
+        solved = blas.side_by_side(np.linalg.eigh, even, odd)
+    else:
+        solved = np.linalg.eigh(even), np.linalg.eigh(odd)
     del work, h_aa, even, odd, block
     (even_vals, even_vecs), (odd_vals, odd_vecs) = solved
     # x = U y: e_a takes y for a fixed point and y / sqrt 2 for a pair,

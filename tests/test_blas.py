@@ -1,16 +1,20 @@
 """The BLAS thread policy of a CLI command.
 
-A command runs on one OpenBLAS thread, and only eigensolves of order
-``hamiltonian._EIGH_PARALLEL_MIN`` and up widen the pool to the command's
-full width: ``--threads``, ``QPREP_THREADS``, or the width found when the
-command started.  The width found is restored on every exit path.  The
-workers are parked (shut down) when such a widened block ends and when
-``cli.main`` starts, so none spins after it.
+A command runs on one OpenBLAS thread, and only one-block eigensolves of
+order ``hamiltonian._EIGH_PARALLEL_MIN`` and up widen the pool to the
+command's full width: ``--threads`` or ``QPREP_THREADS``, capped at the
+CPUs the process may run on, or the width found when the command started.
+The two spin-flip blocks of a sector never widen it: from order
+``hamiltonian._EIGH_PAIR_MIN`` and at a full width of 2 or more they solve
+at the same time, one BLAS thread each.  The width found is restored on
+every exit path.  The workers are parked (shut down) when a widened block
+ends and when ``cli.main`` starts, so none spins after it.
 """
 
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -26,6 +30,8 @@ needs_openblas = pytest.mark.skipif(
 needs_shutdown = pytest.mark.skipif(
     blas.width() is None or blas._openblas()[2] is None,
     reason="NumPy's OpenBLAS has no blas_thread_shutdown_")
+needs_two_cpus = pytest.mark.skipif(
+    blas._cpus() < 2, reason="a full width of 2 needs two CPUs")
 
 # CPU time an idle 0.2 s may cost with the workers parked; a worker that
 # spins after a threaded call costs about 0.1 s of it.
@@ -48,17 +54,22 @@ def _child(code):
                           timeout=120).stdout
 
 
-def _fcidump(tmp_path, n_orb):
-    """A seeded FCIDUMP of ``n_orb`` orbitals with 8-fold symmetric
-    two-body integrals."""
+def _integrals(n_orb):
+    """Seeded integrals of ``n_orb`` orbitals, the two-body ones 8-fold
+    symmetric."""
     rng = np.random.default_rng(41)
     h = rng.normal(size=(n_orb, n_orb))
     g = 0.1 * rng.normal(size=(n_orb,) * 4)
     g = g + g.transpose(1, 0, 2, 3)
     g = g + g.transpose(0, 1, 3, 2)
     g = g + g.transpose(2, 3, 0, 1)
+    return FciDump(n_orb, 4, 0, 0.3, h + h.T, g)
+
+
+def _fcidump(tmp_path, n_orb):
+    """:func:`_integrals` as an FCIDUMP file."""
     path = tmp_path / f"h{n_orb}.fcidump"
-    path.write_text(dump_fcidump(FciDump(n_orb, 4, 0, 0.3, h + h.T, g)))
+    path.write_text(dump_fcidump(_integrals(n_orb)))
     return path
 
 
@@ -68,48 +79,132 @@ def _build(fcidump, na, nb, out, *flags):
 
 
 @pytest.fixture
-def eigh_widths(monkeypatch):
-    """``(order, pool width)`` of every ``np.linalg.eigh`` call, the width
-    read inside the call."""
+def eigh_calls(monkeypatch):
+    """``(order, pool width, thread ident, start, end)`` of every
+    ``np.linalg.eigh`` call in the order they start, the width read inside
+    the call and the times by ``time.perf_counter``."""
     calls = []
     solve = np.linalg.eigh
 
     def spy(a, *args, **kwargs):
-        calls.append((np.shape(a)[-1], blas.width()))
-        return solve(a, *args, **kwargs)
+        record = [np.shape(a)[-1], blas.width(), threading.get_ident(),
+                  time.perf_counter()]
+        calls.append(record)
+        try:
+            return solve(a, *args, **kwargs)
+        finally:
+            record.append(time.perf_counter())
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
     return calls
+
+
+def _widths(calls):
+    """``(order, pool width)`` of each :func:`eigh_calls` record."""
+    return [(c[0], c[1]) for c in calls]
 
 
 @needs_openblas
 @pytest.mark.parametrize("found, flags, env, full", [
     (2, (), None, 2),
     (1, (), None, 1),
-    (1, ("--threads", "2"), None, 2),
+    pytest.param(1, ("--threads", "2"), None, 2, marks=needs_two_cpus),
     (2, ("--threads", "1"), None, 1),
-    (1, (), "2", 2),
+    pytest.param(1, (), "2", 2, marks=needs_two_cpus),
     (2, ("--threads", "1"), "2", 1)])
 def test_only_large_eigensolves_get_the_full_pool(
-        tmp_path, capsys, monkeypatch, eigh_widths, found, flags, env, full):
+        tmp_path, capsys, monkeypatch, eigh_calls, found, flags, env, full):
     if env is not None:
         monkeypatch.setenv("QPREP_THREADS", env)
     fcidump = _fcidump(tmp_path, 8)
     with blas.limit(found):
-        # (2,2): dim 784 as two spin-flip blocks, the even one holding the
-        # 28 fixed points and one vector of each of the 378 pairs
-        assert cli.dispatch(_build(fcidump, 2, 2, tmp_path / "a.npz",
-                                   *flags)) == cli.EXIT_OK
-        # (1,2): dim 224, one block
-        assert cli.dispatch(_build(fcidump, 1, 2, tmp_path / "b.npz",
-                                   *flags)) == cli.EXIT_OK
+        # (1,3): dim 448, one block; (1,2): dim 224, one block; (2,2): dim
+        # 784 as two spin-flip blocks, the even one holding the 28 fixed
+        # points and one vector of each of the 378 pairs
+        for na, nb in ((1, 3), (1, 2), (2, 2)):
+            assert cli.dispatch(_build(fcidump, na, nb, tmp_path / "h.npz",
+                                       *flags)) == cli.EXIT_OK
         assert blas.width() == found
     capsys.readouterr()
-    assert eigh_widths == [(406, full), (378, full), (224, 1)]
+    assert sorted(_widths(eigh_calls)) \
+        == [(224, 1), (378, 1), (406, 1), (448, full)]
+
+
+def _overlap(one, other):
+    """Whether the ``[start, end]`` spans of two :func:`eigh_calls`
+    records overlap."""
+    return one[3] < other[4] and other[3] < one[4]
 
 
 @needs_openblas
-def test_outside_a_command_eigh_keeps_the_width_it_finds(eigh_widths):
+@pytest.mark.parametrize("found, flags, threads", [
+    pytest.param(2, (), 2, marks=needs_two_cpus),
+    pytest.param(1, ("--threads", "2"), 2, marks=needs_two_cpus),
+    (2, ("--threads", "1"), 1),
+    (1, (), 1)])
+def test_flip_blocks_solve_side_by_side_on_one_thread_each(
+        tmp_path, capsys, eigh_calls, found, flags, threads):
+    fcidump = _fcidump(tmp_path, 8)
+    with blas.limit(found):
+        assert cli.dispatch(_build(fcidump, 2, 2, tmp_path / "h.npz",
+                                   *flags)) == cli.EXIT_OK
+        assert blas.width() == found
+    capsys.readouterr()
+    assert sorted(c[0] for c in eigh_calls) == [378, 406]
+    assert [c[1] for c in eigh_calls] == [1, 1]
+    assert len({c[2] for c in eigh_calls}) == threads
+    assert _overlap(*eigh_calls) == (threads == 2)
+    # the caller solves the even block
+    even = next(c for c in eigh_calls if c[0] == 406)
+    assert even[2] == threading.get_ident()
+
+
+@needs_openblas
+@pytest.mark.parametrize("who", [
+    pytest.param("helper", marks=needs_two_cpus), "caller"])
+def test_a_failed_block_solve_exits_3_and_leaves_no_thread(
+        tmp_path, capsys, monkeypatch, who):
+    solve = np.linalg.eigh
+    main = threading.get_ident()
+
+    def failing(a, *args, **kwargs):
+        if (threading.get_ident() == main) == (who == "caller"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    fcidump = _fcidump(tmp_path, 8)
+    before = threading.active_count()
+    with blas.limit(2):
+        code = cli.dispatch(_build(fcidump, 2, 2, tmp_path / "h.npz",
+                                   "--threads", "2"))
+        assert blas.width() == 2
+    assert code == cli.EXIT_NUMERICAL
+    assert "did not converge" in capsys.readouterr().err
+    assert threading.active_count() == before
+    assert not (tmp_path / "h.npz").exists()
+
+
+@needs_openblas
+def test_threads_are_capped_at_the_cpus_the_process_may_use(
+        tmp_path, capsys, monkeypatch, eigh_calls):
+    cpus = len(os.sched_getaffinity(0))
+    fcidump = _fcidump(tmp_path, 8)
+    with blas.limit(1):
+        # one CPU over: a missing cap would start one thread too many
+        assert cli.dispatch(_build(fcidump, 1, 3, tmp_path / "h.npz",
+                                   "--threads", str(cpus + 1))
+                            ) == cli.EXIT_OK
+        monkeypatch.setenv("QPREP_THREADS", str(cpus + 1))
+        assert cli.dispatch(_build(fcidump, 1, 3, tmp_path / "h.npz")
+                            ) == cli.EXIT_OK
+        assert blas.width() == 1
+    capsys.readouterr()
+    assert _widths(eigh_calls) == [(448, cpus)] * 2
+
+
+@needs_openblas
+def test_outside_a_command_eigh_keeps_the_width_it_finds(eigh_calls):
     n = hamiltonian._EIGH_PARALLEL_MIN
     a = np.random.default_rng(5).normal(size=(n, n))
     for found in (1, 2):
@@ -117,7 +212,13 @@ def test_outside_a_command_eigh_keeps_the_width_it_finds(eigh_widths):
             hamiltonian.DenseHamiltonian(a + a.T).eigensystem()
             with blas.full_pool():
                 assert blas.width() == found
-    assert eigh_widths == [(n, 1), (n, 2)]
+            # the two flip blocks, one after the other on this thread
+            hamiltonian.build_ci_matrix(_integrals(8), 2, 2).eigensystem()
+            assert blas.side_by_side(len, "ab", "c") == (2, 1)
+    assert [tuple(c[:3]) for c in eigh_calls] \
+        == [(order, found, threading.get_ident()) for found in (1, 2)
+            for order in (n, 406, 378)]
+    assert not _overlap(*eigh_calls[1:3]) and not _overlap(*eigh_calls[4:])
 
 
 @needs_openblas
@@ -155,12 +256,14 @@ def test_width_is_restored_on_every_exit(tmp_path, capsys, monkeypatch,
 @needs_openblas
 def test_small_block_builds_do_not_depend_on_the_pool_found(tmp_path,
                                                             capsys):
-    # (2,2) of 7 orbitals: two flip blocks of order 231 and 210; (1,2) of
-    # 8: one block of order 224.  Each solves on one thread whatever the
-    # width the command starts from, so the files match to the byte.
+    # (2,2) of 7 orbitals: two flip blocks of order 231 and 210; (2,2) of
+    # 8: two of order 406 and 378; (1,2) of 8: one block of order 224.  Each
+    # solves on one thread whatever the width the command starts from (the
+    # flip blocks one after the other at width 1, side by side at 2), so
+    # the files match to the byte.
     files = {}
     for found in (1, 2):
-        for n_orb, na, nb in ((7, 2, 2), (8, 1, 2)):
+        for n_orb, na, nb in ((7, 2, 2), (8, 2, 2), (8, 1, 2)):
             out = tmp_path / f"{n_orb}-{na}{nb}-{found}.npz"
             with blas.limit(found):
                 assert cli.dispatch(_build(_fcidump(tmp_path, n_orb), na, nb,
@@ -196,19 +299,20 @@ def test_without_openblas_every_call_is_a_no_op(monkeypatch):
 
 @needs_shutdown
 def test_no_worker_spins_after_a_wide_build(tmp_path, capsys, monkeypatch,
-                                            eigh_widths):
+                                            eigh_calls):
     monkeypatch.setattr(blas, "_parked", False)
     fcidump = _fcidump(tmp_path, 8)
     with blas.limit(2):
         for out in ("a.npz", "b.npz"):
-            assert cli.dispatch(_build(fcidump, 2, 2,
+            # (1,3): one block of order 448
+            assert cli.dispatch(_build(fcidump, 1, 3,
                                        tmp_path / out)) == cli.EXIT_OK
             assert _idle_cpu_s() < IDLE_CPU_S
             assert blas.width() == 2
     capsys.readouterr()
-    # the second build, started with the workers parked, still solves both
-    # blocks on the full pool
-    assert eigh_widths == [(406, 2), (378, 2)] * 2
+    # the second build, started with the workers parked, still solves on
+    # the full pool
+    assert _widths(eigh_calls) == [(448, 2)] * 2
     assert (tmp_path / "a.npz").read_bytes() \
         == (tmp_path / "b.npz").read_bytes()
 
@@ -222,8 +326,11 @@ def test_a_process_that_never_widens_never_parks(tmp_path, capsys,
     fcidump = _fcidump(tmp_path, 8)
     matrix = tmp_path / "h.npz"
     with blas.limit(2):
-        # (1,2): dim 224, one block below the full-pool order
+        # (1,2): dim 224, one block below the full-pool order; (2,2): two
+        # flip blocks, solved side by side without widening the pool
         assert cli.dispatch(_build(fcidump, 1, 2, matrix)) == cli.EXIT_OK
+        assert cli.dispatch(_build(fcidump, 2, 2, tmp_path / "h22.npz")
+                            ) == cli.EXIT_OK
         assert cli.dispatch(["qpe-stats", "--ham", str(matrix), "--k",
                              "4"]) == cli.EXIT_OK
     capsys.readouterr()
@@ -249,7 +356,7 @@ def test_main_parks_the_workers_the_library_load_starts():
 
 @needs_openblas
 def test_without_the_shutdown_symbol_widths_are_unchanged(
-        tmp_path, capsys, monkeypatch, eigh_widths):
+        tmp_path, capsys, monkeypatch, eigh_calls):
     get, put, _ = blas._openblas()
     monkeypatch.setattr(blas, "_openblas", lambda: (get, put, None))
     monkeypatch.setattr(blas, "_parked", False)
@@ -258,11 +365,11 @@ def test_without_the_shutdown_symbol_widths_are_unchanged(
     fcidump = _fcidump(tmp_path, 8)
     for found in (1, 2):
         with blas.limit(found):
-            assert cli.dispatch(_build(fcidump, 2, 2, tmp_path / "h.npz")
+            assert cli.dispatch(_build(fcidump, 1, 3, tmp_path / "h.npz")
                                 ) == cli.EXIT_OK
             assert blas.width() == found
     capsys.readouterr()
-    assert eigh_widths == [(406, 1), (378, 1), (406, 2), (378, 2)]
+    assert _widths(eigh_calls) == [(448, 1), (448, 2)]
     assert not blas._parked
 
 

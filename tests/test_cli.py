@@ -121,6 +121,25 @@ def test_zero_width_gaussian_is_refused_not_nan(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mean, sigma", [
+    ("0.5", "1e-300"),     # mean +- 6 sigma round to the mean
+    ("1e308", "1e308"),    # mean + 6 sigma overflows
+])
+def test_unrepresentable_gaussian_is_a_usage_error(mean, sigma, capsys):
+    code = cli.dispatch(["qpe-stats", "--gaussian", mean, sigma, "--k", "4"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert "--gaussian" in captured.err and "6 sigma" in captured.err
+
+
+def test_narrow_gaussian_is_accepted(capsys):
+    report = run_json(capsys, ["qpe-stats", "--gaussian", "0.5", "1e-12",
+                               "--k", "4"])
+    # 0.5 is a 4-digit readout, so the outcome law sits on it
+    assert report["outcomes"] == 16
+    assert math.isclose(report["mean_readout"], 0.5, abs_tol=1e-12)
+
+
 def test_levels_file_with_nan_weight_is_an_input_error(tmp_path, capsys):
     levels = tmp_path / "nan.csv"
     levels.write_text("0.2,0.5\n0.4,nan\n")

@@ -1,6 +1,8 @@
 """``tools/cold_runs.py`` times commands as fresh processes."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -14,14 +16,39 @@ def _tool():
     return module
 
 
+def _rows(out):
+    """``{command: [wall, cpu, rss]}``, each a ``[median, q1, q3]``, of
+    tree 0 in the tool's output."""
+    header, *rows = out.splitlines()
+    assert header.split()[:2] == ["command", "tree"]
+    table = {}
+    for row in rows:
+        name, tree, *values = row.replace("[", " ").replace(",", " ") \
+            .replace("]", " ").split()
+        assert tree == "0" and len(values) == 9
+        table[name] = [[float(v) for v in values[i:i + 3]]
+                       for i in range(0, 9, 3)]
+    return table
+
+
 def test_one_cold_estimate_cost_run(capsys):
     tool = _tool()
     assert tool.main(["--runs", "1", "--commands", "estimate-cost"]) == 0
-    header, row = capsys.readouterr().out.splitlines()
-    assert header.split()[:2] == ["command", "tree"]
-    name, tree, wall, *rest = row.replace("[", " ").replace(",", " ") \
-        .replace("]", " ").split()
-    assert (name, tree) == ("estimate-cost", "0")
-    # one run: the median and both quartiles are that run
-    assert float(wall) > 0 and rest[:2] == [wall, wall]
-    assert float(rest[2]) > 0
+    (name, columns), = _rows(capsys.readouterr().out).items()
+    assert name == "estimate-cost"
+    for median, q1, q3 in columns:
+        # one run: the median and both quartiles are that run
+        assert median > 0 and q1 == q3 == median
+
+
+def test_peak_rss_is_each_process_own():
+    # a (2,2) build holds dim-784 matrices; estimate-cost imports no NumPy.
+    # A running maximum over all children would give the later, smaller
+    # command the build's peak.  The tool runs as its own small process:
+    # Linux starts a child's peak RSS at its parent's.
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cold_runs.py"), "--runs", "1",
+         "--commands", "ham-build,estimate-cost"],
+        check=True, capture_output=True, text=True, timeout=120).stdout
+    table = _rows(out)
+    assert table["estimate-cost"][2][0] < table["ham-build"][2][0]

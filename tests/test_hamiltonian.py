@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qprep import blas
 from qprep import hamiltonian as ham
 from qprep.acceptance import _ladder_operator_matrix
 from qprep.spectra import exact_spectral_measure
@@ -433,9 +434,14 @@ def test_blocked_eigensolve_is_byte_identical_to_quadrant_gathers(n_orb,
                                                                   n_el):
     rng = np.random.default_rng(650 + 10 * n_orb + n_el)
     dense = ham.build_ci_matrix(_eightfold_fcidump(rng, n_orb), n_el, n_el)
-    evals, evecs = dense.eigensystem()
-    ref_vals, ref_vecs = oracles.flip_blocked_eigh_quadrants(
-        dense.entries, dense.basis_labels)
+    # inside a command at full width 2: at 8 orbitals the blocks (406, 378)
+    # solve side by side, one BLAS thread each; the oracle solves them one
+    # after the other on one thread
+    with blas.command(2):
+        evals, evecs = dense.eigensystem()
+    with blas.limit(1):
+        ref_vals, ref_vecs = oracles.flip_blocked_eigh_quadrants(
+            dense.entries, dense.basis_labels)
     assert evals.tobytes() == ref_vals.tobytes()
     assert evecs.tobytes() == ref_vecs.tobytes()
     assert evecs.flags.c_contiguous

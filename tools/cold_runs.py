@@ -12,7 +12,9 @@ not timed) come from ``--seed``.
     python tools/cold_runs.py --src ../parent/src --src src --runs 10
 
 prints, per command and tree, the median and quartiles of the wall time
-and of the child's CPU time (user + system) in ms.  ``ham-build-3136``,
+and of the child's CPU time (user + system) in ms, and of the child's
+peak resident set size in MB (each process's own, from ``os.wait4``; Linux
+starts it at this tool's own peak, about 15 MB).  ``ham-build-3136``,
 the (3,3) sector of the same FCIDUMP (flip blocks of order 1540 and
 1596), runs only when named in ``--commands``.  Standard library only.
 """
@@ -20,7 +22,6 @@ the (3,3) sector of the same FCIDUMP (flip blocks of order 1540 and
 import argparse
 import os
 import random
-import resource
 import statistics
 import subprocess
 import sys
@@ -72,24 +73,29 @@ def write_inputs(rng, work):
 
 
 def run(src, argv, work):
-    """Wall and CPU seconds of one cold command."""
+    """Wall and CPU ms and peak RSS in MB of one cold command."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    cpu = resource.getrusage(resource.RUSAGE_CHILDREN)
+    args = [sys.executable, "-m", "qprep.cli", *argv]
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "qprep.cli", *argv], cwd=work,
-                   env=env, check=True, stdout=subprocess.DEVNULL)
-    wall = time.perf_counter() - start
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return wall, (after.ru_utime - cpu.ru_utime
-                  + after.ru_stime - cpu.ru_stime)
+    with subprocess.Popen(args, cwd=work, env=env,
+                          stdout=subprocess.DEVNULL) as child:
+        # this child's own rusage; RUSAGE_CHILDREN's ru_maxrss is the
+        # largest over every child waited for so far
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, args)
+    # ru_maxrss is in KiB on Linux
+    return (1e3 * wall, 1e3 * (usage.ru_utime + usage.ru_stime),
+            usage.ru_maxrss / 1024)
 
 
 def _quartiles(values):
-    """``(q1, median, q3)`` in ms."""
-    ms = [1e3 * v for v in values]
-    if len(ms) == 1:
-        return ms * 3
-    return tuple(statistics.quantiles(ms, n=4, method="inclusive"))
+    """``(q1, median, q3)``."""
+    if len(values) == 1:
+        return values * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def main(argv=None):
@@ -115,9 +121,9 @@ def main(argv=None):
         write_inputs(random.Random(args.seed), work)
         if "qpe-stats-ham" in names:
             run(trees[0], [*COMMANDS["ham-build"][:-1], "h22.npz"], work)
-        print("%-20s %-4s %26s %26s" % ("command", "tree",
-                                        "wall ms: median [q1, q3]",
-                                        "cpu ms: median [q1, q3]"))
+        print("%-20s %-4s %28s %28s %28s" % (
+            "command", "tree", "wall ms: median [q1, q3]",
+            "cpu ms: median [q1, q3]", "peak RSS MB: median [q1, q3]"))
         for name in names:
             times = [[] for _ in trees]
             for i in range(args.runs):
@@ -130,7 +136,7 @@ def main(argv=None):
                 for column in zip(*samples):
                     q1, med, q3 = _quartiles(column)
                     row.append("%8.1f [%7.1f, %7.1f]" % (med, q1, q3))
-                print("%-20s %-4d %26s %26s" % (name, t, *row))
+                print("%-20s %-4d %28s %28s %28s" % (name, t, *row))
     return 0
 
 
