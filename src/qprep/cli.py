@@ -31,6 +31,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from . import blas
@@ -231,12 +232,21 @@ def _config_tokens(subparser, mapping):
             raise ValueError(f"config key {key!r} needs {action.nargs} values")
         action(subparser, argparse.Namespace(),
                subparser._get_values(action, parts), flag)
-        # argparse reads a token such as -1e-3 as a flag: "--key=VALUE"
+        # argparse reads a token such as -x as a flag: "--key=VALUE"
         # keeps a single value whole, and a leading space (which int() and
         # float() ignore) marks each of several values as a value
         tokens += ([f"{flag}={text}"] if action.nargs is None
                    else [flag, *(" " + p for p in parts)])
     return tokens
+
+
+def _long_option(flag, options):
+    """The long option of ``options`` that ``flag`` names, as argparse
+    reads it: the option itself or a prefix of no other one; else None."""
+    if flag in options or not flag.startswith("--"):
+        return flag if flag in options else None
+    matches = [o for o in options if o.startswith(flag)]
+    return matches[0] if len(matches) == 1 else None
 
 
 def _config_path(args, options):
@@ -247,14 +257,7 @@ def _config_path(args, options):
         if tok == "--":
             break
         flag, eq, value = tok.partition("=")
-        if not flag.startswith("--"):
-            continue
-        if flag not in options:
-            matches = [o for o in options if o.startswith(flag)]
-            if len(matches) != 1:
-                continue
-            flag = matches[0]
-        if flag == "--config":
+        if _long_option(flag, options) == "--config":
             return value if eq else (args[i + 1] if i + 1 < len(args)
                                      else None)
     return None
@@ -713,12 +716,40 @@ def cmd_reproduce(args):
 # Parser construction and dispatch
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with two more readings: a token that starts with ``-``
+    or ``-.`` and a digit is a value (``-1e-3`` too, not only ``-0.001``),
+    and ``--flag=V1 V2 ...`` gives a flag of several values all of them
+    (plain argparse takes V1 as the only one and fails)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def parse_known_args(self, args, namespace):
+        # argparse passes both, positionally, from parse_args and from a
+        # command group to its subparser
+        args = sys.argv[1:] if args is None else list(args)
+        options = self._option_string_actions
+        split = []
+        for i, tok in enumerate(args):
+            if tok == "--":
+                split += args[i:]
+                break
+            flag, eq, value = tok.partition("=")
+            action = options.get(_long_option(flag, options)) if eq else None
+            nargs = getattr(action, "nargs", None)
+            several = isinstance(nargs, int) and nargs > 1
+            split += [flag, value] if several else [tok]
+        return super().parse_known_args(split, namespace)
+
+
 @functools.cache
 def build_parser():
     """Return ``(parser, registry)``, registry mapping each command path to
     its subparser.  Built once per process: nothing modifies either after
     this returns (``--config`` becomes argv tokens instead)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qprep",
         description="Sum-of-Slaters / MPS state preparation toolkit: "
                     "compression, cost models, CI Hamiltonians, encoding "

@@ -12,8 +12,11 @@ ingestion.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import mmap
+import os
 import struct
 import zipfile
 import zlib
@@ -58,9 +61,20 @@ _EIGH_PARALLEL_MIN = 320
 # order 250 and broke even at 400.  Below 200 a pair saves about 1 ms.
 _EIGH_PAIR_MIN = 200
 _ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")   # a local header; empty zip
-# A zip member's local header: its signature, then after 22 bytes the
-# lengths of the name and of the extra field that follow it.
-_LOCAL_HEADER = struct.Struct("<4s22xHH")
+# A zip member's local header (signature, version needed, flags, method,
+# DOS time and date, CRC-32, both sizes, then the lengths of the name and
+# of the extra field that follow it).  save_npz also writes the zipalign
+# extra field (id 0xD935, its length, the alignment) padded with zeros, a
+# central directory entry (signature, version made by, then the local
+# header's fields from version needed to the name length, then extra,
+# comment, disk, internal and external attributes and the local header's
+# offset), and the end record.
+_ZIP_LOCAL = struct.Struct("<4s3HL3L2H")
+_ALIGN_EXTRA = struct.Struct("<3H")
+_ZIP_CENTRAL = struct.Struct("<4s4HL3L5HLL")
+_ZIP_END = struct.Struct("<4s4H2LH")
+_DOS_1980 = 0x00210000     # 1980-01-01 00:00:00: DOS date << 16 | time
+_ALIGN = 64                # file offset of every array save_npz writes
 
 
 class ParseError(ValueError):
@@ -107,11 +121,25 @@ class FciDump:
                 raise ValueError("two-body integrals must be 8-fold symmetric")
 
 
-def _set_two_body(g, p, q, r, s, value):
-    for a, b in ((p, q), (q, p)):
-        for c, d in ((r, s), (s, r)):
-            g[a, b, c, d] = value
-            g[c, d, a, b] = value
+# The index orders under which a one-body (pq) and a two-body (pq|rs) line
+# is stored.
+_ONE_BODY_ORDERS = ((0, 1), (1, 0))
+_TWO_BODY_ORDERS = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+                    (2, 3, 0, 1), (2, 3, 1, 0), (3, 2, 0, 1), (3, 2, 1, 0))
+
+
+def _assign_last(n, at, values, orders):
+    """The array of shape (n,) * rank that is zero except where the lines
+    (``at``: their rank 0-based indices, ``values``) put their value, at
+    each of the index ``orders``; where lines meet, the later one wins."""
+    rank = len(orders[0])
+    out = np.zeros(n ** rank)
+    if at:
+        flat = np.array(at)[:, orders] @ n ** np.arange(rank - 1, -1, -1)
+        # first occurrences in the reversed writes are the last ones
+        cells, last = np.unique(flat.ravel()[::-1], return_index=True)
+        out[cells] = np.repeat(values, len(orders))[::-1][last]
+    return out.reshape((n,) * rank)
 
 
 def _parse_header(lines):
@@ -169,8 +197,8 @@ def parse_fcidump(text):
     n_orb, n_elec, ms2, header_end = _parse_header(lines)
     if n_orb < 1:
         raise ParseError(1, "NORB must be positive")
-    h = np.zeros((n_orb, n_orb))
-    g = np.zeros((n_orb, n_orb, n_orb, n_orb))
+    # each line's indices and value, in file order
+    one_at, one_values, two_at, two_values = [], [], [], []
     core = 0.0
     for line_no0 in range(header_end + 1, len(lines)):
         line = lines[line_no0].strip()
@@ -199,12 +227,15 @@ def parse_fcidump(text):
         elif k == 0 and l == 0:
             if i == 0 or j == 0:
                 raise ParseError(no, "one-body line needs two orbital indices")
-            h[i - 1, j - 1] = value
-            h[j - 1, i - 1] = value
+            one_at.append((i - 1, j - 1))
+            one_values.append(value)
         elif min(i, j, k, l) == 0:
             raise ParseError(no, "two-body line has a zero orbital index")
         else:
-            _set_two_body(g, i - 1, j - 1, k - 1, l - 1, value)
+            two_at.append((i - 1, j - 1, k - 1, l - 1))
+            two_values.append(value)
+    h = _assign_last(n_orb, one_at, one_values, _ONE_BODY_ORDERS)
+    g = _assign_last(n_orb, two_at, two_values, _TWO_BODY_ORDERS)
     return FciDump(n_orb, n_elec, ms2, core, h, g)
 
 
@@ -635,14 +666,30 @@ def build_ci_matrix(fd, n_alpha, n_beta, dim_cap=DEFAULT_DIM_CAP):
     sign = np.where(((occ_a @ beta_below.T) & 1).ravel(), -1.0, 1.0)
     H *= sign[:, None]
     H *= sign[None, :]
-    H += H.T
-    H *= 0.5
+    _symmetrize(H)
 
     chars = np.empty((d_a, d_b, n, 2), dtype=np.uint8)
     chars[..., 0] = occ_a[:, None, :] + ord("0")
     chars[..., 1] = occ_b[None, :, :] + ord("0")
     labels = chars.reshape(dim, 2 * n).view("S%d" % (2 * n)).ravel()
     return DenseHamiltonian(H, labels.astype(str).tolist())
+
+
+def _symmetrize(a):
+    """Overwrite the square ``a`` with (A + A^T) / 2, bit for bit, one
+    ``_TILE`` x ``_TILE`` tile pair (i, j), i <= j, at a time: ``a += a.T``
+    would copy all of ``a`` first, its operands overlapping."""
+    n = a.shape[0]
+    work = np.empty((_TILE, _TILE), dtype=a.dtype)
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            tile = a[i:i + _TILE, j:j + _TILE]
+            mirror = a[j:j + _TILE, i:i + _TILE]
+            mean = np.add(tile, mirror.T,
+                          out=work[:tile.shape[0], :tile.shape[1]])
+            mean *= 0.5
+            tile[...] = mean
+            mirror[...] = mean.T
 
 
 def save_hamiltonian(h, path):
@@ -653,10 +700,68 @@ def save_hamiltonian(h, path):
         np.savetxt(path, h.entries, delimiter=",")
         return
     evals, evecs = h.eigensystem()
-    with open(path, "wb") as f:
-        labels = np.array(h.basis_labels if h.basis_labels is not None else [])
-        np.savez(f, entries=h.entries, basis_labels=labels,
-                 eigenvalues=evals, eigenvectors=evecs)
+    labels = np.array(h.basis_labels if h.basis_labels is not None else [])
+    save_npz(path, {"entries": h.entries, "basis_labels": labels,
+                    "eigenvalues": evals, "eigenvectors": evecs})
+
+
+def save_npz(path, arrays):
+    """Write ``arrays`` (name -> array) to ``path`` as an npz archive that
+    ``np.load`` reads and :func:`npz_archive` maps in place.
+
+    Each member is stored (not compressed) as ``<name>.npy`` with a version
+    1.0 header, and a zipalign extra field pads its local header so that
+    its array data starts at a multiple of ``_ALIGN`` bytes.  Members are
+    dated 1980-01-01, so equal arrays give equal bytes, and each is written
+    from its own buffer (a copy only for an array in neither C nor Fortran
+    order).  The archive is written beside ``path`` and then moved over
+    it, so arrays still mapping an earlier file at ``path`` stay intact.
+    """
+    path = os.fspath(path)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    central = []
+    try:
+        with open(tmp, "wb") as f:
+            for key, a in arrays.items():
+                a = np.asarray(a)
+                if a.dtype.hasobject:
+                    raise ValueError("%s: object arrays are not stored" % key)
+                header = io.BytesIO()
+                np.lib.format.write_array_header_1_0(
+                    header, np.lib.format.header_data_from_array_1_0(a))
+                header = header.getvalue()
+                # the order the header names, as one C-contiguous buffer
+                stored = a.T if a.flags.f_contiguous \
+                    and not a.flags.c_contiguous else np.require(a, None, "C")
+                name = (key + ".npy").encode("ascii")
+                offset, size = f.tell(), len(header) + stored.nbytes
+                unpadded = offset + _ZIP_LOCAL.size + len(name) \
+                    + _ALIGN_EXTRA.size
+                pad = -unpadded % _ALIGN
+                if unpadded + pad + size >= 0xFFFFFFFF:
+                    raise ValueError("archive passes 4 GiB; zip64 is not "
+                                     "written")
+                crc = zlib.crc32(stored, zlib.crc32(header))
+                fields = (0, 0, _DOS_1980, crc, size, size, len(name))
+                f.write(_ZIP_LOCAL.pack(b"PK\x03\x04", 20, *fields,
+                                        _ALIGN_EXTRA.size + pad))
+                f.write(name)
+                f.write(_ALIGN_EXTRA.pack(0xD935, 2 + pad, _ALIGN))
+                f.write(bytes(pad))
+                f.write(header)
+                f.write(stored)
+                central.append(_ZIP_CENTRAL.pack(
+                    b"PK\x01\x02", 0x0314, 20, *fields, 0, 0, 0, 0,
+                    0o600 << 16, offset) + name)
+            start = f.tell()
+            f.write(b"".join(central))
+            f.write(_ZIP_END.pack(b"PK\x05\x06", 0, 0, len(central),
+                                  len(central), f.tell() - start, start, 0))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def npz_archive(path):
@@ -664,58 +769,76 @@ def npz_archive(path):
     dropped), read without pickles.  A file that does not start like a zip
     archive is refused, and a member that fails its CRC-32, does not
     inflate or does not fit its header raises ``ValueError`` like a
-    malformed one."""
+    malformed one.
+
+    The file is mapped read-only.  A stored member with a version 1.0
+    header whose array data starts at a multiple of ``_ALIGN`` bytes (each
+    one :func:`save_npz` writes) comes back as a read-only view of the
+    map; any other stored version 1.0 member (``np.savez`` writes them
+    unaligned) is copied out of the map; a compressed member, or one with
+    another header version, goes through zipfile and NumPy's reader.
+    """
     with open(path, "rb") as f:
         if f.read(4) not in _ZIP_MAGIC:
             raise ValueError("not an npz archive")
         try:
             with zipfile.ZipFile(f) as archive:
+                view = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
                 return {info.filename.removesuffix(".npy"):
-                        _read_member(f, archive, info)
+                        _read_member(view, archive, info)
                         for info in archive.infolist()}
         except (zipfile.BadZipFile, zlib.error) as exc:
             raise ValueError(str(exc)) from None
 
 
-def _read_member(f, archive, info):
-    """One ``.npy`` member of the zip archive open as ``f``.  A stored
-    member with a version 1.0 header (the one ``np.savez`` writes) is read
-    by one ``readinto`` into its final array, and its CRC-32, header bytes
-    included, is checked over that buffer against the central directory;
-    any other member goes through zipfile and NumPy's reader."""
-    fast = False
+def _read_member(view, archive, info):
+    """One ``.npy`` member of ``archive``, whose file is mapped as
+    ``view``.  For a stored member with a version 1.0 header, its size is
+    checked against that header and against the end of the file, then its
+    CRC-32, header bytes included, over the mapped bytes, before any array
+    is made of them."""
+    start = None
     if info.compress_type == zipfile.ZIP_STORED:
-        f.seek(info.header_offset)
-        magic, name_size, extra_size = _LOCAL_HEADER.unpack(
-            f.read(_LOCAL_HEADER.size))
-        if magic != b"PK\x03\x04":
+        local = view[info.header_offset:info.header_offset + _ZIP_LOCAL.size]
+        if len(local) != _ZIP_LOCAL.size or local[:4] != b"PK\x03\x04":
             raise ValueError("Bad magic number for file header")
-        start = f.seek(name_size + extra_size, io.SEEK_CUR)
-        fast = np.lib.format.read_magic(f) == (1, 0)
-    if not fast:
+        *_, name_size, extra_size = _ZIP_LOCAL.unpack(local)
+        start = info.header_offset + _ZIP_LOCAL.size + name_size \
+            + extra_size
+        if view[start:start + 8] != b"\x93NUMPY\x01\x00":
+            start = None
+        elif start + info.file_size > len(view):
+            raise ValueError("%s: size does not fit its header"
+                             % info.filename)
+    if start is None:
         with archive.open(info) as stream:
             a = np.lib.format.read_array(stream, allow_pickle=False)
             if stream.read(1):
                 raise ValueError("%s: size does not fit its header"
                                  % info.filename)
         return a
-    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+    (header_len,) = struct.unpack_from("<H", view, start + 8)
+    payload = start + 10 + header_len
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(
+        io.BytesIO(view[start + 8:payload]))
     if dtype.hasobject:
         raise ValueError("Object arrays cannot be loaded when "
                          "allow_pickle=False")
-    header_size = f.tell() - start
     # checked before the array is made, so no header can claim more memory
     # than the member holds
-    if header_size + math.prod(shape) * dtype.itemsize != info.file_size \
+    count = math.prod(shape)
+    if payload - start + count * dtype.itemsize != info.file_size \
             or info.compress_size != info.file_size:
         raise ValueError("%s: size does not fit its header" % info.filename)
-    a = np.empty(shape, dtype, order="F" if fortran_order else "C")
-    f.seek(start)
-    crc = zlib.crc32(f.read(header_size))
-    stored = a.T if fortran_order else a   # the stored order, C-contiguous
-    if f.readinto(stored) != a.nbytes or zlib.crc32(stored, crc) != info.CRC:
+    if zlib.crc32(np.frombuffer(view, np.uint8, info.file_size, start)) \
+            != info.CRC:
         raise ValueError("Bad CRC-32 for file %r" % info.filename)
-    return a
+    data = np.frombuffer(view, dtype, count, payload)
+    if payload % _ALIGN:
+        data = data.copy()
+    # the stored order is C order over the reversed shape for Fortran
+    return data.reshape(shape[::-1]).T if fortran_order \
+        else data.reshape(shape)
 
 
 def load_hamiltonian(path):

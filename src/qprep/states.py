@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import npz_archive
+from .hamiltonian import npz_archive, save_npz
 
 LEFT_ORTHO_TOL = 1e-10
 STATEVECTOR_LIMIT = 65536  # largest dense vector the export paths will build
@@ -456,11 +456,9 @@ def load_sos(path):
 def save_mps(state, path):
     """Write an MPS to a binary container (one shape-tagged array per site)."""
     arrays = {f"tensor_{j}": t for j, t in enumerate(state.tensors)}
-    with open(path, "wb") as fh:
-        np.savez(fh,
-                 local_dim=np.array(state.local_dim),
-                 canonical=np.array(state.canonical_form or ""),
-                 **arrays)
+    save_npz(path, {"local_dim": np.array(state.local_dim),
+                    "canonical": np.array(state.canonical_form or ""),
+                    **arrays})
 
 
 def load_mps(path):

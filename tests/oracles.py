@@ -298,6 +298,36 @@ def _phase_apply(mask, ops):
     return phase, mask
 
 
+def set_two_body(g, p, q, r, s, value):
+    """Write (pq|rs) = ``value`` under its eight index orders, in turn."""
+    for a, b in ((p, q), (q, p)):
+        for c, d in ((r, s), (s, r)):
+            g[a, b, c, d] = value
+            g[c, d, a, b] = value
+
+
+def parse_fcidump_loop(text):
+    """``(core, h, g)`` of well-formed FCIDUMP text, each data line
+    assigned in file order as it is read (no input checks)."""
+    lines = text.splitlines()
+    n, _, _, end = hamiltonian._parse_header(lines)
+    h, g, core = np.zeros((n, n)), np.zeros((n,) * 4), 0.0
+    for line in lines[end + 1:]:
+        if not line.strip():
+            continue
+        value, *indices = line.split()
+        value = float(value.upper().replace("D", "E"))
+        i, j, k, l = (int(t) for t in indices)
+        if i == j == k == l == 0:
+            core = value
+        elif k == l == 0:
+            h[i - 1, j - 1] = value
+            h[j - 1, i - 1] = value
+        else:
+            set_two_body(g, i - 1, j - 1, k - 1, l - 1, value)
+    return core, h, g
+
+
 def _g_so(g, a, b, c, d):
     if (a ^ b) & 1 or (c ^ d) & 1:
         return 0.0

@@ -140,6 +140,29 @@ def test_narrow_gaussian_is_accepted(capsys):
     assert math.isclose(report["mean_readout"], 0.5, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("argv, same_as", [
+    (["qpe-stats", "--gaussian", "-1e-3", "0.02", "--k", "4"],
+     ["qpe-stats", "--gaussian", "-0.001", "0.02", "--k", "4"]),
+    (["qpe-stats", "--gaussian=-1e-3", "0.02", "--k", "4"],
+     ["qpe-stats", "--gaussian", "-0.001", "0.02", "--k", "4"]),
+    (["qpe-stats", "--gauss=-1e-3", "0.02", "--k", "4"],
+     ["qpe-stats", "--gaussian", "-0.001", "0.02", "--k", "4"]),
+    (["qpe-stats", "--gaussian", "0.5", "0.02", "--target", "-1e-3",
+      "--k", "4"],
+     ["qpe-stats", "--gaussian", "0.5", "0.02", "--target", "-0.001",
+      "--k", "4"]),
+    (["goldilocks", "--gaussian", "0.5", "0.02", "--et", "-1e-3",
+      "--budget", "100"],
+     ["goldilocks", "--gaussian", "0.5", "0.02", "--et", "-0.001",
+      "--budget", "100"])],
+    ids=["gaussian", "gaussian=", "gauss=", "target", "et"])
+def test_negative_value_with_an_exponent_is_a_value(argv, same_as, capsys):
+    assert cli.dispatch(argv) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert cli.dispatch(same_as) == cli.EXIT_OK
+    assert out == capsys.readouterr().out != ""
+
+
 def test_levels_file_with_nan_weight_is_an_input_error(tmp_path, capsys):
     levels = tmp_path / "nan.csv"
     levels.write_text("0.2,0.5\n0.4,nan\n")
@@ -826,6 +849,50 @@ def test_damaged_npz_is_an_input_error(tmp_path, capsys, damage, reason):
         bad.write_bytes(raw)
     _refused_naming(capsys, bad, ["qpe-stats", "--ham", str(bad),
                                   "--state", str(state), "--k", "4"], reason)
+
+
+def test_payload_past_the_end_of_the_file_is_an_input_error(tmp_path,
+                                                           capsys):
+    import struct
+    import zipfile
+
+    matrix, state = _build_pipeline_matrix(tmp_path, capsys)
+    raw = bytearray(matrix.read_bytes())
+    with zipfile.ZipFile(matrix) as archive:
+        info = archive.getinfo("eigenvectors.npy")
+    # the .npy header and the central directory both claim 99 columns of
+    # the 24 stored, so header and sizes agree but run past the file's end
+    at = raw.index(b"(24, 24)", info.header_offset)
+    raw[at:at + 8] = b"(24, 99)"
+    size = info.file_size + 24 * 75 * 8
+    central = raw.rindex(b"eigenvectors.npy") - 46
+    assert raw[central:central + 4] == b"PK\x01\x02"
+    struct.pack_into("<LL", raw, central + 20, size, size)
+    assert info.header_offset + size > len(raw)
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(raw)
+    _refused_naming(capsys, bad, ["qpe-stats", "--ham", str(bad),
+                                  "--state", str(state), "--k", "4"],
+                    "eigenvectors.npy: size does not fit its header")
+
+
+def test_two_builds_of_one_input_write_identical_bytes(tmp_path, capsys):
+    import zipfile
+
+    files = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        files.append(_build_pipeline_matrix(tmp_path / name, capsys)[0])
+    assert files[0].read_bytes() == files[1].read_bytes()
+    # not the clock: two builds a second apart give the same bytes too
+    with zipfile.ZipFile(files[0]) as archive:
+        assert {info.date_time for info in archive.infolist()} \
+            == {(1980, 1, 1, 0, 0, 0)}
+    # a rebuild over an existing file writes the same bytes again
+    again = _build_pipeline_matrix(tmp_path / "a", capsys)[0]
+    assert again.read_bytes() == files[1].read_bytes()
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) \
+        == ["h.fcidump", "h.npz", "state.csv"]
 
 
 @pytest.mark.parametrize("mutation, reason", [

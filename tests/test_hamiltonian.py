@@ -32,7 +32,8 @@ def _random_fcidump(rng, n_orb, core=0.0, with_two_body=True):
             for q in range(p + 1):
                 for r in range(p + 1):
                     for s in range((q if r == p else r) + 1):
-                        ham._set_two_body(g, p, q, r, s, rng.normal() * 0.3)
+                        oracles.set_two_body(g, p, q, r, s,
+                                             rng.normal() * 0.3)
     return ham.FciDump(n_orb, 2, 0, core, h, g)
 
 
@@ -86,6 +87,31 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_fortran_exponent():
     fd = ham.parse_fcidump("&FCI NORB=1,\n&END\n 1.5D-01 1 1 0 0\n 0.0 0 0 0 0\n")
     assert fd.one_body[0, 0] == 0.15
+
+
+def test_repeated_and_overlapping_lines_parse_like_the_line_loop():
+    # many lines share an index orbit, some repeat one exactly, and a
+    # later line must win wherever two meet; -0.0 must survive as such
+    rng = np.random.default_rng(12)
+    n = 3
+    rows = ["&FCI NORB=%d,NELEC=2,MS2=0,\n&END" % n]
+    for _ in range(400):
+        i, j, k, l = rng.integers(1, n + 1, size=4)
+        if rng.random() < 0.3:
+            k = l = 0
+        value = rng.choice([rng.normal(), -0.0, 0.0])
+        rows.append(" %.17g %d %d %d %d" % (value, i, j, k, l))
+        if rng.random() < 0.1:
+            rows.append(rows[-1])
+        if rng.random() < 0.05:
+            rows.append(" %.17g 0 0 0 0" % rng.normal())
+    text = "\n".join(rows) + "\n"
+    fd = ham.parse_fcidump(text)
+    core, h, g = oracles.parse_fcidump_loop(text)
+    assert fd.core_energy == core
+    assert fd.one_body.tobytes() == h.tobytes()
+    assert fd.two_body.tobytes() == g.tobytes()
+    assert np.signbit(fd.two_body).any() and np.signbit(fd.one_body).any()
 
 
 def test_round_trip_is_idempotent():
@@ -464,6 +490,14 @@ def test_fused_pass_equals_the_whole_matrix_maxima(n, kind):
         assert size == np.max(np.abs(e))
 
 
+@pytest.mark.parametrize("n", [1, 300, 784])
+def test_tiled_symmetrization_is_bitwise_the_mean_with_the_transpose(n):
+    a = np.random.default_rng(n).normal(size=(n, n))
+    expected = (a + a.T) * 0.5
+    ham._symmetrize(a)
+    assert a.tobytes() == expected.tobytes()
+
+
 def test_load_peaks_at_the_stored_arrays_plus_tiles(tmp_path):
     import tracemalloc
 
@@ -482,6 +516,98 @@ def test_load_peaks_at_the_stored_arrays_plus_tiles(tmp_path):
     assert back.dim == 784 and back.eigen is not None
     # no n x n temporary: the arrays themselves plus a few tiles of 16 B
     assert peak <= stored + 4 * ham._TILE ** 2 * 16
+
+
+def _payload_offsets(path):
+    """File offset of each member's array data in the npz at ``path``:
+    past its local header (30 bytes, name, extra field) and its ``.npy``
+    header (10 bytes and the length these give)."""
+    import struct
+    import zipfile
+
+    raw = path.read_bytes()
+    offsets = {}
+    with zipfile.ZipFile(path) as archive:
+        for info in archive.infolist():
+            at = info.header_offset
+            at += 30 + sum(struct.unpack("<HH", raw[at + 26:at + 30]))
+            assert raw[at:at + 8] == b"\x93NUMPY\x01\x00"
+            offsets[info.filename] = at + 10 + struct.unpack(
+                "<H", raw[at + 8:at + 10])[0]
+    return offsets
+
+
+def test_every_saved_payload_starts_at_a_multiple_of_64(tmp_path):
+    from qprep.states import MpsState, save_mps
+
+    dense = ham.build_ci_matrix(
+        _eightfold_fcidump(np.random.default_rng(663), 5), 2, 1)
+    rng = np.random.default_rng(664)
+    mps = MpsState([rng.normal(size=shape) for shape in
+                    [(1, 4, 3), (3, 4, 5), (5, 4, 1)]], 4, None)
+    ham.save_hamiltonian(dense, tmp_path / "h.npz")
+    save_mps(mps, tmp_path / "m.npz")
+    for name, members in (("h.npz", 4), ("m.npz", 5)):
+        offsets = _payload_offsets(tmp_path / name)
+        assert len(offsets) == members
+        assert all(at % 64 == 0 for at in offsets.values()), offsets
+
+
+def test_loaded_arrays_are_read_only_views_of_the_file(tmp_path):
+    import tracemalloc
+
+    dense = ham.build_ci_matrix(
+        _eightfold_fcidump(np.random.default_rng(665), 8), 2, 2)
+    path = tmp_path / "h.npz"
+    ham.save_hamiltonian(dense, path)
+    tracemalloc.start()
+    try:
+        back = ham.load_hamiltonian(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (back.entries, *back.eigen)
+    for a in arrays:
+        assert not a.flags.writeable and a.flags.aligned
+    # nothing of the size of one stored matrix was allocated
+    assert peak < back.entries.nbytes
+    assert back.entries.tobytes() == dense.entries.tobytes()
+    assert back.eigen[1].tobytes() == dense.eigen[1].tobytes()
+
+
+def test_np_savez_archive_loads_bit_identically(tmp_path):
+    dense = ham.build_ci_matrix(
+        _eightfold_fcidump(np.random.default_rng(666), 6), 2, 1)
+    evals, evecs = dense.eigensystem()
+    ours, theirs = tmp_path / "ours.npz", tmp_path / "theirs.npz"
+    ham.save_hamiltonian(dense, ours)
+    np.savez(theirs, entries=dense.entries,
+             basis_labels=np.array(dense.basis_labels),
+             eigenvalues=evals, eigenvectors=evecs)
+    assert ours.read_bytes() != theirs.read_bytes()
+    a, b = ham.load_hamiltonian(ours), ham.load_hamiltonian(theirs)
+    for x, y in ((a.entries, b.entries), (a.eigen[0], b.eigen[0]),
+                 (a.eigen[1], b.eigen[1])):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert a.basis_labels == b.basis_labels == dense.basis_labels
+
+
+def test_rewriting_a_loaded_path_leaves_the_loaded_arrays_intact(tmp_path):
+    big = ham.build_ci_matrix(
+        _eightfold_fcidump(np.random.default_rng(667), 6), 3, 3)
+    small = ham.build_ci_matrix(
+        _eightfold_fcidump(np.random.default_rng(668), 3), 1, 1)
+    path = tmp_path / "h.npz"
+    ham.save_hamiltonian(big, path)
+    loaded = ham.load_hamiltonian(path)
+    # a smaller file at the same path: written in place, it would cut
+    # the pages the loaded arrays map
+    ham.save_hamiltonian(small, path)
+    assert path.stat().st_size < big.entries.nbytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.npz"]
+    assert loaded.entries.tobytes() == big.entries.tobytes()
+    assert loaded.eigen[1].tobytes() == big.eigensystem()[1].tobytes()
+    assert ham.load_hamiltonian(path).dim == small.dim
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -525,3 +525,20 @@ def test_mps_file_roundtrip(tmp_path):
     assert back.local_dim == 4
     assert all(np.array_equal(a, b)
                for a, b in zip(back.tensors, m.tensors))
+
+
+def test_sos_to_mps_to_sos_through_a_mapped_file(tmp_path):
+    rng = np.random.default_rng(28)
+    sos = random_sos(rng, 8, 6)
+    path = tmp_path / "state.mps"
+    mps = sos_to_mps(sos, chi_max=16)[0]
+    save_mps(mps, path)
+    back = load_mps(path)
+    # the tensors are read-only views of the mapped file, not copies
+    for t in back.tensors:
+        assert not t.flags.writeable and t.base is not None
+    again = mps_to_sos(back, threshold=1e-20)
+    assert again.terms == mps_to_sos(mps, threshold=1e-20).terms
+    assert sorted(occ for _, occ in again.terms) \
+        == sorted(occ for _, occ in sos.terms)
+    assert abs(abs(overlap(again, sos)) - 1) <= 1e-10

@@ -6,8 +6,9 @@ one tree's ``src``, so it pays the imports and the BLAS start-up that every
 command line pays.  For each command the trees alternate, run after run,
 so drift in the host's speed falls on both alike.  The inputs (an
 8-orbital FCIDUMP, a levels file, determinant bitstrings and the dim-784
-matrix of the FCIDUMP's (2,2) sector, built once by the first tree and
-not timed) come from ``--seed``.
+matrix of the FCIDUMP's (2,2) sector, not timed) come from ``--seed``;
+each tree runs in a directory of its own, where its own ``ham build``
+writes that matrix, so each tree loads the archive layout it writes.
 
     python tools/cold_runs.py --src ../parent/src --src src --runs 10
 
@@ -117,10 +118,12 @@ def main(argv=None):
         ap.error("need one or two --src trees, --runs >= 1 and known "
                  "--commands")
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        write_inputs(random.Random(args.seed), work)
-        if "qpe-stats-ham" in names:
-            run(trees[0], [*COMMANDS["ham-build"][:-1], "h22.npz"], work)
+        works = [Path(tmp) / str(t) for t in range(len(trees))]
+        for tree, work in zip(trees, works):
+            work.mkdir()
+            write_inputs(random.Random(args.seed), work)
+            if "qpe-stats-ham" in names:
+                run(tree, [*COMMANDS["ham-build"][:-1], "h22.npz"], work)
         print("%-20s %-4s %28s %28s %28s" % (
             "command", "tree", "wall ms: median [q1, q3]",
             "cpu ms: median [q1, q3]", "peak RSS MB: median [q1, q3]"))
@@ -130,7 +133,8 @@ def main(argv=None):
                 # alternate which tree goes first
                 for t in (range(len(trees)) if i % 2 == 0
                           else reversed(range(len(trees)))):
-                    times[t].append(run(trees[t], COMMANDS[name], work))
+                    times[t].append(run(trees[t], COMMANDS[name],
+                                        works[t]))
             for t, samples in enumerate(times):
                 row = []
                 for column in zip(*samples):
