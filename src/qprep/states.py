@@ -462,8 +462,19 @@ def save_mps(state, path):
 
 
 def load_mps(path):
+    """Inverse of :func:`save_mps`.  An archive that lacks ``local_dim``,
+    ``canonical`` or one of ``tensor_0`` .. ``tensor_<n-1>`` (n the number
+    of ``tensor_`` members), or whose ``local_dim`` or ``canonical`` is not
+    a single value, is refused with ``ValueError``."""
     data = npz_archive(path)
     n = len([k for k in data if k.startswith("tensor_")])
+    missing = {"local_dim", "canonical",
+               *(f"tensor_{j}" for j in range(n))} - set(data)
+    if missing:
+        raise ValueError("archive has no %s" % " or ".join(sorted(missing)))
+    for name in ("local_dim", "canonical"):
+        if data[name].ndim:
+            raise ValueError(f"{name} is not a single value")
     tensors = [data[f"tensor_{j}"] for j in range(n)]
     canonical = str(data["canonical"]) or None
     return MpsState(tensors, int(data["local_dim"]), canonical)

@@ -1137,6 +1137,28 @@ def test_mps_file_that_is_not_an_npz_archive_is_an_input_error(
                     reason)
 
 
+@pytest.mark.parametrize("members, reason", [
+    ({"local_dim": None}, "archive has no local_dim"),
+    ({"canonical": None}, "archive has no canonical"),
+    # a gap in the numbering
+    ({"tensor_1": None, "tensor_2": np.ones((1, 2, 1))},
+     "archive has no tensor_1"),
+    ({"local_dim": np.array([2, 2])}, "local_dim is not a single value"),
+    ({"canonical": np.array(["", ""])}, "canonical is not a single value")],
+    ids=["no local_dim", "no canonical", "no tensor_1", "local_dim (2,)",
+         "canonical (2,)"])
+def test_mps_archive_without_its_members_is_an_input_error(tmp_path, capsys,
+                                                          members, reason):
+    arrays = {"local_dim": np.array(2), "canonical": np.array(""),
+              "tensor_0": np.ones((1, 2, 1)), "tensor_1": np.ones((1, 2, 1)),
+              **members}
+    bad = tmp_path / "state.npz"
+    np.savez(bad, **{k: v for k, v in arrays.items() if v is not None})
+    _refused_naming(capsys, bad, ["convert", "--input", str(bad), "--to",
+                                  "sos", "--out", str(tmp_path / "s.json")],
+                    reason)
+
+
 def test_simulate_encode_report(tmp_path, capsys):
     sos = tmp_path / "state.json"
     sos.write_text(json.dumps({

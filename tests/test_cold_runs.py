@@ -52,3 +52,26 @@ def test_peak_rss_is_each_process_own():
         check=True, capture_output=True, text=True, timeout=120).stdout
     table = _rows(out)
     assert table["estimate-cost"][2][0] < table["ham-build"][2][0]
+
+
+def test_savez_layout_is_read_off_the_mapped_route(tmp_path, capsys):
+    import numpy as np
+
+    from qprep import hamiltonian as ham
+
+    a = np.random.default_rng(5).normal(size=(40, 40))
+    ham.save_hamiltonian(ham.DenseHamiltonian(a + a.T), tmp_path / "h.npz")
+    tool = _tool()
+    tool.savez_layout(tmp_path / "h.npz", tmp_path / "old.npz")
+    ours = ham.npz_archive(tmp_path / "h.npz")
+    theirs = ham.npz_archive(tmp_path / "old.npz")
+    assert ours.keys() == theirs.keys()
+    for name, array in ours.items():
+        assert array.tobytes() == theirs[name].tobytes()
+    # a view of the map is read-only; the unaligned matrix is read into an
+    # array of its own
+    assert not ours["entries"].flags.writeable
+    assert theirs["entries"].flags.writeable
+    assert tool.main(["--runs", "1", "--commands",
+                      "qpe-stats-ham-savez"]) == 0
+    assert list(_rows(capsys.readouterr().out)) == ["qpe-stats-ham-savez"]

@@ -645,11 +645,12 @@ def test_npz_off_the_readinto_path_loads_like_np_load(tmp_path, how):
     assert back.basis_labels == ["0011", "0101"] * 2 + ["1"]
 
 
-def _stored_npz(path, members):
-    """A zip of stored ``name: bytes`` members."""
+def _stored_npz(path, members, deflated=False):
+    """A zip of ``name: bytes`` members, stored unless ``deflated``."""
     import zipfile
 
-    with zipfile.ZipFile(path, "w") as archive:
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED if deflated
+                         else zipfile.ZIP_STORED) as archive:
         for name, data in members.items():
             archive.writestr(name, data)
 
@@ -662,26 +663,103 @@ def _npy(a, version=None):
     return buffer.getvalue()
 
 
-@pytest.mark.parametrize("member, reason", [
-    (_npy(np.eye(3))[:-8], "entries.npy: size does not fit its header"),
-    (_npy(np.eye(3)) + bytes(8), "entries.npy: size does not fit its header"),
-    (_npy(np.eye(3), (2, 0)) + bytes(8),
+def _huge_npy(version):
+    """A ``.npy`` file whose header claims 2**40 float64 over 24 bytes."""
+    import io
+
+    buffer = io.BytesIO()
+    getattr(np.lib.format, "write_array_header_%d_0" % version)(
+        buffer, {"descr": "<f8", "fortran_order": False,
+                 "shape": (2 ** 40,)})
+    return buffer.getvalue() + bytes(24)
+
+
+@pytest.mark.parametrize("member, deflated, reason", [
+    (_npy(np.eye(3))[:-8], False,
+     "entries.npy: size does not fit its header"),
+    (_npy(np.eye(3)) + bytes(8), False,
+     "entries.npy: size does not fit its header"),
+    (_npy(np.eye(3), (2, 0)) + bytes(8), False,
      "entries.npy: size does not fit its header"),
     # a header that claims 8 TiB over a 24-byte payload is refused before
     # anything is allocated for it
     (_npy(np.zeros(3)).replace(b"(3,), }" + b" " * 12,
-                               b"(%d,), }" % 2 ** 40),
+                               b"(%d,), }" % 2 ** 40), False,
      "entries.npy: size does not fit its header"),
-    (_npy(np.array([None, 1], dtype=object)),
+    # off the mapped route too: read through zipfile, yet checked first
+    (_huge_npy(1), True, "entries.npy: size does not fit its header"),
+    (_huge_npy(2), False, "entries.npy: size does not fit its header"),
+    (_npy(np.array([None, 1], dtype=object)), False,
      "Object arrays cannot be loaded when allow_pickle=False")],
-    ids=["short", "long", "long version 2.0", "huge shape", "object"])
+    ids=["short", "long", "long version 2.0", "huge shape",
+         "huge shape compressed", "huge shape version 2.0", "object"])
 def test_npz_member_that_does_not_fit_its_header_is_refused(tmp_path, member,
-                                                            reason):
+                                                            deflated, reason):
     path = tmp_path / "h.npz"
     _stored_npz(path, {"entries.npy": member,
-                       "basis_labels.npy": _npy(np.array([]))})
+                       "basis_labels.npy": _npy(np.array([]))}, deflated)
     with pytest.raises(ValueError, match=reason):
         ham.load_hamiltonian(path)
+
+
+def test_deflated_member_that_cannot_inflate_to_its_header_is_refused(
+        tmp_path):
+    import zipfile
+
+    # header and zip64 sizes agree on 8 TiB, which 24 deflated bytes
+    # cannot hold
+    path = tmp_path / "h.npz"
+    member = _huge_npy(1)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr("basis_labels.npy", _npy(np.array([])))
+        archive.writestr("entries.npy", member)
+        archive.filelist[-1].file_size = len(member) - 24 + 8 * 2 ** 40
+    with pytest.raises(ValueError,
+                       match="entries.npy: size does not fit its header"):
+        ham.load_hamiltonian(path)
+
+
+def test_member_whose_data_starts_at_the_end_of_the_file_is_refused(
+        tmp_path):
+    import struct
+    import zipfile
+
+    path = tmp_path / "h.npz"
+    _stored_npz(path, {"basis_labels.npy": _npy(np.array([])),
+                       "entries.npy": _npy(np.eye(2))})
+    raw = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        at = archive.getinfo("entries.npy").header_offset
+    # a copy of the local header becomes the archive comment, the last
+    # bytes of the file, and the central directory points at it
+    local = raw[at:at + 30 + len("entries.npy")]
+    central = raw.rindex(b"entries.npy") - 46
+    end = raw.rindex(b"PK\x05\x06")
+    struct.pack_into("<L", raw, central + 42, len(raw))
+    struct.pack_into("<H", raw, end + 20, len(local))
+    path.write_bytes(raw + local)
+    with pytest.raises(ValueError,
+                       match="entries.npy: size does not fit its header"):
+        ham.load_hamiltonian(path)
+
+
+@pytest.mark.parametrize("past", ["member size", "member offset"])
+def test_archive_past_the_zip32_limit_is_refused_leaving_the_path_alone(
+        tmp_path, monkeypatch, past):
+    import zipfile
+
+    path = tmp_path / "h.npz"
+    ham.save_hamiltonian(ham.DenseHamiltonian(np.eye(3)), path)
+    before = path.read_bytes()
+    # 1000 bytes stand in for 2 GiB: one 3.2 kB matrix passes them, and
+    # so do the members after a 0.8 kB one
+    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1000)
+    dense = ham.DenseHamiltonian(np.eye(20 if past == "member size" else 10))
+    with pytest.raises(ValueError,
+                       match="archive passes 2 GiB; zip64 is not written"):
+        ham.save_hamiltonian(dense, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.npz"]
+    assert path.read_bytes() == before
 
 
 def test_csv_hamiltonian_stays_real_unless_an_entry_is_complex(tmp_path):

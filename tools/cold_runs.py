@@ -7,8 +7,11 @@ command line pays.  For each command the trees alternate, run after run,
 so drift in the host's speed falls on both alike.  The inputs (an
 8-orbital FCIDUMP, a levels file, determinant bitstrings and the dim-784
 matrix of the FCIDUMP's (2,2) sector, not timed) come from ``--seed``;
-each tree runs in a directory of its own, where its own ``ham build``
-writes that matrix, so each tree loads the archive layout it writes.
+each tree runs in a directory of its own, from a copy of its ``src``
+without ``__pycache__``, and its own ``ham build`` writes that matrix
+there, so each tree loads the archive layout it writes.
+``qpe-stats-ham-savez`` loads that archive rewritten member by member by
+``zipfile`` in the layout ``numpy.savez`` writes: stored and unaligned.
 
     python tools/cold_runs.py --src ../parent/src --src src --runs 10
 
@@ -23,11 +26,13 @@ the (3,3) sector of the same FCIDUMP (flip blocks of order 1540 and
 import argparse
 import os
 import random
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import zipfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +45,8 @@ COMMANDS = {
                            "--k", "6"],
     "qpe-stats-levels": ["qpe-stats", "--levels", "levels.csv", "--k", "6"],
     "qpe-stats-ham": ["qpe-stats", "--ham", "h22.npz", "--k", "6"],
+    "qpe-stats-ham-savez": ["qpe-stats", "--ham", "h22-savez.npz", "--k",
+                            "6"],
     "compress": ["compress", "--input", "dets.txt"],
     "ham-build": ["ham", "build", "--fcidump", "h8.fcidump", "--na", "2",
                   "--nb", "2", "--out", "built.npz"],
@@ -71,6 +78,17 @@ def write_inputs(rng, work):
         occupied = set(rng.sample(range(60), 15))
         dets.add("".join("1" if i in occupied else "0" for i in range(60)))
     (work / "dets.txt").write_text("\n".join(sorted(dets)) + "\n")
+
+
+def savez_layout(src, dst):
+    """Rewrite the npz archive ``src`` as ``dst`` the way ``numpy.savez``
+    writes each member: stored, through ``open(name, "w",
+    force_zip64=True)``, so a zip64 extra field and no padding precede the
+    unaligned array data."""
+    with zipfile.ZipFile(src) as old, zipfile.ZipFile(dst, "w") as new:
+        for info in old.infolist():
+            with new.open(info.filename, "w", force_zip64=True) as member:
+                member.write(old.read(info))
 
 
 def run(src, argv, work):
@@ -119,11 +137,19 @@ def main(argv=None):
                  "--commands")
     with tempfile.TemporaryDirectory() as tmp:
         works = [Path(tmp) / str(t) for t in range(len(trees))]
-        for tree, work in zip(trees, works):
-            work.mkdir()
+        for t, work in enumerate(works):
+            # each tree runs from a copy without its __pycache__: with
+            # PYTHONDONTWRITEBYTECODE set, a module whose cache in one tree
+            # is stale is compiled on every run (three such modules cost
+            # about 40 ms and 2.4 MB a run)
+            shutil.copytree(trees[t], work / "src",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            trees[t] = work / "src"
             write_inputs(random.Random(args.seed), work)
-            if "qpe-stats-ham" in names:
-                run(tree, [*COMMANDS["ham-build"][:-1], "h22.npz"], work)
+            if {"qpe-stats-ham", "qpe-stats-ham-savez"} & set(names):
+                run(trees[t], [*COMMANDS["ham-build"][:-1], "h22.npz"],
+                    work)
+                savez_layout(work / "h22.npz", work / "h22-savez.npz")
         print("%-20s %-4s %28s %28s %28s" % (
             "command", "tree", "wall ms: median [q1, q3]",
             "cpu ms: median [q1, q3]", "peak RSS MB: median [q1, q3]"))
