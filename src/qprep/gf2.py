@@ -31,6 +31,15 @@ row of N.  A window forms at most 2**b pairs per row of the smaller half,
 and the search needs memory linear in D, not the |M| x |N| table of all
 pairwise XORs.
 
+Each level clears its top bit, so once the levels above bit 63 are peeled
+every vector lies in word 0.  The levels from bit 63 down run on one flat
+uint64 vector, kept sorted: N is then its tail from the generator on, found
+by one binary search, and the sort that asserts distinctness after the
+replacement restores the order.  Its mex forms every XOR in one broadcast
+when the halves give at most 8192 of them (with the zeros added); there the
+table is small and costs less than the window's searches, and larger halves
+take the window.
+
 The optional check relies on reduction against the collected w vectors
 being linear, since each w's leading bit is its highest bit and no two
 leading bits are equal.  The span then contains v_i ^ v_j exactly when v_i
@@ -190,7 +199,9 @@ def select_substrings(rows):
 
 
 _WINDOW_BITS = 7    # first window [0, 2**7): holds the bench-size mexes
+_ALL_PAIRS = 8192   # the flat mex forms up to this many XORs at once
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+_ZERO = np.zeros(1, dtype=np.uint64)
 
 
 def _row_keys(rows, shift):
@@ -221,49 +232,78 @@ def _distinct_rows(a):
     return not (a[1:] == a[:-1]).all(axis=1).any()
 
 
+def _window_pairs(keys, first, last):
+    """Index pairs (i, j) with first[j] <= keys[i] <= last[j], keys sorted."""
+    lo = np.searchsorted(keys, first, side="left")
+    count = np.searchsorted(keys, last, side="right") - lo
+    j = np.repeat(np.arange(len(first)), count)
+    i = np.arange(len(j)) + (lo - np.cumsum(count) + count)[j]
+    return i, j
+
+
+def _window_mex(x, size):
+    """Least integer in [0, size) outside ``x``, or None if there is none."""
+    seen = np.zeros(size, dtype=bool)
+    seen[x] = True
+    mex = int(np.argmin(seen))
+    return None if seen[mex] else mex
+
+
+def _flat_mex(M, N):
+    """Least integer outside {0} | M | N | {m ^ n}, for uint64 vectors.
+
+    With a zero added to M and to N, that set is {m ^ n} alone.  When those
+    XORs number at most ``_ALL_PAIRS``, all are formed in one broadcast:
+    they take at most that many values, so the mex is at most their count
+    and a window one longer holds it.  Larger halves take the doubling
+    window that :func:`_forbidden_mex` describes, with M, sorted once, as
+    its keys: the pairs of n in window [0, 2**b) are the m in
+    [n & ~(2**b - 1), n | (2**b - 1)].
+    """
+    M = np.concatenate([_ZERO, M])
+    N = np.concatenate([_ZERO, N])
+    pairs = len(M) * len(N)
+    if pairs <= _ALL_PAIRS:
+        x = np.minimum(M[:, None] ^ N, np.uint64(pairs + 1))
+        return _window_mex(x.ravel(), pairs + 2)
+    M.sort()
+    b = _WINDOW_BITS
+    while True:
+        low = np.uint64((1 << b) - 1)
+        i, j = _window_pairs(M, N & ~low, N | low)
+        mex = _window_mex(M[i] ^ N[j], 1 << b)
+        if mex is not None:
+            return mex
+        b += 1
+
+
 def _forbidden_mex(M, N):
-    """Least integer outside {0} | M | N | {m ^ n}, for packed row sets.
+    """Least integer outside {0} | M | N | {m ^ n}, for rows of two or more
+    packed words.
 
     With a zero row added to M and to N, that set is {m ^ n} alone.  The
     mex is searched in a window [0, 2**b) that doubles while it is full.
     m ^ n lies in the window exactly when m and n agree on every bit from
-    b up, so only those pairs are formed: M is sorted by its bits above b
-    and each row of N finds its matches by binary search.  For a fixed v
-    each m has at most one partner n = m ^ v, so a window forms at most
-    2**b * (1 + min(|M|, |N|)) pairs, not (1 + |M|)(1 + |N|).  One-word
-    rows are sorted once, since their order fixes the order of every
-    window's keys.  Longer rows are matched by :func:`_row_keys`, and a
-    pair that a shared key joined by chance differs in a higher word: its
-    XOR is dropped.
+    b up, so only those pairs are formed: M is sorted by the
+    :func:`_row_keys` of its bits above b and each row of N finds its
+    matches by binary search.  For a fixed v each m has at most one partner
+    n = m ^ v, so a window forms at most 2**b * (1 + min(|M|, |N|)) pairs,
+    not (1 + |M|)(1 + |N|).  A pair that a shared key joined by chance
+    differs in a higher word: its XOR is dropped.
     """
     zero = np.zeros((1, M.shape[1]), dtype=np.uint64)
     M = np.concatenate([zero, M])
     N = np.concatenate([zero, N])
-    one_word = M.shape[1] == 1
-    if one_word:
-        M = np.sort(M, axis=0)
     b = _WINDOW_BITS
     while True:
-        size = 1 << b
-        if one_word:
-            low = np.uint64(size - 1)
-            keys, first, last = M[:, 0], N[:, 0] & ~low, N[:, 0] | low
-        else:
-            keys = _row_keys(M, b)
-            order = np.argsort(keys)
-            M, keys = M[order], keys[order]
-            first = last = _row_keys(N, b)
-        lo = np.searchsorted(keys, first, side="left")
-        count = np.searchsorted(keys, last, side="right") - lo
-        j = np.repeat(np.arange(len(N)), count)
-        i = np.arange(len(j)) + (lo - np.cumsum(count) + count)[j]
+        keys = _row_keys(M, b)
+        order = np.argsort(keys)
+        M, keys = M[order], keys[order]
+        first = _row_keys(N, b)
+        i, j = _window_pairs(keys, first, first)
         x = M[i] ^ N[j]
-        if not one_word:
-            x = x[~x[:, 1:].any(axis=1)]
-        seen = np.zeros(size, dtype=bool)
-        seen[x[:, 0]] = True
-        mex = int(np.argmin(seen))
-        if not seen[mex]:
+        mex = _window_mex(x[~x[:, 1:].any(axis=1), 0], 1 << b)
+        if mex is not None:
             return mex
         b += 1
 
@@ -316,9 +356,9 @@ def find_signature_vectors(cur, r, check, stats):
         raise AssertionError("coordinate map lost distinctness")
 
     search_counts = []
-    w_echelon = []                         # (leading bit, w) pairs, low first
+    ws = []                                # w = top | cand, top level first
     snapshots = []                         # each level's vectors, for check
-    for level in range(r, m, -1):
+    for level in range(r, max(m, 64), -1):
         word, bit = divmod(level - 1, 64)
         top = np.uint64(1) << np.uint64(bit)
         rest = cur[:, :word + 1].copy()    # higher words are zero by now
@@ -334,23 +374,48 @@ def find_signature_vectors(cur, r, check, stats):
         search_counts.append(cand + 1)
         if check:
             snapshots.append(cur.copy())
+        ws.append(1 << (level - 1) | cand)
         w = np.zeros(cur.shape[1], dtype=np.uint64)
         w[word] = top
         w[0] |= np.uint64(cand)
-        w_echelon.insert(0, (level - 1, w))
         cur[has_top] ^= w                  # top -> cand, top ^ n -> cand ^ n
         if not _distinct_rows(cur[:, :word + 1]):
             raise AssertionError("replacement collapsed the vector set")
 
+    # From bit 63 down every vector lies in word 0: the same steps on one
+    # flat word, kept in ascending order.  The vectors with the top bit are
+    # then a tail that starts at the generator, whose cleared copy 0 stays
+    # in N, and the sort that asserts distinctness restores the order.
+    v = np.sort(cur[:, 0])
+    for level in range(min(r, 64), m, -1):
+        top = np.uint64(1 << (level - 1))
+        k = int(np.searchsorted(v, top))
+        if k == len(v) or v[k] != top:
+            raise AssertionError("generator e_%d missing at level %d"
+                                 % (level - 1, level))
+        cand = _flat_mex(v[:k], v[k:] ^ top)
+        if cand >= 1 << (level - 1):
+            raise AssertionError("candidate search exhausted at level %d" % level)
+        search_counts.append(cand + 1)
+        if check:
+            cur[:, 0] = v
+            snapshots.append(cur.copy())
+        ws.append(1 << (level - 1) | cand)
+        v[k:] ^= top | np.uint64(cand)
+        v.sort()
+        if (v[1:] == v[:-1]).any():
+            raise AssertionError("replacement collapsed the vector set")
+
+    ws.reverse()                           # lowest lead first
     if check:
-        _check_kernel_avoidance(snapshots, w_echelon)
+        _check_kernel_avoidance(snapshots, list(zip(
+            (w.bit_length() - 1 for w in ws), _pack_rows(ws, r))))
 
     if stats is not None:
         stats["search_counts"] = search_counts
 
     # The u-vectors span the nullspace of the w's.
-    U = _nullspace([int.from_bytes(w.tobytes(), "little")
-                    for _, w in w_echelon], r)
+    U = _nullspace(ws, r)
     if len(U) != m:
         raise AssertionError("nullspace dimension %d != %d" % (len(U), m))
     return U

@@ -763,9 +763,9 @@ def npz_archive(path):
     The file is mapped read-only.  A stored member with a version 1.0
     header whose array data starts at a multiple of ``_ALIGN`` bytes (each
     one :func:`save_npz` writes) comes back as a read-only view of the
-    map; any other member (``np.savez`` writes them unaligned, and
-    ``np.savez_compressed`` deflated) is read through zipfile into a new
-    array.
+    map; any other stored or deflated member (``np.savez`` writes them
+    unaligned, and ``np.savez_compressed`` deflated) is read through
+    zipfile into a new array.  Any other compression is refused.
     """
     with open(path, "rb") as f:
         if f.read(4) not in _ZIP_MAGIC:
@@ -787,7 +787,15 @@ def _read_member(view, archive, info):
     that header, before anything is allocated.  An aligned stored member
     is then checked by CRC-32, header bytes included, over the mapped
     bytes and viewed in place; any other is read from its zipfile stream,
-    which checks the CRC-32 at its end, ``_CHUNK`` bytes at a time."""
+    which checks the CRC-32 at its end, ``_CHUNK`` bytes at a time.  A
+    member neither stored nor deflated is refused before its stream is
+    opened: an LZMA or bzip2 member has no bound on what it may claim to
+    inflate to."""
+    if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+        raise ValueError("%s: only stored and deflated members are read, "
+                         "not %s" % (info.filename, zipfile.compressor_names
+                                     .get(info.compress_type,
+                                          info.compress_type)))
     local = view[info.header_offset:info.header_offset + _ZIP_LOCAL_SIZE]
     if len(local) != _ZIP_LOCAL_SIZE or local[:4] != b"PK\x03\x04":
         raise ValueError("Bad magic number for file header")

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.special import ive, ndtr
 
 from .hamiltonian import AffineNormalizer
 from .leakage import LeakageSetup, leak_prob_exact
@@ -86,6 +85,7 @@ def erf_chebyshev(k_steep, n):
         raise ValueError("the approximant degree must be odd")
     if k_steep <= 0:
         raise ValueError("steepness must be positive")
+    from scipy.special import ive          # at first use: scipy is slow to import
     half = k_steep ** 2 / 2
     pref = 2 * k_steep / math.sqrt(math.pi)
     coeffs = np.zeros(n + 1)
@@ -255,6 +255,7 @@ def gaussian_levels(mean=0.06, sigma=0.02, n_levels=4096):
     """Point-mass version of a Gaussian: CDF differences on equal bins."""
     if not (math.isfinite(mean) and math.isfinite(sigma) and sigma > 0):
         raise ValueError("a Gaussian needs a finite mean and sigma > 0")
+    from scipy.special import ndtr         # at first use: scipy is slow to import
     edges = np.linspace(mean - 6 * sigma, mean + 6 * sigma, n_levels + 1)
     mass = np.diff(ndtr((edges - mean) / sigma))
     mass /= mass.sum()

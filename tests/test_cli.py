@@ -851,6 +851,26 @@ def test_damaged_npz_is_an_input_error(tmp_path, capsys, damage, reason):
                                   "--state", str(state), "--k", "4"], reason)
 
 
+@pytest.mark.parametrize("compression", ["ZIP_LZMA", "ZIP_BZIP2"])
+def test_lzma_or_bzip2_member_is_an_input_error(tmp_path, capsys,
+                                                compression):
+    import io
+    import zipfile
+
+    # the .npy header and the zip64 size agree on 2**40 float64: read, the
+    # member would be allocated 8 TiB before its stream runs short
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (2 ** 40,)})
+    member = header.getvalue() + bytes(24)
+    bad = tmp_path / "bad.npz"
+    with zipfile.ZipFile(bad, "w", getattr(zipfile, compression)) as archive:
+        archive.writestr("entries.npy", member)
+        archive.filelist[-1].file_size = len(member) - 24 + 8 * 2 ** 40
+    _refused_naming(capsys, bad, ["qpe-stats", "--ham", str(bad), "--k", "4"],
+                    "entries.npy: ")
+
+
 def test_payload_past_the_end_of_the_file_is_an_input_error(tmp_path,
                                                            capsys):
     import struct

@@ -209,6 +209,18 @@ def test_derived_against_randomized_oracle():
         assert U is not None, "oracle found no signature matrix of this size"
 
 
+@pytest.mark.parametrize("r", [10, 64, 70])
+def test_missing_generator_is_asserted(r):
+    # every unit vector but the top one, which a top-bit vector stands in
+    # for: the first level, flat from r = 64 down, finds no generator
+    top = 1 << (r - 1)
+    vecs = [1 << k for k in range(r - 1)] + [top | 1, top | 2]
+    cur = gf2._pack_rows(vecs, r)
+    with pytest.raises(AssertionError,
+                       match="generator e_%d missing at level %d" % (r - 1, r)):
+        gf2.find_signature_vectors(cur, r, False, None)
+
+
 def test_search_budget_per_step():
     rng = np.random.default_rng(5)
     for _ in range(80):
@@ -256,6 +268,10 @@ def _random_tilde(rng, d, width):
 @pytest.mark.parametrize("d,width,words", [
     (3, 8, 1), (4, 8, 1), (5, 8, 1), (17, 24, 1), (64, 60, 1),
     (128, 100, 2), (256, 150, 3),
+    # r = 64 runs wholly on the flat word, r = 65 peels one two-word level
+    # first; at D = 190 the flat halves give 7280 to 8640 XORs, on both
+    # sides of the all-pairs bound
+    (100, 64, 1), (100, 65, 2), (190, 70, 2),
 ])
 def test_signature_search_matches_set_oracle(d, width, words, check):
     rng = np.random.default_rng(1000 * d + width)
@@ -346,6 +362,17 @@ def _mex_cases(rng, n_words):
     yield [], []
     yield [5], []
     yield [], [1, 2]
+    if n_words == 1:
+        # halves of (|M| + 1)(|N| + 1) XORs at the flat all-pairs bound and
+        # one row past it
+        cols = 64
+        for extra in (0, 1):
+            yield (rng.choice(np.arange(1, 600), gf2._ALL_PAIRS // cols - 1
+                              + extra, replace=False).tolist(),
+                   rng.choice(np.arange(1, 600), cols - 1,
+                              replace=False).tolist())
+        # past the bound with the mex 301: the window doubles twice
+        yield list(range(1, 301)), list(range(512, 560))
     # rows equal above the window in word 0, different in a higher word
     for h in high:
         yield [3, 5 | h, 9, h], [6 | h, 12, 17 | h, 1 | h]
@@ -386,8 +413,12 @@ def test_forbidden_mex_matches_set_mex(n_words):
     rng = np.random.default_rng(n_words)
     mexes = set()
     for M, N in _mex_cases(rng, n_words):
-        got = gf2._forbidden_mex(_pack_ints(M, n_words),
-                                 _pack_ints(N, n_words))
+        if n_words == 1:
+            got = gf2._flat_mex(np.array(M, dtype=np.uint64),
+                                np.array(N, dtype=np.uint64))
+        else:
+            got = gf2._forbidden_mex(_pack_ints(M, n_words),
+                                     _pack_ints(N, n_words))
         assert got == _set_mex(M, N), (M, N)
         mexes.add(got)
     assert max(mexes) > 256                # the window has doubled twice

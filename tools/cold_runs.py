@@ -48,6 +48,8 @@ COMMANDS = {
     "qpe-stats-ham-savez": ["qpe-stats", "--ham", "h22-savez.npz", "--k",
                             "6"],
     "compress": ["compress", "--input", "dets.txt"],
+    "refine-cqpe-levels": ["refine", "cqpe", "--levels", "levels.csv", "--k",
+                           "6", "--accept", "3"],
     "ham-build": ["ham", "build", "--fcidump", "h8.fcidump", "--na", "2",
                   "--nb", "2", "--out", "built.npz"],
     "ham-build-3136": ["ham", "build", "--fcidump", "h8.fcidump", "--na",
