@@ -433,12 +433,13 @@ def _load_measure(args):
 def cmd_compress(args):
     from .gf2 import compress
 
-    with open(args.input, encoding="utf-8") as fh:
-        dets = [line.strip() for line in fh
-                if line.strip() and not line.lstrip().startswith("#")]
-    if not dets:
-        raise ValueError(f"{args.input}: no determinant bitstrings found")
-    smap = compress(dets, check=args.check)
+    with _refusals_naming(args.input):
+        with open(args.input, encoding="utf-8") as fh:
+            dets = [line.strip() for line in fh
+                    if line.strip() and not line.lstrip().startswith("#")]
+        if not dets:
+            raise ValueError("no determinant bitstrings found")
+        smap = compress(dets, check=args.check)
     _emit_json(smap.as_dict(), args)
     return EXIT_OK
 

@@ -19,26 +19,28 @@ carries its u-vectors back to positions.  The nullspace of the collected
 w's (below) comes from the same elimination.
 
 The signature-vector search peels one dimension per level.  It keeps the D
-vectors packed into rows of uint64 words (bit k in word k // 64), splits
-them into the half M without the level's top bit and the half N with it
-removed, and takes as candidate the mex, the least integer outside
-{0} | M | N | {m ^ n}.  The mex is small next to |M||N| (below 128 for the
-256 x 120 and 512 x 80 inputs of the benchmark), so it is sought in a
+vectors as columns of uint64 words (bit k in word k // 64), sorted
+lexicographically with the top word first.  The vectors with the level's
+top bit are then a tail that starts at the generator, found by one binary
+search on the top word; with the bit cleared the tail is the half N, the
+rest the half M.  The candidate is the mex, the least integer outside
+{0} | M | N | {m ^ n}, and XORing top | candidate into the tail and one
+sort restore the order; the sort's neighbour compare asserts that the
+vectors stay distinct.  The mex is small next to |M||N| (below 128 for
+the 256 x 120 and 512 x 80 inputs of the benchmark), so it is sought in a
 window [0, 2**b), b = 7 at first, that doubles while it is full.  A XOR
 m ^ n lands in the window only if m and n agree on every bit from b up, so
-those pairs are found by sorting M on these bits and searching it for each
-row of N.  A window forms at most 2**b pairs per row of the smaller half,
-and the search needs memory linear in D, not the |M| x |N| table of all
-pairwise XORs.
+those pairs are joined on a key of these bits: a hash of the words above
+word 0, XORed with word 0 >> b.  A window forms at most 2**b pairs per
+column of the smaller half, and the search needs memory linear in D, not
+the |M| x |N| table of all pairwise XORs.
 
 Each level clears its top bit, so once the levels above bit 63 are peeled
-every vector lies in word 0.  The levels from bit 63 down run on one flat
-uint64 vector, kept sorted: N is then its tail from the generator on, found
-by one binary search, and the sort that asserts distinctness after the
-replacement restores the order.  Its mex forms every XOR in one broadcast
-when the halves give at most 8192 of them (with the zeros added); there the
-table is small and costs less than the window's searches, and larger halves
-take the window.
+every vector lies in word 0, and the levels from bit 63 down run on that
+one sorted word.  There the window's pairs are those of a range search
+on M, sorted once, and when the halves give at most 8192 XORs (with the
+zeros added) the mex forms all of them in one broadcast instead: there
+the table is small and costs less than the window's searches.
 
 The optional check relies on reduction against the collected w vectors
 being linear, since each w's leading bit is its highest bit and no two
@@ -204,40 +206,43 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 _ZERO = np.zeros(1, dtype=np.uint64)
 
 
-def _row_keys(rows, shift):
-    """One uint64 per packed row, equal for rows that agree on every bit
-    from ``shift`` up.
+def _high_keys(cols):
+    """One uint64 per column of ``cols`` (word k in row k), a hash of its
+    words from 1 up.
 
-    A one-word row's key is its shifted word.  Longer rows XOR each further
-    word into a bijective mix (multiply by an odd constant, xorshift) of
-    the key so far, so rows that agree on words 1 and up share a key only
-    if they agree on word 0 from ``shift`` up; rows that differ in a higher
-    word may share a key by chance.
+    Each of those words is XORed into the key, which is then mixed
+    bijectively (multiply by an odd constant, xorshift).  So the key of a
+    two-word column is a bijection of word 1, and columns of more words
+    that differ above word 1 may share a key by chance.
     """
-    key = rows[:, 0] >> np.uint64(shift)
-    for k in range(1, rows.shape[1]):
-        key = key * _MIX
-        key ^= (key >> np.uint64(32)) ^ rows[:, k]
+    key = np.uint64(0)
+    for word in cols[1:]:
+        key = (key ^ word) * _MIX
+        key ^= key >> np.uint64(32)
     return key
+
+
+def _sort_columns(c):
+    """The columns of ``c`` (word k in row k) in lexicographic order, top
+    word first, and whether they are pairwise distinct."""
+    c = c.take(np.lexsort(c), axis=1)
+    same = c[0, 1:] == c[0, :-1]           # neighbours equal so far
+    for row in c[1:]:
+        same &= row[1:] == row[:-1]
+    return c, not same.any()
 
 
 def _distinct_rows(a):
     """True iff the packed rows of ``a`` are pairwise distinct."""
-    keys = np.sort(_row_keys(a, 0))
-    if not (keys[1:] == keys[:-1]).any():
-        return True
-    if a.shape[1] == 1:
-        return False
-    a = a[np.lexsort(a.T)]                 # a shared key may be a collision
-    return not (a[1:] == a[:-1]).all(axis=1).any()
+    return _sort_columns(a.T)[1]
 
 
 def _window_pairs(keys, first, last):
     """Index pairs (i, j) with first[j] <= keys[i] <= last[j], keys sorted."""
-    lo = np.searchsorted(keys, first, side="left")
-    count = np.searchsorted(keys, last, side="right") - lo
-    j = np.repeat(np.arange(len(first)), count)
-    i = np.arange(len(j)) + (lo - np.cumsum(count) + count)[j]
+    lo = keys.searchsorted(first, "left")
+    count = keys.searchsorted(last, "right") - lo
+    j = np.arange(len(first)).repeat(count)
+    i = np.arange(len(j)) + (lo - count.cumsum() + count)[j]
     return i, j
 
 
@@ -245,7 +250,7 @@ def _window_mex(x, size):
     """Least integer in [0, size) outside ``x``, or None if there is none."""
     seen = np.zeros(size, dtype=bool)
     seen[x] = True
-    mex = int(np.argmin(seen))
+    mex = int(seen.argmin())
     return None if seen[mex] else mex
 
 
@@ -256,8 +261,8 @@ def _flat_mex(M, N):
     XORs number at most ``_ALL_PAIRS``, all are formed in one broadcast:
     they take at most that many values, so the mex is at most their count
     and a window one longer holds it.  Larger halves take the doubling
-    window that :func:`_forbidden_mex` describes, with M, sorted once, as
-    its keys: the pairs of n in window [0, 2**b) are the m in
+    window that :func:`_word_mex` describes, with M, sorted once, as its
+    keys: the pairs of n in window [0, 2**b) are the m in
     [n & ~(2**b - 1), n | (2**b - 1)].
     """
     M = np.concatenate([_ZERO, M])
@@ -277,32 +282,33 @@ def _flat_mex(M, N):
         b += 1
 
 
-def _forbidden_mex(M, N):
-    """Least integer outside {0} | M | N | {m ^ n}, for rows of two or more
-    packed words.
+def _word_mex(M, N):
+    """Least integer outside {0} | M | N | {m ^ n}, for vectors of two or
+    more uint64 words held as columns (word k in row k).
 
-    With a zero row added to M and to N, that set is {m ^ n} alone.  The
+    With a zero column added to M and to N, that set is {m ^ n} alone.  The
     mex is searched in a window [0, 2**b) that doubles while it is full.
-    m ^ n lies in the window exactly when m and n agree on every bit from
-    b up, so only those pairs are formed: M is sorted by the
-    :func:`_row_keys` of its bits above b and each row of N finds its
-    matches by binary search.  For a fixed v each m has at most one partner
-    n = m ^ v, so a window forms at most 2**b * (1 + min(|M|, |N|)) pairs,
-    not (1 + |M|)(1 + |N|).  A pair that a shared key joined by chance
-    differs in a higher word: its XOR is dropped.
+    m ^ n lies in the window exactly when m and n agree on their words from
+    1 up and on word 0 from bit b up, so only those pairs are formed: they
+    are joined on the key ``_high_keys ^ (word 0 >> b)``, M's keys sorted
+    and searched for each key of N.  The higher words' keys are the same
+    in every window and are mixed once.  For a fixed v each m has at most
+    one partner n = m ^ v, so a window forms at most 2**b * (1 + min(|M|,
+    |N|)) pairs, not (1 + |M|)(1 + |N|).  A pair that a chance collision of
+    the higher words' keys joined differs in a higher word and is dropped.
     """
-    zero = np.zeros((1, M.shape[1]), dtype=np.uint64)
-    M = np.concatenate([zero, M])
-    N = np.concatenate([zero, N])
+    zero = np.zeros((len(M), 1), dtype=np.uint64)
+    both = np.concatenate([zero, M, zero, N], axis=1)
+    k = M.shape[1] + 1                     # M's columns come first
+    high = _high_keys(both)
     b = _WINDOW_BITS
     while True:
-        keys = _row_keys(M, b)
-        order = np.argsort(keys)
-        M, keys = M[order], keys[order]
-        first = _row_keys(N, b)
-        i, j = _window_pairs(keys, first, first)
-        x = M[i] ^ N[j]
-        mex = _window_mex(x[~x[:, 1:].any(axis=1), 0], 1 << b)
+        keys = high ^ (both[0] >> np.uint64(b))
+        order = keys[:k].argsort()
+        i, j = _window_pairs(keys[order], keys[k:], keys[k:])
+        i, j = order[i], j + k
+        x = both.take(i, axis=1) ^ both.take(j, axis=1)
+        mex = _window_mex(x[0, ~x[1:].any(axis=0)], 1 << b)
         if mex is not None:
             return mex
         b += 1
@@ -342,17 +348,23 @@ def find_signature_vectors(cur, r, check, stats):
 
     ``cur`` holds D >= 3 distinct vectors of r > m = 2*ceil(log2 D) - 1
     bits, among them every unit vector e_k, packed into rows of uint64
-    words (bit k in word k // 64); it is overwritten.  Returns m vectors of
-    r bits as integers.  Stacked into a matrix U, the map v -> U v over
-    GF(2) sends the D vectors to mutually distinct signatures; its kernel
-    avoids every pairwise difference and every nonzero vector.
+    words (bit k in word k // 64).  Returns m vectors of r bits as
+    integers.  Stacked into a matrix U, the map v -> U v over GF(2) sends
+    the D vectors to mutually distinct signatures; its kernel avoids every
+    pairwise difference and every nonzero vector.
 
     When ``check`` is true, the kernel-avoidance properties are asserted at
     every step of the inductive construction.  ``stats``, if a dict,
     receives per-step candidate-scan counts under ``"search_counts"``.
     """
     m = signature_length(len(cur))
-    if not _distinct_rows(cur):
+    # The vectors as columns, word k in row k, kept in lexicographic order,
+    # top word first.  The vectors with a level's top bit are then a tail
+    # that starts at the generator, whose cleared copy 0 stays in N, and
+    # the sort that asserts distinctness after the replacement restores
+    # the order.
+    c, distinct = _sort_columns(cur.T)
+    if not distinct:
         raise AssertionError("coordinate map lost distinctness")
 
     search_counts = []
@@ -360,36 +372,33 @@ def find_signature_vectors(cur, r, check, stats):
     snapshots = []                         # each level's vectors, for check
     for level in range(r, max(m, 64), -1):
         word, bit = divmod(level - 1, 64)
+        a = c[:word + 1]                   # higher words are zero by now
         top = np.uint64(1) << np.uint64(bit)
-        rest = cur[:, :word + 1].copy()    # higher words are zero by now
-        has_top = (rest[:, word] & top) != 0
-        rest[:, word] &= ~top              # the vectors with top cleared
-        is_top = has_top & ~rest.any(axis=1)
-        if not is_top.any():
+        k = int(a[word].searchsorted(top))
+        if k == len(cur) or a[word, k] != top or a[:word, k].any():
             raise AssertionError("generator e_%d missing at level %d"
                                  % (level - 1, level))
-        cand = _forbidden_mex(rest[~has_top], rest[has_top & ~is_top])
+        if check:
+            snapshots.append(c.T.copy())
+        tail = a[:, k:]
+        tail[word] ^= top                  # N, the tail with top cleared
+        cand = _word_mex(a[:, :k], tail)
         if cand >= 1 << (level - 1):
             raise AssertionError("candidate search exhausted at level %d" % level)
         search_counts.append(cand + 1)
-        if check:
-            snapshots.append(cur.copy())
         ws.append(1 << (level - 1) | cand)
-        w = np.zeros(cur.shape[1], dtype=np.uint64)
-        w[word] = top
-        w[0] |= np.uint64(cand)
-        cur[has_top] ^= w                  # top -> cand, top ^ n -> cand ^ n
-        if not _distinct_rows(cur[:, :word + 1]):
-            raise AssertionError("replacement collapsed the vector set")
+        tail[0] ^= np.uint64(cand)         # top -> cand, top ^ n -> cand ^ n
+        a[:], distinct = _sort_columns(a)
+        if not distinct:
+            raise AssertionError("replacement collapsed the vector set at "
+                                 "level %d" % level)
 
-    # From bit 63 down every vector lies in word 0: the same steps on one
-    # flat word, kept in ascending order.  The vectors with the top bit are
-    # then a tail that starts at the generator, whose cleared copy 0 stays
-    # in N, and the sort that asserts distinctness restores the order.
-    v = np.sort(cur[:, 0])
+    # From bit 63 down every vector lies in word 0: the same steps on that
+    # one word, already in order.
+    v = c[0]
     for level in range(min(r, 64), m, -1):
         top = np.uint64(1 << (level - 1))
-        k = int(np.searchsorted(v, top))
+        k = int(v.searchsorted(top))
         if k == len(v) or v[k] != top:
             raise AssertionError("generator e_%d missing at level %d"
                                  % (level - 1, level))
@@ -398,13 +407,13 @@ def find_signature_vectors(cur, r, check, stats):
             raise AssertionError("candidate search exhausted at level %d" % level)
         search_counts.append(cand + 1)
         if check:
-            cur[:, 0] = v
-            snapshots.append(cur.copy())
+            snapshots.append(c.T.copy())
         ws.append(1 << (level - 1) | cand)
         v[k:] ^= top | np.uint64(cand)
         v.sort()
         if (v[1:] == v[:-1]).any():
-            raise AssertionError("replacement collapsed the vector set")
+            raise AssertionError("replacement collapsed the vector set at "
+                                 "level %d" % level)
 
     ws.reverse()                           # lowest lead first
     if check:

@@ -343,6 +343,15 @@ def mps_to_sos(state, threshold, term_budget=1_000_000):
     return SosState(2 * n, found)
 
 
+def _term_digits(terms, n_sites):
+    """``digits[t, j]``, the physical digit 2 * n_alpha + n_beta of term t's
+    occupation at site j."""
+    bits = np.frombuffer("".join(occ for _, occ in terms).encode("ascii"),
+                         dtype=np.uint8) - np.uint8(ord("0"))
+    return (bits.reshape(len(terms), n_sites, 2)
+            @ np.array([2, 1], dtype=np.uint8))
+
+
 def _add_terms(tensors, amps, digits):
     """Tensors of an MPS plus a block of weighted determinants.
 
@@ -384,9 +393,7 @@ def sos_to_mps(state, chi_max):
     n = state.n_spin_orbitals // 2
     order = sorted(state.terms, key=lambda t: (-abs(t[0]), t[1]))
     amps = np.array([amp for amp, _ in order], dtype=complex)
-    bits = np.frombuffer("".join(occ for _, occ in order).encode("ascii"),
-                         dtype=np.uint8) - np.uint8(ord("0"))
-    digits = bits.reshape(len(order), n, 2) @ np.array([2, 1], dtype=np.uint8)
+    digits = _term_digits(order, n)
     # the empty sum: bond dimension 0 between sites
     acc = [np.zeros((int(j == 0), 4, int(j == n - 1)), dtype=complex)
            for j in range(n)]
@@ -411,8 +418,8 @@ def overlap(a, b):
     """Inner product <a|b> between any mix of SOS and MPS states.
 
     Evaluated without dense statevectors: determinant dictionaries for
-    SOS-SOS, transfer-matrix contraction for MPS-MPS, and per-determinant
-    amplitude extraction for the mixed case.
+    SOS-SOS, transfer-matrix contraction for MPS-MPS, and for the mixed
+    case all determinants' amplitudes at once, site by site.
     """
     if isinstance(a, SosState) and isinstance(b, SosState):
         if a.n_spin_orbitals != b.n_spin_orbitals:
@@ -431,8 +438,18 @@ def overlap(a, b):
     if isinstance(a, SosState) and isinstance(b, MpsState):
         if b.local_dim != 4 or 2 * b.n_sites != a.n_spin_orbitals:
             raise ValueError("MPS does not match the spin-orbital count")
-        return complex(sum(np.conj(amp) * b.amplitude(occ)
-                           for amp, occ in a.terms))
+        # each determinant carries its row vector conj(amp) A_0[d_0] ...
+        # A_j[d_j] from site to site; the determinants with one digit share
+        # one matrix product, and the rows take terms x bond memory
+        digits = _term_digits(a.terms, b.n_sites)
+        rows = np.conj([amp for amp, _ in a.terms])[:, None]
+        for j, t in enumerate(b.tensors):
+            out = np.empty((len(rows), t.shape[2]), dtype=complex)
+            for d in range(4):
+                sel = digits[:, j] == d
+                out[sel] = rows[sel] @ t[:, d, :]
+            rows = out
+        return complex(rows.sum())
     if isinstance(a, MpsState) and isinstance(b, SosState):
         return complex(np.conj(overlap(b, a)))
     raise TypeError("overlap expects SosState or MpsState arguments")

@@ -1098,17 +1098,25 @@ def test_compress_command(tmp_path, capsys):
     ("0110\n01a0\n", "bitstring 2 ('01a0')"),
     ("0110\n011\n1100\n", "bitstring 2 ('011') has 3 characters"),
     ("0112\n", "bitstring 1 ('0112')"),
+    ("1 0\n", "bitstring 1 ('1 0')"),
+    ("0110\n0110\n", "not pairwise distinct"),
+    ("\n", "no determinant bitstrings found"),
+    (b"\xff0110\n", "can't decode byte 0xff in position 0"),
 ])
 @pytest.mark.parametrize("check", [False, True])
 def test_malformed_compress_input_is_an_input_error(tmp_path, capsys, lines,
                                                      named, check):
+    # every refusal names the file, a non-UTF-8 one included
     dets = tmp_path / "dets.txt"
-    dets.write_text("# comment\n" + lines)
+    if isinstance(lines, bytes):
+        dets.write_bytes(lines)
+    else:
+        dets.write_text("# comment\n" + lines)
     argv = ["compress", "--input", str(dets)] + (["--check"] if check else [])
     code = cli.dispatch(argv)
     captured = capsys.readouterr()
     assert code == cli.EXIT_INPUT
-    assert named in captured.err
+    assert f"{dets}: " in captured.err and named in captured.err
     assert captured.out == ""
 
 

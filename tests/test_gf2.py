@@ -209,16 +209,44 @@ def test_derived_against_randomized_oracle():
         assert U is not None, "oracle found no signature matrix of this size"
 
 
-@pytest.mark.parametrize("r", [10, 64, 70])
+@pytest.mark.parametrize("r", [10, 64, 70, 130])
 def test_missing_generator_is_asserted(r):
     # every unit vector but the top one, which a top-bit vector stands in
-    # for: the first level, flat from r = 64 down, finds no generator
+    # for: the first level, flat from r = 64 down and on two or three word
+    # columns above, finds no generator
     top = 1 << (r - 1)
     vecs = [1 << k for k in range(r - 1)] + [top | 1, top | 2]
     cur = gf2._pack_rows(vecs, r)
     with pytest.raises(AssertionError,
                        match="generator e_%d missing at level %d" % (r - 1, r)):
         gf2.find_signature_vectors(cur, r, False, None)
+
+
+@pytest.mark.parametrize("r,mex", [(10, "_flat_mex"), (70, "_word_mex")],
+                         ids=["flat", "words"])
+@pytest.mark.parametrize("cand,check,match", [
+    (1 << 200, False, "candidate search exhausted at level %d"),
+    (1, False, "replacement collapsed the vector set at level %d"),
+    (3, True, "kernel contains a substring"),
+], ids=["exhausted", "collapsed", "kernel"])
+def test_bad_first_candidate_is_asserted(monkeypatch, r, mex, cand, check,
+                                         match):
+    # the first level's mex replaced by one past the level's bits, by one
+    # that maps the generator onto e_0, and by one that keeps the vectors
+    # distinct but leaves the substring e_top + e_1 + e_0 in the kernel;
+    # the later levels search as usual, and the first two are caught at
+    # the first level
+    vecs = [1 << k for k in range(r)] + [1 << (r - 1) | 3]
+    calls, search = [], getattr(gf2, mex)
+
+    def first_bad(M, N):
+        calls.append(1)
+        return cand if len(calls) == 1 else search(M, N)
+
+    monkeypatch.setattr(gf2, mex, first_bad)
+    with pytest.raises(AssertionError, match=match.replace("%d", str(r))):
+        gf2.find_signature_vectors(gf2._pack_rows(vecs, r), r, check, None)
+    assert calls
 
 
 def test_search_budget_per_step():
@@ -270,8 +298,9 @@ def _random_tilde(rng, d, width):
     (128, 100, 2), (256, 150, 3),
     # r = 64 runs wholly on the flat word, r = 65 peels one two-word level
     # first; at D = 190 the flat halves give 7280 to 8640 XORs, on both
-    # sides of the all-pairs bound
-    (100, 64, 1), (100, 65, 2), (190, 70, 2),
+    # sides of the all-pairs bound; r = 128 fills two words, r = 129 peels
+    # one three-word level first
+    (100, 64, 1), (100, 65, 2), (190, 70, 2), (200, 128, 2), (200, 129, 3),
 ])
 def test_signature_search_matches_set_oracle(d, width, words, check):
     rng = np.random.default_rng(1000 * d + width)
@@ -377,10 +406,10 @@ def _mex_cases(rng, n_words):
     for h in high:
         yield [3, 5 | h, 9, h], [6 | h, 12, 17 | h, 1 | h]
         yield [h | v for v in range(1, 200)], list(range(1, 60))
-    # rows that share a mixed key but differ above the window: in word 0,
-    # or (from three words) in a middle word while word 0 differs only in
-    # its lowest bit, so that a wrongly kept pair would forbid the mex 1;
-    # the last word then differs too
+    # rows that share the first window's key but differ above the window:
+    # in word 0, or (from three words) in a middle word while word 0
+    # differs only in its lowest bit, so that a wrongly kept pair would
+    # forbid the mex 1; the last word then differs too
     for _ in range(10 if n_words > 1 else 0):
         a = [int(w) for w in rng.integers(0, 2 ** 63, size=n_words)]
         for k, flip in ((0, 1 << 40), (1, 1 << 3), (0, 1 << 63)):
@@ -397,14 +426,30 @@ def _from_words(words):
     return sum(w << (64 * k) for k, w in enumerate(words))
 
 
+_MIX_INVERSE = pow(int(gf2._MIX), -1, 2 ** 64)
+
+
+def _unmix(key):
+    """The inverse of one mixing step of ``gf2._high_keys``."""
+    key ^= key >> 32
+    return key * _MIX_INVERSE % 2 ** 64
+
+
+def _window_keys(rows):
+    """The first window's join keys of ``gf2._word_mex`` for word rows."""
+    cols = np.array(rows, dtype=np.uint64).T
+    shift = np.uint64(gf2._WINDOW_BITS)
+    return (gf2._high_keys(cols) ^ (cols[0] >> shift)).tolist()
+
+
 def _colliding_last_word(a, prefix):
-    """The last word that gives ``prefix`` the mixed key of row ``a``."""
-    rows = np.array([a, prefix + [0]], dtype=np.uint64)
-    keys = gf2._row_keys(rows, gf2._WINDOW_BITS)
-    last = int(keys[0] ^ keys[1])
-    assert len(set(gf2._row_keys(np.array([a, prefix + [last]],
-                                          dtype=np.uint64),
-                                 gf2._WINDOW_BITS).tolist())) == 1
+    """The last word that gives ``prefix`` the first window's key of row
+    ``a``.  The key is mix(P ^ last) ^ (word 0 >> b), P folding the words
+    between, so the last word is solved for by undoing the mix."""
+    shift = prefix[0] >> gf2._WINDOW_BITS
+    key_a, key_0 = _window_keys([a, prefix + [0]])
+    last = _unmix(key_a ^ shift) ^ _unmix(key_0 ^ shift)
+    assert len(set(_window_keys([a, prefix + [last]]))) == 1
     return last
 
 
@@ -417,8 +462,8 @@ def test_forbidden_mex_matches_set_mex(n_words):
             got = gf2._flat_mex(np.array(M, dtype=np.uint64),
                                 np.array(N, dtype=np.uint64))
         else:
-            got = gf2._forbidden_mex(_pack_ints(M, n_words),
-                                     _pack_ints(N, n_words))
+            got = gf2._word_mex(_pack_ints(M, n_words).T,
+                                _pack_ints(N, n_words).T)
         assert got == _set_mex(M, N), (M, N)
         mexes.add(got)
     assert max(mexes) > 256                # the window has doubled twice

@@ -481,6 +481,27 @@ def test_overlap_all_pairs():
         overlap(s, random_sos(rng, 8, 2))
 
 
+@pytest.mark.parametrize("n_terms, chis", [
+    (64, [4, 16, 64, 16, 4]),   # the benchmark's 64 terms on 6 sites
+    (5, [2, 3]),
+    (1, [1]),
+    (0, [3, 3]),
+])
+def test_sos_mps_overlap_matches_amplitude_loop(n_terms, chis):
+    # the batched sum against one amplitude extraction per determinant
+    rng = np.random.default_rng(n_terms + len(chis))
+    n_sites = len(chis) + 1
+    s = half_filled_sos(rng, 2 * n_sites, n_terms)
+    m = random_mps(rng, chis)
+    terms = [np.conj(amp) * m.amplitude(occ) for amp, occ in s.terms]
+    scale = sum(abs(t) for t in terms)
+    assert abs(overlap(s, m) - sum(terms)) <= 1e-13 * scale
+    assert overlap(m, s) == np.conj(overlap(s, m))
+    for wrong in (random_mps(rng, chis, d=2), random_mps(rng, chis[1:])):
+        with pytest.raises(ValueError, match="spin-orbital count"):
+            overlap(s, wrong)
+
+
 @pytest.mark.parametrize("chis_a, chis_b", [
     ([1, 1, 1], [1, 1, 1]),
     ([2, 3, 5], [4, 1, 7]),
