@@ -409,8 +409,16 @@ def _load_measure(args):
                 raise ValueError("levels file holds non-finite values")
             energies, inverse = np.unique(rows[:, 0], return_inverse=True)
             weights = np.zeros(energies.shape)
-            np.add.at(weights, inverse, rows[:, 1])
-            total = weights.sum()
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add.at(weights, inverse, rows[:, 1])
+                total = weights.sum()
+            if not np.isfinite(total):
+                # the sum overflowed: scaled by the largest weight first,
+                # as --state amplitudes are, the measure stays the same
+                weights[:] = 0.0
+                np.add.at(weights, inverse,
+                          rows[:, 1] / np.abs(rows[:, 1]).max())
+                total = weights.sum()
             if total <= 0:
                 raise ValueError("level weights must have a positive total")
             return SpectralMeasure(

@@ -66,12 +66,10 @@ _ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")   # a local header; empty zip
 # zipfile write each member with a zipalign extra field (id 0xD935, its
 # length and the alignment as three 16-bit words, then zeros) sized so that
 # the array data starts at a multiple of _ALIGN bytes; npz_archive views
-# such a member in place and reads any other through zipfile, _CHUNK bytes
-# at a time (64 KiB loaded a dim-784 np.savez archive faster than 16 KiB
-# or 256 KiB to 4 MiB on a 2-core box).
+# such a member in place and reads an unaligned one (np.savez's) with one
+# read.  Only stored, unencrypted members with v1.0 .npy headers are read.
 _ZIP_LOCAL_SIZE = 30
 _ALIGN = 64                # file offset of every array save_npz writes
-_CHUNK = 1 << 16           # bytes read at a time from a member's stream
 
 
 class ParseError(ValueError):
@@ -755,17 +753,17 @@ def save_npz(path, arrays):
 
 def npz_archive(path):
     """The arrays of the npz archive at ``path`` by member name (``.npy``
-    dropped), read without pickles.  A file that does not start like a zip
-    archive is refused, and a member that fails its CRC-32, does not
-    inflate or does not fit its header raises ``ValueError`` like a
-    malformed one.
+    dropped), read without pickles.
 
-    The file is mapped read-only.  A stored member with a version 1.0
-    header whose array data starts at a multiple of ``_ALIGN`` bytes (each
-    one :func:`save_npz` writes) comes back as a read-only view of the
-    map; any other stored or deflated member (``np.savez`` writes them
-    unaligned, and ``np.savez_compressed`` deflated) is read through
-    zipfile into a new array.  Any other compression is refused.
+    One kind of member is read: stored, unencrypted, with a version 1.0
+    ``.npy`` header, as :func:`save_npz` and ``np.savez`` write them.  A
+    file that does not start like a zip archive, any other member (deflated,
+    LZMA, bzip2, encrypted or version 2.0), and a member that fails its
+    CRC-32 or does not fit its header raise ``ValueError`` naming the
+    member.  The file is mapped read-only: a member whose array data starts
+    at a multiple of ``_ALIGN`` bytes (each one save_npz writes) comes back
+    as a read-only view of the map, and any other (np.savez writes them
+    unaligned) is read into a new array.
     """
     with open(path, "rb") as f:
         if f.read(4) not in _ZIP_MAGIC:
@@ -774,72 +772,62 @@ def npz_archive(path):
             with zipfile.ZipFile(f) as archive:
                 view = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
                 return {info.filename.removesuffix(".npy"):
-                        _read_member(view, archive, info)
+                        _read_member(f, view, info)
                         for info in archive.infolist()}
-        except (zipfile.BadZipFile, zlib.error) as exc:
+        except zipfile.BadZipFile as exc:
             raise ValueError(str(exc)) from None
 
 
-def _read_member(view, archive, info):
-    """One ``.npy`` member of ``archive``, whose file is mapped as
-    ``view``.  The member is checked against the end of the file, then its
-    header (version 1.0 or 2.0) is parsed and its size checked against
-    that header, before anything is allocated.  An aligned stored member
-    is then checked by CRC-32, header bytes included, over the mapped
-    bytes and viewed in place; any other is read from its zipfile stream,
-    which checks the CRC-32 at its end, ``_CHUNK`` bytes at a time.  A
-    member neither stored nor deflated is refused before its stream is
-    opened: an LZMA or bzip2 member has no bound on what it may claim to
-    inflate to."""
-    if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
-        raise ValueError("%s: only stored and deflated members are read, "
-                         "not %s" % (info.filename, zipfile.compressor_names
-                                     .get(info.compress_type,
-                                          info.compress_type)))
+def _read_member(f, view, info):
+    """One ``.npy`` member of the archive open as ``f`` and mapped as
+    ``view``.  A member that is not stored, or is encrypted, is refused
+    first.  Then its local header is checked, its ``.npy`` header (version
+    1.0 only) is parsed off the map, and header plus data are checked
+    against the member's size and the end of the file, all before anything
+    is allocated.  The data is a view of the map if it starts at a
+    multiple of ``_ALIGN`` bytes, else one read from ``f`` into a new
+    array; either way the CRC-32 is checked over header bytes and data."""
+    if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1:
+        how = "is encrypted" if info.flag_bits & 1 else "is compressed by " \
+            + zipfile.compressor_names.get(info.compress_type, "method %d"
+                                           % info.compress_type)
+        raise ValueError("%s: %s; only stored, unencrypted members are read"
+                         % (info.filename, how))
     local = view[info.header_offset:info.header_offset + _ZIP_LOCAL_SIZE]
     if len(local) != _ZIP_LOCAL_SIZE or local[:4] != b"PK\x03\x04":
         raise ValueError("Bad magic number for file header")
     start = info.header_offset + _ZIP_LOCAL_SIZE \
         + sum(struct.unpack_from("<2H", local, 26))
-    stored = info.compress_type == zipfile.ZIP_STORED
-    # DEFLATE inflates at most 1032-fold
-    if start + info.compress_size > len(view) \
-            or stored and info.compress_size != info.file_size \
-            or info.compress_type == zipfile.ZIP_DEFLATED \
-            and info.file_size > 1032 * info.compress_size:
+    end = start + info.file_size
+    if end > len(view) or info.compress_size != info.file_size:
         raise _misfit(info)
-    npy = view[start:start + 10]
-    payload = start + 10 + int.from_bytes(npy[8:], "little")
-    mapped = stored and npy[:8] == b"\x93NUMPY\x01\x00" \
-        and not payload % _ALIGN
-    with io.BytesIO(view[start:payload]) if mapped \
-            else archive.open(info) as fp:
-        version = np.lib.format.read_magic(fp)
-        if version not in ((1, 0), (2, 0)):
-            raise ValueError("%s: .npy version %d.%d is not read"
-                             % (info.filename, *version))
-        shape, fortran_order, dtype = getattr(
-            np.lib.format, "read_array_header_%d_0" % version[0])(fp)
-        if dtype.hasobject:
-            raise ValueError("Object arrays cannot be loaded when "
-                             "allow_pickle=False")
-        # checked before the array is made, so no header can claim more
-        # memory than the member holds
-        count = math.prod(shape)
-        if fp.tell() + count * dtype.itemsize != info.file_size:
+    # a v1.0 header's length is the 16-bit word after its 8-byte magic
+    header = view[start:start + 10 + int.from_bytes(view[start + 8:start + 10],
+                                                   "little")]
+    fp = io.BytesIO(header)
+    version = np.lib.format.read_magic(fp)
+    if version != (1, 0):
+        raise ValueError("%s: .npy version %d.%d is not read"
+                         % (info.filename, *version))
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fp)
+    if dtype.hasobject:
+        raise ValueError("Object arrays cannot be loaded when "
+                         "allow_pickle=False")
+    # checked before the array is made, so no header can claim more
+    # memory than the member holds
+    count = math.prod(shape)
+    payload = start + len(header)
+    if payload + count * dtype.itemsize != end:
+        raise _misfit(info)
+    if payload % _ALIGN:
+        data = np.empty(count, dtype)
+        f.seek(payload)
+        if f.readinto(data.view(np.uint8)) != end - payload:
             raise _misfit(info)
-        if mapped:
-            if zlib.crc32(np.frombuffer(view, np.uint8, info.file_size,
-                                        start)) != info.CRC:
-                raise ValueError("Bad CRC-32 for file %r" % info.filename)
-            data = np.frombuffer(view, dtype, count, payload)
-        else:
-            data = np.empty(count, dtype)
-            raw = memoryview(data).cast("B")
-            for at in range(0, len(raw), _CHUNK):
-                chunk = raw[at:at + _CHUNK]
-                if fp.readinto(chunk) != len(chunk):
-                    raise _misfit(info)
+    else:
+        data = np.frombuffer(view, dtype, count, payload)
+    if zlib.crc32(data.view(np.uint8), zlib.crc32(header)) != info.CRC:
+        raise ValueError("Bad CRC-32 for file %r" % info.filename)
     # the stored order is C order over the reversed shape for Fortran
     return data.reshape(shape[::-1]).T if fortran_order \
         else data.reshape(shape)
@@ -852,10 +840,12 @@ def _misfit(info):
 def load_hamiltonian(path):
     """Inverse of :func:`save_hamiltonian`.  A CSV stays real unless an
     entry has a nonzero imaginary part.  An npz without the eigensystem
-    arrays (an older file) is diagonalized on first use.  A file that is
-    not a zip archive, lacks the matrix or its labels, fails a member's
-    CRC-32 or whose stored eigensystem does not fit the matrix is refused,
-    naming the file."""
+    arrays (an older file) is diagonalized on first use; ``np.savez``
+    archives load like :func:`save_npz` ones, through :func:`npz_archive`.
+    A file that is not a zip archive, holds a member npz_archive does not
+    read (deflated, LZMA, bzip2, encrypted or with a version 2.0 header),
+    lacks the matrix or its labels, fails a member's CRC-32 or whose stored
+    eigensystem does not fit the matrix is refused, naming the file."""
     try:
         if str(path).endswith(".csv"):
             entries = np.loadtxt(path, delimiter=",", dtype=complex)

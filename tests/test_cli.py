@@ -172,6 +172,27 @@ def test_levels_file_with_nan_weight_is_an_input_error(tmp_path, capsys):
     assert "non-finite" in captured.err
 
 
+def test_levels_whose_weights_overflow_their_sum_are_scaled(tmp_path,
+                                                           capsys):
+    import argparse
+
+    huge, unit = tmp_path / "huge.csv", tmp_path / "unit.csv"
+    huge.write_text("0.5,1e308\n0.6,1e308\n")
+    unit.write_text("0.5,1\n0.6,1\n")
+    measure = cli._load_measure(argparse.Namespace(
+        gaussian=None, levels=str(huge), ham=None))
+    assert measure.probs.tolist() == [0.5, 0.5]
+    argv = ["qpe-stats", "--k", "3", "--target", "0.5", "--levels"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.dispatch(argv + [str(huge)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert captured.err == "" and caught == []
+    assert cli.dispatch(argv + [str(unit)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == captured.out
+
+
 def test_csv_output_refuses_non_finite_values():
     with pytest.raises(ValueError, match="non-finite"):
         cli._emit_csv(("E", "P"), [(0.1, 0.2), (0.3, float("nan"))], "-")
@@ -825,6 +846,8 @@ def _refused_naming(capsys, path, argv, reason):
 
 @pytest.mark.parametrize("damage, reason", [
     ("flipped byte", "Bad CRC-32 for file 'eigenvectors.npy'"),
+    # np.savez members are not aligned: read from the file, not mapped
+    ("flipped savez byte", "Bad CRC-32 for file 'entries.npy'"),
     ("truncated", "not a zip file"),
     ("not a zip", "not an npz archive"),
     ("npy file", "not an npz archive"),
@@ -832,13 +855,18 @@ def _refused_naming(capsys, path, argv, reason):
 def test_damaged_npz_is_an_input_error(tmp_path, capsys, damage, reason):
     matrix, state = _build_pipeline_matrix(tmp_path, capsys)
     raw = bytearray(matrix.read_bytes())
+    bad = tmp_path / "bad.npz"
     if damage == "flipped byte":
         raw[_middle_payload_byte(matrix, "eigenvectors.npy")] ^= 0x10
+    elif damage == "flipped savez byte":
+        with np.load(matrix) as data:
+            np.savez(bad, **data)
+        raw = bytearray(bad.read_bytes())
+        raw[_middle_payload_byte(bad, "entries.npy")] ^= 0x10
     elif damage == "truncated":
         raw = raw[:len(raw) // 2]
     elif damage == "not a zip":
         raw = b"energy,weight\n0.1,1.0\n"
-    bad = tmp_path / "bad.npz"
     if damage == "npy file":
         with open(bad, "wb") as f:
             np.save(f, np.eye(24))
@@ -851,14 +879,16 @@ def test_damaged_npz_is_an_input_error(tmp_path, capsys, damage, reason):
                                   "--state", str(state), "--k", "4"], reason)
 
 
-@pytest.mark.parametrize("compression", ["ZIP_LZMA", "ZIP_BZIP2"])
+@pytest.mark.parametrize("compression", ["ZIP_DEFLATED", "ZIP_LZMA",
+                                         "ZIP_BZIP2"])
 def test_lzma_or_bzip2_member_is_an_input_error(tmp_path, capsys,
                                                 compression):
     import io
     import zipfile
 
-    # the .npy header and the zip64 size agree on 2**40 float64: read, the
-    # member would be allocated 8 TiB before its stream runs short
+    # the .npy header and the zip64 size agree on 2**40 float64; only
+    # stored members are read, so each is refused by its compression
+    # before anything is allocated
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(
         header, {"descr": "<f8", "fortran_order": False, "shape": (2 ** 40,)})
@@ -868,7 +898,42 @@ def test_lzma_or_bzip2_member_is_an_input_error(tmp_path, capsys,
         archive.writestr("entries.npy", member)
         archive.filelist[-1].file_size = len(member) - 24 + 8 * 2 ** 40
     _refused_naming(capsys, bad, ["qpe-stats", "--ham", str(bad), "--k", "4"],
-                    "entries.npy: ")
+                    "entries.npy: is compressed by ")
+
+
+def _encrypted(path):
+    """Set general-purpose flag bit 0 (encrypted) of every member of the
+    zip at ``path``, in its local and its central header."""
+    import struct
+    import zipfile
+
+    raw = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        infos = archive.infolist()
+    central = struct.unpack_from("<L", raw, raw.rindex(b"PK\x05\x06") + 16)[0]
+    for info in infos:
+        raw[info.header_offset + 6] |= 1
+        assert raw[central:central + 4] == b"PK\x01\x02"
+        raw[central + 8] |= 1
+        central += 46 + sum(struct.unpack_from("<3H", raw, central + 28))
+    path.write_bytes(raw)
+
+
+@pytest.mark.parametrize("writer", ["save_npz", "np.savez"])
+def test_encrypted_member_is_an_input_error(tmp_path, capsys, writer):
+    from qprep.hamiltonian import DenseHamiltonian, save_hamiltonian
+
+    a = np.random.default_rng(41).normal(size=(4, 4))
+    bad = tmp_path / "enc.npz"
+    if writer == "save_npz":
+        save_hamiltonian(DenseHamiltonian(a + a.T), bad)
+    else:
+        np.savez(bad, entries=a + a.T, basis_labels=np.array([]))
+    _encrypted(bad)
+    _refused_naming(capsys, bad, ["qpe-stats", "--ham", str(bad), "--k", "3",
+                                  "--target", "0.5"],
+                    "entries.npy: is encrypted; only stored, unencrypted "
+                    "members are read")
 
 
 def test_payload_past_the_end_of_the_file_is_an_input_error(tmp_path,
@@ -1182,6 +1247,27 @@ def test_mps_archive_without_its_members_is_an_input_error(tmp_path, capsys,
               **members}
     bad = tmp_path / "state.npz"
     np.savez(bad, **{k: v for k, v in arrays.items() if v is not None})
+    _refused_naming(capsys, bad, ["convert", "--input", str(bad), "--to",
+                                  "sos", "--out", str(tmp_path / "s.json")],
+                    reason)
+
+
+@pytest.mark.parametrize("damage, reason", [
+    ("deflated", "local_dim.npy: is compressed by deflate"),
+    ("encrypted", "local_dim.npy: is encrypted")],
+    ids=["deflated", "encrypted"])
+def test_deflated_or_encrypted_mps_member_is_an_input_error(tmp_path, capsys,
+                                                           damage, reason):
+    from qprep.states import MpsState, save_mps
+
+    bad = tmp_path / "state.npz"
+    if damage == "deflated":
+        np.savez_compressed(bad, local_dim=np.array(2),
+                            canonical=np.array(""),
+                            tensor_0=np.ones((1, 2, 1)))
+    else:
+        save_mps(MpsState([np.ones((1, 2, 1))], 2, None), bad)
+        _encrypted(bad)
     _refused_naming(capsys, bad, ["convert", "--input", str(bad), "--to",
                                   "sos", "--out", str(tmp_path / "s.json")],
                     reason)

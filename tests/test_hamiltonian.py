@@ -629,8 +629,15 @@ def test_saved_npz_loads_back_in_its_order_and_aligned(tmp_path, order):
     assert back.basis_labels == dense.basis_labels
 
 
-@pytest.mark.parametrize("how", ["compressed", "version 2.0"])
-def test_npz_off_the_readinto_path_loads_like_np_load(tmp_path, how):
+@pytest.mark.parametrize("how, reason", [
+    ("compressed", "entries.npy: is compressed by deflate; only stored, "
+     "unencrypted members are read"),
+    ("version 2.0", "entries.npy: .npy version 2.0 is not read")],
+    ids=["compressed", "version 2.0"])
+def test_npz_off_the_one_read_route_is_refused(tmp_path, capsys, how,
+                                               reason):
+    from qprep import cli
+
     a = np.random.default_rng(662).normal(size=(5, 5))
     entries = np.asfortranarray(a + a.T)
     labels = np.array(["0011", "0101"] * 2 + ["1"])
@@ -640,9 +647,11 @@ def test_npz_off_the_readinto_path_loads_like_np_load(tmp_path, how):
     else:
         _stored_npz(path, {"entries.npy": _npy(entries, (2, 0)),
                            "basis_labels.npy": _npy(labels)})
-    back = ham.load_hamiltonian(path)
-    assert np.array_equal(back.entries, a + a.T)
-    assert back.basis_labels == ["0011", "0101"] * 2 + ["1"]
+    code = cli.dispatch(["qpe-stats", "--ham", str(path), "--k", "4"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert "%s: %s" % (path, reason) in captured.err
 
 
 def _stored_npz(path, members, deflated=False):
@@ -680,15 +689,15 @@ def _huge_npy(version):
     (_npy(np.eye(3)) + bytes(8), False,
      "entries.npy: size does not fit its header"),
     (_npy(np.eye(3), (2, 0)) + bytes(8), False,
-     "entries.npy: size does not fit its header"),
+     "entries.npy: .npy version 2.0 is not read"),
     # a header that claims 8 TiB over a 24-byte payload is refused before
     # anything is allocated for it
     (_npy(np.zeros(3)).replace(b"(3,), }" + b" " * 12,
                                b"(%d,), }" % 2 ** 40), False,
      "entries.npy: size does not fit its header"),
-    # off the mapped route too: read through zipfile, yet checked first
-    (_huge_npy(1), True, "entries.npy: size does not fit its header"),
-    (_huge_npy(2), False, "entries.npy: size does not fit its header"),
+    # refused by compression or .npy version, before the size check
+    (_huge_npy(1), True, "entries.npy: is compressed by deflate"),
+    (_huge_npy(2), False, "entries.npy: .npy version 2.0 is not read"),
     (_npy(np.array([None, 1], dtype=object)), False,
      "Object arrays cannot be loaded when allow_pickle=False")],
     ids=["short", "long", "long version 2.0", "huge shape",
@@ -707,15 +716,16 @@ def test_deflated_member_that_cannot_inflate_to_its_header_is_refused(
     import zipfile
 
     # header and zip64 sizes agree on 8 TiB, which 24 deflated bytes
-    # cannot hold
+    # cannot hold: refused as deflated before anything is allocated
     path = tmp_path / "h.npz"
     member = _huge_npy(1)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
-        archive.writestr("basis_labels.npy", _npy(np.array([])))
+        archive.writestr("basis_labels.npy", _npy(np.array([])),
+                         zipfile.ZIP_STORED)
         archive.writestr("entries.npy", member)
         archive.filelist[-1].file_size = len(member) - 24 + 8 * 2 ** 40
-    with pytest.raises(ValueError,
-                       match="entries.npy: size does not fit its header"):
+    with pytest.raises(ValueError, match="entries.npy: is compressed by "
+                       "deflate; only stored, unencrypted members are read"):
         ham.load_hamiltonian(path)
 
 
