@@ -16,9 +16,11 @@ them again at the width then set.  Without that symbol it is a no-op.
 Policy: a CLI command runs inside :func:`command`, on one thread, and only
 the blocks that gain from more threads widen the pool to the command's
 full width with :func:`full_pool`, which parks the workers when it ends.
-Two independent solves of one command use that width another way:
+Two independent jobs of one command use that width another way:
 :func:`side_by_side` runs them at the same time, each on one BLAS thread,
-one of them on a helper thread, and never widens the pool.
+one of them on a helper thread, and never widens the pool.  It has two
+callers: the two spin-flip blocks of an eigensolve, and a ``--ham``
+archive's CRC-32s beside its matrix checks (``load_hamiltonian``).
 ``cli.main`` parks the workers once before its command, so a cold process
 does not pay for the spin the library's load starts.  Once a process has
 parked, every width change made here is followed by another park, since
@@ -159,9 +161,11 @@ def side_by_side(solve, first, second):
     Inside a command whose full width is 2 or more the two calls run at the
     same time, each on one BLAS thread: ``second`` on a helper thread,
     ``first`` on the caller's, which joins the helper before it returns or
-    raises, and raises the helper's exception after the join.  Inside any
-    other command they run one after the other on one thread; outside a
-    command, one after the other at the width as found.
+    raises.  If ``first`` raised, that exception is raised (the helper's,
+    if any, is dropped); else the helper's, if it raised.  Inside any other
+    command they run one after the other on one thread, ``first`` first;
+    outside a command, one after the other at the width as found.  Either
+    way an exception of ``first`` is the one that ``side_by_side`` raises.
     """
     full = _full_width.get()
     if full is None or full < 2:

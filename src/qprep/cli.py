@@ -160,15 +160,19 @@ def _emit_csv(header, rows, path):
     written with ``str``: floats in their shortest round-trip form, and no
     field qprep writes needs quoting.
     """
+    text = [",".join(map(str, header)) + "\n"]
     if len(rows) and any(isinstance(v, float) for v in rows[0]):
         import numpy as np
 
         table = np.asarray(rows, dtype=float)
         if not np.isfinite(table).all():
             raise ValueError("refusing to write a non-finite value")
-        rows = table.tolist()
-    _write_text("".join(",".join(map(str, row)) + "\n"
-                        for row in (header, *rows)), path)
+        # one format string for the table: %r of a float is its str
+        line = ",".join(["%r"] * table.shape[1]) + "\n"
+        text.append(line * len(table) % tuple(table.ravel().tolist()))
+    else:
+        text += (",".join(map(str, row)) + "\n" for row in rows)
+    _write_text("".join(text), path)
 
 
 def _thread_count(args):

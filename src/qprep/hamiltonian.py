@@ -457,25 +457,40 @@ def _flip_blocked_eigh(entries, labels, size):
 
 
 def _deviation_and_size(a):
-    """``(max |A - A^H|, max |A|)`` of a square ``a`` in one pass over the
-    ``_TILE`` x ``_TILE`` tile pairs (i, j), i <= j, with no temporary
-    larger than a tile.  Tile (i, j) less the adjoint of tile (j, i) holds
-    the entries of A - A^H there and, up to an adjoint that leaves |.| as
-    it is, at (j, i), so both values are the whole-matrix maxima exactly.
-    A non-finite entry makes ``max |A|`` NaN or inf.
+    """``(max |A - A^H|, max |A|)`` of a square ``a`` in one sweep over
+    its bands of ``_TILE`` rows, with no temporary larger than a tile.
+    Band i's tile pairs (i, j), j >= i, give the deviation: tile (i, j)
+    less the adjoint of tile (j, i) holds the entries of A - A^H there
+    and, up to an adjoint that leaves |.| as it is, at (j, i), so both
+    values are the whole-matrix maxima exactly.  A real ``a`` reuses one
+    tile for the differences and takes max |x| of a band or a difference
+    as max(max x, -min x), with no |x| temporary; a complex one takes
+    |x| of each tile.  A non-finite entry makes ``max |A|`` NaN or inf.
     """
     n = a.shape[0]
+    real = not np.iscomplexobj(a)
+    work = np.empty(min(n, _TILE) ** 2, a.dtype) if real else None
     dev, size = [0.0], [0.0]
     with np.errstate(invalid="ignore"):   # inf - inf is a non-finite entry
         for i in range(0, n, _TILE):
+            band = a[i:i + _TILE]
+            if real:
+                size += band.max(), -band.min()
             for j in range(i, n, _TILE):
-                tile = a[i:i + _TILE, j:j + _TILE]
+                tile = band[:, j:j + _TILE]
                 mirror = a[j:j + _TILE, i:i + _TILE]
-                dev.append(np.max(np.abs(tile - _adjoint(mirror))))
-                size.append(np.max(np.abs(tile)))
-                if j > i:
-                    size.append(np.max(np.abs(mirror)))
-    return np.max(dev), np.max(size)
+                if real:
+                    diff = np.subtract(tile, mirror.T, out=work[:tile.size]
+                                       .reshape(tile.shape))
+                    dev += diff.max(), -diff.min()
+                else:
+                    dev.append(np.max(np.abs(tile - _adjoint(mirror))))
+                    size.append(np.max(np.abs(tile)))
+                    if j > i:
+                        size.append(np.max(np.abs(mirror)))
+    # np.max keeps a NaN, which max() may drop; abs turns the -0.0 that
+    # -min x gives for an all-zero real matrix into 0.0
+    return abs(np.max(dev)), abs(np.max(size))
 
 
 def _adjoint(a):
@@ -517,9 +532,11 @@ def _check_eigensystem(entries, evals, evecs, size):
     if n == 0:
         return
     norm_x = np.linalg.norm(x)
-    pair_res = np.linalg.norm(entries @ vx - evecs @ (evals * x)) \
-        / (max(1.0, size) * norm_x)
-    basis_res = np.linalg.norm(_adjoint(evecs) @ vx - x) / norm_x
+    # a residual that overflows is refused below, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair_res = np.linalg.norm(entries @ vx - evecs @ (evals * x)) \
+            / (max(1.0, size) * norm_x)
+        basis_res = np.linalg.norm(_adjoint(evecs) @ vx - x) / norm_x
     if not max(pair_res, basis_res) <= EIGEN_PROBE_TOL:
         raise ValueError("eigensystem does not match the matrix (probe "
                          "residuals %.3g, %.3g)" % (pair_res, basis_res))
@@ -758,13 +775,23 @@ def npz_archive(path):
     One kind of member is read: stored, unencrypted, with a version 1.0
     ``.npy`` header, as :func:`save_npz` and ``np.savez`` write them.  A
     file that does not start like a zip archive, any other member (deflated,
-    LZMA, bzip2, encrypted or version 2.0), and a member that fails its
-    CRC-32 or does not fit its header raise ``ValueError`` naming the
-    member.  The file is mapped read-only: a member whose array data starts
-    at a multiple of ``_ALIGN`` bytes (each one save_npz writes) comes back
-    as a read-only view of the map, and any other (np.savez writes them
+    LZMA, bzip2, encrypted or version 2.0), and a member that does not fit
+    its header or fails its CRC-32 raise ``ValueError`` naming the member;
+    every member is checked against its header before any CRC-32 is.  The
+    file is mapped read-only: a member whose array data starts at a
+    multiple of ``_ALIGN`` bytes (each one save_npz writes) comes back as a
+    read-only view of the map, and any other (np.savez writes them
     unaligned) is read into a new array.
     """
+    members = _npz_members(path)
+    _check_crcs(members)
+    return {name: array for name, (array, _) in members.items()}
+
+
+def _npz_members(path):
+    """``{name: (array, crc_check)}`` of the npz archive at ``path``, as
+    :func:`npz_archive` reads it but with no CRC-32 checked yet: calling
+    ``crc_check()`` checks the member's."""
     with open(path, "rb") as f:
         if f.read(4) not in _ZIP_MAGIC:
             raise ValueError("not an npz archive")
@@ -778,15 +805,22 @@ def npz_archive(path):
             raise ValueError(str(exc)) from None
 
 
+def _check_crcs(members):
+    """Check the CRC-32 of each of :func:`_npz_members`' ``members``."""
+    for _, crc_check in members.values():
+        crc_check()
+
+
 def _read_member(f, view, info):
-    """One ``.npy`` member of the archive open as ``f`` and mapped as
-    ``view``.  A member that is not stored, or is encrypted, is refused
-    first.  Then its local header is checked, its ``.npy`` header (version
-    1.0 only) is parsed off the map, and header plus data are checked
-    against the member's size and the end of the file, all before anything
-    is allocated.  The data is a view of the map if it starts at a
-    multiple of ``_ALIGN`` bytes, else one read from ``f`` into a new
-    array; either way the CRC-32 is checked over header bytes and data."""
+    """``(array, crc_check)`` of one ``.npy`` member of the archive open as
+    ``f`` and mapped as ``view``.  A member that is not stored, or is
+    encrypted, is refused first.  Then its local header is checked, its
+    ``.npy`` header (version 1.0 only) is parsed off the map, and header
+    plus data are checked against the member's size and the end of the
+    file, all before anything is allocated.  The data is a view of the map
+    if it starts at a multiple of ``_ALIGN`` bytes, else one read from
+    ``f`` into a new array; either way ``crc_check()`` checks the CRC-32
+    over header bytes and data, which is left to the caller."""
     if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1:
         how = "is encrypted" if info.flag_bits & 1 else "is compressed by " \
             + zipfile.compressor_names.get(info.compress_type, "method %d"
@@ -826,11 +860,14 @@ def _read_member(f, view, info):
             raise _misfit(info)
     else:
         data = np.frombuffer(view, dtype, count, payload)
-    if zlib.crc32(data.view(np.uint8), zlib.crc32(header)) != info.CRC:
-        raise ValueError("Bad CRC-32 for file %r" % info.filename)
+
+    def crc_check():
+        if zlib.crc32(data.view(np.uint8), zlib.crc32(header)) != info.CRC:
+            raise ValueError("Bad CRC-32 for file %r" % info.filename)
+
     # the stored order is C order over the reversed shape for Fortran
-    return data.reshape(shape[::-1]).T if fortran_order \
-        else data.reshape(shape)
+    return (data.reshape(shape[::-1]).T if fortran_order
+            else data.reshape(shape)), crc_check
 
 
 def _misfit(info):
@@ -841,29 +878,44 @@ def load_hamiltonian(path):
     """Inverse of :func:`save_hamiltonian`.  A CSV stays real unless an
     entry has a nonzero imaginary part.  An npz without the eigensystem
     arrays (an older file) is diagonalized on first use; ``np.savez``
-    archives load like :func:`save_npz` ones, through :func:`npz_archive`.
-    A file that is not a zip archive, holds a member npz_archive does not
-    read (deflated, LZMA, bzip2, encrypted or with a version 2.0 header),
-    lacks the matrix or its labels, fails a member's CRC-32 or whose stored
-    eigensystem does not fit the matrix is refused, naming the file."""
+    archives load like :func:`save_npz` ones, read as :func:`npz_archive`
+    reads them.  A file that is not a zip archive, holds a member
+    npz_archive does not read (deflated, LZMA, bzip2, encrypted or with a
+    version 2.0 header), fails a member's CRC-32, lacks the matrix or its
+    labels, or whose matrix or stored eigensystem fails its checks is
+    refused, naming the file.
+
+    Once every member fits its header, the npz checks run in two halves
+    through :func:`qprep.blas.side_by_side`: the CRC-32s on the calling
+    thread, and the member names, the eigensystem halves and the
+    :class:`DenseHamiltonian` checks on the helper, so inside a command of
+    full width 2 or more they run at the same time, and in any other case
+    the CRC-32s run first.  Either way a bad CRC-32 is the refusal
+    reported, as if it had been checked first."""
     try:
         if str(path).endswith(".csv"):
             entries = np.loadtxt(path, delimiter=",", dtype=complex)
             if not entries.imag.any():
                 entries = np.ascontiguousarray(entries.real)
             return DenseHamiltonian(entries)
-        data = npz_archive(path)
-        missing = {"entries", "basis_labels"} - set(data)
-        if missing:
-            raise ValueError("archive has no %s" % " or ".join(
-                sorted(missing)))
-        labels = data["basis_labels"].tolist() or None
-        stored = [name for name in ("eigenvalues", "eigenvectors")
-                  if name in data]
-        if len(stored) == 1:
-            raise ValueError("%s stored without the other half of the "
-                             "eigensystem" % stored[0])
-        eigen = tuple(data[name] for name in stored) or None
-        return DenseHamiltonian(data["entries"], labels, eigen)
+        members = _npz_members(path)
+        return blas.side_by_side(lambda step: step(members), _check_crcs,
+                                 _hamiltonian_of)[1]
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None
+
+
+def _hamiltonian_of(members):
+    """The :class:`DenseHamiltonian` of :func:`_npz_members`' ``members``,
+    checked but for their CRC-32s."""
+    data = {name: array for name, (array, _) in members.items()}
+    missing = {"entries", "basis_labels"} - set(data)
+    if missing:
+        raise ValueError("archive has no %s" % " or ".join(sorted(missing)))
+    labels = data["basis_labels"].tolist() or None
+    stored = [name for name in ("eigenvalues", "eigenvectors") if name in data]
+    if len(stored) == 1:
+        raise ValueError("%s stored without the other half of the "
+                         "eigensystem" % stored[0])
+    eigen = tuple(data[name] for name in stored) or None
+    return DenseHamiltonian(data["entries"], labels, eigen)

@@ -185,6 +185,55 @@ def test_a_failed_block_solve_exits_3_and_leaves_no_thread(
     assert not (tmp_path / "h.npz").exists()
 
 
+@needs_two_cpus
+@pytest.mark.parametrize("fails, raised", [
+    ("caller", "caller"), ("helper", "helper"), ("both", "caller")])
+def test_side_by_side_joins_its_helper_before_anything_is_raised(fails,
+                                                                 raised):
+    main = threading.get_ident()
+    ran = []
+
+    def solve(who):
+        assert (threading.get_ident() == main) == (who == "caller")
+        if who == "helper":
+            # finishes well after the caller: a raise before the join
+            # would leave it out of ran
+            time.sleep(0.1)
+        ran.append(who)
+        if fails in (who, "both"):
+            raise ValueError(who)
+        return who
+
+    before = threading.active_count()
+    with blas.command(2), pytest.raises(ValueError) as info:
+        blas.side_by_side(solve, "caller", "helper")
+    assert str(info.value) == raised
+    assert sorted(ran) == ["caller", "helper"]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, None])
+@pytest.mark.parametrize("fails", ["first", "second", "both"])
+def test_side_by_side_on_one_thread_stops_at_the_first_error(threads,
+                                                             fails):
+    main = threading.get_ident()
+    ran = []
+
+    def solve(which):
+        assert threading.get_ident() == main
+        ran.append(which)
+        if fails in (which, "both"):
+            raise ValueError(which)
+
+    # --threads 1, and outside a command
+    with (blas.command(threads) if threads else blas.limit(None)), \
+            pytest.raises(ValueError) as info:
+        blas.side_by_side(solve, "first", "second")
+    expected = "second" if fails == "second" else "first"
+    assert str(info.value) == expected
+    assert ran == ["first", "second"][:2 if fails == "second" else 1]
+
+
 @needs_openblas
 def test_threads_are_capped_at_the_cpus_the_process_may_use(
         tmp_path, capsys, monkeypatch, eigh_calls):

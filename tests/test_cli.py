@@ -1013,6 +1013,74 @@ def test_mutated_saved_matrix_is_refused_naming_the_file(tmp_path, capsys,
                                    "--et", "0.2", "--budget", "100"], reason)
 
 
+def _entry_offset(path, i, j):
+    """File offset of float64 entry (i, j) of the C-order ``entries``
+    matrix in the npz at ``path``: past the member's local header (30
+    bytes, name and extra field) and its ``.npy`` header (10 bytes and the
+    length these give)."""
+    import struct
+    import zipfile
+
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("entries.npy")
+    raw = path.read_bytes()
+    start = info.header_offset + 30 + sum(struct.unpack(
+        "<HH", raw[info.header_offset + 26:info.header_offset + 30]))
+    data = start + 10 + int.from_bytes(raw[start + 8:start + 10], "little")
+    n = math.isqrt((start + info.file_size - data) // 8)
+    return data + 8 * (i * n + j)
+
+
+@pytest.mark.parametrize("flags", [(), ("--threads", "2"),
+                                   ("--threads", "1")])
+@pytest.mark.parametrize("damage, hidden", [
+    ("flipped off-diagonal byte", "not Hermitian"),
+    ("nan entry", "non-finite matrix entry"),
+    ("inf entry", "non-finite matrix entry"),
+    ("flipped diagonal byte", "eigensystem does not match"),
+    ("huge diagonal entry", "eigensystem does not match"),
+    ("no labels", "archive has no basis_labels")])
+def test_bad_crc_is_the_refusal_reported_over_any_later_check(
+        tmp_path, capsys, flags, damage, hidden):
+    import struct
+
+    from qprep.hamiltonian import (DenseHamiltonian, _hamiltonian_of,
+                                   _npz_members, save_hamiltonian, save_npz)
+
+    # dim 300 spans three tiles of the Hermiticity pass; (5, 250) sits in
+    # an off-diagonal tile
+    a = np.random.default_rng(35).normal(size=(300, 300))
+    path = tmp_path / "h.npz"
+    save_hamiltonian(DenseHamiltonian(a + a.T), path)
+    if damage == "no labels":
+        with np.load(path) as data:
+            save_npz(path, {name: data[name] for name in data.files
+                            if name != "basis_labels"})
+    raw = bytearray(path.read_bytes())
+    at = _entry_offset(path, *((7, 7) if "diagonal" in damage
+                               and "off" not in damage else (5, 250)))
+    if damage.startswith("flipped") or damage == "no labels":
+        raw[at + 3] ^= 0x10
+    else:
+        value = {"nan": np.nan, "inf": np.inf, "huge": 1e300}[
+            damage.split()[0]]
+        raw[at:at + 8] = struct.pack("<d", value)
+    path.write_bytes(raw)
+    # the CRC-32 aside, the damage fails the check named by hidden
+    with pytest.raises(ValueError, match=hidden):
+        _hamiltonian_of(_npz_members(path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.dispatch(["qpe-stats", "--ham", str(path), "--k", "4",
+                             *flags])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == "error: %s: Bad CRC-32 for file 'entries.npy'\n" \
+        % path
+    assert caught == []
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_state_amplitude_is_an_input_error(tmp_path, capsys,
                                                       bad):

@@ -75,3 +75,25 @@ def test_savez_layout_is_read_off_the_mapped_route(tmp_path, capsys):
     assert tool.main(["--runs", "1", "--commands",
                       "qpe-stats-ham-savez"]) == 0
     assert list(_rows(capsys.readouterr().out)) == ["qpe-stats-ham-savez"]
+
+
+def test_paper_size_load_builds_its_archive_once(monkeypatch, capsys):
+    tool = _tool()
+    calls = []
+
+    def run(src, argv, work):
+        calls.append(argv)
+        return 1.0, 2.0, 3.0
+
+    # the build and the loads are the real commands' argv; no process runs
+    monkeypatch.setattr(tool, "run", run)
+    assert "qpe-stats-ham-3136" not in tool.DEFAULT
+    assert tool.main(["--runs", "2", "--commands",
+                      "qpe-stats-ham-3136"]) == 0
+    build = [*tool.COMMANDS["ham-build-3136"][:-1], "h33.npz"]
+    load = tool.COMMANDS["qpe-stats-ham-3136"]
+    assert build[build.index("--na"):build.index("--out")] \
+        == ["--na", "3", "--nb", "3"]
+    assert load[:3] == ["qpe-stats", "--ham", "h33.npz"]
+    assert calls == [build, load, load]
+    assert list(_rows(capsys.readouterr().out)) == ["qpe-stats-ham-3136"]

@@ -490,6 +490,62 @@ def test_fused_pass_equals_the_whole_matrix_maxima(n, kind):
         assert size == np.max(np.abs(e))
 
 
+def _whole_matrix_maxima(e):
+    with np.errstate(invalid="ignore"):
+        return np.max(np.abs(e - e.conj().T)), np.max(np.abs(e))
+
+
+@pytest.mark.parametrize("n", [129, 300])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "pair", "one side",
+                                   "last tile"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_fused_pass_keeps_a_non_finite_entry(n, bad, where, kind):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    a = a + a.T
+    if kind == "complex":
+        b = rng.normal(size=(n, n))
+        a = a + 1j * (b - b.T)
+    # one entry or a mirrored pair, in a diagonal tile, across tiles, and
+    # in the short last tile of an order that is not a multiple of _TILE
+    i, j = {"diagonal": (5, 5), "pair": (3, 200 % n), "one side": (n - 1, 4),
+            "last tile": (n - 1, n - 2)}[where]
+    a[i, j] = bad
+    if where == "pair":
+        a[j, i] = bad
+    dev, size = ham._deviation_and_size(a)
+    ref_dev, ref_size = _whole_matrix_maxima(a)
+    assert not np.isfinite(size)
+    assert np.array_equal([dev, size], [ref_dev, ref_size], equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [0, 1, 200, 257])
+def test_fused_pass_of_zeros_is_positive_zero(n):
+    for zero in (0.0, -0.0):
+        dev, size = ham._deviation_and_size(np.full((n, n), zero))
+        assert (dev, size) == (0.0, 0.0)
+        assert not np.signbit(dev) and not np.signbit(size)
+
+
+def test_fused_pass_of_a_real_matrix_allocates_one_tile():
+    import tracemalloc
+
+    a = np.random.default_rng(2).normal(size=(300, 300))
+    # NumPy's iterator buffers (8192 elements each by default) would hide
+    # a second tile; at 512 elements they do not
+    bufsize = np.setbufsize(512)
+    tracemalloc.start()
+    try:
+        ham._deviation_and_size(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    # the reused difference tile, and no |x| temporary beside it
+    assert peak < 1.5 * ham._TILE ** 2 * a.itemsize
+
+
 @pytest.mark.parametrize("n", [1, 300, 784])
 def test_tiled_symmetrization_is_bitwise_the_mean_with_the_transpose(n):
     a = np.random.default_rng(n).normal(size=(n, n))

@@ -18,9 +18,12 @@ there, so each tree loads the archive layout it writes.
 prints, per command and tree, the median and quartiles of the wall time
 and of the child's CPU time (user + system) in ms, and of the child's
 peak resident set size in MB (each process's own, from ``os.wait4``; Linux
-starts it at this tool's own peak, about 15 MB).  ``ham-build-3136``,
-the (3,3) sector of the same FCIDUMP (flip blocks of order 1540 and
-1596), runs only when named in ``--commands``.  Standard library only.
+starts it at this tool's own peak, about 15 MB).  Two commands at the
+paper's size run only when named in ``--commands``: ``ham-build-3136``
+builds the (3,3) sector of the same FCIDUMP (dim 3136, flip blocks of
+order 1540 and 1596), and ``qpe-stats-ham-3136`` loads that matrix (a
+158 MB archive, which each tree's own ``ham build`` writes once, not
+timed).  Standard library only.
 """
 
 import argparse
@@ -54,8 +57,13 @@ COMMANDS = {
                   "--nb", "2", "--out", "built.npz"],
     "ham-build-3136": ["ham", "build", "--fcidump", "h8.fcidump", "--na",
                        "3", "--nb", "3", "--out", "built.npz"],
+    "qpe-stats-ham-3136": ["qpe-stats", "--ham", "h33.npz", "--k", "6"],
 }
-DEFAULT = [name for name in COMMANDS if name != "ham-build-3136"]
+# the archive each --ham command loads, and the build that writes it
+ARCHIVES = {"qpe-stats-ham": ("h22.npz", "ham-build"),
+            "qpe-stats-ham-savez": ("h22.npz", "ham-build"),
+            "qpe-stats-ham-3136": ("h33.npz", "ham-build-3136")}
+DEFAULT = [name for name in COMMANDS if not name.endswith("-3136")]
 
 
 def write_inputs(rng, work):
@@ -148,9 +156,10 @@ def main(argv=None):
                             ignore=shutil.ignore_patterns("__pycache__"))
             trees[t] = work / "src"
             write_inputs(random.Random(args.seed), work)
-            if {"qpe-stats-ham", "qpe-stats-ham-savez"} & set(names):
-                run(trees[t], [*COMMANDS["ham-build"][:-1], "h22.npz"],
-                    work)
+            for archive, build in sorted({ARCHIVES[name] for name in names
+                                          if name in ARCHIVES}):
+                run(trees[t], [*COMMANDS[build][:-1], archive], work)
+            if "qpe-stats-ham-savez" in names:
                 savez_layout(work / "h22.npz", work / "h22-savez.npz")
         print("%-20s %-4s %28s %28s %28s" % (
             "command", "tree", "wall ms: median [q1, q3]",
