@@ -279,6 +279,7 @@ class DenseHamiltonian:
             raise ValueError("entries must be a square matrix")
         # max |H_ij| also scales the eigensystem probe and the spin-flip test
         dev, self._size = _deviation_and_size(self.entries)
+        self._flip = None          # (partner, sign), set by build_ci_matrix
         if not np.isfinite(self._size):
             raise ValueError("non-finite matrix entry")
         # relative to the largest entry, so the test reads the same in
@@ -303,19 +304,21 @@ class DenseHamiltonian:
         """Ascending eigenvalues and the matching eigenvector columns,
         solved once per object, on first use, unless they were handed in.
 
-        A real matrix that commutes with the spin flip of its labels (every
-        n_alpha = n_beta sector of a spin-free Hamiltonian) is solved as its
-        even and odd block, one ``eigh`` each, on one BLAS thread each;
-        inside a CLI command with a full width of 2 or more, blocks of order
-        ``_EIGH_PAIR_MIN`` and up are solved at the same time (see
-        :func:`qprep.blas.side_by_side`).  Any other matrix is solved as one
-        block, by one ``eigh`` of ``entries``, on the command's full pool
-        from order ``_EIGH_PARALLEL_MIN``.  Outside a command every solve
-        runs at the BLAS width as found.
+        An n_alpha = n_beta sector that :func:`build_ci_matrix` made knows
+        its spin flip P, and unless P H P^T = H fails (see
+        :func:`_flip_blocked_eigh`) it is solved as P's even and odd block,
+        one ``eigh`` each, on one BLAS thread each; inside a CLI command
+        with a full width of 2 or more, blocks of order ``_EIGH_PAIR_MIN``
+        and up are solved at the same time (see
+        :func:`qprep.blas.side_by_side`).  Any other matrix (a load without
+        a stored eigensystem, or one made by hand) is solved as one block,
+        by one ``eigh`` of ``entries``, on the command's full pool from
+        order ``_EIGH_PARALLEL_MIN``.  Outside a command every solve runs at
+        the BLAS width as found.
         """
         if self.eigen is None:
-            eigen = _flip_blocked_eigh(self.entries, self.basis_labels,
-                                       self._size)
+            eigen = None if self._flip is None else _flip_blocked_eigh(
+                self.entries, self._flip, self._size)
             if eigen is None:
                 eigen = _eigh(self.entries)
             self.eigen = tuple(_read_only(a) for a in eigen)
@@ -332,42 +335,12 @@ def _eigh(matrix):
         return np.linalg.eigh(matrix)
 
 
-def _spin_flip(labels):
-    """The spin flip P on a basis of occupation-string labels.
-
-    P swaps the alpha (2p) and beta (2p+1) bit of each orbital.  Putting the
-    creators back into the interleaved order of :func:`build_ci_matrix`
-    swaps one pair per doubly occupied orbital, so P e_i = sign_i
-    e_partner_i with sign_i = (-1)^(doubly occupied orbitals of i).
-    Returns ``(partner, sign)``, or None unless the labels are distinct
-    0/1 strings of one even length, closed under the flip.
-    """
-    if not labels:
-        return None
-    codes = np.asarray(labels, dtype=str)
-    n, width = codes.shape[0], codes.dtype.itemsize // 4
-    chars = codes.view(np.uint32).reshape(n, width)
-    if width % 2 or not np.all((chars == ord("0")) | (chars == ord("1"))):
-        return None
-    flipped = chars.reshape(n, -1, 2)[:, :, ::-1].reshape(n, width)
-    flipped = np.ascontiguousarray(flipped).view(codes.dtype).ravel()
-    order = np.argsort(codes)
-    partner = order[np.searchsorted(codes, flipped, sorter=order)
-                    .clip(max=n - 1)]
-    ranked = codes[order]
-    if np.any(ranked[1:] == ranked[:-1]) or \
-            not np.array_equal(codes[partner], flipped):
-        return None
-    bits = chars - ord("0")
-    doubles = np.sum(bits[:, 0::2] & bits[:, 1::2], axis=1)
-    return partner, np.where(doubles & 1, -1.0, 1.0)
-
-
-def _flip_blocked_eigh(entries, labels, size):
-    """``eigh`` of a real ``entries`` as the even and odd block of the spin
-    flip P of ``labels``, or None (one block) unless max |P H P^T - H| <=
-    ``HERMITICITY_TOL`` max(1, ``size``), ``size`` being max |H_ij|, and
-    both blocks are non-empty.
+def _flip_blocked_eigh(entries, flip, size):
+    """``eigh`` of the real ``entries`` as the even and odd block of the
+    spin flip ``flip = (partner, sign)``, P e_i = sign_i e_partner_i, as
+    :func:`build_ci_matrix` hands it over, or None (one block) unless
+    max |P H P^T - H| <= ``HERMITICITY_TOL`` max(1, ``size``), ``size``
+    being max |H_ij|, and both blocks are non-empty.
 
     Each orbit of P gives one basis vector per parity it supports: a pair
     i < j = partner_i gives (e_i +- sign_i e_j) / sqrt 2, a fixed point e_i
@@ -376,9 +349,6 @@ def _flip_blocked_eigh(entries, labels, size):
     the leading and the odd block the trailing rows and columns.  The
     levels are merged in ascending order (a tie puts the even level first).
     """
-    flip = _spin_flip(labels) if entries.dtype.kind == "f" else None
-    if flip is None:
-        return None
     partner, sign = flip
     n = entries.shape[0]
     idx = np.arange(n)
@@ -532,10 +502,11 @@ def _check_eigensystem(entries, evals, evecs, size):
     if n == 0:
         return
     norm_x = np.linalg.norm(x)
-    # a residual that overflows is refused below, without a warning
+    # scaled before the norm squares it, so that only a matrix-vector
+    # product that overflows is refused below, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        pair_res = np.linalg.norm(entries @ vx - evecs @ (evals * x)) \
-            / (max(1.0, size) * norm_x)
+        pair_res = np.linalg.norm((entries @ vx - evecs @ (evals * x))
+                                  / max(1.0, size)) / norm_x
         basis_res = np.linalg.norm(_adjoint(evecs) @ vx - x) / norm_x
     if not max(pair_res, basis_res) <= EIGEN_PROBE_TOL:
         raise ValueError("eigensystem does not match the matrix (probe "
@@ -642,7 +613,9 @@ def build_ci_matrix(fd, n_alpha, n_beta, dim_cap=DEFAULT_DIM_CAP):
     (alpha bit first in each spin-orbital pair).  Their interleaved creation
     order 2p (alpha) / 2p+1 (beta) differs from the alpha-then-beta product
     by (-1)^(beta electrons below each alpha electron), applied per
-    determinant.  The result is exactly symmetric.
+    determinant.  The result is exactly symmetric.  For n_alpha = n_beta
+    the result carries the spin flip P, e_(I_a, I_b) -> (-1)^|I_a & I_b|
+    e_(I_b, I_a), which its eigensolve splits by.
     """
     n = fd.n_orb
     if not 0 <= n_alpha <= n or not 0 <= n_beta <= n:
@@ -684,7 +657,14 @@ def build_ci_matrix(fd, n_alpha, n_beta, dim_cap=DEFAULT_DIM_CAP):
     chars[..., 0] = occ_a[:, None, :] + ord("0")
     chars[..., 1] = occ_b[None, :, :] + ord("0")
     labels = chars.reshape(dim, 2 * n).view("S%d" % (2 * n)).ravel()
-    return DenseHamiltonian(H, labels.astype(str).tolist())
+    dense = DenseHamiltonian(H, labels.astype(str).tolist())
+    if n_alpha == n_beta:
+        # P swaps each orbital's alpha and beta bit: (I_a, I_b) -> (I_b,
+        # I_a).  Putting the creators back into the interleaved order swaps
+        # one pair per doubly occupied orbital, |I_a & I_b| of them.
+        dense._flip = (np.arange(dim).reshape(d_a, d_a).T.ravel(),
+                       np.where((occ_a @ occ_a.T).ravel() & 1, -1.0, 1.0))
+    return dense
 
 
 def _symmetrize(a):

@@ -182,19 +182,6 @@ class MpsState:
         """Bond dimensions chi_0 .. chi_N (boundaries included)."""
         return [self.tensors[0].shape[0]] + [t.shape[2] for t in self.tensors]
 
-    def amplitude(self, occ):
-        """Coefficient of the determinant with spin-orbital occupation string
-        ``occ`` (local dimension 4, length 2 * n_sites)."""
-        if self.local_dim != 4:
-            raise ValueError("occupation strings require local_dim 4")
-        if len(occ) != 2 * self.n_sites:
-            raise ValueError("occupation string has the wrong length")
-        digits = [int(occ[2 * j:2 * j + 2], 2) for j in range(self.n_sites)]
-        vec = np.ones(1, dtype=complex)
-        for j, nj in enumerate(digits):
-            vec = vec @ self.tensors[j][:, nj, :]
-        return complex(vec[0])
-
     def norm(self):
         return float(np.sqrt(max(overlap(self, self).real, 0.0)))
 

@@ -354,6 +354,12 @@ def ci_matrix_loop(fd, n_alpha, n_beta):
     is labelled by 2*n_orb-bit occupation strings (alpha bit first in each
     spin-orbital pair), ordered lexicographically by (alpha, beta)
     occupation.  The reference for the spin-factorized builder.
+
+    It stays beside the package's Fock-space ladder oracle
+    (``acceptance._ladder_operator_matrix``) because the two reach
+    different sizes: this loop works per sector, so it checks (1,1) at 24
+    orbitals (dim 576), where the ladder matrix would have 2^48 states;
+    and acceptance check 10 needs the ladder oracle inside the package.
     """
     n = fd.n_orb
     dim = math.comb(n, n_alpha) * math.comb(n, n_beta)
@@ -912,17 +918,33 @@ def kde_dense(samples, bandwidth, grid):
     return out / norm
 
 
+def spin_flip_of_labels(labels):
+    """The spin flip P read off occupation-string labels alone, as
+    ``(partner, sign)`` with P e_i = sign_i e_partner_i.
+
+    P swaps the alpha (2p) and beta (2p+1) bit of each orbital.  Putting
+    the creators back into interleaved order swaps one pair per doubly
+    occupied orbital, so sign_i = (-1)^(orbitals "11" in label i).  A label
+    whose flip is not a label raises ``KeyError``."""
+    index = {label: i for i, label in enumerate(labels)}
+    assert len(index) == len(labels), "labels must be distinct"
+    partner, sign = [], []
+    for label in labels:
+        orbitals = [label[j:j + 2] for j in range(0, len(label), 2)]
+        partner.append(index["".join(o[::-1] for o in orbitals)])
+        sign.append(-1.0 if orbitals.count("11") % 2 else 1.0)
+    return np.array(partner), np.array(sign)
+
+
 def flip_blocked_eigh_quadrants(entries, labels):
     """The spin-flip blocked ``eigh`` as four ``np.ix_`` quadrant gathers of
     the full matrix and four ``np.ix_`` scatters of the block vectors into
     a zeroed n x n array: the same block matrices, so the same bytes, as
-    ``hamiltonian._flip_blocked_eigh`` (None where it takes one block)."""
-    from qprep.hamiltonian import HERMITICITY_TOL, _spin_flip
+    ``hamiltonian._flip_blocked_eigh`` (None where it takes one block).
+    The flip comes from the labels, by :func:`spin_flip_of_labels`."""
+    from qprep.hamiltonian import HERMITICITY_TOL
 
-    flip = _spin_flip(labels)
-    if flip is None:
-        return None
-    partner, sign = flip
+    partner, sign = spin_flip_of_labels(labels)
     idx = np.arange(entries.shape[0])
     fixed = partner == idx
     even_fixed, pairs = idx[fixed & (sign > 0)], idx[idx < partner]

@@ -572,9 +572,9 @@ def test_ham_build_then_energy_dist(tmp_path, capsys):
     assert side["cumulants"][2] == pytest.approx(1.0)
 
 
-def _build_pipeline_matrix(tmp_path, capsys):
-    """``ham build`` of a seeded 4-orbital (2,1) sector (dim 24) plus a
-    complex state CSV for it."""
+def _build_pipeline_matrix(tmp_path, capsys, n_alpha=2, n_beta=1):
+    """``ham build`` of a seeded 4-orbital sector, (2,1) (dim 24) unless
+    named, plus a complex state CSV for it."""
     from qprep.hamiltonian import FciDump, dump_fcidump
 
     rng = np.random.default_rng(31)
@@ -584,14 +584,16 @@ def _build_pipeline_matrix(tmp_path, capsys):
     g = g + g.transpose(0, 1, 3, 2)
     g = g + g.transpose(2, 3, 0, 1)
     fc = tmp_path / "h.fcidump"
-    fc.write_text(dump_fcidump(FciDump(4, 3, 1, 0.4, h + h.T, g)))
+    fc.write_text(dump_fcidump(FciDump(4, n_alpha + n_beta,
+                                       n_alpha - n_beta, 0.4, h + h.T, g)))
+    dim = math.comb(4, n_alpha) * math.comb(4, n_beta)
     state = tmp_path / "state.csv"
-    np.savetxt(state, rng.normal(size=(24, 2)), delimiter=",")
+    np.savetxt(state, rng.normal(size=(dim, 2)), delimiter=",")
     matrix = tmp_path / "h.npz"
     summary = run_json(capsys, ["ham", "build", "--fcidump", str(fc),
-                                "--na", "2", "--nb", "1",
+                                "--na", str(n_alpha), "--nb", str(n_beta),
                                 "--out", str(matrix)])
-    assert summary["dim"] == 24
+    assert summary["dim"] == dim
     return matrix, state
 
 
@@ -762,6 +764,23 @@ def test_ham_pipeline_diagonalizes_once_at_build(tmp_path, capsys,
             == (tmp_path / "old" / name).read_bytes(), name
 
 
+def test_balanced_archive_without_eigensystem_is_one_block(tmp_path, capsys,
+                                                         eigensolves):
+    # the build solves the (2,2) sector as its flip blocks, 21 + 15; the
+    # same matrix rewritten without its eigensystem has lost the flip
+    matrix, state = _build_pipeline_matrix(tmp_path, capsys, 2, 2)
+    assert sorted(eigensolves.dims) == [15, 21]
+    old = tmp_path / "old.npz"
+    with np.load(matrix) as data:
+        np.savez(old, entries=data["entries"],
+                 basis_labels=data["basis_labels"])
+    for argv in _measure_commands(old, state, tmp_path):
+        eigensolves.clear()
+        assert cli.dispatch(argv) == cli.EXIT_OK, argv
+        assert eigensolves == ["eigh"] and eigensolves.dims == [36], argv
+    capsys.readouterr()
+
+
 def _tamper(arrays, case):
     evals, evecs = arrays["eigenvalues"], arrays["eigenvectors"]
     n = evals.shape[0]
@@ -820,6 +839,20 @@ def test_non_finite_matrix_is_an_input_error(tmp_path, capsys, suffix, bad):
     assert "non-finite matrix entry" in captured.err
     assert str(path) in captured.err
     assert caught == []
+
+
+def test_huge_saved_matrix_loads_without_a_warning(tmp_path, capsys):
+    from qprep.hamiltonian import DenseHamiltonian, save_hamiltonian
+
+    a = np.random.default_rng(11).normal(size=(50, 50))
+    path = tmp_path / "h.npz"
+    save_hamiltonian(DenseHamiltonian((a + a.T) * 1e200), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.dispatch(["qpe-stats", "--ham", str(path), "--k", "4"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert captured.err == "" and caught == []
 
 
 def _middle_payload_byte(path, member):

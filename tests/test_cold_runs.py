@@ -77,6 +77,27 @@ def test_savez_layout_is_read_off_the_mapped_route(tmp_path, capsys):
     assert list(_rows(capsys.readouterr().out)) == ["qpe-stats-ham-savez"]
 
 
+def test_legacy_layout_drops_the_eigensystem(tmp_path, capsys):
+    import numpy as np
+
+    from qprep import hamiltonian as ham
+
+    a = np.random.default_rng(6).normal(size=(30, 30))
+    ham.save_hamiltonian(ham.DenseHamiltonian(a + a.T), tmp_path / "h.npz")
+    tool = _tool()
+    tool.savez_layout(tmp_path / "h.npz", tmp_path / "legacy.npz",
+                      drop=("eigenvalues", "eigenvectors"))
+    ours = ham.npz_archive(tmp_path / "h.npz")
+    legacy = ham.npz_archive(tmp_path / "legacy.npz")
+    assert sorted(legacy) == ["basis_labels", "entries"]
+    for name, array in legacy.items():
+        assert array.tobytes() == ours[name].tobytes()
+    assert ham.load_hamiltonian(tmp_path / "legacy.npz").eigen is None
+    assert tool.main(["--runs", "1", "--commands",
+                      "qpe-stats-ham-legacy"]) == 0
+    assert list(_rows(capsys.readouterr().out)) == ["qpe-stats-ham-legacy"]
+
+
 def test_paper_size_load_builds_its_archive_once(monkeypatch, capsys):
     tool = _tool()
     calls = []

@@ -334,10 +334,16 @@ def test_saved_eigensystem_is_reused_and_old_files_still_load(tmp_path,
     assert eigensolves == []
     legacy = ham.load_hamiltonian(old)
     assert legacy.eigen is None
-    assert np.array_equal(legacy.eigensystem()[0], evals)
-    assert np.array_equal(legacy.eigensystem()[1], evecs)
-    # the (1,1) sector is solved as its two spin-flip blocks
-    assert eigensolves == ["eigh", "eigh"] and eigensolves.dims == [3, 6]
+    # only the build knows the spin flip: the (1,1) sector that it solved
+    # as two blocks loads as one
+    legacy_vals, legacy_vecs = legacy.eigensystem()
+    assert eigensolves == ["eigh"] and eigensolves.dims == [9]
+    eigensolves.clear()
+    ref_vals, ref_vecs = np.linalg.eigh(legacy.entries)
+    assert np.array_equal(legacy_vals, ref_vals)
+    assert np.array_equal(legacy_vecs, ref_vecs)
+    assert np.max(np.abs(legacy_vals - evals)) <= 1e-12 * max(
+        1.0, np.max(np.abs(legacy.entries)))
 
 
 def test_supplied_eigensystem_is_checked_against_the_matrix():
@@ -360,13 +366,26 @@ def test_supplied_eigensystem_is_checked_against_the_matrix():
             ham.DenseHamiltonian(a, eigen=eigen)
 
 
+@pytest.mark.parametrize("scale", [1e170, 1e200, 1e300])
+def test_eigensystem_of_a_huge_matrix_is_accepted(scale):
+    # the residual is scaled before its norm squares it
+    a = np.random.default_rng(11).normal(size=(50, 50))
+    a = (a + a.T) * scale
+    evals, evecs = ham.DenseHamiltonian(a).eigensystem()
+    ham.DenseHamiltonian(a, None, (evals, evecs))
+    if scale == 1e200:
+        swapped = evecs[:, [1, 0, *range(2, 50)]]
+        with pytest.raises(ValueError, match="does not match"):
+            ham.DenseHamiltonian(a, None, (evals, swapped))
+
+
 # ---------------------------------------------------------------------------
 # Spin-flip blocks of the eigensolve
 # ---------------------------------------------------------------------------
 
 def _flip_matrix(labels):
     """Dense P from the labels: P e_i = sign_i e_partner_i."""
-    partner, sign = ham._spin_flip(labels)
+    partner, sign = oracles.spin_flip_of_labels(labels)
     p = np.zeros((len(labels),) * 2)
     p[partner, np.arange(len(labels))] = sign
     return p
@@ -387,6 +406,25 @@ def test_spin_flip_sign_commutes_with_every_balanced_sector(n_orb):
             # the flip without its sign does not commute
             q = np.abs(p)
             assert np.max(np.abs(q @ h @ q.T - h)) > 1e-3
+
+
+@pytest.mark.parametrize("n_orb", range(1, 7))
+def test_build_hands_over_the_flip_of_its_labels(n_orb, eigensolves):
+    fd = _eightfold_fcidump(np.random.default_rng(520 + n_orb), n_orb)
+    for n_el in range(n_orb + 1):
+        dense = ham.build_ci_matrix(fd, n_el, n_el)
+        partner, sign = dense._flip
+        ref_partner, ref_sign = oracles.spin_flip_of_labels(
+            dense.basis_labels)
+        assert np.array_equal(partner, ref_partner)
+        assert np.array_equal(sign, ref_sign)
+        if dense.dim == 1:
+            # one fixed point: a block of order 1 and an empty one
+            dense.eigensystem()
+            assert eigensolves == ["eigh"] and eigensolves.dims == [1]
+            eigensolves.clear()
+        if n_el < n_orb:
+            assert ham.build_ci_matrix(fd, n_el + 1, n_el)._flip is None
 
 
 def _balanced_sectors():
@@ -433,21 +471,22 @@ def _one_block_cases():
     h, labels = balanced.entries, balanced.basis_labels
     bump = np.zeros_like(h)
     bump[3, 7] = bump[7, 3] = 1e-9 * np.max(np.abs(h))
+    broken = ham.DenseHamiltonian(h + bump, labels)
+    broken._flip = balanced._flip
     return {
-        "broken flip symmetry": (h + bump, labels),
-        "labels not bit strings": (h, [lab.replace("1", "x")
-                                      for lab in labels]),
-        "odd label width": (h, [lab[:-1] for lab in labels]),
-        "complex entries": (h + 0j, labels),
-        "unequal spin counts": (lambda d: (d.entries, d.basis_labels))(
-            ham.build_ci_matrix(fd, 2, 1)),
+        "broken flip symmetry": broken,
+        # the build's matrix and labels, but not its flip
+        "built entries by hand": ham.DenseHamiltonian(h, labels),
+        "complex entries": ham.DenseHamiltonian(h + 0j, labels),
+        "unequal spin counts": ham.build_ci_matrix(fd, 2, 1),
     }
 
 
 @pytest.mark.parametrize("case", sorted(_one_block_cases()))
 def test_one_block_route_is_plain_eigh(case, eigensolves):
-    h, labels = _one_block_cases()[case]
-    evals, evecs = ham.DenseHamiltonian(h, labels).eigensystem()
+    dense = _one_block_cases()[case]
+    h = dense.entries
+    evals, evecs = dense.eigensystem()
     assert eigensolves == ["eigh"] and eigensolves.dims == [len(h)]
     eigensolves.clear()
     ref_vals, ref_vecs = np.linalg.eigh(h)

@@ -162,10 +162,15 @@ def test_mps_statevector_matches_bruteforce():
 
 
 def test_mps_amplitude():
+    # the statevector's entry int(occ, 2) is the product of the site
+    # matrices that the two-bit digits of occ pick
     rng = np.random.default_rng(6)
     m = random_mps(rng, [3, 2], d=4)
-    vec = mps_to_statevector(m)
-    assert np.isclose(m.amplitude("011011"), vec[int("011011", 2)])
+    occ = "011011"
+    product = np.ones(1)
+    for j, t in enumerate(m.tensors):
+        product = product @ t[:, int(occ[2 * j:2 * j + 2], 2), :]
+    assert np.isclose(mps_to_statevector(m)[int(occ, 2)], product[0])
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +498,8 @@ def test_sos_mps_overlap_matches_amplitude_loop(n_terms, chis):
     n_sites = len(chis) + 1
     s = half_filled_sos(rng, 2 * n_sites, n_terms)
     m = random_mps(rng, chis)
-    terms = [np.conj(amp) * m.amplitude(occ) for amp, occ in s.terms]
+    vec = mps_to_statevector(m)
+    terms = [np.conj(amp) * vec[int(occ, 2)] for amp, occ in s.terms]
     scale = sum(abs(t) for t in terms)
     assert abs(overlap(s, m) - sum(terms)) <= 1e-13 * scale
     assert overlap(m, s) == np.conj(overlap(s, m))

@@ -2,9 +2,11 @@
 
 Every public top-level function or class of ``src/qprep`` and ``bench``
 must be named (as an ``ast.Name`` or ``ast.Attribute``) somewhere in those
-files outside its own definition.  A name that only tests reach is dead
-weight: delete it, or move it to ``tests/oracles.py`` if a test compares
-against it.
+files outside its own definition, and every public method or property of
+such a class as an ``ast.Attribute`` (``x.name``; a local variable of the
+same name does not count).  A name that only tests reach is dead weight:
+delete it, or move it to ``tests/oracles.py`` if a test compares against
+it.
 """
 
 import ast
@@ -46,6 +48,27 @@ def public_definitions_and_uses():
     return defined, used
 
 
+def public_methods_and_attribute_uses():
+    """({name: [(path, first line, last line)]}, {name: [(path, line)]})
+    of the public methods and properties of public top-level classes, and
+    of every ``x.name`` attribute."""
+    defined, used = {}, {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    defined.setdefault(node.name, []).append(
+                        (path, node.lineno, node.end_lineno))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                used.setdefault(node.attr, []).append((path, node.lineno))
+    return defined, used
+
+
 def _named_outside(spans, uses):
     return any(not any(path == d_path and lo <= line <= hi
                        for d_path, lo, hi in spans)
@@ -61,6 +84,15 @@ def test_every_public_name_is_reached():
         and not _named_outside(spans, used.get(name, [])))
     assert not unreached, (
         "public names that no command, check or bench file reaches: "
+        + ", ".join(unreached))
+    methods, attributes = public_methods_and_attribute_uses()
+    assert methods
+    unreached = sorted(
+        "%s (%s:%d)" % (name, spans[0][0].relative_to(ROOT), spans[0][1])
+        for name, spans in methods.items()
+        if not _named_outside(spans, attributes.get(name, [])))
+    assert not unreached, (
+        "public methods that no command, check or bench file reaches: "
         + ", ".join(unreached))
 
 

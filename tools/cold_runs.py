@@ -12,6 +12,9 @@ without ``__pycache__``, and its own ``ham build`` writes that matrix
 there, so each tree loads the archive layout it writes.
 ``qpe-stats-ham-savez`` loads that archive rewritten member by member by
 ``zipfile`` in the layout ``numpy.savez`` writes: stored and unaligned.
+``qpe-stats-ham-legacy`` loads it rewritten the same way without the
+eigensystem members, as qprep wrote archives before it stored them, so
+the command pays the one-block eigensolve of order 784.
 
     python tools/cold_runs.py --src ../parent/src --src src --runs 10
 
@@ -50,6 +53,8 @@ COMMANDS = {
     "qpe-stats-ham": ["qpe-stats", "--ham", "h22.npz", "--k", "6"],
     "qpe-stats-ham-savez": ["qpe-stats", "--ham", "h22-savez.npz", "--k",
                             "6"],
+    "qpe-stats-ham-legacy": ["qpe-stats", "--ham", "h22-legacy.npz", "--k",
+                             "6"],
     "compress": ["compress", "--input", "dets.txt"],
     "refine-cqpe-levels": ["refine", "cqpe", "--levels", "levels.csv", "--k",
                            "6", "--accept", "3"],
@@ -62,6 +67,7 @@ COMMANDS = {
 # the archive each --ham command loads, and the build that writes it
 ARCHIVES = {"qpe-stats-ham": ("h22.npz", "ham-build"),
             "qpe-stats-ham-savez": ("h22.npz", "ham-build"),
+            "qpe-stats-ham-legacy": ("h22.npz", "ham-build"),
             "qpe-stats-ham-3136": ("h33.npz", "ham-build-3136")}
 DEFAULT = [name for name in COMMANDS if not name.endswith("-3136")]
 
@@ -90,13 +96,16 @@ def write_inputs(rng, work):
     (work / "dets.txt").write_text("\n".join(sorted(dets)) + "\n")
 
 
-def savez_layout(src, dst):
+def savez_layout(src, dst, drop=()):
     """Rewrite the npz archive ``src`` as ``dst`` the way ``numpy.savez``
     writes each member: stored, through ``open(name, "w",
     force_zip64=True)``, so a zip64 extra field and no padding precede the
-    unaligned array data."""
+    unaligned array data.  The members named in ``drop`` (without
+    ``.npy``) are left out."""
     with zipfile.ZipFile(src) as old, zipfile.ZipFile(dst, "w") as new:
         for info in old.infolist():
+            if info.filename.removesuffix(".npy") in drop:
+                continue
             with new.open(info.filename, "w", force_zip64=True) as member:
                 member.write(old.read(info))
 
@@ -161,6 +170,9 @@ def main(argv=None):
                 run(trees[t], [*COMMANDS[build][:-1], archive], work)
             if "qpe-stats-ham-savez" in names:
                 savez_layout(work / "h22.npz", work / "h22-savez.npz")
+            if "qpe-stats-ham-legacy" in names:
+                savez_layout(work / "h22.npz", work / "h22-legacy.npz",
+                             drop=("eigenvalues", "eigenvectors"))
         print("%-20s %-4s %28s %28s %28s" % (
             "command", "tree", "wall ms: median [q1, q3]",
             "cpu ms: median [q1, q3]", "peak RSS MB: median [q1, q3]"))
