@@ -326,13 +326,20 @@ def _add_measure_args(sp):
                          "2^20 (default 4096)")
 
 
+def _is_numerical(exc):
+    return bool({cls.__name__ for cls in type(exc).__mro__}
+                & _NUMERICAL_NAMES)
+
+
 @contextlib.contextmanager
 def _refusals_naming(path):
-    """Re-raise a ValueError from the block with ``path`` in front."""
+    """Re-raise a ValueError from the block with ``path`` in front; a
+    numerical refusal keeps its class, and so its exit code."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        cls = type(exc) if _is_numerical(exc) else ValueError
+        raise cls(f"{path}: {exc}") from exc
 
 
 def _is_number(field):
@@ -435,6 +442,10 @@ def _load_measure(args):
         psi = _load_state_vector(args.state, h.dim)
     else:
         psi = np.full(h.dim, h.dim ** -0.5)
+    with _refusals_naming(args.ham):
+        # the solve, which exact_spectral_measure reuses, refuses levels
+        # beyond the float range
+        h.eigensystem()
     return exact_spectral_measure(h, psi)
 
 
@@ -476,9 +487,10 @@ def cmd_estimate_cost(args):
 def cmd_ham_build(args):
     from .hamiltonian import build_ci_matrix, parse_fcidump, save_hamiltonian
 
-    with open(args.fcidump, encoding="utf-8") as fh:
-        fd = parse_fcidump(fh.read())
-    h = build_ci_matrix(fd, args.na, args.nb, dim_cap=args.dim_cap)
+    with _refusals_naming(args.fcidump):
+        with open(args.fcidump, encoding="utf-8") as fh:
+            fd = parse_fcidump(fh.read())
+        h = build_ci_matrix(fd, args.na, args.nb, dim_cap=args.dim_cap)
     save_hamiltonian(h, args.out)
     _emit_json({"n_orbitals": fd.n_orb, "n_alpha": args.na,
                 "n_beta": args.nb, "dim": h.dim,
@@ -999,8 +1011,7 @@ def dispatch(argv=None):
             return handler(args)
     except Exception as exc:  # noqa: BLE001 - single classification point
         print(f"error: {exc}", file=sys.stderr)
-        mro_names = {cls.__name__ for cls in type(exc).__mro__}
-        if mro_names & _NUMERICAL_NAMES:
+        if _is_numerical(exc):
             return EXIT_NUMERICAL
         if isinstance(exc, (OSError, ValueError, KeyError)):
             return EXIT_INPUT

@@ -314,13 +314,18 @@ class DenseHamiltonian:
         a stored eigensystem, or one made by hand) is solved as one block,
         by one ``eigh`` of ``entries``, on the command's full pool from
         order ``_EIGH_PARALLEL_MIN``.  Outside a command every solve runs at
-        the BLAS width as found.
+        the BLAS width as found.  A solve whose levels or vectors are not
+        all finite (levels beyond the float range, from entries near it) is
+        refused with ``LinAlgError``.
         """
         if self.eigen is None:
             eigen = None if self._flip is None else _flip_blocked_eigh(
                 self.entries, self._flip, self._size)
             if eigen is None:
                 eigen = _eigh(self.entries)
+            if not all(np.isfinite(a).all() for a in eigen):
+                raise np.linalg.LinAlgError(
+                    "solved levels or eigenvectors are not finite")
             self.eigen = tuple(_read_only(a) for a in eigen)
         return self.eigen
 
@@ -624,6 +629,7 @@ def build_ci_matrix(fd, n_alpha, n_beta, dim_cap=DEFAULT_DIM_CAP):
     if dim > dim_cap:
         raise DimensionCapExceeded("sector dimension %d exceeds cap %d"
                                    % (dim, dim_cap))
+    _check_integral_sizes(fd, n_alpha, n_beta, dim)
     g = fd.two_body.reshape(n * n, n * n)
     k = (fd.one_body - 0.5 * np.einsum("prrq->pq", fd.two_body)).ravel()
     occ_a, *gen_a = _string_excitations(n, n_alpha)
@@ -665,6 +671,36 @@ def build_ci_matrix(fd, n_alpha, n_beta, dim_cap=DEFAULT_DIM_CAP):
         dense._flip = (np.arange(dim).reshape(d_a, d_a).T.ravel(),
                        np.where((occ_a @ occ_a.T).ravel() & 1, -1.0, 1.0))
     return dense
+
+
+def _check_integral_sizes(fd, n_alpha, n_beta, dim):
+    """Refuse integrals whose sector matrix could overflow, before any of
+    it is allocated.
+
+    Every entry of :func:`build_ci_matrix`'s H, and every partial sum on the
+    way, is at most
+
+        E = |core| + (n_a + n_b) max |h|
+            + ((n_a + n_b) (n_orb + 1/2) + max(n_a, 1) max(n_b, 1)) max |g|
+
+    in size: a one-spin entry takes at most n_s terms k_pq, each within
+    max |h| + n_orb max |g| / 2, and at most n_s (n_orb + 1) two-body
+    terms of half an integral; an alpha-beta entry at most
+    max(n_a, 1) max(n_b, 1) integrals.  The symmetrization adds two
+    entries, and the levels lie within dim E (Gershgorin), so their spread
+    is at most 2 dim E, which must be finite.
+    """
+    n_el = n_alpha + n_beta
+    count_g = n_el * (fd.n_orb + 0.5) + max(n_alpha, 1) * max(n_beta, 1)
+    sizes = (abs(float(fd.core_energy)),
+             float(np.abs(fd.one_body).max()),
+             float(np.abs(fd.two_body).max()))
+    bound = sizes[0] + n_el * sizes[1] + count_g * sizes[2]
+    if not 2.0 * dim * bound < math.inf:
+        raise ValueError(
+            "integrals too large for the (%d, %d) sector: |core| %.3g, "
+            "max |h| %.3g and max |g| %.3g could overflow its matrix"
+            % (n_alpha, n_beta, *sizes))
 
 
 def _symmetrize(a):

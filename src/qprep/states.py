@@ -31,9 +31,12 @@ LEFT_ORTHO_TOL = 1e-10
 STATEVECTOR_LIMIT = 65536  # largest dense vector the export paths will build
 # Determinants sos_to_mps adds between two truncations of the running sum.
 _COMPRESS_EVERY = 8
+# Prefixes mps_to_sos expands at once, which bounds its memory.
+_EXPAND_BLOCK = 1024
 
-# physical index n = 2*n_alpha + n_beta; bits are written alpha-then-beta
-_DIGIT_BITS = ("00", "01", "10", "11")
+# physical index n = 2*n_alpha + n_beta; bits are written alpha-then-beta,
+# as ASCII codes: _DIGIT_CHARS[n] spells digit n
+_DIGIT_CHARS = np.frombuffer(b"00011011", dtype=np.uint8).reshape(4, 2)
 _SPATIAL_CHARS = {"0": "00", "b": "01", "a": "10", "2": "11"}
 
 
@@ -293,13 +296,20 @@ def compress_mps(state, chi_max):
 def mps_to_sos(state, threshold, term_budget=1_000_000):
     """Expand an MPS into determinants, dropping weight below ``threshold``.
 
-    Depth-first traversal over physical digits keeping running partial
-    coefficients; a branch is pruned as soon as the squared norm of its
-    partial coefficient vector drops to ``threshold`` or below.  In the
-    left-canonical form that norm bounds every completion's |coefficient|^2,
-    so every determinant with squared amplitude strictly above ``threshold``
-    is guaranteed to appear.  Raises :class:`TermBudgetExceeded` if more than
-    ``term_budget`` determinants survive.
+    The expansion runs level by level over the sites, keeping for every
+    surviving prefix of physical digits its partial coefficient row; a
+    prefix is pruned as soon as the squared norm of that row drops to
+    ``threshold`` or below.  In the left-canonical form that norm bounds
+    every completion's |coefficient|^2, so every determinant with squared
+    amplitude strictly above ``threshold`` is guaranteed to appear.  At
+    each site a block of at most ``_EXPAND_BLOCK`` prefixes takes its four
+    children from one stacked product, which runs the same vector-matrix
+    product per row as a single row would, so every amplitude has the bits
+    of the row-by-row product.  Blocks are expanded depth first, so at most
+    four blocks per site wait at any time and the prefixes take
+    O(n_sites * block * (chi + n_sites)) memory whatever the threshold.
+    Raises :class:`TermBudgetExceeded` as soon as more than ``term_budget``
+    determinants survive, so the output is bounded too.
     """
     if state.local_dim != 4:
         raise ValueError("determinant expansion requires local_dim 4")
@@ -308,25 +318,41 @@ def mps_to_sos(state, threshold, term_budget=1_000_000):
     ts = (state.tensors if state.canonical_form == "left"
           else _sweep_to_left_form(state.tensors)[0])
     n = len(ts)
-    found = []
-    prefix = []
-
-    def walk(j, coeff):
-        if float(np.vdot(coeff, coeff).real) <= threshold:
-            return
+    leaves = [(np.empty(0, dtype=complex), np.empty((0, n), dtype=np.uint8))]
+    n_found = 0
+    # blocks of prefixes still to prune and expand: (site, coefficient
+    # rows, digit rows)
+    stack = [(0, np.ones((1, 1), dtype=complex),
+              np.empty((1, 0), dtype=np.uint8))]
+    while stack:
+        j, coeffs, digits = stack.pop()
+        # each row's squared norm, by the dot product np.vdot runs on it
+        keep = (coeffs.conj()[:, None, :] @ coeffs[:, :, None])[:, 0, 0] \
+            .real > threshold
+        coeffs, digits = coeffs[keep], digits[keep]
         if j == n:
-            if len(found) >= term_budget:
+            n_found += len(coeffs)
+            if n_found > term_budget:
                 raise TermBudgetExceeded(
                     f"more than {term_budget} determinants above threshold")
-            found.append((complex(coeff[0]), "".join(prefix)))
-            return
-        for nj in range(4):
-            prefix.append(_DIGIT_BITS[nj])
-            walk(j + 1, coeff @ ts[j][:, nj, :])
-            prefix.pop()
-
-    walk(0, np.ones(1, dtype=complex))
-    found.sort(key=lambda t: (-abs(t[0]), t[1]))
+            leaves.append((coeffs[:, 0], digits))
+            continue
+        # row r's child for digit d sits at 4 r + d
+        kids = (coeffs[:, None, None, :] @ ts[j].transpose(1, 0, 2)) \
+            .reshape(-1, ts[j].shape[2])
+        kid_digits = np.empty((len(digits), 4, j + 1), dtype=np.uint8)
+        kid_digits[:, :, :j] = digits[:, None, :]
+        kid_digits[:, :, j] = np.arange(4)
+        kid_digits = kid_digits.reshape(-1, j + 1)
+        for start in range(0, len(kids), _EXPAND_BLOCK):
+            stop = start + _EXPAND_BLOCK
+            stack.append((j + 1, kids[start:stop], kid_digits[start:stop]))
+    amps = np.concatenate([a for a, _ in leaves]).tolist()
+    text = _DIGIT_CHARS[np.concatenate([d for _, d in leaves])] \
+        .tobytes().decode("ascii")
+    found = sorted(zip(amps, (text[i:i + 2 * n]
+                              for i in range(0, len(text), 2 * n))),
+                   key=lambda t: (-abs(t[0]), t[1]))
     return SosState(2 * n, found)
 
 
@@ -447,9 +473,11 @@ def overlap(a, b):
 # ---------------------------------------------------------------------------
 
 def save_sos(state, path):
-    """Write an SOS state as JSON."""
+    """Write an SOS state as JSON, in one write: ``json.dump`` would write
+    each of its chunks, a few per term, on its own."""
+    text = json.dumps(state.to_json_dict(), indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state.to_json_dict(), fh, indent=1)
+        fh.write(text)
 
 
 def load_sos(path):

@@ -507,6 +507,40 @@ def sos_to_mps_pairwise(state, chi_max, compress_every=8):
     return mps, float(fidelity)
 
 
+def mps_to_sos_recursive(state, threshold, term_budget=1_000_000):
+    """MPS -> SOS by a depth-first recursion, one prefix of physical digits
+    and one 1-D coefficient product at a time; a prefix whose squared norm
+    (``np.vdot``) is at most ``threshold`` is pruned.  Raises
+    ``TermBudgetExceeded`` on leaf ``term_budget + 1``."""
+    if state.local_dim != 4:
+        raise ValueError("determinant expansion requires local_dim 4")
+    if not 0.0 <= threshold < np.inf:
+        raise ValueError("threshold must be finite and nonnegative")
+    ts = (state.tensors if state.canonical_form == "left"
+          else states._sweep_to_left_form(state.tensors)[0])
+    n = len(ts)
+    found = []
+    prefix = []
+
+    def walk(j, coeff):
+        if float(np.vdot(coeff, coeff).real) <= threshold:
+            return
+        if j == n:
+            if len(found) >= term_budget:
+                raise states.TermBudgetExceeded(
+                    f"more than {term_budget} determinants above threshold")
+            found.append((complex(coeff[0]), "".join(prefix)))
+            return
+        for nj, bits in enumerate(("00", "01", "10", "11")):
+            prefix.append(bits)
+            walk(j + 1, coeff @ ts[j][:, nj, :])
+            prefix.pop()
+
+    walk(0, np.ones(1, dtype=complex))
+    found.sort(key=lambda t: (-abs(t[0]), t[1]))
+    return states.SosState(2 * n, found)
+
+
 def schmidt_weights(vec, left_dim):
     """Squared singular values of the bipartition (left_dim, rest)."""
     mat = np.asarray(vec, dtype=complex).reshape(left_dim, -1)

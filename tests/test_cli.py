@@ -79,7 +79,7 @@ def test_malformed_fcidump_reports_line_number(tmp_path, capsys):
                          "--out", str(tmp_path / "h.npz")])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INPUT
-    assert "line 3" in captured.err
+    assert captured.err.startswith(f"error: {bad}: line 3")
 
 
 def test_dimension_cap_is_a_numerical_refusal(tmp_path, capsys):
@@ -853,6 +853,51 @@ def test_huge_saved_matrix_loads_without_a_warning(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == cli.EXIT_OK
     assert captured.err == "" and caught == []
+
+
+def test_levels_beyond_the_float_range_are_refused_naming_the_file(
+        tmp_path, capsys):
+    a = np.random.default_rng(0).normal(size=(50, 50))
+    for name, matrix, want in (("huge.csv", (a + a.T) * 1e307,
+                                cli.EXIT_NUMERICAL),
+                               ("half.csv", (a + a.T) / 2 * 1e307,
+                                cli.EXIT_OK)):
+        path = tmp_path / name
+        np.savetxt(path, matrix, delimiter=",")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.dispatch(["qpe-stats", "--ham", str(path), "--k", "4"])
+        captured = capsys.readouterr()
+        assert code == want and caught == [], captured.err
+        if want:
+            assert captured.err == (f"error: {path}: solved levels or "
+                                    "eigenvectors are not finite\n")
+
+
+def test_huge_fcidump_integrals_are_refused_naming_the_file(tmp_path,
+                                                            capsys):
+    fc = tmp_path / "big.fcidump"
+    argv = ["ham", "build", "--fcidump", str(fc), "--na", "1", "--nb", "1",
+            "--out", str(tmp_path / "h.npz")]
+    for value, want in (("1e308", cli.EXIT_INPUT), ("1e300", cli.EXIT_OK)):
+        fc.write_text(TWO_ORBITAL.replace(" 0.2 1 1 1 1",
+                                          f" {value} 1 1 1 1"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.dispatch(argv)
+            captured = capsys.readouterr()
+            assert code == want and caught == [], captured.err
+            if want:
+                assert captured.err.startswith(
+                    f"error: {fc}: integrals too large for the (1, 1) "
+                    "sector")
+                assert not (tmp_path / "h.npz").exists()
+                continue
+            code = cli.dispatch(["qpe-stats", "--ham",
+                                 str(tmp_path / "h.npz"), "--k", "4"])
+            captured = capsys.readouterr()
+        assert code == cli.EXIT_OK and caught == [], captured.err
+        assert captured.err == ""
 
 
 def _middle_payload_byte(path, member):

@@ -118,3 +118,38 @@ def test_paper_size_load_builds_its_archive_once(monkeypatch, capsys):
     assert load[:3] == ["qpe-stats", "--ham", "h33.npz"]
     assert calls == [build, load, load]
     assert list(_rows(capsys.readouterr().out)) == ["qpe-stats-ham-3136"]
+
+
+def test_convert_to_sos_expands_the_tree_own_mps(tmp_path, monkeypatch,
+                                                 capsys):
+    import random
+
+    from qprep import states
+
+    tool = _tool()
+    build = [*tool.COMMANDS["convert-to-mps"][:-1], "state.npz"]
+    load = tool.COMMANDS["convert-to-sos"]
+    assert build[:5] == ["convert", "--input", "state.json", "--to", "mps"]
+    assert load[:5] == ["convert", "--input", "state.npz", "--to", "sos"]
+    # the seeded state round-trips through both commands of this tree
+    tool.write_inputs(random.Random(1), tmp_path)
+    for argv in (build, load):
+        tool.run(ROOT / "src", argv, tmp_path)
+    state = states.load_sos(tmp_path / "state.json")
+    back = states.load_sos(tmp_path / "back.json")
+    assert len(state.terms) == len(back.terms) == tool.SOS_TERMS
+    assert max(states.load_mps(tmp_path / "state.npz").bond_dims) == 64
+    fid = abs(states.overlap(state, back)) ** 2 \
+        / (state.norm() * back.norm()) ** 2
+    assert fid > 1 - 1e-10
+    calls = []
+
+    def run(src, argv, work):
+        calls.append(argv)
+        return 1.0, 2.0, 3.0
+
+    # the archive is made once per tree, before the timed runs
+    monkeypatch.setattr(tool, "run", run)
+    assert tool.main(["--runs", "2", "--commands", "convert-to-sos"]) == 0
+    assert calls == [build, load, load]
+    assert list(_rows(capsys.readouterr().out)) == ["convert-to-sos"]

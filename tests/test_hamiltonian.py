@@ -379,6 +379,75 @@ def test_eigensystem_of_a_huge_matrix_is_accepted(scale):
             ham.DenseHamiltonian(a, None, (evals, swapped))
 
 
+def test_solved_levels_beyond_the_float_range_are_refused():
+    import warnings
+
+    # levels near +-2e308 at this scale, +-1e308 at half of it
+    a = np.random.default_rng(0).normal(size=(50, 50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            ham.DenseHamiltonian((a + a.T) * 1e307).eigensystem()
+        evals, evecs = ham.DenseHamiltonian((a + a.T) / 2 * 1e307) \
+            .eigensystem()
+    assert np.isfinite(evals).all() and np.isfinite(evecs).all()
+
+
+def _entry_bound(fd, n_alpha, n_beta):
+    """The bound on max |H_ij| stated in ``_check_integral_sizes``."""
+    n_el = n_alpha + n_beta
+    return (abs(fd.core_energy) + n_el * np.abs(fd.one_body).max()
+            + (n_el * (fd.n_orb + 0.5) + max(n_alpha, 1) * max(n_beta, 1))
+            * np.abs(fd.two_body).max())
+
+
+@pytest.mark.parametrize("n_orb, n_alpha, n_beta",
+                         [(2, 1, 1), (3, 2, 1), (4, 2, 2), (5, 1, 3),
+                          (4, 0, 2)])
+def test_integral_bound_holds_and_is_the_refusal_edge(n_orb, n_alpha,
+                                                      n_beta):
+    import warnings
+
+    rng = np.random.default_rng(50 + n_orb)
+    fd = _eightfold_fcidump(rng, n_orb)
+    # every integral of size 1 bar the signs: the terms can add up
+    fd = ham.FciDump(n_orb, 2, 0, 1.0, np.sign(fd.one_body),
+                     np.sign(fd.two_body))
+    bound = _entry_bound(fd, n_alpha, n_beta)
+    h = ham.build_ci_matrix(fd, n_alpha, n_beta)
+    assert np.abs(h.entries).max() <= bound
+    assert np.abs(h.eigensystem()[0]).max() <= h.dim * bound
+    # scaled to just below and just above the edge 2 dim bound = max float
+    edge = np.finfo(float).max / (2 * h.dim * bound)
+    for factor, fits in ((0.99, True), (1.01, False)):
+        s = edge * factor
+        big = ham.FciDump(n_orb, 2, 0, s, fd.one_body * s, fd.two_body * s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if fits:
+                evals = ham.build_ci_matrix(big, n_alpha, n_beta) \
+                    .eigensystem()[0]
+                assert np.isfinite(evals).all()
+            else:
+                with pytest.raises(ValueError, match="integrals too large"):
+                    ham.build_ci_matrix(big, n_alpha, n_beta)
+
+
+@pytest.mark.parametrize("core, value", [(0.7, 1e308), (0.7, 1.7e308),
+                                         (np.inf, 0.2), (np.nan, 0.2)])
+def test_huge_integrals_are_refused_before_the_build(monkeypatch, core,
+                                                     value):
+    def unreached(*args):
+        raise AssertionError("the build started")
+
+    monkeypatch.setattr(ham, "_string_excitations", unreached)
+    fd = ham.parse_fcidump(TWO_ORBITAL.replace(" 0.2 1 1 1 1",
+                                               " %r 1 1 1 1" % value))
+    fd.core_energy = core
+    with pytest.raises(ValueError, match="integrals too large"):
+        ham.build_ci_matrix(fd, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Spin-flip blocks of the eigensolve
 # ---------------------------------------------------------------------------

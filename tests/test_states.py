@@ -367,6 +367,114 @@ def test_mps_to_sos_requires_local_dim_4():
         mps_to_sos(random_mps(rng, [2], d=2), threshold=1e-6)
 
 
+def _term_bits(state):
+    """Each term as the hex of its amplitude's parts and its occupation, in
+    order."""
+    return [(a.real.hex(), a.imag.hex(), occ) for a, occ in state.terms]
+
+
+def _oracle_cases():
+    """(label, MPS) pairs: 1 to 7 sites, random bonds of 1 to 64, as given
+    and in the left-canonical form."""
+    rng = np.random.default_rng(40)
+    cases = []
+    for n in range(1, 8):
+        for cap in (4, 64):
+            chis = [int(rng.integers(1, cap + 1)) for _ in range(n - 1)]
+            m = random_mps(rng, chis)
+            cases.append((f"{n} sites {chis}", m))
+            cases.append((f"{n} sites {chis} left", left_canonicalize(m)))
+    return cases
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1e-10, 1e-3, 1.0, 7.5])
+def test_mps_to_sos_matches_recursive_oracle_bit_for_bit(threshold):
+    sizes = []
+    for label, m in _oracle_cases():
+        # weights relative to the norm, so that thresholds of 1 and more
+        # prune the root and leave nothing
+        scaled = MpsState([m.tensors[0] / m.norm(), *m.tensors[1:]],
+                          canonical_form=m.canonical_form)
+        got = mps_to_sos(scaled, threshold)
+        assert _term_bits(got) \
+            == _term_bits(oracles.mps_to_sos_recursive(scaled, threshold)), \
+            label
+        sizes.append(len(got.terms))
+    assert (max(sizes) == 0) == (threshold >= 1.0)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_mps_to_sos_blocks_do_not_change_the_bits(monkeypatch, block):
+    # 4 ** 5 = 1024 leaves at threshold 0: the blocks split every level
+    # from the second on
+    rng = np.random.default_rng(41)
+    m = random_mps(rng, [4, 16, 16, 4])
+    want = _term_bits(oracles.mps_to_sos_recursive(m, 0.0))
+    monkeypatch.setattr(states, "_EXPAND_BLOCK", block)
+    assert _term_bits(mps_to_sos(m, 0.0)) == want
+    assert len(want) == 4 ** 5
+
+
+def test_mps_to_sos_of_a_mapped_file_matches_the_oracle(tmp_path):
+    rng = np.random.default_rng(42)
+    path = tmp_path / "state.mps"
+    save_mps(compress_mps(random_mps(rng, [3, 9, 3]), 8)[0], path)
+    m = load_mps(path)
+    assert _term_bits(mps_to_sos(m, 1e-6)) \
+        == _term_bits(oracles.mps_to_sos_recursive(m, 1e-6))
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1e-3])
+def test_mps_to_sos_budget_matches_the_oracle(threshold):
+    rng = np.random.default_rng(43)
+    m = compress_mps(random_mps(rng, [4, 8, 4]), 8)[0]
+    leaves = len(oracles.mps_to_sos_recursive(m, threshold).terms)
+    assert leaves > 1
+    got = mps_to_sos(m, threshold, term_budget=leaves)
+    assert _term_bits(got) == _term_bits(
+        oracles.mps_to_sos_recursive(m, threshold, term_budget=leaves))
+    with pytest.raises(TermBudgetExceeded) as want:
+        oracles.mps_to_sos_recursive(m, threshold, term_budget=leaves - 1)
+    with pytest.raises(TermBudgetExceeded) as exc:
+        mps_to_sos(m, threshold, term_budget=leaves - 1)
+    assert str(exc.value) == str(want.value) \
+        == f"more than {leaves - 1} determinants above threshold"
+
+
+@pytest.mark.parametrize("d, threshold", [(2, 1e-6), (4, float("nan")),
+                                          (4, float("inf")), (4, -1e-3)])
+def test_mps_to_sos_refusals_match_the_oracle(d, threshold):
+    m = random_mps(np.random.default_rng(44), [2], d=d)
+    with pytest.raises(ValueError) as want:
+        oracles.mps_to_sos_recursive(m, threshold)
+    with pytest.raises(ValueError) as exc:
+        mps_to_sos(m, threshold)
+    assert str(exc.value) == str(want.value)
+
+
+def test_mps_to_sos_memory_stays_within_the_block_bound():
+    # threshold 0 keeps all 4 ** 12 determinants of a random 12-site MPS;
+    # a level-wide expansion would hold 4 ** 11 prefixes at the last site
+    import tracemalloc
+
+    n, chi = 12, 4
+    m = random_mps(np.random.default_rng(45), [chi] * (n - 1))
+    block = states._EXPAND_BLOCK
+    # per site, the children of one block (coefficients and digit rows)
+    # and the survivors of one of their blocks
+    bound = n * 5 * block * (16 * chi + n)
+    assert 4 ** (n - 1) * 16 * chi > 20 * bound
+    tracemalloc.start()
+    try:
+        with pytest.raises(TermBudgetExceeded,
+                           match="more than 100 determinants"):
+            mps_to_sos(m, 0.0, term_budget=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 # ---------------------------------------------------------------------------
 # SOS -> MPS
 # ---------------------------------------------------------------------------
@@ -540,6 +648,31 @@ def test_sos_json_roundtrip(tmp_path):
     back = load_sos(path)
     assert back.n_spin_orbitals == 6
     assert back.terms == s.terms
+
+
+def test_save_sos_writes_the_bytes_of_json_dump_at_once(tmp_path,
+                                                      monkeypatch):
+    import builtins
+    import json
+
+    rng = np.random.default_rng(29)
+    s = SosState(12, half_filled_sos(rng, 12, 64).terms
+                 + [(complex(-0.0, 1e-300), "0" * 12)])
+    want = tmp_path / "want.json"
+    with open(want, "w", encoding="utf-8") as fh:
+        json.dump(s.to_json_dict(), fh, indent=1)
+    writes = []
+
+    def counting_open(*args, **kwargs):
+        fh = builtins.open(*args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: writes.append(len(text)) or write(text)
+        return fh
+
+    monkeypatch.setattr(states, "open", counting_open, raising=False)
+    save_sos(s, tmp_path / "got.json")
+    assert (tmp_path / "got.json").read_bytes() == want.read_bytes()
+    assert writes == [len(want.read_text(encoding="utf-8"))]
 
 
 def test_mps_file_roundtrip(tmp_path):

@@ -5,8 +5,9 @@ Each run is a fresh ``python -m qprep.cli`` process with ``PYTHONPATH`` at
 one tree's ``src``, so it pays the imports and the BLAS start-up that every
 command line pays.  For each command the trees alternate, run after run,
 so drift in the host's speed falls on both alike.  The inputs (an
-8-orbital FCIDUMP, a levels file, determinant bitstrings and the dim-784
-matrix of the FCIDUMP's (2,2) sector, not timed) come from ``--seed``;
+8-orbital FCIDUMP, a levels file, determinant bitstrings, a 64-determinant
+SOS state on 12 spin orbitals, the dim-784 matrix of the FCIDUMP's (2,2)
+sector and the MPS of the SOS state, not timed) come from ``--seed``;
 each tree runs in a directory of its own, from a copy of its ``src``
 without ``__pycache__``, and its own ``ham build`` writes that matrix
 there, so each tree loads the archive layout it writes.
@@ -14,7 +15,9 @@ there, so each tree loads the archive layout it writes.
 ``zipfile`` in the layout ``numpy.savez`` writes: stored and unaligned.
 ``qpe-stats-ham-legacy`` loads it rewritten the same way without the
 eigensystem members, as qprep wrote archives before it stored them, so
-the command pays the one-block eigensolve of order 784.
+the command pays the one-block eigensolve of order 784.  In the same way
+each tree's own ``convert --to mps`` writes the MPS archive (bond
+dimensions up to 64) that ``convert-to-sos`` expands.
 
     python tools/cold_runs.py --src ../parent/src --src src --runs 10
 
@@ -30,6 +33,7 @@ timed).  Standard library only.
 """
 
 import argparse
+import json
 import os
 import random
 import shutil
@@ -43,6 +47,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 N_ORB = 8
+# the SOS state: half-filled determinants over SOS_SITES spatial orbitals
+SOS_SITES = 6
+SOS_TERMS = 64
 
 COMMANDS = {
     "estimate-cost": ["estimate-cost", "--n-spatial", "100", "--d-values",
@@ -62,13 +69,18 @@ COMMANDS = {
                   "--nb", "2", "--out", "built.npz"],
     "ham-build-3136": ["ham", "build", "--fcidump", "h8.fcidump", "--na",
                        "3", "--nb", "3", "--out", "built.npz"],
+    "convert-to-mps": ["convert", "--input", "state.json", "--to", "mps",
+                       "--out", "converted.npz"],
+    "convert-to-sos": ["convert", "--input", "state.npz", "--to", "sos",
+                       "--out", "back.json"],
     "qpe-stats-ham-3136": ["qpe-stats", "--ham", "h33.npz", "--k", "6"],
 }
-# the archive each --ham command loads, and the build that writes it
+# the archive each command loads, and the command that writes it
 ARCHIVES = {"qpe-stats-ham": ("h22.npz", "ham-build"),
             "qpe-stats-ham-savez": ("h22.npz", "ham-build"),
             "qpe-stats-ham-legacy": ("h22.npz", "ham-build"),
-            "qpe-stats-ham-3136": ("h33.npz", "ham-build-3136")}
+            "qpe-stats-ham-3136": ("h33.npz", "ham-build-3136"),
+            "convert-to-sos": ("state.npz", "convert-to-mps")}
 DEFAULT = [name for name in COMMANDS if not name.endswith("-3136")]
 
 
@@ -94,6 +106,15 @@ def write_inputs(rng, work):
         occupied = set(rng.sample(range(60), 15))
         dets.add("".join("1" if i in occupied else "0" for i in range(60)))
     (work / "dets.txt").write_text("\n".join(sorted(dets)) + "\n")
+    occs = set()
+    while len(occs) < SOS_TERMS:
+        occupied = set(rng.sample(range(2 * SOS_SITES), SOS_SITES))
+        occs.add("".join("1" if i in occupied else "0"
+                         for i in range(2 * SOS_SITES)))
+    (work / "state.json").write_text(json.dumps({
+        "n_spin_orbitals": 2 * SOS_SITES,
+        "terms": [{"re": rng.gauss(0, 1), "im": rng.gauss(0, 1), "occ": occ}
+                  for occ in sorted(occs)]}))
 
 
 def savez_layout(src, dst, drop=()):
