@@ -326,6 +326,15 @@ def _add_measure_args(sp):
                          "2^20 (default 4096)")
 
 
+def _add_posterior_args(sp):
+    """The flags that :func:`_emit_refinement` reads, for each refine
+    command."""
+    sp.add_argument("--et", type=_finite_float, metavar="E",
+                    help="also report posterior weight at or below E")
+    sp.add_argument("--posterior-out", metavar="FILE",
+                    help="write the posterior levels as CSV")
+
+
 def _is_numerical(exc):
     return bool({cls.__name__ for cls in type(exc).__mro__}
                 & _NUMERICAL_NAMES)
@@ -387,6 +396,8 @@ def _load_state_vector(path, dim):
         if vec.shape[0] != dim:
             raise ValueError(f"state has {vec.shape[0]} amplitudes, "
                              f"Hamiltonian dim is {dim}")
+        if not vec.any():
+            raise ValueError("cannot take the measure of the zero state")
     return vec
 
 
@@ -443,10 +454,9 @@ def _load_measure(args):
     else:
         psi = np.full(h.dim, h.dim ** -0.5)
     with _refusals_naming(args.ham):
-        # the solve, which exact_spectral_measure reuses, refuses levels
-        # beyond the float range
-        h.eigensystem()
-    return exact_spectral_measure(h, psi)
+        # the solve refuses levels beyond the float range, and the
+        # normalizer a spread beyond it
+        return exact_spectral_measure(h, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +488,8 @@ def cmd_estimate_cost(args):
                       chi_values=chi_values, d=args.local_dim,
                       b=args.rotation_bits, n_sites=args.n_sites)
     _emit_csv(("param", "method", "toffoli", "clean_qubits", "dirty_qubits"),
-              [(r["param"], r["method"], r["toffoli"],
-                r["clean_qubits"], r["dirty_qubits"]) for r in rows],
-              args.out)
+              [(param, r.method, r.toffoli, r.clean_qubits, r.dirty_qubits)
+               for param, r in rows], args.out)
     return EXIT_OK
 
 
@@ -938,10 +947,7 @@ def build_parser():
                     help="readout digits")
     sp.add_argument("--accept", type=_int_list, required=True,
                     metavar="X1,X2,...", help="accepted register outcomes")
-    sp.add_argument("--et", type=_finite_float, metavar="E",
-                    help="also report posterior weight at or below E")
-    sp.add_argument("--posterior-out", metavar="FILE",
-                    help="write the posterior levels as CSV")
+    _add_posterior_args(sp)
 
     sp = add(("refine", "qetu"), cmd_refine_qetu,
              "apply an erf-style symmetric filter window",
@@ -962,10 +968,7 @@ def build_parser():
                                    open_hi=True),
                     help="gap kept between the mapped spectrum and the "
                          "angle-interval ends, in (0, pi/2) (default 0.1)")
-    sp.add_argument("--et", type=_finite_float, metavar="E",
-                    help="also report posterior weight at or below E")
-    sp.add_argument("--posterior-out", metavar="FILE",
-                    help="write the posterior levels as CSV")
+    _add_posterior_args(sp)
 
     sp = add(("refine", "case-study"), cmd_refine_case_study,
              "run the bundled Gaussian refinement case study",

@@ -159,7 +159,7 @@ def simulate_sos_encoding(state):
 # ---------------------------------------------------------------------------
 
 def _bond_qubits(state):
-    return max(int(np.ceil(np.log2(chi))) for chi in state.bond_dims)
+    return max((chi - 1).bit_length() for chi in state.bond_dims)
 
 
 def _require_prepared(state):

@@ -52,7 +52,6 @@ distinctness test, not D**2/2 span tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +71,13 @@ class DuplicateDeterminant(ValueError):
 
 
 def signature_length(n_det):
-    """Number of signature bits, 2*ceil(log2 D) - 1, for D >= 2 (0 for D=1)."""
+    """Number of signature bits, 2*ceil(log2 D) - 1, for D >= 2 (0 for D=1),
+    exact for any D: ceil(log2 D) is ``(D - 1).bit_length()``."""
     if n_det < 1:
         raise ValueError("need at least one determinant")
     if n_det == 1:
         return 0
-    return 2 * math.ceil(math.log2(n_det)) - 1
+    return 2 * (n_det - 1).bit_length() - 1
 
 
 def _parse_bitstrings(strings):

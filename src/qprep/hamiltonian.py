@@ -534,8 +534,14 @@ class AffineNormalizer:
 
 def spectrum_normalizer(lo, hi):
     """The affine map taking the spectrum bounds [lo, hi] onto [m, 1 - m],
-    m = ``SPECTRUM_MARGIN``; a spectrum of one point goes to 1/2."""
+    m = ``SPECTRUM_MARGIN``; a spectrum of one point goes to 1/2.  Bounds
+    whose spread hi - lo overflows the float range are refused with
+    ``LinAlgError``, as no scale maps them."""
     lo, hi = float(lo), float(hi)
+    if not math.isfinite(hi - lo):
+        raise np.linalg.LinAlgError(
+            "the levels span [%.6g, %.6g], a spread beyond the float range"
+            % (lo, hi))
     if hi - lo < 1e-300:
         return AffineNormalizer(1.0, 0.5 - lo)
     scale = (1 - 2 * SPECTRUM_MARGIN) / (hi - lo)

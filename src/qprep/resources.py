@@ -1,7 +1,10 @@
 """Closed-form Toffoli and qubit cost estimates for state encodings.
 
 All formulas are exact integer arithmetic; square roots and logs are
-ceiled termwise (a conservative upper bound).  ``n_spatial`` counts spatial
+ceiled termwise (a conservative upper bound).  Every ceil(log2 n) is
+``(n - 1).bit_length()`` and every ceil(sqrt n) is ``isqrt(n - 1) + 1``, so
+the counts stay exact for any D; only a term that multiplies an irrational
+square root takes the float one.  ``n_spatial`` counts spatial
 orbitals throughout, so the system register holds ``2 * n_spatial``
 spin-orbital qubits.
 """
@@ -40,10 +43,6 @@ class ResourceReport:
                                  % (name, v))
 
 
-def _log2_ceil(n):
-    return math.ceil(math.log2(n)) if n > 1 else 0
-
-
 def _check_args(n_spatial, n_det):
     if n_spatial < 1:
         raise ValueError("need at least one spatial orbital")
@@ -62,7 +61,7 @@ def sos_cost_basic(n_spatial, n_det):
     system = 2 * n_spatial
     if n_det == 1:
         return ResourceReport(0, system, 0, "sos_basic")
-    L = _log2_ceil(n_det)
+    L = (n_det - 1).bit_length()
     toffoli = (2 * L + 3) * n_det
     ancilla = 5 * L - 3
     return ResourceReport(toffoli, system + ancilla, 0, "sos_basic")
@@ -80,10 +79,11 @@ def sos_cost_tradeoff(n_spatial, n_det):
     system = 2 * n_spatial
     if n_det == 1:
         return ResourceReport(0, system, 0, "sos_tradeoff")
-    L = _log2_ceil(n_det)
+    L = (n_det - 1).bit_length()
     sqrt_d = math.sqrt(n_det)
-    swap_term = math.ceil(2 * math.sqrt(32 * n_spatial * n_det))
-    dirty = math.ceil(math.sqrt(32 * n_spatial * n_det))
+    # ceil(2 sqrt x) = ceil(sqrt 4x)
+    swap_term = math.isqrt(128 * n_spatial * n_det - 1) + 1
+    dirty = math.isqrt(32 * n_spatial * n_det - 1) + 1
     if n_det <= swap_term:
         swap_term = n_det
         dirty = 0
@@ -134,16 +134,16 @@ def mps_cost(chis, d=4, b=DEFAULT_ROTATION_BITS, variant="select"):
     nu_max = 0
     for j in range(1, n_sites + 1):
         chi_prev, chi_next = bonds[j - 1], bonds[j]
-        nu = _log2_ceil(chi_next * d)
+        nu = (chi_next * d - 1).bit_length()
         nu_max = max(nu_max, nu)
         if variant == "select":
             toffoli += chi_prev * (8 * chi_next * d + (b + 1) * nu)
         else:
-            lam_j = math.ceil(math.sqrt(chi_next * d))
-            toffoli += chi_prev * (math.ceil(8 * chi_next * d / lam_j)
+            lam_j = math.isqrt(chi_next * d - 1) + 1
+            toffoli += chi_prev * (-(-8 * chi_next * d // lam_j)
                                    + 8 * lam_j * b * nu + b * nu + nu)
             dirty = max(dirty, lam_j * b)
-    system = n_sites * _log2_ceil(d)
+    system = n_sites * (d - 1).bit_length()
     clean = system + nu_max + b
     method = "mps_select" if variant == "select" else "mps_selswap_dirty"
     return ResourceReport(toffoli, clean, dirty, method)
@@ -153,24 +153,13 @@ def cost_sweep(n_spatial, det_counts=(), chi_values=(), d=4,
                b=DEFAULT_ROTATION_BITS, n_sites=None):
     """Tabulate every method over ranges of D and/or uniform chi.
 
-    Returns a list of dicts with keys param, method, toffoli, clean_qubits,
-    dirty_qubits — one row per (sweep value, method) pair, ready for CSV.
+    Returns ``(param, ResourceReport)`` pairs, param being the D or chi of
+    the row: the three sum-of-Slater methods for each D in ``det_counts``,
+    then the two MPS variants for each chi in ``chi_values``.
     """
-    rows = []
-    for n_det in det_counts:
-        for fn in (sos_cost_basic, sos_cost_tradeoff, sos_cost_prior):
-            rep = fn(n_spatial, n_det)
-            rows.append({"param": n_det, "method": rep.method,
-                         "toffoli": rep.toffoli,
-                         "clean_qubits": rep.clean_qubits,
-                         "dirty_qubits": rep.dirty_qubits})
+    rows = [(n_det, fn(n_spatial, n_det)) for n_det in det_counts
+            for fn in (sos_cost_basic, sos_cost_tradeoff, sos_cost_prior)]
     sites = n_sites if n_sites is not None else n_spatial
-    for chi in chi_values:
-        chain = [chi] * (sites - 1)
-        for variant in ("select", "selswap_dirty"):
-            rep = mps_cost(chain, d=d, b=b, variant=variant)
-            rows.append({"param": chi, "method": rep.method,
-                         "toffoli": rep.toffoli,
-                         "clean_qubits": rep.clean_qubits,
-                         "dirty_qubits": rep.dirty_qubits})
+    rows += [(chi, mps_cost([chi] * (sites - 1), d=d, b=b, variant=variant))
+             for chi in chi_values for variant in ("select", "selswap_dirty")]
     return rows

@@ -28,7 +28,7 @@ import numpy as np
 from .hamiltonian import npz_archive, save_npz
 
 LEFT_ORTHO_TOL = 1e-10
-STATEVECTOR_LIMIT = 65536  # largest dense vector the export paths will build
+STATEVECTOR_LIMIT = 65536  # largest dense vector the export will build
 # Determinants sos_to_mps adds between two truncations of the running sum.
 _COMPRESS_EVERY = 8
 # Prefixes mps_to_sos expands at once, which bounds its memory.
@@ -193,24 +193,11 @@ class MpsState:
 # Dense statevector export
 # ---------------------------------------------------------------------------
 
-def sos_to_statevector(state):
-    """Dense vector of dimension 2**n_spin_orbitals; the amplitude of
-    occupation ``occ`` sits at index ``int(occ, 2)``."""
-    dim = 2 ** state.n_spin_orbitals
-    if dim > STATEVECTOR_LIMIT:
-        raise ValueError(f"statevector would have {dim} entries "
-                         f"(limit {STATEVECTOR_LIMIT})")
-    vec = np.zeros(dim, dtype=complex)
-    for amp, occ in state.terms:
-        vec[int(occ, 2)] = amp
-    return vec
-
-
 def mps_to_statevector(state):
     """Dense vector of dimension d**n_sites, site 0 most significant.
 
-    For local dimension 4 the index convention coincides with
-    :func:`sos_to_statevector` on the matching occupation strings.
+    For local dimension 4 the amplitude of occupation string ``occ`` sits
+    at index ``int(occ, 2)``.
     """
     dim = state.local_dim ** state.n_sites
     if dim > STATEVECTOR_LIMIT:

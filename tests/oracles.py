@@ -426,6 +426,18 @@ def ci_matrix_loop(fd, n_alpha, n_beta):
     return H, labels
 
 
+def rotate_fcidump(fd, q):
+    """The integrals of ``fd`` over the orbitals rotated by the orthogonal
+    ``q`` (new orbital p = sum_a q_ap old orbital a): h' = q^T h q and
+    (pq|rs)' = sum q_ap q_bq q_cr q_ds (ab|cd).  A spin-free Hamiltonian
+    keeps its levels in every sector."""
+    h = q.T @ fd.one_body @ q
+    g = np.einsum("abcd,ap,bq,cr,ds->pqrs", fd.two_body, q, q, q, q,
+                  optimize=True)
+    return hamiltonian.FciDump(fd.n_orb, fd.n_elec, fd.ms2, fd.core_energy,
+                               (h + h.T) / 2, g)
+
+
 def jw_sector_block(h_full, labels):
     """Extract the block of a full JW matrix matching determinant labels."""
     states = [int(lbl[::-1], 2) for lbl in labels]
@@ -435,6 +447,16 @@ def jw_sector_block(h_full, labels):
 # ---------------------------------------------------------------------------
 # Tensor-network oracles
 # ---------------------------------------------------------------------------
+
+def sos_to_statevector(state):
+    """Dense vector of dimension 2**n_spin_orbitals of a sum of Slater
+    determinants; the amplitude of occupation ``occ`` sits at index
+    ``int(occ, 2)``, as in :func:`qprep.states.mps_to_statevector`."""
+    vec = np.zeros(2 ** state.n_spin_orbitals, dtype=complex)
+    for amp, occ in state.terms:
+        vec[int(occ, 2)] = amp
+    return vec
+
 
 def mps_contract_bruteforce(tensors):
     """Statevector of an MPS by explicit matrix products, one basis state

@@ -21,6 +21,12 @@ def test_reproduction_check(check, capsys, acceptance_result):
     assert result.passed, result.detail
 
 
+def test_checks_name_no_scipy_stats():
+    # check 7 takes the normal density in closed form
+    source = open(acceptance.__file__, encoding="utf-8").read()
+    assert "scipy.stats" not in source
+
+
 def test_check_lines_are_well_formed(acceptance_result):
     result = acceptance_result(acceptance.check_min_of_k)
     line = result.line()

@@ -857,21 +857,56 @@ def test_huge_saved_matrix_loads_without_a_warning(tmp_path, capsys):
 
 def test_levels_beyond_the_float_range_are_refused_naming_the_file(
         tmp_path, capsys):
+    # levels near +-2e308 at the full scale; near +-1e308 at half of it,
+    # finite but spread beyond the float range; a quarter of it loads
     a = np.random.default_rng(0).normal(size=(50, 50))
-    for name, matrix, want in (("huge.csv", (a + a.T) * 1e307,
-                                cli.EXIT_NUMERICAL),
-                               ("half.csv", (a + a.T) / 2 * 1e307,
-                                cli.EXIT_OK)):
+    for name, matrix, want in (
+            ("huge.csv", (a + a.T) * 1e307,
+             "solved levels or eigenvectors are not finite"),
+            ("half.csv", (a + a.T) / 2 * 1e307,
+             "a spread beyond the float range"),
+            ("quarter.csv", (a + a.T) / 4 * 1e307, None)):
         path = tmp_path / name
         np.savetxt(path, matrix, delimiter=",")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli.dispatch(["qpe-stats", "--ham", str(path), "--k", "4"])
         captured = capsys.readouterr()
-        assert code == want and caught == [], captured.err
-        if want:
-            assert captured.err == (f"error: {path}: solved levels or "
-                                    "eigenvectors are not finite\n")
+        assert caught == [], captured.err
+        if want is None:
+            assert code == cli.EXIT_OK, captured.err
+        else:
+            assert code == cli.EXIT_NUMERICAL
+            assert captured.err.startswith(f"error: {path}: ")
+            assert captured.err.endswith(want + "\n")
+
+
+@pytest.mark.parametrize("route,scale", [
+    ("csv", 0.5e307), ("csv", 0.8e307), ("archive", 0.5e307),
+    ("no eigensystem", 0.5e307), ("no eigensystem", 0.8e307)])
+def test_overflowing_level_spread_is_refused_naming_the_file(
+        tmp_path, capsys, route, scale):
+    from qprep.hamiltonian import DenseHamiltonian, save_hamiltonian, save_npz
+
+    a = np.random.default_rng(0).normal(size=(50, 50))
+    matrix = (a + a.T) * scale
+    path = tmp_path / ("h.csv" if route == "csv" else "h.npz")
+    if route == "csv":
+        np.savetxt(path, matrix, delimiter=",")
+    elif route == "archive":
+        save_hamiltonian(DenseHamiltonian(matrix), path)
+    else:
+        save_npz(path, {"entries": matrix, "basis_labels": np.array([])})
+    for argv in (["qpe-stats", "--k", "4"],
+                 ["energy-dist", "--method", "series"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.dispatch([*argv, "--ham", str(path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL and caught == [], captured.err
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: the levels span ")
+        assert captured.err.endswith("a spread beyond the float range\n")
 
 
 def test_huge_fcidump_integrals_are_refused_naming_the_file(tmp_path,
@@ -1157,6 +1192,18 @@ def test_bad_crc_is_the_refusal_reported_over_any_later_check(
     assert captured.err == "error: %s: Bad CRC-32 for file 'entries.npy'\n" \
         % path
     assert caught == []
+
+
+def test_zero_state_is_refused_naming_the_state_file(tmp_path, capsys):
+    matrix, state = _build_pipeline_matrix(tmp_path, capsys)
+    rows = np.loadtxt(state, delimiter=",")
+    np.savetxt(state, 0.0 * rows, delimiter=",")
+    argv = ["qpe-stats", "--ham", str(matrix), "--state", str(state),
+            "--k", "4"]
+    _refused_naming(capsys, state, argv,
+                    "cannot take the measure of the zero state")
+    cli.dispatch(argv)
+    assert str(matrix) not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -1554,6 +1601,14 @@ def test_estimate_cost_header_and_frozen_point(capsys):
              for row in lines[1:]}
     assert table[("1024", "sos_basic")][2] == "23552"
     assert ("16", "mps_select") in table
+
+
+def test_estimate_cost_is_exact_past_two_to_the_52(capsys):
+    code = cli.dispatch(["estimate-cost", "--n-spatial", "100",
+                         "--d-values", str(2 ** 53 + 1)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == cli.EXIT_OK
+    assert lines[1] == "9007199254740993,sos_basic,999799117276250223,467,0"
 
 
 def test_levels_source_merges_duplicates(tmp_path, capsys):

@@ -264,6 +264,13 @@ def test_spectrum_normalizer_bounds_and_degenerate_spectrum():
     assert np.array_equal(measure.levels, [[0.5, 0.25]] * 4)
 
 
+def test_spectrum_normalizer_refuses_an_overflowing_spread():
+    with pytest.raises(np.linalg.LinAlgError, match="spread beyond"):
+        ham.spectrum_normalizer(-1e308, 1e308)
+    norm = ham.spectrum_normalizer(-8e307, 8e307)
+    assert np.allclose(norm.apply([-8e307, 8e307]), [0.1, 0.9], atol=1e-15)
+
+
 def test_normalizer_explicit_convention():
     norm = ham.AffineNormalizer(scale=1 / 3, shift=1.0)
     assert norm.apply(-3.0) == 0.0
@@ -446,6 +453,61 @@ def test_huge_integrals_are_refused_before_the_build(monkeypatch, core,
     fd.core_energy = core
     with pytest.raises(ValueError, match="integrals too large"):
         ham.build_ci_matrix(fd, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Physical invariants at 8 orbitals, past the reach of both CI oracles
+# ---------------------------------------------------------------------------
+
+_INVARIANT_FCIDUMP = _eightfold_fcidump(np.random.default_rng(800), 8)
+
+
+def _sector_levels(fd, n_alpha, n_beta):
+    return ham.build_ci_matrix(fd, n_alpha, n_beta).eigensystem()[0]
+
+
+def _level_tol(*levels):
+    return 1e-12 * max(1.0, *(np.abs(e).max() for e in levels))
+
+
+@pytest.mark.parametrize("sector", [(2, 2), (3, 3)])
+def test_ci_levels_survive_an_orbital_rotation(sector):
+    fd = _INVARIANT_FCIDUMP
+    q, _ = np.linalg.qr(np.random.default_rng(801).normal(size=(8, 8)))
+    levels = _sector_levels(fd, *sector)
+    rotated = _sector_levels(oracles.rotate_fcidump(fd, q), *sector)
+    assert np.abs(rotated - levels).max() <= _level_tol(levels)
+
+
+_UNBALANCED = [(na, nb) for na in range(9) for nb in range(na + 1, 9)
+               if math.comb(8, na) * math.comb(8, nb) <= 784]
+
+
+def test_ci_levels_mirror_under_the_spin_flip():
+    # (n_a, n_b) and (n_b, n_a) hold the same levels, M_S -> -M_S
+    assert (2, 6) in _UNBALANCED and (1, 4) in _UNBALANCED
+    for na, nb in _UNBALANCED:
+        levels = _sector_levels(_INVARIANT_FCIDUMP, na, nb)
+        mirror = _sector_levels(_INVARIANT_FCIDUMP, nb, na)
+        assert np.abs(mirror - levels).max() <= _level_tol(levels), (na, nb)
+
+
+@pytest.mark.parametrize("sector", [(2, 1), (2, 2)])
+def test_ci_levels_nest_along_s_z(sector):
+    # every level of M_S + 1 is a multiplet member also found at M_S >= 0
+    na, nb = sector
+    outer = _sector_levels(_INVARIANT_FCIDUMP, na, nb)
+    inner = _sector_levels(_INVARIANT_FCIDUMP, na + 1, nb - 1)
+    gap = np.abs(inner[:, None] - outer[None, :]).min(axis=1)
+    assert gap.max() <= _level_tol(outer, inner)
+
+
+def test_one_electron_levels_are_the_orbital_energies():
+    fd = _INVARIANT_FCIDUMP
+    want = np.linalg.eigvalsh(fd.one_body) + fd.core_energy
+    for sector in ((1, 0), (0, 1)):
+        levels = _sector_levels(fd, *sector)
+        assert np.abs(levels - want).max() <= _level_tol(want), sector
 
 
 # ---------------------------------------------------------------------------

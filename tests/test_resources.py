@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qprep import resources
+from qprep import gf2, resources
 
 
 def test_basic_1024_determinants():
@@ -139,23 +139,51 @@ def test_cost_sweep_rows():
     assert resources.cost_sweep(10) == []
     rows = resources.cost_sweep(100, det_counts=[4, 1024], chi_values=[2],
                                 n_sites=4)
-    by_key = {(r["param"], r["method"]): r for r in rows}
-    assert by_key[(1024, "sos_basic")]["toffoli"] == 23552
-    assert by_key[(4, "sos_prior")]["toffoli"] == 199 * 3
+    by_key = {(param, r.method): r for param, r in rows}
+    assert by_key[(1024, "sos_basic")].toffoli == 23552
+    assert by_key[(4, "sos_prior")].toffoli == 199 * 3
     chain = resources.mps_cost([2] * 3, d=4, b=10)
-    assert by_key[(2, "mps_select")]["toffoli"] == chain.toffoli
-    assert set(rows[0]) == {"param", "method", "toffoli", "clean_qubits",
-                            "dirty_qubits"}
+    assert by_key[(2, "mps_select")].toffoli == chain.toffoli
+    assert all(len(row) == 2 and isinstance(row[1], resources.ResourceReport)
+               for row in rows)
 
 
 def test_sweep_basic_below_prior_at_n100():
     dets = [2 ** k for k in range(1, 17)]
     rows = resources.cost_sweep(100, det_counts=dets)
-    basic = {r["param"]: r["toffoli"] for r in rows if r["method"] == "sos_basic"}
-    prior = {r["param"]: r["toffoli"] for r in rows if r["method"] == "sos_prior"}
+    basic = {d: r.toffoli for d, r in rows if r.method == "sos_basic"}
+    prior = {d: r.toffoli for d, r in rows if r.method == "sos_prior"}
     for d in dets:
         if 2 * math.ceil(math.log2(d)) + 3 < 199:
             assert basic[d] < prior[d]
+
+
+def _ceil_log2(n):
+    """The least L with 2^L >= n, by doubling in integers."""
+    L = 0
+    while 1 << L < n:
+        L += 1
+    return L
+
+
+def test_counts_are_exact_around_every_power_of_two():
+    # the float ceil(log2 D) is wrong from D = 2^52 + 1 up
+    for j in range(1, 98):
+        for d in (2 ** j - 1, 2 ** j, 2 ** j + 1):
+            basic = resources.sos_cost_basic(100, d)
+            prior = resources.sos_cost_prior(100, d)
+            if d == 1:
+                assert (basic.toffoli, basic.clean_qubits) == (0, 200)
+                assert (prior.toffoli, prior.clean_qubits) == (0, 200)
+                assert gf2.signature_length(d) == 0
+                continue
+            L = _ceil_log2(d)
+            assert basic.toffoli == (2 * L + 3) * d, d
+            assert basic.clean_qubits == 200 + 5 * L - 3, d
+            assert prior.toffoli == 199 * (d - 1), d
+            assert prior.clean_qubits == 200 + 199, d
+            assert basic.dirty_qubits == prior.dirty_qubits == 0
+            assert gf2.signature_length(d) == 2 * L - 1, d
 
 
 def test_report_rejects_negative_counts():

@@ -18,10 +18,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted([*ROOT.glob("src/qprep/*.py"), *ROOT.glob("bench/*.py")])
 
-UNREACHED_ON_PURPOSE = {
-    # The dense reference the state tests compare conversions against.
-    "sos_to_statevector",
-}
+# Public names that nothing outside the tests reaches, each with its reason.
+UNREACHED_ON_PURPOSE = set()
 
 
 def _is_pytest_test(path, node):
@@ -206,6 +204,33 @@ def test_unset_parameter_exceptions_still_hold():
         assert key in by_key, f"{key} is gone; drop its exception"
         assert not _supplied(by_key[key], calls), (
             f"{key} is set now; drop its exception")
+
+
+def float_ceilings(source):
+    """Lines of ``source`` that take ceil(log2(...)) or ceil(sqrt(...)),
+    of ``math`` or NumPy, whose float results are wrong from 2^52 up."""
+    def name(call):
+        func = call.func
+        return (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and name(node) == "ceil"
+            and node.args and isinstance(node.args[0], ast.Call)
+            and name(node.args[0]) in ("log2", "sqrt")]
+
+
+def test_ceilings_of_logs_and_roots_are_integer_ones():
+    # ceil(log2 n) is (n - 1).bit_length() and ceil(sqrt n) is
+    # isqrt(n - 1) + 1 throughout the package
+    assert float_ceilings("a = math.ceil(math.log2(n))\n"
+                          "b = int(np.ceil(np.sqrt(x)))\n"
+                          "c = ceil(sqrt(y)) + math.ceil(2 * sqrt(y))\n"
+                          "d = math.ceil(math.log(n))\n") == [1, 2, 3]
+    found = ["%s:%d" % (path.relative_to(ROOT), line)
+             for path in sorted((ROOT / "src" / "qprep").glob("*.py"))
+             for line in float_ceilings(path.read_text(encoding="utf-8"))]
+    assert not found, "float ceilings of log2 or sqrt: " + ", ".join(found)
 
 
 def test_side_branch_modules_import_without_scipy():
