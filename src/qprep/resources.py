@@ -2,9 +2,9 @@
 
 All formulas are exact integer arithmetic; square roots and logs are
 ceiled termwise (a conservative upper bound).  Every ceil(log2 n) is
-``(n - 1).bit_length()`` and every ceil(sqrt n) is ``isqrt(n - 1) + 1``, so
-the counts stay exact for any D; only a term that multiplies an irrational
-square root takes the float one.  ``n_spatial`` counts spatial
+``(n - 1).bit_length()`` and every ceil(a * sqrt n) is
+``isqrt(a^2 * n - 1) + 1``, so the counts stay exact for any D.
+``n_spatial`` counts spatial
 orbitals throughout, so the system register holds ``2 * n_spatial``
 spin-orbital qubits.
 """
@@ -41,6 +41,11 @@ class ResourceReport:
             if not isinstance(v, int) or v < 0:
                 raise ValueError("%s must be a nonnegative integer, got %r"
                                  % (name, v))
+
+
+def _sqrt_ceil(x):
+    """ceil(sqrt(x)) of a positive integer, exactly."""
+    return math.isqrt(x - 1) + 1
 
 
 def _check_args(n_spatial, n_det):
@@ -80,17 +85,15 @@ def sos_cost_tradeoff(n_spatial, n_det):
     if n_det == 1:
         return ResourceReport(0, system, 0, "sos_tradeoff")
     L = (n_det - 1).bit_length()
-    sqrt_d = math.sqrt(n_det)
-    # ceil(2 sqrt x) = ceil(sqrt 4x)
-    swap_term = math.isqrt(128 * n_spatial * n_det - 1) + 1
-    dirty = math.isqrt(32 * n_spatial * n_det - 1) + 1
+    # a * sqrt(x) = sqrt(a^2 * x), so each term is ceil(sqrt) of an integer
+    swap_term = _sqrt_ceil(128 * n_spatial * n_det)
+    dirty = _sqrt_ceil(32 * n_spatial * n_det)
     if n_det <= swap_term:
         swap_term = n_det
         dirty = 0
-    toffoli = (swap_term
-               + math.ceil(7 * L * sqrt_d)
-               + math.ceil(2 * math.sqrt(32 * L) * sqrt_d))
-    ancilla = math.ceil((2 * L - 1) * sqrt_d)
+    toffoli = (swap_term + _sqrt_ceil(49 * L * L * n_det)
+               + _sqrt_ceil(128 * L * n_det))
+    ancilla = _sqrt_ceil((2 * L - 1) ** 2 * n_det)
     return ResourceReport(toffoli, system + ancilla, dirty, "sos_tradeoff")
 
 
@@ -139,7 +142,7 @@ def mps_cost(chis, d=4, b=DEFAULT_ROTATION_BITS, variant="select"):
         if variant == "select":
             toffoli += chi_prev * (8 * chi_next * d + (b + 1) * nu)
         else:
-            lam_j = math.isqrt(chi_next * d - 1) + 1
+            lam_j = _sqrt_ceil(chi_next * d)
             toffoli += chi_prev * (-(-8 * chi_next * d // lam_j)
                                    + 8 * lam_j * b * nu + b * nu + nu)
             dirty = max(dirty, lam_j * b)

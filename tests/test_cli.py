@@ -857,28 +857,23 @@ def test_huge_saved_matrix_loads_without_a_warning(tmp_path, capsys):
 
 def test_levels_beyond_the_float_range_are_refused_naming_the_file(
         tmp_path, capsys):
-    # levels near +-2e308 at the full scale; near +-1e308 at half of it,
-    # finite but spread beyond the float range; a quarter of it loads
+    # levels near +-2e308 at the full scale; a quarter of it loads (half
+    # of it spreads beyond the float range: the test below)
     a = np.random.default_rng(0).normal(size=(50, 50))
-    for name, matrix, want in (
-            ("huge.csv", (a + a.T) * 1e307,
-             "solved levels or eigenvectors are not finite"),
-            ("half.csv", (a + a.T) / 2 * 1e307,
-             "a spread beyond the float range"),
-            ("quarter.csv", (a + a.T) / 4 * 1e307, None)):
+    for name, matrix, want in (("huge.csv", (a + a.T) * 1e307,
+                                cli.EXIT_NUMERICAL),
+                               ("quarter.csv", (a + a.T) / 4 * 1e307,
+                                cli.EXIT_OK)):
         path = tmp_path / name
         np.savetxt(path, matrix, delimiter=",")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli.dispatch(["qpe-stats", "--ham", str(path), "--k", "4"])
         captured = capsys.readouterr()
-        assert caught == [], captured.err
-        if want is None:
-            assert code == cli.EXIT_OK, captured.err
-        else:
-            assert code == cli.EXIT_NUMERICAL
-            assert captured.err.startswith(f"error: {path}: ")
-            assert captured.err.endswith(want + "\n")
+        assert code == want and caught == [], captured.err
+        if want:
+            assert captured.err == (f"error: {path}: solved levels or "
+                                    "eigenvectors are not finite\n")
 
 
 @pytest.mark.parametrize("route,scale", [
@@ -890,6 +885,7 @@ def test_overflowing_level_spread_is_refused_naming_the_file(
 
     a = np.random.default_rng(0).normal(size=(50, 50))
     matrix = (a + a.T) * scale
+    levels = np.linalg.eigvalsh(matrix)
     path = tmp_path / ("h.csv" if route == "csv" else "h.npz")
     if route == "csv":
         np.savetxt(path, matrix, delimiter=",")
@@ -905,8 +901,9 @@ def test_overflowing_level_spread_is_refused_naming_the_file(
         captured = capsys.readouterr()
         assert code == cli.EXIT_NUMERICAL and caught == [], captured.err
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: the levels span ")
-        assert captured.err.endswith("a spread beyond the float range\n")
+        assert captured.err == (f"error: {path}: the levels span [%.6g, "
+                                "%.6g], a spread beyond the float range\n"
+                                % (levels[0], levels[-1]))
 
 
 def test_huge_fcidump_integrals_are_refused_naming_the_file(tmp_path,
@@ -1609,6 +1606,20 @@ def test_estimate_cost_is_exact_past_two_to_the_52(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == cli.EXIT_OK
     assert lines[1] == "9007199254740993,sos_basic,999799117276250223,467,0"
+
+
+def test_estimate_cost_prices_a_determinant_count_past_the_float_range(
+        capsys):
+    d = 10 ** 400
+    code = cli.dispatch(["estimate-cost", "--n-spatial", "100",
+                         "--d-values", str(d)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == cli.EXIT_OK
+    L = 1329  # 2^1328 < 10^400 <= 2^1329
+    assert lines[1] == "%d,sos_basic,%d,%d,0" % (d, (2 * L + 3) * d,
+                                                   200 + 5 * L - 3)
+    assert lines[2].startswith("%d,sos_tradeoff," % d)
+    assert lines[3] == "%d,sos_prior,%d,399,0" % (d, 199 * (d - 1))
 
 
 def test_levels_source_merges_duplicates(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -166,15 +167,27 @@ def _ceil_log2(n):
     return L
 
 
+def _ceil_times_sqrt(a, n):
+    """ceil(a * sqrt(n)) from a 300-digit decimal square root."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 300
+        return int((a * decimal.Decimal(n).sqrt()).to_integral_value(
+            decimal.ROUND_CEILING))
+
+
 def test_counts_are_exact_around_every_power_of_two():
-    # the float ceil(log2 D) is wrong from D = 2^52 + 1 up
+    # the float ceil(log2 D) is wrong from D = 2^52 + 1 up; the float
+    # trade-off terms also where a product of roots is whole: at D = 2,
+    # 2 * sqrt(32) * sqrt(2) is 16, which the float product rounded up
     for j in range(1, 98):
         for d in (2 ** j - 1, 2 ** j, 2 ** j + 1):
             basic = resources.sos_cost_basic(100, d)
             prior = resources.sos_cost_prior(100, d)
+            tradeoff = resources.sos_cost_tradeoff(100, d)
             if d == 1:
                 assert (basic.toffoli, basic.clean_qubits) == (0, 200)
                 assert (prior.toffoli, prior.clean_qubits) == (0, 200)
+                assert (tradeoff.toffoli, tradeoff.clean_qubits) == (0, 200)
                 assert gf2.signature_length(d) == 0
                 continue
             L = _ceil_log2(d)
@@ -184,6 +197,15 @@ def test_counts_are_exact_around_every_power_of_two():
             assert prior.clean_qubits == 200 + 199, d
             assert basic.dirty_qubits == prior.dirty_qubits == 0
             assert gf2.signature_length(d) == 2 * L - 1, d
+            swap = _ceil_times_sqrt(2, 32 * 100 * d)
+            dirty = _ceil_times_sqrt(1, 32 * 100 * d)
+            if d <= swap:
+                swap, dirty = d, 0
+            assert tradeoff.toffoli == (swap + _ceil_times_sqrt(7 * L, d)
+                                        + _ceil_times_sqrt(2, 32 * L * d)), d
+            assert tradeoff.clean_qubits == (200
+                                             + _ceil_times_sqrt(2 * L - 1, d))
+            assert tradeoff.dirty_qubits == dirty, d
 
 
 def test_report_rejects_negative_counts():

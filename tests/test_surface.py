@@ -207,26 +207,29 @@ def test_unset_parameter_exceptions_still_hold():
 
 
 def float_ceilings(source):
-    """Lines of ``source`` that take ceil(log2(...)) or ceil(sqrt(...)),
-    of ``math`` or NumPy, whose float results are wrong from 2^52 up."""
-    def name(call):
-        func = call.func
+    """Lines of ``source`` that take the ceiling of an expression holding a
+    log2(...) or sqrt(...), of ``math`` or NumPy, such as ceil(log2(n)) or
+    ceil(7 * L * sqrt(d)), whose float results are wrong from 2^52 up."""
+    def name(node):
+        func = node.func if isinstance(node, ast.Call) else None
         return (func.id if isinstance(func, ast.Name)
                 else func.attr if isinstance(func, ast.Attribute) else None)
 
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and name(node) == "ceil"
-            and node.args and isinstance(node.args[0], ast.Call)
-            and name(node.args[0]) in ("log2", "sqrt")]
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if name(node) == "ceil" and any(
+                      name(inner) in ("log2", "sqrt")
+                      for arg in node.args for inner in ast.walk(arg)))
 
 
 def test_ceilings_of_logs_and_roots_are_integer_ones():
-    # ceil(log2 n) is (n - 1).bit_length() and ceil(sqrt n) is
-    # isqrt(n - 1) + 1 throughout the package
+    # ceil(log2 n) is (n - 1).bit_length() and ceil(a * sqrt n) is
+    # isqrt(a^2 * n - 1) + 1 throughout the package
     assert float_ceilings("a = math.ceil(math.log2(n))\n"
                           "b = int(np.ceil(np.sqrt(x)))\n"
-                          "c = ceil(sqrt(y)) + math.ceil(2 * sqrt(y))\n"
-                          "d = math.ceil(math.log(n))\n") == [1, 2, 3]
+                          "c = ceil(sqrt(y))\n"
+                          "d = math.ceil(2 * math.sqrt(32 * L) * s)\n"
+                          "e = math.ceil(math.log(n))\n"
+                          "f = math.sqrt(math.ceil(n))\n") == [1, 2, 3, 4]
     found = ["%s:%d" % (path.relative_to(ROOT), line)
              for path in sorted((ROOT / "src" / "qprep").glob("*.py"))
              for line in float_ceilings(path.read_text(encoding="utf-8"))]
