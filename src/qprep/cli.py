@@ -205,7 +205,7 @@ def _read_config(path):
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(
-                    f"{path}:{line_no}: expected key=value, got {line!r}")
+                    f"line {line_no}: expected key=value, got {line!r}")
             mapping[key.strip().replace("-", "_")] = value.strip()
     return mapping
 
@@ -279,8 +279,9 @@ def _expand_config(argv, registry):
     cfg_path = _config_path(argv[n:], subparser._option_string_actions)
     if cfg_path is None:
         return argv
-    return argv[:n] + _config_tokens(subparser, _read_config(cfg_path)) \
-        + argv[n:]
+    with _refusals_naming(cfg_path):
+        tokens = _config_tokens(subparser, _read_config(cfg_path))
+    return argv[:n] + tokens + argv[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -342,48 +343,23 @@ def _is_numerical(exc):
 
 @contextlib.contextmanager
 def _refusals_naming(path):
-    """Re-raise a ValueError from the block with ``path`` in front; a
-    numerical refusal keeps its class, and so its exit code."""
+    """Re-raise a ValueError from the block, or a flag's refusal of a
+    ``--config`` value, with ``path`` in front; a numerical refusal keeps
+    its class, and so its exit code."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentError) as exc:
         cls = type(exc) if _is_numerical(exc) else ValueError
         raise cls(f"{path}: {exc}") from exc
-
-
-def _is_number(field):
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return True
-
-
-def _read_rows(path):
-    """The float rows of a comma-separated file, after one optional header
-    line whose fields are all non-numeric (the line qprep's own CSV outputs
-    start with); a file without rows is refused."""
-    import warnings
-
-    import numpy as np
-
-    with open(path, encoding="utf-8") as fh:
-        if any(map(_is_number, fh.readline().split(","))):
-            fh.seek(0)
-        with warnings.catch_warnings():
-            # numpy warns of an empty file; it is refused below instead
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if rows.size == 0:
-        raise ValueError("file holds no rows")
-    return rows
 
 
 def _load_state_vector(path, dim):
     import numpy as np
 
+    from .hamiltonian import csv_rows
+
     with _refusals_naming(path):
-        rows = _read_rows(path)
+        rows = csv_rows(path)
         bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
         if bad.size:
             raise ValueError(f"amplitude row {bad[0] + 1} is not finite")
@@ -421,10 +397,11 @@ def _load_measure(args):
         mean, sigma = args.gaussian
         return gaussian_levels(mean, sigma, n_levels=args.n_levels)
     if args.levels is not None:
+        from .hamiltonian import csv_rows
         from .spectra import SpectralMeasure
 
         with _refusals_naming(args.levels):
-            rows = _read_rows(args.levels)
+            rows = csv_rows(args.levels)
             if rows.shape[1] != 2:
                 raise ValueError("levels file needs energy,weight columns")
             if not np.all(np.isfinite(rows)):
@@ -448,7 +425,8 @@ def _load_measure(args):
     from .hamiltonian import load_hamiltonian
     from .spectra import exact_spectral_measure
 
-    h = load_hamiltonian(args.ham)
+    with _refusals_naming(args.ham):
+        h = load_hamiltonian(args.ham)
     if args.state is not None:
         psi = _load_state_vector(args.state, h.dim)
     else:
@@ -740,7 +718,7 @@ def cmd_reproduce(args):
     results = [check() for check in acceptance.CHECKS]
     _write_text("".join(r.line() + "\n" for r in results), args.out)
     if args.h6 is not None:
-        with open(args.h6, encoding="utf-8") as fh:
+        with _refusals_naming(args.h6), open(args.h6, encoding="utf-8") as fh:
             protocol = acceptance.h6_protocol_report(fh.read())
         _emit_json(protocol, args, path="-")
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
@@ -997,7 +975,7 @@ def dispatch(argv=None):
         return EXIT_USAGE
     try:
         argv = _expand_config(argv, registry)
-    except (OSError, ValueError, argparse.ArgumentError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

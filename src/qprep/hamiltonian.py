@@ -18,6 +18,7 @@ import math
 import mmap
 import os
 import struct
+import warnings
 import zipfile
 import zlib
 from bisect import bisect_left
@@ -40,6 +41,7 @@ __all__ = [
     "build_ci_matrix",
     "spectrum_normalizer",
     "save_hamiltonian",
+    "csv_rows",
     "load_hamiltonian",
 ]
 
@@ -488,7 +490,12 @@ def _check_eigensystem(entries, evals, evecs, size):
     pairs by two O(n^2) probes with a fixed random x: |H(Vx) - V(Lx)|
     relative to max(1, ``size``) |x|, and |V^H(Vx) - x| relative to |x|.
     A non-finite entry of V makes Vx non-finite (no x_j is 0), so V is
-    scanned for one only then.
+    scanned for one only then.  The first probe runs on cx, c the largest
+    power of two up to 1 that brings c max(1, ``size``) below 2^512, the
+    middle of the float range.  No product of a finite matrix and its own
+    eigensystem then overflows; below max |H_ij| = 2^512 the probe runs
+    unscaled, and above it a product can only round otherwise where it
+    falls below 2^-510.
     """
     n = entries.shape[0]
     if evals.shape != (n,) or evecs.shape != (n, n):
@@ -507,11 +514,13 @@ def _check_eigensystem(entries, evals, evecs, size):
     if n == 0:
         return
     norm_x = np.linalg.norm(x)
-    # scaled before the norm squares it, so that only a matrix-vector
-    # product that overflows is refused below, without a warning
+    scale = max(1.0, size)
+    c = math.ldexp(1.0, min(0, 512 - math.frexp(scale)[1]))
+    # scaled back before the norm squares it; a mismatching eigensystem may
+    # still overflow, and is refused below without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        pair_res = np.linalg.norm((entries @ vx - evecs @ (evals * x))
-                                  / max(1.0, size)) / norm_x
+        pair = entries @ (vx * c) - evecs @ (evals * (x * c))
+        pair_res = np.linalg.norm(pair / (scale * c)) / norm_x
         basis_res = np.linalg.norm(_adjoint(evecs) @ vx - x) / norm_x
     if not max(pair_res, basis_res) <= EIGEN_PROBE_TOL:
         raise ValueError("eigensystem does not match the matrix (probe "
@@ -739,6 +748,32 @@ def save_hamiltonian(h, path):
                     "eigenvalues": evals, "eigenvectors": evecs})
 
 
+def csv_rows(path, dtype=float):
+    """The rows of the comma-separated file at ``path`` as a 2-D ``dtype``
+    array (one number is a 1 x 1 one), after one optional header line with
+    no number among its fields: the line qprep's own CSV outputs start
+    with.  A complex cell such as ``(1+2j)``, as ``np.savetxt`` writes one,
+    counts as a number.  A file without rows is refused."""
+    with open(path, encoding="utf-8") as fh:
+        if any(map(_is_number, fh.readline().split(","))):
+            fh.seek(0)
+        with warnings.catch_warnings():
+            # numpy warns of an empty file; it is refused below instead
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2)
+    if rows.size == 0:
+        raise ValueError("file holds no rows")
+    return rows
+
+
+def _is_number(field):
+    try:
+        complex(field)
+    except ValueError:
+        return False
+    return True
+
+
 def save_npz(path, arrays):
     """Write ``arrays`` (name -> array) to ``path`` as an npz archive that
     ``np.load`` reads and :func:`npz_archive` maps in place.
@@ -905,7 +940,7 @@ def load_hamiltonian(path):
     npz_archive does not read (deflated, LZMA, bzip2, encrypted or with a
     version 2.0 header), fails a member's CRC-32, lacks the matrix or its
     labels, or whose matrix or stored eigensystem fails its checks is
-    refused, naming the file.
+    refused with ``ValueError``.  A CSV is read by :func:`csv_rows`.
 
     Once every member fits its header, the npz checks run in two halves
     through :func:`qprep.blas.side_by_side`: the CRC-32s on the calling
@@ -914,17 +949,14 @@ def load_hamiltonian(path):
     full width 2 or more they run at the same time, and in any other case
     the CRC-32s run first.  Either way a bad CRC-32 is the refusal
     reported, as if it had been checked first."""
-    try:
-        if str(path).endswith(".csv"):
-            entries = np.loadtxt(path, delimiter=",", dtype=complex)
-            if not entries.imag.any():
-                entries = np.ascontiguousarray(entries.real)
-            return DenseHamiltonian(entries)
-        members = _npz_members(path)
-        return blas.side_by_side(lambda step: step(members), _check_crcs,
-                                 _hamiltonian_of)[1]
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (path, exc)) from None
+    if str(path).endswith(".csv"):
+        entries = csv_rows(path, complex)
+        if not entries.imag.any():
+            entries = np.ascontiguousarray(entries.real)
+        return DenseHamiltonian(entries)
+    members = _npz_members(path)
+    return blas.side_by_side(lambda step: step(members), _check_crcs,
+                             _hamiltonian_of)[1]
 
 
 def _hamiltonian_of(members):

@@ -10,12 +10,12 @@ level: a prior measure goes in, a success probability and reweighted
 posterior measure come out, and query costs are tallied so the cheap stage
 can be compared against the precision readout it saves.
 
-The filter polynomials are Chebyshev expansions of the error function and of
-the two-sided window built from it; the expansion coefficients use scaled
-Bessel functions so steep transitions do not underflow.  The module ends
-with a self-contained case study on a Gaussian energy distribution that
-exercises the whole chain and reports each number next to its reference
-value.
+The filter polynomial is the Chebyshev interpolant of the two-sided window
+made of two opposing error-function steps, with erf itself taken at the
+interpolation nodes, so the interpolant's own error is the filter's only
+one.  The module ends with a self-contained case study on a Gaussian
+energy distribution that exercises the whole chain and reports each number
+next to its reference value.
 """
 
 import math
@@ -44,15 +44,12 @@ class PosteriorUndefined(RuntimeError):
 
 @dataclass(frozen=True)
 class FilterPolynomial:
-    """A Chebyshev-basis polynomial with a declared parity.
-
-    Odd polynomials approximate the error function step; even ones the
-    two-sided window ("one" inside |x| < mu, "zero" outside).
+    """An even Chebyshev-basis polynomial: the two-sided window ("one"
+    inside |x| < mu, "zero" outside) that the eigenstate filter applies.
     """
 
     chebyshev_coeffs: np.ndarray
     degree: int
-    parity: str
 
     def __post_init__(self):
         coeffs = np.asarray(self.chebyshev_coeffs, dtype=float)
@@ -60,63 +57,35 @@ class FilterPolynomial:
         if self.degree != len(coeffs) - 1:
             raise ValueError("degree %d does not match %d coefficients"
                              % (self.degree, len(coeffs)))
-        if self.parity not in ("odd", "even"):
-            raise ValueError("parity must be 'odd' or 'even'")
-        start = 0 if self.parity == "odd" else 1
-        off = coeffs[start::2]
+        odd = coeffs[1::2]
         scale = np.max(np.abs(coeffs)) or 1.0
-        if off.size and np.max(np.abs(off)) > PARITY_TOL * scale:
-            raise ValueError("coefficients violate the declared %s parity"
-                             % self.parity)
+        if odd.size and np.max(np.abs(odd)) > PARITY_TOL * scale:
+            raise ValueError("coefficients violate the even parity")
 
     def __call__(self, x):
         return chebyshev.chebval(x, self.chebyshev_coeffs)
 
 
-def erf_chebyshev(k_steep, n):
-    """Odd Chebyshev approximant of erf(k x) on [-1, 1].
-
-    The coefficients are Bessel-function sums; evaluating them in scaled
-    form (ive) keeps the e^(-k^2/2) prefactor from underflowing at steep k.
-    The T_1 pairing of the leading Bessel term makes the polynomial vanish
-    at 0 exactly, as an odd function must.
-    """
-    if n < 1 or n % 2 == 0:
-        raise ValueError("the approximant degree must be odd")
-    if k_steep <= 0:
-        raise ValueError("steepness must be positive")
-    from scipy.special import ive          # at first use: scipy is slow to import
-    half = k_steep ** 2 / 2
-    pref = 2 * k_steep / math.sqrt(math.pi)
-    coeffs = np.zeros(n + 1)
-    coeffs[1] = pref * ive(0, half)
-    for j in range(1, (n - 1) // 2 + 1):
-        term = pref * (-1) ** j * ive(j, half)
-        coeffs[2 * j + 1] += term / (2 * j + 1)
-        coeffs[2 * j - 1] -= term / (2 * j - 1)
-    return FilterPolynomial(coeffs, n, "odd")
-
-
 def symmetric_filter(k_steep, mu, n):
     """Even polynomial window: close to 1 on |x| < mu, close to 0 outside.
 
-    Averages two opposing error-function steps at +-mu.  The steps come
-    from a double-steepness approximant evaluated at half argument, so
-    every evaluation stays inside the approximant's domain even when the
-    shifted argument x +- mu leaves [-1, 1].
+    The degree-n Chebyshev interpolant of the exact window
+    W(x) = (erf(k (mu - x)) + erf(k (x + mu))) / 2, k = ``k_steep``, with
+    ``math.erf`` taken at each node and the odd coefficients (rounding
+    noise, W being even) set to zero.
     """
     if n < 2 or n % 2 == 1:
         raise ValueError("the filter degree must be even")
     if not 0.0 < mu < 1.0:
         raise ValueError("window position must lie in (0, 1)")
-    base = erf_chebyshev(2.0 * k_steep, n + 1)
-
-    def window(x):
-        return 0.5 * (base(-(x - mu) / 2) + base((x + mu) / 2))
-
-    coeffs = chebyshev.chebinterpolate(window, n)
-    coeffs[1::2] = 0.0          # exactly even; wipe interpolation noise
-    return FilterPolynomial(coeffs, n, "even")
+    if not k_steep > 0:
+        raise ValueError("steepness must be positive")
+    erf = np.vectorize(math.erf, otypes=[float])
+    coeffs = chebyshev.chebinterpolate(
+        lambda x: 0.5 * (erf(k_steep * (mu - x)) + erf(k_steep * (x + mu))),
+        n)
+    coeffs[1::2] = 0.0
+    return FilterPolynomial(coeffs, n)
 
 
 def qetu_params(e_l, e_u, zeta=1.0):

@@ -680,29 +680,30 @@ def _pinned_commands(tmp_path, capsys):
 
 # sha256 (first 16 hex digits) of each pinned command's exit code, stdout
 # and written files, recorded before the outcome law became a
-# SpectralMeasure and the Lorentzian lost its kernel class; the refine qetu,
-# stdout series and estimate-cost digests were recorded before the CSV
-# writer lost csv.writer
+# SpectralMeasure and the Lorentzian lost its kernel class; the stdout
+# series and estimate-cost digests were recorded before the CSV writer lost
+# csv.writer, and the refine qetu digests when the window filter became the
+# interpolant of the exact erf window
 PINNED_OUTPUTS = {
     "ham qpe-stats": "329a25f8ffc5fcae",
     "ham goldilocks": "bd3c52de68e6660b",
     "ham leakage": "bf4fc1c4e563dd8a",
     "ham refine cqpe": "24030aff0c8a25f2",
-    "ham refine qetu": "19a080a0eca70bf4",
+    "ham refine qetu": "a4a3c54dc1cd27f1",
     "ham series": "ca372fe5bed43fc5",
     "ham cqpe": "12c41105be2c8469",
     "levels qpe-stats": "1676386cb797879e",
     "levels goldilocks": "2587e0c7c37dbe6e",
     "levels leakage": "c918f0e2f21cda7c",
     "levels refine cqpe": "4eb5fbf3bf854e92",
-    "levels refine qetu": "a724918956b1380e",
+    "levels refine qetu": "19a047e471c5b3ad",
     "levels series": "4afca7a318ef7341",
     "levels cqpe": "b9e4e8edd069c5ac",
     "gaussian qpe-stats": "8728d93c8d2c82da",
     "gaussian goldilocks": "d18e44f0b7ff95c7",
     "gaussian leakage": "42a082980ab99c6f",
     "gaussian refine cqpe": "e87a83b1e9bbbf21",
-    "gaussian refine qetu": "e076bf88a94a0856",
+    "gaussian refine qetu": "cf6e7e536addc9d7",
     "gaussian series": "ffb7e17ee0dda170",
     "gaussian cqpe": "60a1094aaa0037f1",
     "ham resolvent": "7bc0604f24607169",
@@ -878,7 +879,8 @@ def test_levels_beyond_the_float_range_are_refused_naming_the_file(
 
 @pytest.mark.parametrize("route,scale", [
     ("csv", 0.5e307), ("csv", 0.8e307), ("archive", 0.5e307),
-    ("no eigensystem", 0.5e307), ("no eigensystem", 0.8e307)])
+    ("archive", 0.8e307), ("no eigensystem", 0.5e307),
+    ("no eigensystem", 0.8e307)])
 def test_overflowing_level_spread_is_refused_naming_the_file(
         tmp_path, capsys, route, scale):
     from qprep.hamiltonian import DenseHamiltonian, save_hamiltonian, save_npz
@@ -1239,6 +1241,45 @@ def test_levels_and_state_refusals_name_the_file(tmp_path, capsys, source,
         argv = ["goldilocks", "--ham", str(matrix), "--state", str(path)]
     _refused_naming(capsys, path, [*argv, "--et", "0.2", "--budget", "10"],
                     reason)
+
+
+def test_ham_csv_is_read_as_levels_and_state_files_are(tmp_path, capsys):
+    from qprep.hamiltonian import load_hamiltonian
+
+    # the 1 x 1 matrix of an empty sector loads from .csv as from .npz
+    fc = tmp_path / "two.fcidump"
+    fc.write_text(TWO_ORBITAL)
+    stats = ["qpe-stats", "--k", "4", "--target", "0.3", "--ham"]
+    reports = []
+    for ext in ("npz", "csv"):
+        matrix = tmp_path / f"h0.{ext}"
+        run_json(capsys, ["ham", "build", "--fcidump", str(fc), "--na", "0",
+                          "--nb", "0", "--out", str(matrix)])
+        reports.append(run_json(capsys, [*stats, str(matrix)]))
+    assert reports[0] == reports[1]
+    # one all-text header line is skipped; np.savetxt's complex cells
+    # (1+2j) are numbers, not a header
+    real = np.array([[1.0, 0.5], [0.5, 2.0]])
+    hermitian = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+    for name, matrix, header in (("header", real, "a,b\n"),
+                                 ("complex", hermitian, ""),
+                                 ("complex header", hermitian, "re,im\n")):
+        path = tmp_path / f"{name}.csv"
+        np.savetxt(path, matrix, delimiter=",")
+        path.write_text(header + path.read_text())
+        entries = load_hamiltonian(path).entries
+        assert entries.dtype == matrix.dtype
+        assert np.array_equal(entries, matrix)
+        run_json(capsys, [*stats, str(path)])
+    # an empty file is refused naming it, with no warning from numpy
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.dispatch([*stats, str(empty)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT and caught == []
+    assert captured.err == f"error: {empty}: file holds no rows\n"
 
 
 def test_goldilocks_reads_the_refine_posterior_back(tmp_path, capsys):
@@ -1635,6 +1676,34 @@ def test_levels_source_merges_duplicates(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # reproduce
 # ---------------------------------------------------------------------------
+
+def test_h6_and_config_refusals_name_their_file_once(tmp_path, capsys,
+                                                     recorded_checks):
+    bad = tmp_path / "bad.fcidump"
+    bad.write_text("not an FCIDUMP\n")
+    code = cli.dispatch(["reproduce", "--out", str(tmp_path / "checks.txt"),
+                         "--h6", str(bad)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.err == (f"error: {bad}: line 1: file does not start "
+                            "with an &FCI namelist\n")
+    cfg = tmp_path / "c.cfg"
+    for text, reason in (
+            (b"k 3\n", "line 1: expected key=value, got 'k 3'"),
+            (b"bogus = 1\n", "unknown config key 'bogus'"),
+            (b"help = 1\n", "config key 'help' is not settable from a file"),
+            (b"gaussian = 0.06\n", "config key 'gaussian' needs 2 values"),
+            (b"gaussian = 0.06 -0.01\n",
+             "argument --gaussian: sigma -0.01 must be > 0"),
+            (b"k = 0\n", "argument --k: '0' must be a int in [1, inf]"),
+            (b"k = \xff\n", "'utf-8' codec can't decode byte 0xff in "
+                            "position 4: invalid start byte")):
+        cfg.write_bytes(text)
+        code = cli.dispatch(["qpe-stats", *GAUSSIAN, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT and captured.out == ""
+        assert captured.err == f"error: {cfg}: {reason}\n"
+
 
 def test_reproduce_all_checks_and_h6_protocol(tmp_path, capsys,
                                               recorded_checks):

@@ -153,3 +153,15 @@ def test_convert_to_sos_expands_the_tree_own_mps(tmp_path, monkeypatch,
     assert tool.main(["--runs", "2", "--commands", "convert-to-sos"]) == 0
     assert calls == [build, load, load]
     assert list(_rows(capsys.readouterr().out)) == ["convert-to-sos"]
+
+
+def test_levels_commands_run_on_the_seeded_levels_file(tmp_path):
+    import random
+
+    tool = _tool()
+    assert "refine-qetu-levels" in tool.DEFAULT
+    tool.write_inputs(random.Random(1), tmp_path)
+    for name in ("refine-qetu-levels", "refine-cqpe-levels",
+                 "qpe-stats-levels"):
+        wall, cpu, rss = tool.run(ROOT / "src", tool.COMMANDS[name], tmp_path)
+        assert wall > 0 and cpu > 0 and rss > 0

@@ -386,6 +386,37 @@ def test_eigensystem_of_a_huge_matrix_is_accepted(scale):
             ham.DenseHamiltonian(a, None, (evals, swapped))
 
 
+def test_eigensystem_whose_products_overflow_unscaled_is_accepted():
+    # levels about +-1.5e308: H(Vx) and Lx overflow for an unscaled x
+    a = np.random.default_rng(0).normal(size=(50, 50))
+    a = (a + a.T) * 0.8e307
+    evals, evecs = ham.DenseHamiltonian(a).eigensystem()
+    ham.DenseHamiltonian(a, None, (evals, evecs))
+    swapped = evecs[:, [1, 0, *range(2, 50)]]
+    with pytest.raises(ValueError, match="does not match"):
+        ham.DenseHamiltonian(a, None, (evals, swapped))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e100, 1e160, 1e300])
+def test_eigen_probe_reports_the_unscaled_residuals(
+        monkeypatch, scale):
+    a = np.random.default_rng(12).normal(size=(40, 40))
+    a = (a + a.T) * scale
+    size = np.max(np.abs(a))
+    evals, evecs = ham.DenseHamiltonian(a).eigensystem()
+    x = np.random.default_rng(0).standard_normal(40)
+    pair = np.linalg.norm((a @ (evecs @ x) - evecs @ (evals * x))
+                          / max(1.0, size)) / np.linalg.norm(x)
+    basis = np.linalg.norm(evecs.T @ (evecs @ x) - x) / np.linalg.norm(x)
+    # every eigensystem is refused, with its residuals in the message
+    monkeypatch.setattr(ham, "EIGEN_PROBE_TOL", -1.0)
+    with pytest.raises(ValueError) as refused:
+        ham.DenseHamiltonian(a, None, (evals, evecs))
+    assert str(refused.value) == ("eigensystem does not match the matrix "
+                                  "(probe residuals %.3g, %.3g)"
+                                  % (pair, basis))
+
+
 def test_solved_levels_beyond_the_float_range_are_refused():
     import warnings
 

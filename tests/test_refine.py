@@ -1,9 +1,10 @@
-"""Tests for the refining stages: erf filters, postselection, case study."""
+"""Tests for the refining stages: window filters, postselection, case study."""
 
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from scipy.special import erf
 
 from qprep.hamiltonian import AffineNormalizer
@@ -14,7 +15,6 @@ from qprep.refine import (
     PosteriorUndefined,
     RefineResult,
     coarse_qpe_postselect,
-    erf_chebyshev,
     gaussian_case_study,
     gaussian_levels,
     qetu_filter,
@@ -30,83 +30,31 @@ from qprep.spectra import SpectralMeasure
 
 def test_filter_polynomial_validation():
     with pytest.raises(ValueError, match="degree"):
-        FilterPolynomial(np.array([0.0, 1.0]), 3, "odd")
+        FilterPolynomial(np.array([1.0, 0.0]), 3)
     with pytest.raises(ValueError, match="parity"):
-        FilterPolynomial(np.array([0.0, 1.0]), 1, "linear")
+        FilterPolynomial(np.array([0.3, 1.0]), 1)
     with pytest.raises(ValueError, match="parity"):
-        FilterPolynomial(np.array([0.3, 1.0]), 1, "odd")
-    with pytest.raises(ValueError, match="parity"):
-        FilterPolynomial(np.array([1.0, 0.5, 0.2]), 2, "even")
+        FilterPolynomial(np.array([1.0, 0.5, 0.2]), 2)
 
 
 def test_filter_polynomial_evaluates_chebyshev():
     # coefficients [0, 0, 1] are T_2(x) = 2x^2 - 1
-    poly = FilterPolynomial(np.array([0.5, 0.0, 0.5]), 2, "even")
+    poly = FilterPolynomial(np.array([0.5, 0.0, 0.5]), 2)
     x = np.linspace(-1, 1, 11)
     assert np.allclose(poly(x), x ** 2, atol=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# erf approximant
-# ---------------------------------------------------------------------------
-
-def test_erf_chebyshev_vanishes_at_zero():
-    for n in (1, 11, 51):
-        assert erf_chebyshev(3.0, n)(0.0) == 0.0
-
-
-def test_erf_chebyshev_is_odd():
-    poly = erf_chebyshev(5.0, 41)
-    x = np.linspace(0, 1, 301)
-    assert np.max(np.abs(poly(x) + poly(-x))) < 1e-13
-
-
-def test_erf_chebyshev_converges():
-    k = 3.9342
-    grid = np.linspace(-1, 1, 4001)
-    errors = []
-    for n in (21, 51, 101, 201):
-        poly = erf_chebyshev(k, n)
-        errors.append(np.max(np.abs(poly(grid) - erf(k * grid))))
-    for lo, hi in zip(errors[1:], errors[:-1]):
-        assert lo <= hi + 1e-15
-    assert errors[0] > 1e-6       # degree 21 is visibly truncated
-    assert errors[-1] < 1e-12     # degree 201 is converged
-
-
-def test_erf_chebyshev_shallow_limit():
-    # for small k the function is the line 2*k*x/sqrt(pi)
-    k = 0.01
-    poly = erf_chebyshev(k, 11)
-    x = np.linspace(-1, 1, 41)
-    lead = 2 * k / math.sqrt(math.pi) * x
-    assert np.max(np.abs(poly(x) - lead)) < 1e-3 * np.max(np.abs(lead))
-
-
-def test_erf_chebyshev_steep_stays_finite():
-    # naive Bessel evaluation overflows near k^2/2 = 800; the scaled form
-    # must not
-    poly = erf_chebyshev(40.0, 101)
-    assert np.all(np.isfinite(poly.chebyshev_coeffs))
-    assert abs(poly(1.0) - 1.0) < 1e-4
-    assert poly(0.0) == 0.0
-
-
-def test_erf_chebyshev_validation():
-    with pytest.raises(ValueError, match="odd"):
-        erf_chebyshev(3.0, 40)
-    with pytest.raises(ValueError, match="positive"):
-        erf_chebyshev(0.0, 41)
 
 
 # ---------------------------------------------------------------------------
 # symmetric window filter
 # ---------------------------------------------------------------------------
 
+def _exact_window(k, mu, x):
+    return 0.5 * (erf(-k * (x - mu)) + erf(k * (x + mu)))
+
+
 def test_symmetric_filter_shape():
     k, mu = 3.9342, 0.6598
     poly = symmetric_filter(k, mu, 200)
-    assert poly.parity == "even"
     assert poly.degree == 200
     # plateau value at the centre is erf(k*mu); the transition midpoints
     # sit at exactly one half
@@ -120,27 +68,62 @@ def test_symmetric_filter_shape():
 
 
 def test_symmetric_filter_tracks_exact_window():
-    # the polynomial window should track the exact two-sided erf window to
-    # within twice the one-sided approximant's own error (plus rounding
-    # noise once both are at machine scale)
+    # a degree-n Chebyshev interpolant is off by at most twice the absolute
+    # sum of the function's Chebyshev coefficients above degree n (taken
+    # here from a degree-600 interpolant of the window), plus rounding
+    # noise once that sum is at machine scale
     grid = np.linspace(-1, 1, 8001)
-    for n, k, mu in ((40, 3.9342, 0.6598), (60, 6.0, 0.4),
-                     (200, 3.9342, 0.6598)):
+    for n, k, mu in ((20, 3.9342, 0.6598), (40, 3.9342, 0.6598),
+                     (60, 6.0, 0.4), (200, 3.9342, 0.6598)):
         poly = symmetric_filter(k, mu, n)
-        exact = 0.5 * (erf(-k * (grid - mu)) + erf(k * (grid + mu)))
-        base = erf_chebyshev(2 * k, n + 1)
-        base_err = np.max(np.abs(base(grid) - erf(2 * k * grid)))
-        filt_err = np.max(np.abs(poly(grid) - exact))
-        assert filt_err <= 2 * base_err + 1e-13
+        tail = np.abs(chebyshev.chebinterpolate(
+            lambda x: _exact_window(k, mu, x), 600)[n + 1:]).sum()
+        filt_err = np.max(np.abs(poly(grid) - _exact_window(k, mu, grid)))
+        assert filt_err <= 2 * tail + 1e-13
+
+
+@pytest.mark.parametrize("n, k, mu, bound", [
+    (40, 4.160, 0.200, 1e-10),      # the pinned levels refine qetu window
+    (60, 6.0, 0.4, 1e-10),
+    (200, 37.13, 0.68, 1e-6),       # steep: the window QETU can implement
+    (200, 3.934, 0.660, 1e-13)])    # the case study's window
+def test_symmetric_filter_is_close_to_the_window_on_a_fine_grid(n, k, mu,
+                                                                bound):
+    grid = np.linspace(-1, 1, 40_001)
+    vals = symmetric_filter(k, mu, n)(grid)
+    assert np.max(np.abs(vals - _exact_window(k, mu, grid))) <= bound
+    # the filter's amplitude must stay at most one to be implementable
+    assert np.max(vals) <= 1.0 + 1e-6
+
+
+def test_symmetric_filter_steep_stays_finite():
+    poly = symmetric_filter(80.0, 0.5, 200)
+    assert np.all(np.isfinite(poly.chebyshev_coeffs))
+    assert abs(poly(0.0) - 1.0) < 1e-6
+
+
+def test_symmetric_filter_shallow_limit():
+    # for small k the linear terms of the two steps cancel and the window
+    # is the constant 2 k mu / sqrt(pi)
+    k, mu = 0.01, 0.5
+    poly = symmetric_filter(k, mu, 10)
+    x = np.linspace(-1, 1, 41)
+    lead = 2 * k * mu / math.sqrt(math.pi)
+    assert np.max(np.abs(poly(x) - lead)) < 1e-3 * lead
 
 
 def test_symmetric_filter_validation():
     with pytest.raises(ValueError, match="even"):
         symmetric_filter(3.0, 0.5, 41)
+    with pytest.raises(ValueError, match="even"):
+        symmetric_filter(3.0, 0.5, 0)
     with pytest.raises(ValueError, match="window"):
         symmetric_filter(3.0, 1.2, 40)
     with pytest.raises(ValueError, match="window"):
         symmetric_filter(3.0, 0.0, 40)
+    for k in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            symmetric_filter(k, 0.5, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +255,7 @@ IDENTITY = AffineNormalizer(1.0, 0.0)
 
 
 def _unit_poly():
-    return FilterPolynomial(np.array([1.0]), 0, "even")
+    return FilterPolynomial(np.array([1.0]), 0)
 
 
 def test_qetu_identity_polynomial():
@@ -285,7 +268,7 @@ def test_qetu_identity_polynomial():
 
 def test_qetu_born_square_reweighting():
     # P(x) = x^2 squares to cos^4(E/2) per level
-    poly = FilterPolynomial(np.array([0.5, 0.0, 0.5]), 2, "even")
+    poly = FilterPolynomial(np.array([0.5, 0.0, 0.5]), 2)
     m = SpectralMeasure([(0.2, 0.3), (1.2, 0.7)])
     res = qetu_filter(m, poly, IDENTITY)
     gains = np.cos(np.array([0.2, 1.2]) / 2) ** 4
@@ -310,7 +293,7 @@ def test_qetu_angle_map_forms_agree():
 
 
 def test_qetu_vanishing_filter():
-    zero = FilterPolynomial(np.array([0.0]), 0, "even")
+    zero = FilterPolynomial(np.array([0.0]), 0)
     m = SpectralMeasure([(0.3, 1.0)])
     with pytest.raises(PosteriorUndefined):
         qetu_filter(m, zero, IDENTITY)

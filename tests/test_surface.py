@@ -251,3 +251,20 @@ def test_side_branch_modules_import_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_refine_qetu_on_levels_loads_no_scipy(tmp_path):
+    # the window filter takes erf from the math module
+    levels = tmp_path / "levels.csv"
+    levels.write_text("0.1,0.5\n0.4,0.3\n0.8,0.2\n")
+    code = ("import sys\n"
+            "from qprep import cli\n"
+            "code = cli.dispatch(['refine', 'qetu', '--levels', %r, "
+            "'--el', '0.0', '--eu', '0.3', '--degree', '40'])\n"
+            "print(code, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))" % str(levels))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"

@@ -65,6 +65,8 @@ COMMANDS = {
     "compress": ["compress", "--input", "dets.txt"],
     "refine-cqpe-levels": ["refine", "cqpe", "--levels", "levels.csv", "--k",
                            "6", "--accept", "3"],
+    "refine-qetu-levels": ["refine", "qetu", "--levels", "levels.csv",
+                           "--el", "0.0", "--eu", "0.3"],
     "ham-build": ["ham", "build", "--fcidump", "h8.fcidump", "--na", "2",
                   "--nb", "2", "--out", "built.npz"],
     "ham-build-3136": ["ham", "build", "--fcidump", "h8.fcidump", "--na",
