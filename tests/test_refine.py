@@ -96,6 +96,20 @@ def test_symmetric_filter_is_close_to_the_window_on_a_fine_grid(n, k, mu,
     assert np.max(vals) <= 1.0 + 1e-6
 
 
+def test_symmetric_filter_converges_in_degree():
+    k, mu = 3.9342, 0.6598
+    grid = np.linspace(-1, 1, 4001)
+    errors = []
+    for n in (20, 50, 100, 200):
+        poly = symmetric_filter(k, mu, n)
+        errors.append(np.max(np.abs(poly(grid) - _exact_window(k, mu, grid))))
+    # no worse with degree, up to rounding noise at machine scale
+    for lo, hi in zip(errors[1:], errors[:-1]):
+        assert lo <= hi + 1e-13
+    assert errors[0] > 1e-6       # degree 20 is visibly truncated
+    assert errors[-1] < 1e-12     # degree 200 is converged
+
+
 def test_symmetric_filter_steep_stays_finite():
     poly = symmetric_filter(80.0, 0.5, 200)
     assert np.all(np.isfinite(poly.chebyshev_coeffs))
@@ -121,6 +135,9 @@ def test_symmetric_filter_validation():
         symmetric_filter(3.0, 1.2, 40)
     with pytest.raises(ValueError, match="window"):
         symmetric_filter(3.0, 0.0, 40)
+
+
+def test_symmetric_filter_refuses_nonpositive_steepness():
     for k in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="positive"):
             symmetric_filter(k, 0.5, 40)
