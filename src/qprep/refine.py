@@ -95,17 +95,19 @@ def qetu_params(e_l, e_u, zeta=1.0):
     cosines of the energy bounds; ``zeta`` softens the transition.  Both
     energies must be given in the frame the filter will see.
     """
-    if zeta <= 0:
-        raise ValueError("softening factor must be positive")
     cu = math.cos(e_u / 2)
     cl = math.cos(e_l / 2)
     if cu == cl:
         raise DegenerateWindow("energy window has zero cosine width")
     if cu < cl:
         cu, cl = cl, cu
-    mu = (cu + cl) / 2
-    k_steep = 2.0 / (zeta * (cu - cl))
-    return mu, k_steep
+    # a width that underflows to zero gives NaN, a subnormal one an
+    # infinite steepness; both are refused, as are zeta <= 0 and NaN
+    k_steep = 2.0 / (zeta * (cu - cl) or math.nan)
+    if not 0 < k_steep < math.inf:
+        raise ValueError(f"softening factor {zeta!r} must be positive and "
+                         "leave the window a finite steepness")
+    return (cu + cl) / 2, k_steep
 
 
 def qetu_angle_map(lo, hi, margin):
@@ -224,9 +226,10 @@ def gaussian_levels(mean=0.06, sigma=0.02, n_levels=4096):
     """Point-mass version of a Gaussian: CDF differences on equal bins."""
     if not (math.isfinite(mean) and math.isfinite(sigma) and sigma > 0):
         raise ValueError("a Gaussian needs a finite mean and sigma > 0")
-    from scipy.special import ndtr         # at first use: scipy is slow to import
     edges = np.linspace(mean - 6 * sigma, mean + 6 * sigma, n_levels + 1)
-    mass = np.diff(ndtr((edges - mean) / sigma))
+    # the normal CDF at edge x is erfc((mean - x) / (sigma sqrt 2)) / 2
+    z = (mean - edges) / (sigma * math.sqrt(2))
+    mass = 0.5 * np.diff(np.fromiter(map(math.erfc, z.tolist()), float, z.size))
     mass /= mass.sum()
     centers = (edges[:-1] + edges[1:]) / 2
     return SpectralMeasure(np.column_stack((centers, mass)))

@@ -526,6 +526,20 @@ def test_refine_qetu_window(capsys):
     assert report["p_below_target"] > 0.1
 
 
+@pytest.mark.parametrize("zeta", ["1e-320", "5e-324"])
+def test_refine_qetu_refuses_a_zeta_that_leaves_no_width(tmp_path, capsys,
+                                                         zeta):
+    # zeta times the cosine width is subnormal (its steepness overflows)
+    # or underflows to zero
+    levels = tmp_path / "levels.csv"
+    levels.write_text("0.1,0.5\n0.4,0.3\n0.8,0.2\n")
+    code = cli.dispatch(["refine", "qetu", "--levels", str(levels),
+                         "--el", "0", "--eu", "0.3", "--degree", "40",
+                         "--zeta", zeta])
+    assert code == cli.EXIT_INPUT
+    assert "softening factor" in capsys.readouterr().err
+
+
 def test_refine_case_study_emits_twelve_rows(capsys):
     report = run_json(capsys, ["refine", "case-study"])
     assert report["all_passed"] is True
@@ -682,8 +696,9 @@ def _pinned_commands(tmp_path, capsys):
 # and written files, recorded before the outcome law became a
 # SpectralMeasure and the Lorentzian lost its kernel class; the stdout
 # series and estimate-cost digests were recorded before the CSV writer lost
-# csv.writer, and the refine qetu digests when the window filter became the
-# interpolant of the exact erf window
+# csv.writer, the refine qetu digests when the window filter became the
+# interpolant of the exact erf window, and every gaussian digest except
+# goldilocks when the Gaussian's CDF came from math.erfc
 PINNED_OUTPUTS = {
     "ham qpe-stats": "329a25f8ffc5fcae",
     "ham goldilocks": "bd3c52de68e6660b",
@@ -699,15 +714,15 @@ PINNED_OUTPUTS = {
     "levels refine qetu": "19a047e471c5b3ad",
     "levels series": "4afca7a318ef7341",
     "levels cqpe": "b9e4e8edd069c5ac",
-    "gaussian qpe-stats": "8728d93c8d2c82da",
+    "gaussian qpe-stats": "cb44863fefaf2707",
     "gaussian goldilocks": "d18e44f0b7ff95c7",
-    "gaussian leakage": "42a082980ab99c6f",
-    "gaussian refine cqpe": "e87a83b1e9bbbf21",
-    "gaussian refine qetu": "cf6e7e536addc9d7",
-    "gaussian series": "ffb7e17ee0dda170",
-    "gaussian cqpe": "60a1094aaa0037f1",
+    "gaussian leakage": "ea6c40806a8d011a",
+    "gaussian refine cqpe": "b8e46f95b495ac62",
+    "gaussian refine qetu": "07b4c53df5eb6ecd",
+    "gaussian series": "afe627e79bf63b4c",
+    "gaussian cqpe": "2d26c9fd4fe44694",
     "ham resolvent": "7bc0604f24607169",
-    "gaussian series stdout": "fb0e2ec32d572791",
+    "gaussian series stdout": "11760769c8393b06",
     "estimate-cost": "34b36be06af7da2f",
 }
 

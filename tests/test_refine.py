@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
 from qprep.hamiltonian import AffineNormalizer
 from qprep.refine import (
@@ -171,8 +171,10 @@ def test_qetu_params_degenerate_window():
     # energies symmetric about zero share a half-angle cosine
     with pytest.raises(DegenerateWindow):
         qetu_params(-0.7, 0.7)
-    with pytest.raises(ValueError, match="positive"):
-        qetu_params(-2.0, -1.0, zeta=0.0)
+    # 1e-320 leaves a subnormal width, 5e-324 none at all
+    for zeta in (0.0, -1.0, math.nan, 1e-320, 5e-324):
+        with pytest.raises(ValueError, match="softening factor .* positive"):
+            qetu_params(-2.0, -1.0, zeta=zeta)
 
 
 def test_qetu_params_case_study_values():
@@ -363,6 +365,21 @@ def test_gaussian_levels_match_moments():
     assert m.mean() == pytest.approx(0.06, abs=1e-6)
     variance = m.probs @ (m.energies - m.mean()) ** 2
     assert math.sqrt(variance) == pytest.approx(0.02, rel=1e-3)
+
+
+@pytest.mark.parametrize("n_levels", [128, 4096, 65536])
+@pytest.mark.parametrize("mean, sigma",
+                         [(0.06, 0.02), (0.5, 0.1), (-0.001, 0.02),
+                          (0.5, 1e-12)])
+def test_gaussian_levels_match_scipy_ndtr(mean, sigma, n_levels):
+    # math.erfc at the edges agrees with scipy's normal CDF within an ulp
+    # or two of the CDF
+    m = gaussian_levels(mean, sigma, n_levels)
+    edges = np.linspace(mean - 6 * sigma, mean + 6 * sigma, n_levels + 1)
+    mass = np.diff(ndtr((edges - mean) / sigma))
+    mass /= mass.sum()
+    np.testing.assert_allclose(m.probs, mass, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(m.energies, (edges[:-1] + edges[1:]) / 2)
 
 
 def test_gaussian_case_study_report():

@@ -237,8 +237,8 @@ def test_ceilings_of_logs_and_roots_are_integer_ones():
 
 
 def test_side_branch_modules_import_without_scipy():
-    # no module imports scipy at load time, only the functions that use
-    # it, so a cold start of a command that needs none does not pay for it
+    # loading every module, commands that need none of it included, pulls
+    # in no scipy module
     modules = sorted(p.stem for p in (ROOT / "src" / "qprep").glob("*.py")
                      if p.stem != "__init__")
     assert {"cli", "gf2", "refine", "acceptance"} <= set(modules)
@@ -253,18 +253,60 @@ def test_side_branch_modules_import_without_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_refine_qetu_on_levels_loads_no_scipy(tmp_path):
-    # the window filter takes erf from the math module
+def scipy_imports(source):
+    """Lines of ``source`` that import scipy or one of its modules, at any
+    depth: at module level or inside a function, class or branch."""
+    def modules(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return [node.module]
+        return []
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if any(m.split(".")[0] == "scipy" for m in modules(node)))
+
+
+def test_no_module_imports_scipy():
+    # the package runs on NumPy and the standard library; scipy is a test
+    # dependency only
+    assert scipy_imports("import scipy\n"
+                         "def f():\n"
+                         "    from scipy.special import ndtr\n"
+                         "if x:\n"
+                         "    import numpy, scipy.stats as st\n"
+                         "from . import scipy\n"
+                         "import scipyx\n"
+                         "from numpy import scipy\n") == [1, 3, 5]
+    found = ["%s:%d" % (path.relative_to(ROOT), line)
+             for path in sorted((ROOT / "src" / "qprep").glob("*.py"))
+             for line in scipy_imports(path.read_text(encoding="utf-8"))]
+    assert not found, "scipy imports: " + ", ".join(found)
+
+
+def test_gaussian_commands_and_reproduce_load_no_scipy(tmp_path):
+    # one process runs every module: the Gaussian measure, the QETU window
+    # (case study and --levels) and every reproduction check
     levels = tmp_path / "levels.csv"
     levels.write_text("0.1,0.5\n0.4,0.3\n0.8,0.2\n")
+    commands = [["qpe-stats", "--gaussian", "0.06", "0.02", "--k", "8"],
+                ["refine", "case-study"],
+                ["refine", "qetu", "--levels", str(levels), "--el", "0.0",
+                 "--eu", "0.3", "--degree", "40"],
+                ["reproduce", "--out", str(tmp_path / "checks.txt")]]
     code = ("import sys\n"
             "from qprep import cli\n"
-            "code = cli.dispatch(['refine', 'qetu', '--levels', %r, "
-            "'--el', '0.0', '--eu', '0.3', '--degree', '40'])\n"
-            "print(code, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))" % str(levels))
+            "codes = [cli.dispatch(argv) for argv in %r]\n"
+            "print(codes, sorted(m for m in sys.modules "
+            "if m.startswith('qprep.')))\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))" % commands)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 []"
+    modules = sorted("qprep." + p.stem
+                     for p in (ROOT / "src" / "qprep").glob("*.py")
+                     if p.stem != "__init__")
+    assert out.stdout.splitlines()[-2:] == [
+        "%r %r" % ([0] * len(commands), modules), "[]"]

@@ -67,6 +67,7 @@ COMMANDS = {
                            "6", "--accept", "3"],
     "refine-qetu-levels": ["refine", "qetu", "--levels", "levels.csv",
                            "--el", "0.0", "--eu", "0.3"],
+    "refine-case-study": ["refine", "case-study"],
     "ham-build": ["ham", "build", "--fcidump", "h8.fcidump", "--na", "2",
                   "--nb", "2", "--out", "built.npz"],
     "ham-build-3136": ["ham", "build", "--fcidump", "h8.fcidump", "--na",
