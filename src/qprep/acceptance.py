@@ -8,13 +8,11 @@ complex solves, which the package itself never takes, and the Gram-Charlier
 and Edgeworth series of the measure's moments), kernel-density error
 scaling, min-of-K statistics, the leakage bracket, and the integral-file
 pipeline against an independent ladder-operator oracle.  Each check returns
-a one-line verdict without timings; ``run_all`` prints them in order, each
-with its elapsed time.  Checks with a stated time budget fail when they
-exceed it.
+a one-line verdict without timings, which ``qprep reproduce`` prints in
+order.  Checks with a stated time budget fail when they exceed it.
 """
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,21 +41,19 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float
 
     def line(self):
-        """The verdict without its timing, the same text on every run."""
+        """The verdict, the same text on every run."""
         status = "PASS" if self.passed else "FAIL"
         return "[%s] %2d %-24s %s" % (status, self.number, self.name,
                                       self.detail)
 
 
 def _finish(number, name, t0, passed, detail, budget=None):
-    elapsed = time.time() - t0
-    if budget is not None and elapsed >= budget:
+    if budget is not None and time.time() - t0 >= budget:
         passed = False
         detail += "; exceeded %ds budget" % budget
-    return CheckResult(number, name, bool(passed), detail, elapsed)
+    return CheckResult(number, name, bool(passed), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -558,19 +554,3 @@ CHECKS = (
     check_fcidump_pipeline,
 )
 
-
-def run_all(stream=None):
-    """Run every check, printing one verdict line each; returns the list."""
-    results = []
-    for check in CHECKS:
-        result = check()
-        results.append(result)
-        if stream is not None:
-            print("%s (%.1fs)" % (result.line(), result.elapsed),
-                  file=stream, flush=True)
-    return results
-
-
-if __name__ == "__main__":
-    outcome = run_all(stream=sys.stdout)
-    sys.exit(0 if all(r.passed for r in outcome) else 1)

@@ -406,6 +406,10 @@ def _load_measure(args):
                 raise ValueError("levels file needs energy,weight columns")
             if not np.all(np.isfinite(rows)):
                 raise ValueError("levels file holds non-finite values")
+            negative = np.flatnonzero(rows[:, 1] < 0)
+            if negative.size:
+                raise ValueError(
+                    f"level weight in row {negative[0] + 1} is negative")
             energies, inverse = np.unique(rows[:, 0], return_inverse=True)
             weights = np.zeros(energies.shape)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -415,8 +419,7 @@ def _load_measure(args):
                 # the sum overflowed: scaled by the largest weight first,
                 # as --state amplitudes are, the measure stays the same
                 weights[:] = 0.0
-                np.add.at(weights, inverse,
-                          rows[:, 1] / np.abs(rows[:, 1]).max())
+                np.add.at(weights, inverse, rows[:, 1] / rows[:, 1].max())
                 total = weights.sum()
             if total <= 0:
                 raise ValueError("level weights must have a positive total")
@@ -846,7 +849,8 @@ def build_parser():
                     help="refuse extractions beyond this many terms")
 
     sp = add(("simulate-encode",), cmd_simulate_encode,
-             "simulate the enumeration-register encoding of a state")
+             "simulate the enumeration-register encoding of a state",
+             out=False)
     sp.add_argument("--sos", required=True, metavar="FILE",
                     help="sum-of-Slaters JSON input")
     sp.add_argument("--report", metavar="FILE",

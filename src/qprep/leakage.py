@@ -85,19 +85,18 @@ def _split_bins(energy, size):
     return x_n, delta, (delta < SPIKE_TOL) | (1.0 - delta < SPIKE_TOL)
 
 
-def leak_prob_exact(m, setup, exclude_below=None):
+def leak_prob_exact(m, setup):
     """Exact leaked probability: every counted level against every window bin.
 
-    Counted levels lie above the cut.  A level on the readout grid is the
-    kernel's limit there, a Kronecker spike: it leaks its whole weight when
-    its register value falls in the window and nothing otherwise.  Window
-    bins are taken modulo 2^k, repeats included.
+    Counted levels lie above ``setup.exclude_below``.  A level on the
+    readout grid is the kernel's limit there, a Kronecker spike: it leaks
+    its whole weight when its register value falls in the window and
+    nothing otherwise.  Window bins are taken modulo 2^k, repeats included.
     """
     register_size(setup.k)          # refuses k past the cap before any array
     measure = as_measure(m)
-    cut = setup.exclude_below if exclude_below is None else exclude_below
     energies = measure.energies
-    counted = energies > cut
+    counted = energies > setup.exclude_below
     if setup.x_upper <= setup.window_low or not counted.any():
         return 0.0
     mass = _window_mass(energies[counted], setup.k, setup.window_low,
@@ -159,12 +158,12 @@ def leak_prob_level_bracket(energy, setup):
     return anti(setup.x_upper - 1) - base, anti(setup.x_upper) - base
 
 
-def leak_prob_approx(m, setup, exclude_below=None):
-    """Weighted one-term estimates summed over the levels above the cut, in
-    one elementwise pass of :func:`leak_prob_level_approx`."""
+def leak_prob_approx(m, setup):
+    """Weighted one-term estimates summed over the levels above
+    ``setup.exclude_below``, in one elementwise pass of
+    :func:`leak_prob_level_approx`."""
     measure = as_measure(m)
-    cut = setup.exclude_below if exclude_below is None else exclude_below
-    counted = measure.energies > cut
+    counted = measure.energies > setup.exclude_below
     return float(measure.probs[counted]
                  @ leak_prob_level_approx(measure.energies[counted], setup))
 

@@ -41,8 +41,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .hamiltonian import (AffineNormalizer, DenseHamiltonian,
-                          spectrum_normalizer)
+from .hamiltonian import AffineNormalizer, spectrum_normalizer
 
 PROB_SUM_TOL = 1e-10
 ENERGY_LO, ENERGY_HI = -0.5, 1.5
@@ -124,13 +123,11 @@ class SpectralMeasure:
 def exact_spectral_measure(h, psi):
     """Overlap weights of ``psi`` with the eigenbasis of ``h``.
 
-    ``h`` is a DenseHamiltonian (or a Hermitian matrix) in any units: the
-    eigenvalues of the one eigensolve are mapped into the normalized frame
-    by :func:`qprep.hamiltonian.spectrum_normalizer`, which the measure
+    ``h`` is a DenseHamiltonian in any units: the eigenvalues of the one
+    eigensolve are mapped into the normalized frame by
+    :func:`qprep.hamiltonian.spectrum_normalizer`, which the measure
     records.  ``psi`` need not be normalized.
     """
-    if not isinstance(h, DenseHamiltonian):
-        h = DenseHamiltonian(h)
     evals, evecs = h.eigensystem()
     normalizer = spectrum_normalizer(evals[0], evals[-1])
     evals = normalizer.apply(evals)
@@ -739,7 +736,7 @@ _KDE_REACH = 40.0
 _KDE_ROWS = 8
 
 
-def kde(samples, bandwidth=None, grid=None):
+def kde(samples, grid, bandwidth=None):
     """Gaussian kernel density estimate (1/Mh) sum_i K((x - X_i)/h).
 
     Default bandwidth is M^{-1/5} times the sample standard deviation (use
@@ -762,8 +759,6 @@ def kde(samples, bandwidth=None, grid=None):
         bandwidth = spread * samples.size ** (-1 / 5)
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise ValueError("bandwidth must be positive and finite")
-    if grid is None:
-        grid = default_grid()
     grid = np.asarray(grid, dtype=float)
     norm = samples.size * bandwidth * np.sqrt(2 * np.pi)
     samples = np.sort(samples.ravel())

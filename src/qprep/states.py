@@ -21,6 +21,7 @@ All functions are pure: inputs are never mutated.
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +65,11 @@ class SosState:
 
     ``terms`` holds ``(amplitude, occupation)`` pairs with finite
     amplitudes and mutually distinct occupation strings of length
-    ``n_spin_orbitals``.  Set ``normalized=True`` to assert unit norm
-    (checked to 1e-10).
+    ``n_spin_orbitals``.
     """
 
     n_spin_orbitals: int
     terms: list
-    normalized: bool = False
 
     def __post_init__(self):
         if self.n_spin_orbitals < 1:
@@ -87,20 +86,29 @@ class SosState:
         if len({occ for _, occ in clean}) != len(clean):
             raise ValueError("occupation strings must be distinct")
         self.terms = clean
-        if self.normalized and abs(self.norm() ** 2 - 1.0) > 1e-10:
-            raise ValueError("state flagged normalized but norm^2 != 1")
+
+    def _scaled(self):
+        """``(amplitudes / 2^e, their norm, e)``, e the ``math.frexp``
+        exponent of the largest real or imaginary part.  Dividing by a
+        power of two is exact, and it brings the largest part into [0.5, 1),
+        so no square of an amplitude over- or underflows whatever its size.
+        """
+        amps = np.array([a for a, _ in self.terms], dtype=complex)
+        e = math.frexp(float(np.abs(amps.view(float)).max(initial=0.0)))[1]
+        amps = np.ldexp(amps.view(float), -e).view(complex).tolist()
+        return amps, math.sqrt(sum(abs(a) ** 2 for a in amps)), e
 
     def norm(self):
-        return float(np.sqrt(sum(abs(a) ** 2 for a, _ in self.terms)))
+        _, n, e = self._scaled()
+        return math.ldexp(n, e)
 
     def normalize(self):
         """Return a unit-norm copy (ValueError on the zero state)."""
-        n = self.norm()
+        amps, n, _ = self._scaled()
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return SosState(self.n_spin_orbitals,
-                        [(a / n, occ) for a, occ in self.terms],
-                        normalized=True)
+        return SosState(self.n_spin_orbitals, [
+            (a / n, occ) for a, (_, occ) in zip(amps, self.terms)])
 
     def to_json_dict(self):
         return {
@@ -384,12 +392,18 @@ def sos_to_mps(state, chi_max):
     would keep every singular value and leave the state as it is, so it is
     skipped.  One compression at the end always runs and returns the
     left-canonical form.  The reported fidelity is |<mps|state>|^2 with both
-    sides normalized, evaluated against the exact input expansion.
+    sides normalized, evaluated against the exact input expansion.  The
+    amplitudes are first divided by the power of two 2^e of
+    :meth:`SosState._scaled`, so no square over- or underflows, and site 0,
+    which carries the norm, is multiplied back by 2^e at the end.
     """
     if state.n_spin_orbitals % 2:
         raise ValueError("need an even number of spin orbitals")
     if not state.terms:
         raise ValueError("cannot build an MPS from an empty expansion")
+    scaled, _, e = state._scaled()
+    state = SosState(state.n_spin_orbitals,
+                     [(a, occ) for a, (_, occ) in zip(scaled, state.terms)])
     n = state.n_spin_orbitals // 2
     order = sorted(state.terms, key=lambda t: (-abs(t[0]), t[1]))
     amps = np.array([amp for amp, _ in order], dtype=complex)
@@ -404,10 +418,12 @@ def sos_to_mps(state, chi_max):
             acc = compress_mps(MpsState(acc), chi_max=chi_max)[0].tensors
     mps, _ = compress_mps(MpsState(acc), chi_max=chi_max)
     nm, ns = mps.norm(), state.norm()
-    if nm == 0.0 or ns == 0.0:
-        return mps, 0.0
-    fidelity = abs(overlap(mps, state)) ** 2 / (nm * nm * ns * ns)
-    return mps, float(fidelity)
+    fidelity = (abs(overlap(mps, state)) ** 2 / (nm * nm * ns * ns)
+                if nm and ns else 0.0)
+    with np.errstate(over="ignore"):    # a norm past the float range
+        site0 = np.ldexp(mps.tensors[0].view(float), e).view(complex)
+    return (MpsState([site0, *mps.tensors[1:]], canonical_form="left"),
+            float(fidelity))
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +431,12 @@ def sos_to_mps(state, chi_max):
 # ---------------------------------------------------------------------------
 
 def overlap(a, b):
-    """Inner product <a|b> between any mix of SOS and MPS states.
+    """Inner product <a|b> of two MPS or of an SOS and an MPS state.
 
-    Evaluated without dense statevectors: determinant dictionaries for
-    SOS-SOS, transfer-matrix contraction for MPS-MPS, and for the mixed
-    case all determinants' amplitudes at once, site by site.
+    Evaluated without dense statevectors: transfer-matrix contraction for
+    MPS-MPS, and for the mixed case all determinants' amplitudes at once,
+    site by site.
     """
-    if isinstance(a, SosState) and isinstance(b, SosState):
-        if a.n_spin_orbitals != b.n_spin_orbitals:
-            raise ValueError("spin-orbital counts differ")
-        amps = {occ: amp for amp, occ in a.terms}
-        return complex(sum(np.conj(amps[occ]) * amp
-                           for amp, occ in b.terms if occ in amps))
     if isinstance(a, MpsState) and isinstance(b, MpsState):
         if a.n_sites != b.n_sites or a.local_dim != b.local_dim:
             raise ValueError("MPS shapes are incompatible")
@@ -452,7 +462,8 @@ def overlap(a, b):
         return complex(rows.sum())
     if isinstance(a, MpsState) and isinstance(b, SosState):
         return complex(np.conj(overlap(b, a)))
-    raise TypeError("overlap expects SosState or MpsState arguments")
+    raise TypeError("overlap expects two MpsState arguments or one SosState "
+                    "and one MpsState")
 
 
 # ---------------------------------------------------------------------------

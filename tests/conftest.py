@@ -1,9 +1,9 @@
 """Shared fixtures.
 
-The ten reproduction checks take most of the suite's time, and three tests
-need all of them (the parametrized check test, ``run_all`` and the
-``reproduce`` command).  Each check runs at most once per session; the
-later users read the recorded result.
+The ten reproduction checks take most of the suite's time, and two tests
+need all of them (the parametrized check test and the ``reproduce``
+command).  Each check runs at most once per session; the later users read
+the recorded result.
 """
 
 import functools

@@ -73,16 +73,6 @@ def test_distribution_identities_take_one_eigensolve_per_trial(eigensolves):
     assert eigensolves == ["eigh"] * 20
 
 
-def test_run_all_collects_every_check(tmp_path, recorded_checks):
-    out = tmp_path / "report.txt"
-    with open(out, "w") as fh:
-        results = acceptance.run_all(stream=fh)
-    assert len(results) == len(acceptance.CHECKS)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == len(acceptance.CHECKS)
-    assert [r.number for r in results] == list(range(1, 11))
-
-
 def test_h6_protocol_needs_six_orbitals():
     with pytest.raises(ValueError, match="six-orbital"):
         acceptance.h6_protocol_report(acceptance.TWO_ORBITAL_FCIDUMP)

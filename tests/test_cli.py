@@ -172,6 +172,21 @@ def test_levels_file_with_nan_weight_is_an_input_error(tmp_path, capsys):
     assert "non-finite" in captured.err
 
 
+def test_negative_level_weight_is_refused_naming_the_row(tmp_path, capsys):
+    # a weight of -1e-11 is within the measure's rounding allowance, but
+    # its file can no longer print a probability above 1
+    levels = tmp_path / "lv_neg.csv"
+    levels.write_text("0.1,1\n0.1,1\n0.7,-1e-11\n")
+    _refused_naming(capsys, levels,
+                    ["qpe-stats", "--levels", str(levels), "--k", "4",
+                     "--target", "0.15"],
+                    "level weight in row 3 is negative")
+    levels.write_text("E,weight\n0.1,0.5\n0.2,-0.0\n0.3,0.5\n")
+    assert cli.dispatch(["qpe-stats", "--levels", str(levels),
+                         "--k", "4"]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_levels_whose_weights_overflow_their_sum_are_scaled(tmp_path,
                                                            capsys):
     import argparse
@@ -1537,6 +1552,49 @@ def test_simulate_encode_report(tmp_path, capsys):
     assert report["n_system"] == 6
     assert report["n_enumeration"] == 1
     assert report["gate_tallies"]["cnots_applied"] >= 0
+
+
+def test_simulate_encode_has_no_out_flag(tmp_path, capsys):
+    # --report is the one place the report goes besides stdout
+    sos = tmp_path / "state.json"
+    sos.write_text(json.dumps({
+        "n_spin_orbitals": 2,
+        "terms": [{"re": 1.0, "im": 0.0, "occ": "10"}]}))
+    code = cli.dispatch(["simulate-encode", "--sos", str(sos),
+                         "--out", str(tmp_path / "x.json")])
+    assert code == cli.EXIT_USAGE
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("amp", [1e-300, 1e-200, 1e-120, 1e100, 1e160,
+                                 1e200, 1e300])
+def test_extreme_sos_amplitudes_are_scaled_first(tmp_path, capsys, amp):
+    # both commands divide by a power of two near the largest |amplitude|
+    # before any square, so neither norm over- nor underflows
+    sos = tmp_path / "state.json"
+    sos.write_text(json.dumps({
+        "n_spin_orbitals": 4,
+        "terms": [{"re": amp, "im": 0.0, "occ": "1100"},
+                  {"re": amp, "im": 0.0, "occ": "0011"}]}))
+    out = tmp_path / "state.npz"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        codes = [cli.dispatch(["convert", "--input", str(sos), "--to", "mps",
+                               "--out", str(out)]),
+                 cli.dispatch(["simulate-encode", "--sos", str(sos)])]
+    captured = capsys.readouterr()
+    assert codes == [cli.EXIT_OK, cli.EXIT_OK]
+    assert captured.err == "" and caught == []
+    converted, encoded = map(json.loads, captured.out.splitlines())
+    assert abs(converted["fidelity"] - 1.0) <= 1e-15
+    assert encoded["fidelity"] == pytest.approx(1.0, abs=1e-15)
+    from qprep.states import load_mps
+
+    # site 0 of the left-canonical form carries the norm, sqrt(2) amp
+    site0 = load_mps(out).tensors[0]
+    assert np.linalg.norm(site0 / amp) == pytest.approx(math.sqrt(2),
+                                                         rel=1e-14)
 
 
 def _seeded_sos_files(tmp_path):

@@ -124,7 +124,11 @@ def test_convert_to_sos_expands_the_tree_own_mps(tmp_path, monkeypatch,
                                                  capsys):
     import random
 
+    import numpy as np
+
     from qprep import states
+
+    import oracles
 
     tool = _tool()
     build = [*tool.COMMANDS["convert-to-mps"][:-1], "state.npz"]
@@ -139,7 +143,8 @@ def test_convert_to_sos_expands_the_tree_own_mps(tmp_path, monkeypatch,
     back = states.load_sos(tmp_path / "back.json")
     assert len(state.terms) == len(back.terms) == tool.SOS_TERMS
     assert max(states.load_mps(tmp_path / "state.npz").bond_dims) == 64
-    fid = abs(states.overlap(state, back)) ** 2 \
+    fid = abs(np.vdot(oracles.sos_to_statevector(state),
+                      oracles.sos_to_statevector(back))) ** 2 \
         / (state.norm() * back.norm()) ** 2
     assert fid > 1 - 1e-10
     calls = []

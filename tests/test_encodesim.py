@@ -21,8 +21,7 @@ def random_sos(rng, n_spin_orbitals, n_terms):
         occs.add("".join(rng.choice(["0", "1"], size=n_spin_orbitals)))
     amps = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
     amps /= np.linalg.norm(amps)
-    return SosState(n_spin_orbitals, list(zip(amps, sorted(occs))),
-                    normalized=True)
+    return SosState(n_spin_orbitals, list(zip(amps, sorted(occs))))
 
 
 def h6_sos():
@@ -31,7 +30,7 @@ def h6_sos():
         (0.86 / c, occupation_from_spatial("222000")),
         (-0.36 / c, occupation_from_spatial("b2aa0b")),
         (-0.36 / c, occupation_from_spatial("a2bb0a")),
-    ], normalized=True)
+    ])
 
 
 def n_cnots(layers):
@@ -99,7 +98,7 @@ def test_encode_single_determinant():
 
 def test_encode_pair_hand_worked():
     # |01> lives at key 2 (qubit s <-> character s), |10> at key 1
-    state = SosState(2, [(0.8, "01"), (0.6, "10")], normalized=True)
+    state = SosState(2, [(0.8, "01"), (0.6, "10")])
     _, layers = plan_encoding(state)
     res = simulate_sos_encoding(state)
     assert res.state == {2: 0.8, 1: 0.6}

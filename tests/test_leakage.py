@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm as normal_dist
 
+from qprep import spectra
 from qprep.leakage import (LeakageSetup, diagnose_leakage, leak_prob_approx,
                            leak_prob_exact, leak_prob_integral,
                            leak_prob_level_approx, leak_prob_level_bracket)
@@ -90,8 +91,9 @@ def test_exact_excludes_levels_below_cut():
     # a level sitting below e0 - epsilon adds nothing by default
     m = SpectralMeasure([(0.05, 0.5), (0.4, 0.5)])
     assert leak_prob_exact(m, setup) == pytest.approx(inside / 2, rel=1e-12)
-    # but the cut is overridable
-    widened = leak_prob_exact(m, setup, exclude_below=-1.0)
+    # though its kernel does reach the window
+    widened = m.probs @ spectra._window_mass(m.energies, setup.k,
+                                             setup.window_low, setup.x_upper)
     assert widened > inside / 2
 
 
@@ -288,11 +290,18 @@ def test_leak_prob_approx_matches_loop_oracle(case):
         setup = LeakageSetup(10, 2 ** -8, 0.05)
         m = SpectralMeasure(np.column_stack(
             random_levels_with_edge_cases(setup)))
-    for cut in (setup.exclude_below, 0.1):
-        ref = oracles.leak_prob_approx_loop(m.energies, m.probs, setup, cut)
-        assert ref > 0.0
-        assert leak_prob_approx(m, setup, exclude_below=cut) \
-            == pytest.approx(ref, rel=1e-13, abs=0.0)
+    ref = oracles.leak_prob_approx_loop(m.energies, m.probs, setup,
+                                        setup.exclude_below)
+    assert ref > 0.0
+    assert leak_prob_approx(m, setup) == pytest.approx(ref, rel=1e-13,
+                                                       abs=0.0)
+    # the per-level estimates, summed over the levels above a higher cut
+    ref = oracles.leak_prob_approx_loop(m.energies, m.probs, setup, 0.1)
+    counted = m.energies > 0.1
+    assert ref > 0.0
+    assert m.probs[counted] @ leak_prob_level_approx(m.energies[counted],
+                                                     setup) \
+        == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,17 +29,18 @@ from qprep.spectra import SpectralMeasure
 # ---------------------------------------------------------------------------
 
 def test_filter_polynomial_validation():
-    with pytest.raises(ValueError, match="degree"):
-        FilterPolynomial(np.array([1.0, 0.0]), 3)
     with pytest.raises(ValueError, match="parity"):
-        FilterPolynomial(np.array([0.3, 1.0]), 1)
+        FilterPolynomial(np.array([0.3, 1.0]))
     with pytest.raises(ValueError, match="parity"):
-        FilterPolynomial(np.array([1.0, 0.5, 0.2]), 2)
+        FilterPolynomial(np.array([1.0, 0.5, 0.2]))
+    # the degree is read off the coefficients
+    assert FilterPolynomial(np.array([1.0, 0.0, 0.2])).degree == 2
+    assert FilterPolynomial([0.5]).degree == 0
 
 
 def test_filter_polynomial_evaluates_chebyshev():
     # coefficients [0, 0, 1] are T_2(x) = 2x^2 - 1
-    poly = FilterPolynomial(np.array([0.5, 0.0, 0.5]), 2)
+    poly = FilterPolynomial(np.array([0.5, 0.0, 0.5]))
     x = np.linspace(-1, 1, 11)
     assert np.allclose(poly(x), x ** 2, atol=1e-14)
 
@@ -274,7 +275,7 @@ IDENTITY = AffineNormalizer(1.0, 0.0)
 
 
 def _unit_poly():
-    return FilterPolynomial(np.array([1.0]), 0)
+    return FilterPolynomial(np.array([1.0]))
 
 
 def test_qetu_identity_polynomial():
@@ -287,7 +288,7 @@ def test_qetu_identity_polynomial():
 
 def test_qetu_born_square_reweighting():
     # P(x) = x^2 squares to cos^4(E/2) per level
-    poly = FilterPolynomial(np.array([0.5, 0.0, 0.5]), 2)
+    poly = FilterPolynomial(np.array([0.5, 0.0, 0.5]))
     m = SpectralMeasure([(0.2, 0.3), (1.2, 0.7)])
     res = qetu_filter(m, poly, IDENTITY)
     gains = np.cos(np.array([0.2, 1.2]) / 2) ** 4
@@ -312,7 +313,7 @@ def test_qetu_angle_map_forms_agree():
 
 
 def test_qetu_vanishing_filter():
-    zero = FilterPolynomial(np.array([0.0]), 0)
+    zero = FilterPolynomial(np.array([0.0]))
     m = SpectralMeasure([(0.3, 1.0)])
     with pytest.raises(PosteriorUndefined):
         qetu_filter(m, zero, IDENTITY)

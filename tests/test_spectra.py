@@ -404,7 +404,7 @@ def test_coarse_sample_mean_tracks_measure():
 # ---------------------------------------------------------------------------
 
 def test_kde_single_sample_gaussian():
-    grid, vals = kde([0.4], bandwidth=0.05)
+    grid, vals = kde([0.4], default_grid(), bandwidth=0.05)
     assert np.allclose(vals, normal_dist.pdf(grid, 0.4, 0.05), atol=1e-12)
     assert np.trapezoid(vals, grid) == pytest.approx(1.0, abs=1e-6)
 
@@ -413,8 +413,8 @@ def test_kde_default_bandwidth_rule():
     rng = np.random.default_rng(23)
     samples = rng.normal(0.5, 0.1, size=400)
     h = np.std(samples) * 400 ** (-1 / 5)
-    grid, auto = kde(samples)
-    _, manual = kde(samples, bandwidth=h)
+    grid, auto = kde(samples, default_grid())
+    _, manual = kde(samples, default_grid(), bandwidth=h)
     assert np.allclose(auto, manual)
 
 
@@ -433,11 +433,11 @@ def test_kde_matches_direct_sum():
 
 def test_kde_validation():
     with pytest.raises(ValueError):
-        kde([])
+        kde([], default_grid())
     with pytest.raises(ValueError):
-        kde([0.5, 0.5, 0.5])
+        kde([0.5, 0.5, 0.5], default_grid())
     with pytest.raises(ValueError):
-        kde([0.1, 0.2], bandwidth=0.0)
+        kde([0.1, 0.2], default_grid(), bandwidth=0.0)
 
 
 @pytest.mark.parametrize("samples, bandwidth", [
@@ -450,7 +450,7 @@ def test_kde_validation():
 ])
 def test_kde_refuses_non_finite_input(samples, bandwidth):
     with pytest.raises(ValueError, match="finite"):
-        kde(samples, bandwidth=bandwidth)
+        kde(samples, default_grid(), bandwidth=bandwidth)
 
 
 def test_kde_matches_dense_oracle():

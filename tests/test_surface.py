@@ -103,12 +103,7 @@ def test_exceptions_are_still_defined_and_unreached():
 
 
 # Defaulted parameters that no call supplies, each with its reason.
-UNSET_ON_PURPOSE = {
-    # The differential tests drive every level through the kernel sum with
-    # it, so no level is cut away.
-    ("leakage", "leak_prob_exact", "exclude_below"),
-    ("leakage", "leak_prob_approx", "exclude_below"),
-}
+UNSET_ON_PURPOSE = set()
 
 
 def _settable_parameters(path, tree):
@@ -204,6 +199,33 @@ def test_unset_parameter_exceptions_still_hold():
         assert key in by_key, f"{key} is gone; drop its exception"
         assert not _supplied(by_key[key], calls), (
             f"{key} is set now; drop its exception")
+
+
+def main_blocks(source):
+    """Lines of ``source`` that open an ``if __name__ == "__main__":``
+    block at module level."""
+    def is_main(test):
+        return (isinstance(test, ast.Compare)
+                and isinstance(test.left, ast.Name)
+                and test.left.id == "__name__"
+                and any(isinstance(c, ast.Constant) and c.value == "__main__"
+                        for c in test.comparators))
+
+    return [node.lineno for node in ast.parse(source).body
+            if isinstance(node, ast.If) and is_main(node.test)]
+
+
+def test_only_the_cli_has_a_main_block():
+    # ``qprep`` (cli.main) is the one way to run a command or the checks
+    assert main_blocks("import sys\n"
+                       "if __name__ == '__main__':\n"
+                       "    sys.exit(0)\n"
+                       "if __name__ == 'qprep':\n"
+                       "    pass\n") == [2]
+    found = sorted(path.name
+                   for path in (ROOT / "src" / "qprep").glob("*.py")
+                   if main_blocks(path.read_text(encoding="utf-8")))
+    assert found == ["cli.py"]
 
 
 def float_ceilings(source):
