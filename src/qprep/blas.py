@@ -18,9 +18,12 @@ the blocks that gain from more threads widen the pool to the command's
 full width with :func:`full_pool`, which parks the workers when it ends.
 Two independent jobs of one command use that width another way:
 :func:`side_by_side` runs them at the same time, each on one BLAS thread,
-one of them on a helper thread, and never widens the pool.  It has two
-callers: the two spin-flip blocks of an eigensolve, and a ``--ham``
-archive's CRC-32s beside its matrix checks (``load_hamiltonian``).
+one of them on a helper thread, and never widens the pool.  Its one caller
+is the pair of spin-flip blocks of an eigensolve.  A ``--ham`` archive's
+CRC-32s also run on a helper thread at a full width of 2 or more
+(``hamiltonian.load_hamiltonian``), beside the load's checks, the
+``--state`` read and the measure; that helper runs ``zlib`` only and makes
+no BLAS call, so it reads :func:`full_width` and nothing else here.
 ``cli.main`` parks the workers once before its command, so a cold process
 does not pay for the spin the library's load starts.  Once a process has
 parked, every width change made here is followed by another park, since
@@ -141,6 +144,11 @@ def command(threads):
         _full_width.reset(token)
 
 
+def full_width():
+    """The running command's full width, or None outside a command."""
+    return _full_width.get()
+
+
 @contextlib.contextmanager
 def full_pool():
     """The running command's full width for the block, then one thread
@@ -167,7 +175,7 @@ def side_by_side(solve, first, second):
     outside a command, one after the other at the width as found.  Either
     way an exception of ``first`` is the one that ``side_by_side`` raises.
     """
-    full = _full_width.get()
+    full = full_width()
     if full is None or full < 2:
         return solve(first), solve(second)
     done = {}

@@ -7,7 +7,9 @@ form of the Slater-Condon rules); spin-orbitals interleave as 2p (alpha) /
 2p+1 (beta), and determinants are ordered lexicographically by (alpha, beta)
 occupation.
 Everything is real-integral; complex Hamiltonians enter via direct dense
-ingestion.
+ingestion.  A sector with as many alpha as beta electrons commutes with its
+spin flip and keeps its eigensystem as the flip's even and odd blocks
+(:class:`FlipBlocks`), from the eigensolve to the archive and the measure.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import mmap
 import os
 import struct
+import threading
 import warnings
 import zipfile
 import zlib
@@ -43,6 +46,7 @@ __all__ = [
     "save_hamiltonian",
     "csv_rows",
     "load_hamiltonian",
+    "FlipBlocks",
 ]
 
 HERMITICITY_TOL = 1e-12    # relative to max(1, max |H_ij|)
@@ -267,13 +271,17 @@ class DenseHamiltonian:
     """Hermitian matrix plus optional determinant labels for its basis.
 
     ``entries`` is kept as a read-only view, so the eigensystem, computed on
-    first use or handed in as ``eigen = (eigenvalues, eigenvectors)`` and
-    checked by :func:`_check_eigensystem`, always belongs to the matrix.
+    first use or handed in, always belongs to the matrix: either dense, as
+    ``eigen = (eigenvalues, eigenvectors)`` checked by
+    :func:`_check_eigensystem`, or as a spin-flip sector's two blocks,
+    ``blocks`` (a :class:`FlipBlocks`) checked by :func:`_check_blocks`.
     """
 
     entries: np.ndarray
     basis_labels: list | None = None
     eigen: tuple | None = field(default=None, repr=False, compare=False)
+    blocks: FlipBlocks | None = field(default=None, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         self.entries = _read_only(self.entries)
@@ -297,14 +305,16 @@ class DenseHamiltonian:
             evals, evecs = (_read_only(a) for a in self.eigen)
             _check_eigensystem(self.entries, evals, evecs, self._size)
             self.eigen = (evals, evecs)
+        if self.blocks is not None:
+            _check_blocks(self.entries, self.blocks, self._size)
 
     @property
     def dim(self):
         return self.entries.shape[0]
 
-    def eigensystem(self):
-        """Ascending eigenvalues and the matching eigenvector columns,
-        solved once per object, on first use, unless they were handed in.
+    def flip_blocks(self):
+        """The eigensystem as a :class:`FlipBlocks`, or None for a matrix
+        solved as one block; solved on first use, unless it was handed in.
 
         An n_alpha = n_beta sector that :func:`build_ci_matrix` made knows
         its spin flip P, and unless P H P^T = H fails (see
@@ -315,20 +325,34 @@ class DenseHamiltonian:
         :func:`qprep.blas.side_by_side`).  Any other matrix (a load without
         a stored eigensystem, or one made by hand) is solved as one block,
         by one ``eigh`` of ``entries``, on the command's full pool from
-        order ``_EIGH_PARALLEL_MIN``.  Outside a command every solve runs at
-        the BLAS width as found.  A solve whose levels or vectors are not
-        all finite (levels beyond the float range, from entries near it) is
-        refused with ``LinAlgError``.
+        order ``_EIGH_PARALLEL_MIN``, and :meth:`eigensystem` holds it.
+        Outside a command every solve runs at the BLAS width as found.  A
+        solve whose levels or vectors are not all finite (levels beyond the
+        float range, from entries near it) is refused with ``LinAlgError``.
         """
-        if self.eigen is None:
-            eigen = None if self._flip is None else _flip_blocked_eigh(
+        if self.eigen is None and self.blocks is None:
+            blocks = None if self._flip is None else _flip_blocked_eigh(
                 self.entries, self._flip, self._size)
-            if eigen is None:
-                eigen = _eigh(self.entries)
-            if not all(np.isfinite(a).all() for a in eigen):
+            solved = _eigh(self.entries) if blocks is None \
+                else (*blocks.even, *blocks.odd)
+            if not all(np.isfinite(a).all() for a in solved):
                 raise np.linalg.LinAlgError(
                     "solved levels or eigenvectors are not finite")
-            self.eigen = tuple(_read_only(a) for a in eigen)
+            if blocks is None:
+                self.eigen = tuple(_read_only(a) for a in solved)
+            self.blocks = blocks
+        return self.blocks
+
+    def eigensystem(self):
+        """Ascending eigenvalues and the matching eigenvector columns,
+        solved once per object (see :meth:`flip_blocks`), on first use,
+        unless they were handed in.  A sector held as spin-flip blocks has
+        its dense columns assembled from them, by :meth:`FlipBlocks.dense`,
+        on the first call; the measure and the archive use the blocks."""
+        if self.eigen is None:
+            blocks = self.flip_blocks()
+            if self.eigen is None:
+                self.eigen = tuple(_read_only(a) for a in blocks.dense())
         return self.eigen
 
 
@@ -342,28 +366,162 @@ def _eigh(matrix):
         return np.linalg.eigh(matrix)
 
 
+# the archive members of a FlipBlocks, in its field order
+_BLOCK_MEMBERS = ("partner", "sign", "even_eigenvalues", "even_eigenvectors",
+                  "odd_eigenvalues", "odd_eigenvectors")
+
+
+@dataclass(eq=False)
+class FlipBlocks:
+    """The eigensystem of a matrix H that commutes with a spin flip P,
+    P e_i = ``sign``_i e_``partner``_i, kept as P's even and odd block.
+
+    Each orbit of P gives one basis vector per parity it supports: a pair
+    i < j = partner_i gives (e_i +- sign_i e_j) / sqrt 2, a fixed point e_i
+    one of parity sign_i.  These orbit vectors are the columns of an
+    orthogonal U.  Its representatives ``a`` list the even fixed points,
+    the pairs, then the odd fixed points, so the even block is U^T H U's
+    leading ``hi`` rows and columns and the odd block its trailing ones.
+    ``even`` and ``odd`` are each block's ascending levels and real
+    eigenvector columns.  A flip that is not an involution with signs +-1,
+    or blocks whose shapes do not fit its orbits, are refused with
+    ``ValueError``; the arrays are kept as read-only views.
+    """
+
+    partner: np.ndarray
+    sign: np.ndarray
+    even: tuple
+    odd: tuple
+
+    def __post_init__(self):
+        partner, sign = (_read_only(a) for a in (self.partner, self.sign))
+        n = partner.shape[0] if partner.ndim == 1 else -1
+        if partner.dtype.kind not in "iu" or sign.dtype.kind not in "if" \
+                or sign.shape != (n,):
+            raise ValueError("the flip needs an integer partner and a real "
+                             "sign per basis state")
+        idx = np.arange(n)
+        if not (np.all((partner >= 0) & (partner < n))
+                and np.array_equal(partner[partner], idx)):
+            raise ValueError("the flip's partner is not an involution")
+        if not (np.all(np.abs(sign) == 1)
+                and np.array_equal(sign[partner], sign)):
+            raise ValueError("the flip's signs are not all +-1 on each "
+                             "orbit")
+        a, lo, hi = _orbits(partner, sign)
+        for name, (vals, vecs), order in (("even", self.even, hi),
+                                          ("odd", self.odd, len(a) - lo)):
+            vals, vecs = np.asarray(vals), np.asarray(vecs)
+            if vals.shape != (order,) or vecs.shape != (order, order):
+                raise ValueError(
+                    "%s block shapes %s and %s do not fit the flip's %d "
+                    "%s orbit vectors" % (name, vals.shape, vecs.shape,
+                                          order, name))
+            if vals.dtype.kind != "f" or vecs.dtype.kind != "f":
+                raise ValueError("block levels and eigenvectors must be real "
+                                 "floating point")
+        self.partner, self.sign = partner, sign
+        self.even, self.odd = (tuple(_read_only(x) for x in block)
+                               for block in (self.even, self.odd))
+        self._a, self._b, self._s = a, partner[a], sign[a]
+        self._lo, self._hi = lo, hi
+
+    @property
+    def dim(self):
+        return len(self.partner)
+
+    def members(self):
+        """``{archive member name: array}``, as :func:`save_hamiltonian`
+        writes them."""
+        return dict(zip(_BLOCK_MEMBERS, (self.partner, self.sign, *self.even,
+                                         *self.odd)))
+
+    def levels(self):
+        """``(levels, order)``: the levels of both blocks, even then odd,
+        merged in ascending order (a tie puts the even level first), and the
+        index of each in that concatenation."""
+        levels = np.concatenate((self.even[0], self.odd[0]))
+        order = np.argsort(levels, kind="stable")
+        return levels[order], order
+
+    def project(self, psi):
+        """``(U^T psi)`` split into its even and its odd part."""
+        a, b, lo, hi = self._a, self._b, self._lo, self._hi
+        pair_a, pair_b = psi[a[lo:hi]], self._s[lo:hi] * psi[b[lo:hi]]
+        root = math.sqrt(0.5)
+        return (np.concatenate((psi[a[:lo]], (pair_a + pair_b) * root)),
+                np.concatenate(((pair_a - pair_b) * root, psi[a[hi:]])))
+
+    def lift(self, even, odd):
+        """U y for y the even part ``even`` and the odd part ``odd``."""
+        a, b, lo, hi = self._a, self._b, self._lo, self._hi
+        dtype = np.result_type(even, odd)
+        out = np.empty(self.dim, dtype)
+        out[a[:lo]] = even[:lo]
+        out[a[hi:]] = odd[hi - lo:]
+        root = math.sqrt(0.5)
+        out[a[lo:hi]] = (even[lo:hi] + odd[:hi - lo]) * root
+        out[b[lo:hi]] = self._s[lo:hi] * ((even[lo:hi] - odd[:hi - lo])
+                                          * root)
+        return out
+
+    def dense(self):
+        """The ascending levels and the n x n eigenvector columns U V of
+        the blocks, in the order of :meth:`levels`."""
+        (even_vals, even_vecs), (odd_vals, odd_vecs) = self.even, self.odd
+        a, b, s, lo, hi = self._a, self._b, self._s, self._lo, self._hi
+        n = self.dim
+        # x = U y: e_a takes y for a fixed point and y / sqrt 2 for a pair,
+        # whose partner e_b takes parity s y / sqrt 2.  Each row group is
+        # one row-indexed write, with the even levels in the leading and
+        # the odd levels in the trailing columns; the columns then go into
+        # level order a tile of rows at a time.
+        evecs = np.empty((n, n), dtype=even_vecs.dtype)
+        evecs[a[:lo], :hi] = even_vecs[:lo]
+        evecs[a[:lo], hi:] = 0.0
+        evecs[a[hi:], :hi] = 0.0
+        evecs[a[hi:], hi:] = odd_vecs[hi - lo:]
+        for parity, pair, cols in ((1.0, even_vecs[lo:hi], slice(0, hi)),
+                                   (-1.0, odd_vecs[:hi - lo], slice(hi, n))):
+            evecs[a[lo:hi], cols] = pair * math.sqrt(0.5)
+            evecs[b[lo:hi], cols] = pair \
+                * (parity * math.sqrt(0.5) * s[lo:hi])[:, None]
+        levels, order = self.levels()
+        tile = np.empty((_TILE, n), dtype=evecs.dtype)
+        for r in range(0, n, _TILE):
+            band = evecs[r:r + _TILE]
+            band[...] = np.take(band, order, axis=1, out=tile[:len(band)],
+                                mode="clip")
+        return levels, evecs
+
+
+def _orbits(partner, sign):
+    """``(a, lo, hi)``: the representatives of the flip's orbits, the even
+    fixed points (``a[:lo]``), the lesser index of each pair
+    (``a[lo:hi]``), then the odd fixed points (``a[hi:]``)."""
+    idx = np.arange(len(partner))
+    fixed = partner == idx
+    even_fixed, pairs = idx[fixed & (sign > 0)], idx[idx < partner]
+    a = np.concatenate((even_fixed, pairs, idx[fixed & (sign < 0)]))
+    return a, len(even_fixed), len(even_fixed) + len(pairs)
+
+
 def _flip_blocked_eigh(entries, flip, size):
-    """``eigh`` of the real ``entries`` as the even and odd block of the
-    spin flip ``flip = (partner, sign)``, P e_i = sign_i e_partner_i, as
+    """The :class:`FlipBlocks` of the real ``entries`` under the spin flip
+    ``flip = (partner, sign)``, P e_i = sign_i e_partner_i, as
     :func:`build_ci_matrix` hands it over, or None (one block) unless
     max |P H P^T - H| <= ``HERMITICITY_TOL`` max(1, ``size``), ``size``
     being max |H_ij|, and both blocks are non-empty.
 
-    Each orbit of P gives one basis vector per parity it supports: a pair
-    i < j = partner_i gives (e_i +- sign_i e_j) / sqrt 2, a fixed point e_i
-    to the block of parity sign_i.  The representatives ``a`` list the even
-    fixed points, the pairs, then the odd fixed points, so the even block is
-    the leading and the odd block the trailing rows and columns.  The
-    levels are merged in ascending order (a tie puts the even level first).
+    The even and odd block of U^T H U (U the orbit vectors of
+    :class:`FlipBlocks`) are gathered from four quadrants of ``entries``
+    and solved by one ``eigh`` each; it stops there, and only
+    :meth:`FlipBlocks.dense` makes the n x n eigenvector columns, for a
+    caller of :meth:`DenseHamiltonian.eigensystem`.
     """
     partner, sign = flip
-    n = entries.shape[0]
-    idx = np.arange(n)
-    fixed = partner == idx
-    even_fixed, pairs = idx[fixed & (sign > 0)], idx[idx < partner]
-    a = np.concatenate((even_fixed, pairs, idx[fixed & (sign < 0)]))
-    b, s = partner[a], sign[a]
-    m, lo, hi = len(a), len(even_fixed), len(even_fixed) + len(pairs)
+    a, lo, hi = _orbits(partner, sign)
+    b, s, m = partner[a], sign[a], len(a)
     if hi == 0 or lo == m:
         return None
     # The four quadrants cover every entry.  With S = diag(s) (exact
@@ -407,30 +565,7 @@ def _flip_blocked_eigh(entries, flip, size):
     else:
         solved = np.linalg.eigh(even), np.linalg.eigh(odd)
     del work, h_aa, even, odd, block
-    (even_vals, even_vecs), (odd_vals, odd_vecs) = solved
-    # x = U y: e_a takes y for a fixed point and y / sqrt 2 for a pair,
-    # whose partner e_b takes parity s y / sqrt 2.  Each row group is one
-    # row-indexed write, with the even levels in the leading and the odd
-    # levels in the trailing columns; the columns then go into level order
-    # a tile of rows at a time.
-    evecs = np.empty((n, n), dtype=even_vecs.dtype)
-    evecs[a[:lo], :hi] = even_vecs[:lo]
-    evecs[a[:lo], hi:] = 0.0
-    evecs[a[hi:], :hi] = 0.0
-    evecs[a[hi:], hi:] = odd_vecs[hi - lo:]
-    for parity, pair, cols in ((1.0, even_vecs[lo:hi], slice(0, hi)),
-                               (-1.0, odd_vecs[:hi - lo], slice(hi, n))):
-        evecs[a[lo:hi], cols] = pair * math.sqrt(0.5)
-        evecs[b[lo:hi], cols] = pair \
-            * (parity * math.sqrt(0.5) * s[lo:hi])[:, None]
-    levels = np.concatenate((even_vals, odd_vals))
-    order = np.argsort(levels, kind="stable")
-    tile = np.empty((_TILE, n), dtype=evecs.dtype)
-    for r in range(0, n, _TILE):
-        band = evecs[r:r + _TILE]
-        band[...] = np.take(band, order, axis=1, out=tile[:len(band)],
-                            mode="clip")
-    return levels[order], evecs
+    return FlipBlocks(partner, sign, *solved)
 
 
 def _deviation_and_size(a):
@@ -484,11 +619,51 @@ def _read_only(a):
 
 def _check_eigensystem(entries, evals, evecs, size):
     """Refuse an eigensystem that does not belong to ``entries``, whose
-    largest |H_ij| is ``size``.
+    largest |H_ij| is ``size``: shapes and dtypes exactly, then
+    :func:`_probe`."""
+    n = entries.shape[0]
+    if evals.shape != (n,) or evecs.shape != (n, n):
+        raise ValueError("eigensystem shapes %s and %s do not fit a %d x %d "
+                         "matrix" % (evals.shape, evecs.shape, n, n))
+    if evals.dtype.kind != "f" or evecs.dtype.kind not in "fc":
+        raise ValueError("eigenvalues must be real and eigenvectors "
+                         "floating point")
+    _probe(entries, size, (evals,), (evecs,), lambda y: evecs @ y,
+           lambda z: _adjoint(evecs) @ z)
 
-    Shapes, dtypes, finiteness and ascending order are checked exactly, the
-    pairs by two O(n^2) probes with a fixed random x: |H(Vx) - V(Lx)|
-    relative to max(1, ``size``) |x|, and |V^H(Vx) - x| relative to |x|.
+
+def _check_blocks(entries, blocks, size):
+    """Refuse the :class:`FlipBlocks` ``blocks`` unless they are an
+    eigensystem of ``entries``, whose largest |H_ij| is ``size``: a flip of
+    the matrix's order, then :func:`_probe` with V = U diag(V_even, V_odd),
+    the blocks' levels in that order, and U applied through the orbit
+    transform, O(n) work, so no n x n array is made."""
+    n = entries.shape[0]
+    if blocks.dim != n:
+        raise ValueError("a flip of %d basis states does not fit a %d x %d "
+                         "matrix" % (blocks.dim, n, n))
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = blocks.even, blocks.odd
+    hi = len(even_vals)
+
+    def apply(y):
+        return blocks.lift(even_vecs @ y[:hi], odd_vecs @ y[hi:])
+
+    def apply_adjoint(z):
+        even, odd = blocks.project(z)
+        return np.concatenate((even_vecs.T @ even, odd_vecs.T @ odd))
+
+    _probe(entries, size, (even_vals, odd_vals), (even_vecs, odd_vecs),
+           apply, apply_adjoint)
+
+
+def _probe(entries, size, levels, vectors, apply, apply_adjoint):
+    """Refuse the eigensystem V, Lambda of ``entries`` unless its values
+    are finite, each array of ``levels`` ascends, and two O(n^2) probes
+    with a fixed random x pass: |H(Vx) - V(Lx)| relative to
+    max(1, ``size``) |x|, and |V^H(Vx) - x| relative to |x|.  L is the
+    ``levels`` arrays joined, V (``vectors``: its stored arrays) acts by
+    ``apply`` and V^H by ``apply_adjoint``.
+
     A non-finite entry of V makes Vx non-finite (no x_j is 0), so V is
     scanned for one only then.  The first probe runs on cx, c the largest
     power of two up to 1 that brings c max(1, ``size``) below 2^512, the
@@ -498,30 +673,27 @@ def _check_eigensystem(entries, evals, evecs, size):
     falls below 2^-510.
     """
     n = entries.shape[0]
-    if evals.shape != (n,) or evecs.shape != (n, n):
-        raise ValueError("eigensystem shapes %s and %s do not fit a %d x %d "
-                         "matrix" % (evals.shape, evecs.shape, n, n))
-    if evals.dtype.kind != "f" or evecs.dtype.kind not in "fc":
-        raise ValueError("eigenvalues must be real and eigenvectors "
-                         "floating point")
     x = np.random.default_rng(0).standard_normal(n)
-    vx = evecs @ x
-    if not (np.all(np.isfinite(evals)) and (np.all(np.isfinite(vx))
-                                            or np.all(np.isfinite(evecs)))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        vx = apply(x)
+    if not (all(np.all(np.isfinite(e)) for e in levels)
+            and (np.all(np.isfinite(vx))
+                 or all(np.all(np.isfinite(v)) for v in vectors))):
         raise ValueError("non-finite eigensystem value")
-    if np.any(evals[1:] < evals[:-1]):
+    if any(np.any(e[1:] < e[:-1]) for e in levels):
         raise ValueError("eigenvalues are not ascending")
     if n == 0:
         return
+    evals = np.concatenate(levels)
     norm_x = np.linalg.norm(x)
     scale = max(1.0, size)
     c = math.ldexp(1.0, min(0, 512 - math.frexp(scale)[1]))
     # scaled back before the norm squares it; a mismatching eigensystem may
     # still overflow, and is refused below without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        pair = entries @ (vx * c) - evecs @ (evals * (x * c))
+        pair = entries @ (vx * c) - apply(evals * (x * c))
         pair_res = np.linalg.norm(pair / (scale * c)) / norm_x
-        basis_res = np.linalg.norm(_adjoint(evecs) @ vx - x) / norm_x
+        basis_res = np.linalg.norm(apply_adjoint(vx) - x) / norm_x
     if not max(pair_res, basis_res) <= EIGEN_PROBE_TOL:
         raise ValueError("eigensystem does not match the matrix (probe "
                          "residuals %.3g, %.3g)" % (pair_res, basis_res))
@@ -737,15 +909,23 @@ def _symmetrize(a):
 
 def save_hamiltonian(h, path):
     """Write the matrix to ``path``: CSV if it ends in .csv, else an npz
-    holding the labels and the eigensystem too (diagonalized here unless
-    ``h`` has it already), so loaders skip their own eigensolve."""
+    holding the labels and the eigensystem too (solved here unless ``h``
+    has it already), so loaders skip their own eigensolve.  A sector held
+    as spin-flip blocks (see :meth:`DenseHamiltonian.flip_blocks`) is
+    written in the block layout, the members of
+    :meth:`FlipBlocks.members`; any other matrix in the dense one,
+    ``eigenvalues`` and ``eigenvectors``."""
     if str(path).endswith(".csv"):
         np.savetxt(path, h.entries, delimiter=",")
         return
-    evals, evecs = h.eigensystem()
     labels = np.array(h.basis_labels if h.basis_labels is not None else [])
-    save_npz(path, {"entries": h.entries, "basis_labels": labels,
-                    "eigenvalues": evals, "eigenvectors": evecs})
+    arrays = {"entries": h.entries, "basis_labels": labels}
+    blocks = h.flip_blocks()
+    if blocks is None:
+        arrays["eigenvalues"], arrays["eigenvectors"] = h.eigensystem()
+    else:
+        arrays.update(blocks.members())
+    save_npz(path, arrays)
 
 
 def csv_rows(path, dtype=float):
@@ -931,32 +1111,83 @@ def _misfit(info):
     return ValueError("%s: size does not fit its header" % info.filename)
 
 
-def load_hamiltonian(path):
-    """Inverse of :func:`save_hamiltonian`.  A CSV stays real unless an
-    entry has a nonzero imaginary part.  An npz without the eigensystem
-    arrays (an older file) is diagonalized on first use; ``np.savez``
-    archives load like :func:`save_npz` ones, read as :func:`npz_archive`
-    reads them.  A file that is not a zip archive, holds a member
-    npz_archive does not read (deflated, LZMA, bzip2, encrypted or with a
-    version 2.0 header), fails a member's CRC-32, lacks the matrix or its
-    labels, or whose matrix or stored eigensystem fails its checks is
-    refused with ``ValueError``.  A CSV is read by :func:`csv_rows`.
+def load_hamiltonian(path, *, defer_crcs=False):
+    """Inverse of :func:`save_hamiltonian`: the :class:`DenseHamiltonian`
+    at ``path``, once the archive's CRC-32s have passed; with
+    ``defer_crcs``, ``(h, crcs_passed)``, where ``crcs_passed()`` waits for
+    them and raises ``ValueError`` if one fails, and must be called before
+    anything computed from ``h`` is used (for a CSV, which has none, it
+    does nothing).
 
-    Once every member fits its header, the npz checks run in two halves
-    through :func:`qprep.blas.side_by_side`: the CRC-32s on the calling
-    thread, and the member names, the eigensystem halves and the
-    :class:`DenseHamiltonian` checks on the helper, so inside a command of
-    full width 2 or more they run at the same time, and in any other case
-    the CRC-32s run first.  Either way a bad CRC-32 is the refusal
-    reported, as if it had been checked first."""
+    A CSV stays real unless an entry has a nonzero imaginary part, and is
+    read by :func:`csv_rows`.  An npz may hold the eigensystem in the dense
+    layout (``eigenvalues``, ``eigenvectors``), in the block layout (the
+    members of :meth:`FlipBlocks.members`) or not at all (an older file,
+    diagonalized on first use as one block); ``np.savez`` archives load
+    like :func:`save_npz` ones, read as :func:`npz_archive` reads them.  A
+    file that is not a zip archive, holds a member npz_archive does not
+    read (deflated, LZMA, bzip2, encrypted or with a version 2.0 header),
+    fails a member's CRC-32, lacks the matrix or its labels, holds half an
+    eigensystem or both layouts, or whose flip, matrix or stored
+    eigensystem fails its checks is refused with ``ValueError``.
+
+    Once every member fits its header, the CRC-32s run on a helper thread
+    inside a command of full width 2 or more (see :func:`_crcs_beside`),
+    beside the checks made here and, with ``defer_crcs``, whatever the
+    caller does before ``crcs_passed()``; in any other case they run
+    first.  A refusal of the checks made here is raised only after the
+    CRC-32s pass, so either way a bad CRC-32 is the refusal reported, as if
+    it had been checked first.
+    """
     if str(path).endswith(".csv"):
         entries = csv_rows(path, complex)
         if not entries.imag.any():
             entries = np.ascontiguousarray(entries.real)
-        return DenseHamiltonian(entries)
-    members = _npz_members(path)
-    return blas.side_by_side(lambda step: step(members), _check_crcs,
-                             _hamiltonian_of)[1]
+        h, crcs_passed = DenseHamiltonian(entries), lambda: None
+    else:
+        members = _npz_members(path)
+        crcs_passed = _crcs_beside(members)
+        try:
+            h = _hamiltonian_of(members)
+        except BaseException:
+            crcs_passed()
+            raise
+    if defer_crcs:
+        return h, crcs_passed
+    crcs_passed()
+    return h
+
+
+def _crcs_beside(members):
+    """Start checking the CRC-32s of :func:`_npz_members`' ``members`` and
+    return the call that waits for them and raises a bad one.
+
+    Inside a command whose full width is 2 or more they run on a helper
+    thread, which makes no BLAS call (``zlib.crc32`` releases the GIL), so
+    the pool's width stays the command's business; in any other command,
+    and outside one, they run here, before this returns.
+    """
+    full = blas.full_width()
+    if full is None or full < 2:
+        _check_crcs(members)
+        return lambda: None
+    failed = []
+
+    def check():
+        try:
+            _check_crcs(members)
+        except BaseException as exc:   # raised by the waiting caller
+            failed.append(exc)
+
+    thread = threading.Thread(target=check, name="qprep-crc32")
+    thread.start()
+
+    def crcs_passed():
+        thread.join()
+        if failed:
+            raise failed[0]
+
+    return crcs_passed
 
 
 def _hamiltonian_of(members):
@@ -972,4 +1203,15 @@ def _hamiltonian_of(members):
         raise ValueError("%s stored without the other half of the "
                          "eigensystem" % stored[0])
     eigen = tuple(data[name] for name in stored) or None
-    return DenseHamiltonian(data["entries"], labels, eigen)
+    blocks = None
+    if any(name in data for name in _BLOCK_MEMBERS):
+        missing = set(_BLOCK_MEMBERS) - set(data)
+        if missing:
+            raise ValueError("block layout archive has no %s"
+                             % " or ".join(sorted(missing)))
+        if eigen is not None:
+            raise ValueError("archive holds both a dense and a block "
+                             "eigensystem")
+        partner, sign, *halves = (data[name] for name in _BLOCK_MEMBERS)
+        blocks = FlipBlocks(partner, sign, halves[:2], halves[2:])
+    return DenseHamiltonian(data["entries"], labels, eigen, blocks)

@@ -126,9 +126,17 @@ def exact_spectral_measure(h, psi):
     ``h`` is a DenseHamiltonian in any units: the eigenvalues of the one
     eigensolve are mapped into the normalized frame by
     :func:`qprep.hamiltonian.spectrum_normalizer`, which the measure
-    records.  ``psi`` need not be normalized.
+    records.  ``psi`` need not be normalized.  A sector held as spin-flip
+    blocks (:meth:`~qprep.hamiltonian.DenseHamiltonian.flip_blocks`) takes
+    the weights block by block: psi goes onto the orbit basis, split into
+    its even and odd part psi_+-, and the weights are |V_+-^T psi_+-|^2, so
+    no n x n eigenvector array is made.
     """
-    evals, evecs = h.eigensystem()
+    blocks = h.flip_blocks()
+    if blocks is None:
+        evals, evecs = h.eigensystem()
+    else:
+        evals, order = blocks.levels()
     normalizer = spectrum_normalizer(evals[0], evals[-1])
     evals = normalizer.apply(evals)
     psi = np.asarray(psi)
@@ -147,14 +155,23 @@ def exact_spectral_measure(h, psi):
             if np.iscomplexobj(psi) else psi / big
         nrm = np.linalg.norm(psi)
     psi = psi / nrm
-    if np.iscomplexobj(evecs):
-        ps = np.abs(evecs.conj().T @ psi) ** 2
+    if blocks is None:
+        ps = _weights(evecs, psi)
     else:
-        # real V: |V^T psi|^2 = (V^T Re psi)^2 + (V^T Im psi)^2, one real
-        # product instead of a complex copy of V
-        parts = evecs.T @ np.column_stack((psi.real, psi.imag))
-        ps = np.sum(parts * parts, axis=1)
+        parts = blocks.project(psi)
+        ps = np.concatenate([_weights(vecs, part) for (_, vecs), part
+                             in zip((blocks.even, blocks.odd), parts)])[order]
     return SpectralMeasure(np.column_stack((evals, ps)), normalizer)
+
+
+def _weights(evecs, psi):
+    """|V^H psi|^2, one weight per column of ``evecs``."""
+    if np.iscomplexobj(evecs):
+        return np.abs(evecs.conj().T @ psi) ** 2
+    # real V: |V^T psi|^2 = (V^T Re psi)^2 + (V^T Im psi)^2, one real
+    # product instead of a complex copy of V
+    parts = evecs.T @ np.column_stack((psi.real, psi.imag))
+    return np.sum(parts * parts, axis=1)
 
 
 def broaden(measure, eta, grid=None):

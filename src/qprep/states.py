@@ -45,6 +45,16 @@ class TermBudgetExceeded(RuntimeError):
     """A determinant expansion produced more terms than the configured cap."""
 
 
+def _pow2_scaled(a):
+    """``(a / 2^e, e)`` for the complex array ``a``, e the ``math.frexp``
+    exponent of its largest real or imaginary part (0 for an all-zero or
+    empty ``a``).  Dividing by a power of two is exact, and it brings the
+    largest part into [0.5, 1)."""
+    parts = np.ascontiguousarray(a).view(float)
+    e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
+    return np.ldexp(parts, -e).view(complex), e
+
+
 def occupation_from_spatial(spatial):
     """Spell out a spatial-orbital occupation pattern as a spin-orbital string.
 
@@ -88,14 +98,12 @@ class SosState:
         self.terms = clean
 
     def _scaled(self):
-        """``(amplitudes / 2^e, their norm, e)``, e the ``math.frexp``
-        exponent of the largest real or imaginary part.  Dividing by a
-        power of two is exact, and it brings the largest part into [0.5, 1),
+        """``(amplitudes / 2^e, their norm, e)``, by :func:`_pow2_scaled`,
         so no square of an amplitude over- or underflows whatever its size.
         """
-        amps = np.array([a for a, _ in self.terms], dtype=complex)
-        e = math.frexp(float(np.abs(amps.view(float)).max(initial=0.0)))[1]
-        amps = np.ldexp(amps.view(float), -e).view(complex).tolist()
+        amps, e = _pow2_scaled(np.array([a for a, _ in self.terms],
+                                        dtype=complex))
+        amps = amps.tolist()
         return amps, math.sqrt(sum(abs(a) ** 2 for a in amps)), e
 
     def norm(self):
@@ -194,7 +202,18 @@ class MpsState:
         return [self.tensors[0].shape[0]] + [t.shape[2] for t in self.tensors]
 
     def norm(self):
-        return float(np.sqrt(max(overlap(self, self).real, 0.0)))
+        """sqrt <self|self>, contracted with each site tensor divided by
+        the power of two of :func:`_pow2_scaled` and multiplied back by
+        their product at the end: exact scalings, so a norm that neither
+        over- nor underflows on the way keeps its bits, and entries near
+        either end of the float range give theirs without a warning (a
+        norm past the float range is inf)."""
+        scaled = [_pow2_scaled(t) for t in self.tensors]
+        tensors = [t for t, _ in scaled]
+        inner = _transfer_contraction(tensors, tensors).real
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(math.sqrt(max(inner, 0.0)),
+                                  sum(e for _, e in scaled)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +449,16 @@ def sos_to_mps(state, chi_max):
 # Overlaps
 # ---------------------------------------------------------------------------
 
+def _transfer_contraction(bra, ket):
+    """<bra|ket> of two MPS given by their site tensors, contracted by
+    transfer matrices from the left."""
+    env = np.ones((1, 1), dtype=complex)
+    for ta, tb in zip(bra, ket):
+        tmp = np.tensordot(env, tb, axes=(1, 0))
+        env = np.tensordot(ta.conj(), tmp, axes=([0, 1], [0, 1]))
+    return complex(env[0, 0])
+
+
 def overlap(a, b):
     """Inner product <a|b> of two MPS or of an SOS and an MPS state.
 
@@ -440,11 +469,7 @@ def overlap(a, b):
     if isinstance(a, MpsState) and isinstance(b, MpsState):
         if a.n_sites != b.n_sites or a.local_dim != b.local_dim:
             raise ValueError("MPS shapes are incompatible")
-        env = np.ones((1, 1), dtype=complex)
-        for ta, tb in zip(a.tensors, b.tensors):
-            tmp = np.tensordot(env, tb, axes=(1, 0))
-            env = np.tensordot(ta.conj(), tmp, axes=([0, 1], [0, 1]))
-        return complex(env[0, 0])
+        return _transfer_contraction(a.tensors, b.tensors)
     if isinstance(a, SosState) and isinstance(b, MpsState):
         if b.local_dim != 4 or 2 * b.n_sites != a.n_spin_orbitals:
             raise ValueError("MPS does not match the spin-orbital count")

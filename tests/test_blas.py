@@ -159,6 +159,47 @@ def test_flip_blocks_solve_side_by_side_on_one_thread_each(
     assert even[2] == threading.get_ident()
 
 
+@pytest.mark.parametrize("flags, beside", [
+    pytest.param(("--threads", "2"), True, marks=needs_two_cpus),
+    (("--threads", "1"), False)])
+def test_ham_crcs_run_beside_the_measure_only_from_width_2(
+        tmp_path, capsys, monkeypatch, flags, beside):
+    from qprep import hamiltonian, spectra
+
+    path = tmp_path / "h.npz"
+    assert cli.dispatch(_build(_fcidump(tmp_path, 4), 2, 2, path)) \
+        == cli.EXIT_OK
+    capsys.readouterr()
+    events = []
+
+    def check_crcs(members, check=hamiltonian._check_crcs):
+        events.append(("crcs", threading.current_thread().name))
+        check(members)
+        events.append(("crcs passed", threading.current_thread().name))
+
+    def measure(h, psi, solve=spectra.exact_spectral_measure):
+        events.append(("measure", threading.current_thread().name))
+        return solve(h, psi)
+
+    monkeypatch.setattr(hamiltonian, "_check_crcs", check_crcs)
+    monkeypatch.setattr(spectra, "exact_spectral_measure", measure)
+    assert cli.dispatch(["qpe-stats", "--ham", str(path), "--k", "4",
+                         *flags]) == cli.EXIT_OK
+    main = threading.current_thread().name
+    assert ("measure", main) in events
+    crc_threads = {name for event, name in events if event != "measure"}
+    if beside:
+        assert crc_threads == {"qprep-crc32"}
+    else:
+        # one thread, CRC-32s first
+        assert crc_threads == {main}
+        assert [event for event, _ in events] == ["crcs", "crcs passed",
+                                                  "measure"]
+    # the helper was joined, after it checked every member
+    assert ("crcs passed", "qprep-crc32" if beside else main) in events
+    assert not any(t.name == "qprep-crc32" for t in threading.enumerate())
+
+
 @needs_openblas
 @pytest.mark.parametrize("who", [
     pytest.param("helper", marks=needs_two_cpus), "caller"])

@@ -1211,16 +1211,175 @@ def test_bad_crc_is_the_refusal_reported_over_any_later_check(
     # the CRC-32 aside, the damage fails the check named by hidden
     with pytest.raises(ValueError, match=hidden):
         _hamiltonian_of(_npz_members(path))
+    _only_the_crc_is_reported(capsys, path, "entries.npy",
+                              ["qpe-stats", "--ham", str(path), "--k", "4",
+                               *flags])
+
+
+def _only_the_crc_is_reported(capsys, path, member, argv):
+    """``argv`` exits 2 with the bad CRC-32 of ``member`` of the archive at
+    ``path`` as its one line on stderr, nothing on stdout and no warning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = cli.dispatch(["qpe-stats", "--ham", str(path), "--k", "4",
-                             *flags])
+        code = cli.dispatch(argv)
     captured = capsys.readouterr()
     assert code == cli.EXIT_INPUT
     assert captured.out == ""
-    assert captured.err == "error: %s: Bad CRC-32 for file 'entries.npy'\n" \
-        % path
+    assert captured.err == "error: %s: Bad CRC-32 for file %r\n" \
+        % (path, member)
     assert caught == []
+
+
+def _block_archive(tmp_path):
+    """``(path, h)``: the balanced (3,3) sector of seeded 6-orbital
+    integrals (dim 400, flip blocks of order 190 and 210), saved in the
+    block layout."""
+    from qprep.hamiltonian import FciDump, build_ci_matrix, save_hamiltonian
+
+    rng = np.random.default_rng(36)
+    h = rng.normal(size=(6, 6))
+    g = 0.1 * rng.normal(size=(6,) * 4)
+    g = g + g.transpose(1, 0, 2, 3)
+    g = g + g.transpose(0, 1, 3, 2)
+    g = g + g.transpose(2, 3, 0, 1)
+    dense = build_ci_matrix(FciDump(6, 6, 0, 0.4, h + h.T, g), 3, 3)
+    path = tmp_path / "h.npz"
+    save_hamiltonian(dense, path)
+    with np.load(path) as data:
+        assert set(data.files) >= {"partner", "even_eigenvectors"}
+    return path, dense
+
+
+@pytest.mark.parametrize("flags", [(), ("--threads", "2"),
+                                   ("--threads", "1")])
+@pytest.mark.parametrize("damage, member, hidden", [
+    ("flipped off-diagonal byte", "entries", "not Hermitian"),
+    ("nan entry", "entries", "non-finite matrix entry"),
+    ("huge diagonal entry", "entries", "eigensystem does not match"),
+    ("flipped partner byte", "partner", "partner is not an involution"),
+    ("flipped sign byte", "sign", "signs are not all"),
+    ("flipped eigenvector byte", "odd_eigenvectors",
+     "eigensystem does not match"),
+    ("no labels", "entries", "archive has no basis_labels")])
+def test_bad_crc_of_a_block_layout_archive_is_the_refusal_reported(
+        tmp_path, capsys, flags, damage, member, hidden):
+    import struct
+
+    from qprep.hamiltonian import _hamiltonian_of, _npz_members, save_npz
+
+    path, dense = _block_archive(tmp_path)
+    if damage == "no labels":
+        with np.load(path) as data:
+            save_npz(path, {name: data[name] for name in data.files
+                            if name != "basis_labels"})
+    raw = bytearray(path.read_bytes())
+    if member == "entries":
+        off = np.abs(dense.entries - np.diag(np.diag(dense.entries)))
+        at = _entry_offset(path, *((7, 7) if damage.endswith(
+            "diagonal entry") else np.unravel_index(np.argmax(off),
+                                                   off.shape)))
+    else:
+        at = _middle_payload_byte(path, member + ".npy") // 8 * 8
+    if damage.startswith("flipped") or damage == "no labels":
+        # a mantissa bit of a float; of an integer, a bit far past the
+        # basis size
+        raw[at + (3 if member != "partner" else 5)] ^= 0x10
+    else:
+        value = {"nan": np.nan, "huge": 1e300}[damage.split()[0]]
+        raw[at:at + 8] = struct.pack("<d", value)
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=hidden):
+        _hamiltonian_of(_npz_members(path))
+    _only_the_crc_is_reported(capsys, path, member + ".npy",
+                              ["qpe-stats", "--ham", str(path), "--k", "4",
+                               *flags])
+
+
+@pytest.mark.parametrize("mutation, reason", [
+    ("missing half", "archive has no odd_eigenvalues or odd_eigenvectors"),
+    ("swapped halves", "even block shapes (15,) and (15, 15) do not fit"),
+    ("partner not an involution", "partner is not an involution"),
+    ("sign of 0.5", "signs are not all +-1"),
+    ("sign of -1 on half a pair", "signs are not all +-1"),
+    ("swapped block columns", "eigensystem does not match the matrix"),
+    ("blocks of another matrix", "eigensystem does not match the matrix"),
+    ("both layouts", "both a dense and a block eigensystem")])
+def test_damaged_block_layout_is_refused_naming_the_file(tmp_path, capsys,
+                                                         mutation, reason):
+    from qprep.hamiltonian import load_hamiltonian
+
+    # the (2,2) sector of 4 orbitals: 6 even fixed points and 15 pairs,
+    # blocks of order 21 and 15
+    matrix, state = _build_pipeline_matrix(tmp_path, capsys, 2, 2)
+    with np.load(matrix) as data:
+        arrays = {name: data[name].copy() for name in data.files}
+    partner, sign = arrays["partner"], arrays["sign"]
+    pair = np.flatnonzero(partner != np.arange(len(partner)))[0]
+    if mutation == "missing half":
+        del arrays["odd_eigenvalues"], arrays["odd_eigenvectors"]
+    elif mutation == "swapped halves":
+        for kind in ("eigenvalues", "eigenvectors"):
+            arrays["even_" + kind], arrays["odd_" + kind] = \
+                arrays["odd_" + kind], arrays["even_" + kind]
+    elif mutation == "partner not an involution":
+        # one end of a pair a fixed point: its partner still points to it
+        partner[pair] = pair
+    elif mutation == "sign of 0.5":
+        sign[3] = 0.5
+    elif mutation == "sign of -1 on half a pair":
+        sign[pair] = -sign[pair]
+    elif mutation == "swapped block columns":
+        arrays["even_eigenvectors"][:, [3, 4]] = \
+            arrays["even_eigenvectors"][:, [4, 3]]
+    elif mutation == "blocks of another matrix":
+        arrays["entries"] = arrays["entries"] + np.diag(
+            np.linspace(0.0, 1e-3, len(partner)))
+    else:
+        dense = load_hamiltonian(matrix)
+        arrays["eigenvalues"], arrays["eigenvectors"] = dense.eigensystem()
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    _refused_naming(capsys, bad, ["goldilocks", "--ham", str(bad), "--et",
+                                  "0.2", "--budget", "100"], reason)
+
+
+@pytest.mark.parametrize("flags", [(), ("--threads", "2"),
+                                   ("--threads", "1")])
+@pytest.mark.parametrize("layout", ["dense", "blocks"])
+@pytest.mark.parametrize("bad_state, reason", [
+    ("wrong length", "amplitudes, Hamiltonian dim is"),
+    ("zero state", "cannot take the measure of the zero state")])
+def test_bad_crc_is_reported_over_a_bad_state(tmp_path, capsys, flags,
+                                              layout, bad_state, reason):
+    from qprep.hamiltonian import DenseHamiltonian, save_hamiltonian
+
+    if layout == "blocks":
+        path, dense = _block_archive(tmp_path)
+    else:
+        a = np.random.default_rng(36).normal(size=(300, 300))
+        dense = DenseHamiltonian(a + a.T)
+        path = tmp_path / "h.npz"
+        save_hamiltonian(dense, path)
+    good = path.read_bytes()
+    state = tmp_path / "state.csv"
+    rows = np.random.default_rng(37).normal(size=(dense.dim, 2))
+    if bad_state == "wrong length":
+        rows = rows[1:]
+    else:
+        rows[...] = 0.0
+    np.savetxt(state, rows, delimiter=",")
+    argv = ["qpe-stats", "--ham", str(path), "--state", str(state), "--k",
+            "4", *flags]
+    # a good archive: the state file is the one named
+    _refused_naming(capsys, state, argv, reason)
+    cli.dispatch(argv)
+    assert str(path) not in capsys.readouterr().err
+    # the lowest bit of an off-diagonal entry: 1 ulp passes every check
+    # but the CRC-32, and the state read and the measure run beside it
+    raw = bytearray(good)
+    raw[_entry_offset(path, 5, 250 if dense.dim > 250 else 9)] ^= 0x01
+    path.write_bytes(raw)
+    _only_the_crc_is_reported(capsys, path, "entries.npy", argv)
 
 
 def test_zero_state_is_refused_naming_the_state_file(tmp_path, capsys):
@@ -1683,6 +1842,22 @@ def test_malformed_sos_file_is_refused_naming_it(tmp_path, capsys, case,
                                    "--to", "mps", "--out", str(out)], reason)
     _refused_naming(capsys, path, ["simulate-encode", "--sos", str(path)],
                     reason)
+    assert not out.exists()
+
+
+def test_odd_spin_orbital_count_is_refused_naming_the_sos_file(tmp_path,
+                                                              capsys):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"n_spin_orbitals": 3, "terms": [
+        {"re": 1.0, "im": 0.0, "occ": "110"}]}))
+    out = tmp_path / "out.npz"
+    code = cli.dispatch(["convert", "--input", str(path), "--to", "mps",
+                         "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == \
+        "error: %s: need an even number of spin orbitals\n" % path
     assert not out.exists()
 
 

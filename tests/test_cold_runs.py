@@ -1,6 +1,7 @@
 """``tools/cold_runs.py`` times commands as fresh processes."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -170,3 +171,33 @@ def test_levels_commands_run_on_the_seeded_levels_file(tmp_path):
                  "qpe-stats-levels"):
         wall, cpu, rss = tool.run(ROOT / "src", tool.COMMANDS[name], tmp_path)
         assert wall > 0 and cpu > 0 and rss > 0
+
+
+def test_savez_command_loads_the_dense_layout(tmp_path):
+    import numpy as np
+
+    from qprep import hamiltonian as ham
+
+    rng = np.random.default_rng(7)
+    h = rng.normal(size=(4, 4))
+    g = 0.1 * rng.normal(size=(4,) * 4)
+    for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        g = g + g.transpose(perm)
+    fd = ham.FciDump(4, 4, 0, 0.2, h + h.T, g)
+    built = ham.build_ci_matrix(fd, 2, 2)
+    ham.save_hamiltonian(built, tmp_path / "h22.npz")
+    tool = _tool()
+    # the block layout of this tree, rewritten in the dense one
+    subprocess.run([sys.executable, "-c", tool.DENSE_SAVEZ, "h22.npz",
+                    "h22-savez.npz"], cwd=tmp_path, check=True,
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    dense = ham.npz_archive(tmp_path / "h22-savez.npz")
+    assert sorted(dense) == ["basis_labels", "eigenvalues", "eigenvectors",
+                             "entries"]
+    assert dense["eigenvectors"].flags.writeable    # unaligned: read
+    assert dense["eigenvectors"].tobytes() \
+        == built.eigensystem()[1].tobytes()
+    tool.savez_layout(tmp_path / "h22.npz", tmp_path / "legacy.npz",
+                      drop=tool.EIGEN_MEMBERS)
+    assert sorted(ham.npz_archive(tmp_path / "legacy.npz")) \
+        == ["basis_labels", "entries"]

@@ -330,8 +330,9 @@ def test_saved_eigensystem_is_reused_and_old_files_still_load(tmp_path,
     new, old = tmp_path / "new.npz", tmp_path / "old.npz"
     ham.save_hamiltonian(dense, new)
     with np.load(new) as data:
-        assert sorted(data.files) == ["basis_labels", "eigenvalues",
-                                      "eigenvectors", "entries"]
+        # a balanced sector is stored in the block layout
+        assert sorted(data.files) == sorted(
+            ["basis_labels", "entries", *ham._BLOCK_MEMBERS])
         np.savez(old, entries=data["entries"],
                  basis_labels=data["basis_labels"])
     eigensolves.clear()
@@ -494,7 +495,11 @@ _INVARIANT_FCIDUMP = _eightfold_fcidump(np.random.default_rng(800), 8)
 
 
 def _sector_levels(fd, n_alpha, n_beta):
-    return ham.build_ci_matrix(fd, n_alpha, n_beta).eigensystem()[0]
+    """The sector's levels; a balanced sector's come from its two flip
+    blocks, with no dense eigenvectors made."""
+    h = ham.build_ci_matrix(fd, n_alpha, n_beta)
+    blocks = h.flip_blocks()
+    return h.eigensystem()[0] if blocks is None else blocks.levels()[0]
 
 
 def _level_tol(*levels):
@@ -625,6 +630,30 @@ def test_blocked_eigensolve_matches_dense_eigh(n_orb, n_el, eigensolves):
     ref = np.abs(ref_vecs.T @ (psi / np.linalg.norm(psi))) ** 2
     assert np.max(np.abs(_cluster_sums(ref_vals, measure.probs)
                          - _cluster_sums(ref_vals, ref))) <= 1e-10
+
+
+@pytest.mark.parametrize("n_orb", range(1, 7))
+def test_block_measure_matches_the_dense_columns(n_orb):
+    from qprep.spectra import exact_spectral_measure
+
+    rng = np.random.default_rng(900 + n_orb)
+    fd = _eightfold_fcidump(rng, n_orb)
+    for n_el in range(n_orb + 1):
+        dense = ham.build_ci_matrix(fd, n_el, n_el)
+        psi = rng.normal(size=dense.dim) + 1j * rng.normal(size=dense.dim)
+        measure = exact_spectral_measure(dense, psi)
+        blocked = dense.blocks is not None
+        assert blocked == (dense.dim > 1), (n_orb, n_el)
+        # the dense columns, assembled only now, give the route the
+        # blocks replace
+        evals, evecs = dense.eigensystem()
+        ref = np.abs(evecs.T @ (psi / np.linalg.norm(psi))) ** 2
+        assert np.max(np.abs(measure.probs - ref)) <= 1e-12
+        h = dense.entries
+        assert np.array_equal(measure.normalizer.apply(evals),
+                              measure.energies)
+        assert np.max(np.abs(evals - np.linalg.eigvalsh(h))) \
+            <= 1e-12 * max(1.0, np.max(np.abs(h)))
 
 
 def _one_block_cases():
@@ -770,7 +799,7 @@ def test_load_peaks_at_the_stored_arrays_plus_tiles(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert back.dim == 784 and back.eigen is not None
+    assert back.dim == 784 and back.blocks is not None
     # no n x n temporary: the arrays themselves plus a few tiles of 16 B
     assert peak <= stored + 4 * ham._TILE ** 2 * 16
 
@@ -823,13 +852,39 @@ def test_loaded_arrays_are_read_only_views_of_the_file(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = (back.entries, *back.eigen)
+    arrays = (back.entries, *back.blocks.members().values())
     for a in arrays:
         assert not a.flags.writeable and a.flags.aligned
     # nothing of the size of one stored matrix was allocated
     assert peak < back.entries.nbytes
     assert back.entries.tobytes() == dense.entries.tobytes()
-    assert back.eigen[1].tobytes() == dense.eigen[1].tobytes()
+    assert back.blocks.even[1].tobytes() == dense.blocks.even[1].tobytes()
+
+
+def test_block_measure_of_a_load_makes_no_dense_eigenvectors(tmp_path):
+    import tracemalloc
+
+    from qprep.spectra import exact_spectral_measure
+
+    dense = ham.build_ci_matrix(
+        _eightfold_fcidump(np.random.default_rng(669), 8), 2, 2)
+    path = tmp_path / "h.npz"
+    ham.save_hamiltonian(dense, path)
+    psi = np.random.default_rng(670).normal(size=dense.dim)
+    tracemalloc.start()
+    try:
+        back = ham.load_hamiltonian(path)
+        measure = exact_spectral_measure(back, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.eigen is None and back.blocks is not None
+    # the blocks hold about half of an n x n array; the measure made
+    # nothing near one
+    assert peak < back.entries.nbytes / 4
+    evals, evecs = dense.eigensystem()
+    assert np.max(np.abs(measure.probs - (evecs.T @ psi) ** 2
+                         / np.dot(psi, psi))) <= 1e-12
 
 
 def test_np_savez_archive_loads_bit_identically(tmp_path):
@@ -863,7 +918,9 @@ def test_rewriting_a_loaded_path_leaves_the_loaded_arrays_intact(tmp_path):
     assert path.stat().st_size < big.entries.nbytes
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.npz"]
     assert loaded.entries.tobytes() == big.entries.tobytes()
-    assert loaded.eigen[1].tobytes() == big.eigensystem()[1].tobytes()
+    # the blocks stay mapped: the columns assembled from them are intact
+    assert loaded.eigensystem()[1].tobytes() \
+        == big.eigensystem()[1].tobytes()
     assert ham.load_hamiltonian(path).dim == small.dim
 
 

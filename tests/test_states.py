@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,28 @@ def test_norm_and_normalize_scale_by_a_power_of_two_first(amp):
     half = SosState(2, [(amp, "10")])
     assert half.norm() == amp
     assert half.normalize().terms == [(1.0, "10")]
+
+
+def test_mps_norm_keeps_the_bits_of_the_unscaled_contraction():
+    # powers of two are exact, so in the float range the scaled route
+    # gives the bits of sqrt <m|m> contracted as it stands
+    rng = np.random.default_rng(36)
+    for trial in range(40):
+        chis = rng.integers(1, 9, size=int(rng.integers(0, 5)))
+        m = random_mps(rng, chis, d=int(rng.integers(2, 5)))
+        m = MpsState([t * 10.0 ** rng.uniform(-30, 30) for t in m.tensors])
+        assert m.norm() == float(np.sqrt(max(overlap(m, m).real, 0.0))), \
+            trial
+
+
+@pytest.mark.parametrize("amp", [1e200, 1e-200])
+def test_mps_norm_of_extreme_entries_is_exact_and_silent(amp):
+    first, second = np.zeros((1, 4, 1)), np.zeros((1, 4, 1))
+    first[0, 1, 0], second[0, 2, 0] = amp, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert MpsState([first, second]).norm() == amp
+        assert MpsState([first * 1j, second]).norm() == amp
 
 
 def test_mps_validation():

@@ -10,12 +10,16 @@ SOS state on 12 spin orbitals, the dim-784 matrix of the FCIDUMP's (2,2)
 sector and the MPS of the SOS state, not timed) come from ``--seed``;
 each tree runs in a directory of its own, from a copy of its ``src``
 without ``__pycache__``, and its own ``ham build`` writes that matrix
-there, so each tree loads the archive layout it writes.
-``qpe-stats-ham-savez`` loads that archive rewritten member by member by
-``zipfile`` in the layout ``numpy.savez`` writes: stored and unaligned.
-``qpe-stats-ham-legacy`` loads it rewritten the same way without the
-eigensystem members, as qprep wrote archives before it stored them, so
-the command pays the one-block eigensolve of order 784.  In the same way
+there, so each tree loads the archive layout it writes (the block layout,
+where the tree stores a balanced sector's eigensystem as its two spin-flip
+blocks).  ``qpe-stats-ham-savez`` loads the dense layout, that archive's
+matrix, labels and dense eigensystem written by ``numpy.savez`` (stored
+and unaligned) as older qprep versions wrote them, by a short script
+running on the tree itself.  ``qpe-stats-ham-legacy`` loads the archive
+rewritten member by member by ``zipfile`` in that layout, without the
+eigensystem members of either layout, as qprep wrote archives before it
+stored them, so the command pays the one-block eigensolve of order 784.
+In the same way
 each tree's own ``convert --to mps`` writes the MPS archive (bond
 dimensions up to 64) that ``convert-to-sos`` expands.
 
@@ -85,6 +89,20 @@ ARCHIVES = {"qpe-stats-ham": ("h22.npz", "ham-build"),
             "qpe-stats-ham-3136": ("h33.npz", "ham-build-3136"),
             "convert-to-sos": ("state.npz", "convert-to-mps")}
 DEFAULT = [name for name in COMMANDS if not name.endswith("-3136")]
+# the eigensystem members of the dense and of the block layout
+EIGEN_MEMBERS = ("eigenvalues", "eigenvectors", "partner", "sign",
+                 "even_eigenvalues", "even_eigenvectors", "odd_eigenvalues",
+                 "odd_eigenvectors")
+# run on a tree: argv[1]'s archive rewritten as argv[2] in the dense
+# layout, by numpy.savez
+DENSE_SAVEZ = """import sys
+import numpy as np
+from qprep.hamiltonian import load_hamiltonian
+h = load_hamiltonian(sys.argv[1])
+evals, evecs = h.eigensystem()
+np.savez(sys.argv[2], entries=h.entries, basis_labels=h.basis_labels,
+         eigenvalues=evals, eigenvectors=evecs)
+"""
 
 
 def write_inputs(rng, work):
@@ -193,10 +211,12 @@ def main(argv=None):
                                           if name in ARCHIVES}):
                 run(trees[t], [*COMMANDS[build][:-1], archive], work)
             if "qpe-stats-ham-savez" in names:
-                savez_layout(work / "h22.npz", work / "h22-savez.npz")
+                subprocess.run([sys.executable, "-c", DENSE_SAVEZ, "h22.npz",
+                                "h22-savez.npz"], cwd=work, check=True,
+                               env=dict(os.environ, PYTHONPATH=str(trees[t])))
             if "qpe-stats-ham-legacy" in names:
                 savez_layout(work / "h22.npz", work / "h22-legacy.npz",
-                             drop=("eigenvalues", "eigenvectors"))
+                             drop=EIGEN_MEMBERS)
         print("%-20s %-4s %28s %28s %28s" % (
             "command", "tree", "wall ms: median [q1, q3]",
             "cpu ms: median [q1, q3]", "peak RSS MB: median [q1, q3]"))
