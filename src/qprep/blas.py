@@ -21,7 +21,7 @@ Two independent jobs of one command use that width another way:
 one of them on a helper thread, and never widens the pool.  Its one caller
 is the pair of spin-flip blocks of an eigensolve.  A ``--ham`` archive's
 CRC-32s also run on a helper thread at a full width of 2 or more
-(``hamiltonian.load_hamiltonian``), beside the load's checks, the
+(``hamiltonian._crcs_beside``), beside the load's checks, the
 ``--state`` read and the measure; that helper runs ``zlib`` only and makes
 no BLAS call, so it reads :func:`full_width` and nothing else here.
 ``cli.main`` parks the workers once before its command, so a cold process

@@ -425,11 +425,11 @@ def _load_measure(args):
                 raise ValueError("level weights must have a positive total")
             return SpectralMeasure(
                 np.column_stack((energies, weights / total)))
-    from .hamiltonian import load_hamiltonian
+    from .hamiltonian import _load_beside_crcs
     from .spectra import exact_spectral_measure
 
     with _refusals_naming(args.ham):
-        h, crcs_passed = load_hamiltonian(args.ham, defer_crcs=True)
+        h, crcs_passed = _load_beside_crcs(args.ham)
     # the archive's CRC-32s may still run beside the state read and the
     # measure; a bad one is the refusal raised, over any from these
     try:

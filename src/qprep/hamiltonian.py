@@ -1111,51 +1111,54 @@ def _misfit(info):
     return ValueError("%s: size does not fit its header" % info.filename)
 
 
-def load_hamiltonian(path, *, defer_crcs=False):
+def load_hamiltonian(path):
     """Inverse of :func:`save_hamiltonian`: the :class:`DenseHamiltonian`
-    at ``path``, once the archive's CRC-32s have passed; with
-    ``defer_crcs``, ``(h, crcs_passed)``, where ``crcs_passed()`` waits for
-    them and raises ``ValueError`` if one fails, and must be called before
+    at ``path``.  A CSV stays real unless an entry has a nonzero imaginary
+    part, and is read by :func:`csv_rows`.  An npz may hold the eigensystem
+    in the dense layout (``eigenvalues``, ``eigenvectors``), in the block
+    layout (the members of :meth:`FlipBlocks.members`) or not at all (an
+    older file, diagonalized on first use as one block); ``np.savez``
+    archives load like :func:`save_npz` ones, read as :func:`npz_archive`
+    reads them.  A file that is not a zip archive, holds a member
+    npz_archive does not read (deflated, LZMA, bzip2, encrypted or with a
+    version 2.0 header), fails a member's CRC-32, lacks the matrix or its
+    labels, holds half an eigensystem or both layouts, or whose flip,
+    matrix or stored eigensystem fails its checks is refused with
+    ``ValueError``; a bad CRC-32 is the refusal reported, as if it had
+    been checked first (see :func:`_load_beside_crcs`).
+    """
+    h, crcs_passed = _load_beside_crcs(path)
+    crcs_passed()
+    return h
+
+
+def _load_beside_crcs(path):
+    """``(h, crcs_passed)``: :func:`load_hamiltonian`'s ``h`` before its
+    archive's CRC-32s are known to pass, and the call that waits for them
+    and raises ``ValueError`` if one fails.  It must be called before
     anything computed from ``h`` is used (for a CSV, which has none, it
     does nothing).
 
-    A CSV stays real unless an entry has a nonzero imaginary part, and is
-    read by :func:`csv_rows`.  An npz may hold the eigensystem in the dense
-    layout (``eigenvalues``, ``eigenvectors``), in the block layout (the
-    members of :meth:`FlipBlocks.members`) or not at all (an older file,
-    diagonalized on first use as one block); ``np.savez`` archives load
-    like :func:`save_npz` ones, read as :func:`npz_archive` reads them.  A
-    file that is not a zip archive, holds a member npz_archive does not
-    read (deflated, LZMA, bzip2, encrypted or with a version 2.0 header),
-    fails a member's CRC-32, lacks the matrix or its labels, holds half an
-    eigensystem or both layouts, or whose flip, matrix or stored
-    eigensystem fails its checks is refused with ``ValueError``.
-
     Once every member fits its header, the CRC-32s run on a helper thread
     inside a command of full width 2 or more (see :func:`_crcs_beside`),
-    beside the checks made here and, with ``defer_crcs``, whatever the
-    caller does before ``crcs_passed()``; in any other case they run
-    first.  A refusal of the checks made here is raised only after the
-    CRC-32s pass, so either way a bad CRC-32 is the refusal reported, as if
-    it had been checked first.
+    beside the checks made here and whatever the caller does before
+    ``crcs_passed()`` (``cli`` reads the ``--state`` and takes the
+    measure); in any other case they run first.  A refusal of the checks
+    made here is raised only after the CRC-32s pass, so either way a bad
+    CRC-32 is the refusal reported.
     """
     if str(path).endswith(".csv"):
         entries = csv_rows(path, complex)
         if not entries.imag.any():
             entries = np.ascontiguousarray(entries.real)
-        h, crcs_passed = DenseHamiltonian(entries), lambda: None
-    else:
-        members = _npz_members(path)
-        crcs_passed = _crcs_beside(members)
-        try:
-            h = _hamiltonian_of(members)
-        except BaseException:
-            crcs_passed()
-            raise
-    if defer_crcs:
-        return h, crcs_passed
-    crcs_passed()
-    return h
+        return DenseHamiltonian(entries), lambda: None
+    members = _npz_members(path)
+    crcs_passed = _crcs_beside(members)
+    try:
+        return _hamiltonian_of(members), crcs_passed
+    except BaseException:
+        crcs_passed()
+        raise
 
 
 def _crcs_beside(members):

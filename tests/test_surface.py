@@ -19,7 +19,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted([*ROOT.glob("src/qprep/*.py"), *ROOT.glob("bench/*.py")])
 
 # Public names that nothing outside the tests reaches, each with its reason.
-UNREACHED_ON_PURPOSE = set()
+UNREACHED_ON_PURPOSE = {
+    # The library's inverse of save_hamiltonian.  The CLI's one load goes
+    # through hamiltonian._load_beside_crcs, which leaves the CRC-32 wait
+    # to the caller so that it overlaps the measure.
+    "load_hamiltonian",
+}
 
 
 def _is_pytest_test(path, node):
