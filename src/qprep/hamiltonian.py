@@ -7,9 +7,13 @@ form of the Slater-Condon rules); spin-orbitals interleave as 2p (alpha) /
 2p+1 (beta), and determinants are ordered lexicographically by (alpha, beta)
 occupation.
 Everything is real-integral; complex Hamiltonians enter via direct dense
-ingestion.  A sector with as many alpha as beta electrons commutes with its
-spin flip and keeps its eigensystem as the flip's even and odd blocks
-(:class:`FlipBlocks`), from the eigensolve to the archive and the measure.
+ingestion.  Every eigensystem is a :class:`FlipBlocks`, from the eigensolve
+to the archive and the measure.  A sector with as many alpha as beta
+electrons commutes with its spin flip and keeps the flip's even and odd
+blocks; any other matrix is one block of the identity flip
+(:meth:`FlipBlocks.one_block`).  The archive layouts are those of the two
+cases: the block members, or the dense ``eigenvalues`` and
+``eigenvectors``.
 """
 
 from __future__ import annotations
@@ -271,15 +275,14 @@ class DenseHamiltonian:
     """Hermitian matrix plus optional determinant labels for its basis.
 
     ``entries`` is kept as a read-only view, so the eigensystem, computed on
-    first use or handed in, always belongs to the matrix: either dense, as
-    ``eigen = (eigenvalues, eigenvectors)`` checked by
-    :func:`_check_eigensystem`, or as a spin-flip sector's two blocks,
-    ``blocks`` (a :class:`FlipBlocks`) checked by :func:`_check_blocks`.
+    first use or handed in, always belongs to the matrix.  It is ``blocks``,
+    a :class:`FlipBlocks` checked by :func:`_check_blocks`: a spin-flip
+    sector's two blocks, or one block of the identity flip for any other
+    matrix (:meth:`FlipBlocks.one_block`).
     """
 
     entries: np.ndarray
     basis_labels: list | None = None
-    eigen: tuple | None = field(default=None, repr=False, compare=False)
     blocks: FlipBlocks | None = field(default=None, repr=False,
                                       compare=False)
 
@@ -301,10 +304,6 @@ class DenseHamiltonian:
             self.basis_labels = list(self.basis_labels)
             if len(self.basis_labels) != self.entries.shape[0]:
                 raise ValueError("need one basis label per row")
-        if self.eigen is not None:
-            evals, evecs = (_read_only(a) for a in self.eigen)
-            _check_eigensystem(self.entries, evals, evecs, self._size)
-            self.eigen = (evals, evecs)
         if self.blocks is not None:
             _check_blocks(self.entries, self.blocks, self._size)
 
@@ -313,8 +312,8 @@ class DenseHamiltonian:
         return self.entries.shape[0]
 
     def flip_blocks(self):
-        """The eigensystem as a :class:`FlipBlocks`, or None for a matrix
-        solved as one block; solved on first use, unless it was handed in.
+        """The eigensystem as a :class:`FlipBlocks`, solved on first use,
+        unless it was handed in.
 
         An n_alpha = n_beta sector that :func:`build_ci_matrix` made knows
         its spin flip P, and unless P H P^T = H fails (see
@@ -323,37 +322,33 @@ class DenseHamiltonian:
         with a full width of 2 or more, blocks of order ``_EIGH_PAIR_MIN``
         and up are solved at the same time (see
         :func:`qprep.blas.side_by_side`).  Any other matrix (a load without
-        a stored eigensystem, or one made by hand) is solved as one block,
-        by one ``eigh`` of ``entries``, on the command's full pool from
-        order ``_EIGH_PARALLEL_MIN``, and :meth:`eigensystem` holds it.
-        Outside a command every solve runs at the BLAS width as found.  A
-        solve whose levels or vectors are not all finite (levels beyond the
-        float range, from entries near it) is refused with ``LinAlgError``.
+        a stored eigensystem, or one made by hand) is solved by one ``eigh``
+        of ``entries``, on the command's full pool from order
+        ``_EIGH_PARALLEL_MIN``, and held as one block of the identity flip
+        (:meth:`FlipBlocks.one_block`).  Outside a command every solve runs
+        at the BLAS width as found.  A solve whose levels or vectors are not
+        all finite (levels beyond the float range, from entries near it) is
+        refused with ``LinAlgError``.
         """
-        if self.eigen is None and self.blocks is None:
+        if self.blocks is None:
             blocks = None if self._flip is None else _flip_blocked_eigh(
                 self.entries, self._flip, self._size)
-            solved = _eigh(self.entries) if blocks is None \
-                else (*blocks.even, *blocks.odd)
-            if not all(np.isfinite(a).all() for a in solved):
+            if blocks is None:
+                blocks = FlipBlocks.one_block(*_eigh(self.entries))
+            if not all(np.isfinite(a).all()
+                       for a in (*blocks.even, *blocks.odd)):
                 raise np.linalg.LinAlgError(
                     "solved levels or eigenvectors are not finite")
-            if blocks is None:
-                self.eigen = tuple(_read_only(a) for a in solved)
             self.blocks = blocks
         return self.blocks
 
     def eigensystem(self):
         """Ascending eigenvalues and the matching eigenvector columns,
-        solved once per object (see :meth:`flip_blocks`), on first use,
-        unless they were handed in.  A sector held as spin-flip blocks has
-        its dense columns assembled from them, by :meth:`FlipBlocks.dense`,
-        on the first call; the measure and the archive use the blocks."""
-        if self.eigen is None:
-            blocks = self.flip_blocks()
-            if self.eigen is None:
-                self.eigen = tuple(_read_only(a) for a in blocks.dense())
-        return self.eigen
+        :meth:`FlipBlocks.dense` of :meth:`flip_blocks`: one block's own
+        read-only arrays, the same objects on every call, or a spin-flip
+        sector's columns, assembled anew on each call (the measure and the
+        archive use the blocks)."""
+        return self.flip_blocks().dense()
 
 
 def _eigh(matrix):
@@ -382,10 +377,13 @@ class FlipBlocks:
     orthogonal U.  Its representatives ``a`` list the even fixed points,
     the pairs, then the odd fixed points, so the even block is U^T H U's
     leading ``hi`` rows and columns and the odd block its trailing ones.
-    ``even`` and ``odd`` are each block's ascending levels and real
-    eigenvector columns.  A flip that is not an involution with signs +-1,
-    or blocks whose shapes do not fit its orbits, are refused with
-    ``ValueError``; the arrays are kept as read-only views.
+    ``even`` and ``odd`` are each block's ascending levels and real or
+    complex eigenvector columns.  A matrix without a flip is one block of
+    the identity flip (:meth:`one_block`): U = I, the even block is the
+    whole matrix and the odd block is empty.  A flip that is not an
+    involution with signs +-1, or blocks whose shapes do not fit its
+    orbits, are refused with ``ValueError``; the arrays are kept as
+    read-only views.
     """
 
     partner: np.ndarray
@@ -417,8 +415,8 @@ class FlipBlocks:
                     "%s block shapes %s and %s do not fit the flip's %d "
                     "%s orbit vectors" % (name, vals.shape, vecs.shape,
                                           order, name))
-            if vals.dtype.kind != "f" or vecs.dtype.kind != "f":
-                raise ValueError("block levels and eigenvectors must be real "
+            if vals.dtype.kind != "f" or vecs.dtype.kind not in "fc":
+                raise ValueError("eigenvalues must be real and eigenvectors "
                                  "floating point")
         self.partner, self.sign = partner, sign
         self.even, self.odd = (tuple(_read_only(x) for x in block)
@@ -426,13 +424,30 @@ class FlipBlocks:
         self._a, self._b, self._s = a, partner[a], sign[a]
         self._lo, self._hi = lo, hi
 
+    @classmethod
+    def one_block(cls, levels, vectors):
+        """The eigensystem ``levels``, ``vectors`` of a matrix solved as one
+        block: the blocks of the identity flip (partner i, sign +1), whose
+        basis states are all even fixed points, so U = I.  Shapes that do
+        not fit one block are refused before the flip is made, so stored
+        levels claim no memory beyond their own."""
+        n = np.size(levels)
+        if np.shape(levels) != (n,) or np.shape(vectors) != (n, n):
+            raise ValueError("eigensystem shapes %s and %s do not fit one "
+                             "block" % (np.shape(levels), np.shape(vectors)))
+        return cls(np.arange(n), np.ones(n), (levels, vectors),
+                   (np.empty(0), np.empty((0, 0))))
+
     @property
     def dim(self):
         return len(self.partner)
 
     def members(self):
         """``{archive member name: array}``, as :func:`save_hamiltonian`
-        writes them."""
+        writes them: one block in the dense layout, ``eigenvalues`` and
+        ``eigenvectors``, and any other flip in the block layout."""
+        if self._lo == self.dim:
+            return dict(zip(("eigenvalues", "eigenvectors"), self.even))
         return dict(zip(_BLOCK_MEMBERS, (self.partner, self.sign, *self.even,
                                          *self.odd)))
 
@@ -467,16 +482,19 @@ class FlipBlocks:
 
     def dense(self):
         """The ascending levels and the n x n eigenvector columns U V of
-        the blocks, in the order of :meth:`levels`."""
+        the blocks, in the order of :meth:`levels`: for one block (U = I),
+        the block's own arrays."""
         (even_vals, even_vecs), (odd_vals, odd_vecs) = self.even, self.odd
         a, b, s, lo, hi = self._a, self._b, self._s, self._lo, self._hi
         n = self.dim
+        if lo == n:
+            return self.even
         # x = U y: e_a takes y for a fixed point and y / sqrt 2 for a pair,
         # whose partner e_b takes parity s y / sqrt 2.  Each row group is
         # one row-indexed write, with the even levels in the leading and
         # the odd levels in the trailing columns; the columns then go into
         # level order a tile of rows at a time.
-        evecs = np.empty((n, n), dtype=even_vecs.dtype)
+        evecs = np.empty((n, n), dtype=np.result_type(even_vecs, odd_vecs))
         evecs[a[:lo], :hi] = even_vecs[:lo]
         evecs[a[:lo], hi:] = 0.0
         evecs[a[hi:], :hi] = 0.0
@@ -617,52 +635,15 @@ def _read_only(a):
     return view
 
 
-def _check_eigensystem(entries, evals, evecs, size):
-    """Refuse an eigensystem that does not belong to ``entries``, whose
-    largest |H_ij| is ``size``: shapes and dtypes exactly, then
-    :func:`_probe`."""
-    n = entries.shape[0]
-    if evals.shape != (n,) or evecs.shape != (n, n):
-        raise ValueError("eigensystem shapes %s and %s do not fit a %d x %d "
-                         "matrix" % (evals.shape, evecs.shape, n, n))
-    if evals.dtype.kind != "f" or evecs.dtype.kind not in "fc":
-        raise ValueError("eigenvalues must be real and eigenvectors "
-                         "floating point")
-    _probe(entries, size, (evals,), (evecs,), lambda y: evecs @ y,
-           lambda z: _adjoint(evecs) @ z)
-
-
 def _check_blocks(entries, blocks, size):
     """Refuse the :class:`FlipBlocks` ``blocks`` unless they are an
-    eigensystem of ``entries``, whose largest |H_ij| is ``size``: a flip of
-    the matrix's order, then :func:`_probe` with V = U diag(V_even, V_odd),
-    the blocks' levels in that order, and U applied through the orbit
-    transform, O(n) work, so no n x n array is made."""
-    n = entries.shape[0]
-    if blocks.dim != n:
-        raise ValueError("a flip of %d basis states does not fit a %d x %d "
-                         "matrix" % (blocks.dim, n, n))
-    (even_vals, even_vecs), (odd_vals, odd_vecs) = blocks.even, blocks.odd
-    hi = len(even_vals)
-
-    def apply(y):
-        return blocks.lift(even_vecs @ y[:hi], odd_vecs @ y[hi:])
-
-    def apply_adjoint(z):
-        even, odd = blocks.project(z)
-        return np.concatenate((even_vecs.T @ even, odd_vecs.T @ odd))
-
-    _probe(entries, size, (even_vals, odd_vals), (even_vecs, odd_vecs),
-           apply, apply_adjoint)
-
-
-def _probe(entries, size, levels, vectors, apply, apply_adjoint):
-    """Refuse the eigensystem V, Lambda of ``entries`` unless its values
-    are finite, each array of ``levels`` ascends, and two O(n^2) probes
-    with a fixed random x pass: |H(Vx) - V(Lx)| relative to
-    max(1, ``size``) |x|, and |V^H(Vx) - x| relative to |x|.  L is the
-    ``levels`` arrays joined, V (``vectors``: its stored arrays) acts by
-    ``apply`` and V^H by ``apply_adjoint``.
+    eigensystem V, Lambda of ``entries``, whose largest |H_ij| is ``size``:
+    a flip of the matrix's order, then finite values, each block's levels
+    ascending, and two O(n^2) probes with a fixed random x: |H(Vx) - V(Lx)|
+    relative to max(1, ``size``) |x|, and |V^H(Vx) - x| relative to |x|.
+    V = U diag(V_even, V_odd) and L holds the blocks' levels in that order;
+    U acts through the orbit transform, O(n) work, so no n x n array is
+    made.
 
     A non-finite entry of V makes Vx non-finite (no x_j is 0), so V is
     scanned for one only then.  The first probe runs on cx, c the largest
@@ -673,6 +654,16 @@ def _probe(entries, size, levels, vectors, apply, apply_adjoint):
     falls below 2^-510.
     """
     n = entries.shape[0]
+    if blocks.dim != n:
+        raise ValueError("a flip of %d basis states does not fit a %d x %d "
+                         "matrix" % (blocks.dim, n, n))
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = blocks.even, blocks.odd
+    levels, vectors = (even_vals, odd_vals), (even_vecs, odd_vecs)
+    hi = len(even_vals)
+
+    def apply(y):
+        return blocks.lift(even_vecs @ y[:hi], odd_vecs @ y[hi:])
+
     x = np.random.default_rng(0).standard_normal(n)
     with np.errstate(over="ignore", invalid="ignore"):
         vx = apply(x)
@@ -693,7 +684,9 @@ def _probe(entries, size, levels, vectors, apply, apply_adjoint):
     with np.errstate(over="ignore", invalid="ignore"):
         pair = entries @ (vx * c) - apply(evals * (x * c))
         pair_res = np.linalg.norm(pair / (scale * c)) / norm_x
-        basis_res = np.linalg.norm(apply_adjoint(vx) - x) / norm_x
+        back = np.concatenate([_adjoint(v) @ part for v, part
+                               in zip(vectors, blocks.project(vx))])
+        basis_res = np.linalg.norm(back - x) / norm_x
     if not max(pair_res, basis_res) <= EIGEN_PROBE_TOL:
         raise ValueError("eigensystem does not match the matrix (probe "
                          "residuals %.3g, %.3g)" % (pair_res, basis_res))
@@ -910,21 +903,16 @@ def _symmetrize(a):
 def save_hamiltonian(h, path):
     """Write the matrix to ``path``: CSV if it ends in .csv, else an npz
     holding the labels and the eigensystem too (solved here unless ``h``
-    has it already), so loaders skip their own eigensolve.  A sector held
-    as spin-flip blocks (see :meth:`DenseHamiltonian.flip_blocks`) is
-    written in the block layout, the members of
-    :meth:`FlipBlocks.members`; any other matrix in the dense one,
-    ``eigenvalues`` and ``eigenvectors``."""
+    has it already), so loaders skip their own eigensolve: the members of
+    :meth:`FlipBlocks.members` of :meth:`DenseHamiltonian.flip_blocks`, so
+    a sector held as spin-flip blocks is written in the block layout and
+    one block in the dense one, ``eigenvalues`` and ``eigenvectors``."""
     if str(path).endswith(".csv"):
         np.savetxt(path, h.entries, delimiter=",")
         return
     labels = np.array(h.basis_labels if h.basis_labels is not None else [])
     arrays = {"entries": h.entries, "basis_labels": labels}
-    blocks = h.flip_blocks()
-    if blocks is None:
-        arrays["eigenvalues"], arrays["eigenvectors"] = h.eigensystem()
-    else:
-        arrays.update(blocks.members())
+    arrays.update(h.flip_blocks().members())
     save_npz(path, arrays)
 
 
@@ -1115,8 +1103,8 @@ def load_hamiltonian(path):
     """Inverse of :func:`save_hamiltonian`: the :class:`DenseHamiltonian`
     at ``path``.  A CSV stays real unless an entry has a nonzero imaginary
     part, and is read by :func:`csv_rows`.  An npz may hold the eigensystem
-    in the dense layout (``eigenvalues``, ``eigenvectors``), in the block
-    layout (the members of :meth:`FlipBlocks.members`) or not at all (an
+    in the dense layout (``eigenvalues``, ``eigenvectors``, read as
+    :meth:`FlipBlocks.one_block`), in the block layout or not at all (an
     older file, diagonalized on first use as one block); ``np.savez``
     archives load like :func:`save_npz` ones, read as :func:`npz_archive`
     reads them.  A file that is not a zip archive, holds a member
@@ -1205,16 +1193,17 @@ def _hamiltonian_of(members):
     if len(stored) == 1:
         raise ValueError("%s stored without the other half of the "
                          "eigensystem" % stored[0])
-    eigen = tuple(data[name] for name in stored) or None
     blocks = None
     if any(name in data for name in _BLOCK_MEMBERS):
         missing = set(_BLOCK_MEMBERS) - set(data)
         if missing:
             raise ValueError("block layout archive has no %s"
                              % " or ".join(sorted(missing)))
-        if eigen is not None:
+        if stored:
             raise ValueError("archive holds both a dense and a block "
                              "eigensystem")
         partner, sign, *halves = (data[name] for name in _BLOCK_MEMBERS)
         blocks = FlipBlocks(partner, sign, halves[:2], halves[2:])
-    return DenseHamiltonian(data["entries"], labels, eigen, blocks)
+    elif stored:
+        blocks = FlipBlocks.one_block(*(data[name] for name in stored))
+    return DenseHamiltonian(data["entries"], labels, blocks)

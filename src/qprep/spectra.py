@@ -126,17 +126,14 @@ def exact_spectral_measure(h, psi):
     ``h`` is a DenseHamiltonian in any units: the eigenvalues of the one
     eigensolve are mapped into the normalized frame by
     :func:`qprep.hamiltonian.spectrum_normalizer`, which the measure
-    records.  ``psi`` need not be normalized.  A sector held as spin-flip
-    blocks (:meth:`~qprep.hamiltonian.DenseHamiltonian.flip_blocks`) takes
-    the weights block by block: psi goes onto the orbit basis, split into
-    its even and odd part psi_+-, and the weights are |V_+-^T psi_+-|^2, so
-    no n x n eigenvector array is made.
+    records.  ``psi`` need not be normalized.  The weights are taken block
+    by block (:meth:`~qprep.hamiltonian.DenseHamiltonian.flip_blocks`):
+    psi goes onto the orbit basis, split into its even and odd part psi_+-,
+    and the weights are |V_+-^H psi_+-|^2, so a spin-flip sector makes no
+    n x n eigenvector array.  One block (U = I) gives |V^H psi|^2.
     """
     blocks = h.flip_blocks()
-    if blocks is None:
-        evals, evecs = h.eigensystem()
-    else:
-        evals, order = blocks.levels()
+    evals, order = blocks.levels()
     normalizer = spectrum_normalizer(evals[0], evals[-1])
     evals = normalizer.apply(evals)
     psi = np.asarray(psi)
@@ -155,12 +152,9 @@ def exact_spectral_measure(h, psi):
             if np.iscomplexobj(psi) else psi / big
         nrm = np.linalg.norm(psi)
     psi = psi / nrm
-    if blocks is None:
-        ps = _weights(evecs, psi)
-    else:
-        parts = blocks.project(psi)
-        ps = np.concatenate([_weights(vecs, part) for (_, vecs), part
-                             in zip((blocks.even, blocks.odd), parts)])[order]
+    ps = np.concatenate([_weights(vecs, part) for (_, vecs), part
+                         in zip((blocks.even, blocks.odd),
+                                blocks.project(psi))])[order]
     return SpectralMeasure(np.column_stack((evals, ps)), normalizer)
 
 

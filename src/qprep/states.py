@@ -315,7 +315,10 @@ def mps_to_sos(state, threshold, term_budget=1_000_000):
     prefix is pruned as soon as the squared norm of that row drops to
     ``threshold`` or below.  In the left-canonical form that norm bounds
     every completion's |coefficient|^2, so every determinant with squared
-    amplitude strictly above ``threshold`` is guaranteed to appear.  At
+    amplitude strictly above ``threshold`` is guaranteed to appear.  The
+    norms are taken with site 0 divided by the power of two of
+    :func:`_pow2_scaled` and the threshold scaled alike, so they neither
+    over- nor underflow, and each amplitude is multiplied back exactly.  At
     each site a block of at most ``_EXPAND_BLOCK`` prefixes takes its four
     children from one stacked product, which runs the same vector-matrix
     product per row as a single row would, so every amplitude has the bits
@@ -334,10 +337,19 @@ def mps_to_sos(state, threshold, term_budget=1_000_000):
     n = len(ts)
     leaves = [(np.empty(0, dtype=complex), np.empty((0, n), dtype=np.uint8))]
     n_found = 0
+    # The norm sits in site 0, the rest are isometries: site 0 divided by
+    # 2^e (exact, and after the sweep, whose SVDs would not scale alike)
+    # keeps every squared norm in range, the threshold takes 2^-2e and the
+    # amplitudes get 2^e back.  The empty prefix, whose row is 1, is
+    # pruned unscaled; its children are the rows of site 0.
+    site0, e = _pow2_scaled(ts[0])
+    ts = [site0, *ts[1:]]
     # blocks of prefixes still to prune and expand: (site, coefficient
     # rows, digit rows)
-    stack = [(0, np.ones((1, 1), dtype=complex),
-              np.empty((1, 0), dtype=np.uint8))]
+    stack = [(1, site0[0], np.arange(4, dtype=np.uint8)[:, None])] \
+        if threshold < 1.0 else []
+    with np.errstate(over="ignore"):
+        threshold = np.ldexp(threshold, -2 * e)
     while stack:
         j, coeffs, digits = stack.pop()
         # each row's squared norm, by the dot product np.vdot runs on it
@@ -361,7 +373,8 @@ def mps_to_sos(state, threshold, term_budget=1_000_000):
         for start in range(0, len(kids), _EXPAND_BLOCK):
             stop = start + _EXPAND_BLOCK
             stack.append((j + 1, kids[start:stop], kid_digits[start:stop]))
-    amps = np.concatenate([a for a, _ in leaves]).tolist()
+    amps = np.ldexp(np.concatenate([a for a, _ in leaves]).view(float), e) \
+        .view(complex).tolist()
     text = _DIGIT_CHARS[np.concatenate([d for _, d in leaves])] \
         .tobytes().decode("ascii")
     found = sorted(zip(amps, (text[i:i + 2 * n]

@@ -93,7 +93,7 @@ def test_legacy_layout_drops_the_eigensystem(tmp_path, capsys):
     assert sorted(legacy) == ["basis_labels", "entries"]
     for name, array in legacy.items():
         assert array.tobytes() == ours[name].tobytes()
-    assert ham.load_hamiltonian(tmp_path / "legacy.npz").eigen is None
+    assert ham.load_hamiltonian(tmp_path / "legacy.npz").blocks is None
     assert tool.main(["--runs", "1", "--commands",
                       "qpe-stats-ham-legacy"]) == 0
     assert list(_rows(capsys.readouterr().out)) == ["qpe-stats-ham-legacy"]

@@ -341,7 +341,7 @@ def test_saved_eigensystem_is_reused_and_old_files_still_load(tmp_path,
     assert np.array_equal(back.eigensystem()[1], evecs)
     assert eigensolves == []
     legacy = ham.load_hamiltonian(old)
-    assert legacy.eigen is None
+    assert legacy.blocks is None
     # only the build knows the spin flip: the (1,1) sector that it solved
     # as two blocks loads as one
     legacy_vals, legacy_vecs = legacy.eigensystem()
@@ -354,24 +354,62 @@ def test_saved_eigensystem_is_reused_and_old_files_still_load(tmp_path,
         1.0, np.max(np.abs(legacy.entries)))
 
 
-def test_supplied_eigensystem_is_checked_against_the_matrix():
+def _supplied_forms():
+    """``{form: (matrix, (levels, vectors), make)}``: ``make(levels,
+    vectors)`` hands the matrix's eigensystem over as that form's
+    :class:`FlipBlocks`, with ``(levels, vectors)`` as its even block."""
     a = np.random.default_rng(10).normal(size=(5, 5))
     a = a + a.T
-    evals, evecs = np.linalg.eigh(a)
-    ham.DenseHamiltonian(a, eigen=(evals, evecs))
-    swapped = evecs[:, [1, 0, 2, 3, 4]]
-    for eigen, reason in [
-            ((evals[:4], evecs), "shapes"),
-            ((evals, evecs[:, :4]), "shapes"),
-            ((evals.astype(complex), evecs), "real"),
-            ((np.where(evals == evals[2], np.nan, evals), evecs),
-             "non-finite"),
-            ((evals[[1, 0, 2, 3, 4]], evecs), "ascending"),
-            ((evals, swapped), "does not match"),
-            ((evals, 2 * evecs), "does not match"),
-            ((evals + 1e-6, evecs), "does not match")]:
-        with pytest.raises(ValueError, match=reason):
-            ham.DenseHamiltonian(a, eigen=eigen)
+    # the (2,2) sector of 4 orbitals: an even block of order 21 beside an
+    # odd one of order 15
+    balanced = ham.build_ci_matrix(
+        _eightfold_fcidump(np.random.default_rng(700), 4), 2, 2)
+    blocks = balanced.flip_blocks()
+    return {
+        "one block": (a, np.linalg.eigh(a), ham.FlipBlocks.one_block),
+        "spin-flip blocks": (
+            balanced.entries, blocks.even,
+            lambda vals, vecs: ham.FlipBlocks(blocks.partner, blocks.sign,
+                                              (vals, vecs), blocks.odd)),
+    }
+
+
+def test_supplied_eigensystem_is_checked_against_the_matrix():
+    for a, (evals, evecs), make in _supplied_forms().values():
+        ham.DenseHamiltonian(a, blocks=make(evals, evecs))
+        n = len(evals)
+        swap = [1, 0, *range(2, n)]
+        for eigen, reason in [
+                ((evals[:n - 1], evecs), "shapes"),
+                ((evals, evecs[:, :n - 1]), "shapes"),
+                ((evals.astype(complex), evecs), "real"),
+                ((np.where(evals == evals[2], np.nan, evals), evecs),
+                 "non-finite"),
+                ((evals[swap], evecs), "ascending"),
+                ((evals, evecs[:, swap]), "does not match"),
+                ((evals, 2 * evecs), "does not match"),
+                ((evals + 1e-6, evecs), "does not match")]:
+            with pytest.raises(ValueError, match=reason):
+                ham.DenseHamiltonian(a, blocks=make(*eigen))
+
+
+def test_oversized_stored_levels_are_refused_before_any_allocation(
+        tmp_path):
+    import tracemalloc
+
+    # 16 MB of levels beside a 5 x 5 matrix: no flip of their order is made
+    path = tmp_path / "h.npz"
+    ham.save_npz(path, {"entries": np.eye(5), "basis_labels": np.array([]),
+                        "eigenvalues": np.zeros(2_000_000),
+                        "eigenvectors": np.eye(5)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="shapes"):
+            ham.load_hamiltonian(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("scale", [1e170, 1e200, 1e300])
@@ -380,11 +418,12 @@ def test_eigensystem_of_a_huge_matrix_is_accepted(scale):
     a = np.random.default_rng(11).normal(size=(50, 50))
     a = (a + a.T) * scale
     evals, evecs = ham.DenseHamiltonian(a).eigensystem()
-    ham.DenseHamiltonian(a, None, (evals, evecs))
+    ham.DenseHamiltonian(a, None, ham.FlipBlocks.one_block(evals, evecs))
     if scale == 1e200:
         swapped = evecs[:, [1, 0, *range(2, 50)]]
         with pytest.raises(ValueError, match="does not match"):
-            ham.DenseHamiltonian(a, None, (evals, swapped))
+            ham.DenseHamiltonian(a, None,
+                                 ham.FlipBlocks.one_block(evals, swapped))
 
 
 def test_eigensystem_whose_products_overflow_unscaled_is_accepted():
@@ -392,10 +431,11 @@ def test_eigensystem_whose_products_overflow_unscaled_is_accepted():
     a = np.random.default_rng(0).normal(size=(50, 50))
     a = (a + a.T) * 0.8e307
     evals, evecs = ham.DenseHamiltonian(a).eigensystem()
-    ham.DenseHamiltonian(a, None, (evals, evecs))
+    ham.DenseHamiltonian(a, None, ham.FlipBlocks.one_block(evals, evecs))
     swapped = evecs[:, [1, 0, *range(2, 50)]]
     with pytest.raises(ValueError, match="does not match"):
-        ham.DenseHamiltonian(a, None, (evals, swapped))
+        ham.DenseHamiltonian(a, None,
+                             ham.FlipBlocks.one_block(evals, swapped))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e100, 1e160, 1e300])
@@ -412,7 +452,7 @@ def test_eigen_probe_reports_the_unscaled_residuals(
     # every eigensystem is refused, with its residuals in the message
     monkeypatch.setattr(ham, "EIGEN_PROBE_TOL", -1.0)
     with pytest.raises(ValueError) as refused:
-        ham.DenseHamiltonian(a, None, (evals, evecs))
+        ham.DenseHamiltonian(a, None, ham.FlipBlocks.one_block(evals, evecs))
     assert str(refused.value) == ("eigensystem does not match the matrix "
                                   "(probe residuals %.3g, %.3g)"
                                   % (pair, basis))
@@ -497,9 +537,7 @@ _INVARIANT_FCIDUMP = _eightfold_fcidump(np.random.default_rng(800), 8)
 def _sector_levels(fd, n_alpha, n_beta):
     """The sector's levels; a balanced sector's come from its two flip
     blocks, with no dense eigenvectors made."""
-    h = ham.build_ci_matrix(fd, n_alpha, n_beta)
-    blocks = h.flip_blocks()
-    return h.eigensystem()[0] if blocks is None else blocks.levels()[0]
+    return ham.build_ci_matrix(fd, n_alpha, n_beta).flip_blocks().levels()[0]
 
 
 def _level_tol(*levels):
@@ -624,7 +662,8 @@ def test_blocked_eigensolve_matches_dense_eigh(n_orb, n_el, eigensolves):
     ref_vals, ref_vecs = np.linalg.eigh(h)
     size = max(1.0, np.max(np.abs(h)))
     assert np.max(np.abs(evals - ref_vals)) <= 1e-12 * size
-    ham._check_eigensystem(h, evals, evecs, np.max(np.abs(h)))
+    ham._check_blocks(h, ham.FlipBlocks.one_block(evals, evecs),
+                      np.max(np.abs(h)))
     psi = rng.normal(size=dense.dim) + 1j * rng.normal(size=dense.dim)
     measure = exact_spectral_measure(dense, psi)
     ref = np.abs(ref_vecs.T @ (psi / np.linalg.norm(psi))) ** 2
@@ -642,7 +681,8 @@ def test_block_measure_matches_the_dense_columns(n_orb):
         dense = ham.build_ci_matrix(fd, n_el, n_el)
         psi = rng.normal(size=dense.dim) + 1j * rng.normal(size=dense.dim)
         measure = exact_spectral_measure(dense, psi)
-        blocked = dense.blocks is not None
+        # one block of the identity flip has an empty odd block
+        blocked = dense.blocks.odd[0].size > 0
         assert blocked == (dense.dim > 1), (n_orb, n_el)
         # the dense columns, assembled only now, give the route the
         # blocks replace
@@ -878,13 +918,36 @@ def test_block_measure_of_a_load_makes_no_dense_eigenvectors(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert back.eigen is None and back.blocks is not None
+    assert back.blocks.odd[0].size > 0
     # the blocks hold about half of an n x n array; the measure made
     # nothing near one
     assert peak < back.entries.nbytes / 4
     evals, evecs = dense.eigensystem()
     assert np.max(np.abs(measure.probs - (evecs.T @ psi) ** 2
                          / np.dot(psi, psi))) <= 1e-12
+
+
+def test_complex_archive_round_trip_keeps_the_measure(tmp_path):
+    from qprep.spectra import exact_spectral_measure
+
+    # complex eigenvectors, probed on load through V^H: V^T V x is not x
+    rng = np.random.default_rng(671)
+    a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    dense = ham.DenseHamiltonian((a + a.conj().T) / 2)
+    path = tmp_path / "h.npz"
+    ham.save_hamiltonian(dense, path)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["basis_labels", "eigenvalues",
+                                      "eigenvectors", "entries"]
+        assert data["eigenvectors"].dtype == complex
+    back = ham.load_hamiltonian(path)
+    for x, y in zip(back.eigensystem(), dense.eigensystem()):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    psi = rng.normal(size=40) + 1j * rng.normal(size=40)
+    want = exact_spectral_measure(dense, psi)
+    got = exact_spectral_measure(back, psi)
+    assert got.levels.tobytes() == want.levels.tobytes()
+    assert got.normalizer == want.normalizer
 
 
 def test_np_savez_archive_loads_bit_identically(tmp_path):
@@ -898,8 +961,9 @@ def test_np_savez_archive_loads_bit_identically(tmp_path):
              eigenvalues=evals, eigenvectors=evecs)
     assert ours.read_bytes() != theirs.read_bytes()
     a, b = ham.load_hamiltonian(ours), ham.load_hamiltonian(theirs)
-    for x, y in ((a.entries, b.entries), (a.eigen[0], b.eigen[0]),
-                 (a.eigen[1], b.eigen[1])):
+    for x, y in ((a.entries, b.entries),
+                 (a.eigensystem()[0], b.eigensystem()[0]),
+                 (a.eigensystem()[1], b.eigensystem()[1])):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     assert a.basis_labels == b.basis_labels == dense.basis_labels
 
@@ -929,14 +993,14 @@ def test_saved_npz_loads_back_in_its_order_and_aligned(tmp_path, order):
     dense = ham.build_ci_matrix(
         _eightfold_fcidump(np.random.default_rng(661), 6), 2, 1)
     evals, evecs = dense.eigensystem()
-    stored = ham.DenseHamiltonian(np.asarray(dense.entries, order=order),
-                                  dense.basis_labels,
-                                  (evals, np.asarray(evecs, order=order)))
+    stored = ham.DenseHamiltonian(
+        np.asarray(dense.entries, order=order), dense.basis_labels,
+        ham.FlipBlocks.one_block(evals, np.asarray(evecs, order=order)))
     path = tmp_path / "h.npz"
     ham.save_hamiltonian(stored, path)
     back = ham.load_hamiltonian(path)
     for a, b in ((back.entries, stored.entries),
-                 (back.eigen[1], stored.eigen[1])):
+                 (back.eigensystem()[1], stored.eigensystem()[1])):
         assert a.tobytes("A") == b.tobytes("A")
         assert a.flags.f_contiguous == b.flags.f_contiguous
         assert a.flags.aligned

@@ -441,6 +441,35 @@ def test_mps_to_sos_matches_recursive_oracle_bit_for_bit(threshold):
     assert (max(sizes) == 0) == (threshold >= 1.0)
 
 
+@pytest.mark.parametrize("amp", [1e-200, 1e200])
+def test_mps_to_sos_of_extreme_entries_is_exact_and_silent(amp):
+    # |amp|^2 under- or overflows unless site 0 is scaled first
+    first, second = np.zeros((1, 4, 1)), np.zeros((1, 4, 1))
+    first[0, 0, 0], second[0, 3, 0] = amp, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mps_to_sos(MpsState([first, second]), 0.0).terms \
+            == [(amp, "0011")]
+
+
+def test_mps_to_sos_keeps_the_bits_of_the_unscaled_expansion():
+    # powers of two are exact, so in the float range the scaled expansion
+    # gives the bits of the recursion, which runs unscaled
+    rng = np.random.default_rng(37)
+    for trial in range(40):
+        chis = [int(c) for c in rng.integers(1, 9,
+                                             size=int(rng.integers(0, 5)))]
+        m = random_mps(rng, chis)
+        m = MpsState([t * 10.0 ** rng.uniform(-20, 20) for t in m.tensors])
+        # below 1: the empty prefix, whose row is 1, is never pruned
+        threshold = min(float(rng.choice([0.0, 1e-12, 1e-3])) * m.norm() ** 2,
+                        1e-3)
+        got = mps_to_sos(m, threshold)
+        assert got.terms, trial
+        assert _term_bits(got) == _term_bits(
+            oracles.mps_to_sos_recursive(m, threshold)), trial
+
+
 @pytest.mark.parametrize("block", [1, 3, 64])
 def test_mps_to_sos_blocks_do_not_change_the_bits(monkeypatch, block):
     # 4 ** 5 = 1024 leaves at threshold 0: the blocks split every level
