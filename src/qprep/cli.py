@@ -114,10 +114,15 @@ class _GaussianArgs(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+# --degree sizes the filter's (degree + 1)^2 interpolation matrix, 8 bytes
+# an entry: 134 MB at the cap.
+_DEGREE_CAP = 4096
+
+
 def _even_degree(text):
-    value = _in_range(int, 2)(text)
+    value = _in_range(int, 2, _DEGREE_CAP)(text)
     if value % 2:
-        raise argparse.ArgumentTypeError(f"{text!r} must be an even int >= 2")
+        raise argparse.ArgumentTypeError(f"{text!r} must be even")
     return value
 
 
@@ -397,7 +402,7 @@ def _load_measure(args):
         mean, sigma = args.gaussian
         return gaussian_levels(mean, sigma, n_levels=args.n_levels)
     if args.levels is not None:
-        from .hamiltonian import csv_rows
+        from .hamiltonian import _pow2_scaled, csv_rows
         from .spectra import SpectralMeasure
 
         with _refusals_naming(args.levels):
@@ -412,15 +417,9 @@ def _load_measure(args):
                     f"level weight in row {negative[0] + 1} is negative")
             energies, inverse = np.unique(rows[:, 0], return_inverse=True)
             weights = np.zeros(energies.shape)
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.add.at(weights, inverse, rows[:, 1])
-                total = weights.sum()
-            if not np.isfinite(total):
-                # the sum overflowed: scaled by the largest weight first,
-                # as --state amplitudes are, the measure stays the same
-                weights[:] = 0.0
-                np.add.at(weights, inverse, rows[:, 1] / rows[:, 1].max())
-                total = weights.sum()
+            # divided by a power of two first, so the sum cannot overflow
+            np.add.at(weights, inverse, _pow2_scaled(rows[:, 1])[0])
+            total = weights.sum()
             if total <= 0:
                 raise ValueError("level weights must have a positive total")
             return SpectralMeasure(
@@ -950,7 +949,9 @@ def build_parser():
     sp.add_argument("--eu", type=_finite_float, required=True,
                     help="window upper edge (readout frame)")
     sp.add_argument("--degree", type=_even_degree, default=200,
-                    help="polynomial degree, even and >= 2 (default 200)")
+                    help=f"polynomial degree, even and in [2, {_DEGREE_CAP}]"
+                         "; its interpolation takes 8 (degree + 1)^2 bytes, "
+                         "134 MB at the cap (default 200)")
     sp.add_argument("--zeta", type=_positive_float, default=1.0,
                     help="steepness softening factor, > 0 (default 1)")
     sp.add_argument("--angle-margin", default=0.1,

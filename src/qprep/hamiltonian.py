@@ -398,6 +398,14 @@ class FlipBlocks:
                 or sign.shape != (n,):
             raise ValueError("the flip needs an integer partner and a real "
                              "sign per basis state")
+        # the stored shapes first, so that a flip longer than its blocks
+        # is refused before the checks below allocate for it
+        shapes = [np.shape(x) for block in (self.even, self.odd)
+                  for x in block]
+        k, m = (np.size(vals) for vals, _ in (self.even, self.odd))
+        if k + m != n or shapes != [(k,), (k, k), (m,), (m, m)]:
+            raise ValueError("block shapes %s do not fit a flip of %d basis "
+                             "states" % (", ".join(map(str, shapes)), n))
         idx = np.arange(n)
         if not (np.all((partner >= 0) & (partner < n))
                 and np.array_equal(partner[partner], idx)):
@@ -410,7 +418,7 @@ class FlipBlocks:
         for name, (vals, vecs), order in (("even", self.even, hi),
                                           ("odd", self.odd, len(a) - lo)):
             vals, vecs = np.asarray(vals), np.asarray(vecs)
-            if vals.shape != (order,) or vecs.shape != (order, order):
+            if len(vals) != order:
                 raise ValueError(
                     "%s block shapes %s and %s do not fit the flip's %d "
                     "%s orbit vectors" % (name, vals.shape, vecs.shape,
@@ -678,6 +686,7 @@ def _check_blocks(entries, blocks, size):
     evals = np.concatenate(levels)
     norm_x = np.linalg.norm(x)
     scale = max(1.0, size)
+    # not _pow2_scaled: c = 1 below 2^512 keeps a usual probe unscaled
     c = math.ldexp(1.0, min(0, 512 - math.frexp(scale)[1]))
     # scaled back before the norm squares it; a mismatching eigensystem may
     # still overflow, and is refused below without a warning
@@ -914,6 +923,21 @@ def save_hamiltonian(h, path):
     arrays = {"entries": h.entries, "basis_labels": labels}
     arrays.update(h.flip_blocks().members())
     save_npz(path, arrays)
+
+
+def _pow2_scaled(a):
+    """``(a / 2^e, e)`` for the real or complex array ``a``, as a float or
+    a complex array (a real ``a`` stays real): e is the ``math.frexp``
+    exponent of its largest real or imaginary part, 0 for an all-zero or
+    empty ``a`` or one holding a NaN or an infinity, which is left as it
+    is.  The one scaling of amplitudes and weights: dividing by a power of
+    two is exact, and it brings the largest part into [0.5, 1), so neither
+    a square of a part nor a sum of squares overflows, and the largest
+    squares do not underflow."""
+    a = np.ascontiguousarray(a, complex if np.iscomplexobj(a) else float)
+    parts = a.view(a.real.dtype)
+    e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
+    return np.ldexp(parts, -e).view(a.dtype), e
 
 
 def csv_rows(path, dtype=float):

@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .hamiltonian import AffineNormalizer, spectrum_normalizer
+from .hamiltonian import AffineNormalizer, _pow2_scaled, spectrum_normalizer
 
 PROB_SUM_TOL = 1e-10
 ENERGY_LO, ENERGY_HI = -0.5, 1.5
@@ -126,8 +126,12 @@ def exact_spectral_measure(h, psi):
     ``h`` is a DenseHamiltonian in any units: the eigenvalues of the one
     eigensolve are mapped into the normalized frame by
     :func:`qprep.hamiltonian.spectrum_normalizer`, which the measure
-    records.  ``psi`` need not be normalized.  The weights are taken block
-    by block (:meth:`~qprep.hamiltonian.DenseHamiltonian.flip_blocks`):
+    records.  ``psi`` need not be normalized: it is divided by the power
+    of two of :func:`qprep.hamiltonian._pow2_scaled` before its norm is
+    taken, an exact division, so the measure keeps its bits where the
+    unscaled squares stay in the normal range, and amplitudes from either
+    end of the float range give it too.  The weights are taken block by
+    block (:meth:`~qprep.hamiltonian.DenseHamiltonian.flip_blocks`):
     psi goes onto the orbit basis, split into its even and odd part psi_+-,
     and the weights are |V_+-^H psi_+-|^2, so a spin-flip sector makes no
     n x n eigenvector array.  One block (U = I) gives |V^H psi|^2.
@@ -136,21 +140,12 @@ def exact_spectral_measure(h, psi):
     evals, order = blocks.levels()
     normalizer = spectrum_normalizer(evals[0], evals[-1])
     evals = normalizer.apply(evals)
-    psi = np.asarray(psi)
-    with np.errstate(over="ignore"):
-        nrm = np.linalg.norm(psi)
-    if not 0 < nrm < np.inf:
-        # |psi|^2 under- or overflowed (or psi is zero or not finite):
-        # scale by max |psi_i| first, which leaves the measure as it is.
-        # Real divisions, as a complex one by a subnormal overflows.
-        big = np.max(np.abs(psi), initial=0.0)
-        if not np.isfinite(big):
-            raise ValueError("state amplitudes must be finite")
-        if big == 0:
-            raise ValueError("cannot take the measure of the zero state")
-        psi = psi.real / big + 1j * (psi.imag / big) \
-            if np.iscomplexobj(psi) else psi / big
-        nrm = np.linalg.norm(psi)
+    psi, _ = _pow2_scaled(psi)
+    nrm = np.linalg.norm(psi)
+    if not np.isfinite(nrm):
+        raise ValueError("state amplitudes must be finite")
+    if nrm == 0:
+        raise ValueError("cannot take the measure of the zero state")
     psi = psi / nrm
     ps = np.concatenate([_weights(vecs, part) for (_, vecs), part
                          in zip((blocks.even, blocks.odd),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import npz_archive, save_npz
+from .hamiltonian import _pow2_scaled, npz_archive, save_npz
 
 LEFT_ORTHO_TOL = 1e-10
 STATEVECTOR_LIMIT = 65536  # largest dense vector the export will build
@@ -43,16 +43,6 @@ _SPATIAL_CHARS = {"0": "00", "b": "01", "a": "10", "2": "11"}
 
 class TermBudgetExceeded(RuntimeError):
     """A determinant expansion produced more terms than the configured cap."""
-
-
-def _pow2_scaled(a):
-    """``(a / 2^e, e)`` for the complex array ``a``, e the ``math.frexp``
-    exponent of its largest real or imaginary part (0 for an all-zero or
-    empty ``a``).  Dividing by a power of two is exact, and it brings the
-    largest part into [0.5, 1)."""
-    parts = np.ascontiguousarray(a).view(float)
-    e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
-    return np.ldexp(parts, -e).view(complex), e
 
 
 def occupation_from_spatial(spatial):
@@ -260,8 +250,9 @@ def _sweep_to_left_form(tensors, chi_max=None):
         u, s, vh = np.linalg.svd(ts[j].reshape(chi_l, d * chi_r),
                                  full_matrices=False)
         kept = s[:chi_max]
-        total = float(np.sum(s ** 2))
-        frac = float(np.sum(kept ** 2)) / total if total > 0.0 else 1.0
+        # a ratio of squares: of the scaled values, it keeps its bits
+        w = _pow2_scaled(s)[0] ** 2
+        frac = float(np.sum(w[:chi_max])) / float(np.sum(w)) if s[0] else 1.0
         fidelity *= frac
         ts[j] = vh[:chi_max].reshape(-1, d, chi_r)
         ts[j - 1] = np.tensordot(ts[j - 1],
@@ -312,8 +303,8 @@ def mps_to_sos(state, threshold, term_budget=1_000_000):
 
     The expansion runs level by level over the sites, keeping for every
     surviving prefix of physical digits its partial coefficient row; a
-    prefix is pruned as soon as the squared norm of that row drops to
-    ``threshold`` or below.  In the left-canonical form that norm bounds
+    prefix of one digit or more is pruned as soon as the squared norm of
+    that row drops to ``threshold`` or below.  In the left-canonical form that norm bounds
     every completion's |coefficient|^2, so every determinant with squared
     amplitude strictly above ``threshold`` is guaranteed to appear.  The
     norms are taken with site 0 divided by the power of two of
@@ -340,14 +331,12 @@ def mps_to_sos(state, threshold, term_budget=1_000_000):
     # The norm sits in site 0, the rest are isometries: site 0 divided by
     # 2^e (exact, and after the sweep, whose SVDs would not scale alike)
     # keeps every squared norm in range, the threshold takes 2^-2e and the
-    # amplitudes get 2^e back.  The empty prefix, whose row is 1, is
-    # pruned unscaled; its children are the rows of site 0.
+    # amplitudes get 2^e back.
     site0, e = _pow2_scaled(ts[0])
     ts = [site0, *ts[1:]]
     # blocks of prefixes still to prune and expand: (site, coefficient
-    # rows, digit rows)
-    stack = [(1, site0[0], np.arange(4, dtype=np.uint8)[:, None])] \
-        if threshold < 1.0 else []
+    # rows, digit rows), from the rows of site 0
+    stack = [(1, site0[0], np.arange(4, dtype=np.uint8)[:, None])]
     with np.errstate(over="ignore"):
         threshold = np.ldexp(threshold, -2 * e)
     while stack:

@@ -531,8 +531,9 @@ def sos_to_mps_pairwise(state, chi_max, compress_every=8):
 
 def mps_to_sos_recursive(state, threshold, term_budget=1_000_000):
     """MPS -> SOS by a depth-first recursion, one prefix of physical digits
-    and one 1-D coefficient product at a time; a prefix whose squared norm
-    (``np.vdot``) is at most ``threshold`` is pruned.  Raises
+    and one 1-D coefficient product at a time; a prefix of one digit or
+    more whose squared norm (``np.vdot``) is at most ``threshold`` is
+    pruned.  Raises
     ``TermBudgetExceeded`` on leaf ``term_budget + 1``."""
     if state.local_dim != 4:
         raise ValueError("determinant expansion requires local_dim 4")
@@ -545,7 +546,7 @@ def mps_to_sos_recursive(state, threshold, term_budget=1_000_000):
     prefix = []
 
     def walk(j, coeff):
-        if float(np.vdot(coeff, coeff).real) <= threshold:
+        if j and float(np.vdot(coeff, coeff).real) <= threshold:
             return
         if j == n:
             if len(found) >= term_budget:

@@ -233,6 +233,8 @@ def test_csv_output_refuses_non_finite_values():
     ["refine", "qetu", *GAUSSIAN, "--el", "0.0", "--eu", "0.1",
      "--degree", "0"],
     ["refine", "qetu", *GAUSSIAN, "--el", "0.0", "--eu", "0.1",
+     "--degree", "4098"],
+    ["refine", "qetu", *GAUSSIAN, "--el", "0.0", "--eu", "0.1",
      "--zeta", "0"],
     ["refine", "qetu", *GAUSSIAN, "--el", "0.0", "--eu", "0.1",
      "--angle-margin", "0"],
@@ -259,7 +261,7 @@ def test_csv_output_refuses_non_finite_values():
 ], ids=["k", "reps", "budget", "shots", "e0", "eta-zero", "eta-negative",
         "eta-inf", "grid-points-zero", "grid-points-one", "epsilon",
         "n-levels", "case-study-n-levels", "order-one", "degree-odd",
-        "degree-zero", "zeta-zero", "angle-margin-zero",
+        "degree-zero", "degree-above-cap", "zeta-zero", "angle-margin-zero",
         "angle-margin-half-pi", "easy-threshold-zero",
         "easy-threshold-above-one", "flag-factor-zero", "threads-zero",
         "dim-cap-zero", "na-negative", "nb-negative", "sigma-negative",
@@ -268,6 +270,23 @@ def test_csv_output_refuses_non_finite_values():
 def test_readout_flag_ranges_are_usage_errors(argv, capsys):
     assert cli.dispatch(argv) == cli.EXIT_USAGE
     assert "must" in capsys.readouterr().err
+
+
+def test_degree_above_the_cap_is_refused_before_the_filter_is_built(
+        capsys):
+    import tracemalloc
+
+    # degree 40,000 would ask for a 12.8 GB interpolation matrix
+    tracemalloc.start()
+    try:
+        code = cli.dispatch(["refine", "qetu", *GAUSSIAN, "--el", "0.0",
+                             "--eu", "0.1", "--degree", "40000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_USAGE
+    assert "'40000' must be a int in [2, 4096]" in capsys.readouterr().err
+    assert peak < 10_000_000
 
 
 def _typed_flags():
@@ -1496,9 +1515,13 @@ def test_subnormal_weight_below_target_gets_exact_repetitions(tmp_path,
     assert report["required_reps"] == math.ceil(1 / Fraction(1e-320))
 
 
-@pytest.mark.parametrize("amplitude", ["1e300", "1e-320"])
+@pytest.mark.parametrize("amplitude", ["1e300", "1e-320", repr(2.0 ** 996),
+                                       repr(2.0 ** -1070)])
 def test_state_whose_norm_overflows_or_underflows_is_measured(
         tmp_path, capsys, amplitude):
+    # the measure divides the state by a power of two before its norm: a
+    # power-of-two multiple of the unit state gives the unit state's bytes,
+    # any other multiple its values up to the rounding of the division
     matrix, _ = _build_pipeline_matrix(tmp_path, capsys)
     stdout = []
     for value in ("1", amplitude):
@@ -1509,7 +1532,11 @@ def test_state_whose_norm_overflows_or_underflows_is_measured(
         captured = capsys.readouterr()
         assert code == cli.EXIT_OK and captured.err == ""
         stdout.append(captured.out)
-    assert stdout[0] == stdout[1]
+    if math.frexp(float(amplitude))[0] == 0.5:
+        assert stdout[0] == stdout[1]
+    else:
+        assert json.loads(stdout[1]) == pytest.approx(json.loads(stdout[0]),
+                                                      rel=1e-14)
 
 
 def test_energy_dist_resolvent_matches_the_solver(tmp_path, capsys):
@@ -1754,6 +1781,88 @@ def test_extreme_sos_amplitudes_are_scaled_first(tmp_path, capsys, amp):
     site0 = load_mps(out).tensors[0]
     assert np.linalg.norm(site0 / amp) == pytest.approx(math.sqrt(2),
                                                          rel=1e-14)
+
+
+FLOAT_RANGE = [5e-324, 1e-320, 1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200,
+               1e300, 1.7e308]
+READERS = ["--state", "--levels", "sos json", "mps site 0", "mps site 0 left",
+           "mps last site", "mps last site left", "--ham csv"]
+
+
+def _reader_run(tmp_path, reader, value):
+    """(input file, argv) of a command that reads ``value`` through
+    ``reader``: as every amplitude or weight of the file, as one MPS entry,
+    or in the matrix [[value, value / 2], [value / 2, 0]]."""
+    from qprep.states import MpsState, left_canonicalize, save_mps
+
+    if reader == "--state":
+        np.savetxt(tmp_path / "h.csv", [[0.3, 0.1, 0.0, 0.0],
+                                         [0.1, -0.2, 0.05, 0.0],
+                                         [0.0, 0.05, 0.1, 0.2],
+                                         [0.0, 0.0, 0.2, 0.4]], delimiter=",")
+        path = tmp_path / "state.csv"
+        path.write_text("%r\n%r\n%r\n%r\n" % (value, value, -value, value))
+        return path, ["qpe-stats", "--ham", str(tmp_path / "h.csv"),
+                      "--state", str(path), "--k", "4"]
+    if reader == "--levels":
+        path = tmp_path / "levels.csv"
+        path.write_text("0.1,%r\n0.5,%r\n" % (value, value))
+        return path, ["qpe-stats", "--levels", str(path), "--k", "4"]
+    if reader == "sos json":
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n_spin_orbitals": 4, "terms": [
+            {"re": value, "im": 0.0, "occ": "1100"},
+            {"re": value, "im": 0.0, "occ": "0011"}]}))
+        return path, ["convert", "--input", str(path), "--to", "mps",
+                      "--out", str(tmp_path / "out.npz")]
+    if reader.startswith("mps"):
+        # one determinant, 1100: digit 3 on site 0, digit 0 on site 1
+        first, last = np.zeros((1, 4, 1)), np.zeros((1, 4, 1))
+        first[0, 3, 0], last[0, 0, 0] = 1.0, 1.0
+        if "site 0" in reader:
+            first[0, 3, 0] = value
+        else:
+            last[0, 0, 0] = value
+        m = MpsState([first, last])
+        path = tmp_path / "state.npz"
+        save_mps(left_canonicalize(m) if reader.endswith("left") else m, path)
+        return path, ["convert", "--input", str(path), "--to", "sos",
+                      "--threshold", "0", "--out", str(tmp_path / "out.json")]
+    path = tmp_path / "h.csv"
+    np.savetxt(path, [[value, value / 2], [value / 2, 0.0]], delimiter=",")
+    return path, ["qpe-stats", "--ham", str(path), "--k", "4"]
+
+
+@pytest.mark.parametrize("value", FLOAT_RANGE)
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_takes_the_float_range(tmp_path, capsys, reader,
+                                            value):
+    # each reader scales by a power of two before it squares or sums, so
+    # every value runs silently, or is refused naming its file
+    outputs = []
+    for v in (1.0, value):
+        path, argv = _reader_run(tmp_path, reader, v)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.dispatch(argv)
+        captured = capsys.readouterr()
+        assert caught == [], captured.err
+        if reader == "--ham csv" and value == 1.7e308 and v == value:
+            # levels near +-2e308 are not finite after the solve
+            assert code == cli.EXIT_NUMERICAL
+            assert captured.err.startswith(f"error: {path}: ")
+            return
+        assert code == cli.EXIT_OK and captured.err == "", captured.err
+        outputs.append(json.loads(captured.out))
+    if reader.startswith("mps"):
+        terms = json.loads((tmp_path / "out.json").read_text())["terms"]
+        assert [(t["re"], t["im"], t["occ"]) for t in terms] \
+            == [(pytest.approx(value, rel=1e-15), 0.0, "1100")]
+    elif reader == "sos json":
+        assert outputs[1]["fidelity"] == pytest.approx(1.0, abs=1e-15)
+    elif reader != "--ham csv":
+        # a multiple of the state or the weights has the same measure
+        assert outputs[1] == pytest.approx(outputs[0], rel=1e-14)
 
 
 def _seeded_sos_files(tmp_path):

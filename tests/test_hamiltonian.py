@@ -412,6 +412,29 @@ def test_oversized_stored_levels_are_refused_before_any_allocation(
     assert peak < 1_000_000
 
 
+def test_oversized_stored_flip_is_refused_before_any_allocation(tmp_path):
+    import tracemalloc
+
+    # a flip of 2,000,000 basis states (32 MB) beside a 5 x 5 matrix and
+    # its blocks: neither its involution nor its orbits are checked
+    path = tmp_path / "h.npz"
+    ham.save_npz(path, {"entries": np.eye(5), "basis_labels": np.array([]),
+                        "partner": np.arange(2_000_000),
+                        "sign": np.ones(2_000_000),
+                        "even_eigenvalues": np.ones(5),
+                        "even_eigenvectors": np.eye(5),
+                        "odd_eigenvalues": np.empty(0),
+                        "odd_eigenvectors": np.empty((0, 0))})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="block shapes"):
+            ham.load_hamiltonian(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("scale", [1e170, 1e200, 1e300])
 def test_eigensystem_of_a_huge_matrix_is_accepted(scale):
     # the residual is scaled before its norm squares it

@@ -430,7 +430,7 @@ def test_mps_to_sos_matches_recursive_oracle_bit_for_bit(threshold):
     sizes = []
     for label, m in _oracle_cases():
         # weights relative to the norm, so that thresholds of 1 and more
-        # prune the root and leave nothing
+        # prune every row of site 0 and leave nothing
         scaled = MpsState([m.tensors[0] / m.norm(), *m.tensors[1:]],
                           canonical_form=m.canonical_form)
         got = mps_to_sos(scaled, threshold)
@@ -461,13 +461,24 @@ def test_mps_to_sos_keeps_the_bits_of_the_unscaled_expansion():
                                              size=int(rng.integers(0, 5)))]
         m = random_mps(rng, chis)
         m = MpsState([t * 10.0 ** rng.uniform(-20, 20) for t in m.tensors])
-        # below 1: the empty prefix, whose row is 1, is never pruned
-        threshold = min(float(rng.choice([0.0, 1e-12, 1e-3])) * m.norm() ** 2,
-                        1e-3)
+        threshold = float(rng.choice([0.0, 1e-12, 1e-3])) * m.norm() ** 2
         got = mps_to_sos(m, threshold)
         assert got.terms, trial
         assert _term_bits(got) == _term_bits(
             oracles.mps_to_sos_recursive(m, threshold)), trial
+
+
+@pytest.mark.parametrize("threshold, found", [
+    (0.5, [(10.0, "0011")]), (2.0, [(10.0, "0011")]), (99.0, [(10.0, "0011")]),
+    (100.0, [])])
+def test_mps_to_sos_prunes_by_the_rows_of_site_0(threshold, found):
+    # the empty prefix is never pruned: a norm above 1 keeps a determinant
+    # whose squared amplitude, 100, is above a threshold of 1 or more
+    first, second = np.zeros((1, 4, 1)), np.zeros((1, 4, 1))
+    first[0, 0, 0], second[0, 3, 0] = 1.0, 10.0
+    m = MpsState([first, second])
+    assert mps_to_sos(m, threshold).terms == found
+    assert oracles.mps_to_sos_recursive(m, threshold).terms == found
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])

@@ -263,6 +263,45 @@ def test_ceilings_of_logs_and_roots_are_integer_ones():
     assert not found, "float ceilings of log2 or sqrt: " + ", ".join(found)
 
 
+def frexp_uses(source):
+    """``(function, line)`` of each ``frexp`` named in ``source``, of
+    ``math`` or NumPy, called or not: the innermost function around it, or
+    None at module level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id == "frexp"
+                or isinstance(node, ast.Attribute) and node.attr == "frexp"):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_frexp_is_taken_only_by_the_one_scaling_helper():
+    # every amplitude and weight is scaled by hamiltonian._pow2_scaled;
+    # the eigen-probe of _check_blocks keeps its own 2^512 rule
+    assert frexp_uses("e = math.frexp(x)[1]\n"
+                      "def f(a):\n"
+                      "    return np.frexp(a)\n"
+                      "class C:\n"
+                      "    def g(self):\n"
+                      "        def h():\n"
+                      "            return frexp(2.0)\n"
+                      "        split = math.frexp\n") \
+        == [(None, 1), ("f", 3), ("h", 7), ("g", 8)]
+    found = sorted((path.name, where)
+                   for path in (ROOT / "src" / "qprep").glob("*.py")
+                   for where, _ in frexp_uses(
+                       path.read_text(encoding="utf-8")))
+    assert found == [("hamiltonian.py", "_check_blocks"),
+                     ("hamiltonian.py", "_pow2_scaled")]
+
+
 def test_side_branch_modules_import_without_scipy():
     # loading every module, commands that need none of it included, pulls
     # in no scipy module
