@@ -517,8 +517,11 @@ def h6_protocol_report(fcidump_text):
         raise ValueError("expected a six-orbital integral file, got %d"
                          % fd.n_orb)
     ci = build_ci_matrix(fd, 3, 3)
-    eigenvalues, vectors = ci.eigensystem()
-    ground = vectors[:, 0]
+    blocks = ci.eigensystem()
+    eigenvalues, at = blocks.levels()
+    # V e_j for the lowest level j (e_j the one row of eye(1, n, j)), with
+    # no n x n array made
+    ground = blocks.apply(np.eye(1, ci.dim, at[0])[0])
     order = np.argsort(-np.abs(ground))
     lead, second, third = (ground[order[0]], ground[order[1]],
                            ground[order[2]])

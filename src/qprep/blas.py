@@ -16,14 +16,13 @@ them again at the width then set.  Without that symbol it is a no-op.
 Policy: a CLI command runs inside :func:`command`, on one thread, and only
 the blocks that gain from more threads widen the pool to the command's
 full width with :func:`full_pool`, which parks the workers when it ends.
-Two independent jobs of one command use that width another way:
-:func:`side_by_side` runs them at the same time, each on one BLAS thread,
-one of them on a helper thread, and never widens the pool.  Its one caller
-is the pair of spin-flip blocks of an eigensolve.  A ``--ham`` archive's
-CRC-32s also run on a helper thread at a full width of 2 or more
-(``hamiltonian._crcs_beside``), beside the load's checks, the
-``--state`` read and the measure; that helper runs ``zlib`` only and makes
-no BLAS call, so it reads :func:`full_width` and nothing else here.
+A job that can run beside the caller's work uses that width another way:
+:func:`beside` runs it on a helper thread at a full width of 2 or more,
+and never widens the pool, so the job and the caller each run on one BLAS
+thread.  Its callers are the odd block of a spin-flip eigensolve, beside
+the even block, and a ``--ham`` archive's CRC-32s, beside the load's
+checks, the ``--state`` read and the measure (that job runs ``zlib`` only
+and makes no BLAS call).
 ``cli.main`` parks the workers once before its command, so a cold process
 does not pay for the spin the library's load starts.  Once a process has
 parked, every width change made here is followed by another park, since
@@ -31,8 +30,8 @@ setting a width restarts the workers; a process that never widened never
 parks.  Outside a command the width is left as found.  The width and the
 workers belong to the whole process, so commands must not run
 concurrently from several Python threads, and no other thread may make
-BLAS calls while a command runs, but for the helper of
-:func:`side_by_side`, which the command joins before it goes on.
+BLAS calls while a command runs, but for the helper of :func:`beside`,
+which the command waits for before it goes on.
 """
 
 import contextlib
@@ -163,35 +162,35 @@ def full_pool():
             park()
 
 
-def side_by_side(solve, first, second):
-    """``(solve(first), solve(second))``.
+def beside(job):
+    """Start ``job()`` and return the call that waits for it, then returns
+    its value or raises its exception.
 
-    Inside a command whose full width is 2 or more the two calls run at the
-    same time, each on one BLAS thread: ``second`` on a helper thread,
-    ``first`` on the caller's, which joins the helper before it returns or
-    raises.  If ``first`` raised, that exception is raised (the helper's,
-    if any, is dropped); else the helper's, if it raised.  Inside any other
-    command they run one after the other on one thread, ``first`` first;
-    outside a command, one after the other at the width as found.  Either
-    way an exception of ``first`` is the one that ``side_by_side`` raises.
+    Inside a command whose full width is 2 or more the job runs on a helper
+    thread, started here, and the caller must call the returned wait before
+    it goes on, also when it raises itself, so that no helper outlives the
+    command.  Inside any other command, and outside one, the job runs here,
+    before this returns, and its exception is raised here.
     """
     full = full_width()
     if full is None or full < 2:
-        return solve(first), solve(second)
+        value = job()
+        return lambda: value
     done = {}
 
     def helper():
         try:
-            done["value"] = solve(second)
-        except BaseException as exc:   # re-raised by the caller
+            done["value"] = job()
+        except BaseException as exc:   # raised by the waiting caller
             done["error"] = exc
 
-    thread = threading.Thread(target=helper, name="qprep-side-by-side")
+    thread = threading.Thread(target=helper, name="qprep-beside")
     thread.start()
-    try:
-        own = solve(first)
-    finally:
+
+    def wait():
         thread.join()
-    if "error" in done:
-        raise done["error"]
-    return own, done["value"]
+        if "error" in done:
+            raise done["error"]
+        return done["value"]
+
+    return wait

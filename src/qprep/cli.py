@@ -80,8 +80,8 @@ def _in_range(conv, lo, hi=math.inf, open_lo=False, open_hi=False):
         if not ((lo < value if open_lo else lo <= value)
                 and (value < hi if open_hi else value <= hi)):
             raise argparse.ArgumentTypeError(
-                f"{text!r} must be a {conv.__name__} in "
-                f"{'(' if open_lo else '['}{lo}, "
+                f"{text!r} must be {'an int' if conv is int else 'a float'}"
+                f" in {'(' if open_lo else '['}{lo}, "
                 f"{hi}{')' if open_hi else ']'}")
         return value
     return parse

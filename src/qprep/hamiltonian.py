@@ -24,7 +24,6 @@ import math
 import mmap
 import os
 import struct
-import threading
 import warnings
 import zipfile
 import zlib
@@ -65,7 +64,7 @@ _TILE = 128                # tile edge of the Hermiticity pass
 _EIGH_PARALLEL_MIN = 320
 # Order of the smaller spin-flip block from which a command at full width 2
 # or more solves the two blocks side by side, one BLAS thread each
-# (blas.side_by_side).  On the same box, one after the other against side
+# (blas.beside).  On the same box, one after the other against side
 # by side: 9.3 vs 5.4 ms at order 200 and 44 vs 24 ms at 400 with both
 # cores free; with the host holding one core the pair lost up to 13 % below
 # order 250 and broke even at 400.  Below 200 a pair saves about 1 ms.
@@ -311,7 +310,7 @@ class DenseHamiltonian:
     def dim(self):
         return self.entries.shape[0]
 
-    def flip_blocks(self):
+    def eigensystem(self):
         """The eigensystem as a :class:`FlipBlocks`, solved on first use,
         unless it was handed in.
 
@@ -320,15 +319,14 @@ class DenseHamiltonian:
         :func:`_flip_blocked_eigh`) it is solved as P's even and odd block,
         one ``eigh`` each, on one BLAS thread each; inside a CLI command
         with a full width of 2 or more, blocks of order ``_EIGH_PAIR_MIN``
-        and up are solved at the same time (see
-        :func:`qprep.blas.side_by_side`).  Any other matrix (a load without
-        a stored eigensystem, or one made by hand) is solved by one ``eigh``
-        of ``entries``, on the command's full pool from order
-        ``_EIGH_PARALLEL_MIN``, and held as one block of the identity flip
-        (:meth:`FlipBlocks.one_block`).  Outside a command every solve runs
-        at the BLAS width as found.  A solve whose levels or vectors are not
-        all finite (levels beyond the float range, from entries near it) is
-        refused with ``LinAlgError``.
+        and up are solved at the same time (see :func:`qprep.blas.beside`).
+        Any other matrix (a load without a stored eigensystem, or one made
+        by hand) is solved by one ``eigh`` of ``entries``, on the command's
+        full pool from order ``_EIGH_PARALLEL_MIN``, and held as one block
+        of the identity flip (:meth:`FlipBlocks.one_block`).  Outside a
+        command every solve runs at the BLAS width as found.  A solve whose
+        levels or vectors are not all finite (levels beyond the float
+        range, from entries near it) is refused with ``LinAlgError``.
         """
         if self.blocks is None:
             blocks = None if self._flip is None else _flip_blocked_eigh(
@@ -341,14 +339,6 @@ class DenseHamiltonian:
                     "solved levels or eigenvectors are not finite")
             self.blocks = blocks
         return self.blocks
-
-    def eigensystem(self):
-        """Ascending eigenvalues and the matching eigenvector columns,
-        :meth:`FlipBlocks.dense` of :meth:`flip_blocks`: one block's own
-        read-only arrays, the same objects on every call, or a spin-flip
-        sector's columns, assembled anew on each call (the measure and the
-        archive use the blocks)."""
-        return self.flip_blocks().dense()
 
 
 def _eigh(matrix):
@@ -488,37 +478,11 @@ class FlipBlocks:
                                           * root)
         return out
 
-    def dense(self):
-        """The ascending levels and the n x n eigenvector columns U V of
-        the blocks, in the order of :meth:`levels`: for one block (U = I),
-        the block's own arrays."""
-        (even_vals, even_vecs), (odd_vals, odd_vecs) = self.even, self.odd
-        a, b, s, lo, hi = self._a, self._b, self._s, self._lo, self._hi
-        n = self.dim
-        if lo == n:
-            return self.even
-        # x = U y: e_a takes y for a fixed point and y / sqrt 2 for a pair,
-        # whose partner e_b takes parity s y / sqrt 2.  Each row group is
-        # one row-indexed write, with the even levels in the leading and
-        # the odd levels in the trailing columns; the columns then go into
-        # level order a tile of rows at a time.
-        evecs = np.empty((n, n), dtype=np.result_type(even_vecs, odd_vecs))
-        evecs[a[:lo], :hi] = even_vecs[:lo]
-        evecs[a[:lo], hi:] = 0.0
-        evecs[a[hi:], :hi] = 0.0
-        evecs[a[hi:], hi:] = odd_vecs[hi - lo:]
-        for parity, pair, cols in ((1.0, even_vecs[lo:hi], slice(0, hi)),
-                                   (-1.0, odd_vecs[:hi - lo], slice(hi, n))):
-            evecs[a[lo:hi], cols] = pair * math.sqrt(0.5)
-            evecs[b[lo:hi], cols] = pair \
-                * (parity * math.sqrt(0.5) * s[lo:hi])[:, None]
-        levels, order = self.levels()
-        tile = np.empty((_TILE, n), dtype=evecs.dtype)
-        for r in range(0, n, _TILE):
-            band = evecs[r:r + _TILE]
-            band[...] = np.take(band, order, axis=1, out=tile[:len(band)],
-                                mode="clip")
-        return levels, evecs
+    def apply(self, y):
+        """V y = U diag(V_even, V_odd) y, for y in the blocks' level order,
+        even then odd (the concatenation that :meth:`levels` sorts)."""
+        hi = len(self.even[0])
+        return self.lift(self.even[1] @ y[:hi], self.odd[1] @ y[hi:])
 
 
 def _orbits(partner, sign):
@@ -541,9 +505,7 @@ def _flip_blocked_eigh(entries, flip, size):
 
     The even and odd block of U^T H U (U the orbit vectors of
     :class:`FlipBlocks`) are gathered from four quadrants of ``entries``
-    and solved by one ``eigh`` each; it stops there, and only
-    :meth:`FlipBlocks.dense` makes the n x n eigenvector columns, for a
-    caller of :meth:`DenseHamiltonian.eigensystem`.
+    and solved by one ``eigh`` each; no n x n eigenvector array is made.
     """
     partner, sign = flip
     a, lo, hi = _orbits(partner, sign)
@@ -586,10 +548,16 @@ def _flip_blocked_eigh(entries, flip, size):
         block[:, own] *= math.sqrt(0.5)
     # never on the widened pool: inside a command each block solves on
     # one BLAS thread, so the bytes do not depend on the command's width
-    if min(hi, m - lo) >= _EIGH_PAIR_MIN:
-        solved = blas.side_by_side(np.linalg.eigh, even, odd)
-    else:
+    if min(hi, m - lo) < _EIGH_PAIR_MIN:
         solved = np.linalg.eigh(even), np.linalg.eigh(odd)
+    else:
+        # the odd block beside, the even one here; waited for either way
+        wait = blas.beside(lambda: np.linalg.eigh(odd))
+        try:
+            even_solved = np.linalg.eigh(even)
+        finally:
+            odd_solved = wait()
+        solved = even_solved, odd_solved
     del work, h_aa, even, odd, block
     return FlipBlocks(partner, sign, *solved)
 
@@ -665,16 +633,10 @@ def _check_blocks(entries, blocks, size):
     if blocks.dim != n:
         raise ValueError("a flip of %d basis states does not fit a %d x %d "
                          "matrix" % (blocks.dim, n, n))
-    (even_vals, even_vecs), (odd_vals, odd_vecs) = blocks.even, blocks.odd
-    levels, vectors = (even_vals, odd_vals), (even_vecs, odd_vecs)
-    hi = len(even_vals)
-
-    def apply(y):
-        return blocks.lift(even_vecs @ y[:hi], odd_vecs @ y[hi:])
-
+    levels, vectors = zip(blocks.even, blocks.odd)
     x = np.random.default_rng(0).standard_normal(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        vx = apply(x)
+        vx = blocks.apply(x)
     if not (all(np.all(np.isfinite(e)) for e in levels)
             and (np.all(np.isfinite(vx))
                  or all(np.all(np.isfinite(v)) for v in vectors))):
@@ -691,7 +653,7 @@ def _check_blocks(entries, blocks, size):
     # scaled back before the norm squares it; a mismatching eigensystem may
     # still overflow, and is refused below without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        pair = entries @ (vx * c) - apply(evals * (x * c))
+        pair = entries @ (vx * c) - blocks.apply(evals * (x * c))
         pair_res = np.linalg.norm(pair / (scale * c)) / norm_x
         back = np.concatenate([_adjoint(v) @ part for v, part
                                in zip(vectors, blocks.project(vx))])
@@ -913,7 +875,7 @@ def save_hamiltonian(h, path):
     """Write the matrix to ``path``: CSV if it ends in .csv, else an npz
     holding the labels and the eigensystem too (solved here unless ``h``
     has it already), so loaders skip their own eigensolve: the members of
-    :meth:`FlipBlocks.members` of :meth:`DenseHamiltonian.flip_blocks`, so
+    :meth:`FlipBlocks.members` of :meth:`DenseHamiltonian.eigensystem`, so
     a sector held as spin-flip blocks is written in the block layout and
     one block in the dense one, ``eigenvalues`` and ``eigenvectors``."""
     if str(path).endswith(".csv"):
@@ -921,7 +883,7 @@ def save_hamiltonian(h, path):
         return
     labels = np.array(h.basis_labels if h.basis_labels is not None else [])
     arrays = {"entries": h.entries, "basis_labels": labels}
-    arrays.update(h.flip_blocks().members())
+    arrays.update(h.eigensystem().members())
     save_npz(path, arrays)
 
 
@@ -1152,8 +1114,9 @@ def _load_beside_crcs(path):
     does nothing).
 
     Once every member fits its header, the CRC-32s run on a helper thread
-    inside a command of full width 2 or more (see :func:`_crcs_beside`),
-    beside the checks made here and whatever the caller does before
+    inside a command of full width 2 or more (see :func:`qprep.blas.beside`;
+    ``zlib.crc32`` releases the GIL and makes no BLAS call), beside the
+    checks made here and whatever the caller does before
     ``crcs_passed()`` (``cli`` reads the ``--state`` and takes the
     measure); in any other case they run first.  A refusal of the checks
     made here is raised only after the CRC-32s pass, so either way a bad
@@ -1165,44 +1128,12 @@ def _load_beside_crcs(path):
             entries = np.ascontiguousarray(entries.real)
         return DenseHamiltonian(entries), lambda: None
     members = _npz_members(path)
-    crcs_passed = _crcs_beside(members)
+    crcs_passed = blas.beside(lambda: _check_crcs(members))
     try:
         return _hamiltonian_of(members), crcs_passed
     except BaseException:
         crcs_passed()
         raise
-
-
-def _crcs_beside(members):
-    """Start checking the CRC-32s of :func:`_npz_members`' ``members`` and
-    return the call that waits for them and raises a bad one.
-
-    Inside a command whose full width is 2 or more they run on a helper
-    thread, which makes no BLAS call (``zlib.crc32`` releases the GIL), so
-    the pool's width stays the command's business; in any other command,
-    and outside one, they run here, before this returns.
-    """
-    full = blas.full_width()
-    if full is None or full < 2:
-        _check_crcs(members)
-        return lambda: None
-    failed = []
-
-    def check():
-        try:
-            _check_crcs(members)
-        except BaseException as exc:   # raised by the waiting caller
-            failed.append(exc)
-
-    thread = threading.Thread(target=check, name="qprep-crc32")
-    thread.start()
-
-    def crcs_passed():
-        thread.join()
-        if failed:
-            raise failed[0]
-
-    return crcs_passed
 
 
 def _hamiltonian_of(members):

@@ -131,12 +131,12 @@ def exact_spectral_measure(h, psi):
     taken, an exact division, so the measure keeps its bits where the
     unscaled squares stay in the normal range, and amplitudes from either
     end of the float range give it too.  The weights are taken block by
-    block (:meth:`~qprep.hamiltonian.DenseHamiltonian.flip_blocks`):
+    block (:meth:`~qprep.hamiltonian.DenseHamiltonian.eigensystem`):
     psi goes onto the orbit basis, split into its even and odd part psi_+-,
     and the weights are |V_+-^H psi_+-|^2, so a spin-flip sector makes no
     n x n eigenvector array.  One block (U = I) gives |V^H psi|^2.
     """
-    blocks = h.flip_blocks()
+    blocks = h.eigensystem()
     evals, order = blocks.levels()
     normalizer = spectrum_normalizer(evals[0], evals[-1])
     evals = normalizer.apply(evals)

@@ -996,7 +996,9 @@ def spin_flip_of_labels(labels):
 def flip_blocked_eigh_quadrants(entries, labels):
     """The spin-flip blocked ``eigh`` as four ``np.ix_`` quadrant gathers of
     the full matrix and four ``np.ix_`` scatters of the block vectors into
-    a zeroed n x n array: the same block matrices, so the same bytes, as
+    a zeroed n x n array: ``(levels, columns, (even, odd))``, the ascending
+    levels, the n x n eigenvector columns in their order and each block's
+    ``eigh``, of the same block matrices, so of the same bytes, as
     ``hamiltonian._flip_blocked_eigh`` (None where it takes one block).
     The flip comes from the labels, by :func:`spin_flip_of_labels`."""
     from qprep.hamiltonian import HERMITICITY_TOL
@@ -1044,4 +1046,4 @@ def flip_blocked_eigh_quadrants(entries, labels):
             vecs * (math.sqrt(0.5) / scale[rows])[:, None]
         evecs[np.ix_(b[lo:hi], cols)] = vecs[lo - first:hi - first] \
             * (parity * math.sqrt(0.5) * s[lo:hi])[:, None]
-    return levels[order], evecs
+    return levels[order], evecs, tuple(pair[2:] for pair in solved)

@@ -189,28 +189,31 @@ def test_ham_crcs_run_beside_the_measure_only_from_width_2(
     assert ("measure", main) in events
     crc_threads = {name for event, name in events if event != "measure"}
     if beside:
-        assert crc_threads == {"qprep-crc32"}
+        assert crc_threads == {"qprep-beside"}
     else:
         # one thread, CRC-32s first
         assert crc_threads == {main}
         assert [event for event, _ in events] == ["crcs", "crcs passed",
                                                   "measure"]
     # the helper was joined, after it checked every member
-    assert ("crcs passed", "qprep-crc32" if beside else main) in events
-    assert not any(t.name == "qprep-crc32" for t in threading.enumerate())
+    assert ("crcs passed", "qprep-beside" if beside else main) in events
+    assert not any(t.name == "qprep-beside" for t in threading.enumerate())
 
 
 @needs_openblas
-@pytest.mark.parametrize("who", [
-    pytest.param("helper", marks=needs_two_cpus), "caller"])
+@pytest.mark.parametrize("who, raised", [
+    pytest.param("helper", 378, marks=needs_two_cpus), ("caller", 406),
+    pytest.param("both", 378, marks=needs_two_cpus)])
 def test_a_failed_block_solve_exits_3_and_leaves_no_thread(
-        tmp_path, capsys, monkeypatch, who):
+        tmp_path, capsys, monkeypatch, who, raised):
     solve = np.linalg.eigh
     main = threading.get_ident()
 
     def failing(a, *args, **kwargs):
-        if (threading.get_ident() == main) == (who == "caller"):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        if who == "both" or (threading.get_ident() == main) == (
+                who == "caller"):
+            raise np.linalg.LinAlgError("order %d did not converge"
+                                        % len(a))
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
@@ -221,58 +224,64 @@ def test_a_failed_block_solve_exits_3_and_leaves_no_thread(
                                    "--threads", "2"))
         assert blas.width() == 2
     assert code == cli.EXIT_NUMERICAL
-    assert "did not converge" in capsys.readouterr().err
+    # the odd block's (order 378) solves on the helper, and its refusal
+    # is the one raised when both fail
+    assert "order %d did not converge" % raised in capsys.readouterr().err
     assert threading.active_count() == before
     assert not (tmp_path / "h.npz").exists()
 
 
 @needs_two_cpus
-@pytest.mark.parametrize("fails, raised", [
-    ("caller", "caller"), ("helper", "helper"), ("both", "caller")])
-def test_side_by_side_joins_its_helper_before_anything_is_raised(fails,
-                                                                 raised):
+@pytest.mark.parametrize("fails", [False, True])
+def test_beside_runs_its_job_on_a_helper_from_width_2(fails):
     main = threading.get_ident()
     ran = []
 
-    def solve(who):
-        assert (threading.get_ident() == main) == (who == "caller")
-        if who == "helper":
-            # finishes well after the caller: a raise before the join
-            # would leave it out of ran
-            time.sleep(0.1)
-        ran.append(who)
-        if fails in (who, "both"):
-            raise ValueError(who)
-        return who
+    def job():
+        assert threading.get_ident() != main
+        # finishes well after beside returns: the wait must join it
+        time.sleep(0.1)
+        ran.append("job")
+        if fails:
+            raise ValueError("job")
+        return "value"
 
     before = threading.active_count()
-    with blas.command(2), pytest.raises(ValueError) as info:
-        blas.side_by_side(solve, "caller", "helper")
-    assert str(info.value) == raised
-    assert sorted(ran) == ["caller", "helper"]
+    with blas.command(2):
+        wait = blas.beside(job)
+        assert ran == []
+        if fails:
+            with pytest.raises(ValueError, match="job"):
+                wait()
+        else:
+            assert wait() == "value"
+    assert ran == ["job"]
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("threads", [1, None])
-@pytest.mark.parametrize("fails", ["first", "second", "both"])
-def test_side_by_side_on_one_thread_stops_at_the_first_error(threads,
-                                                             fails):
+@pytest.mark.parametrize("fails", [False, True])
+def test_beside_on_one_thread_runs_its_job_at_once(threads, fails):
     main = threading.get_ident()
     ran = []
 
-    def solve(which):
+    def job():
         assert threading.get_ident() == main
-        ran.append(which)
-        if fails in (which, "both"):
-            raise ValueError(which)
+        ran.append("job")
+        if fails:
+            raise ValueError("job")
+        return "value"
 
     # --threads 1, and outside a command
-    with (blas.command(threads) if threads else blas.limit(None)), \
-            pytest.raises(ValueError) as info:
-        blas.side_by_side(solve, "first", "second")
-    expected = "second" if fails == "second" else "first"
-    assert str(info.value) == expected
-    assert ran == ["first", "second"][:2 if fails == "second" else 1]
+    with blas.command(threads) if threads else blas.limit(None):
+        if fails:
+            with pytest.raises(ValueError, match="job"):
+                blas.beside(job)
+        else:
+            wait = blas.beside(job)
+            assert ran == ["job"]
+            assert wait() == "value"
+    assert ran == ["job"]
 
 
 @needs_openblas
@@ -302,12 +311,13 @@ def test_outside_a_command_eigh_keeps_the_width_it_finds(eigh_calls):
             hamiltonian.DenseHamiltonian(a + a.T).eigensystem()
             with blas.full_pool():
                 assert blas.width() == found
-            # the two flip blocks, one after the other on this thread
+            # the two flip blocks, one after the other on this thread,
+            # the odd one first
             hamiltonian.build_ci_matrix(_integrals(8), 2, 2).eigensystem()
-            assert blas.side_by_side(len, "ab", "c") == (2, 1)
+            assert blas.beside(lambda: "job")() == "job"
     assert [tuple(c[:3]) for c in eigh_calls] \
         == [(order, found, threading.get_ident()) for found in (1, 2)
-            for order in (n, 406, 378)]
+            for order in (n, 378, 406)]
     assert not _overlap(*eigh_calls[1:3]) and not _overlap(*eigh_calls[4:])
 
 

@@ -285,7 +285,7 @@ def test_degree_above_the_cap_is_refused_before_the_filter_is_built(
     finally:
         tracemalloc.stop()
     assert code == cli.EXIT_USAGE
-    assert "'40000' must be a int in [2, 4096]" in capsys.readouterr().err
+    assert "'40000' must be an int in [2, 4096]" in capsys.readouterr().err
     assert peak < 10_000_000
 
 
@@ -828,6 +828,41 @@ def test_balanced_archive_without_eigensystem_is_one_block(tmp_path, capsys,
         eigensolves.clear()
         assert cli.dispatch(argv) == cli.EXIT_OK, argv
         assert eigensolves == ["eigh"] and eigensolves.dims == [36], argv
+
+
+def test_every_eigensolve_runs_inside_the_eigensystem_span(tmp_path, capsys,
+                                                           monkeypatch):
+    # a profiler that times DenseHamiltonian.eigensystem by setting a
+    # wrapper on the class sees the build's block solves and the one-block
+    # solve of a --ham archive that stores no eigensystem
+    from qprep.hamiltonian import DenseHamiltonian
+
+    depth, inside = [0], []
+    eigensystem, eigh = DenseHamiltonian.eigensystem, np.linalg.eigh
+
+    def span(self):
+        depth[0] += 1
+        try:
+            return eigensystem(self)
+        finally:
+            depth[0] -= 1
+
+    def spy(a, *args, **kwargs):
+        inside.append(depth[0] > 0)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(DenseHamiltonian, "eigensystem", span)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    matrix, state = _build_pipeline_matrix(tmp_path, capsys, 2, 2)
+    old = tmp_path / "old.npz"
+    with np.load(matrix) as data:
+        np.savez(old, entries=data["entries"],
+                 basis_labels=data["basis_labels"])
+    assert cli.dispatch(["qpe-stats", "--ham", str(old), "--state",
+                         str(state), "--k", "8"]) == cli.EXIT_OK
+    capsys.readouterr()
+    # two flip blocks at the build, one block at the measure
+    assert inside == [True] * 3
     capsys.readouterr()
 
 
@@ -1325,8 +1360,6 @@ def test_bad_crc_of_a_block_layout_archive_is_the_refusal_reported(
     ("both layouts", "both a dense and a block eigensystem")])
 def test_damaged_block_layout_is_refused_naming_the_file(tmp_path, capsys,
                                                          mutation, reason):
-    from qprep.hamiltonian import load_hamiltonian
-
     # the (2,2) sector of 4 orbitals: 6 even fixed points and 15 pairs,
     # blocks of order 21 and 15
     matrix, state = _build_pipeline_matrix(tmp_path, capsys, 2, 2)
@@ -1354,8 +1387,8 @@ def test_damaged_block_layout_is_refused_naming_the_file(tmp_path, capsys,
         arrays["entries"] = arrays["entries"] + np.diag(
             np.linspace(0.0, 1e-3, len(partner)))
     else:
-        dense = load_hamiltonian(matrix)
-        arrays["eigenvalues"], arrays["eigenvectors"] = dense.eigensystem()
+        arrays["eigenvalues"], arrays["eigenvectors"] = np.linalg.eigh(
+            arrays["entries"])
     bad = tmp_path / "bad.npz"
     np.savez(bad, **arrays)
     _refused_naming(capsys, bad, ["goldilocks", "--ham", str(bad), "--et",
@@ -2052,7 +2085,7 @@ def test_h6_and_config_refusals_name_their_file_once(tmp_path, capsys,
             (b"gaussian = 0.06\n", "config key 'gaussian' needs 2 values"),
             (b"gaussian = 0.06 -0.01\n",
              "argument --gaussian: sigma -0.01 must be > 0"),
-            (b"k = 0\n", "argument --k: '0' must be a int in [1, inf]"),
+            (b"k = 0\n", "argument --k: '0' must be an int in [1, inf]"),
             (b"k = \xff\n", "'utf-8' codec can't decode byte 0xff in "
                             "position 4: invalid start byte")):
         cfg.write_bytes(text)
@@ -2085,3 +2118,7 @@ def test_reproduce_all_checks_and_h6_protocol(tmp_path, capsys,
     protocol = json.loads(captured.out)
     assert protocol["correlation_lowers_energy"] is True
     assert protocol["dominant_weight"] > 0.5
+    # recorded when the ground vector was a column of the dense
+    # eigenvectors, before it came from the blocks' orbit transform
+    assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] \
+        == "aa43214bb1f3ab5f"

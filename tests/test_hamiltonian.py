@@ -314,10 +314,9 @@ def test_eigensystem_runs_one_eigh_per_object(eigensolves):
     a = np.random.default_rng(8).normal(size=(6, 6))
     dense = ham.DenseHamiltonian(a + a.T)
     first = dense.eigensystem()
-    second = dense.eigensystem()
+    assert dense.eigensystem() is first
     assert eigensolves == ["eigh"]
-    assert first[0] is second[0] and first[1] is second[1]
-    assert not first[0].flags.writeable and not first[1].flags.writeable
+    assert not any(x.flags.writeable for x in (*first.even, *first.odd))
     ham.DenseHamiltonian(a + a.T).eigensystem()
     assert eigensolves == ["eigh", "eigh"]
 
@@ -326,7 +325,7 @@ def test_saved_eigensystem_is_reused_and_old_files_still_load(tmp_path,
                                                               eigensolves):
     dense = ham.build_ci_matrix(_random_fcidump(np.random.default_rng(9), 3),
                                 1, 1)
-    evals, evecs = dense.eigensystem()
+    blocks = dense.eigensystem()
     new, old = tmp_path / "new.npz", tmp_path / "old.npz"
     ham.save_hamiltonian(dense, new)
     with np.load(new) as data:
@@ -336,21 +335,22 @@ def test_saved_eigensystem_is_reused_and_old_files_still_load(tmp_path,
         np.savez(old, entries=data["entries"],
                  basis_labels=data["basis_labels"])
     eigensolves.clear()
-    back = ham.load_hamiltonian(new)
-    assert np.array_equal(back.eigensystem()[0], evals)
-    assert np.array_equal(back.eigensystem()[1], evecs)
+    back = ham.load_hamiltonian(new).eigensystem()
+    for x, y in ((back.partner, blocks.partner), (back.sign, blocks.sign),
+                 *zip(back.even + back.odd, blocks.even + blocks.odd)):
+        assert x.tobytes() == y.tobytes()
     assert eigensolves == []
     legacy = ham.load_hamiltonian(old)
     assert legacy.blocks is None
     # only the build knows the spin flip: the (1,1) sector that it solved
     # as two blocks loads as one
-    legacy_vals, legacy_vecs = legacy.eigensystem()
+    legacy_vals, legacy_vecs = legacy.eigensystem().even
     assert eigensolves == ["eigh"] and eigensolves.dims == [9]
     eigensolves.clear()
     ref_vals, ref_vecs = np.linalg.eigh(legacy.entries)
     assert np.array_equal(legacy_vals, ref_vals)
     assert np.array_equal(legacy_vecs, ref_vecs)
-    assert np.max(np.abs(legacy_vals - evals)) <= 1e-12 * max(
+    assert np.max(np.abs(legacy_vals - blocks.levels()[0])) <= 1e-12 * max(
         1.0, np.max(np.abs(legacy.entries)))
 
 
@@ -364,7 +364,7 @@ def _supplied_forms():
     # odd one of order 15
     balanced = ham.build_ci_matrix(
         _eightfold_fcidump(np.random.default_rng(700), 4), 2, 2)
-    blocks = balanced.flip_blocks()
+    blocks = balanced.eigensystem()
     return {
         "one block": (a, np.linalg.eigh(a), ham.FlipBlocks.one_block),
         "spin-flip blocks": (
@@ -440,7 +440,7 @@ def test_eigensystem_of_a_huge_matrix_is_accepted(scale):
     # the residual is scaled before its norm squares it
     a = np.random.default_rng(11).normal(size=(50, 50))
     a = (a + a.T) * scale
-    evals, evecs = ham.DenseHamiltonian(a).eigensystem()
+    evals, evecs = ham.DenseHamiltonian(a).eigensystem().even
     ham.DenseHamiltonian(a, None, ham.FlipBlocks.one_block(evals, evecs))
     if scale == 1e200:
         swapped = evecs[:, [1, 0, *range(2, 50)]]
@@ -453,7 +453,7 @@ def test_eigensystem_whose_products_overflow_unscaled_is_accepted():
     # levels about +-1.5e308: H(Vx) and Lx overflow for an unscaled x
     a = np.random.default_rng(0).normal(size=(50, 50))
     a = (a + a.T) * 0.8e307
-    evals, evecs = ham.DenseHamiltonian(a).eigensystem()
+    evals, evecs = ham.DenseHamiltonian(a).eigensystem().even
     ham.DenseHamiltonian(a, None, ham.FlipBlocks.one_block(evals, evecs))
     swapped = evecs[:, [1, 0, *range(2, 50)]]
     with pytest.raises(ValueError, match="does not match"):
@@ -467,7 +467,7 @@ def test_eigen_probe_reports_the_unscaled_residuals(
     a = np.random.default_rng(12).normal(size=(40, 40))
     a = (a + a.T) * scale
     size = np.max(np.abs(a))
-    evals, evecs = ham.DenseHamiltonian(a).eigensystem()
+    evals, evecs = ham.DenseHamiltonian(a).eigensystem().even
     x = np.random.default_rng(0).standard_normal(40)
     pair = np.linalg.norm((a @ (evecs @ x) - evecs @ (evals * x))
                           / max(1.0, size)) / np.linalg.norm(x)
@@ -491,7 +491,7 @@ def test_solved_levels_beyond_the_float_range_are_refused():
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             ham.DenseHamiltonian((a + a.T) * 1e307).eigensystem()
         evals, evecs = ham.DenseHamiltonian((a + a.T) / 2 * 1e307) \
-            .eigensystem()
+            .eigensystem().even
     assert np.isfinite(evals).all() and np.isfinite(evecs).all()
 
 
@@ -518,7 +518,7 @@ def test_integral_bound_holds_and_is_the_refusal_edge(n_orb, n_alpha,
     bound = _entry_bound(fd, n_alpha, n_beta)
     h = ham.build_ci_matrix(fd, n_alpha, n_beta)
     assert np.abs(h.entries).max() <= bound
-    assert np.abs(h.eigensystem()[0]).max() <= h.dim * bound
+    assert np.abs(h.eigensystem().levels()[0]).max() <= h.dim * bound
     # scaled to just below and just above the edge 2 dim bound = max float
     edge = np.finfo(float).max / (2 * h.dim * bound)
     for factor, fits in ((0.99, True), (1.01, False)):
@@ -528,7 +528,7 @@ def test_integral_bound_holds_and_is_the_refusal_edge(n_orb, n_alpha,
             warnings.simplefilter("error")
             if fits:
                 evals = ham.build_ci_matrix(big, n_alpha, n_beta) \
-                    .eigensystem()[0]
+                    .eigensystem().levels()[0]
                 assert np.isfinite(evals).all()
             else:
                 with pytest.raises(ValueError, match="integrals too large"):
@@ -560,7 +560,7 @@ _INVARIANT_FCIDUMP = _eightfold_fcidump(np.random.default_rng(800), 8)
 def _sector_levels(fd, n_alpha, n_beta):
     """The sector's levels; a balanced sector's come from its two flip
     blocks, with no dense eigenvectors made."""
-    return ham.build_ci_matrix(fd, n_alpha, n_beta).flip_blocks().levels()[0]
+    return ham.build_ci_matrix(fd, n_alpha, n_beta).eigensystem().levels()[0]
 
 
 def _level_tol(*levels):
@@ -673,7 +673,8 @@ def test_blocked_eigensolve_matches_dense_eigh(n_orb, n_el, eigensolves):
     rng = np.random.default_rng(600 + 10 * n_orb + n_el)
     dense = ham.build_ci_matrix(_eightfold_fcidump(rng, n_orb), n_el, n_el)
     h = dense.entries
-    evals, evecs = dense.eigensystem()
+    blocks = dense.eigensystem()
+    evals = blocks.levels()[0]
     # orbits: d fixed points of sign (-1)^n_el, (d^2 - d) / 2 pairs
     d = math.comb(n_orb, n_el)
     pairs, even_fixed = (d * d - d) // 2, d * (n_el % 2 == 0)
@@ -685,8 +686,7 @@ def test_blocked_eigensolve_matches_dense_eigh(n_orb, n_el, eigensolves):
     ref_vals, ref_vecs = np.linalg.eigh(h)
     size = max(1.0, np.max(np.abs(h)))
     assert np.max(np.abs(evals - ref_vals)) <= 1e-12 * size
-    ham._check_blocks(h, ham.FlipBlocks.one_block(evals, evecs),
-                      np.max(np.abs(h)))
+    ham._check_blocks(h, blocks, np.max(np.abs(h)))
     psi = rng.normal(size=dense.dim) + 1j * rng.normal(size=dense.dim)
     measure = exact_spectral_measure(dense, psi)
     ref = np.abs(ref_vecs.T @ (psi / np.linalg.norm(psi))) ** 2
@@ -707,12 +707,14 @@ def test_block_measure_matches_the_dense_columns(n_orb):
         # one block of the identity flip has an empty odd block
         blocked = dense.blocks.odd[0].size > 0
         assert blocked == (dense.dim > 1), (n_orb, n_el)
-        # the dense columns, assembled only now, give the route the
-        # blocks replace
-        evals, evecs = dense.eigensystem()
+        # the oracle's dense columns give the route the blocks replace
+        h = dense.entries
+        quadrants = oracles.flip_blocked_eigh_quadrants(h,
+                                                        dense.basis_labels)
+        evecs = np.linalg.eigh(h)[1] if quadrants is None else quadrants[1]
         ref = np.abs(evecs.T @ (psi / np.linalg.norm(psi))) ** 2
         assert np.max(np.abs(measure.probs - ref)) <= 1e-12
-        h = dense.entries
+        evals = dense.eigensystem().levels()[0]
         assert np.array_equal(measure.normalizer.apply(evals),
                               measure.energies)
         assert np.max(np.abs(evals - np.linalg.eigvalsh(h))) \
@@ -740,7 +742,9 @@ def _one_block_cases():
 def test_one_block_route_is_plain_eigh(case, eigensolves):
     dense = _one_block_cases()[case]
     h = dense.entries
-    evals, evecs = dense.eigensystem()
+    blocks = dense.eigensystem()
+    evals, evecs = blocks.even
+    assert blocks.odd[0].size == 0
     assert eigensolves == ["eigh"] and eigensolves.dims == [len(h)]
     eigensolves.clear()
     ref_vals, ref_vecs = np.linalg.eigh(h)
@@ -757,13 +761,12 @@ def test_blocked_eigensolve_is_byte_identical_to_quadrant_gathers(n_orb,
     # solve side by side, one BLAS thread each; the oracle solves them one
     # after the other on one thread
     with blas.command(2):
-        evals, evecs = dense.eigensystem()
+        blocks = dense.eigensystem()
     with blas.limit(1):
-        ref_vals, ref_vecs = oracles.flip_blocked_eigh_quadrants(
+        _, _, ref = oracles.flip_blocked_eigh_quadrants(
             dense.entries, dense.basis_labels)
-    assert evals.tobytes() == ref_vals.tobytes()
-    assert evecs.tobytes() == ref_vecs.tobytes()
-    assert evecs.flags.c_contiguous
+    for got, want in zip(blocks.even + blocks.odd, ref[0] + ref[1]):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +948,8 @@ def test_block_measure_of_a_load_makes_no_dense_eigenvectors(tmp_path):
     # the blocks hold about half of an n x n array; the measure made
     # nothing near one
     assert peak < back.entries.nbytes / 4
-    evals, evecs = dense.eigensystem()
+    _, evecs, _ = oracles.flip_blocked_eigh_quadrants(dense.entries,
+                                                      dense.basis_labels)
     assert np.max(np.abs(measure.probs - (evecs.T @ psi) ** 2
                          / np.dot(psi, psi))) <= 1e-12
 
@@ -964,7 +968,7 @@ def test_complex_archive_round_trip_keeps_the_measure(tmp_path):
                                       "eigenvectors", "entries"]
         assert data["eigenvectors"].dtype == complex
     back = ham.load_hamiltonian(path)
-    for x, y in zip(back.eigensystem(), dense.eigensystem()):
+    for x, y in zip(back.eigensystem().even, dense.eigensystem().even):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     psi = rng.normal(size=40) + 1j * rng.normal(size=40)
     want = exact_spectral_measure(dense, psi)
@@ -976,7 +980,7 @@ def test_complex_archive_round_trip_keeps_the_measure(tmp_path):
 def test_np_savez_archive_loads_bit_identically(tmp_path):
     dense = ham.build_ci_matrix(
         _eightfold_fcidump(np.random.default_rng(666), 6), 2, 1)
-    evals, evecs = dense.eigensystem()
+    evals, evecs = dense.eigensystem().even
     ours, theirs = tmp_path / "ours.npz", tmp_path / "theirs.npz"
     ham.save_hamiltonian(dense, ours)
     np.savez(theirs, entries=dense.entries,
@@ -985,8 +989,7 @@ def test_np_savez_archive_loads_bit_identically(tmp_path):
     assert ours.read_bytes() != theirs.read_bytes()
     a, b = ham.load_hamiltonian(ours), ham.load_hamiltonian(theirs)
     for x, y in ((a.entries, b.entries),
-                 (a.eigensystem()[0], b.eigensystem()[0]),
-                 (a.eigensystem()[1], b.eigensystem()[1])):
+                 *zip(a.eigensystem().even, b.eigensystem().even)):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     assert a.basis_labels == b.basis_labels == dense.basis_labels
 
@@ -1005,9 +1008,10 @@ def test_rewriting_a_loaded_path_leaves_the_loaded_arrays_intact(tmp_path):
     assert path.stat().st_size < big.entries.nbytes
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.npz"]
     assert loaded.entries.tobytes() == big.entries.tobytes()
-    # the blocks stay mapped: the columns assembled from them are intact
-    assert loaded.eigensystem()[1].tobytes() \
-        == big.eigensystem()[1].tobytes()
+    # the blocks stay mapped and intact
+    for x, y in zip(loaded.eigensystem().even + loaded.eigensystem().odd,
+                    big.eigensystem().even + big.eigensystem().odd):
+        assert x.tobytes() == y.tobytes()
     assert ham.load_hamiltonian(path).dim == small.dim
 
 
@@ -1015,7 +1019,7 @@ def test_rewriting_a_loaded_path_leaves_the_loaded_arrays_intact(tmp_path):
 def test_saved_npz_loads_back_in_its_order_and_aligned(tmp_path, order):
     dense = ham.build_ci_matrix(
         _eightfold_fcidump(np.random.default_rng(661), 6), 2, 1)
-    evals, evecs = dense.eigensystem()
+    evals, evecs = dense.eigensystem().even
     stored = ham.DenseHamiltonian(
         np.asarray(dense.entries, order=order), dense.basis_labels,
         ham.FlipBlocks.one_block(evals, np.asarray(evecs, order=order)))
@@ -1023,7 +1027,7 @@ def test_saved_npz_loads_back_in_its_order_and_aligned(tmp_path, order):
     ham.save_hamiltonian(stored, path)
     back = ham.load_hamiltonian(path)
     for a, b in ((back.entries, stored.entries),
-                 (back.eigensystem()[1], stored.eigensystem()[1])):
+                 (back.eigensystem().even[1], stored.eigensystem().even[1])):
         assert a.tobytes("A") == b.tobytes("A")
         assert a.flags.f_contiguous == b.flags.f_contiguous
         assert a.flags.aligned

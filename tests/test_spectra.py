@@ -67,7 +67,7 @@ def test_measure_validation():
 def test_exact_measure_eigenvector():
     rng = np.random.default_rng(1)
     h, _ = random_normalized(rng, 12)
-    evals, evecs = h.eigensystem()
+    evals, evecs = h.eigensystem().even
     m = exact_spectral_measure(h, evecs[:, 3])
     assert m.probs.sum() == pytest.approx(1.0, abs=1e-12)
     top = int(np.argmax(m.probs))
@@ -133,7 +133,7 @@ def test_exact_measure_with_margin_takes_one_eigensolve(monkeypatch):
 def test_exact_measure_uniform_superposition():
     rng = np.random.default_rng(3)
     h, _ = random_normalized(rng, 8)
-    _, evecs = h.eigensystem()
+    _, evecs = h.eigensystem().even
     m = exact_spectral_measure(h, evecs.sum(axis=1))
     assert np.allclose(m.probs, 1 / 8, atol=1e-12)
 
@@ -204,7 +204,7 @@ def test_moments_match_measure_sums():
 def test_moments_eigenvector_degenerate():
     rng = np.random.default_rng(8)
     h, _ = random_normalized(rng, 6)
-    evals, evecs = h.eigensystem()
+    evals, evecs = h.eigensystem().even
     ms = moments_from_measure(exact_spectral_measure(h, evecs[:, 0]), 6)
     for n in range(7):
         assert ms.raw[n] == pytest.approx(evals[0] ** n, abs=1e-12)

@@ -302,6 +302,33 @@ def test_frexp_is_taken_only_by_the_one_scaling_helper():
                      ("hamiltonian.py", "_pow2_scaled")]
 
 
+def thread_makers(source):
+    """Lines of ``source`` that call ``Thread`` by name or as an attribute,
+    such as ``threading.Thread(...)``, at any depth."""
+    def name(func):
+        return (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and name(node.func) == "Thread")
+
+
+def test_only_blas_makes_a_thread():
+    # blas.beside is the one helper thread, and it keeps the rule of when
+    # a command may run one
+    assert thread_makers("import threading\n"
+                         "t = threading.Thread(target=f)\n"
+                         "def g():\n"
+                         "    return Thread(target=f, name='x')\n"
+                         "cls = threading.Thread\n"
+                         "h = threading.Timer(1.0, f)\n") == [2, 4]
+    found = sorted(path.name
+                   for path in (ROOT / "src" / "qprep").glob("*.py")
+                   if thread_makers(path.read_text(encoding="utf-8")))
+    assert found == ["blas.py"]
+
+
 def test_side_branch_modules_import_without_scipy():
     # loading every module, commands that need none of it included, pulls
     # in no scipy module

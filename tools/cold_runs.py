@@ -94,12 +94,13 @@ EIGEN_MEMBERS = ("eigenvalues", "eigenvectors", "partner", "sign",
                  "even_eigenvalues", "even_eigenvectors", "odd_eigenvalues",
                  "odd_eigenvectors")
 # run on a tree: argv[1]'s archive rewritten as argv[2] in the dense
-# layout, by numpy.savez
+# layout, by numpy.savez, with the eigensystem of one eigh of the matrix
+# (no qprep accessor, so the script runs on any tree)
 DENSE_SAVEZ = """import sys
 import numpy as np
 from qprep.hamiltonian import load_hamiltonian
 h = load_hamiltonian(sys.argv[1])
-evals, evecs = h.eigensystem()
+evals, evecs = np.linalg.eigh(h.entries)
 np.savez(sys.argv[2], entries=h.entries, basis_labels=h.basis_labels,
          eigenvalues=evals, eigenvectors=evecs)
 """

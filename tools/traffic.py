@@ -5,11 +5,12 @@ Traffic is every command of the three benchmark workloads of
 at ``--scale``), run in one process in a temporary directory, and, unless
 ``--no-checks`` is given, the ten reproduction checks of ``qprep
 reproduce``.  A line tracer (``sys.settrace`` and ``threading.settrace``,
-so the side-by-side solves count too) records the lines run in the files
-of ``src/qprep``, from before the first import of the package.  For each
-module the tool then prints the executable lines (those the compiled code
-maps an instruction to) that never ran, leaving out the lines of ``raise``
-statements: refusals are for the tests to reach, not traffic.
+so the jobs on the helper thread of ``blas.beside`` count too) records the
+lines run in the files of ``src/qprep``, from before the first import of
+the package.  For each module the tool then prints the executable lines
+(those the compiled code maps an instruction to) that never ran, leaving
+out the lines of ``raise`` statements: refusals are for the tests to
+reach, not traffic.
 
     python tools/traffic.py [--scale toy|full] [--seed N] [--no-checks]
 
